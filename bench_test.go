@@ -261,7 +261,7 @@ func BenchmarkStoreReplay(b *testing.B) {
 		b.Fatal(err)
 	}
 
-	run := func(b *testing.B, f store.Filter) {
+	run := func(b *testing.B, f store.Query) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			cat, stats, err := rep.Replay(f, 0)
@@ -273,8 +273,8 @@ func BenchmarkStoreReplay(b *testing.B) {
 			}
 		}
 	}
-	b.Run("full", func(b *testing.B) { run(b, store.Filter{}) })
-	b.Run("pruned", func(b *testing.B) { run(b, store.Filter{}.Days(cfg.Days/2, cfg.Days/2+1)) })
+	b.Run("full", func(b *testing.B) { run(b, store.Query{}) })
+	b.Run("pruned", func(b *testing.B) { run(b, store.Query{}.Days(cfg.Days/2, cfg.Days/2+1)) })
 }
 
 // BenchmarkEndToEnd runs every registered experiment once per

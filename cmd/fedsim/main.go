@@ -12,9 +12,7 @@
 //	fedsim -sites 2                 # first N default hosts
 //	fedsim -hosts 23410,26202      # explicit visited MNOs
 //	fedsim -stream                  # per-site catalogs via the streaming ingest router
-//	fedsim -outofcore               # bounded-memory build: counting pre-pass, sites one
-//	                                # at a time, fleet plane materialized only on demand
-//	fedsim -gen -outofcore -max-heap-mib 512  # generation only, self-asserting the heap peak
+//	fedsim -gen -max-heap-mib 512   # generation only, self-asserting the heap peak
 //	fedsim -archive /data/fed       # persist each site's CDR feed to /data/fed/site-<plmn>
 //	fedsim -replay /data/fed        # replay every per-site store, then exit
 //	fedsim -experiment fed-smip     # one experiment (fed-sites, fed-agreement,
@@ -50,7 +48,6 @@ func main() {
 		hosts   = flag.String("hosts", "", "comma-separated visited-MNO PLMNs (overrides -sites)")
 		workers = flag.Int("workers", runtime.GOMAXPROCS(0), "pipeline worker pool size (results are identical for any value)")
 		stream  = flag.Bool("stream", false, "build site catalogs through the bounded-memory streaming ingest router")
-		ooc     = flag.Bool("outofcore", false, "build the federation out of core: sites one at a time, fleet plane lazy")
 		genOnly = flag.Bool("gen", false, "generate the federation dataset and print its shape without running experiments")
 		heapMiB = flag.Int64("max-heap-mib", 0, "fail if the process heap peak exceeds this many MiB (0 = no assertion)")
 		archive = flag.String("archive", "", "persist each site's CDR/xDR feed to a per-site store under this directory")
@@ -86,7 +83,6 @@ func main() {
 
 	sess := experiments.NewFederation(*seed, *scale, *workers, plmns...)
 	sess.Streaming = *stream
-	sess.BoundedMemory = *ooc
 	sess.ArchiveDir = *archive
 	sess.ArchiveSegmentRecords = *archSeg
 
@@ -97,12 +93,8 @@ func main() {
 		for _, site := range fed.Sites {
 			records += len(site.Catalog.Records)
 		}
-		mode := "materialized"
-		if *ooc {
-			mode = "out-of-core"
-		}
-		fmt.Printf("generated %d sites, %d catalog records (%s) in %v\n",
-			len(fed.Sites), records, mode, time.Since(start).Round(time.Millisecond))
+		fmt.Printf("generated %d sites, %d catalog records in %v\n",
+			len(fed.Sites), records, time.Since(start).Round(time.Millisecond))
 		assertHeap()
 		return
 	}

@@ -2,10 +2,10 @@
 // the daily devices-catalog as CSV, plus an optional ground-truth
 // class file for validation.
 //
-// With -outofcore the dataset never materializes: the out-of-core
-// generator streams devices and records straight into the CSV
-// writers under a bounded device residency, so the process peak stays
-// near the counting pre-pass regardless of -devices. -max-heap-mib
+// With -outofcore the dataset never materializes: StreamMNO hands
+// devices and records straight to the CSV writers with at most one
+// device resident per worker, so the process peak stays near the
+// counting pre-pass regardless of -devices. -max-heap-mib
 // turns the run into a self-asserting memory experiment: the process
 // samples its own heap and exits non-zero if the peak exceeded the
 // budget — the hook CI's scale-smoke job uses to prove the
@@ -36,15 +36,14 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("mnosim: ")
 	var (
-		devN        = flag.Int("devices", 30000, "distinct devices across the window")
-		days        = flag.Int("days", 22, "observation window in days")
-		seed        = flag.Uint64("seed", 1, "generator seed")
-		workers     = flag.Int("workers", runtime.GOMAXPROCS(0), "synthesis worker pool size (output is identical for any value)")
-		out         = flag.String("out", "catalog.csv", "devices-catalog output path")
-		truth       = flag.String("truth", "", "optional ground-truth class CSV output path")
-		outOfCore   = flag.Bool("outofcore", false, "stream the generation into the CSV writers without materializing the dataset")
-		maxResident = flag.Int("max-resident", 0, "out-of-core device residency budget (0 = one per worker)")
-		maxHeapMiB  = flag.Int64("max-heap-mib", 0, "fail if the process heap peak exceeds this many MiB (0 = no assertion)")
+		devN       = flag.Int("devices", 30000, "distinct devices across the window")
+		days       = flag.Int("days", 22, "observation window in days")
+		seed       = flag.Uint64("seed", 1, "generator seed")
+		workers    = flag.Int("workers", runtime.GOMAXPROCS(0), "synthesis worker pool size (output is identical for any value)")
+		out        = flag.String("out", "catalog.csv", "devices-catalog output path")
+		truth      = flag.String("truth", "", "optional ground-truth class CSV output path")
+		outOfCore  = flag.Bool("outofcore", false, "stream the generation into the CSV writers without materializing the dataset")
+		maxHeapMiB = flag.Int64("max-heap-mib", 0, "fail if the process heap peak exceeds this many MiB (0 = no assertion)")
 	)
 	flag.Parse()
 
@@ -53,7 +52,6 @@ func main() {
 	cfg.Days = *days
 	cfg.Seed = *seed
 	cfg.Workers = *workers
-	cfg.MaxResidentDevices = *maxResident
 
 	var stopWatch func() int64
 	if *maxHeapMiB > 0 {
@@ -102,8 +100,8 @@ func main() {
 			log.Fatal(err)
 		}
 		records, devCount = stream.Records, stream.Devices
-		log.Printf("streamed %d catalog records for %d devices in %v (peak residency %d)",
-			records, devCount, time.Since(start).Round(time.Millisecond), stream.ResidentPeak)
+		log.Printf("streamed %d catalog records for %d devices in %v",
+			records, devCount, time.Since(start).Round(time.Millisecond))
 	} else {
 		ds := dataset.GenerateMNO(cfg)
 		log.Printf("generated %d catalog records for %d devices in %v",

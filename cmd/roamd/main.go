@@ -12,7 +12,6 @@
 // Endpoints (all GET):
 //
 //	/v1/healthz                          liveness
-//	/v1/statsz                           cache counters + mounts (deprecated: use /metrics)
 //	/v1/sites                            mounted sites
 //	/v1/sites/{site}/stats               whole-window operator stats
 //	/v1/sites/{site}/days?lo=&hi=        day-range summary

@@ -8,6 +8,10 @@
 package whereroam
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"hash"
 	"path/filepath"
 	"reflect"
 	"sort"
@@ -462,7 +466,7 @@ func TestStoreReplayDeterministic(t *testing.T) {
 			t.Fatalf("seed %d: archived %d records, live capture has %d", seed, got, len(raw.Records))
 		}
 		for _, workers := range []int{1, 4, 0} {
-			cat, _, err := rep.Replay(store.Filter{}, workers)
+			cat, _, err := rep.Replay(store.Query{}, workers)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -503,12 +507,12 @@ func TestStorePrunedReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	_, full, err := rep.Replay(store.Filter{}, 0)
+	_, full, err := rep.Replay(store.Query{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	lo, hi := cfg.Days/2, cfg.Days/2+1
-	cat, pruned, err := rep.Replay(store.Filter{}.Days(lo, hi), 0)
+	cat, pruned, err := rep.Replay(store.Query{}.Days(lo, hi), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -560,7 +564,7 @@ func TestStreamM2MArchiveRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var replayed []signaling.Transaction
-	if _, err := rep.ReplayTransactions(store.Filter{}, func(tx signaling.Transaction) { replayed = append(replayed, tx) }); err != nil {
+	if _, err := rep.ReplayTransactions(store.Query{}, func(tx signaling.Transaction) { replayed = append(replayed, tx) }); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(live, replayed) {
@@ -568,12 +572,11 @@ func TestStreamM2MArchiveRoundTrip(t *testing.T) {
 	}
 }
 
-// The out-of-core MNO generator must reproduce the materialized
-// dataset bit for bit at every worker count and under a residency
-// budget: same devices in the same order, same catalog records, same
-// ground truth and IR.88 verdicts. This is the acceptance contract of
-// the counting pre-pass — per-shard IMSI block offsets must hand every
-// device exactly the IMSI the serial allocation pass would have.
+// StreamMNO's ordered fan-in must deliver exactly what GenerateMNO
+// materializes at every worker count: same devices in the same order,
+// same catalog records, same ground truth and IR.88 verdicts. Both run
+// the same emission walk, so this pins the fan-in, not a second
+// generator.
 func TestOutOfCoreMNOMatchesMaterialized(t *testing.T) {
 	for seed := uint64(1); seed <= 3; seed++ {
 		cfg := dataset.DefaultMNOConfig()
@@ -582,13 +585,9 @@ func TestOutOfCoreMNOMatchesMaterialized(t *testing.T) {
 		cfg.Workers = 1
 		mat := dataset.GenerateMNO(cfg)
 
-		for _, run := range []struct {
-			workers int
-			budget  int
-		}{{1, 0}, {4, 0}, {0, 0}, {4, 2}} {
+		for _, workers := range []int{1, 4, 0} {
 			scfg := cfg
-			scfg.Workers = run.workers
-			scfg.MaxResidentDevices = run.budget
+			scfg.Workers = workers
 			var devs []devices.Device
 			declared := map[identity.DeviceID]bool{}
 			truth := map[identity.DeviceID]devices.Class{}
@@ -604,82 +603,118 @@ func TestOutOfCoreMNOMatchesMaterialized(t *testing.T) {
 				Record: func(rec catalog.DailyRecord) { recs = append(recs, rec) },
 			})
 			if !reflect.DeepEqual(mat.Devices, devs) {
-				t.Errorf("seed %d workers %d budget %d: streamed devices differ from materialized",
-					seed, run.workers, run.budget)
+				t.Errorf("seed %d workers %d: streamed devices differ from materialized", seed, workers)
 			}
 			if !reflect.DeepEqual(mat.Catalog.Records, recs) {
-				t.Errorf("seed %d workers %d budget %d: streamed catalog records differ from materialized",
-					seed, run.workers, run.budget)
+				t.Errorf("seed %d workers %d: streamed catalog records differ from materialized", seed, workers)
 			}
 			if !reflect.DeepEqual(mat.Truth, truth) {
-				t.Errorf("seed %d workers %d budget %d: ground truth differs", seed, run.workers, run.budget)
+				t.Errorf("seed %d workers %d: ground truth differs", seed, workers)
 			}
 			if !reflect.DeepEqual(mat.Declared, declared) {
-				t.Errorf("seed %d workers %d budget %d: IR.88 verdicts differ", seed, run.workers, run.budget)
+				t.Errorf("seed %d workers %d: IR.88 verdicts differ", seed, workers)
 			}
 			if stream.Records != int64(len(recs)) {
-				t.Errorf("seed %d workers %d budget %d: stream reports %d records, sink saw %d",
-					seed, run.workers, run.budget, stream.Records, len(recs))
-			}
-			if run.budget > 0 && stream.ResidentPeak > run.budget {
-				t.Errorf("seed %d workers %d: resident peak %d exceeds budget %d",
-					seed, run.workers, stream.ResidentPeak, run.budget)
+				t.Errorf("seed %d workers %d: stream reports %d records, sink saw %d",
+					seed, workers, stream.Records, len(recs))
 			}
 		}
 	}
 }
 
-// The bounded-memory federation build must reproduce the materialized
-// build's per-site catalogs, presence sets and truth maps bit for bit
-// at every worker count — and materializing the fleet lazily
-// afterwards (EnsureFleet) must reproduce the shared fleet plane too.
-func TestOutOfCoreFederationMatchesMaterialized(t *testing.T) {
-	base := dataset.DefaultFederationConfig()
-	base.FleetDevices, base.NativePerSite, base.Days = 250, 150, 8
-	base.Workers = 1
-	mat := dataset.GenerateFederation(base)
-
-	for _, workers := range []int{1, 4, 0} {
-		cfg := base
-		cfg.Workers = workers
-		cfg.BoundedMemory = true
-		fed := dataset.GenerateFederation(cfg)
-		if fed.Fleet != nil || fed.Schedule != nil {
-			t.Fatalf("workers=%d: bounded build materialized the fleet plane eagerly", workers)
+// The twin pins above only ever compare one path with another; this
+// pins the absolute bytes a seed produces. The constants were recorded
+// at the commit before the generators were folded onto one emission
+// walk per plane, and must survive any refactor that claims to leave
+// generated data unchanged. A deliberate change to what a seed
+// generates re-records them (the failure message prints the new
+// digest).
+func TestGeneratorDigests(t *testing.T) {
+	got := map[string]string{}
+	record := func(name string, write func(h hash.Hash) error) {
+		h := sha256.New()
+		if err := write(h); err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
-		for j := range mat.Sites {
-			a, b := mat.Sites[j], fed.Sites[j]
-			if !reflect.DeepEqual(a.Catalog.Records, b.Catalog.Records) {
-				t.Errorf("workers=%d site %d: bounded catalog differs from materialized", workers, j)
+		got[name] = hex.EncodeToString(h.Sum(nil))
+	}
+	idSet := func(set map[identity.DeviceID]bool) func(hash.Hash) error {
+		return func(h hash.Hash) error {
+			ids := make([]identity.DeviceID, 0, len(set))
+			for id, ok := range set {
+				if ok {
+					ids = append(ids, id)
+				}
 			}
-			if !reflect.DeepEqual(a.Present, b.Present) {
-				t.Errorf("workers=%d site %d: fleet presence differs", workers, j)
+			sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+			for _, id := range ids {
+				fmt.Fprintf(h, "%v\n", id)
 			}
-			if !reflect.DeepEqual(a.Truth, b.Truth) {
-				t.Errorf("workers=%d site %d: local truth differs", workers, j)
-			}
-		}
-		fed.EnsureFleet()
-		if !reflect.DeepEqual(mat.Fleet, fed.Fleet) {
-			t.Errorf("workers=%d: lazily materialized fleet differs", workers)
-		}
-		if !reflect.DeepEqual(mat.Schedule, fed.Schedule) {
-			t.Errorf("workers=%d: lazily materialized schedule differs", workers)
-		}
-		if !reflect.DeepEqual(mat.Truth, fed.Truth) {
-			t.Errorf("workers=%d: lazily materialized fleet truth differs", workers)
+			return nil
 		}
 	}
 
-	// The bounded build composes with the streaming/batch switch being
-	// irrelevant to it: a streaming materialized build matches too.
-	scfg := base
-	scfg.Streaming = true
-	scfg.Workers = 4
-	stream := dataset.GenerateFederation(scfg)
-	for j := range mat.Sites {
-		if !reflect.DeepEqual(mat.Sites[j].Catalog.Records, stream.Sites[j].Catalog.Records) {
-			t.Errorf("site %d: streaming materialized catalog differs from batch", j)
+	mcfg := dataset.DefaultMNOConfig()
+	mcfg.Devices = 1500
+	mno := dataset.GenerateMNO(mcfg)
+	record("mno.devices", func(h hash.Hash) error {
+		// Mobility models are pointers; a sampled position stands in
+		// for their drawn parameters.
+		at := mcfg.Start.Add(36 * time.Hour)
+		for i := range mno.Devices {
+			d := &mno.Devices[i]
+			fmt.Fprintf(h, "%v|%v|%v|%+v|%v|%+v|%v|%v|%v\n",
+				d.ID, d.IMSI, d.IMEI, d.Info, d.Class, d.Profile, d.Home, d.MVNO, d.Mobility.Position(at))
+		}
+		return nil
+	})
+	record("mno.catalog", func(h hash.Hash) error { return mno.Catalog.WriteCSV(h) })
+	record("mno.declared", idSet(mno.Declared))
+
+	pcfg := dataset.DefaultM2MConfig()
+	pcfg.Devices = 800
+	m2m := dataset.GenerateM2M(pcfg)
+	record("m2m.transactions", func(h hash.Hash) error { return m2m.SaveTransactions(h) })
+
+	fcfg := dataset.DefaultFederationConfig()
+	fcfg.FleetDevices, fcfg.NativePerSite, fcfg.Days = 250, 150, 8
+	fed := dataset.GenerateFederation(fcfg)
+	for j, site := range fed.Sites {
+		record(fmt.Sprintf("fed.site%d.catalog", j), func(h hash.Hash) error { return site.Catalog.WriteCSV(h) })
+		record(fmt.Sprintf("fed.site%d.present", j), idSet(site.Present))
+	}
+	record("fed.schedule", func(h hash.Hash) error {
+		for _, row := range fed.Schedule {
+			for _, s := range row {
+				h.Write([]byte{byte(s)})
+			}
+		}
+		return nil
+	})
+	record("fed.m2m", func(h hash.Hash) error {
+		return signaling.WriteAll(h, dataset.GenerateFederationM2M(fed).Transactions)
+	})
+
+	want := map[string]string{
+		"mno.devices":       "fbdb98eb6b8065b167d18f65f0493b4100de2968fc123779075b862e9e87ca27",
+		"mno.catalog":       "6460e8010d25fc16b1ba48e23053effcfdff02b8ee4f12c36c145d14df6a6be8",
+		"mno.declared":      "1673fb0976b31940f015c6f3aa0cc128792ffc514abe9e46c3a537e8502f297c",
+		"m2m.transactions":  "a7341ab129e5e1e4c48081f51d89a9c36e4b5a505a5a979b375df8a26d952c08",
+		"fed.site0.catalog": "96cbed0556380ccdee4629a252e7e730b2a7863dc6b8e87fe1b17e6f7dad8f3a",
+		"fed.site0.present": "a156a5adc04381ad8284bb0f01736b02257b328c196c50097f648088b258930f",
+		"fed.site1.catalog": "8471befdbd5c302e4ec62a57b20b92f8a25fa9936f67bf5da3d18b72963e1f25",
+		"fed.site1.present": "79e5035b8294cedb5b6cb783ea2529ad196a2e870c9b525cf14c43e925773ab6",
+		"fed.site2.catalog": "04c453ad29ee5f2c8c5d3409375b41e30245dbfd1786f5b90f46f0f409a38f62",
+		"fed.site2.present": "8c467d59ff455197e3e23d2452f5a0d6d85de1e81aef4d625950a6c08cb95354",
+		"fed.schedule":      "7b01adcedbc64f0407cf8e2db7dcc71fc042b059af0de4a0c66aa5826b6df9a6",
+		"fed.m2m":           "f81289b29d9e323c931e00620d236e34df1deac6781c44c96b0a2295bc0e4165",
+	}
+	if len(got) != len(want) {
+		t.Fatalf("recorded %d digests, want %d", len(got), len(want))
+	}
+	for name, w := range want {
+		if got[name] != w {
+			t.Errorf("%s: digest %s, want %s", name, got[name], w)
 		}
 	}
 }

@@ -425,11 +425,11 @@ func TestFederationArchiveSites(t *testing.T) {
 		if r.Manifest().TotalRecords == 0 {
 			t.Fatalf("site %v archived no records", site.Host)
 		}
-		cat1, _, err := r.Replay(store.Filter{}, 1)
+		cat1, _, err := r.Replay(store.Query{}, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cat4, _, err := r.Replay(store.Filter{}, 4)
+		cat4, _, err := r.Replay(store.Query{}, 4)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"path/filepath"
 	"sort"
-	"sync"
 	"time"
 
 	"whereroam/internal/catalog"
@@ -72,19 +71,6 @@ type FederationConfig struct {
 	// a tiny archive exercises range and bloom pruning. The archived
 	// bytes are identical either way; only the segment boundaries move.
 	ArchiveSegmentRecords int
-	// BoundedMemory switches the build to the out-of-core pipeline: a
-	// counting pre-pass turns the fleet's serial IMSI allocation into
-	// per-shard block offsets, and sites are then built one at a time
-	// by re-drafting each device from its RNG substream and streaming
-	// its records straight into the site's catalog ingester — the full
-	// fleet, the native populations and the per-site observation lists
-	// are never materialized. The catalogs, Present/Truth sets and
-	// archives are bit-identical to the materialized build at every
-	// worker count. Fleet, Schedule, the dataset-level Truth map and
-	// each site's Natives slice start unmaterialized; call
-	// FederationDataset.EnsureFleet to fill the fleet-plane views on
-	// demand (the sites' catalogs stay as built).
-	BoundedMemory bool
 }
 
 // DefaultFederationHosts is the standard three-site footprint: the
@@ -151,41 +137,6 @@ type FederationDataset struct {
 	// cfg is the build configuration, retained for the plane
 	// generators (scale, streaming switch, worker budget).
 	cfg FederationConfig
-	// fleetOnce guards the lazy fleet materialization of a
-	// bounded-memory build (see EnsureFleet).
-	fleetOnce sync.Once
-}
-
-// EnsureFleet materializes Fleet, Schedule and the dataset-level Truth
-// map on a bounded-memory dataset, rebuilding the fleet from the
-// retained configuration (the per-device RNG substreams make the
-// rebuild bit-identical to what a materialized GenerateFederation
-// would have produced). It is a no-op when the fleet is already
-// resident, and safe for concurrent callers.
-func (fed *FederationDataset) EnsureFleet() {
-	fed.fleetOnce.Do(func() {
-		if fed.members != nil {
-			return
-		}
-		root := rng.New(fed.cfg.Seed).Split("federation")
-		fed.adoptFleet(generateFleet(fed.cfg, root, fed.GSMA, fed.World))
-	})
-}
-
-// adoptFleet installs the materialized fleet into the dataset's
-// exported fleet-plane views.
-func (fed *FederationDataset) adoptFleet(fleet []fleetMember) {
-	fed.members = fleet
-	fed.Fleet = make([]devices.Device, len(fleet))
-	fed.Schedule = make([][]int8, len(fleet))
-	if fed.Truth == nil {
-		fed.Truth = make(map[identity.DeviceID]devices.Class, len(fleet))
-	}
-	for i := range fleet {
-		fed.Fleet[i] = fleet[i].dev
-		fed.Schedule[i] = fleet[i].sched
-		fed.Truth[fleet[i].dev.ID] = fleet[i].dev.Class
-	}
 }
 
 // ScheduledSite returns the site index device i (in Fleet order) is
@@ -202,8 +153,6 @@ type FederationSite struct {
 	Index int
 	// Host is the site's visited MNO.
 	Host mccmnc.PLMN
-	// Natives is the site's local population (homed at Host).
-	Natives []devices.Device
 	// Present marks the fleet devices that roamed into this site.
 	Present map[identity.DeviceID]bool
 	// Truth maps every locally observed device — natives and present
@@ -283,63 +232,65 @@ func siteKey(p mccmnc.PLMN) uint64 {
 // GenerateFederation synthesizes the multi-operator dataset.
 //
 // The build has two planes. The shared plane runs once: the world and
-// GSMA catalog, then the fleet in the usual three passes (parallel
-// class/home draft, serial IMSI allocation, parallel profile finish) —
-// ending with each device's site-presence draw: an anchor site chosen
-// among the sites its home operator can roam onto, plus each further
-// allowed site with probability AttachProb.
+// GSMA catalog, then the fleet in three passes (parallel class/home
+// draft, serial IMSI allocation, parallel profile finish) — ending
+// with each device's site-presence draw: an anchor site chosen among
+// the sites its home operator can roam onto, plus each further allowed
+// site with probability AttachProb.
 //
-// The site plane then fans out over internal/pipeline: every site
-// independently drafts its native population and walks all locally
-// present devices — natives first, then the present fleet in fleet
-// order — through the per-event measurement path (radio events and
-// CDRs/xDRs through probe taps) into its own catalog build. Batch
-// sites aggregate one catalog.Builder per emission shard and combine
-// them with Builder.Merge (feeds are device-disjoint, so the merge is
-// exact); streaming sites route the same events through an
-// ingest.CatalogIngester. Every random draw comes from a per-device
-// or per-(device, site) substream, so the dataset is bit-identical
-// across worker counts and across the batch/streaming switch.
+// The site plane then builds one site after another, each walk fanning
+// out over internal/pipeline: the site drafts its native population
+// and walks all locally present devices — natives first, then the
+// present fleet in fleet order — through the per-event measurement
+// path (radio events and CDRs/xDRs through probe taps) into its own
+// catalog build. Batch sites aggregate one catalog.Builder per
+// emission shard and combine them with Builder.Merge (feeds are
+// device-disjoint, so the merge is exact); streaming sites route the
+// same events through an ingest.CatalogIngester. Every random draw
+// comes from a per-device or per-(device, site) substream, so the
+// dataset is bit-identical across worker counts and across the
+// batch/streaming switch.
+//
+// Sites build in sequence because a site's builder state (grid,
+// per-shard builders or ingester, observation list) is the build's
+// largest transient: the heap peak is one site's builder state plus
+// the fleet, whatever the number of sites. The price: an
+// archive-writing build does not overlap one site's seal fsyncs with
+// another site's CPU.
 func GenerateFederation(cfg FederationConfig) *FederationDataset {
 	cfg = validateFederationConfig(cfg)
 
 	db := gsma.Synthesize(cfg.GSMASeed)
 	world := netsim.NewWorld(netsim.DefaultConfig())
 	root := rng.New(cfg.Seed).Split("federation")
+	fleet := generateFleet(cfg, root, db, world)
 
 	fed := &FederationDataset{
-		Hosts: append([]mccmnc.PLMN(nil), cfg.Hosts...),
-		Start: cfg.Start,
-		Days:  cfg.Days,
-		GSMA:  db,
-		World: world,
-		cfg:   cfg,
+		Hosts:    append([]mccmnc.PLMN(nil), cfg.Hosts...),
+		Start:    cfg.Start,
+		Days:     cfg.Days,
+		GSMA:     db,
+		World:    world,
+		Fleet:    make([]devices.Device, len(fleet)),
+		Truth:    make(map[identity.DeviceID]devices.Class, len(fleet)),
+		Schedule: make([][]int8, len(fleet)),
+		Sites:    make([]*FederationSite, len(cfg.Hosts)),
+		members:  fleet,
+		cfg:      cfg,
 	}
-
-	if cfg.BoundedMemory {
-		generateFederationBounded(cfg, fed, root)
-		return fed
+	for i := range fleet {
+		fed.Fleet[i] = fleet[i].dev
+		fed.Schedule[i] = fleet[i].sched
+		fed.Truth[fleet[i].dev.ID] = fleet[i].dev.Class
 	}
-
-	fed.Truth = make(map[identity.DeviceID]devices.Class, cfg.FleetDevices)
-	fleet := generateFleet(cfg, root, db, world)
-	fed.adoptFleet(fleet)
-
-	// Site plane: every site generates independently from its own
-	// host-keyed substream, so the fan-out is free to run sites
-	// concurrently on the shared worker budget.
-	fed.Sites = make([]*FederationSite, len(cfg.Hosts))
-	pipeline.Run(len(cfg.Hosts), cfg.Workers, func(sh pipeline.Shard) {
-		for j := sh.Lo; j < sh.Hi; j++ {
-			fed.Sites[j] = generateSite(cfg, j, root, db, fleet)
-		}
-	})
+	for j := range cfg.Hosts {
+		fed.Sites[j] = generateSite(cfg, j, root, db, fleet)
+	}
 	return fed
 }
 
 // validateFederationConfig normalizes the defaults and panics on the
-// configurations the generator cannot honour, so the materialized and
-// bounded builds reject identically.
+// configurations the generator cannot honour.
 func validateFederationConfig(cfg FederationConfig) FederationConfig {
 	if len(cfg.Hosts) == 0 {
 		cfg.Hosts = DefaultFederationHosts()
@@ -387,10 +338,8 @@ func fleetPicks(froot *rng.Source) (classPick, m2mPick *rng.Weighted) {
 	return classPick, m2mPick
 }
 
-// drawFleetDraft replays fleet device i's pass-1 draws (class, home
-// operator, IMSI block) from the fleet root. Both the materialized
-// draft pass and the out-of-core counting/emission walks go through
-// this helper, so they see bit-identical draws.
+// drawFleetDraft runs fleet device i's pass-1 draws (class, home
+// operator, IMSI block) from the fleet root.
 func drawFleetDraft(froot *rng.Source, i int, classPick, m2mPick *rng.Weighted) fleetDraft {
 	src := froot.SplitN("device", uint64(i))
 	var class devices.Class
@@ -421,9 +370,8 @@ func drawFleetDraft(froot *rng.Source, i int, classPick, m2mPick *rng.Weighted) 
 // finishFleetMember runs one drafted fleet device through pass 3:
 // profile, identity, site presence and the per-day schedule. The
 // device's substream is not advanced past this point: per-site
-// emission derives from it with read-only splits, which is what lets
-// sites generate concurrently (and, out-of-core, lets any site rebuild
-// the member independently).
+// emission derives from it with read-only splits, so a site's build
+// never perturbs another's draws.
 func finishFleetMember(d *fleetDraft, imsi identity.IMSI, cfg FederationConfig, db *gsma.DB, world *netsim.World) fleetMember {
 	psrc := d.src.Split("profile")
 	prof, info := classProfile(psrc, d.class, cfg.Days, mccmnc.PLMN{}, d.home, true, db)
@@ -598,51 +546,40 @@ func generateSite(cfg FederationConfig, j int, root *rng.Source, db *gsma.DB, fl
 		Truth:   make(map[identity.DeviceID]devices.Class, cfg.NativePerSite),
 	}
 
-	// Native population: class draft (parallel), IMSI allocation
-	// (serial, index order), profile finish (parallel).
+	// Local observation set: natives first, then the present fleet in
+	// fleet order — a deterministic list whose shard boundaries depend
+	// only on its length. The site's consumer block is the natives'
+	// only allocator, so native i's MSIN is nativeBase + i with no
+	// allocation pass.
 	nativeWeights := make([]float64, len(nativeMix))
 	for i, m := range nativeMix {
 		nativeWeights[i] = m.share
 	}
 	nativePick := rng.NewWeighted(sroot.Split("nativeclass"), nativeWeights)
-	classes := make([]devices.Class, cfg.NativePerSite)
-	srcs := make([]*rng.Source, cfg.NativePerSite)
+	locals := make([]localDevice, cfg.NativePerSite, cfg.NativePerSite+len(fleet)/2)
 	pipeline.Run(cfg.NativePerSite, cfg.Workers, func(sh pipeline.Shard) {
 		for i := sh.Lo; i < sh.Hi; i++ {
-			srcs[i] = sroot.SplitN("native", uint64(i))
-			classes[i] = nativeMix[nativePick.DrawFrom(srcs[i])].class
+			src := sroot.SplitN("native", uint64(i))
+			class := nativeMix[nativePick.DrawFrom(src)].class
+			imsi := identity.IMSI{PLMN: host, MSIN: nativeBase + uint64(i)}
+			prof, info := classProfile(src.Split("profile"), class, cfg.Days, host, host, false, db)
+			mob := classMobility(src.Split("mobility"), class, centre)
+			locals[i] = localDevice{
+				dev:  devices.Assemble(class, imsi, info, prof, mob, false),
+				emit: src.Split("days"),
+			}
 		}
 	})
-	alloc := devices.NewIMSIAllocator()
-	imsis := make([]identity.IMSI, cfg.NativePerSite)
-	for i := range imsis {
-		imsis[i] = alloc.Next(host, nativeBase)
-	}
-	natives := make([]devices.Device, cfg.NativePerSite)
-	pipeline.Run(cfg.NativePerSite, cfg.Workers, func(sh pipeline.Shard) {
-		for i := sh.Lo; i < sh.Hi; i++ {
-			prof, info := classProfile(srcs[i].Split("profile"), classes[i], cfg.Days, host, host, false, db)
-			mob := classMobility(srcs[i].Split("mobility"), classes[i], centre)
-			natives[i] = devices.Assemble(classes[i], imsis[i], info, prof, mob, false)
-		}
-	})
-	site.Natives = natives
-	for i := range natives {
-		site.Truth[natives[i].ID] = natives[i].Class
+	for i := range locals {
+		site.Truth[locals[i].dev.ID] = locals[i].dev.Class
 	}
 
-	// Local observation set: natives first, then the present fleet in
-	// fleet order — a deterministic list whose shard boundaries depend
-	// only on its length. A fleet device joins the site only when the
-	// shared presence schedule gives it at least one day here, and its
-	// emission is gated to exactly those days — so a device abroad at
-	// another site on day d contributes nothing to this catalog that
-	// day. Fleet devices move by a site-local mobility model drawn
-	// from their per-(device, site) substream.
-	locals := make([]localDevice, 0, cfg.NativePerSite+len(fleet)/2)
-	for i := range natives {
-		locals = append(locals, localDevice{dev: natives[i], emit: srcs[i].Split("days")})
-	}
+	// A fleet device joins the site only when the shared presence
+	// schedule gives it at least one day here, and its emission is
+	// gated to exactly those days — so a device abroad at another site
+	// on day d contributes nothing to this catalog that day. Fleet
+	// devices move by a site-local mobility model drawn from their
+	// per-(device, site) substream.
 	for i := range fleet {
 		if fleet[i].daysAt(j) == 0 {
 			continue

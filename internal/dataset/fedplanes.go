@@ -9,7 +9,6 @@ import (
 	"whereroam/internal/geo"
 	"whereroam/internal/gsma"
 	"whereroam/internal/identity"
-	"whereroam/internal/ingest"
 	"whereroam/internal/mccmnc"
 	"whereroam/internal/mobility"
 	"whereroam/internal/netsim"
@@ -54,7 +53,6 @@ type fedM2MDevice struct {
 // member stream, so the plane never perturbs the catalog plane's
 // draws (nor vice versa).
 func fedM2MPopulation(fed *FederationDataset) []fedM2MDevice {
-	fed.EnsureFleet()
 	devs := make([]fedM2MDevice, 0, len(fed.members))
 	for i := range fed.members {
 		m := &fed.members[i]
@@ -130,29 +128,29 @@ func emitFedM2MDevice(tap *probe.Tap[signaling.Transaction], fed *FederationData
 	}
 }
 
+// fedM2MWalk returns the plane's one per-device emission loop over
+// devs: a shard-local probe over the sink it is handed.
+// GenerateFederationM2M and StreamFederationM2M differ only in that
+// sink.
+func fedM2MWalk(fed *FederationDataset, devs []fedM2MDevice) func(pipeline.Shard, func(signaling.Transaction)) {
+	return func(sh pipeline.Shard, sink func(signaling.Transaction)) {
+		tap := probe.NewTap("fed-hmno-probe", fed.cfg.Seed, sink)
+		for i := sh.Lo; i < sh.Hi; i++ {
+			emitFedM2MDevice(tap, fed, devs[i])
+		}
+	}
+}
+
 // GenerateFederationM2M synthesizes the federated M2M transaction
 // plane from an already-built federation dataset: the same shared
 // fleet, the same presence schedule, viewed as the §3/§6 signaling
-// stream. Emission fans out over internal/pipeline with shard-local
-// collectors concatenated in shard order and a final stable time
-// sort, so the stream is bit-identical at every worker count — and
+// stream, time-sorted. It is bit-identical at every worker count, and
 // identical to StreamFederationM2M's delivery after a stable time
 // sort.
 func GenerateFederationM2M(fed *FederationDataset) *FederationM2M {
 	devs := fedM2MPopulation(fed)
 	plane := newFederationM2M(fed, devs)
-
-	outs := pipeline.Map(len(devs), fed.cfg.Workers, func(sh pipeline.Shard) *probe.Collector[signaling.Transaction] {
-		var col probe.Collector[signaling.Transaction]
-		tap := probe.NewTap("fed-hmno-probe", fed.cfg.Seed, col.Add)
-		for i := sh.Lo; i < sh.Hi; i++ {
-			emitFedM2MDevice(tap, fed, devs[i])
-		}
-		return &col
-	})
-	for _, col := range outs {
-		plane.Transactions = append(plane.Transactions, col.Records()...)
-	}
+	plane.Transactions = collectShards(len(devs), fed.cfg.Workers, fedM2MWalk(fed, devs))
 	// Stable: tied timestamps keep serial emission order, the order
 	// StreamFederationM2M delivers.
 	sort.SliceStable(plane.Transactions, func(i, j int) bool {
@@ -161,39 +159,17 @@ func GenerateFederationM2M(fed *FederationDataset) *FederationM2M {
 	return plane
 }
 
-// StreamFederationM2M is GenerateFederationM2M's bounded-memory twin:
-// the transaction stream goes to sink record by record in the exact
-// serial emission order (ingest.Ordered fan-in) instead of being
-// materialized. The returned plane carries the ground truth with a
-// nil Transactions slice; stable-sorting the streamed records by time
-// reproduces GenerateFederationM2M's slice bit for bit. sink runs on
-// the calling goroutine and exerts backpressure through the shard
-// windows.
+// StreamFederationM2M delivers GenerateFederationM2M's transaction
+// stream to sink record by record in the exact serial emission order
+// (see streamShards) instead of materializing it. The returned plane
+// carries the ground truth with a nil Transactions slice;
+// stable-sorting the streamed records by time reproduces
+// GenerateFederationM2M's slice bit for bit. sink runs on the calling
+// goroutine and exerts backpressure through the shard windows.
 func StreamFederationM2M(fed *FederationDataset, sink func(signaling.Transaction)) *FederationM2M {
 	devs := fedM2MPopulation(fed)
-	plane := newFederationM2M(fed, devs)
-
-	ord := ingest.NewOrdered[signaling.Transaction](pipeline.ShardCount(len(devs)), 0)
-	done := make(chan any, 1)
-	go func() {
-		defer func() {
-			p := recover()
-			ord.CloseAll()
-			done <- p
-		}()
-		pipeline.Run(len(devs), fed.cfg.Workers, func(sh pipeline.Shard) {
-			defer ord.CloseShard(sh.Index)
-			tap := probe.NewTap("fed-hmno-probe", fed.cfg.Seed, ord.Sink(sh.Index))
-			for i := sh.Lo; i < sh.Hi; i++ {
-				emitFedM2MDevice(tap, fed, devs[i])
-			}
-		})
-	}()
-	ord.Drain(sink)
-	if p := <-done; p != nil {
-		panic(p)
-	}
-	return plane
+	streamShards(len(devs), fed.cfg.Workers, 0, fedM2MWalk(fed, devs), sink)
+	return newFederationM2M(fed, devs)
 }
 
 // newFederationM2M builds the plane container and its truth map.
@@ -232,7 +208,6 @@ type FederationSMIP struct {
 // bit-identical across worker counts and the batch/streaming switch,
 // exactly like the federation's main site catalogs.
 func GenerateFederationSMIP(fed *FederationDataset) *FederationSMIP {
-	fed.EnsureFleet()
 	cfg := fed.cfg
 	// Archiving belongs to the main site catalogs: the federation
 	// build already wrote one store per site under ArchiveDir, and a
@@ -247,11 +222,11 @@ func GenerateFederationSMIP(fed *FederationDataset) *FederationSMIP {
 		Hosts: fed.Hosts,
 		Sites: make([]*SMIPDataset, len(fed.Hosts)),
 	}
-	pipeline.Run(len(fed.Hosts), cfg.Workers, func(sh pipeline.Shard) {
-		for j := sh.Lo; j < sh.Hi; j++ {
-			plane.Sites[j] = generateSMIPSite(fed, cfg, root, j)
-		}
-	})
+	// One site at a time, like the main site catalogs: each site's walk
+	// already fans out over the worker pool.
+	for j := range fed.Hosts {
+		plane.Sites[j] = generateSMIPSite(fed, cfg, root, j)
+	}
 	return plane
 }
 
@@ -274,34 +249,26 @@ func generateSMIPSite(fed *FederationDataset, cfg FederationConfig, root *rng.So
 		NBIoT:  map[identity.DeviceID]bool{},
 	}
 
-	// Native cohort: per-meter substreams, serial index-order IMSI
-	// allocation, parallel profile finish — the usual three-pass
-	// shape.
-	srcs := make([]*rng.Source, cfg.NativePerSite)
-	for i := range srcs {
-		srcs[i] = sroot.SplitN("meter", uint64(i))
-	}
-	alloc := devices.NewIMSIAllocator()
-	imsis := make([]identity.IMSI, cfg.NativePerSite)
-	for i := range imsis {
-		imsis[i] = alloc.Next(host, SMIPNativeBase)
-	}
-	natives := make([]devices.Device, cfg.NativePerSite)
+	// Native cohort, from per-meter substreams. The site's dedicated
+	// block is the cohort's only allocator, so meter i's MSIN is
+	// SMIPNativeBase + i with no allocation pass.
+	locals := make([]localDevice, cfg.NativePerSite)
 	pipeline.Run(cfg.NativePerSite, cfg.Workers, func(sh pipeline.Shard) {
 		for i := sh.Lo; i < sh.Hi; i++ {
-			src := srcs[i]
+			src := sroot.SplitN("meter", uint64(i))
+			imsi := identity.IMSI{PLMN: host, MSIN: SMIPNativeBase + uint64(i)}
 			prof := devices.SmartMeterNativeProfile(src.Split("profile"), cfg.Days, host)
 			info := fed.GSMA.Pick(src.Split("tac"), gsma.ArchM2MModule)
 			mob := mobility.NewStationary(src.Split("mob"), centre, 150)
-			natives[i] = devices.Assemble(devices.ClassSmartMeter, imsis[i], info, prof, mob, false)
+			locals[i] = localDevice{
+				dev:  devices.Assemble(devices.ClassSmartMeter, imsi, info, prof, mob, false),
+				emit: src.Split("days"),
+			}
 		}
 	})
-
-	locals := make([]localDevice, 0, cfg.NativePerSite)
-	for i := range natives {
-		ds.Devices = append(ds.Devices, natives[i])
-		ds.Native[natives[i].ID] = true
-		locals = append(locals, localDevice{dev: natives[i], emit: srcs[i].Split("days")})
+	for i := range locals {
+		ds.Devices = append(ds.Devices, locals[i].dev)
+		ds.Native[locals[i].dev.ID] = true
 	}
 
 	// Fleet meters scheduled here, in fleet order. Stationary classes
@@ -326,7 +293,7 @@ func generateSMIPSite(fed *FederationDataset, cfg FederationConfig, root *rng.So
 		})
 	}
 
-	ds.NativeRange = SMIPNativeRange(host, alloc.Allocated(host, SMIPNativeBase))
+	ds.NativeRange = SMIPNativeRange(host, uint64(cfg.NativePerSite))
 	ds.Catalog = buildSiteCatalog(cfg, host, grid, locals)
 	return ds
 }

@@ -110,16 +110,23 @@ func platformHMNOs() []hmnoSpec {
 	}
 }
 
-// m2mSetup carries the population state the emission pass needs,
-// shared by the materialized (GenerateM2M) and streaming (StreamM2M)
-// paths.
-type m2mSetup struct {
-	*M2MDataset
-	world *netsim.World
+// m2mWalk is everything GenerateM2M and StreamM2M share: the world,
+// the drafted population with its identities, and the one per-device
+// emission loop, shard. The two entry points differ
+// only in the sink they hand that loop.
+type m2mWalk struct {
+	cfg    M2MConfig
+	world  *netsim.World
+	specs  []hmnoSpec
+	drafts []m2mDraft
+	devIDs []identity.DeviceID
+	// truths is filled by the walk, index-aligned with drafts (shards
+	// own disjoint index ranges, so the writes never overlap).
+	truths []M2MDeviceTruth
 }
 
-// m2mDraft is the pass-1 output for one device: its home-operator
-// draw plus the per-device RNG substream the later passes resume.
+// m2mDraft is the draft-pass output for one device: its home-operator
+// draw plus the per-device RNG substream the emission walk resumes.
 type m2mDraft struct {
 	spec int
 	src  *rng.Source
@@ -129,25 +136,26 @@ type m2mDraft struct {
 // blocks.
 const m2mPlatformBase = 7_000_000_000
 
-// m2mPopulation runs the population passes every M2M path shares:
-// building the world, the parallel per-device home-operator draft
-// (pass 1), and the device-identity assignment. Identity used to be a
-// serial index-order IMSI allocation; it is now a counting pre-pass —
-// pass 1 counts each shard's draws per home operator, a prefix-sum
-// turns the counts into per-shard block offsets, and a second parallel
-// pass hands device i the IMSI the serial walk would have: base +
-// (devices of the same home before it). The expensive schedule walk
-// (pass 3) is left to the caller, which chooses where the probe output
-// goes.
-func m2mPopulation(cfg M2MConfig) (setup m2mSetup, specs []hmnoSpec, drafts []m2mDraft, devIDs []identity.DeviceID) {
+// newM2MWalk builds the world and the population: a parallel
+// per-device home-operator draft, then the device identities. Identity
+// is a counting pre-pass, not a serial index-order IMSI allocation —
+// the draft pass counts each shard's draws per home operator, a
+// prefix-sum turns the counts into per-shard block offsets, and a
+// second parallel pass hands device i the IMSI the serial walk would
+// have: base + (devices of the same home before it).
+func newM2MWalk(cfg M2MConfig) *m2mWalk {
 	if cfg.Devices <= 0 || cfg.Days <= 0 {
 		panic("dataset: M2M config needs positive Devices and Days")
 	}
 	root := rng.New(cfg.Seed).Split("m2m")
-	specs = platformHMNOs()
-	setup = m2mSetup{
-		M2MDataset: &M2MDataset{Start: cfg.Start, Days: cfg.Days},
-		world:      netsim.NewWorld(netsim.DefaultConfig()),
+	specs := platformHMNOs()
+	w := &m2mWalk{
+		cfg:    cfg,
+		world:  netsim.NewWorld(netsim.DefaultConfig()),
+		specs:  specs,
+		drafts: make([]m2mDraft, cfg.Devices),
+		devIDs: make([]identity.DeviceID, cfg.Devices),
+		truths: make([]M2MDeviceTruth, cfg.Devices),
 	}
 
 	weights := make([]float64, len(specs))
@@ -156,13 +164,12 @@ func m2mPopulation(cfg M2MConfig) (setup m2mSetup, specs []hmnoSpec, drafts []m2
 	}
 	hmnoPick := rng.NewWeighted(root.Split("hmno"), weights)
 
-	drafts = make([]m2mDraft, cfg.Devices)
 	specCounts := pipeline.Map(cfg.Devices, cfg.Workers, func(sh pipeline.Shard) []uint64 {
 		counts := make([]uint64, len(specs))
 		for i := sh.Lo; i < sh.Hi; i++ {
 			src := root.SplitN("device", uint64(i))
-			drafts[i] = m2mDraft{spec: hmnoPick.DrawFrom(src), src: src}
-			counts[drafts[i].spec]++
+			w.drafts[i] = m2mDraft{spec: hmnoPick.DrawFrom(src), src: src}
+			counts[w.drafts[i].spec]++
 		}
 		return counts
 	})
@@ -176,16 +183,46 @@ func m2mPopulation(cfg M2MConfig) (setup m2mSetup, specs []hmnoSpec, drafts []m2
 		}
 	}
 
-	devIDs = make([]identity.DeviceID, cfg.Devices)
 	pipeline.Run(cfg.Devices, cfg.Workers, func(sh pipeline.Shard) {
 		off := shardOffs[sh.Index]
 		for i := sh.Lo; i < sh.Hi; i++ {
-			s := drafts[i].spec
-			devIDs[i] = identity.HashDevice(identity.IMSI{PLMN: specs[s].plmn, MSIN: m2mPlatformBase + off[s]})
+			s := w.drafts[i].spec
+			w.devIDs[i] = identity.HashDevice(identity.IMSI{PLMN: specs[s].plmn, MSIN: m2mPlatformBase + off[s]})
 			off[s]++
 		}
 	})
-	return setup, specs, drafts, devIDs
+	return w
+}
+
+// shard walks each device of one canonical shard through its
+// attach/switch schedule and the roaming machinery into a shard-local
+// platform-side probe over sink. Sampled captures thin per record by
+// identity hash, so they fan out over the same shard-local taps as
+// complete ones.
+func (w *m2mWalk) shard(sh pipeline.Shard, sink func(signaling.Transaction)) {
+	tap := newM2MTap(w.cfg, sink)
+	for i := sh.Lo; i < sh.Hi; i++ {
+		src := w.drafts[i].src
+		spec := w.specs[w.drafts[i].spec]
+		roaming := src.Bool(spec.roamShare)
+		prof := devices.NewPlatformIoT(src.Split("profile"), roaming, w.cfg.Days)
+		w.truths[i] = M2MDeviceTruth{Home: spec.plmn, Roaming: roaming, FailOnly: prof.FailOnly, Profile: prof}
+		emitPlatformDevice(tap, w.world, src, w.cfg, spec, w.devIDs[i], prof)
+	}
+}
+
+// dataset returns the walked population's dataset: ground truth
+// filled, Transactions left to the caller.
+func (w *m2mWalk) dataset() *M2MDataset {
+	ds := &M2MDataset{
+		Start: w.cfg.Start,
+		Days:  w.cfg.Days,
+		Truth: make(map[identity.DeviceID]M2MDeviceTruth, len(w.truths)),
+	}
+	for i := range w.truths {
+		ds.Truth[w.devIDs[i]] = w.truths[i]
+	}
+	return ds
 }
 
 // txSampleKey is the per-record identity a thinning platform probe
@@ -215,52 +252,34 @@ func newM2MTap(cfg M2MConfig, sink func(signaling.Transaction)) *probe.Tap[signa
 // GenerateM2M synthesizes the platform dataset: it builds the world,
 // draws the device population, walks each device's attach/switch
 // schedule through the roaming machinery and captures the resulting
-// transactions with a platform-side probe. StreamM2M is its
-// bounded-memory twin for consumers that want the stream itself.
+// transactions with a platform-side probe, time-sorted.
 func GenerateM2M(cfg M2MConfig) *M2MDataset {
-	setup, specs, drafts, devIDs := m2mPopulation(cfg)
-	ds, world := setup.M2MDataset, setup.world
-	ds.Truth = make(map[identity.DeviceID]M2MDeviceTruth, cfg.Devices)
-
-	// Pass 3 (parallel): walk each device's schedule through the
-	// roaming machinery into a shard-local probe + collector;
-	// shard-ordered concatenation reproduces the serial capture order,
-	// so the final time sort sees the identical permutation. Sampled
-	// captures thin per record by identity hash, so they fan out over
-	// the same shard-local taps as complete ones.
-	type shardOut struct {
-		collector probe.Collector[signaling.Transaction]
-		truths    []M2MDeviceTruth
-	}
-	outs := pipeline.Map(cfg.Devices, cfg.Workers, func(sh pipeline.Shard) *shardOut {
-		out := &shardOut{truths: make([]M2MDeviceTruth, 0, sh.Len())}
-		tap := newM2MTap(cfg, out.collector.Add)
-		for i := sh.Lo; i < sh.Hi; i++ {
-			src := drafts[i].src
-			spec := specs[drafts[i].spec]
-			roaming := src.Bool(spec.roamShare)
-			prof := devices.NewPlatformIoT(src.Split("profile"), roaming, cfg.Days)
-			out.truths = append(out.truths, M2MDeviceTruth{Home: spec.plmn, Roaming: roaming, FailOnly: prof.FailOnly, Profile: prof})
-			emitPlatformDevice(tap, world, src, cfg, spec, devIDs[i], prof)
-		}
-		return out
-	})
-	i := 0
-	for _, o := range outs {
-		for _, truth := range o.truths {
-			ds.Truth[devIDs[i]] = truth
-			i++
-		}
-		ds.Transactions = append(ds.Transactions, o.collector.Records()...)
-	}
+	w := newM2MWalk(cfg)
+	txs := collectShards(cfg.Devices, cfg.Workers, w.shard)
 	// Stable: ties keep their serial emission order, the same order
 	// StreamM2M delivers — so a streaming consumer that stable-sorts
 	// by time reproduces this slice bit for bit even on tied
 	// timestamps (second-granularity draws collide routinely).
-	sort.SliceStable(ds.Transactions, func(i, j int) bool {
-		return ds.Transactions[i].Time.Before(ds.Transactions[j].Time)
-	})
+	sort.SliceStable(txs, func(i, j int) bool { return txs[i].Time.Before(txs[j].Time) })
+	ds := w.dataset()
+	ds.Transactions = txs
 	return ds
+}
+
+// StreamM2M generates the same platform dataset as GenerateM2M but
+// delivers the transaction stream to sink record by record instead of
+// materializing it: the sink observes the exact serial emission order
+// at any worker count (see streamShards), runs on the calling
+// goroutine and exerts backpressure on the producers. The returned
+// dataset carries the ground truth with a nil Transactions slice;
+// stable-sorting the streamed records by time (sort.SliceStable)
+// reproduces GenerateM2M's Transactions bit for bit. Sampled captures
+// (0 < SampleRate < 1) thin by per-record hash, exactly as
+// GenerateM2M does.
+func StreamM2M(cfg M2MConfig, sink func(signaling.Transaction)) *M2MDataset {
+	w := newM2MWalk(cfg)
+	streamShards(cfg.Devices, cfg.Workers, 0, w.shard, sink)
+	return w.dataset()
 }
 
 // emitPlatformDevice walks one device's schedule and offers every

@@ -36,13 +36,6 @@ type MNOConfig struct {
 	// GSMA PRD is binding but adoption in the wild is partial). Zero
 	// disables transparency.
 	TransparencyAdoption float64
-	// MaxResidentDevices caps how many devices the out-of-core
-	// generator (StreamMNO) materializes concurrently: it clamps the
-	// emission worker pool to at most this many workers, so at no point
-	// are more than MaxResidentDevices device structs alive in the
-	// producers. Zero means one resident device per worker. The
-	// materialized generator (GenerateMNO) ignores it.
-	MaxResidentDevices int
 }
 
 // DefaultMNOConfig returns the standard scaled-down configuration.
@@ -170,131 +163,232 @@ func drawHome(src *rng.Source, table []countryWeight) mccmnc.PLMN {
 	return ops[src.Intn(len(ops))].PLMN
 }
 
-// GenerateMNO synthesizes the visited-MNO dataset.
-//
-// Synthesis is sharded over cfg.Workers goroutines in three passes:
-// a parallel draft pass draws each device's class and home network
-// from its own RNG substream, a serial pass allocates IMSIs in device
-// order (MSIN blocks hand out sequential numbers, the one inherently
-// order-dependent step), and a parallel finish pass builds profiles
-// and emits the daily catalog records into shard-local slices that
-// are concatenated in shard order. Because every random draw comes
-// from a per-device substream and all merges are shard-ordered, the
-// output is bit-identical for any worker count.
-func GenerateMNO(cfg MNOConfig) *MNODataset {
+// mnoWalk is everything GenerateMNO and StreamMNO share: the dataset
+// constants, the counting pre-pass that stands in for a serial IMSI
+// allocation, the IR.88 registry (it derives from the block totals
+// alone, so it exists before the first device does) and the one
+// per-device emission loop, shard. The two entry points differ only in
+// the sinks they hand that loop.
+type mnoWalk struct {
+	cfg                MNOConfig
+	db                 *gsma.DB
+	root               *rng.Source
+	centre             geo.Point
+	classPick, m2mPick *rng.Weighted
+	counts             blockCounts
+	reg                *core.Registry
+}
+
+func newMNOWalk(cfg MNOConfig) *mnoWalk {
 	if cfg.Devices <= 0 || cfg.Days <= 0 {
 		panic("dataset: MNO config needs positive Devices and Days")
 	}
-	db := gsma.Synthesize(cfg.GSMASeed)
 	root := rng.New(cfg.Seed).Split("mno")
 	hostCountry, _ := mccmnc.CountryByMCC(cfg.Host.MCC)
-	centre := geo.Point{Lat: hostCountry.Lat, Lon: hostCountry.Lon}
-
-	ds := &MNODataset{
-		Host:  cfg.Host,
-		Start: cfg.Start,
-		Days:  cfg.Days,
-		GSMA:  db,
-		Truth: make(map[identity.DeviceID]devices.Class, cfg.Devices),
+	w := &mnoWalk{
+		cfg:    cfg,
+		db:     gsma.Synthesize(cfg.GSMASeed),
+		root:   root,
+		centre: geo.Point{Lat: hostCountry.Lat, Lon: hostCountry.Lon},
 	}
-	cat := &catalog.Catalog{Host: cfg.Host, Days: cfg.Days}
-	alloc := devices.NewIMSIAllocator()
-	classPick, m2mPick := mnoPicks(root)
+	w.classPick, w.m2mPick = mnoPicks(root)
 
-	// Pass 1 (parallel): class and home draws per device.
-	drafts := make([]deviceDraft, cfg.Devices)
-	pipeline.Run(cfg.Devices, cfg.Workers, func(sh pipeline.Shard) {
-		for i := sh.Lo; i < sh.Hi; i++ {
-			drafts[i] = drawMNODraft(root, i, cfg, classPick, m2mPick)
-		}
+	// Counting pre-pass: replay the cheap draft draws and keep only the
+	// per-shard block counts. MSIN blocks hand out sequential numbers,
+	// the one order-dependent step of the build; with every shard's
+	// starting offsets known, any shard can number its devices alone.
+	w.counts = countBlocks(cfg.Devices, cfg.Workers, func(i int) blockKey {
+		d := drawMNODraft(root, i, cfg, w.classPick, w.m2mPick)
+		return blockKey{home: d.home, base: d.base}
 	})
 
-	// Pass 2 (serial): IMSI allocation in device order.
-	imsis := make([]identity.IMSI, cfg.Devices)
-	for i := range drafts {
-		imsis[i] = alloc.Next(drafts[i].home, drafts[i].base)
-	}
+	w.reg = transparencyRegistry(cfg.TransparencyAdoption, root.Split("ir88"), w.counts.totals)
+	return w
+}
 
-	// Pass 3 (parallel): profiles, mobility and daily activity. Each
-	// device's substream resumes exactly where pass 1 left it.
-	type shardOut struct {
-		devs []devices.Device
-		recs []catalog.DailyRecord
+// shard synthesizes the devices of one canonical shard: each device is
+// drafted from its own RNG substream, numbered from the shard's block
+// offsets, finished, announced to device with its capture-time IR.88
+// verdict (IMSIs are visible at attach, before anonymization), and
+// followed by its daily catalog records in day order. Nothing outlives
+// the iteration but what the sinks keep, so at most one device per
+// worker is resident here. Each shard must be walked exactly once: the
+// walk advances the shard's offsets in place.
+func (w *mnoWalk) shard(sh pipeline.Shard, device func(devices.Device, bool), record func(catalog.DailyRecord)) {
+	off := w.counts.offsets[sh.Index]
+	var visits []geo.Visit
+	for i := sh.Lo; i < sh.Hi; i++ {
+		d := drawMNODraft(w.root, i, w.cfg, w.classPick, w.m2mPick)
+		k := blockKey{home: d.home, base: d.base}
+		imsi := identity.IMSI{PLMN: d.home, MSIN: d.base + off[k]}
+		off[k]++
+		dev := finishDevice(&d, imsi, w.cfg, w.db, w.centre)
+		device(dev, w.reg.MatchIMSI(imsi))
+		emitDeviceDays(d.src.Split("days"), w.cfg.Host, w.cfg.Start, w.cfg.Days, record, &dev, &visits)
 	}
-	outs := pipeline.Map(cfg.Devices, cfg.Workers, func(sh pipeline.Shard) shardOut {
-		out := shardOut{devs: make([]devices.Device, 0, sh.Len())}
-		var visits []geo.Visit
-		appendRec := func(rec catalog.DailyRecord) { out.recs = append(out.recs, rec) }
-		for i := sh.Lo; i < sh.Hi; i++ {
-			dev := finishDevice(&drafts[i], imsis[i], cfg, db, centre)
+}
+
+// GenerateMNO synthesizes the visited-MNO dataset: the emission walk
+// fans out over cfg.Workers goroutines into shard-local collectors that
+// are concatenated in shard order. Every random draw comes from a
+// per-device substream and shard boundaries do not depend on the worker
+// count, so the output is bit-identical for any worker count.
+func GenerateMNO(cfg MNOConfig) *MNODataset {
+	w := newMNOWalk(cfg)
+	type shardOut struct {
+		devs     []devices.Device
+		declared []identity.DeviceID
+		recs     []catalog.DailyRecord
+	}
+	outs := pipeline.Map(cfg.Devices, cfg.Workers, func(sh pipeline.Shard) *shardOut {
+		out := &shardOut{devs: make([]devices.Device, 0, sh.Len())}
+		w.shard(sh, func(dev devices.Device, declared bool) {
 			out.devs = append(out.devs, dev)
-			emitDeviceDays(drafts[i].src.Split("days"), cfg.Host, cfg.Start, cfg.Days, appendRec, &dev, &visits)
-		}
+			if declared {
+				out.declared = append(out.declared, dev.ID)
+			}
+		}, func(rec catalog.DailyRecord) { out.recs = append(out.recs, rec) })
 		return out
 	})
+
+	ds := &MNODataset{
+		Host:         cfg.Host,
+		Start:        cfg.Start,
+		Days:         cfg.Days,
+		GSMA:         w.db,
+		Devices:      make([]devices.Device, 0, cfg.Devices),
+		Catalog:      &catalog.Catalog{Host: cfg.Host, Days: cfg.Days},
+		Truth:        make(map[identity.DeviceID]devices.Class, cfg.Devices),
+		Transparency: w.reg,
+		Declared:     map[identity.DeviceID]bool{},
+	}
+	records := 0
+	for _, o := range outs {
+		records += len(o.recs)
+	}
+	ds.Catalog.Records = make([]catalog.DailyRecord, 0, records)
 	for _, o := range outs {
 		ds.Devices = append(ds.Devices, o.devs...)
-		cat.Records = append(cat.Records, o.recs...)
+		ds.Catalog.Records = append(ds.Catalog.Records, o.recs...)
+		for i := range o.devs {
+			ds.Truth[o.devs[i].ID] = o.devs[i].Class
+		}
+		for _, id := range o.declared {
+			ds.Declared[id] = true
+		}
 	}
-	for i := range ds.Devices {
-		ds.Truth[ds.Devices[i].ID] = ds.Devices[i].Class
-	}
-	ds.Catalog = cat
-	ds.buildTransparency(cfg, alloc, root.Split("ir88"))
 	return ds
+}
+
+// outOfCoreDepth is StreamMNO's per-shard fan-in window. It is
+// deliberately much smaller than ingest.DefaultDepth: in-flight items
+// are the only per-population state the streaming path holds, so
+// shards × depth bounds its working set.
+const outOfCoreDepth = 64
+
+// MNOSink receives StreamMNO's output. Both callbacks are optional
+// (nil skips the plane); they run on the calling goroutine, in the
+// exact order GenerateMNO materializes: devices in device-index order,
+// each followed by its daily catalog records in day order. A sink that
+// stalls blocks the producers through the fan-in windows —
+// backpressure, not buffering.
+type MNOSink struct {
+	// Device receives each synthesized device with its capture-time
+	// IR.88 verdict (the MNODataset.Declared entry).
+	Device func(dev devices.Device, declared bool)
+	// Record receives the device's daily catalog records.
+	Record func(rec catalog.DailyRecord)
+}
+
+// MNOStream summarizes a StreamMNO run: the dataset-level constants of
+// the equivalent MNODataset minus every per-device container.
+type MNOStream struct {
+	Host  mccmnc.PLMN
+	Start time.Time
+	Days  int
+	GSMA  *gsma.DB
+	// Transparency is the IR.88 registry the declaring home operators
+	// published — the materialized dataset's registry.
+	Transparency *core.Registry
+	// Devices and Records count what the sink was offered.
+	Devices int
+	Records int64
+}
+
+// mnoItem is one element of StreamMNO's fan-in stream: a device
+// announcement or one of its daily records.
+type mnoItem struct {
+	dev      devices.Device
+	declared bool
+	rec      catalog.DailyRecord
+	isRec    bool
+}
+
+// StreamMNO delivers GenerateMNO's population to sink device by device
+// instead of materializing it: the same emission walk feeds bounded
+// per-shard windows (ingest.Ordered) that the caller drains in shard
+// order, so the sink observes the exact serial order at any worker
+// count and collecting it reproduces MNODataset.Devices and
+// Catalog.Records bit for bit. Memory is bounded by the worker count,
+// the windows and the pre-pass's per-shard offset maps — never by
+// cfg.Devices.
+func StreamMNO(cfg MNOConfig, sink MNOSink) *MNOStream {
+	w := newMNOWalk(cfg)
+	out := &MNOStream{
+		Host:         cfg.Host,
+		Start:        cfg.Start,
+		Days:         cfg.Days,
+		GSMA:         w.db,
+		Transparency: w.reg,
+		Devices:      cfg.Devices,
+	}
+	streamShards(cfg.Devices, cfg.Workers, outOfCoreDepth, func(sh pipeline.Shard, send func(mnoItem)) {
+		w.shard(sh, func(dev devices.Device, declared bool) { send(mnoItem{dev: dev, declared: declared}) },
+			func(rec catalog.DailyRecord) { send(mnoItem{rec: rec, isRec: true}) })
+	}, func(it mnoItem) {
+		if it.isRec {
+			out.Records++
+			if sink.Record != nil {
+				sink.Record(it.rec)
+			}
+			return
+		}
+		if sink.Device != nil {
+			sink.Device(it.dev, it.declared)
+		}
+	})
+	return out
 }
 
 // M2MBlockBase is the MSIN base of foreign operators' dedicated M2M
 // IMSI blocks.
 const M2MBlockBase = 6_000_000_000
 
-// buildTransparency publishes IR.88 declarations for the adopting
-// subset of home operators and computes the capture-time verdicts.
-func (ds *MNODataset) buildTransparency(cfg MNOConfig, alloc *devices.IMSIAllocator, src *rng.Source) {
-	// Collect the home operators with M2M blocks and their block sizes.
-	m2mTotals := map[mccmnc.PLMN]uint64{}
-	for _, d := range ds.Devices {
-		if d.IMSI.MSIN >= M2MBlockBase && d.IMSI.MSIN < SMIPNativeBase {
-			m2mTotals[d.Home] = alloc.Allocated(d.Home, M2MBlockBase)
-		}
-	}
-	ds.Transparency = transparencyRegistry(cfg.TransparencyAdoption, src, m2mTotals)
-	ds.Declared = map[identity.DeviceID]bool{}
-	for _, d := range ds.Devices {
-		if ds.Transparency.MatchIMSI(d.IMSI) {
-			ds.Declared[d.ID] = true
-		}
-	}
-}
-
-// transparencyRegistry builds the IR.88 registry from the per-home M2M
-// block sizes: each home with a non-empty dedicated block adopts with
-// the given probability (a per-home draw keyed by its PLMN, so the
-// verdict never depends on iteration order) and declares exactly the
-// range it allocated. Both generation paths — materialized and
-// out-of-core — publish through here, which is what keeps their
-// capture-time verdicts identical.
-func transparencyRegistry(adoption float64, src *rng.Source, m2mTotals map[mccmnc.PLMN]uint64) *core.Registry {
+// transparencyRegistry builds the IR.88 registry from the counting
+// pre-pass's block totals: each home with a dedicated M2M block adopts
+// with the given probability (a per-home draw keyed by its PLMN, so
+// the verdict never depends on iteration order) and declares exactly
+// the range it allocated.
+func transparencyRegistry(adoption float64, src *rng.Source, totals map[blockKey]uint64) *core.Registry {
 	reg := core.NewRegistry()
 	if adoption <= 0 {
 		return reg
 	}
-	homes := make([]mccmnc.PLMN, 0, len(m2mTotals))
-	for home := range m2mTotals {
-		homes = append(homes, home)
+	var homes []mccmnc.PLMN
+	for k := range totals {
+		if k.base == M2MBlockBase {
+			homes = append(homes, k.home)
+		}
 	}
 	sort.Slice(homes, func(i, j int) bool {
 		return siteKey(homes[i]) < siteKey(homes[j])
 	})
 	for _, home := range homes {
-		n := m2mTotals[home]
-		if n == 0 {
-			continue
-		}
 		key := uint64(home.MCC)<<16 | uint64(home.MNC)
 		if !src.SplitN("adopt", key).Bool(adoption) {
 			continue
 		}
+		n := totals[blockKey{home: home, base: M2MBlockBase}]
 		reg.Add(core.Declaration{
 			Home:   home,
 			Ranges: []identity.IMSIRange{{PLMN: home, Lo: M2MBlockBase, Hi: M2MBlockBase + n - 1}},
@@ -303,10 +397,10 @@ func transparencyRegistry(adoption float64, src *rng.Source, m2mTotals map[mccmn
 	return reg
 }
 
-// mnoPicks builds the shared class samplers every MNO generation pass
-// draws from. The samplers are stateless per draw (DrawFrom consumes
-// the device's stream, not their own), so the counting pre-pass, the
-// draft pass and the emission pass can all share one pair.
+// mnoPicks builds the shared class samplers both MNO passes draw from.
+// The samplers are stateless per draw (DrawFrom consumes the device's
+// stream, not their own), so the counting pre-pass and the emission
+// walk can share one pair.
 func mnoPicks(root *rng.Source) (classPick, m2mPick *rng.Weighted) {
 	classPick = rng.NewWeighted(root.Split("class"), []float64{shareSmart, shareFeat, shareM2M})
 	m2mWeights := make([]float64, len(m2mMix))
@@ -318,10 +412,10 @@ func mnoPicks(root *rng.Source) (classPick, m2mPick *rng.Weighted) {
 }
 
 // drawMNODraft replays device i's draft draws from the root stream:
-// the class pick followed by draftDevice. Every pass that needs the
-// draft — GenerateMNO's pass 1, the out-of-core counting pre-pass and
-// the out-of-core emission walk — goes through this one helper, which
-// is what guarantees they all see bit-identical draws.
+// the class pick followed by draftDevice. The counting pre-pass and
+// the emission walk both go through this one helper, which is what
+// guarantees they see bit-identical draws (rng.Source.SplitN is O(1)
+// and never advances the parent, so the replay is free and exact).
 func drawMNODraft(root *rng.Source, i int, cfg MNOConfig, classPick, m2mPick *rng.Weighted) deviceDraft {
 	src := root.SplitN("device", uint64(i))
 	var class devices.Class
@@ -336,10 +430,10 @@ func drawMNODraft(root *rng.Source, i int, cfg MNOConfig, classPick, m2mPick *rn
 	return draftDevice(src, cfg, class)
 }
 
-// deviceDraft is the outcome of the parallel draft pass: everything
-// needed to allocate the device's IMSI, plus its RNG substream
-// positioned after the home-network draws so the finish pass resumes
-// the exact draw sequence of a serial build.
+// deviceDraft is the outcome of a device's draft draws: everything
+// needed to allocate its IMSI, plus its RNG substream positioned after
+// the home-network draws so finishDevice resumes the exact draw
+// sequence of a serial build.
 type deviceDraft struct {
 	class   devices.Class
 	inbound bool
@@ -481,11 +575,10 @@ func SMIPNativeRange(host mccmnc.PLMN, count uint64) identity.IMSIRange {
 }
 
 // emitDeviceDays samples the device's daily activity and hands each
-// resulting catalog record to emit, in day order. The parallel
-// generators pass a shard-local append; the out-of-core generator
-// passes its fan-in sink. visits is a per-shard scratch buffer reused
-// across devices so the per-day mobility sampling allocates nothing on
-// the steady state; pass a pointer to a nil slice to start one.
+// resulting catalog record to emit, in day order. visits is a
+// per-shard scratch buffer reused across devices so the per-day
+// mobility sampling allocates nothing on the steady state; pass a
+// pointer to a nil slice to start one.
 func emitDeviceDays(src *rng.Source, host mccmnc.PLMN, start time.Time, days int, emit func(catalog.DailyRecord), dev *devices.Device, visits *[]geo.Visit) {
 	p := dev.Profile
 	// Native smartphones occasionally travel abroad (H:A days,

@@ -3,13 +3,10 @@ package dataset
 import (
 	"whereroam/internal/catalog"
 	"whereroam/internal/cdrs"
-	"whereroam/internal/devices"
-	"whereroam/internal/identity"
 	"whereroam/internal/ingest"
 	"whereroam/internal/pipeline"
 	"whereroam/internal/probe"
 	"whereroam/internal/radio"
-	"whereroam/internal/signaling"
 )
 
 // GenerateSMIPStreaming is the bounded-memory twin of
@@ -51,28 +48,38 @@ func GenerateSMIPStreaming(cfg SMIPConfig) *SMIPDataset {
 	return g.ds
 }
 
-// StreamM2M generates the same platform dataset as GenerateM2M but
-// delivers the transaction stream to sink record by record instead of
-// materializing it: emission shards run ahead of the consumer on a
-// bounded per-shard window (ingest.Ordered), and the sink observes
-// the exact serial emission order at any worker count. The returned
-// dataset carries the ground truth with a nil Transactions slice;
-// stable-sorting the streamed records by time (sort.SliceStable)
-// reproduces GenerateM2M's Transactions bit for bit — stability
-// matters because tied timestamps keep their emission order on both
-// paths. Sampled captures
-// (0 < SampleRate < 1) thin by per-record hash, exactly as
-// GenerateM2M does.
-//
-// sink runs on the calling goroutine and blocks the producers through
-// the windows when it stalls — backpressure, not buffering.
-func StreamM2M(cfg M2MConfig, sink func(signaling.Transaction)) *M2MDataset {
-	ds, specs, drafts, devIDs := m2mPopulation(cfg)
+// collectShards runs walk over n items' canonical shards on the
+// worker pool, each shard appending what it sends to a shard-local
+// slice, and concatenates the slices in shard order: the serial
+// emission order at any worker count, with no channel hop. It is the
+// materializing sink of a generation plane's one emission walk;
+// streamShards is the streaming one.
+func collectShards[T any](n, workers int, walk func(sh pipeline.Shard, send func(T))) []T {
+	outs := pipeline.Map(n, workers, func(sh pipeline.Shard) []T {
+		var out []T
+		walk(sh, func(rec T) { out = append(out, rec) })
+		return out
+	})
+	total := 0
+	for _, o := range outs {
+		total += len(o)
+	}
+	all := make([]T, 0, total)
+	for _, o := range outs {
+		all = append(all, o...)
+	}
+	return all
+}
 
-	truths := make([]M2MDeviceTruth, cfg.Devices)
-	ord := ingest.NewOrdered[signaling.Transaction](pipeline.ShardCount(cfg.Devices), 0)
-	world := ds.world
-
+// streamShards runs the same walk with each shard sending into a
+// private bounded window (ingest.Ordered; depth below one means
+// ingest.DefaultDepth) while the calling goroutine drains the windows
+// in shard order into sink. The sink therefore observes exactly the
+// sequence collectShards would have returned, while producers run
+// ahead of it by at most depth records per shard — a stalled sink
+// blocks them: backpressure, not buffering.
+func streamShards[T any](n, workers, depth int, walk func(sh pipeline.Shard, send func(T)), sink func(T)) {
+	ord := ingest.NewOrdered[T](pipeline.ShardCount(n), depth)
 	// The emission fan-out runs beside the drain; a shard's stream
 	// closes as its producer finishes, and a producer panic closes
 	// every stream so the drain unblocks before the panic is
@@ -84,31 +91,17 @@ func StreamM2M(cfg M2MConfig, sink func(signaling.Transaction)) *M2MDataset {
 			ord.CloseAll()
 			done <- p
 		}()
-		pipeline.Run(cfg.Devices, cfg.Workers, func(sh pipeline.Shard) {
+		pipeline.Run(n, workers, func(sh pipeline.Shard) {
 			// Close in a defer: a shard that panics mid-emission must
 			// still end its stream, or the drain would block on it
 			// forever while sibling producers sit on full windows and
 			// the panic never surfaces.
 			defer ord.CloseShard(sh.Index)
-			tap := newM2MTap(cfg, ord.Sink(sh.Index))
-			for i := sh.Lo; i < sh.Hi; i++ {
-				src := drafts[i].src
-				spec := specs[drafts[i].spec]
-				roaming := src.Bool(spec.roamShare)
-				prof := devices.NewPlatformIoT(src.Split("profile"), roaming, cfg.Days)
-				truths[i] = M2MDeviceTruth{Home: spec.plmn, Roaming: roaming, FailOnly: prof.FailOnly, Profile: prof}
-				emitPlatformDevice(tap, world, src, cfg, spec, devIDs[i], prof)
-			}
+			walk(sh, ord.Sink(sh.Index))
 		})
 	}()
 	ord.Drain(sink)
 	if p := <-done; p != nil {
 		panic(p)
 	}
-
-	ds.Truth = make(map[identity.DeviceID]M2MDeviceTruth, cfg.Devices)
-	for i := range truths {
-		ds.Truth[devIDs[i]] = truths[i]
-	}
-	return ds.M2MDataset
 }

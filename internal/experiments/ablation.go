@@ -23,7 +23,7 @@ func init() {
 // population per §4.3); the validated-APN step and the property
 // closure recover them.
 func runAblationClassifier(s *Session) *Report {
-	v := mnoViews.get(s)
+	v := s.view()
 	r := &Report{
 		ID:    "abl-classifier",
 		Title: "Classifier steps ablation",

@@ -45,7 +45,7 @@ func TestSessionArchiveReplay(t *testing.T) {
 	if rep := r.Verify(); !rep.OK() {
 		t.Fatalf("archived session feed fails verification:\n%s", rep)
 	}
-	cat, stats, err := sess.ReplayFrom(dir, store.Filter{})
+	cat, stats, err := sess.ReplayFrom(dir, store.Query{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestSessionArchiveReplay(t *testing.T) {
 		t.Fatal("ReplayFrom produced no records")
 	}
 	serial := NewSessionWorkers(1, 0.03, 1)
-	cat1, _, err := serial.ReplayFrom(dir, store.Filter{})
+	cat1, _, err := serial.ReplayFrom(dir, store.Query{})
 	if err != nil {
 		t.Fatal(err)
 	}

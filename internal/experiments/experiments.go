@@ -16,7 +16,6 @@ import (
 	"whereroam/internal/analysis"
 	"whereroam/internal/dataset"
 	"whereroam/internal/mccmnc"
-	"whereroam/internal/signaling"
 )
 
 // Report is the outcome of one experiment.
@@ -100,24 +99,15 @@ type Federation struct {
 	// one worker per CPU. Results are identical for every worker
 	// count.
 	Workers int
-	// Streaming switches dataset construction to the bounded-memory
-	// ingestion paths: the SMIP catalog builds from per-event probe
-	// streams through the ingest router (GenerateSMIPStreaming — note
-	// this is the raw measurement path, richer than the direct
-	// aggregate generator the batch session uses), and the M2M
-	// transaction stream flows through the ordered fan-in (StreamM2M)
-	// before the runners materialize it — producing a dataset
-	// bit-identical to the batch one. The MNO dataset has no
-	// per-event form and always builds directly.
+	// Streaming switches the catalog builds that have a per-event form
+	// to the bounded-memory ingest router: the SMIP catalog builds from
+	// per-event probe streams (GenerateSMIPStreaming — note this is the
+	// raw measurement path, richer than the direct aggregate generator
+	// the batch session uses), and every federation site catalog routes
+	// its events through an ingest.CatalogIngester instead of per-shard
+	// builders (bit-identical catalogs). The MNO and M2M datasets have
+	// no per-event catalog build and are the same either way.
 	Streaming bool
-	// BoundedMemory switches the federation build to the out-of-core
-	// generator (dataset.FederationConfig.BoundedMemory): a counting
-	// pre-pass allocates IMSI blocks, sites build one at a time, and
-	// the shared fleet plane stays unmaterialized until a consumer —
-	// the fed-m2m/fed-smip planes, Sites(), or label validation —
-	// asks for it via EnsureFleet. Site catalogs, presence and truth
-	// are bit-identical to the materialized build.
-	BoundedMemory bool
 	// Hosts lists the federation's visited-MNO sites. Empty means the
 	// default three-site footprint (dataset.DefaultFederationHosts)
 	// when a fed-* runner or Sites() forces the federation plane; the
@@ -138,6 +128,7 @@ type Federation struct {
 	mu      sync.Mutex
 	m2m     *dataset.M2MDataset
 	mno     *dataset.MNODataset
+	mnoView *mnoView
 	smip    *dataset.SMIPDataset
 	fed     *dataset.FederationDataset
 	fedM2M  *dataset.FederationM2M
@@ -165,9 +156,8 @@ func NewSessionWorkers(seed uint64, factor float64, workers int) *Session {
 	return &Session{Seed: seed, Factor: factor, Workers: workers}
 }
 
-// NewStreamingSession returns a session whose datasets build through
-// the bounded-memory streaming ingestion paths (see the Streaming
-// field).
+// NewStreamingSession returns a session whose catalogs build through
+// the bounded-memory ingest router (see the Streaming field).
 func NewStreamingSession(seed uint64, factor float64, workers int) *Session {
 	s := NewSessionWorkers(seed, factor, workers)
 	s.Streaming = true
@@ -192,9 +182,23 @@ func (s *Session) scaled(n int) int {
 	return v
 }
 
-// M2M lazily builds the platform dataset. A streaming session
-// produces it through the ordered streaming fan-in and materializes
-// the result for the runners — bit-identical to the batch build.
+// withArchiveDir returns a fresh session — nothing built yet — with
+// s's configuration and ArchiveDir set to dir. Every exported field of
+// Federation is configuration and must be copied here;
+// TestWithArchiveDirCopiesConfig fails when one is missing.
+func (s *Federation) withArchiveDir(dir string) *Federation {
+	return &Federation{
+		Seed:                  s.Seed,
+		Factor:                s.Factor,
+		Workers:               s.Workers,
+		Streaming:             s.Streaming,
+		Hosts:                 s.Hosts,
+		ArchiveDir:            dir,
+		ArchiveSegmentRecords: s.ArchiveSegmentRecords,
+	}
+}
+
+// M2M lazily builds the platform dataset.
 func (s *Session) M2M() *dataset.M2MDataset {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -203,20 +207,7 @@ func (s *Session) M2M() *dataset.M2MDataset {
 		cfg.Seed = s.Seed
 		cfg.Devices = s.scaled(cfg.Devices)
 		cfg.Workers = s.Workers
-		if s.Streaming {
-			// The stream arrives in the exact serial emission order, so
-			// a stable time sort reproduces GenerateM2M's materialized
-			// stream bit for bit even when timestamps tie (both paths
-			// break ties by emission order; a non-stable sort could
-			// permute tied records differently).
-			var txs []signaling.Transaction
-			ds := dataset.StreamM2M(cfg, func(tx signaling.Transaction) { txs = append(txs, tx) })
-			sort.SliceStable(txs, func(i, j int) bool { return txs[i].Time.Before(txs[j].Time) })
-			ds.Transactions = txs
-			s.m2m = ds
-		} else {
-			s.m2m = dataset.GenerateM2M(cfg)
-		}
+		s.m2m = dataset.GenerateM2M(cfg)
 	}
 	return s.m2m
 }

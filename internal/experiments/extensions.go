@@ -24,7 +24,7 @@ func init() {
 // "occupy radio resources ... [but] do not generate traffic that
 // would allow MNOs to accrue revenue".
 func runExtRevenue(s *Session) *Report {
-	v := mnoViews.get(s)
+	v := s.view()
 	r := &Report{
 		ID:    "ext-revenue",
 		Title: "Occupancy vs wholesale revenue per class",
@@ -63,7 +63,7 @@ func runExtRevenue(s *Session) *Report {
 // visited operator, and what they add on top of the paper's
 // classifier.
 func runExtTransparency(s *Session) *Report {
-	v := mnoViews.get(s)
+	v := s.view()
 	r := &Report{
 		ID:    "ext-transparency",
 		Title: "IR.88 transparency declarations",

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 
 	"whereroam/internal/analysis"
 	"whereroam/internal/catalog"
@@ -10,7 +9,6 @@ import (
 	"whereroam/internal/dataset"
 	"whereroam/internal/identity"
 	"whereroam/internal/mccmnc"
-	"whereroam/internal/signaling"
 )
 
 func init() {
@@ -74,7 +72,6 @@ func (s *Federation) FederationData() *dataset.FederationDataset {
 		cfg.NativePerSite = s.scaled(cfg.NativePerSite)
 		cfg.Workers = s.Workers
 		cfg.Streaming = s.Streaming
-		cfg.BoundedMemory = s.BoundedMemory
 		cfg.ArchiveDir = s.ArchiveDir
 		cfg.ArchiveSegmentRecords = s.ArchiveSegmentRecords
 		s.fed = dataset.GenerateFederation(cfg)
@@ -84,25 +81,13 @@ func (s *Federation) FederationData() *dataset.FederationDataset {
 
 // FederationM2M lazily builds the federated §3/§6 transaction plane:
 // the signaling stream the shared fleet's M2M devices generate across
-// every site, consistent with the presence schedule. A streaming
-// session produces it through the ordered fan-in and materializes the
-// result — bit-identical to the batch build.
+// every site, consistent with the presence schedule.
 func (s *Federation) FederationM2M() *dataset.FederationM2M {
 	fed := s.FederationData()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.fedM2M == nil {
-		if s.Streaming {
-			var txs []signaling.Transaction
-			plane := dataset.StreamFederationM2M(fed, func(tx signaling.Transaction) { txs = append(txs, tx) })
-			// Stable: tied timestamps keep serial emission order, the
-			// same order the batch build's stable sort preserves.
-			sort.SliceStable(txs, func(i, j int) bool { return txs[i].Time.Before(txs[j].Time) })
-			plane.Transactions = txs
-			s.fedM2M = plane
-		} else {
-			s.fedM2M = dataset.GenerateFederationM2M(fed)
-		}
+		s.fedM2M = dataset.GenerateFederationM2M(fed)
 	}
 	return s.fedM2M
 }
@@ -154,7 +139,6 @@ func (s *Federation) Sites() []*Site {
 
 func runFedSites(s *Session) *Report {
 	fed := s.FederationData()
-	fed.EnsureFleet()
 	sites := s.Sites()
 	r := &Report{
 		ID:    "fed-sites",
@@ -209,7 +193,6 @@ func runFedSites(s *Session) *Report {
 
 func runFedAgreement(s *Session) *Report {
 	fed := s.FederationData()
-	fed.EnsureFleet()
 	sites := s.Sites()
 	r := &Report{
 		ID:    "fed-agreement",
@@ -348,7 +331,6 @@ func runFedAgreement(s *Session) *Report {
 
 func runFedValidation(s *Session) *Report {
 	fed := s.FederationData()
-	fed.EnsureFleet()
 	sites := s.Sites()
 	r := &Report{
 		ID:    "fed-validation",

@@ -43,22 +43,16 @@ type mnoView struct {
 	workers int
 }
 
-var mnoViews syncifiedViewCache
-
-// sync-free single-session cache: experiments run sequentially per
-// session; a tiny map keyed by session keeps reruns cheap.
-type syncifiedViewCache struct {
-	m map[*Session]*mnoView
-}
-
-func (c *syncifiedViewCache) get(s *Session) *mnoView {
-	if c.m == nil {
-		c.m = map[*Session]*mnoView{}
-	}
-	if v, ok := c.m[s]; ok {
-		return v
-	}
+// view lazily builds the session's mnoView. It lives on the session,
+// like Sites, so it is built once however many runners share it and is
+// collected with the session.
+func (s *Session) view() *mnoView {
 	ds := s.MNO()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.mnoView != nil {
+		return s.mnoView
+	}
 	v := &mnoView{
 		ds:      ds,
 		sums:    ds.Catalog.SummariesWorkers(ds.GSMA, s.Workers),
@@ -75,12 +69,12 @@ func (c *syncifiedViewCache) get(s *Session) *mnoView {
 		v.labelOf[sum.Device] = v.labeler.LabelSummary(sum)
 		v.sumOf[sum.Device] = sum
 	}
-	c.m[s] = v
+	s.mnoView = v
 	return v
 }
 
 func runT2(s *Session) *Report {
-	v := mnoViews.get(s)
+	v := s.view()
 	r := &Report{
 		ID:    "t2",
 		Title: "Population breakdown",
@@ -177,7 +171,7 @@ func runT2(s *Session) *Report {
 }
 
 func runFig5(s *Session) *Report {
-	v := mnoViews.get(s)
+	v := s.view()
 	r := &Report{
 		ID:    "fig5",
 		Title: "Home country of inbound roaming devices",
@@ -244,7 +238,7 @@ func runFig5(s *Session) *Report {
 }
 
 func runFig6(s *Session) *Report {
-	v := mnoViews.get(s)
+	v := s.view()
 	r := &Report{
 		ID:    "fig6",
 		Title: "Device class vs roaming label",
@@ -342,7 +336,7 @@ func groupECDF(v *mnoView, metric func(*catalog.Summary) (float64, bool)) map[st
 }
 
 func runFig7(s *Session) *Report {
-	v := mnoViews.get(s)
+	v := s.view()
 	r := &Report{
 		ID:    "fig7",
 		Title: "Days active per device class and roaming status",
@@ -368,7 +362,7 @@ func runFig7(s *Session) *Report {
 }
 
 func runFig8(s *Session) *Report {
-	v := mnoViews.get(s)
+	v := s.view()
 	r := &Report{
 		ID:    "fig8",
 		Title: "Radius of gyration per device class",
@@ -403,7 +397,7 @@ func ratBucket(s radio.RATSet) string {
 }
 
 func runFig9(s *Session) *Report {
-	v := mnoViews.get(s)
+	v := s.view()
 	r := &Report{
 		ID:    "fig9",
 		Title: "Device shares wrt services: connectivity, data, voice per RAT",
@@ -462,7 +456,7 @@ func runFig9(s *Session) *Report {
 }
 
 func runFig10(s *Session) *Report {
-	v := mnoViews.get(s)
+	v := s.view()
 	r := &Report{
 		ID:    "fig10",
 		Title: "Traffic per class and roaming status",
@@ -524,7 +518,7 @@ func runFig10(s *Session) *Report {
 }
 
 func runFig12(s *Session) *Report {
-	v := mnoViews.get(s)
+	v := s.view()
 	r := &Report{
 		ID:    "fig12",
 		Title: "Connected cars vs smart meters",
@@ -577,7 +571,7 @@ func runFig12(s *Session) *Report {
 }
 
 func runT3(s *Session) *Report {
-	v := mnoViews.get(s)
+	v := s.view()
 	r := &Report{
 		ID:    "t3",
 		Title: "SMIP-roaming provenance",

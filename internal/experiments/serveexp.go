@@ -49,12 +49,7 @@ func runFedServe(s *Session) *Report {
 			return r
 		}
 		defer os.RemoveAll(td)
-		scratch := &Federation{
-			Seed: s.Seed, Factor: s.Factor, Workers: s.Workers,
-			Streaming: s.Streaming, BoundedMemory: s.BoundedMemory,
-			Hosts: s.Hosts, ArchiveDir: td,
-		}
-		scratch.FederationData()
+		s.withArchiveDir(td).FederationData()
 		dir = td
 	} else {
 		// Ensure the session's generation (and with it the archive

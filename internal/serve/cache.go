@@ -6,9 +6,9 @@ import (
 )
 
 // CacheStats is a point-in-time snapshot of the slice cache's
-// counters, served by the /v1/statsz endpoint and asserted on by the
-// concurrency tests (Fills is the "exactly one replay per slice"
-// counter).
+// counters, exported as the roamd_cache_* gauges on /metrics and
+// asserted on by the concurrency tests (Fills is the "exactly one
+// replay per slice" counter).
 type CacheStats struct {
 	// Entries is the number of cached slices.
 	Entries int `json:"entries"`

@@ -12,8 +12,8 @@ import (
 // Per-route series are pre-registered at construction so the request
 // path only touches pre-resolved handles.
 var routeNames = []string{
-	"healthz", "statsz", "sites", "site_stats", "days",
-	"devices", "device", "analysis", "compare",
+	"healthz", "sites", "site_stats", "days", "devices",
+	"device", "analysis", "compare",
 }
 
 // routeObs is one route's pre-resolved instrumentation handles.

@@ -2,10 +2,8 @@ package serve
 
 import (
 	"bytes"
-	"encoding/json"
 	"net/http"
 	"net/http/httptest"
-	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -105,54 +103,6 @@ func TestUninstrumentedServerHasNoWrapper(t *testing.T) {
 	if st, _ := testGet(t, s.Handler(), "/v1/sites"); st != http.StatusOK {
 		t.Fatalf("/v1/sites: status %d", st)
 	}
-}
-
-// TestStatszShape pins the deprecated /v1/statsz JSON contract: the
-// endpoint stays a thin view with exactly the historical key set, so
-// existing scrapers keep working while /metrics is the successor.
-func TestStatszShape(t *testing.T) {
-	s := newTestServer(t, Config{Workers: 1})
-	st, body := testGet(t, s.Handler(), "/v1/statsz")
-	if st != http.StatusOK {
-		t.Fatalf("/v1/statsz: status %d", st)
-	}
-	var top map[string]json.RawMessage
-	if err := json.Unmarshal(body, &top); err != nil {
-		t.Fatalf("statsz is not a JSON object: %v", err)
-	}
-	if want := []string{"cache", "sites"}; !sameKeys(top, want) {
-		t.Fatalf("statsz top-level keys = %v, want %v", keys(top), want)
-	}
-	var cache map[string]json.RawMessage
-	if err := json.Unmarshal(top["cache"], &cache); err != nil {
-		t.Fatalf("statsz cache is not a JSON object: %v", err)
-	}
-	want := []string{"bytes", "entries", "evictions", "fills", "hits", "max_bytes", "misses", "waits"}
-	if !sameKeys(cache, want) {
-		t.Fatalf("statsz cache keys = %v, want %v", keys(cache), want)
-	}
-}
-
-func keys(m map[string]json.RawMessage) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-func sameKeys(m map[string]json.RawMessage, want []string) bool {
-	got := keys(m)
-	if len(got) != len(want) {
-		return false
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // TestScrapeHistogramQuantile covers roamload's server-side p99

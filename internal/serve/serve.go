@@ -244,7 +244,6 @@ func (s *Server) site(w http.ResponseWriter, r *http.Request) *mount {
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /v1/healthz", s.route("healthz", s.handleHealthz))
-	mux.HandleFunc("GET /v1/statsz", s.route("statsz", s.handleStatsz))
 	mux.HandleFunc("GET /v1/sites", s.route("sites", s.handleSites))
 	mux.HandleFunc("GET /v1/sites/{site}/stats", s.route("site_stats", s.handleSiteStats))
 	mux.HandleFunc("GET /v1/sites/{site}/days", s.route("days", s.handleDays))
@@ -258,25 +257,6 @@ func (s *Server) Handler() http.Handler {
 // handleHealthz answers liveness probes.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-}
-
-// statszBody is the /v1/statsz response.
-type statszBody struct {
-	// Cache snapshots the slice cache's counters.
-	Cache CacheStats `json:"cache"`
-	// Sites lists the mounted stores.
-	Sites []SiteInfo `json:"sites"`
-}
-
-// handleStatsz reports cache counters and the mount table. It is a
-// thin view over the same cache counters the /metrics gauges export
-// (the sliceCache is the single source of truth for both).
-//
-// Deprecated: prefer GET /metrics (Prometheus text format, superset
-// of these counters plus the serve/store series). statsz remains for
-// existing scrapers and keeps its JSON shape pinned by test.
-func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, statszBody{Cache: s.cache.stats(), Sites: s.Sites()})
 }
 
 // handleSites lists the mounted sites.

@@ -8,7 +8,7 @@ import (
 )
 
 // TestReplaySnapshotDuringConcurrentAppend pins the snapshot
-// invariant the serving layer depends on: a Replayer opened while a
+// invariant the serving layer depends on: a Reader opened while a
 // SegmentWriter keeps appending to the same directory sees exactly
 // the segments sealed at Open time, replays them bit-identically on
 // every call, and never observes later seals.
@@ -63,7 +63,7 @@ func TestReplaySnapshotDuringConcurrentAppend(t *testing.T) {
 	for g := 0; g < readers; g++ {
 		go func(g int) {
 			defer wg.Done()
-			cat, stats, err := r.Replay(Filter{}, 1+g%3)
+			cat, stats, err := r.Replay(Query{}, 1+g%3)
 			if err != nil {
 				errs[g] = err
 				return
@@ -99,7 +99,7 @@ func TestReplaySnapshotDuringConcurrentAppend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cat, _, err := r2.Replay(Filter{}, 2)
+	cat, _, err := r2.Replay(Query{}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,12 +27,6 @@ type Query struct {
 	noBloom    bool
 }
 
-// Filter is the v1 name for [Query].
-//
-// Deprecated: use Query. Filter remains as an alias so existing
-// callers compile unchanged.
-type Filter = Query
-
 // Days narrows the query to records whose event day (relative to the
 // store's Start) lies in [lo, hi].
 func (q Query) Days(lo, hi int) Query {

@@ -87,12 +87,6 @@ type Reader struct {
 	met  *Metrics
 }
 
-// Replayer is the v1 name for [Reader].
-//
-// Deprecated: use Reader. Replayer remains as an alias so existing
-// callers compile unchanged.
-type Replayer = Reader
-
 // Open loads the store manifest at dir (checkpoint + log tail for v2
 // stores, MANIFEST.json for v1) and scans the directory for torn
 // segment files (present on disk but not covered by the manifest —

@@ -67,7 +67,7 @@ import (
 // exactly one kind; the manifest records it.
 const (
 	// KindCDR marks a store of CDR/xDR records (the internal/cdrs
-	// wire codec) — the plane [Replayer.Replay] rebuilds catalogs
+	// wire codec) — the plane [Reader.Replay] rebuilds catalogs
 	// from.
 	KindCDR = "cdr"
 	// KindSignaling marks a store of signaling transactions (the

@@ -134,7 +134,7 @@ func TestWriteReplayRoundTrip(t *testing.T) {
 
 	// Sequential replay reproduces the archived stream byte for byte.
 	var got []cdrs.Record
-	stats, err := r.ReplayRecords(Filter{}, func(rec cdrs.Record) { got = append(got, rec) })
+	stats, err := r.ReplayRecords(Query{}, func(rec cdrs.Record) { got = append(got, rec) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestWriteReplayRoundTrip(t *testing.T) {
 	// Catalog replay matches a serial live build at every worker count.
 	live := buildCatalog(days, recs, nil)
 	for _, workers := range []int{1, 3, 0} {
-		cat, _, err := r.Replay(Filter{}, workers)
+		cat, _, err := r.Replay(Query{}, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -167,7 +167,7 @@ func TestWriteReplayRoundTrip(t *testing.T) {
 	// The ingester bridge builds the same catalog.
 	sb := catalog.NewShardedBuilder(testHost, testStart, days, nil, 4)
 	in := ingest.NewCatalogIngester(sb, 0)
-	if _, err := r.ReplayInto(Filter{}, in); err != nil {
+	if _, err := r.ReplayInto(Query{}, in); err != nil {
 		t.Fatal(err)
 	}
 	if cat := in.Build(2); !reflect.DeepEqual(live.Records, cat.Records) {
@@ -188,11 +188,11 @@ func TestPrunedReplayDayRange(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	_, full, err := r.Replay(Filter{}, 2)
+	_, full, err := r.Replay(Query{}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := Filter{}.Days(3, 4)
+	f := Query{}.Days(3, 4)
 	cat, pruned, err := r.Replay(f, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -235,7 +235,7 @@ func TestPrunedReplayDeviceRange(t *testing.T) {
 		t.Fatal(err)
 	}
 	lo, hi := identity.DeviceID(uint64(10)<<32), identity.DeviceID(uint64(20)<<32)
-	cat, stats, err := r.Replay(Filter{}.Devices(lo, hi), 2)
+	cat, stats, err := r.Replay(Query{}.Devices(lo, hi), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +273,7 @@ func TestPrunedReplayVisitedHost(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cat, stats, err := r.Replay(Filter{}.VisitedHost(other), 1)
+	cat, stats, err := r.Replay(Query{}.VisitedHost(other), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,7 +313,7 @@ func TestTornFinalSegment(t *testing.T) {
 		t.Fatalf("verify should report exactly the torn file:\n%s", rep)
 	}
 
-	cat, stats, err := r.Replay(Filter{}, 2)
+	cat, stats, err := r.Replay(Query{}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,11 +353,11 @@ func TestBitFlipFailsCRC(t *testing.T) {
 	if rep.OK() || len(rep.Corrupt) != 1 || rep.Corrupt[0].Name != victim.Name {
 		t.Fatalf("verify should pin the flipped segment:\n%s", rep)
 	}
-	if _, _, err := r.Replay(Filter{}, 2); !errors.Is(err, ErrCorrupt) {
+	if _, _, err := r.Replay(Query{}, 2); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("replay of a corrupt store returned %v, want ErrCorrupt", err)
 	}
 	// Pruning the corrupt segment away replays the rest cleanly.
-	f := Filter{}.Days(0, victim.MinDay-1)
+	f := Query{}.Days(0, victim.MinDay-1)
 	if _, _, err := r.Replay(f, 1); err != nil {
 		t.Fatalf("replay pruned past the corrupt segment still failed: %v", err)
 	}
@@ -381,7 +381,7 @@ func TestEmptyStore(t *testing.T) {
 	if rep := r.Verify(); !rep.OK() || rep.Segments != 0 {
 		t.Fatalf("empty store verification:\n%s", rep)
 	}
-	cat, stats, err := r.Replay(Filter{}, 2)
+	cat, stats, err := r.Replay(Query{}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -442,7 +442,7 @@ func TestConcurrentAppendsReplayDeterministic(t *testing.T) {
 	}
 	live := buildCatalog(days, perDev, nil)
 	for _, workers := range []int{1, 4} {
-		cat, _, err := r.Replay(Filter{}, workers)
+		cat, _, err := r.Replay(Query{}, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -491,17 +491,17 @@ func TestSignalingStoreRoundTrip(t *testing.T) {
 		t.Fatalf("signaling store verification:\n%s", rep)
 	}
 	var got []signaling.Transaction
-	if _, err := r.ReplayTransactions(Filter{}, func(tx signaling.Transaction) { got = append(got, tx) }); err != nil {
+	if _, err := r.ReplayTransactions(Query{}, func(tx signaling.Transaction) { got = append(got, tx) }); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(txs, got) {
 		t.Fatal("signaling replay differs from the archived stream")
 	}
 	// Cross-plane misuse errors instead of misdecoding.
-	if _, _, err := r.Replay(Filter{}, 1); err == nil {
+	if _, _, err := r.Replay(Query{}, 1); err == nil {
 		t.Fatal("catalog replay of a signaling store did not fail")
 	}
-	if _, err := r.ReplayRecords(Filter{}, func(cdrs.Record) {}); err == nil {
+	if _, err := r.ReplayRecords(Query{}, func(cdrs.Record) {}); err == nil {
 		t.Fatal("CDR replay of a signaling store did not fail")
 	}
 }
@@ -585,7 +585,7 @@ func TestReplayCountsOutOfWindowRecords(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cat, stats, err := r.Replay(Filter{}, 2)
+	cat, stats, err := r.Replay(Query{}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -175,8 +175,8 @@ var (
 	// already-built federation: every transaction follows the shared
 	// per-day presence schedule.
 	GenerateFederationM2M = dataset.GenerateFederationM2M
-	// StreamFederationM2M is GenerateFederationM2M's bounded-memory
-	// twin: the stream goes to a sink in deterministic order.
+	// StreamFederationM2M runs GenerateFederationM2M's emission walk
+	// into a sink in deterministic order instead of materializing it.
 	StreamFederationM2M = dataset.StreamFederationM2M
 	// GenerateFederationSMIP derives the per-site §7 smart-meter
 	// views of an already-built federation.
@@ -193,12 +193,12 @@ type (
 	// RecordStream is a bounded channel-based record source (the
 	// PacketSource idiom), generic over the record type.
 	RecordStream[T any] = probe.Stream[T]
-	// MNOSink receives an out-of-core MNO generation: one Device
-	// callback per device (with its IR.88 verdict) and one Record
-	// callback per catalog record, in the materialized order.
+	// MNOSink receives a streamed MNO generation: one Device callback
+	// per device (with its IR.88 verdict) and one Record callback per
+	// catalog record, in the materialized order.
 	MNOSink = dataset.MNOSink
-	// MNOStream summarizes a finished out-of-core MNO generation —
-	// counts, transparency registry and the peak device residency.
+	// MNOStream summarizes a finished StreamMNO run — counts and the
+	// transparency registry.
 	MNOStream = dataset.MNOStream
 )
 
@@ -217,9 +217,10 @@ var (
 	// sink record by record — the signaling twin of
 	// CatalogIngester.ReadRecords.
 	ReadTransactions = ingest.ReadTransactions
-	// StreamMNO is GenerateMNO's out-of-core twin: it synthesizes the
-	// §4 dataset into an MNOSink under a bounded device residency,
-	// bit-identical to the materialized build at any worker count.
+	// StreamMNO runs GenerateMNO's emission walk into an MNOSink
+	// instead of materializing it: at most one device is resident per
+	// worker, and the sink sees the materialized order bit for bit at
+	// any worker count.
 	StreamMNO = dataset.StreamMNO
 )
 
@@ -251,16 +252,6 @@ type (
 	// ArchiveQueryPlan is the dry-run view of a query's segment
 	// selection: what would be read, what the indexes prune.
 	ArchiveQueryPlan = store.QueryPlan
-	// ArchiveReplayer reads a store back.
-	//
-	// Deprecated: ArchiveReplayer is the pre-Query name of
-	// ArchiveReader; new code should use ArchiveReader.
-	ArchiveReplayer = store.Replayer
-	// ArchiveFilter prunes a replay.
-	//
-	// Deprecated: ArchiveFilter is the pre-redesign name of
-	// ArchiveQuery; new code should use ArchiveQuery.
-	ArchiveFilter = store.Filter
 	// ArchiveStats instruments a replay: segments read vs pruned
 	// (range and bloom) vs torn, bytes read, records kept.
 	ArchiveStats = store.ReplayStats
@@ -352,9 +343,8 @@ var (
 
 // NewStreamingSession is NewSessionWorkers with the bounded-memory
 // streaming ingestion paths enabled: the SMIP catalog builds from
-// per-event probe streams through the ingest router, and the M2M
-// transaction stream flows through the ordered fan-in before the
-// runners materialize it (bit-identical to the batch M2M build).
+// per-event probe streams through the ingest router, and so does
+// every federation site catalog.
 func NewStreamingSession(seed uint64, factor float64, workers int) *Session {
 	return experiments.NewStreamingSession(seed, factor, workers)
 }
