@@ -208,9 +208,9 @@ func benchRawCapture(b *testing.B, workers int) {
 func BenchmarkRawCaptureSerial(b *testing.B)   { benchRawCapture(b, 1) }
 func BenchmarkRawCaptureParallel(b *testing.B) { benchRawCapture(b, 0) }
 
-// The streaming twin of the raw-capture pair: the same per-event
-// synthesis, but events flow through the ingest router into
-// shard-local builders instead of materializing. Run with -benchmem:
+// The streaming twin of the raw-capture pair: the same capture walk
+// with no collectors riding along, so nothing materializes. Run with
+// -benchmem:
 // the bytes/op gap against BenchmarkRawCapture* is the materialized
 // capture the streaming path never allocates; cmd/benchpipe
 // additionally records the heap high-water marks.

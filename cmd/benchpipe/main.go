@@ -1,12 +1,12 @@
 // Command benchpipe measures the serial-vs-parallel pipeline pairs
 // (synthesis → catalog → classification, the raw per-event capture
-// path, and its streaming-ingest twin) and writes the results as
+// path, and its no-capture-held twin) and writes the results as
 // BENCH_pipeline.json (schema: internal/benchfmt), the
 // perf-trajectory artefact cmd/benchdiff gates CI against. Besides
 // ns/op it records each configuration's heap high-water mark, which
-// is where the streaming path earns its keep: the batch capture's
-// peak grows linearly with the capture while the streaming ingest
-// stays flat at the router's channel windows. The gen_fleet pair
+// is where the streaming entry point earns its keep: the kept
+// capture's peak grows linearly with the capture while the streaming
+// build holds only builder state. The gen_fleet pair
 // replays that comparison for synthesis itself at 10x the benchmark
 // scale — GenerateMNO materializing the whole fleet and catalog
 // versus StreamMNO draining into a sink — and the resulting

@@ -11,7 +11,6 @@
 //	fedsim                          # default 3-site federation, all fed-* experiments
 //	fedsim -sites 2                 # first N default hosts
 //	fedsim -hosts 23410,26202      # explicit visited MNOs
-//	fedsim -stream                  # per-site catalogs via the streaming ingest router
 //	fedsim -gen -max-heap-mib 512   # generation only, self-asserting the heap peak
 //	fedsim -archive /data/fed       # persist each site's CDR feed to /data/fed/site-<plmn>
 //	fedsim -replay /data/fed        # replay every per-site store, then exit
@@ -47,7 +46,6 @@ func main() {
 		sites   = flag.Int("sites", 0, "use the first N default federation hosts (0 = all)")
 		hosts   = flag.String("hosts", "", "comma-separated visited-MNO PLMNs (overrides -sites)")
 		workers = flag.Int("workers", runtime.GOMAXPROCS(0), "pipeline worker pool size (results are identical for any value)")
-		stream  = flag.Bool("stream", false, "build site catalogs through the bounded-memory streaming ingest router")
 		genOnly = flag.Bool("gen", false, "generate the federation dataset and print its shape without running experiments")
 		heapMiB = flag.Int64("max-heap-mib", 0, "fail if the process heap peak exceeds this many MiB (0 = no assertion)")
 		archive = flag.String("archive", "", "persist each site's CDR/xDR feed to a per-site store under this directory")
@@ -82,7 +80,6 @@ func main() {
 	}
 
 	sess := experiments.NewFederation(*seed, *scale, *workers, plmns...)
-	sess.Streaming = *stream
 	sess.ArchiveDir = *archive
 	sess.ArchiveSegmentRecords = *archSeg
 

@@ -6,7 +6,6 @@
 //	roamrepro                       # run every experiment
 //	roamrepro -experiment fig11     # one experiment
 //	roamrepro -scale 1.0 -seed 7    # bigger population, other seed
-//	roamrepro -stream               # bounded-memory streaming dataset builds
 //	roamrepro -sites 2              # federation size for the fed-* experiments
 //	roamrepro -archive /data/feed   # persist the SMIP CDR feed while building
 //	roamrepro -replay /data/feed    # verify + replay an archive, then exit
@@ -35,7 +34,6 @@ func main() {
 		seed    = flag.Uint64("seed", 1, "generator seed")
 		scale   = flag.Float64("scale", 0.5, "population scale factor (1.0 ≈ a tenth of paper scale)")
 		workers = flag.Int("workers", runtime.GOMAXPROCS(0), "pipeline worker pool size (results are identical for any value)")
-		stream  = flag.Bool("stream", false, "build datasets through the bounded-memory streaming ingestion paths")
 		sites   = flag.Int("sites", 0, "federation sites for the fed-* experiments (0 = default footprint)")
 		archive = flag.String("archive", "", "persist the session's SMIP CDR/xDR feed to a segmented store at this directory")
 		replay  = flag.String("replay", "", "verify (strictly: torn/corrupt segments fail) and replay the segmented store at this directory, then exit; use roamstore for tolerant replay")
@@ -74,7 +72,6 @@ func main() {
 		hosts = def[:*sites]
 	}
 	sess := experiments.NewFederation(*seed, *scale, *workers, hosts...)
-	sess.Streaming = *stream
 	if *archive != "" {
 		ds, err := sess.ArchiveTo(*archive)
 		if err != nil {

@@ -124,17 +124,12 @@ func cmdLs(args []string) {
 		*dir, man.Kind, man.Host, man.Start.Format(time.RFC3339), man.Days,
 		len(man.Segments), man.TotalRecords)
 	mi := r.ManifestInfo()
-	switch mi.Version {
-	case 1:
-		fmt.Printf("manifest v1 (MANIFEST.json, full rewrite per seal)\n")
-	default:
-		line := fmt.Sprintf("manifest v%d: checkpoint=%d segments, log tail=%d entries",
-			mi.Version, mi.CheckpointSegments, mi.TailSegments)
-		if mi.TornLogTail {
-			line += " (torn log tail discarded)"
-		}
-		fmt.Println(line)
+	line := fmt.Sprintf("manifest v%d: checkpoint=%d segments, log tail=%d entries",
+		mi.Version, mi.CheckpointSegments, mi.TailSegments)
+	if mi.TornLogTail {
+		line += " (torn log tail discarded)"
 	}
+	fmt.Println(line)
 	fmt.Printf("%-18s %8s %10s %11s %35s %6s %s\n", "segment", "records", "bytes", "days", "devices", "bloom", "visited")
 	for i := range man.Segments {
 		si := &man.Segments[i]

@@ -2,10 +2,9 @@
 // writes its devices-catalog as CSV. With -raw it exercises the full
 // per-event measurement path (radio events and CDRs through probe
 // taps into the catalog builder) instead of the direct aggregate
-// generator; -stream runs the same measurement path through the
-// bounded-memory ingest router, building the catalog while the
-// capture is generated — bit-identical to -raw, without ever holding
-// the event streams.
+// generator; -stream runs the same measurement path without keeping
+// the capture, each emission shard feeding the catalog builder it owns
+// — bit-identical to -raw, without ever holding the event streams.
 //
 // With -archive the streaming path additionally persists the CDR/xDR
 // feed to a segmented archive (internal/store) while the catalog
@@ -44,7 +43,7 @@ func main() {
 		seed    = flag.Uint64("seed", 1, "generator seed")
 		nbiot   = flag.Float64("nbiot", 0, "fraction of roaming meters migrated to NB-IoT")
 		raw     = flag.Bool("raw", false, "generate via the per-event probe+builder pipeline (materialized capture)")
-		stream  = flag.Bool("stream", false, "generate via the bounded-memory streaming ingest path (implies the per-event pipeline)")
+		stream  = flag.Bool("stream", false, "generate via the per-event pipeline without materializing the capture")
 		archive = flag.String("archive", "", "persist the CDR/xDR feed to a segmented store at this directory (implies -stream)")
 		replay  = flag.String("replay", "", "rebuild the catalog from a segmented store instead of generating")
 		workers = flag.Int("workers", runtime.GOMAXPROCS(0), "raw-capture worker pool size (output is identical for any value)")

@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"whereroam/internal/catalog"
+	"whereroam/internal/cdrs"
 	"whereroam/internal/core"
 	"whereroam/internal/dataset"
 	"whereroam/internal/devices"
@@ -91,9 +92,10 @@ func TestM2MDeterministicAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
-// The raw SMIP capture exercises the sharded catalog builder: device
-// streams route to shard-local builders whose outputs merge into one
-// sorted catalog.
+// The raw SMIP capture exercises the one capture walk: each emission
+// shard feeds the builder it owns (and a collector pair), and the
+// shard outputs merge into one sorted catalog and one time-ordered
+// capture.
 func TestSMIPRawDeterministicAcrossWorkerCounts(t *testing.T) {
 	cfg := dataset.DefaultSMIPConfig()
 	cfg.NativeMeters, cfg.RoamingMeters = 300, 200
@@ -112,12 +114,12 @@ func TestSMIPRawDeterministicAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
-// The streaming ingest path — taps feeding the device-hash router
-// into shard-local builders, no event slice ever materialized — must
-// produce the batch path's catalog bit for bit, at every worker
-// count. This is the contract the whole ingest subsystem is built on:
-// the builder's output depends only on per-device record order, and
-// both paths deliver the same per-device time-sorted sequences.
+// The streaming entry point — the same capture walk with no event
+// slice ever materialized — must produce the capture-keeping entry
+// point's catalog bit for bit, at every worker count: the builder's
+// output depends only on per-device record order, and a device's
+// events are offered in per-device time order whatever else a shard's
+// taps feed.
 func TestSMIPStreamingMatchesBatch(t *testing.T) {
 	for seed := uint64(1); seed <= 3; seed++ {
 		cfg := dataset.DefaultSMIPConfig()
@@ -205,10 +207,10 @@ func TestStreamM2MTieHeavyStableOrder(t *testing.T) {
 
 // A federation observes one shared fleet from several visited
 // operators; every site's catalog — and everything derived from it —
-// must be bit-identical at any worker count and across the
-// batch-vs-streaming catalog build (the batch path folds per-shard
-// builders with catalog.Builder.Merge, the streaming path routes the
-// same events through ingest.CatalogIngester).
+// must be bit-identical at any worker count and across the two
+// catalog builds the capture still has while FederationConfig carries
+// its Streaming field (builders owned by the emission shards, or the
+// same events routed through ingest.CatalogIngester).
 func TestFederationDeterministicAcrossWorkerCounts(t *testing.T) {
 	base := dataset.DefaultFederationConfig()
 	base.FleetDevices, base.NativePerSite, base.Days = 250, 150, 8
@@ -256,7 +258,7 @@ func TestFederationDeterministicAcrossWorkerCounts(t *testing.T) {
 // exclusive: a fleet device scheduled at one site on a day must
 // appear in no other site's catalog that day, every observed
 // (device, day) must match the schedule exactly, and the invariant
-// must hold on the batch and streaming catalog builds alike.
+// must hold on the shard-owned and the router catalog build alike.
 func TestFederationScheduleExclusive(t *testing.T) {
 	for _, streaming := range []bool{false, true} {
 		cfg := dataset.DefaultFederationConfig()
@@ -358,9 +360,9 @@ func TestFederationM2MPlaneDeterministic(t *testing.T) {
 }
 
 // The federated SMIP plane builds one meters-only catalog per site
-// through the same batch/streaming per-event path as the main site
-// catalogs, so it must be bit-identical across worker counts and the
-// batch/streaming switch — and, meters being stationary, each fleet
+// through the same capture walk as the main site catalogs, so it must
+// be bit-identical across worker counts and the Streaming switch —
+// and, meters being stationary, each fleet
 // meter must appear at exactly one site.
 func TestFederationSMIPPlaneDeterministic(t *testing.T) {
 	base := dataset.DefaultFederationConfig()
@@ -695,6 +697,36 @@ func TestGeneratorDigests(t *testing.T) {
 		return signaling.WriteAll(h, dataset.GenerateFederationM2M(fed).Transactions)
 	})
 
+	// The SMIP family: the aggregate generator, the per-event capture
+	// (catalog, CDR wire bytes, radio-event order), the single-worker
+	// archive feed bench/feed.go relies on, and the federated plane.
+	smipDS := func(ds *dataset.SMIPDataset) func(hash.Hash) error {
+		return func(h hash.Hash) error {
+			fmt.Fprintf(h, "%v\n", ds.NativeRange)
+			return ds.Catalog.WriteCSV(h)
+		}
+	}
+	scfg := dataset.DefaultSMIPConfig()
+	scfg.NativeMeters, scfg.RoamingMeters = 300, 200
+	record("smip.catalog", smipDS(dataset.GenerateSMIP(scfg)))
+	rawDS, raw := dataset.GenerateSMIPRaw(scfg)
+	record("smipraw.catalog", smipDS(rawDS))
+	record("smipraw.records", func(h hash.Hash) error { return cdrs.WriteAll(h, raw.Records) })
+	record("smipraw.radio", func(h hash.Hash) error {
+		for _, ev := range raw.Radio {
+			fmt.Fprintln(h, ev)
+		}
+		return nil
+	})
+	scfg.Workers = 1
+	var feed []cdrs.Record
+	scfg.ArchiveCDRs = func(r cdrs.Record) { feed = append(feed, r) }
+	dataset.GenerateSMIPStreaming(scfg)
+	record("smipstream.feed", func(h hash.Hash) error { return cdrs.WriteAll(h, feed) })
+	for j, site := range dataset.GenerateFederationSMIP(fed).Sites {
+		record(fmt.Sprintf("fedsmip.site%d.catalog", j), smipDS(site))
+	}
+
 	want := map[string]string{
 		"mno.devices":       "fbdb98eb6b8065b167d18f65f0493b4100de2968fc123779075b862e9e87ca27",
 		"mno.catalog":       "6460e8010d25fc16b1ba48e23053effcfdff02b8ee4f12c36c145d14df6a6be8",
@@ -708,13 +740,24 @@ func TestGeneratorDigests(t *testing.T) {
 		"fed.site2.present": "8c467d59ff455197e3e23d2452f5a0d6d85de1e81aef4d625950a6c08cb95354",
 		"fed.schedule":      "7b01adcedbc64f0407cf8e2db7dcc71fc042b059af0de4a0c66aa5826b6df9a6",
 		"fed.m2m":           "f81289b29d9e323c931e00620d236e34df1deac6781c44c96b0a2295bc0e4165",
-	}
-	if len(got) != len(want) {
-		t.Fatalf("recorded %d digests, want %d", len(got), len(want))
+
+		"smip.catalog":          "3c0ee4b17c3bfb35534967319920c00ffc9265818e8f1c7b60be0dcfb85c728d",
+		"smipraw.catalog":       "9e8de7588b677a94891b8c5a4146923be9ea02c0d8ef59edba11c03c1b64c96a",
+		"smipraw.records":       "61c01921909f37879bc5a0f17535205e4e8caae68c5a81b16050fd76d229fbb9",
+		"smipraw.radio":         "0cc0d3e8bda609eef8d363b062042f7cddf1a6f26fcecffff3ea224a22a4d0a6",
+		"smipstream.feed":       "9a411a07f22485ebae7a00c2e9ec896d7cd65b0ca25f24f8cded4fe092d666e3",
+		"fedsmip.site0.catalog": "c3568df2cb597a8556146bbf175963ccf4e857729fedea9f5d119c6e8728baf6",
+		"fedsmip.site1.catalog": "a6e72d7225e831ce8f67ba81aae040832d4e28cbc3ed794ac7d5c06ecd645bf3",
+		"fedsmip.site2.catalog": "110b5d6fb238bb8f46cc6cc6af1e808984ad71b6a5d918f67c7a88e76f86f07f",
 	}
 	for name, w := range want {
 		if got[name] != w {
 			t.Errorf("%s: digest %s, want %s", name, got[name], w)
+		}
+	}
+	for name, g := range got {
+		if _, ok := want[name]; !ok {
+			t.Errorf("%s: digest %s is not pinned", name, g)
 		}
 	}
 }

@@ -254,12 +254,17 @@ func (b *Builder) Merge(o *Builder) {
 	}
 }
 
-// ShardedBuilder partitions catalog construction by device: events
-// route to one of several shard-local Builders (device ID modulo
-// shard count), so ingestion can run on one goroutine per shard and
-// the build still attributes dwell correctly — every event of a
-// device lands in the same shard. The zero worker-count convention
-// of internal/pipeline applies throughout.
+// ShardedBuilder partitions catalog construction by device over
+// several shard-local Builders, so ingestion can run on one goroutine
+// per shard and the build still attributes dwell correctly — provided
+// every event of a device lands in the same shard. It is used two
+// ways. A consumer of an arbitrary interleaved feed routes by device
+// hash (ShardFor, or AddRadioEvent/AddRecord), as internal/ingest's
+// router does. A producer whose own partitions are already
+// device-disjoint hands partition i the Builder(i) it then owns
+// outright, as the dataset capture's emission shards do — no routing
+// at all. Build is the same for both. The zero worker-count
+// convention of internal/pipeline applies throughout.
 type ShardedBuilder struct {
 	shards []*Builder
 }

@@ -7,17 +7,13 @@ import (
 	"time"
 
 	"whereroam/internal/catalog"
-	"whereroam/internal/cdrs"
 	"whereroam/internal/devices"
 	"whereroam/internal/geo"
 	"whereroam/internal/gsma"
 	"whereroam/internal/identity"
-	"whereroam/internal/ingest"
 	"whereroam/internal/mccmnc"
 	"whereroam/internal/netsim"
 	"whereroam/internal/pipeline"
-	"whereroam/internal/probe"
-	"whereroam/internal/radio"
 	"whereroam/internal/rng"
 	"whereroam/internal/store"
 )
@@ -53,14 +49,16 @@ type FederationConfig struct {
 	// holds: values below one mean one worker per CPU and the dataset
 	// is bit-identical for every worker count.
 	Workers int
-	// Streaming builds each site's catalog through the bounded-memory
-	// ingest router (probe taps → ingest.CatalogIngester) instead of
-	// the batch per-shard builders merged with catalog.Builder.Merge.
-	// Both paths produce bit-identical catalogs.
+	// Streaming builds each site's catalog through the ingest router
+	// (probe taps → ingest.CatalogIngester) instead of the builders the
+	// emission shards own. Both produce bit-identical catalogs and the
+	// shard-owned build is faster at the same heap; the field remains
+	// only while the benchmark's serve fixture sets it (see ROADMAP,
+	// "One generation core" (b)).
 	Streaming bool
 	// ArchiveDir, when non-empty, persists every site's CDR/xDR feed
 	// to a segmented archive at ArchiveDir/site-<plmn> while that
-	// site's catalog builds (batch and streaming alike) — the
+	// site's catalog builds — the
 	// persist-and-ingest fanout of internal/store, one store per
 	// visited operator. The build panics on archive I/O errors,
 	// mirroring the config-validation panics.
@@ -125,7 +123,7 @@ type FederationDataset struct {
 	// device i is present at on that day, or ScheduleHome. Presence is
 	// mutually exclusive by construction — a device abroad at one site
 	// on a day emits nothing at every other site that day — and every
-	// site's emission path (batch and streaming) consults it.
+	// site's emission consults it.
 	Schedule [][]int8
 	// Sites holds one per-visited-MNO view, in Hosts order.
 	Sites []*FederationSite
@@ -135,7 +133,7 @@ type FederationDataset struct {
 	// per-(device, plane) streams without rebuilding the fleet.
 	members []fleetMember
 	// cfg is the build configuration, retained for the plane
-	// generators (scale, streaming switch, worker budget).
+	// generators (scale, worker budget).
 	cfg FederationConfig
 }
 
@@ -242,17 +240,13 @@ func siteKey(p mccmnc.PLMN) uint64 {
 // out over internal/pipeline: the site drafts its native population
 // and walks all locally present devices — natives first, then the
 // present fleet in fleet order — through the per-event measurement
-// path (radio events and CDRs/xDRs through probe taps) into its own
-// catalog build. Batch sites aggregate one catalog.Builder per
-// emission shard and combine them with Builder.Merge (feeds are
-// device-disjoint, so the merge is exact); streaming sites route the
-// same events through an ingest.CatalogIngester. Every random draw
-// comes from a per-device or per-(device, site) substream, so the
-// dataset is bit-identical across worker counts and across the
-// batch/streaming switch.
+// path (radio events and CDRs/xDRs through probe taps) into the
+// catalog builder its emission shard owns (see capture.build). Every
+// random draw comes from a per-device or per-(device, site) substream,
+// so the dataset is bit-identical across worker counts.
 //
 // Sites build in sequence because a site's builder state (grid,
-// per-shard builders or ingester, observation list) is the build's
+// per-shard builders, observation list) is the build's
 // largest transient: the heap peak is one site's builder state plus
 // the fleet, whatever the number of sites. The price: an
 // archive-writing build does not overlap one site's seal fsyncs with
@@ -520,24 +514,12 @@ func drawSchedule(src *rng.Source, class devices.Class, sites []bool, anchor, da
 	return sched
 }
 
-// localDevice is one device a site observes, with the substream its
-// emission draws from, the mobility model it moves by while in the
-// site's country, and — for fleet devices — the shared presence
-// schedule's per-day gate at this site (nil = present every day).
-type localDevice struct {
-	dev  devices.Device
-	emit *rng.Source
-	// presentDay gates emission days; nil means every window day.
-	presentDay func(day int) bool
-}
-
 // generateSite builds one visited operator's population and catalog.
 func generateSite(cfg FederationConfig, j int, root *rng.Source, db *gsma.DB, fleet []fleetMember) *FederationSite {
 	host := cfg.Hosts[j]
 	sroot := root.SplitN("site", siteKey(host))
 	hostCountry, _ := mccmnc.CountryByMCC(host.MCC)
 	centre := geo.Point{Lat: hostCountry.Lat, Lon: hostCountry.Lon}
-	grid := radio.NewGrid(hostCountry, 60, 60, radio.DefaultSpacingDeg)
 
 	site := &FederationSite{
 		Index:   j,
@@ -597,20 +579,9 @@ func generateSite(cfg FederationConfig, j int, root *rng.Source, db *gsma.DB, fl
 		site.Truth[dev.ID] = dev.Class
 	}
 
-	site.Catalog = buildSiteCatalog(cfg, host, grid, locals)
-	return site
-}
-
-// buildSiteCatalog walks the site's local devices through the
-// per-event measurement path and aggregates the devices-catalog,
-// batch or streaming per cfg.Streaming. Taps are created once per
-// emission shard; every device's events flow through exactly one tap
-// pair in per-device time-sorted order, so the two paths (and every
-// worker count) build the same catalog bit for bit. With
-// cfg.ArchiveDir set, the site's CDR/xDR feed additionally fans out
-// to a per-site segmented archive in the same pass.
-func buildSiteCatalog(cfg FederationConfig, host mccmnc.PLMN, grid *radio.Grid, locals []localDevice) *catalog.Catalog {
-	wrapCDR := func(sink func(cdrs.Record)) func(cdrs.Record) { return sink }
+	// With ArchiveDir set, the site's CDR/xDR feed additionally fans
+	// out to a per-site segmented archive in the same pass.
+	var extra func(pipeline.Shard) shardSinks
 	if cfg.ArchiveDir != "" {
 		dir := filepath.Join(cfg.ArchiveDir, "site-"+host.Concat())
 		w, err := store.NewWriter(dir, store.Meta{Host: host, Start: cfg.Start, Days: cfg.Days}, cfg.ArchiveSegmentRecords)
@@ -622,49 +593,14 @@ func buildSiteCatalog(cfg FederationConfig, host mccmnc.PLMN, grid *radio.Grid, 
 				panic(fmt.Sprintf("dataset: federation archive: %v", err))
 			}
 		}()
-		wrapCDR = func(sink func(cdrs.Record)) func(cdrs.Record) {
-			return probe.Fanout(w.Sink(), sink)
-		}
+		archive := shardSinks{cdr: w.Sink()}
+		extra = func(pipeline.Shard) shardSinks { return archive }
 	}
+	site.Catalog = siteCapture(cfg, host).build(locals, extra)
+	return site
+}
 
-	emit := func(taps func(sh pipeline.Shard) (*probe.Tap[radio.Event], *probe.Tap[cdrs.Record])) {
-		pipeline.Run(len(locals), cfg.Workers, func(sh pipeline.Shard) {
-			radioTap, cdrTap := taps(sh)
-			var bufs emitBufs
-			for i := sh.Lo; i < sh.Hi; i++ {
-				emitDeviceDaysSched(locals[i].emit, host, cfg.Start, cfg.Days, grid, radioTap, cdrTap, &locals[i].dev, locals[i].presentDay, &bufs)
-			}
-		})
-	}
-
-	if cfg.Streaming {
-		sb := catalog.NewShardedBuilder(host, cfg.Start, cfg.Days, grid, pipeline.Workers(cfg.Workers))
-		in := ingest.NewCatalogIngester(sb, 0)
-		defer in.Close()
-		cdrSink := wrapCDR(in.OfferRecord)
-		emit(func(pipeline.Shard) (*probe.Tap[radio.Event], *probe.Tap[cdrs.Record]) {
-			return probe.NewTap("site-probe", cfg.Seed, in.OfferRadio),
-				probe.NewTap("site-mediation", cfg.Seed, cdrSink)
-		})
-		return in.Build(cfg.Workers)
-	}
-
-	// Batch: one builder per emission shard — feeds are
-	// device-disjoint (each device lives in exactly one shard), so
-	// folding them together with Builder.Merge reproduces a single
-	// builder that saw every stream.
-	builders := make([]*catalog.Builder, pipeline.ShardCount(len(locals)))
-	emit(func(sh pipeline.Shard) (*probe.Tap[radio.Event], *probe.Tap[cdrs.Record]) {
-		b := catalog.NewBuilder(host, cfg.Start, cfg.Days, grid)
-		builders[sh.Index] = b
-		return probe.NewTap("site-probe", cfg.Seed, b.AddRadioEvent),
-			probe.NewTap("site-mediation", cfg.Seed, wrapCDR(b.AddRecord))
-	})
-	acc := catalog.NewBuilder(host, cfg.Start, cfg.Days, grid)
-	for _, b := range builders {
-		if b != nil {
-			acc.Merge(b)
-		}
-	}
-	return acc.Build()
+// siteCapture is one federation site's observation window.
+func siteCapture(cfg FederationConfig, host mccmnc.PLMN) capture {
+	return capture{host: host, start: cfg.Start, days: cfg.Days, seed: cfg.Seed, workers: cfg.Workers, router: cfg.Streaming}
 }

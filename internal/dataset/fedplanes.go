@@ -202,21 +202,14 @@ type FederationSMIP struct {
 
 // GenerateFederationSMIP synthesizes the federated smart-meter plane
 // from an already-built federation dataset. Each site's catalog is
-// built through the per-event measurement path — batch per-shard
-// builders folded with catalog.Builder.Merge, or the streaming
-// ingest router when the federation was configured streaming — and is
-// bit-identical across worker counts and the batch/streaming switch,
-// exactly like the federation's main site catalogs.
+// built through the per-event measurement path and is bit-identical
+// across worker counts, exactly like the federation's main site
+// catalogs. Nothing is archived: the plane is a derived view, not a
+// second feed.
 func GenerateFederationSMIP(fed *FederationDataset) *FederationSMIP {
-	cfg := fed.cfg
-	// Archiving belongs to the main site catalogs: the federation
-	// build already wrote one store per site under ArchiveDir, and a
-	// second writer over the same directories would refuse to clobber
-	// them — the plane is a derived view, not a second feed.
-	cfg.ArchiveDir = ""
 	// The shared root is a pure function of the seed, so the plane
 	// derives its site substreams without the dataset retaining it.
-	root := rng.New(cfg.Seed).Split("federation")
+	root := rng.New(fed.cfg.Seed).Split("federation")
 
 	plane := &FederationSMIP{
 		Hosts: fed.Hosts,
@@ -225,7 +218,7 @@ func GenerateFederationSMIP(fed *FederationDataset) *FederationSMIP {
 	// One site at a time, like the main site catalogs: each site's walk
 	// already fans out over the worker pool.
 	for j := range fed.Hosts {
-		plane.Sites[j] = generateSMIPSite(fed, cfg, root, j)
+		plane.Sites[j] = generateSMIPSite(fed, root, j)
 	}
 	return plane
 }
@@ -233,12 +226,12 @@ func GenerateFederationSMIP(fed *FederationDataset) *FederationSMIP {
 // generateSMIPSite builds one visited operator's smart-meter view:
 // native meters in the host's dedicated IMSI block plus the fleet
 // meters scheduled at this site.
-func generateSMIPSite(fed *FederationDataset, cfg FederationConfig, root *rng.Source, j int) *SMIPDataset {
+func generateSMIPSite(fed *FederationDataset, root *rng.Source, j int) *SMIPDataset {
+	cfg := fed.cfg
 	host := cfg.Hosts[j]
 	sroot := root.SplitN("site", siteKey(host)).Split("smipplane")
 	hostCountry, _ := mccmnc.CountryByMCC(host.MCC)
 	centre := geo.Point{Lat: hostCountry.Lat, Lon: hostCountry.Lon}
-	grid := radio.NewGrid(hostCountry, 60, 60, radio.DefaultSpacingDeg)
 
 	ds := &SMIPDataset{
 		Host:   host,
@@ -294,6 +287,6 @@ func generateSMIPSite(fed *FederationDataset, cfg FederationConfig, root *rng.So
 	}
 
 	ds.NativeRange = SMIPNativeRange(host, uint64(cfg.NativePerSite))
-	ds.Catalog = buildSiteCatalog(cfg, host, grid, locals)
+	ds.Catalog = siteCapture(cfg, host).build(locals, nil)
 	return ds
 }

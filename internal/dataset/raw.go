@@ -10,6 +10,7 @@ import (
 	"whereroam/internal/geo"
 	"whereroam/internal/gsma"
 	"whereroam/internal/identity"
+	"whereroam/internal/ingest"
 	"whereroam/internal/mccmnc"
 	"whereroam/internal/mobility"
 	"whereroam/internal/pipeline"
@@ -18,6 +19,100 @@ import (
 	"whereroam/internal/rng"
 )
 
+// localDevice is one device a visited operator observes, with the
+// substream its emission draws from, the mobility model it moves by
+// while in the operator's country, and — for federation fleet devices
+// — the shared presence schedule's per-day gate at this site.
+type localDevice struct {
+	dev  devices.Device
+	emit *rng.Source
+	// presentDay gates emission days; nil means every window day.
+	presentDay func(day int) bool
+}
+
+// capture is one visited operator's observation window: the §4.1
+// measurement path every per-event generator drives its population
+// through.
+type capture struct {
+	host    mccmnc.PLMN
+	start   time.Time
+	days    int
+	seed    uint64
+	workers int
+	// router builds the catalog through the ingest router instead of
+	// shard-owned builders (FederationConfig's Streaming field).
+	router bool
+}
+
+// shardSinks are the consumers one emission shard feeds beside its
+// catalog builder — an archive writer, a collector. Either may be nil.
+type shardSinks struct {
+	radio func(radio.Event)
+	cdr   func(cdrs.Record)
+}
+
+// build walks locals through the per-event measurement path — radio
+// events and CDRs/xDRs through one probe tap pair per emission shard —
+// and aggregates the devices-catalog. It is the package's only
+// per-event walk; its callers differ in population and in the extra
+// sinks (extra may be nil) a shard's taps also feed, ahead of the
+// builder.
+//
+// Emission shards are device-disjoint and every device's events are
+// offered in per-device time order, so each shard owns the builder it
+// feeds — no channel hop, no event slice — and
+// catalog.ShardedBuilder.Build's (device, day) sort makes the catalog
+// bit-identical at any worker count.
+func (c capture) build(locals []localDevice, extra func(pipeline.Shard) shardSinks) *catalog.Catalog {
+	hostCountry, _ := mccmnc.CountryByMCC(c.host.MCC)
+	grid := radio.NewGrid(hostCountry, 60, 60, radio.DefaultSpacingDeg)
+
+	var sinks func(pipeline.Shard) (func(radio.Event), func(cdrs.Record))
+	var build func(workers int) *catalog.Catalog
+	if c.router {
+		// The router's last generator-side entrance, kept bit-identical
+		// while bench/serve.go sets FederationConfig's Streaming field.
+		sb := catalog.NewShardedBuilder(c.host, c.start, c.days, grid, pipeline.Workers(c.workers))
+		in := ingest.NewCatalogIngester(sb, 0)
+		// Build closes on the happy path (Close is idempotent); the
+		// defer covers an emission panic, so a caller that recovers it
+		// does not leak the per-shard consumer goroutines.
+		defer in.Close()
+		sinks = func(pipeline.Shard) (func(radio.Event), func(cdrs.Record)) {
+			return in.OfferRadio, in.OfferRecord
+		}
+		build = in.Build
+	} else {
+		sb := catalog.NewShardedBuilder(c.host, c.start, c.days, grid, pipeline.ShardCount(len(locals)))
+		sinks = func(sh pipeline.Shard) (func(radio.Event), func(cdrs.Record)) {
+			b := sb.Builder(sh.Index)
+			return b.AddRadioEvent, b.AddRecord
+		}
+		build = sb.Build
+	}
+
+	pipeline.Run(len(locals), c.workers, func(sh pipeline.Shard) {
+		radioSink, cdrSink := sinks(sh)
+		if extra != nil {
+			x := extra(sh)
+			if x.radio != nil {
+				radioSink = probe.Fanout(x.radio, radioSink)
+			}
+			if x.cdr != nil {
+				cdrSink = probe.Fanout(x.cdr, cdrSink)
+			}
+		}
+		radioTap := probe.NewTap("mme-msc-sgsn", c.seed, radioSink)
+		cdrTap := probe.NewTap("mediation", c.seed, cdrSink)
+		var bufs emitBufs
+		for i := sh.Lo; i < sh.Hi; i++ {
+			l := &locals[i]
+			emitDeviceDaysSched(l.emit, c.host, c.start, c.days, grid, radioTap, cdrTap, &l.dev, l.presentDay, &bufs)
+		}
+	})
+	return build(c.workers)
+}
+
 // RawStreams is the per-event view of a capture: what the probes at
 // the MME/MSC/SGSN hand to the pipeline before any aggregation.
 type RawStreams struct {
@@ -25,230 +120,170 @@ type RawStreams struct {
 	Records []cdrs.Record
 }
 
-// smipEmission is the shared synthesis core behind GenerateSMIPRaw
-// and GenerateSMIPStreaming: the population setup plus the per-event
-// emission walk. The two paths differ only in where the probe taps
-// point — shard-local collectors (batch) or the ingest router
-// (streaming).
-type smipEmission struct {
-	cfg    SMIPConfig
-	db     *gsma.DB
-	root   *rng.Source
-	grid   *radio.Grid
-	alloc  *devices.IMSIAllocator
-	ds     *SMIPDataset
-	centre geo.Point
-	nlHome mccmnc.PLMN
-}
-
-// smipCohort describes one of the two meter cohorts.
-type smipCohort struct {
-	label  string
-	count  int
-	native bool
-}
-
-func smipCohorts(cfg SMIPConfig) []smipCohort {
-	return []smipCohort{
-		{label: "native", count: cfg.NativeMeters, native: true},
-		{label: "roaming", count: cfg.RoamingMeters, native: false},
-	}
-}
-
-func newSMIPEmission(cfg SMIPConfig) *smipEmission {
+// smipPopulation draws the two meter cohorts of the per-event SMIP
+// generators — natives in the host's dedicated IMSI block, then the
+// roaming meters on the NL operator's global IoT SIMs — from per-meter
+// substreams. Each cohort is its block's only allocator, so meter i's
+// MSIN is base + i with no allocation pass.
+func smipPopulation(cfg SMIPConfig) (*SMIPDataset, []localDevice) {
 	if cfg.NativeMeters < 0 || cfg.RoamingMeters < 0 || cfg.Days <= 0 {
 		panic("dataset: SMIP config needs non-negative cohorts and positive Days")
 	}
+	db := gsma.Synthesize(cfg.GSMASeed)
+	root := rng.New(cfg.Seed).Split("smipraw")
 	hostCountry, _ := mccmnc.CountryByMCC(cfg.Host.MCC)
-	return &smipEmission{
-		cfg:   cfg,
-		db:    gsma.Synthesize(cfg.GSMASeed),
-		root:  rng.New(cfg.Seed).Split("smipraw"),
-		grid:  radio.NewGrid(hostCountry, 60, 60, radio.DefaultSpacingDeg),
-		alloc: devices.NewIMSIAllocator(),
-		ds: &SMIPDataset{
-			Host:   cfg.Host,
-			Start:  cfg.Start,
-			Days:   cfg.Days,
-			Native: make(map[identity.DeviceID]bool, cfg.NativeMeters+cfg.RoamingMeters),
-			NBIoT:  map[identity.DeviceID]bool{},
-		},
-		centre: geo.Point{Lat: hostCountry.Lat, Lon: hostCountry.Lon},
-		nlHome: mccmnc.MustParse("20404"),
+	centre := geo.Point{Lat: hostCountry.Lat, Lon: hostCountry.Lon}
+	nlHome := mccmnc.MustParse("20404")
+
+	n := cfg.NativeMeters + cfg.RoamingMeters
+	locals := make([]localDevice, n)
+	migrated := make([]bool, n)
+	pipeline.Run(n, cfg.Workers, func(sh pipeline.Shard) {
+		for i := sh.Lo; i < sh.Hi; i++ {
+			var src *rng.Source
+			var imsi identity.IMSI
+			var prof devices.Profile
+			var info gsma.DeviceInfo
+			if i < cfg.NativeMeters {
+				src = root.SplitN("native", uint64(i))
+				imsi = identity.IMSI{PLMN: cfg.Host, MSIN: SMIPNativeBase + uint64(i)}
+				prof = devices.SmartMeterNativeProfile(src.Split("profile"), cfg.Days, cfg.Host)
+				info = db.Pick(src.Split("tac"), gsma.ArchM2MModule)
+			} else {
+				r := uint64(i - cfg.NativeMeters)
+				src = root.SplitN("roaming", r)
+				imsi = identity.IMSI{PLMN: nlHome, MSIN: smipRoamingBase + r}
+				// Short-circuit as GenerateSMIP does: a zero-migration
+				// fleet draws nothing here.
+				migrated[i] = cfg.NBIoTMigration > 0 && src.Bool(cfg.NBIoTMigration)
+				if migrated[i] {
+					prof = devices.NBIoTMeterProfile(src.Split("profile"), cfg.Days)
+				} else {
+					prof = devices.SmartMeterRoamingProfile(src.Split("profile"), cfg.Days)
+				}
+				// §4.4: every roaming meter maps to a Gemalto or Telit module.
+				info = db.PickFromVendors(src.Split("tac"), gsma.ArchM2MModule, "Gemalto", "Telit")
+			}
+			mob := mobility.NewStationary(src.Split("mob"), centre, 40)
+			locals[i] = localDevice{
+				dev:  devices.Assemble(devices.ClassSmartMeter, imsi, info, prof, mob, false),
+				emit: src.Split("days"),
+			}
+		}
+	})
+
+	ds := &SMIPDataset{
+		Host:        cfg.Host,
+		Start:       cfg.Start,
+		Days:        cfg.Days,
+		GSMA:        db,
+		Devices:     make([]devices.Device, n),
+		Native:      make(map[identity.DeviceID]bool, n),
+		NBIoT:       map[identity.DeviceID]bool{},
+		NativeRange: SMIPNativeRange(cfg.Host, uint64(cfg.NativeMeters)),
 	}
+	for i := range locals {
+		id := locals[i].dev.ID
+		ds.Devices[i] = locals[i].dev
+		ds.Native[id] = i < cfg.NativeMeters
+		if migrated[i] {
+			ds.NBIoT[id] = true
+		}
+	}
+	return ds, locals
 }
 
-// emitCohorts walks both cohorts through the §4.1 measurement path.
-// Each cohort draws its IMSIs from a dedicated sequential block (a
-// serial index-order pass), then the expensive per-event emission
-// fans out over pipeline shards: taps is called once per emission
-// shard, from worker goroutines, and returns the probe pair that
-// shard's devices feed. Shard boundaries depend only on the cohort
-// size, and every device's events flow through exactly one tap pair
-// in a per-device time-sorted order — the invariants that make the
-// batch and streaming captures interchangeable.
-func (g *smipEmission) emitCohorts(taps func(label string, sh pipeline.Shard) (*probe.Tap[radio.Event], *probe.Tap[cdrs.Record])) {
-	g.ds.GSMA = g.db
-	for _, co := range smipCohorts(g.cfg) {
-		imsis := make([]identity.IMSI, co.count)
-		for i := range imsis {
-			if co.native {
-				imsis[i] = g.alloc.Next(g.cfg.Host, SMIPNativeBase)
-			} else {
-				imsis[i] = g.alloc.Next(g.nlHome, 4_000_000_000)
-			}
-		}
-		co := co
-		outs := pipeline.Map(co.count, g.cfg.Workers, func(sh pipeline.Shard) []devices.Device {
-			radioTap, cdrTap := taps(co.label, sh)
-			devs := make([]devices.Device, 0, sh.Len())
-			var bufs emitBufs
-			for i := sh.Lo; i < sh.Hi; i++ {
-				src := g.root.SplitN(co.label, uint64(i))
-				var prof devices.Profile
-				var info gsma.DeviceInfo
-				if co.native {
-					prof = devices.SmartMeterNativeProfile(src.Split("profile"), g.cfg.Days, g.cfg.Host)
-					info = g.db.Pick(src.Split("tac"), gsma.ArchM2MModule)
-				} else {
-					prof = devices.SmartMeterRoamingProfile(src.Split("profile"), g.cfg.Days)
-					info = g.db.PickFromVendors(src.Split("tac"), gsma.ArchM2MModule, "Gemalto", "Telit")
-				}
-				mob := mobility.NewStationary(src.Split("mob"), g.centre, 40)
-				dev := devices.Assemble(devices.ClassSmartMeter, imsis[i], info, prof, mob, false)
-				devs = append(devs, dev)
-				emitDeviceDaysRaw(src.Split("days"), g.cfg.Host, g.cfg.Start, g.cfg.Days, g.grid, radioTap, cdrTap, &dev, &bufs)
-			}
-			return devs
-		})
-		for _, devs := range outs {
-			for i := range devs {
-				g.ds.Native[devs[i].ID] = co.native
-			}
-			g.ds.Devices = append(g.ds.Devices, devs...)
-		}
-	}
-	g.ds.NativeRange = SMIPNativeRange(g.cfg.Host, g.alloc.Allocated(g.cfg.Host, SMIPNativeBase))
+// smipCapture is the SMIP host's observation window.
+func smipCapture(cfg SMIPConfig) capture {
+	return capture{host: cfg.Host, start: cfg.Start, days: cfg.Days, seed: cfg.Seed, workers: cfg.Workers}
 }
 
 // GenerateSMIPRaw builds the same SMIP population as GenerateSMIP but
 // materializes the §4.1 measurement path end to end: it synthesizes
-// individual radio events and CDRs/xDRs, runs them through probe
-// taps into shard-local collectors, and aggregates the
-// devices-catalog with catalog.ShardedBuilder — dwell-based mobility
-// metrics included. It is an order of magnitude more expensive per
-// device than the direct generator and exists to exercise (and
-// cross-validate) the real pipeline; keep cohorts in the thousands,
-// or use GenerateSMIPStreaming when the materialized capture itself
-// is the problem.
+// individual radio events and CDRs/xDRs, runs them through probe taps
+// into the catalog builders — dwell-based mobility metrics included —
+// and also returns the capture itself, time-ordered. It is an order of
+// magnitude more expensive per device than the direct generator and
+// exists to exercise (and cross-validate) the real pipeline; keep
+// cohorts in the thousands, or use GenerateSMIPStreaming when the
+// materialized capture itself is the problem.
 func GenerateSMIPRaw(cfg SMIPConfig) (*SMIPDataset, *RawStreams) {
-	g := newSMIPEmission(cfg)
+	ds, locals := smipPopulation(cfg)
 
-	// Batch capture: one collector pair per emission shard (the
-	// capture arrangement of Fig. 4, one tap pair per shard), gathered
-	// in (cohort, shard) order afterwards — the exact emission order
-	// of a serial run. Shard counts are a function of the cohort size
-	// alone (pipeline.ShardCount), so the slices pre-size up front and
-	// the worker callbacks write disjoint indices with no locking.
-	type shardCols struct {
-		radio probe.Collector[radio.Event]
-		cdr   probe.Collector[cdrs.Record]
-	}
-	byCohort := map[string][]*shardCols{}
-	for _, co := range smipCohorts(cfg) {
-		byCohort[co.label] = make([]*shardCols, pipeline.ShardCount(co.count))
-	}
-	g.emitCohorts(func(label string, sh pipeline.Shard) (*probe.Tap[radio.Event], *probe.Tap[cdrs.Record]) {
-		cols := &shardCols{}
-		byCohort[label][sh.Index] = cols
-		return probe.NewTap("mme-msc-sgsn", cfg.Seed, cols.radio.Add),
-			probe.NewTap("mediation", cfg.Seed, cols.cdr.Add)
+	// One collector pair per emission shard (written by that shard
+	// alone), gathered in shard order afterwards — the exact emission
+	// order of a serial run.
+	shards := make([]RawStreams, pipeline.ShardCount(len(locals)))
+	ds.Catalog = smipCapture(cfg).build(locals, func(sh pipeline.Shard) shardSinks {
+		col := &shards[sh.Index]
+		sinks := shardSinks{
+			radio: func(ev radio.Event) { col.Radio = append(col.Radio, ev) },
+			cdr:   func(rec cdrs.Record) { col.Records = append(col.Records, rec) },
+		}
+		if cfg.ArchiveCDRs != nil {
+			sinks.cdr = probe.Fanout(cfg.ArchiveCDRs, sinks.cdr)
+		}
+		return sinks
 	})
 
 	raw := &RawStreams{}
-	for _, co := range smipCohorts(cfg) {
-		for _, cols := range byCohort[co.label] {
-			raw.Radio = append(raw.Radio, cols.radio.Records()...)
-			raw.Records = append(raw.Records, cols.cdr.Records()...)
-		}
+	for i := range shards {
+		raw.Radio = append(raw.Radio, shards[i].Radio...)
+		raw.Records = append(raw.Records, shards[i].Records...)
 	}
-
-	// Time-order the streams (probes interleave by capture point) and
-	// run the aggregation pipeline: events partition by device onto
-	// shard-local builders (so dwell attribution sees each device's
-	// full event chain), shards ingest concurrently, and the merge
-	// restores the catalog's (device, day) order. The sort is stable:
-	// each device's emission is already time-sorted, so stability
-	// keeps every device's relative order equal to its emission order
-	// — the same per-device sequences the streaming ingest path
-	// delivers, which is what makes the two catalogs bit-identical.
+	// Time-order the streams (probes interleave by capture point). The
+	// sort is stable: each device's emission is already time-sorted, so
+	// every device's relative order stays its emission order.
 	sort.SliceStable(raw.Radio, func(i, j int) bool { return raw.Radio[i].Time.Before(raw.Radio[j].Time) })
 	sort.SliceStable(raw.Records, func(i, j int) bool { return raw.Records[i].Time.Before(raw.Records[j].Time) })
-
-	workers := pipeline.Workers(cfg.Workers)
-	sb := catalog.NewShardedBuilder(cfg.Host, cfg.Start, cfg.Days, g.grid, workers)
-	radioByShard := make([][]radio.Event, sb.Shards())
-	for i := range raw.Radio {
-		s := sb.ShardFor(raw.Radio[i].Device)
-		radioByShard[s] = append(radioByShard[s], raw.Radio[i])
-	}
-	cdrsByShard := make([][]cdrs.Record, sb.Shards())
-	for i := range raw.Records {
-		s := sb.ShardFor(raw.Records[i].Device)
-		cdrsByShard[s] = append(cdrsByShard[s], raw.Records[i])
-	}
-	pipeline.Run(sb.Shards(), cfg.Workers, func(sh pipeline.Shard) {
-		for s := sh.Lo; s < sh.Hi; s++ {
-			b := sb.Builder(s)
-			for i := range radioByShard[s] {
-				b.AddRadioEvent(radioByShard[s][i])
-			}
-			for i := range cdrsByShard[s] {
-				b.AddRecord(cdrsByShard[s][i])
-			}
-		}
-	})
-	g.ds.Catalog = sb.Build(cfg.Workers)
-	return g.ds, raw
+	return ds, raw
 }
 
-// emitBufs carries the per-day scratch slices the raw emission path
-// fills and drains for every emitted day. Allocate one per emission
-// shard and pass it to every device in the shard: the backing arrays
-// are then reused across devices instead of reallocated per device,
-// which is where the steady-state allocation rate of the raw capture
-// paths used to come from. Taps and builders copy records by value on
-// Offer, so reuse is safe. The zero value is ready to use; nil means
-// "allocate locally" (one-shot callers).
+// GenerateSMIPStreaming is GenerateSMIPRaw without the materialized
+// capture: the same population, the same per-event synthesis through
+// probe taps, with the radio events and CDRs/xDRs flowing straight
+// from each emission shard's taps into the catalog builder that shard
+// owns. No event slice is ever held, so peak allocation stays flat
+// where GenerateSMIPRaw grows linearly with the capture; the catalog is
+// bit-identical to GenerateSMIPRaw's at any worker count.
+//
+// With cfg.ArchiveCDRs set, every CDR/xDR additionally fans out to
+// the archive sink before it reaches the builder — persist-and-ingest
+// in one pass, the feed never materialized.
+func GenerateSMIPStreaming(cfg SMIPConfig) *SMIPDataset {
+	ds, locals := smipPopulation(cfg)
+	ds.Catalog = smipCapture(cfg).build(locals, func(pipeline.Shard) shardSinks {
+		return shardSinks{cdr: cfg.ArchiveCDRs}
+	})
+	return ds
+}
+
+// emitBufs carries the per-day scratch slices the emission fills and
+// drains for every emitted day, one per emission shard: the backing
+// arrays are reused across the shard's devices instead of reallocated
+// per device. Taps and builders copy records by value on Offer, so
+// reuse is safe. The zero value is ready to use.
 type emitBufs struct {
 	evs  []radio.Event
 	recs []cdrs.Record
 }
 
-// emitDeviceDaysRaw synthesizes per-event streams for one device
+// emitDeviceDaysSched synthesizes per-event streams for one device
 // observed from host over the [start, start+days) window. A day's
 // events are generated first and offered time-sorted (stable, so
 // generation order breaks timestamp ties): each device's stream is
-// then time-ordered end to end, which both the batch path's stable
-// global sort and the streaming ingest router preserve — the
-// per-device order contract the catalogs' bit-identity rests on.
-func emitDeviceDaysRaw(src *rng.Source, host mccmnc.PLMN, start time.Time, days int, grid *radio.Grid,
-	radioTap *probe.Tap[radio.Event], cdrTap *probe.Tap[cdrs.Record], dev *devices.Device, bufs *emitBufs) {
-	emitDeviceDaysSched(src, host, start, days, grid, radioTap, cdrTap, dev, nil, bufs)
-}
-
-// emitDeviceDaysSched is emitDeviceDaysRaw with a presence gate: when
-// presentDay is non-nil, only days it reports true for emit anything —
-// and absent days consume no randomness at all, so a device's draws at
-// one federation site never depend on how many days it spent at the
-// others. The gate is consulted before the daily-activity draw: being
-// scheduled elsewhere is not "inactive here", it is "not here".
+// then time-ordered end to end — the per-device order contract the
+// catalogs' bit-identity rests on.
+//
+// When presentDay is non-nil, only days it reports true for emit
+// anything — and absent days consume no randomness at all, so a
+// device's draws at one federation site never depend on how many days
+// it spent at the others. The gate is consulted before the
+// daily-activity draw: being scheduled elsewhere is not "inactive
+// here", it is "not here".
 func emitDeviceDaysSched(src *rng.Source, host mccmnc.PLMN, start time.Time, days int, grid *radio.Grid,
 	radioTap *probe.Tap[radio.Event], cdrTap *probe.Tap[cdrs.Record], dev *devices.Device, presentDay func(int) bool, bufs *emitBufs) {
 
-	if bufs == nil {
-		bufs = &emitBufs{}
-	}
 	p := dev.Profile
 	daySeconds := int64(24 * 3600)
 	dayEvs := bufs.evs

@@ -1,9 +1,12 @@
 package dataset
 
 import (
+	"reflect"
 	"sort"
+	"sync"
 	"testing"
 
+	"whereroam/internal/cdrs"
 	"whereroam/internal/radio"
 )
 
@@ -130,5 +133,56 @@ func BenchmarkGenerateSMIPRaw(b *testing.B) {
 	cfg.NativeMeters, cfg.RoamingMeters = 150, 100
 	for i := 0; i < b.N; i++ {
 		_, _ = GenerateSMIPRaw(cfg)
+	}
+}
+
+// Both per-event entry points share one population and one capture, so
+// both honour NBIoTMigration (about half the roaming meters migrate and
+// every one of their records rides NB-IoT) and ArchiveCDRs (the sink
+// sees every CDR/xDR the capture emitted).
+func TestRawHonoursNBIoTMigrationAndArchive(t *testing.T) {
+	cfg := rawSMIP()
+	cfg.NBIoTMigration = 0.5
+
+	var mu sync.Mutex
+	archived := 0
+	cfg.ArchiveCDRs = func(cdrs.Record) { mu.Lock(); archived++; mu.Unlock() }
+	rawDS, raw := GenerateSMIPRaw(cfg)
+	if archived != len(raw.Records) {
+		t.Errorf("GenerateSMIPRaw archived %d records, capture holds %d", archived, len(raw.Records))
+	}
+	onNB := 0
+	for i := range raw.Records {
+		r := &raw.Records[i]
+		if rawDS.NBIoT[r.Device] != (r.RAT == radio.RATNB) {
+			t.Fatalf("record of device %v on %v, migrated=%v", r.Device, r.RAT, rawDS.NBIoT[r.Device])
+		}
+		if r.RAT == radio.RATNB {
+			onNB++
+		}
+	}
+	if onNB == 0 {
+		t.Error("no CDR/xDR on NB-IoT")
+	}
+	for i := range raw.Radio {
+		if ev := &raw.Radio[i]; rawDS.NBIoT[ev.Device] != (ev.RAT() == radio.RATNB) {
+			t.Fatalf("radio event of device %v on %v, migrated=%v", ev.Device, ev.RAT(), rawDS.NBIoT[ev.Device])
+		}
+	}
+
+	cfg.ArchiveCDRs = nil
+	streamDS := GenerateSMIPStreaming(cfg)
+	for name, ds := range map[string]*SMIPDataset{"raw": rawDS, "streaming": streamDS} {
+		if n := len(ds.NBIoT); n < cfg.RoamingMeters*4/10 || n > cfg.RoamingMeters*6/10 {
+			t.Errorf("%s: %d of %d roaming meters on NB-IoT, want about half", name, n, cfg.RoamingMeters)
+		}
+		for id := range ds.NBIoT {
+			if native, ok := ds.Native[id]; !ok || native {
+				t.Fatalf("%s: NB-IoT device %v is not a roaming meter", name, id)
+			}
+		}
+	}
+	if !reflect.DeepEqual(rawDS.NBIoT, streamDS.NBIoT) || !reflect.DeepEqual(rawDS.Catalog.Records, streamDS.Catalog.Records) {
+		t.Error("raw and streaming disagree on the migrated fleet")
 	}
 }

@@ -27,18 +27,20 @@ type SMIPConfig struct {
 	// NBIoTMigration is the fraction of roaming meters migrated to
 	// NB-IoT (the §8 scenario). Zero reproduces the paper's 2G fleet.
 	NBIoTMigration float64
-	// Workers bounds the raw-capture worker pool (GenerateSMIPRaw);
-	// values below one mean one worker per CPU. The capture and the
-	// built catalog are identical for every worker count.
+	// Workers bounds the per-event capture's worker pool
+	// (GenerateSMIPRaw, GenerateSMIPStreaming); values below one mean
+	// one worker per CPU. The capture and the built catalog are
+	// identical for every worker count.
 	Workers int
 	// ArchiveCDRs, when non-nil, additionally receives every CDR/xDR
-	// the streaming measurement path (GenerateSMIPStreaming) offers
-	// the ingest router — the probe.Fanout persist-and-ingest hook.
-	// Point it at a store.Writer.Sink to archive the live feed while
-	// the catalog builds in the same pass. It is called concurrently
-	// from the emission shards; each device's records arrive in
-	// per-device time order, the order contract an archived feed's
-	// replay rests on (see internal/store).
+	// the per-event measurement path (GenerateSMIPRaw,
+	// GenerateSMIPStreaming) offers its catalog builders — the
+	// probe.Fanout persist-and-ingest hook. Point it at a
+	// store.Writer.Sink to archive the live feed while the catalog
+	// builds in the same pass. It is called concurrently from the
+	// emission shards; each device's records arrive in per-device time
+	// order, the order contract an archived feed's replay rests on (see
+	// internal/store).
 	ArchiveCDRs func(cdrs.Record)
 }
 
@@ -73,7 +75,14 @@ type SMIPDataset struct {
 	NativeRange identity.IMSIRange
 }
 
-// GenerateSMIP synthesizes the smart-meter dataset.
+// smipRoamingBase is the MSIN base of the roaming meters' block at the
+// NL operator.
+const smipRoamingBase = 4_000_000_000
+
+// GenerateSMIP synthesizes the smart-meter dataset at the aggregate
+// level (daily catalog records drawn directly, no per-event capture).
+// Each cohort is its IMSI block's only allocator, so meter i's MSIN is
+// base + i.
 func GenerateSMIP(cfg SMIPConfig) *SMIPDataset {
 	if cfg.NativeMeters < 0 || cfg.RoamingMeters < 0 || cfg.Days <= 0 {
 		panic("dataset: SMIP config needs non-negative cohorts and positive Days")
@@ -82,7 +91,6 @@ func GenerateSMIP(cfg SMIPConfig) *SMIPDataset {
 	root := rng.New(cfg.Seed).Split("smip")
 	hostCountry, _ := mccmnc.CountryByMCC(cfg.Host.MCC)
 	centre := geo.Point{Lat: hostCountry.Lat, Lon: hostCountry.Lon}
-	alloc := devices.NewIMSIAllocator()
 	nlHome := mccmnc.MustParse("20404")
 
 	ds := &SMIPDataset{
@@ -99,7 +107,7 @@ func GenerateSMIP(cfg SMIPConfig) *SMIPDataset {
 
 	for i := 0; i < cfg.NativeMeters; i++ {
 		src := root.SplitN("native", uint64(i))
-		imsi := alloc.Next(cfg.Host, SMIPNativeBase)
+		imsi := identity.IMSI{PLMN: cfg.Host, MSIN: SMIPNativeBase + uint64(i)}
 		prof := devices.SmartMeterNativeProfile(src.Split("profile"), cfg.Days, cfg.Host)
 		info := db.Pick(src.Split("tac"), gsma.ArchM2MModule)
 		mob := mobility.NewStationary(src.Split("mob"), centre, 150)
@@ -110,7 +118,7 @@ func GenerateSMIP(cfg SMIPConfig) *SMIPDataset {
 	}
 	for i := 0; i < cfg.RoamingMeters; i++ {
 		src := root.SplitN("roaming", uint64(i))
-		imsi := alloc.Next(nlHome, 4_000_000_000)
+		imsi := identity.IMSI{PLMN: nlHome, MSIN: smipRoamingBase + uint64(i)}
 		migrated := cfg.NBIoTMigration > 0 && src.Bool(cfg.NBIoTMigration)
 		var prof devices.Profile
 		if migrated {
@@ -130,6 +138,6 @@ func GenerateSMIP(cfg SMIPConfig) *SMIPDataset {
 		emitDeviceDays(src.Split("days"), cfg.Host, cfg.Start, cfg.Days, appendRec, &dev, &visits)
 	}
 	ds.Catalog = cat
-	ds.NativeRange = SMIPNativeRange(cfg.Host, alloc.Allocated(cfg.Host, SMIPNativeBase))
+	ds.NativeRange = SMIPNativeRange(cfg.Host, uint64(cfg.NativeMeters))
 	return ds
 }

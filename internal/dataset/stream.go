@@ -1,52 +1,9 @@
 package dataset
 
 import (
-	"whereroam/internal/catalog"
-	"whereroam/internal/cdrs"
 	"whereroam/internal/ingest"
 	"whereroam/internal/pipeline"
-	"whereroam/internal/probe"
-	"whereroam/internal/radio"
 )
-
-// GenerateSMIPStreaming is the bounded-memory twin of
-// GenerateSMIPRaw: the same population, the same per-event synthesis
-// through probe taps, but the radio events and CDRs/xDRs flow
-// straight from the taps into an ingest.CatalogIngester — the
-// device-hash router over shard-local catalog builders — while the
-// capture is still being generated. No event slice is ever
-// materialized; in-flight memory is capped at the router's channel
-// windows, so peak allocation stays flat where the batch path grows
-// linearly with the capture.
-//
-// The built catalog is bit-identical to GenerateSMIPRaw's at any
-// worker count: both paths deliver each device's records in the same
-// per-device time-sorted order, which is the only order the builder's
-// output depends on (see internal/ingest and docs/ARCHITECTURE.md).
-//
-// With cfg.ArchiveCDRs set, every CDR/xDR additionally fans out to
-// the archive sink before it reaches the router — persist-and-ingest
-// in one pass, the feed never materialized.
-func GenerateSMIPStreaming(cfg SMIPConfig) *SMIPDataset {
-	g := newSMIPEmission(cfg)
-	workers := pipeline.Workers(cfg.Workers)
-	sb := catalog.NewShardedBuilder(cfg.Host, cfg.Start, cfg.Days, g.grid, workers)
-	in := ingest.NewCatalogIngester(sb, 0)
-	// Build closes on the happy path (Close is idempotent); the defer
-	// covers an emission panic, so a caller that recovers it does not
-	// leak the per-shard consumer goroutines and their channel windows.
-	defer in.Close()
-	recSink := in.OfferRecord
-	if cfg.ArchiveCDRs != nil {
-		recSink = probe.Fanout(cfg.ArchiveCDRs, in.OfferRecord)
-	}
-	g.emitCohorts(func(label string, sh pipeline.Shard) (*probe.Tap[radio.Event], *probe.Tap[cdrs.Record]) {
-		return probe.NewTap("mme-msc-sgsn", cfg.Seed, in.OfferRadio),
-			probe.NewTap("mediation", cfg.Seed, recSink)
-	})
-	g.ds.Catalog = in.Build(cfg.Workers)
-	return g.ds
-}
 
 // collectShards runs walk over n items' canonical shards on the
 // worker pool, each shard appending what it sends to a shard-local

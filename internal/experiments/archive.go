@@ -6,21 +6,16 @@ import (
 	"whereroam/internal/store"
 )
 
-// ArchiveTo builds the session's SMIP dataset through the streaming
-// per-event measurement path while persisting its CDR/xDR feed to a
-// segmented archive at dir (see internal/store) — persist-and-ingest
-// in one pass. The archived plane is the CDR/xDR feed (radio events
-// are live-only), which is exactly what ReplayFrom rebuilds.
+// ArchiveTo builds the session's SMIP population through the per-event
+// measurement path while persisting its CDR/xDR feed to a segmented
+// archive at dir (see internal/store) — persist-and-ingest in one
+// pass. The archived plane is the CDR/xDR feed (radio events are
+// live-only), which is exactly what ReplayFrom rebuilds.
 //
-// On a streaming session the built dataset is cached as the session's
-// SMIP dataset (it is the exact dataset SMIP() would build), so later
-// runners reuse it. A batch session's SMIP() uses the direct
-// aggregate generator — a different dataset family — so there the
-// archive build is a side artefact and the cache is left alone:
-// archiving never changes a session's experiment outputs.
+// The returned dataset is a side artefact: SMIP() uses the direct
+// aggregate generator — a different dataset family — so archiving
+// never changes a session's experiment outputs.
 func (s *Federation) ArchiveTo(dir string) (*dataset.SMIPDataset, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	cfg := dataset.DefaultSMIPConfig()
 	cfg.Seed = s.Seed
 	cfg.NativeMeters = s.scaled(cfg.NativeMeters)
@@ -34,9 +29,6 @@ func (s *Federation) ArchiveTo(dir string) (*dataset.SMIPDataset, error) {
 	ds := dataset.GenerateSMIPStreaming(cfg)
 	if err := w.Close(); err != nil {
 		return nil, err
-	}
-	if s.Streaming {
-		s.smip = ds
 	}
 	return ds, nil
 }

@@ -9,12 +9,11 @@ import (
 )
 
 // ArchiveTo persists the session's SMIP CDR/xDR feed while the
-// catalog builds, caches the dataset for the runners, and ReplayFrom
-// rebuilds the CDR plane from the archive — deterministically across
-// worker counts.
+// catalog builds, and ReplayFrom rebuilds the CDR plane from the
+// archive — deterministically across worker counts.
 func TestSessionArchiveReplay(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "feed")
-	sess := NewStreamingSession(1, 0.03, 2)
+	sess := NewSessionWorkers(1, 0.03, 2)
 	ds, err := sess.ArchiveTo(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -22,20 +21,13 @@ func TestSessionArchiveReplay(t *testing.T) {
 	if len(ds.Catalog.Records) == 0 {
 		t.Fatal("ArchiveTo built an empty catalog")
 	}
-	if sess.SMIP() != ds {
-		t.Error("ArchiveTo did not cache the dataset for the streaming session's runners")
-	}
 
-	// On a batch session archiving is a side artefact: the cached SMIP
-	// dataset must stay the direct-generator build, bit-identical to a
-	// session that never archived.
-	batch := NewSessionWorkers(1, 0.03, 2)
-	if _, err := batch.ArchiveTo(filepath.Join(t.TempDir(), "batchfeed")); err != nil {
-		t.Fatal(err)
-	}
+	// Archiving is a side artefact: the session's SMIP dataset must stay
+	// the direct-generator build, bit-identical to a session that never
+	// archived.
 	plain := NewSessionWorkers(1, 0.03, 2)
-	if !reflect.DeepEqual(batch.SMIP().Catalog.Records, plain.SMIP().Catalog.Records) {
-		t.Error("ArchiveTo changed a batch session's SMIP dataset")
+	if !reflect.DeepEqual(sess.SMIP().Catalog.Records, plain.SMIP().Catalog.Records) {
+		t.Error("ArchiveTo changed the session's SMIP dataset")
 	}
 
 	r, err := store.Open(dir)

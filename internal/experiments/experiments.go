@@ -99,15 +99,6 @@ type Federation struct {
 	// one worker per CPU. Results are identical for every worker
 	// count.
 	Workers int
-	// Streaming switches the catalog builds that have a per-event form
-	// to the bounded-memory ingest router: the SMIP catalog builds from
-	// per-event probe streams (GenerateSMIPStreaming — note this is the
-	// raw measurement path, richer than the direct aggregate generator
-	// the batch session uses), and every federation site catalog routes
-	// its events through an ingest.CatalogIngester instead of per-shard
-	// builders (bit-identical catalogs). The MNO and M2M datasets have
-	// no per-event catalog build and are the same either way.
-	Streaming bool
 	// Hosts lists the federation's visited-MNO sites. Empty means the
 	// default three-site footprint (dataset.DefaultFederationHosts)
 	// when a fed-* runner or Sites() forces the federation plane; the
@@ -156,14 +147,6 @@ func NewSessionWorkers(seed uint64, factor float64, workers int) *Session {
 	return &Session{Seed: seed, Factor: factor, Workers: workers}
 }
 
-// NewStreamingSession returns a session whose catalogs build through
-// the bounded-memory ingest router (see the Streaming field).
-func NewStreamingSession(seed uint64, factor float64, workers int) *Session {
-	s := NewSessionWorkers(seed, factor, workers)
-	s.Streaming = true
-	return s
-}
-
 // NewFederation returns a multi-site session: one shared world and
 // global fleet observed by every host in hosts (empty = the default
 // three-site footprint). The single-site datasets and every classic
@@ -191,7 +174,6 @@ func (s *Federation) withArchiveDir(dir string) *Federation {
 		Seed:                  s.Seed,
 		Factor:                s.Factor,
 		Workers:               s.Workers,
-		Streaming:             s.Streaming,
 		Hosts:                 s.Hosts,
 		ArchiveDir:            dir,
 		ArchiveSegmentRecords: s.ArchiveSegmentRecords,
@@ -226,10 +208,8 @@ func (s *Session) MNO() *dataset.MNODataset {
 	return s.mno
 }
 
-// SMIP lazily builds the smart-meter dataset. A streaming session
-// builds the catalog through the full per-event measurement path —
-// probe taps into the ingest router — without ever materializing the
-// event streams.
+// SMIP lazily builds the smart-meter dataset (the aggregate-level
+// generator behind fig11, fig12 and t3).
 func (s *Session) SMIP() *dataset.SMIPDataset {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -239,11 +219,7 @@ func (s *Session) SMIP() *dataset.SMIPDataset {
 		cfg.NativeMeters = s.scaled(cfg.NativeMeters)
 		cfg.RoamingMeters = s.scaled(cfg.RoamingMeters)
 		cfg.Workers = s.Workers
-		if s.Streaming {
-			s.smip = dataset.GenerateSMIPStreaming(cfg)
-		} else {
-			s.smip = dataset.GenerateSMIP(cfg)
-		}
+		s.smip = dataset.GenerateSMIP(cfg)
 	}
 	return s.smip
 }

@@ -57,10 +57,8 @@ func (st *Site) Label(dev identity.DeviceID) (core.Label, bool) {
 
 // FederationData lazily builds the multi-site dataset: one shared
 // world, GSMA catalog and roamer fleet, one catalog build per host in
-// Hosts (empty = the default three-site footprint). A streaming
-// session builds every site catalog through the ingest router; batch
-// sessions use per-shard builders folded with catalog.Builder.Merge.
-// Both are bit-identical at any worker count.
+// Hosts (empty = the default three-site footprint), bit-identical at
+// any worker count.
 func (s *Federation) FederationData() *dataset.FederationDataset {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -71,7 +69,6 @@ func (s *Federation) FederationData() *dataset.FederationDataset {
 		cfg.FleetDevices = s.scaled(cfg.FleetDevices)
 		cfg.NativePerSite = s.scaled(cfg.NativePerSite)
 		cfg.Workers = s.Workers
-		cfg.Streaming = s.Streaming
 		cfg.ArchiveDir = s.ArchiveDir
 		cfg.ArchiveSegmentRecords = s.ArchiveSegmentRecords
 		s.fed = dataset.GenerateFederation(cfg)

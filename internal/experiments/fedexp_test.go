@@ -115,22 +115,6 @@ func TestFedRunnersWorkerCountInvariant(t *testing.T) {
 	}
 }
 
-// A streaming federation builds the site catalogs (main and SMIP
-// plane) through the ingest router; every fed-* report must nonetheless
-// be bit-identical to the batch session's.
-func TestFedRunnersStreamingMatchesBatch(t *testing.T) {
-	batch := NewFederation(3, 0.06, 4)
-	stream := NewFederation(3, 0.06, 4)
-	stream.Streaming = true
-	for _, id := range []string{"fed-sites", "fed-agreement", "fed-validation", "fed-smip", "fed-m2m"} {
-		r, _ := ByID(id)
-		a, b := r.Run(batch), r.Run(stream)
-		if !reflect.DeepEqual(a.Values, b.Values) {
-			t.Errorf("%s: values differ between batch and streaming sessions\nbatch:  %v\nstream: %v", id, a.Values, b.Values)
-		}
-	}
-}
-
 // The runner-side chunked analyses (groupECDF behind fig7/fig8/fig10,
 // t2's chunked per-day label join, and the fig5/fig6/fig9 crosstab
 // sweeps folded with analysis.Crosstab.Merge) must emit identical

@@ -14,7 +14,8 @@ import (
 
 // FuzzSegmentFooter fuzzes the fixed-size footer decoder: arbitrary
 // bytes must come back as a clean error or a bounded SegmentInfo,
-// never a panic or an over-read — for both footer versions.
+// never a panic or an over-read — and anything that is not a version-2
+// footer, a well-formed v1 footer included, must be rejected.
 func FuzzSegmentFooter(f *testing.F) {
 	si := SegmentInfo{
 		Name: "seg-000000.wrseg", Records: 128, BodyBytes: 4096, BodyCRC: 0xdeadbeef,
@@ -27,18 +28,18 @@ func FuzzSegmentFooter(f *testing.F) {
 	overflow.VisitedOverflow = true
 	validOv := encodeFooter(1, &overflow, nil)
 	f.Add(validOv[:])
-	v1 := si
-	v1.Bloom, v1.BloomHashes = nil, 0
-	validV1 := encodeFooterV1(0, &v1, []mccmnc.PLMN{mccmnc.MustParse("23410")})
-	f.Add(validV1[:])
+	f.Add(v1FooterOf(valid)) // must-reject: the retired 124-byte format
 	f.Add([]byte("WRSF"))
-	f.Add(make([]byte, footerV1Size))
+	f.Add(make([]byte, 124))
 	f.Add(make([]byte, footerV2Size))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, _, err := decodeFooter(data)
 		if err != nil {
 			return
+		}
+		if len(data) != footerV2Size || data[4] != footerVersionV2 {
+			t.Fatalf("decoded a %d-byte footer of version %d", len(data), data[4])
 		}
 		if len(got.Visited) > maxFooterVisited {
 			t.Fatalf("decoded %d visited networks, footer indexes at most %d",
@@ -50,12 +51,12 @@ func FuzzSegmentFooter(f *testing.F) {
 	})
 }
 
-// FuzzManifest fuzzes the v1 store-open fallback path with arbitrary
-// MANIFEST.json bytes: Open must reject garbage with an error (and
-// confine segment names to the store directory), never panic; when it
-// succeeds, Verify and Replay must also stay panic-free.
+// FuzzManifest fuzzes store opening with arbitrary MANIFEST.ckpt
+// bytes: Open must reject garbage with an error (and confine segment
+// names to the store directory), never panic; when it succeeds, Verify
+// and Replay must also stay panic-free.
 func FuzzManifest(f *testing.F) {
-	// Seed with a v1 rendering of a real store's manifest.
+	// Seed with a real store's checkpoint.
 	dir := f.TempDir()
 	w, err := NewWriter(dir, Meta{Host: mccmnc.MustParse("23410"), Days: 3}, 4)
 	if err != nil {
@@ -69,21 +70,15 @@ func FuzzManifest(f *testing.F) {
 	if err := w.Close(); err != nil {
 		f.Fatal(err)
 	}
-	r, err := Open(dir)
+	validCkpt, err := os.ReadFile(filepath.Join(dir, ManifestCheckpointName))
 	if err != nil {
 		f.Fatal(err)
 	}
-	v1man := *r.Manifest()
-	v1man.Version = manifestVersionV1
-	validMan, err := json.Marshal(&v1man)
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(validMan)
-	f.Add([]byte(`{"version":1,"kind":"cdr","days":3,"segments":[{"name":"../x.wrseg","records":1}]}`))
-	f.Add([]byte(`{"version":99}`))
+	f.Add(validCkpt)
+	f.Add([]byte(`{"version":2,"kind":"cdr","days":3,"segments":[{"name":"../x.wrseg","records":1}]}`))
+	f.Add([]byte(`{"version":1}`))
 	f.Add([]byte(`not json`))
-	f.Add([]byte(`{"version":1,"kind":"cdr","segments":[{"name":"seg-000000.wrseg","records":-1,"bytes":-5}]}`))
+	f.Add([]byte(`{"version":2,"kind":"cdr","segments":[{"name":"seg-000000.wrseg","records":-1,"bytes":-5}]}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Reject obviously huge inputs to keep iterations fast.
@@ -91,7 +86,7 @@ func FuzzManifest(f *testing.F) {
 			return
 		}
 		fdir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(fdir, ManifestName), data, 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(fdir, ManifestCheckpointName), data, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		r, err := Open(fdir)

@@ -1,6 +1,6 @@
 package store
 
-// Manifest v2 persistence: the append-only MANIFEST.log plus the
+// Manifest persistence: the append-only MANIFEST.log plus the
 // MANIFEST.ckpt checkpoint.
 //
 // Each seal appends exactly one framed entry to the log:
@@ -22,8 +22,7 @@ package store
 //
 // Open materializes the manifest as checkpoint + log tail. A torn
 // final log entry (crash mid-append) is discarded — the segment it
-// described is then reported as torn, exactly the v1 crash
-// semantics. A log shorter than the checkpoint's coverage adds no
+// described is then reported as torn. A log shorter than the checkpoint's coverage adds no
 // tail; the checkpoint already carries those segments.
 
 import (
@@ -94,11 +93,11 @@ func decodeLogEntries(b []byte) (entries []SegmentInfo, torn bool) {
 // split between checkpoint and log tail. roamstore ls/verify surface
 // it; it carries no information replay needs.
 type ManifestInfo struct {
-	// Version is the manifest schema version found on disk (1 =
-	// MANIFEST.json, 2 = MANIFEST.ckpt + MANIFEST.log).
+	// Version is the manifest schema version found on disk (2 =
+	// MANIFEST.ckpt + MANIFEST.log).
 	Version int
 	// CheckpointSegments counts the segments carried by the
-	// checkpoint (always 0 for v1 stores).
+	// checkpoint.
 	CheckpointSegments int
 	// TailSegments counts the segments recovered from the log past
 	// the checkpoint's coverage.
@@ -109,50 +108,41 @@ type ManifestInfo struct {
 	TornLogTail bool
 }
 
-// loadManifest reads a store's manifest, preferring the v2
-// checkpoint+log pair and falling back to the v1 MANIFEST.json. The
-// returned manifest always has TotalRecords recomputed from its
-// segment list and LogEntries cleared (it describes a checkpoint
-// file, not a materialized manifest).
+// loadManifest reads a store's manifest: the checkpoint plus the log
+// tail. The returned manifest always has TotalRecords recomputed from
+// its segment list and LogEntries cleared (it describes a checkpoint
+// file, not a materialized manifest). A directory with no checkpoint
+// but a v1 MANIFEST.json is rejected as an unsupported version.
 func loadManifest(dir string) (Manifest, ManifestInfo, error) {
 	var man Manifest
 	var info ManifestInfo
 	ckptRaw, err := os.ReadFile(filepath.Join(dir, ManifestCheckpointName))
-	switch {
-	case err == nil:
-		if err := json.Unmarshal(ckptRaw, &man); err != nil {
-			return man, info, fmt.Errorf("store: parse %s: %w", ManifestCheckpointName, err)
+	if errors.Is(err, fs.ErrNotExist) {
+		if _, v1err := os.Stat(filepath.Join(dir, ManifestName)); v1err == nil {
+			return man, info, fmt.Errorf("store: unsupported manifest version 1 (%s without %s)", ManifestName, ManifestCheckpointName)
 		}
-		if man.Version != manifestVersionV2 {
-			return man, info, fmt.Errorf("store: unsupported manifest version %d in %s", man.Version, ManifestCheckpointName)
-		}
-		info.Version = manifestVersionV2
-		info.CheckpointSegments = len(man.Segments)
-		logRaw, err := os.ReadFile(filepath.Join(dir, ManifestLogName))
-		if err != nil && !errors.Is(err, fs.ErrNotExist) {
-			return man, info, fmt.Errorf("store: read %s: %w", ManifestLogName, err)
-		}
-		entries, torn := decodeLogEntries(logRaw)
-		info.TornLogTail = torn
-		if len(entries) > man.LogEntries {
-			tail := entries[man.LogEntries:]
-			info.TailSegments = len(tail)
-			man.Segments = append(man.Segments, tail...)
-		}
-	case errors.Is(err, fs.ErrNotExist):
-		raw, jerr := os.ReadFile(filepath.Join(dir, ManifestName))
-		if jerr != nil {
-			return man, info, fmt.Errorf("store: read manifest: %w", jerr)
-		}
-		if err := json.Unmarshal(raw, &man); err != nil {
-			return man, info, fmt.Errorf("store: parse %s: %w", ManifestName, err)
-		}
-		if man.Version != manifestVersionV1 {
-			return man, info, fmt.Errorf("store: unsupported manifest version %d in %s", man.Version, ManifestName)
-		}
-		info.Version = manifestVersionV1
-	default:
+	}
+	if err != nil {
 		return man, info, fmt.Errorf("store: read manifest: %w", err)
+	}
+	if err := json.Unmarshal(ckptRaw, &man); err != nil {
+		return man, info, fmt.Errorf("store: parse %s: %w", ManifestCheckpointName, err)
+	}
+	if man.Version != manifestVersionV2 {
+		return man, info, fmt.Errorf("store: unsupported manifest version %d in %s", man.Version, ManifestCheckpointName)
+	}
+	info.Version = manifestVersionV2
+	info.CheckpointSegments = len(man.Segments)
+	logRaw, err := os.ReadFile(filepath.Join(dir, ManifestLogName))
+	if err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return man, info, fmt.Errorf("store: read %s: %w", ManifestLogName, err)
+	}
+	entries, torn := decodeLogEntries(logRaw)
+	info.TornLogTail = torn
+	if len(entries) > man.LogEntries {
+		tail := entries[man.LogEntries:]
+		info.TailSegments = len(tail)
+		man.Segments = append(man.Segments, tail...)
 	}
 	man.LogEntries = 0
 	var total int64

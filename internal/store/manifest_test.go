@@ -1,108 +1,18 @@
 package store
 
 import (
-	"encoding/json"
-	"fmt"
-	"math"
+	"encoding/binary"
+	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"whereroam/internal/cdrs"
 	"whereroam/internal/mccmnc"
 )
-
-// writeV1Store archives recs the way a v1 writer did: v1 footers
-// (no Bloom filter) and a full MANIFEST.json, no log, no checkpoint.
-// It is the fixture for the v1 read-compat round trip.
-func writeV1Store(t *testing.T, dir string, meta Meta, segRecords int, recs []cdrs.Record) {
-	t.Helper()
-	man := Manifest{
-		Version:        manifestVersionV1,
-		Kind:           KindCDR,
-		Start:          meta.Start,
-		Days:           meta.Days,
-		SegmentRecords: segRecords,
-	}
-	if meta.Host != (mccmnc.PLMN{}) {
-		man.Host = meta.Host.Concat()
-	}
-	for base := 0; base < len(recs); base += segRecords {
-		hi := base + segRecords
-		if hi > len(recs) {
-			hi = len(recs)
-		}
-		chunk := recs[base:hi]
-		name := fmt.Sprintf("seg-%06d.wrseg", len(man.Segments))
-		f, err := os.Create(filepath.Join(dir, name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		cw := &crcCountWriter{w: f}
-		enc := cdrs.NewWriter(cw)
-		si := SegmentInfo{Name: name, MinDay: math.MaxInt32, MaxDay: math.MinInt32, MinDevice: math.MaxUint64}
-		var visited []mccmnc.PLMN
-		for i := range chunk {
-			if err := enc.Write(&chunk[i]); err != nil {
-				t.Fatal(err)
-			}
-			inf := cdrInfo(&chunk[i])
-			day := dayOf(inf.Time, meta.Start)
-			if day < si.MinDay {
-				si.MinDay = day
-			}
-			if day > si.MaxDay {
-				si.MaxDay = day
-			}
-			if inf.Device < si.MinDevice {
-				si.MinDevice = inf.Device
-			}
-			if inf.Device > si.MaxDevice {
-				si.MaxDevice = inf.Device
-			}
-			seen := false
-			for _, v := range visited {
-				if v == inf.Visited {
-					seen = true
-					break
-				}
-			}
-			if !seen {
-				if len(visited) >= maxFooterVisited {
-					si.VisitedOverflow = true
-				} else {
-					visited = append(visited, inf.Visited)
-				}
-			}
-			si.Records++
-		}
-		if err := enc.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		si.BodyBytes, si.BodyCRC = cw.n, cw.crc
-		si.Bytes = cw.n + footerV1Size
-		footer := encodeFooterV1(kindByte(KindCDR), &si, visited)
-		if _, err := f.Write(footer[:]); err != nil {
-			t.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			t.Fatal(err)
-		}
-		for _, p := range visited {
-			si.Visited = append(si.Visited, p.Concat())
-		}
-		man.Segments = append(man.Segments, si)
-		man.TotalRecords += int64(si.Records)
-	}
-	data, err := json.MarshalIndent(&man, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, ManifestName), data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-}
 
 // A v2 store must tolerate a torn final MANIFEST.log entry: Open
 // drops the incomplete entry, its segment file shows up as torn, and
@@ -301,82 +211,44 @@ func TestCheckpointGeometricCoverage(t *testing.T) {
 	}
 }
 
-// A v1 store (v1 footers, MANIFEST.json, no Bloom filters) must keep
-// reading: same replay as a v2 store of the same records, clean
-// verify, working day pruning, and device queries that simply lack
-// Bloom pruning. Compacting a v1 store must produce a working v2
-// store.
-func TestV1StoreReadCompat(t *testing.T) {
-	const days = 5
-	recs := feedRecords(30, days)
+// v1 stores are no longer read, but they are rejected by name rather
+// than misread: a directory holding only MANIFEST.json fails Open with
+// the unsupported manifest version in the error.
+func TestOpenRejectsV1Manifest(t *testing.T) {
+	dir := t.TempDir()
+	v1 := []byte(`{"version":1,"kind":"cdr","days":3,"segments":[]}`)
+	if err := os.WriteFile(filepath.Join(dir, ManifestName), v1, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := Open(dir)
+	if err == nil || !strings.Contains(err.Error(), "unsupported manifest version 1") {
+		t.Fatalf("Open of a v1 store: %v, want an unsupported-version error", err)
+	}
+	// Writers still refuse to build a store over it.
+	if _, err := NewWriter(dir, testMeta(3), 4); err == nil {
+		t.Fatal("NewWriter accepted a directory holding a v1 manifest")
+	}
+}
 
-	v1dir := t.TempDir()
-	writeV1Store(t, v1dir, testMeta(days), 32, recs)
-	v2dir := t.TempDir()
-	writeStore(t, v2dir, days, 32, recs)
+// v1FooterOf re-frames a footer's shared 120-byte field prefix the way
+// a v1 writer sealed it: version byte 1, closing CRC at offset 120,
+// 124 bytes.
+func v1FooterOf(v2 [footerV2Size]byte) []byte {
+	b := append([]byte(nil), v2[:120]...)
+	b[4] = 1
+	return binary.BigEndian.AppendUint32(b, crc32.Checksum(b, crcTable))
+}
 
-	r1, err := Open(v1dir)
-	if err != nil {
-		t.Fatal(err)
+// A well-formed 124-byte version-1 footer is rejected with the
+// unsupported version in the error, not decoded.
+func TestDecodeFooterRejectsV1(t *testing.T) {
+	si := SegmentInfo{Records: 8, MinDay: 0, MaxDay: 2, MinDevice: 1, MaxDevice: 9, BodyCRC: 7}
+	v1 := v1FooterOf(encodeFooter(kindByte(KindCDR), &si, []mccmnc.PLMN{mccmnc.MustParse("23410")}))
+	if len(v1) != 124 {
+		t.Fatalf("v1 footer fixture is %d bytes", len(v1))
 	}
-	if r1.ManifestInfo().Version != manifestVersionV1 {
-		t.Fatalf("v1 store read as version %d", r1.ManifestInfo().Version)
-	}
-	if rep := r1.Verify(); !rep.OK() {
-		t.Fatalf("v1 store fails verification:\n%s", rep)
-	}
-	r2, err := Open(v2dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cat1, stats1, err := r1.Replay(Query{}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cat2, _, err := r2.Replay(Query{}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(cat1, cat2) {
-		t.Fatal("v1 replay differs from v2 replay of the same records")
-	}
-	if stats1.SegmentsPrunedBloom != 0 {
-		t.Fatalf("v1 store cannot bloom-prune, stats say %d", stats1.SegmentsPrunedBloom)
-	}
-
-	// Day pruning still works off the v1 footer ranges.
-	_, pruned, err := r1.Replay(Query{}.Days(0, 0), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pruned.SegmentsPruned == 0 {
-		t.Fatal("day-pruned v1 replay pruned nothing")
-	}
-	// An exact-device query must not mis-prune without filters: the
-	// empty Bloom reports "maybe" for everything.
-	dev := recs[0].Device
-	plan := r1.Plan(Query{}.Device(dev))
-	if plan.PrunedBloom != 0 {
-		t.Fatalf("v1 plan bloom-pruned %d segments with no filters", plan.PrunedBloom)
-	}
-
-	// Compacting the v1 store yields a v2 store with identical replay.
-	cdir := t.TempDir() + "/compacted"
-	if _, err := Compact(cdir, []string{v1dir}, CompactOptions{SegmentRecords: 32}); err != nil {
-		t.Fatal(err)
-	}
-	rc, err := Open(cdir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rc.ManifestInfo().Version != manifestVersionV2 {
-		t.Fatalf("compacted store read as version %d", rc.ManifestInfo().Version)
-	}
-	catC, _, err := rc.Replay(Query{}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(cat1, catC) {
-		t.Fatal("compacted v1 store replays differently")
+	_, _, err := decodeFooter(v1)
+	if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "unsupported footer version 1") {
+		t.Fatalf("decodeFooter of a v1 footer: %v, want an unsupported-version error", err)
 	}
 }

@@ -64,8 +64,7 @@ func (s *ReplayStats) add(o ReplayStats) {
 }
 
 // Reader reads a store back: it materializes the manifest once
-// (checkpoint + log tail for v2 stores, MANIFEST.json for v1),
-// reports torn (unsealed) segment files, and replays sealed segments
+// (checkpoint + log tail), reports torn (unsealed) segment files, and replays sealed segments
 // with index-driven pruning — concurrently into a catalog build
 // ([Reader.Replay]) or sequentially into a caller sink. [Reader.Plan]
 // exposes the segment-selection decision for a [Query] without
@@ -87,8 +86,7 @@ type Reader struct {
 	met  *Metrics
 }
 
-// Open loads the store manifest at dir (checkpoint + log tail for v2
-// stores, MANIFEST.json for v1) and scans the directory for torn
+// Open loads the store manifest at dir (checkpoint + log tail) and scans the directory for torn
 // segment files (present on disk but not covered by the manifest —
 // the residue of a crash mid-write). Torn files are reported, never
 // read. A torn final MANIFEST.log entry is tolerated: the entry is
@@ -311,8 +309,7 @@ func replaySeq[T any](r *Reader, q Query, newDec func(io.Reader) wireDecoder[T],
 // CRC and record count against the manifest entry, and calls visit
 // for every record. Any mismatch or decode failure reports the
 // segment as corrupt. The manifest's Bytes field covers body, Bloom
-// filter and footer for both footer versions, so the size check holds
-// without knowing which version sealed the file.
+// filter and footer.
 func scanSegment[T any](dir string, si *SegmentInfo, newDec func(io.Reader) wireDecoder[T], visit func(*T)) error {
 	f, err := os.Open(filepath.Join(dir, si.Name))
 	if err != nil {
@@ -323,7 +320,7 @@ func scanSegment[T any](dir string, si *SegmentInfo, newDec func(io.Reader) wire
 	if err != nil {
 		return fmt.Errorf("store: stat segment %s: %w", si.Name, err)
 	}
-	if st.Size() != si.Bytes || si.Bytes < si.BodyBytes+footerV1Size {
+	if st.Size() != si.Bytes || si.Bytes < si.BodyBytes+footerV2Size {
 		return fmt.Errorf("%w: %s is %d bytes, manifest says %d",
 			ErrCorrupt, si.Name, st.Size(), si.Bytes)
 	}
@@ -470,15 +467,8 @@ func (r *Reader) verifySegment(si *SegmentInfo) error {
 
 // verifyBloom cross-checks a segment's Bloom filter three ways: the
 // footer frame against the manifest copy, and the on-disk filter
-// bytes (between body and footer) against the footer's CRC. v1
-// footers carry no filter; their manifest entries must not either.
+// bytes (between body and footer) against the footer's CRC.
 func (r *Reader) verifyBloom(si *SegmentInfo, ft footerTail) error {
-	if ft.version == footerVersionV1 {
-		if len(si.Bloom) != 0 || si.BloomHashes != 0 {
-			return fmt.Errorf("%w: manifest carries a bloom filter a v1 footer cannot seal", ErrCorrupt)
-		}
-		return nil
-	}
 	if int(ft.bloomLen) != len(si.Bloom) || int(ft.bloomK) != si.BloomHashes {
 		return fmt.Errorf("%w: footer bloom frame disagrees with manifest entry", ErrCorrupt)
 	}
@@ -517,9 +507,8 @@ func equalVisited(a, b []string) bool {
 	return true
 }
 
-// readFooter loads and decodes a sealed segment's footer of either
-// version (the trailing footerV2Size bytes are tried first, then the
-// trailing footerV1Size bytes), returning the index entry and the
+// readFooter loads and decodes a sealed segment's footer (the file's
+// trailing footerV2Size bytes), returning the index entry and the
 // footer's tail fields.
 func (r *Reader) readFooter(si *SegmentInfo) (SegmentInfo, footerTail, error) {
 	f, err := os.Open(filepath.Join(r.dir, si.Name))
@@ -531,22 +520,11 @@ func (r *Reader) readFooter(si *SegmentInfo) (SegmentInfo, footerTail, error) {
 	if err != nil {
 		return SegmentInfo{}, footerTail{}, fmt.Errorf("store: stat segment %s: %w", si.Name, err)
 	}
-	if st.Size() < footerV1Size {
+	if st.Size() < footerV2Size {
 		return SegmentInfo{}, footerTail{}, fmt.Errorf("%w: %s too short for a footer", ErrCorrupt, si.Name)
 	}
-	if st.Size() >= footerV2Size {
-		var buf [footerV2Size]byte
-		if _, err := f.ReadAt(buf[:], st.Size()-footerV2Size); err != nil {
-			return SegmentInfo{}, footerTail{}, fmt.Errorf("store: reading %s footer: %w", si.Name, err)
-		}
-		if footer, ft, err := decodeFooter(buf[:]); err == nil {
-			return footer, ft, nil
-		}
-		// Not a valid v2 footer — fall through and try the v1 frame
-		// at the file tail.
-	}
-	var buf [footerV1Size]byte
-	if _, err := f.ReadAt(buf[:], st.Size()-footerV1Size); err != nil {
+	var buf [footerV2Size]byte
+	if _, err := f.ReadAt(buf[:], st.Size()-footerV2Size); err != nil {
 		return SegmentInfo{}, footerTail{}, fmt.Errorf("store: reading %s footer: %w", si.Name, err)
 	}
 	footer, ft, err := decodeFooter(buf[:])

@@ -19,10 +19,9 @@
 // The manifest itself is an append-only log plus a checkpoint
 // (manifest v2): each seal appends one CRC-framed [SegmentInfo] entry
 // to MANIFEST.log and periodically snapshots the whole index into
-// MANIFEST.ckpt, so seal cost is O(1) in segment count instead of the
-// v1 full rewrite of MANIFEST.json. [Open] reads the checkpoint plus
-// the log tail, tolerates a torn final log entry, and still reads v1
-// (MANIFEST.json) stores.
+// MANIFEST.ckpt, so seal cost is O(1) in segment count. [Open] reads
+// the checkpoint plus the log tail and tolerates a torn final log
+// entry.
 //
 // Writing is a [probe.Fanout] sink away from the live pipeline: point
 // [SegmentWriter.Sink] at the same records a
@@ -81,9 +80,9 @@ const (
 // that day- and device-range pruning has segments to skip.
 const DefaultSegmentRecords = 8192
 
-// ManifestName is the v1 store-level manifest file inside a store
-// directory. v2 writers no longer produce it; Open falls back to it
-// when no checkpoint is present so v1 stores stay readable.
+// ManifestName is the manifest file of v1 stores, a format this
+// package no longer reads: Open rejects a directory that holds it
+// without a checkpoint, and writers refuse to create a store over it.
 const ManifestName = "MANIFEST.json"
 
 // ManifestLogName is the v2 append-only manifest log: one CRC-framed
@@ -96,12 +95,9 @@ const ManifestLogName = "MANIFEST.log"
 // log, so Open parses the checkpoint plus only the log tail.
 const ManifestCheckpointName = "MANIFEST.ckpt"
 
-// Manifest schema versions. v1 is the full-rewrite MANIFEST.json; v2
-// is the MANIFEST.log + MANIFEST.ckpt pair.
-const (
-	manifestVersionV1 = 1
-	manifestVersionV2 = 2
-)
+// manifestVersionV2 is the manifest schema version: the MANIFEST.log +
+// MANIFEST.ckpt pair.
+const manifestVersionV2 = 2
 
 // Store errors.
 var (
@@ -129,13 +125,11 @@ type Meta struct {
 }
 
 // Manifest is the store-level index: one entry per sealed segment,
-// mirroring that segment's footer, plus the stream metadata. In v2 it
-// is materialized at Open from the checkpoint plus the log tail; each
+// mirroring that segment's footer, plus the stream metadata. It is
+// materialized at Open from the checkpoint plus the log tail; each
 // seal appends one log entry, so after a crash the manifest covers
 // exactly the sealed prefix of the store (a torn final log entry is
-// discarded and its segment file reported as torn). v1 stores carry
-// the same structure as a full MANIFEST.json rewritten atomically at
-// every seal.
+// discarded and its segment file reported as torn).
 type Manifest struct {
 	// Version is the manifest schema version.
 	Version int `json:"version"`
@@ -153,11 +147,10 @@ type Manifest struct {
 	SegmentRecords int `json:"segment_records"`
 	// TotalRecords counts the records across all sealed segments.
 	TotalRecords int64 `json:"total_records"`
-	// LogEntries is, in a v2 checkpoint, the number of MANIFEST.log
+	// LogEntries is, in a checkpoint, the number of MANIFEST.log
 	// entries the checkpoint covers: Open takes Segments as the
 	// decoded state of that log prefix and appends only entries past
-	// it. Zero in v1 manifests and in materialized manifests returned
-	// by readers.
+	// it. Zero in materialized manifests returned by readers.
 	LogEntries int `json:"log_entries,omitempty"`
 	// Segments lists the sealed segments in write order.
 	Segments []SegmentInfo `json:"segments"`
@@ -207,20 +200,19 @@ type SegmentInfo struct {
 	VisitedOverflow bool `json:"visited_overflow,omitempty"`
 	// Bloom is the segment's device-hash Bloom filter (power-of-two
 	// length), mirrored from the bytes stored between the segment
-	// body and the footer. Empty for v1 segments; planning then
-	// falls back to the min/max device range alone.
+	// body and the footer. Empty for a segment sealed without one;
+	// planning then falls back to the min/max device range alone.
 	Bloom []byte `json:"bloom,omitempty"`
 	// BloomHashes is the probe count (k) the filter was built with.
 	BloomHashes int `json:"bloom_hashes,omitempty"`
 }
 
-// Segment footer binary layout (fixed size, appended after the codec
-// stream; in v2, after the Bloom filter bytes that follow the codec
-// stream):
+// Segment footer binary layout (fixed size, appended after the Bloom
+// filter bytes that follow the codec stream):
 //
 //	offset  size  field
 //	0       4     magic "WRSF"
-//	4       1     footer version (1 or 2)
+//	4       1     footer version (2)
 //	5       1     kind (0 = cdr, 1 = signaling)
 //	6       4     record count (big endian)
 //	10      4     min day (big endian, two's complement)
@@ -231,35 +223,27 @@ type SegmentInfo struct {
 //	38      1     visited-network count (≤ maxFooterVisited)
 //	39      1     visited overflow flag
 //	40      80    16 × (MCC uint16, MNC uint16, MNC length byte)
-//
-// A v1 footer closes with a CRC-32C of bytes [0, 120) at offset 120
-// (124 bytes total). A v2 footer extends the shared prefix with the
-// Bloom-filter frame before its closing CRC:
-//
 //	120     4     Bloom filter length in bytes (0 = none)
 //	124     1     Bloom probe count (k)
 //	125     4     CRC-32C of the Bloom filter bytes
 //	129     4     CRC-32C of footer bytes [0, 129)
 //
 // The Bloom filter itself is stored between the codec body and the
-// footer, so a v2 segment file is BodyBytes + bloom length +
-// footerV2Size bytes long.
+// footer, so a segment file is BodyBytes + bloom length +
+// footerV2Size bytes long. Version 1 (124 bytes, no Bloom frame) is no
+// longer read; decodeFooter rejects it by name.
 const (
 	footerMagic      = "WRSF"
-	footerVersionV1  = 1
 	footerVersionV2  = 2
-	footerV1Size     = 124
 	footerV2Size     = 133
 	maxFooterVisited = 16
 )
 
 // footerTail carries the footer fields that are not part of
-// SegmentInfo's index view: the store kind byte, the footer version,
-// and the v2 Bloom frame the seal/verify paths cross-check against
-// the on-disk filter bytes.
+// SegmentInfo's index view: the store kind byte and the Bloom frame
+// the seal/verify paths cross-check against the on-disk filter bytes.
 type footerTail struct {
 	kind     byte
-	version  int
 	bloomLen uint32
 	bloomK   byte
 	bloomCRC uint32
@@ -285,11 +269,13 @@ func dayOf(t, start time.Time) int {
 	return int(t.Sub(start) / (24 * time.Hour))
 }
 
-// encodeFooterPrefix renders the 120-byte field prefix shared by both
-// footer versions into b.
-func encodeFooterPrefix(b []byte, version, kind byte, si *SegmentInfo, visited []mccmnc.PLMN) {
+// encodeFooter renders a segment's footer. The Bloom frame is derived
+// from si.Bloom/si.BloomHashes; the filter bytes themselves are
+// written by the caller, before the footer.
+func encodeFooter(kind byte, si *SegmentInfo, visited []mccmnc.PLMN) [footerV2Size]byte {
+	var b [footerV2Size]byte
 	copy(b[0:4], footerMagic)
-	b[4] = version
+	b[4] = footerVersionV2
 	b[5] = kind
 	binary.BigEndian.PutUint32(b[6:10], uint32(si.Records))
 	binary.BigEndian.PutUint32(b[10:14], uint32(int32(si.MinDay)))
@@ -311,14 +297,6 @@ func encodeFooterPrefix(b []byte, version, kind byte, si *SegmentInfo, visited [
 		binary.BigEndian.PutUint16(b[off+2:off+4], visited[i].MNC)
 		b[off+4] = visited[i].MNCLen
 	}
-}
-
-// encodeFooter renders a segment's v2 footer. The Bloom frame is
-// derived from si.Bloom/si.BloomHashes; the filter bytes themselves
-// are written by the caller, before the footer.
-func encodeFooter(kind byte, si *SegmentInfo, visited []mccmnc.PLMN) [footerV2Size]byte {
-	var b [footerV2Size]byte
-	encodeFooterPrefix(b[:], footerVersionV2, kind, si, visited)
 	binary.BigEndian.PutUint32(b[120:124], uint32(len(si.Bloom)))
 	b[124] = byte(si.BloomHashes)
 	if len(si.Bloom) > 0 {
@@ -328,49 +306,31 @@ func encodeFooter(kind byte, si *SegmentInfo, visited []mccmnc.PLMN) [footerV2Si
 	return b
 }
 
-// encodeFooterV1 renders a segment's v1 footer — kept for the v1
-// read-compat round trip (tests write v1 stores with it).
-func encodeFooterV1(kind byte, si *SegmentInfo, visited []mccmnc.PLMN) [footerV1Size]byte {
-	var b [footerV1Size]byte
-	encodeFooterPrefix(b[:], footerVersionV1, kind, si, visited)
-	binary.BigEndian.PutUint32(b[120:124], crc32.Checksum(b[:120], crcTable))
-	return b
-}
-
-// decodeFooter parses and validates a segment footer of either
-// version, dispatching on length (124 bytes = v1, 133 = v2), and
-// returns the index entry it encodes plus the non-index tail fields.
-// Name, Bytes, BodyBytes and the Bloom filter bytes are the caller's
-// to fill — the footer stores only the filter's length and CRC.
+// decodeFooter parses and validates a segment footer and returns the
+// index entry it encodes plus the non-index tail fields. Name, Bytes,
+// BodyBytes and the Bloom filter bytes are the caller's to fill — the
+// footer stores only the filter's length and CRC. Any other footer
+// version — the 124-byte version 1 included — is rejected by name.
 func decodeFooter(b []byte) (SegmentInfo, footerTail, error) {
 	var si SegmentInfo
 	var ft footerTail
-	switch len(b) {
-	case footerV1Size, footerV2Size:
-	default:
-		return si, ft, fmt.Errorf("%w: footer is %d bytes, want %d or %d", ErrCorrupt, len(b), footerV1Size, footerV2Size)
-	}
-	if string(b[0:4]) != footerMagic {
+	if len(b) < 5 || string(b[0:4]) != footerMagic {
 		return si, ft, fmt.Errorf("%w: bad footer magic", ErrCorrupt)
 	}
-	ft.version = int(b[4])
-	switch {
-	case len(b) == footerV1Size && ft.version == footerVersionV1:
-		if crc32.Checksum(b[:120], crcTable) != binary.BigEndian.Uint32(b[120:124]) {
-			return si, ft, fmt.Errorf("%w: footer checksum mismatch", ErrCorrupt)
-		}
-	case len(b) == footerV2Size && ft.version == footerVersionV2:
-		if crc32.Checksum(b[:129], crcTable) != binary.BigEndian.Uint32(b[129:133]) {
-			return si, ft, fmt.Errorf("%w: footer checksum mismatch", ErrCorrupt)
-		}
-		ft.bloomLen = binary.BigEndian.Uint32(b[120:124])
-		ft.bloomK = b[124]
-		ft.bloomCRC = binary.BigEndian.Uint32(b[125:129])
-		if ft.bloomLen > bloomMaxBytes {
-			return si, ft, fmt.Errorf("%w: footer names a %d-byte bloom filter", ErrCorrupt, ft.bloomLen)
-		}
-	default:
+	if b[4] != footerVersionV2 {
 		return si, ft, fmt.Errorf("%w: unsupported footer version %d", ErrCorrupt, b[4])
+	}
+	if len(b) != footerV2Size {
+		return si, ft, fmt.Errorf("%w: footer is %d bytes, want %d", ErrCorrupt, len(b), footerV2Size)
+	}
+	if crc32.Checksum(b[:129], crcTable) != binary.BigEndian.Uint32(b[129:133]) {
+		return si, ft, fmt.Errorf("%w: footer checksum mismatch", ErrCorrupt)
+	}
+	ft.bloomLen = binary.BigEndian.Uint32(b[120:124])
+	ft.bloomK = b[124]
+	ft.bloomCRC = binary.BigEndian.Uint32(b[125:129])
+	if ft.bloomLen > bloomMaxBytes {
+		return si, ft, fmt.Errorf("%w: footer names a %d-byte bloom filter", ErrCorrupt, ft.bloomLen)
 	}
 	ft.kind = b[5]
 	si.Records = int(binary.BigEndian.Uint32(b[6:10]))

@@ -341,14 +341,6 @@ var (
 	NewSpanTracer = obs.NewTracer
 )
 
-// NewStreamingSession is NewSessionWorkers with the bounded-memory
-// streaming ingestion paths enabled: the SMIP catalog builds from
-// per-event probe streams through the ingest router, and so does
-// every federation site catalog.
-func NewStreamingSession(seed uint64, factor float64, workers int) *Session {
-	return experiments.NewStreamingSession(seed, factor, workers)
-}
-
 // Experiments.
 type (
 	// Federation is the session layer: one shared world observed from
