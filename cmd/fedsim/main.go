@@ -25,7 +25,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"sort"
 	"strings"
 	"time"
 
@@ -127,22 +126,16 @@ func main() {
 // (the layout fedsim -archive writes: one site-<plmn> store per
 // visited operator).
 func replaySites(dir string, workers int) {
-	entries, err := os.ReadDir(dir)
+	names, err := store.SiteDirs(dir)
 	if err != nil {
 		log.Fatal(err)
 	}
-	var siteDirs []string
-	for _, e := range entries {
-		if e.IsDir() && strings.HasPrefix(e.Name(), "site-") {
-			siteDirs = append(siteDirs, e.Name())
-		}
-	}
-	sort.Strings(siteDirs)
-	if len(siteDirs) == 0 {
+	if len(names) == 0 {
 		log.Fatalf("no site-<plmn> stores under %s", dir)
 	}
-	for _, name := range siteDirs {
-		r, err := store.Open(filepath.Join(dir, name))
+	for _, name := range names {
+		siteDir := store.SiteDir(dir, name)
+		r, err := store.Open(siteDir)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -155,7 +148,7 @@ func replaySites(dir string, workers int) {
 			log.Fatal(err)
 		}
 		fmt.Printf("%s: replayed %d records into %d catalog rows (%d segments read, %d pruned, %d torn-skipped)\n",
-			name, stats.RecordsKept, len(cat.Records),
+			filepath.Base(siteDir), stats.RecordsKept, len(cat.Records),
 			stats.SegmentsRead, stats.SegmentsPruned, stats.SegmentsTorn)
 	}
 }

@@ -43,37 +43,34 @@ func main() {
 		log.Fatal(err)
 	}
 
-	db := gsma.Synthesize(*gsmaSeed)
-	sums := cat.Summaries(db)
-	labeler := core.NewLabeler(cat.Host, dataset.MVNO1, dataset.MVNO2)
-	classifier := core.NewClassifier()
-	results := classifier.Classify(sums)
+	pop := core.Derive(cat, gsma.Synthesize(*gsmaSeed),
+		core.NewLabeler(cat.Host, dataset.MVNO1, dataset.MVNO2), 0)
 
 	fmt.Printf("catalog: host %s, %d days, %d records, %d devices\n\n",
-		cat.Host, cat.Days, len(cat.Records), len(sums))
+		cat.Host, cat.Days, len(cat.Records), len(pop.Sums))
 
 	// Roaming labels.
 	labels := map[core.Label]int{}
-	for i := range sums {
-		labels[labeler.LabelSummary(&sums[i])]++
+	for _, l := range pop.Labels {
+		labels[l]++
 	}
 	lt := analysis.NewTable("label", "devices", "share")
 	for _, l := range core.AllLabels {
-		lt.AddRow(l.String(), labels[l], float64(labels[l])/float64(len(sums)))
+		lt.AddRow(l.String(), labels[l], float64(labels[l])/float64(len(pop.Sums)))
 	}
 	fmt.Println(lt)
 
 	// Classes.
-	b := core.Breakdown(results)
+	b := core.Breakdown(pop.Results)
 	ct := analysis.NewTable("class", "devices", "share")
 	for _, c := range []core.Class{core.ClassSmart, core.ClassFeat, core.ClassM2M, core.ClassM2MMaybe} {
-		ct.AddRow(c.String(), b[c], float64(b[c])/float64(len(results)))
+		ct.AddRow(c.String(), b[c], float64(b[c])/float64(len(pop.Results)))
 	}
 	fmt.Println(ct)
 
 	if *showAPNs {
 		fmt.Println("validated M2M APNs:")
-		for _, a := range classifier.ValidatedAPNs(sums) {
+		for _, a := range core.NewClassifier().ValidatedAPNs(pop.Sums) {
 			fmt.Println("  " + a.String())
 		}
 	}

@@ -22,32 +22,33 @@ func main() {
 
 	// The devices-catalog is the daily per-device aggregate an
 	// operator builds from radio logs, CDRs/xDRs and the GSMA TAC
-	// database (§4.1). Summaries collapse it per device.
-	sums := mno.Catalog.Summaries(mno.GSMA)
-	fmt.Printf("devices-catalog: %d records, %d devices over %d days\n\n",
-		len(mno.Catalog.Records), len(sums), mno.Days)
-
-	// Roaming labels (§4.2): who owns the SIM vs where it attaches.
-	// The labeler must know the host's MVNOs to tell V:H from N:H.
+	// database (§4.1). DerivePopulation collapses it per device and
+	// joins each device with its roaming label (§4.2: who owns the SIM
+	// vs where it attaches — the labeler must know the host's MVNOs to
+	// tell V:H from N:H) and its class (§4.3's multi-step M2M
+	// classifier). pop.Labels[i] and pop.Results[i] describe
+	// pop.Sums[i].
 	labeler := whereroam.NewLabeler(mno.Host, mno.MVNOs()...)
+	pop := whereroam.DerivePopulation(mno.Catalog, mno.GSMA, labeler, 0)
+	fmt.Printf("devices-catalog: %d records, %d devices over %d days\n\n",
+		len(mno.Catalog.Records), len(pop.Sums), mno.Days)
+
 	labels := map[whereroam.Label]int{}
-	for i := range sums {
-		labels[labeler.LabelSummary(&sums[i])]++
+	for _, l := range pop.Labels {
+		labels[l]++
 	}
 	fmt.Println("roaming labels:")
 	for l, n := range labels {
-		fmt.Printf("  %s  %5d devices (%.1f%%)\n", l, n, 100*float64(n)/float64(len(sums)))
+		fmt.Printf("  %s  %5d devices (%.1f%%)\n", l, n, 100*float64(n)/float64(len(pop.Sums)))
 	}
 
-	// The multi-step M2M classifier (§4.3).
-	results := whereroam.NewClassifier().Classify(sums)
 	fmt.Println("\ndevice classes:")
-	for class, n := range whereroam.Breakdown(results) {
-		fmt.Printf("  %-10s %5d devices (%.1f%%)\n", class, n, 100*float64(n)/float64(len(results)))
+	for class, n := range whereroam.Breakdown(pop.Results) {
+		fmt.Printf("  %-10s %5d devices (%.1f%%)\n", class, n, 100*float64(n)/float64(len(pop.Results)))
 	}
 
 	// The simulator knows the truth — validate the classifier.
-	v, err := whereroam.Validate(results, mno.Truth)
+	v, err := whereroam.Validate(pop.Results, mno.Truth)
 	if err != nil {
 		log.Fatal(err)
 	}

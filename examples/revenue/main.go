@@ -21,19 +21,12 @@ import (
 func main() {
 	sess := whereroam.NewSession(5, 0.25)
 	mno := sess.MNO()
-	sums := mno.Catalog.Summaries(mno.GSMA)
 
 	// Classify and label the population first — settlement reports
 	// are broken down by the classifier's output, exactly what an
 	// operator would do.
 	labeler := whereroam.NewLabeler(mno.Host, mno.MVNOs()...)
-	results := whereroam.NewClassifier().Classify(sums)
-	classOf := map[whereroam.DeviceID]whereroam.Class{}
-	labelOf := map[whereroam.DeviceID]whereroam.Label{}
-	for i := range sums {
-		classOf[sums[i].Device] = results[i].Class
-		labelOf[sums[i].Device] = labeler.LabelSummary(&sums[i])
-	}
+	pop := whereroam.DerivePopulation(mno.Catalog, mno.GSMA, labeler, 0)
 
 	rates := settlement.DefaultRates()
 	st := settlement.Settle(mno.Catalog, rates)
@@ -41,10 +34,11 @@ func main() {
 
 	fmt.Println("\noccupancy vs revenue (inbound roamers only):")
 	ecos := settlement.EconomicsByGroup(mno.Catalog, rates, func(rec *catalog.DailyRecord) string {
-		if !labelOf[rec.Device].InboundRoamer() {
+		i, ok := pop.Find(rec.Device)
+		if !ok || !pop.Labels[i].InboundRoamer() {
 			return ""
 		}
-		c := classOf[rec.Device]
+		c := pop.Results[i].Class
 		if c == core.ClassM2MMaybe {
 			return ""
 		}

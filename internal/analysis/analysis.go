@@ -131,32 +131,6 @@ func (c *Crosstab) Add(row, col string, v float64) {
 	c.cells[[2]int{ri, ci}] += v
 }
 
-// Merge folds another crosstab into c: cells add, and rows/columns
-// absent from c append in o's insertion order (columns are registered
-// from o.cols up front — cell iteration is row-major and would
-// otherwise order new columns by their first occupied row). Folding
-// shard-local tables in shard order therefore reproduces a serial
-// sweep's row AND column insertion order exactly (shard 0's
-// first-seen keys precede shard 1's new ones, as they do in the
-// concatenated stream), which is what lets the experiment runners
-// chunk their crosstab sweeps over internal/pipeline and stay
-// bit-identical at any worker count.
-func (c *Crosstab) Merge(o *Crosstab) {
-	for _, col := range o.cols {
-		if _, ok := c.colIdx[col]; !ok {
-			c.colIdx[col] = len(c.cols)
-			c.cols = append(c.cols, col)
-		}
-	}
-	for ri, row := range o.rows {
-		for ci, col := range o.cols {
-			if v, ok := o.cells[[2]int{ri, ci}]; ok {
-				c.Add(row, col, v)
-			}
-		}
-	}
-}
-
 // Get returns the cell value (0 when absent).
 func (c *Crosstab) Get(row, col string) float64 {
 	ri, ok1 := c.rowIdx[row]
@@ -169,9 +143,6 @@ func (c *Crosstab) Get(row, col string) float64 {
 
 // Rows returns the row keys in insertion order.
 func (c *Crosstab) Rows() []string { return append([]string(nil), c.rows...) }
-
-// Cols returns the column keys in insertion order.
-func (c *Crosstab) Cols() []string { return append([]string(nil), c.cols...) }
 
 // RowTotal returns the sum of the row.
 func (c *Crosstab) RowTotal(row string) float64 {

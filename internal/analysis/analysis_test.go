@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"math"
-	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -186,58 +185,5 @@ func BenchmarkECDFAt(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = e.At(float64(i % 1000))
-	}
-}
-
-// Merge must add cells and reproduce the serial row insertion order
-// when shard-local tables fold in shard order — the contract the
-// chunked fig5/fig6/fig9 sweeps rest on.
-func TestCrosstabMerge(t *testing.T) {
-	// Serial sweep over a stream split into two "shards".
-	stream := [][2]string{{"NL", "m2m"}, {"SE", "m2m"}, {"NL", "smart"}, {"ES", "feat"}, {"SE", "smart"}}
-	serial := NewCrosstab()
-	for _, rc := range stream {
-		serial.Add(rc[0], rc[1], 1)
-	}
-	a, b := NewCrosstab(), NewCrosstab()
-	for i, rc := range stream {
-		part := a
-		if i >= 3 {
-			part = b
-		}
-		part.Add(rc[0], rc[1], 1)
-	}
-	merged := NewCrosstab()
-	merged.Merge(a)
-	merged.Merge(b)
-	if got, want := merged.Rows(), serial.Rows(); !reflect.DeepEqual(got, want) {
-		t.Errorf("merged row order %v, serial %v", got, want)
-	}
-	if got, want := merged.Cols(), serial.Cols(); !reflect.DeepEqual(got, want) {
-		t.Errorf("merged column order %v, serial %v", got, want)
-	}
-	for _, rc := range stream {
-		if merged.Get(rc[0], rc[1]) != serial.Get(rc[0], rc[1]) {
-			t.Errorf("cell (%s,%s) = %v, serial %v", rc[0], rc[1],
-				merged.Get(rc[0], rc[1]), serial.Get(rc[0], rc[1]))
-		}
-	}
-	if merged.Total() != serial.Total() {
-		t.Errorf("merged total %v, serial %v", merged.Total(), serial.Total())
-	}
-
-	// Column order where row-major cell iteration would diverge from
-	// insertion order: C3 first occurs in an earlier row than C2, so a
-	// naive merge would emit [C1 C3 C2].
-	interleaved := [][2]string{{"R2", "C1"}, {"R3", "C2"}, {"R2", "C3"}}
-	serial2, shard := NewCrosstab(), NewCrosstab()
-	for _, rc := range interleaved {
-		serial2.Add(rc[0], rc[1], 1)
-		shard.Add(rc[0], rc[1], 1)
-	}
-	merged2 := NewCrosstab()
-	merged2.Merge(shard)
-	if got, want := merged2.Cols(), serial2.Cols(); !reflect.DeepEqual(got, want) {
-		t.Errorf("interleaved merged column order %v, serial %v", got, want)
 	}
 }

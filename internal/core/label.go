@@ -2,7 +2,9 @@
 // contribution: the roaming labels of §4.2 and the multi-step
 // M2M/smartphone/feature-phone classifier of §4.3, together with the
 // validation harness that measures both against simulator ground
-// truth.
+// truth. Population is the §4 object the two produce together — one
+// operator's devices-catalog joined per device with class and label —
+// and Derive is the one place that builds it.
 package core
 
 import (

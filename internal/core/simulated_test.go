@@ -1,10 +1,13 @@
 package core_test
 
 import (
+	"reflect"
+	"runtime"
 	"testing"
 
 	"whereroam/internal/core"
 	"whereroam/internal/dataset"
+	"whereroam/internal/identity"
 )
 
 // These tests live outside package core because they drive the
@@ -38,6 +41,70 @@ func TestValidateOnSimulatedPopulation(t *testing.T) {
 	}
 	if r := v.Recall(core.ClassSmart); r < 0.90 {
 		t.Errorf("smart recall = %.3f\n%s", r, v)
+	}
+}
+
+// Derive is the only production spelling of summaries → classifier →
+// label; the hand-written chain below is the reference it must equal,
+// and the alignment/order/Find invariants are what every holder of a
+// Population reads positions by.
+func TestDerivePopulation(t *testing.T) {
+	cfg := dataset.DefaultMNOConfig()
+	cfg.Devices = 1500
+	ds := dataset.GenerateMNO(cfg)
+	labeler := core.NewLabeler(ds.Host, dataset.MVNO1, dataset.MVNO2)
+
+	pop := core.Derive(ds.Catalog, ds.GSMA, labeler, 1)
+	for _, workers := range []int{2, runtime.GOMAXPROCS(0)} {
+		if got := core.Derive(ds.Catalog, ds.GSMA, labeler, workers); !reflect.DeepEqual(pop, got) {
+			t.Fatalf("workers=%d: population differs from the serial derive", workers)
+		}
+	}
+
+	wantSums := ds.Catalog.SummariesWorkers(ds.GSMA, 1)
+	want := &core.Population{
+		Sums:    wantSums,
+		Results: core.NewClassifier().ClassifyWorkers(wantSums, 1),
+		Labels:  make([]core.Label, len(wantSums)),
+	}
+	for i := range wantSums {
+		want.Labels[i] = labeler.LabelSummary(&wantSums[i])
+	}
+	if !reflect.DeepEqual(pop, want) {
+		t.Fatal("Derive differs from the hand-written summaries → classify → label chain")
+	}
+
+	if len(pop.Sums) == 0 || len(pop.Results) != len(pop.Sums) || len(pop.Labels) != len(pop.Sums) {
+		t.Fatalf("lengths sums/results/labels = %d/%d/%d", len(pop.Sums), len(pop.Results), len(pop.Labels))
+	}
+	for i := range pop.Sums {
+		dev := pop.Sums[i].Device
+		if pop.Results[i].Device != dev {
+			t.Fatalf("Results[%d] is device %v, Sums[%d] is %v", i, pop.Results[i].Device, i, dev)
+		}
+		if i > 0 && pop.Sums[i-1].Device >= dev {
+			t.Fatalf("Sums not strictly ascending at %d", i)
+		}
+		if j, ok := pop.Find(dev); !ok || j != i {
+			t.Fatalf("Find(%v) = %d, %v; want %d, true", dev, j, ok, i)
+		}
+	}
+	// Absent devices: below the first, above the last, and between two
+	// neighbours that leave a gap.
+	absent := []identity.DeviceID{pop.Sums[0].Device - 1, pop.Sums[len(pop.Sums)-1].Device + 1}
+	for i := 1; i < len(pop.Sums); i++ {
+		if d := pop.Sums[i-1].Device + 1; d != pop.Sums[i].Device {
+			absent = append(absent, d)
+			break
+		}
+	}
+	for _, dev := range absent {
+		if _, ok := pop.Find(dev); ok {
+			t.Errorf("Find(%v) hit a device the population does not hold", dev)
+		}
+	}
+	if _, ok := (&core.Population{}).Find(1); ok {
+		t.Error("Find on an empty population reported a hit")
 	}
 }
 

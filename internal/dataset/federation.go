@@ -2,7 +2,6 @@ package dataset
 
 import (
 	"fmt"
-	"path/filepath"
 	"sort"
 	"time"
 
@@ -583,8 +582,7 @@ func generateSite(cfg FederationConfig, j int, root *rng.Source, db *gsma.DB, fl
 	// out to a per-site segmented archive in the same pass.
 	var extra func(pipeline.Shard) shardSinks
 	if cfg.ArchiveDir != "" {
-		dir := filepath.Join(cfg.ArchiveDir, "site-"+host.Concat())
-		w, err := store.NewWriter(dir, store.Meta{Host: host, Start: cfg.Start, Days: cfg.Days}, cfg.ArchiveSegmentRecords)
+		w, err := store.NewWriter(store.SiteDir(cfg.ArchiveDir, host.Concat()), store.Meta{Host: host, Start: cfg.Start, Days: cfg.Days}, cfg.ArchiveSegmentRecords)
 		if err != nil {
 			panic(fmt.Sprintf("dataset: federation archive: %v", err))
 		}

@@ -41,7 +41,7 @@ func runAblationClassifier(s *Session) *Report {
 	for _, cfgCase := range configs {
 		c := core.NewClassifier()
 		c.Steps = cfgCase.steps
-		res := c.ClassifyWorkers(v.sums, s.Workers)
+		res := c.ClassifyWorkers(v.Sums, s.Workers)
 		val, err := core.Validate(res, v.ds.Truth)
 		if err != nil {
 			r.Notes = append(r.Notes, "validation failed: "+err.Error())
@@ -56,12 +56,12 @@ func runAblationClassifier(s *Session) *Report {
 	// The share of devices with no APN at all — the population that
 	// motivates the closure step.
 	noAPN := 0
-	for i := range v.sums {
-		if len(v.sums[i].APNs) == 0 {
+	for i := range v.Sums {
+		if len(v.Sums[i].APNs) == 0 {
 			noAPN++
 		}
 	}
-	r.setValue("no_apn_share", float64(noAPN)/float64(len(v.sums)))
+	r.setValue("no_apn_share", float64(noAPN)/float64(len(v.Sums)))
 	return r
 }
 

@@ -31,13 +31,12 @@ func runExtRevenue(s *Session) *Report {
 		Paper: "§6/§9 argue inbound M2M consumes resources without matching roaming revenue; this extension prices the catalog with 2019 wholesale rates",
 	}
 	rates := settlement.DefaultRates()
-	labelOf := v.labelOf
-	classOf := v.classOf
 	ecos := settlement.EconomicsByGroup(v.ds.Catalog, rates, func(rec *catalog.DailyRecord) string {
-		if !labelOf[rec.Device].InboundRoamer() {
+		i, ok := v.Find(rec.Device)
+		if !ok || !v.Labels[i].InboundRoamer() {
 			return ""
 		}
-		class := classOf[rec.Device]
+		class := v.Results[i].Class
 		if class == core.ClassM2MMaybe {
 			return ""
 		}
@@ -89,8 +88,8 @@ func runExtTransparency(s *Session) *Report {
 	// Classifier with and without the declarations.
 	plain := core.NewClassifier()
 	withDecl := plain.WithDeclarations(ds.Declared)
-	vPlain, _ := core.Validate(plain.ClassifyWorkers(v.sums, s.Workers), ds.Truth)
-	vDecl, _ := core.Validate(withDecl.ClassifyWorkers(v.sums, s.Workers), ds.Truth)
+	vPlain, _ := core.Validate(plain.ClassifyWorkers(v.Sums, s.Workers), ds.Truth)
+	vDecl, _ := core.Validate(withDecl.ClassifyWorkers(v.Sums, s.Workers), ds.Truth)
 
 	tbl := analysis.NewTable("config", "m2m recall", "m2m precision", "abstained")
 	tbl.AddRow("declarations-only(coverage)", coverage, 1.0, 1-coverage)

@@ -18,41 +18,43 @@ func init() {
 }
 
 // Site is one visited operator's analysis view inside a Federation:
-// the site dataset plus the summaries, roaming labels and
-// classification its local pipeline derived — everything a
-// single-MNO analysis has, per site.
+// the site dataset plus the classified population its local pipeline
+// derived — everything a single-MNO analysis has, per site.
 type Site struct {
 	// Data is the site's slice of the federation dataset.
 	Data *dataset.FederationSite
 
-	sums    []catalog.Summary
-	results []core.Result
-	classOf map[identity.DeviceID]core.Class
-	labelOf map[identity.DeviceID]core.Label
+	pop *core.Population
 }
 
 // Host returns the site's visited MNO.
 func (st *Site) Host() mccmnc.PLMN { return st.Data.Host }
 
 // Summaries returns the site's per-device window aggregates.
-func (st *Site) Summaries() []catalog.Summary { return st.sums }
+func (st *Site) Summaries() []catalog.Summary { return st.pop.Sums }
 
 // Results returns the site's classification results, aligned with
 // Summaries.
-func (st *Site) Results() []core.Result { return st.results }
+func (st *Site) Results() []core.Result { return st.pop.Results }
 
 // Class returns the site's class verdict for a device; ok is false
 // when the site never observed it.
 func (st *Site) Class(dev identity.DeviceID) (core.Class, bool) {
-	c, ok := st.classOf[dev]
-	return c, ok
+	i, ok := st.pop.Find(dev)
+	if !ok {
+		return 0, false
+	}
+	return st.pop.Results[i].Class, true
 }
 
 // Label returns the site's roaming label for a device; ok is false
 // when the site never observed it.
 func (st *Site) Label(dev identity.DeviceID) (core.Label, bool) {
-	l, ok := st.labelOf[dev]
-	return l, ok
+	i, ok := st.pop.Find(dev)
+	if !ok {
+		return core.Label{}, false
+	}
+	return st.pop.Labels[i], true
 }
 
 // FederationData lazily builds the multi-site dataset: one shared
@@ -104,8 +106,8 @@ func (s *Federation) FederationSMIP() *dataset.FederationSMIP {
 }
 
 // Sites lazily builds the per-site analysis views: each site's
-// summaries, labels and classification run locally over its own
-// catalog — the same chunked pipeline the single-site analyses use.
+// population is derived locally over its own catalog — the same
+// core.Derive the single-site analyses use.
 func (s *Federation) Sites() []*Site {
 	fed := s.FederationData()
 	s.mu.Lock()
@@ -115,20 +117,10 @@ func (s *Federation) Sites() []*Site {
 	}
 	sites := make([]*Site, len(fed.Sites))
 	for j, data := range fed.Sites {
-		st := &Site{
-			Data:    data,
-			sums:    data.Catalog.SummariesWorkers(fed.GSMA, s.Workers),
-			classOf: map[identity.DeviceID]core.Class{},
-			labelOf: map[identity.DeviceID]core.Label{},
+		sites[j] = &Site{
+			Data: data,
+			pop:  core.Derive(data.Catalog, fed.GSMA, core.NewLabeler(data.Host), s.Workers),
 		}
-		labeler := core.NewLabeler(data.Host)
-		st.results = core.NewClassifier().ClassifyWorkers(st.sums, s.Workers)
-		for i := range st.sums {
-			sum := &st.sums[i]
-			st.classOf[sum.Device] = st.results[i].Class
-			st.labelOf[sum.Device] = labeler.LabelSummary(sum)
-		}
-		sites[j] = st
 	}
 	s.sites = sites
 	return s.sites
@@ -146,16 +138,16 @@ func runFedSites(s *Session) *Report {
 	fleetN := float64(len(fed.Fleet))
 	for _, st := range sites {
 		inbound, inboundM2M := 0, 0
-		for dev, l := range st.labelOf {
+		for i, l := range st.pop.Labels {
 			if !l.InboundRoamer() {
 				continue
 			}
 			inbound++
-			if st.classOf[dev] == core.ClassM2M || st.classOf[dev] == core.ClassM2MMaybe {
+			if c := st.pop.Results[i].Class; c == core.ClassM2M || c == core.ClassM2MMaybe {
 				inboundM2M++
 			}
 		}
-		n := len(st.sums)
+		n := len(st.pop.Sums)
 		coverage := float64(len(st.Data.Present)) / fleetN
 		tbl.AddRow(siteName(st.Host()), n, len(st.Data.Catalog.Records),
 			analysis.Pct(float64(inbound)/float64(n)),
@@ -339,7 +331,7 @@ func runFedValidation(s *Session) *Report {
 	var sumAcc, bestAcc float64
 	for _, st := range sites {
 		var fleetResults []core.Result
-		for _, res := range st.results {
+		for _, res := range st.pop.Results {
 			if st.Data.Present[res.Device] {
 				fleetResults = append(fleetResults, res)
 			}

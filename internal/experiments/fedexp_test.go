@@ -3,6 +3,8 @@ package experiments
 import (
 	"reflect"
 	"testing"
+
+	"whereroam/internal/core"
 )
 
 // One shared federation across the fed-* tests (the datasets dominate
@@ -45,6 +47,27 @@ func TestFedAgreement(t *testing.T) {
 	// The presence schedule is mutually exclusive: no shared fleet
 	// device may be active at two sites on the same day.
 	within(t, rep, "presence_exclusivity", 1.0, 1.0)
+}
+
+// A device a site never observed has no class and no label there:
+// fed-agreement and fed-validation skip on ok=false.
+func TestSiteClassLabelUnknownDevice(t *testing.T) {
+	for _, st := range fedSess.Sites() {
+		// Summaries are device-sorted: one past the last is absent.
+		sums := st.Summaries()
+		absent := sums[len(sums)-1].Device + 1
+		if c, ok := st.Class(absent); ok || c != 0 {
+			t.Errorf("site %v: Class(absent) = %v, %v; want zero, false", st.Host(), c, ok)
+		}
+		if l, ok := st.Label(absent); ok || l != (core.Label{}) {
+			t.Errorf("site %v: Label(absent) = %v, %v; want zero, false", st.Host(), l, ok)
+		}
+		// And a present one round-trips to its aligned result.
+		res := st.Results()[0]
+		if c, ok := st.Class(res.Device); !ok || c != res.Class {
+			t.Errorf("site %v: Class(%v) = %v, %v; want %v, true", st.Host(), res.Device, c, ok, res.Class)
+		}
+	}
 }
 
 func TestFedSMIPPlane(t *testing.T) {
@@ -115,10 +138,10 @@ func TestFedRunnersWorkerCountInvariant(t *testing.T) {
 	}
 }
 
-// The runner-side chunked analyses (groupECDF behind fig7/fig8/fig10,
-// t2's chunked per-day label join, and the fig5/fig6/fig9 crosstab
-// sweeps folded with analysis.Crosstab.Merge) must emit identical
-// report values at any worker count.
+// The population sweeps (groupECDF behind fig7/fig8/fig10, t2's
+// per-day label join, the fig5/fig6/fig9 crosstabs) are plain loops
+// over a core.Derive population, so they must emit identical report
+// values at any session worker count.
 func TestRunnerAnalysesWorkerCountInvariant(t *testing.T) {
 	serial := NewSessionWorkers(1, 0.08, 1)
 	par := NewSessionWorkers(1, 0.08, 4)

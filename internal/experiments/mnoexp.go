@@ -9,9 +9,7 @@ import (
 	"whereroam/internal/core"
 	"whereroam/internal/dataset"
 	"whereroam/internal/devices"
-	"whereroam/internal/identity"
 	"whereroam/internal/mccmnc"
-	"whereroam/internal/pipeline"
 	"whereroam/internal/radio"
 )
 
@@ -27,20 +25,12 @@ func init() {
 	register("t3", "SMIP-roaming provenance: home operator and module vendors (§4.4)", runT3)
 }
 
-// mnoView bundles the MNO dataset with the derived classification and
-// labels every §4–§7 analysis shares.
+// mnoView bundles the MNO dataset with the classified population every
+// §4–§7 analysis shares; labeler also labels single daily records.
 type mnoView struct {
+	*core.Population
 	ds      *dataset.MNODataset
-	sums    []catalog.Summary
-	results []core.Result
 	labeler *core.Labeler
-	classOf map[identity.DeviceID]core.Class
-	labelOf map[identity.DeviceID]core.Label
-	sumOf   map[identity.DeviceID]*catalog.Summary
-	// workers is the session's pipeline pool size, so runner-side
-	// analyses (groupECDF) chunk with the same budget the dataset
-	// builds used.
-	workers int
 }
 
 // view lazily builds the session's mnoView. It lives on the session,
@@ -53,24 +43,13 @@ func (s *Session) view() *mnoView {
 	if s.mnoView != nil {
 		return s.mnoView
 	}
-	v := &mnoView{
-		ds:      ds,
-		sums:    ds.Catalog.SummariesWorkers(ds.GSMA, s.Workers),
-		labeler: core.NewLabeler(ds.Host, dataset.MVNO1, dataset.MVNO2),
-		classOf: map[identity.DeviceID]core.Class{},
-		labelOf: map[identity.DeviceID]core.Label{},
-		sumOf:   map[identity.DeviceID]*catalog.Summary{},
-		workers: s.Workers,
+	labeler := core.NewLabeler(ds.Host, dataset.MVNO1, dataset.MVNO2)
+	s.mnoView = &mnoView{
+		Population: core.Derive(ds.Catalog, ds.GSMA, labeler, s.Workers),
+		ds:         ds,
+		labeler:    labeler,
 	}
-	v.results = core.NewClassifier().ClassifyWorkers(v.sums, s.Workers)
-	for i := range v.sums {
-		sum := &v.sums[i]
-		v.classOf[sum.Device] = v.results[i].Class
-		v.labelOf[sum.Device] = v.labeler.LabelSummary(sum)
-		v.sumOf[sum.Device] = sum
-	}
-	s.mnoView = v
-	return v
+	return s.mnoView
 }
 
 func runT2(s *Session) *Report {
@@ -82,47 +61,18 @@ func runT2(s *Session) *Report {
 	}
 
 	// Per-day label shares over daily records (the paper's "per-day"
-	// framing), averaged across the window. The label join chunks over
-	// internal/pipeline: record chunks accumulate shard-local count
-	// maps that fold in shard order. Counts are integers, so the fold
-	// is exact and the report is bit-identical to a serial join at any
-	// worker count (the same shard-ordered-merge pattern as groupECDF).
-	type dayLabelCounts struct {
-		perDay   map[int]map[core.Label]int
-		dayTotal map[int]int
-	}
-	parts := pipeline.Map(len(v.ds.Catalog.Records), v.workers, func(sh pipeline.Shard) dayLabelCounts {
-		out := dayLabelCounts{perDay: map[int]map[core.Label]int{}, dayTotal: map[int]int{}}
-		for i := sh.Lo; i < sh.Hi; i++ {
-			rec := &v.ds.Catalog.Records[i]
-			l := v.labeler.LabelRecord(rec)
-			m := out.perDay[rec.Day]
-			if m == nil {
-				m = map[core.Label]int{}
-				out.perDay[rec.Day] = m
-			}
-			m[l]++
-			out.dayTotal[rec.Day]++
-		}
-		return out
-	})
+	// framing), averaged across the window.
 	perDay := map[int]map[core.Label]int{}
 	dayTotal := map[int]int{}
-	for _, part := range parts {
-		//roamvet:maporder-ok integer fold keyed by (day, label): additions commute and the ensure-exists write is idempotent, so the merged counters are independent of visit order
-		for day, m := range part.perDay {
-			dst := perDay[day]
-			if dst == nil {
-				dst = map[core.Label]int{}
-				perDay[day] = dst
-			}
-			for l, n := range m {
-				dst[l] += n
-			}
+	for i := range v.ds.Catalog.Records {
+		rec := &v.ds.Catalog.Records[i]
+		m := perDay[rec.Day]
+		if m == nil {
+			m = map[core.Label]int{}
+			perDay[rec.Day] = m
 		}
-		for day, n := range part.dayTotal {
-			dayTotal[day] += n
-		}
+		m[v.labeler.LabelRecord(rec)]++
+		dayTotal[rec.Day]++
 	}
 	// Average in day order: float accumulation over map iteration
 	// order would wobble in the last bits from run to run.
@@ -149,8 +99,8 @@ func runT2(s *Session) *Report {
 	r.Tables = append(r.Tables, tbl)
 
 	// Class shares over the whole population.
-	b := core.Breakdown(v.results)
-	n := float64(len(v.results))
+	b := core.Breakdown(v.Results)
+	n := float64(len(v.Results))
 	tbl2 := analysis.NewTable("class", "devices", "share")
 	for _, c := range []core.Class{core.ClassSmart, core.ClassFeat, core.ClassM2M, core.ClassM2MMaybe} {
 		tbl2.AddRow(c.String(), b[c], float64(b[c])/n)
@@ -160,7 +110,7 @@ func runT2(s *Session) *Report {
 
 	// Classifier validation against ground truth (the simulator's
 	// bonus over the paper).
-	val, err := core.Validate(v.results, v.ds.Truth)
+	val, err := core.Validate(v.Results, v.ds.Truth)
 	if err == nil {
 		r.setValue("classifier_accuracy", val.Accuracy())
 		r.setValue("m2m_precision", val.Precision(core.ClassM2M))
@@ -177,29 +127,16 @@ func runFig5(s *Session) *Report {
 		Title: "Home country of inbound roaming devices",
 		Paper: "top-20 countries ≈93% of inbound roamers; top-3 (NL, SE, ES) ≈60%; 83% of m2m from top-3 vs 17% smart / 35% feat",
 	}
-	// The home-country sweep chunks over internal/pipeline: each shard
-	// accumulates its own crosstab and the shard tables fold in shard
-	// order, reproducing the serial row insertion order exactly (see
-	// analysis.Crosstab.Merge) — bit-identical at any worker count.
-	parts := pipeline.Map(len(v.sums), v.workers, func(sh pipeline.Shard) *analysis.Crosstab {
-		part := analysis.NewCrosstab()
-		for i := sh.Lo; i < sh.Hi; i++ {
-			sum := &v.sums[i]
-			if !v.labelOf[sum.Device].InboundRoamer() {
-				continue
-			}
-			class := v.classOf[sum.Device]
-			if class == core.ClassM2MMaybe {
-				continue // the paper drops these from the analysis
-			}
-			iso := mccmnc.ISOByMCC(sum.SIM.MCC)
-			part.Add(iso, class.String(), 1)
-		}
-		return part
-	})
 	ct := analysis.NewCrosstab()
-	for _, part := range parts {
-		ct.Merge(part)
+	for i := range v.Sums {
+		if !v.Labels[i].InboundRoamer() {
+			continue
+		}
+		class := v.Results[i].Class
+		if class == core.ClassM2MMaybe {
+			continue // the paper drops these from the analysis
+		}
+		ct.Add(mccmnc.ISOByMCC(v.Sums[i].SIM.MCC), class.String(), 1)
 	}
 	ct.SortRowsByTotal()
 	rows := ct.Rows()
@@ -244,25 +181,12 @@ func runFig6(s *Session) *Report {
 		Title: "Device class vs roaming label",
 		Paper: "I:H devices: 71.1% m2m, 27.1% smart; m2m devices: 74.7% I:H; smart 12.1% I:H; feat 6.4% I:H",
 	}
-	// Chunked class-vs-label join: sweeping the summaries (not the
-	// class map) gives shards a deterministic order, and the
-	// shard-ordered crosstab fold keeps the report bit-identical at
-	// any worker count.
-	parts := pipeline.Map(len(v.sums), v.workers, func(sh pipeline.Shard) *analysis.Crosstab {
-		part := analysis.NewCrosstab()
-		for i := sh.Lo; i < sh.Hi; i++ {
-			sum := &v.sums[i]
-			class := v.classOf[sum.Device]
-			if class == core.ClassM2MMaybe {
-				continue
-			}
-			part.Add(class.String(), v.labelOf[sum.Device].String(), 1)
-		}
-		return part
-	})
 	ct := analysis.NewCrosstab()
-	for _, part := range parts {
-		ct.Merge(part)
+	for i, res := range v.Results {
+		if res.Class == core.ClassM2MMaybe {
+			continue
+		}
+		ct.Add(res.Class.String(), v.Labels[i].String(), 1)
 	}
 	// Left heatmap: normalized per class (rows); right: per label.
 	left := analysis.NewTable("class \\ label", "H:H", "V:H", "N:H", "I:H", "H:A", "V:A")
@@ -290,42 +214,27 @@ func runFig6(s *Session) *Report {
 	return r
 }
 
-// groupECDF collects a per-device metric per (class, inbound) group.
-// The label join and metric sweep chunk over internal/pipeline:
-// summary chunks accumulate shard-local sample maps that concatenate
-// in shard order, so every group's sample sequence — and therefore
-// every ECDF — is bit-identical to a serial sweep at any worker
-// count.
+// groupECDF collects a per-device metric per (class, inbound) group,
+// sampling devices in population (device) order.
 func groupECDF(v *mnoView, metric func(*catalog.Summary) (float64, bool)) map[string]*analysis.ECDF {
-	parts := pipeline.Map(len(v.sums), v.workers, func(sh pipeline.Shard) map[string][]float64 {
-		samples := map[string][]float64{}
-		for i := sh.Lo; i < sh.Hi; i++ {
-			sum := &v.sums[i]
-			class := v.classOf[sum.Device]
-			if class == core.ClassM2MMaybe {
-				continue
-			}
-			label := v.labelOf[sum.Device]
-			var roam string
-			switch {
-			case label.InboundRoamer():
-				roam = "inbound"
-			case label.Native() || label == core.LabelVH:
-				roam = "native"
-			default:
-				continue
-			}
-			if val, ok := metric(sum); ok {
-				key := class.String() + "/" + roam
-				samples[key] = append(samples[key], val)
-			}
-		}
-		return samples
-	})
 	samples := map[string][]float64{}
-	for _, part := range parts {
-		for k, vs := range part {
-			samples[k] = append(samples[k], vs...)
+	for i := range v.Sums {
+		class := v.Results[i].Class
+		if class == core.ClassM2MMaybe {
+			continue
+		}
+		var roam string
+		switch label := v.Labels[i]; {
+		case label.InboundRoamer():
+			roam = "inbound"
+		case label.Native() || label == core.LabelVH:
+			roam = "native"
+		default:
+			continue
+		}
+		if val, ok := metric(&v.Sums[i]); ok {
+			key := class.String() + "/" + roam
+			samples[key] = append(samples[key], val)
 		}
 	}
 	out := map[string]*analysis.ECDF{}
@@ -403,33 +312,18 @@ func runFig9(s *Session) *Report {
 		Title: "Device shares wrt services: connectivity, data, voice per RAT",
 		Paper: "m2m: 77.4% 2G-only connectivity, 56.7% 2G-only data, 24.5% no data, 27.5% no voice, 60.6% 2G voice; feat: 50.9% 2G-only, 56.8% no data, 7.3% no voice",
 	}
-	// The three RAT-usage sweeps share one chunked pass: each shard
-	// fills a crosstab triple, and the triples fold in shard order —
-	// the same shard-ordered-merge pattern as fig5/fig6/groupECDF.
-	type ratTables struct {
-		conn, data, voice *analysis.Crosstab
-	}
-	parts := pipeline.Map(len(v.sums), v.workers, func(sh pipeline.Shard) ratTables {
-		part := ratTables{analysis.NewCrosstab(), analysis.NewCrosstab(), analysis.NewCrosstab()}
-		for i := sh.Lo; i < sh.Hi; i++ {
-			sum := &v.sums[i]
-			class := v.classOf[sum.Device]
-			if class == core.ClassM2MMaybe {
-				continue
-			}
-			part.conn.Add(class.String(), ratBucket(sum.RadioFlags), 1)
-			part.data.Add(class.String(), ratBucket(sum.DataRATs), 1)
-			part.voice.Add(class.String(), ratBucket(sum.VoiceRATs), 1)
-		}
-		return part
-	})
 	conn := analysis.NewCrosstab()
 	data := analysis.NewCrosstab()
 	voice := analysis.NewCrosstab()
-	for _, part := range parts {
-		conn.Merge(part.conn)
-		data.Merge(part.data)
-		voice.Merge(part.voice)
+	for i := range v.Sums {
+		class := v.Results[i].Class
+		if class == core.ClassM2MMaybe {
+			continue
+		}
+		sum := &v.Sums[i]
+		conn.Add(class.String(), ratBucket(sum.RadioFlags), 1)
+		data.Add(class.String(), ratBucket(sum.DataRATs), 1)
+		voice.Add(class.String(), ratBucket(sum.VoiceRATs), 1)
 	}
 	buckets := []string{"2G", "3G", "4G", "2G+3G", "2G+4G", "3G+4G", "2G+3G+4G", "none"}
 	for name, ct := range map[string]*analysis.Crosstab{"connectivity": conn, "data": data, "voice": voice} {
@@ -501,13 +395,12 @@ func runFig10(s *Session) *Report {
 	// Zero-call m2m share (Fig 10-center: "for the vast majority of
 	// M2M devices we do not find any calls").
 	zeroCalls, m2mN := 0, 0
-	for i := range v.sums {
-		sum := &v.sums[i]
-		if v.classOf[sum.Device] != core.ClassM2M {
+	for i, res := range v.Results {
+		if res.Class != core.ClassM2M {
 			continue
 		}
 		m2mN++
-		if sum.Calls == 0 {
+		if v.Sums[i].Calls == 0 {
 			zeroCalls++
 		}
 	}
@@ -528,9 +421,9 @@ func runFig12(s *Session) *Report {
 		gyr, sig, bytes []float64
 	}
 	groups := map[string]*groupStats{"cars": {}, "meters": {}, "smartphones": {}}
-	for i := range v.sums {
-		sum := &v.sums[i]
-		if !v.labelOf[sum.Device].InboundRoamer() {
+	for i := range v.Sums {
+		sum := &v.Sums[i]
+		if !v.Labels[i].InboundRoamer() {
 			continue
 		}
 		var g *groupStats
@@ -586,9 +479,9 @@ func runT3(s *Session) *Report {
 	homes := map[mccmnc.PLMN]int{}
 	vendors := map[string]int{}
 	n := 0
-	for i := range v.sums {
-		sum := &v.sums[i]
-		if !v.labelOf[sum.Device].InboundRoamer() {
+	for i := range v.Sums {
+		sum := &v.Sums[i]
+		if !v.Labels[i].InboundRoamer() {
 			continue
 		}
 		matched := false

@@ -3,9 +3,6 @@ package experiments
 import (
 	"fmt"
 	"os"
-	"path/filepath"
-	"sort"
-	"strings"
 
 	"whereroam/internal/analysis"
 	"whereroam/internal/catalog"
@@ -57,18 +54,11 @@ func runFedServe(s *Session) *Report {
 		s.FederationData()
 	}
 
-	ents, err := os.ReadDir(dir)
+	names, err := store.SiteDirs(dir)
 	if err != nil {
 		r.Notes = append(r.Notes, "cannot list archive root: "+err.Error())
 		return r
 	}
-	var names []string
-	for _, e := range ents {
-		if e.IsDir() && strings.HasPrefix(e.Name(), "site-") {
-			names = append(names, strings.TrimPrefix(e.Name(), "site-"))
-		}
-	}
-	sort.Strings(names)
 	if len(names) == 0 {
 		r.Notes = append(r.Notes, "no site-* archives under "+dir)
 		return r
@@ -77,7 +67,7 @@ func runFedServe(s *Session) *Report {
 	tbl := analysis.NewTable("site", "devices", "records", "inbound", "inbound m2m", "events")
 	cats := make(map[string]*catalog.Catalog, len(names))
 	for _, name := range names {
-		rp, err := store.Open(filepath.Join(dir, "site-"+name))
+		rp, err := store.Open(store.SiteDir(dir, name))
 		if err != nil {
 			r.Notes = append(r.Notes, "site "+name+": "+err.Error())
 			continue

@@ -26,10 +26,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"os"
-	"path/filepath"
 	"sort"
-	"strings"
 
 	"whereroam/internal/catalog"
 	"whereroam/internal/obs"
@@ -142,23 +139,17 @@ func (s *Server) Mount(name, dir string) error {
 // the layout FederationConfig.ArchiveDir writes — using the PLMN as
 // the mount name. It returns the mounted names.
 func (s *Server) MountSites(root string) ([]string, error) {
-	ents, err := os.ReadDir(root)
+	names, err := store.SiteDirs(root)
 	if err != nil {
 		return nil, fmt.Errorf("serve: scanning %s: %w", root, err)
 	}
-	var names []string
-	for _, e := range ents {
-		if !e.IsDir() || !strings.HasPrefix(e.Name(), "site-") {
-			continue
-		}
-		name := strings.TrimPrefix(e.Name(), "site-")
-		if err := s.Mount(name, filepath.Join(root, e.Name())); err != nil {
-			return names, err
-		}
-		names = append(names, name)
-	}
 	if len(names) == 0 {
 		return nil, fmt.Errorf("serve: no site-* stores under %s", root)
+	}
+	for i, name := range names {
+		if err := s.Mount(name, store.SiteDir(root, name)); err != nil {
+			return names[:i], err
+		}
 	}
 	return names, nil
 }
@@ -328,13 +319,14 @@ func (s *Server) handleDevices(w http.ResponseWriter, r *http.Request) {
 		writeFillError(w, err)
 		return
 	}
-	body := deviceListBody{Site: m.name, Total: len(sl.sums), Devices: []string{}}
-	n := len(sl.sums)
+	sums := sl.pop.Sums
+	body := deviceListBody{Site: m.name, Total: len(sums), Devices: []string{}}
+	n := len(sums)
 	if opts.Limit > 0 && opts.Limit < n {
 		n = opts.Limit
 	}
 	for i := 0; i < n; i++ {
-		body.Devices = append(body.Devices, sl.sums[i].Device.String())
+		body.Devices = append(body.Devices, sums[i].Device.String())
 	}
 	writeJSON(w, http.StatusOK, body)
 }
@@ -360,12 +352,12 @@ func (s *Server) handleDevice(w http.ResponseWriter, r *http.Request) {
 		writeFillError(w, err)
 		return
 	}
-	i, ok := sl.index[dev]
+	i, ok := sl.pop.Find(dev)
 	if !ok {
 		writeError(w, http.StatusNotFound, fmt.Errorf("serve: unknown device %016x", uint64(dev)))
 		return
 	}
-	writeJSON(w, http.StatusOK, deviceViewAt(sl, i))
+	writeJSON(w, http.StatusOK, deviceViewAt(sl.pop, i))
 }
 
 // handleAnalysis serves one named analysis series over the site's
@@ -409,9 +401,9 @@ func compareOf(order []string, slices map[string]*slice) *CompareView {
 	cv := &CompareView{Sites: []SiteBrief{}, Pairs: []SharedPair{}}
 	for _, n := range order {
 		sl := slices[n]
-		b := SiteBrief{Site: n, Devices: len(sl.sums), Records: len(sl.cat.Records)}
-		for i := range sl.labels {
-			if sl.labels[i].InboundRoamer() {
+		b := SiteBrief{Site: n, Devices: len(sl.pop.Sums), Records: len(sl.cat.Records)}
+		for _, l := range sl.pop.Labels {
+			if l.InboundRoamer() {
 				b.Inbound++
 			}
 		}
@@ -422,16 +414,19 @@ func compareOf(order []string, slices map[string]*slice) *CompareView {
 	}
 	for i := 0; i < len(order); i++ {
 		for j := i + 1; j < len(order); j++ {
-			a, b := slices[order[i]], slices[order[j]]
+			// Both populations are sorted by device: one merge walk.
+			a, b := slices[order[i]].pop.Sums, slices[order[j]].pop.Sums
 			shared := 0
-			// Count over the smaller index.
-			small, big := a, b
-			if len(b.index) < len(a.index) {
-				small, big = b, a
-			}
-			for dev := range small.index {
-				if _, ok := big.index[dev]; ok {
+			for x, y := 0, 0; x < len(a) && y < len(b); {
+				switch da, db := a[x].Device, b[y].Device; {
+				case da < db:
+					x++
+				case da > db:
+					y++
+				default:
 					shared++
+					x++
+					y++
 				}
 			}
 			cv.Pairs = append(cv.Pairs, SharedPair{A: order[i], B: order[j], Shared: shared})

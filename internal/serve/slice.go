@@ -8,24 +8,20 @@ import (
 	"whereroam/internal/identity"
 )
 
-// slice is one cached read model: a replayed catalog plus everything
-// the handlers derive from it — per-device summaries, classification,
-// roaming labels and a device index. A slice is immutable after
-// construction, so any number of request goroutines read it without
-// synchronization; determinism is inherited from the replay and
-// summary pipelines (bit-identical at any worker count).
+// slice is one cached read model: a replayed catalog plus the
+// classified population the handlers read from it. A slice is
+// immutable after construction, so any number of request goroutines
+// read it without synchronization; determinism is inherited from the
+// replay and core.Derive (bit-identical at any worker count).
 type slice struct {
-	cat     *catalog.Catalog
-	sums    []catalog.Summary
-	results []core.Result
-	labels  []core.Label
-	index   map[identity.DeviceID]int // device → position in sums
-	cost    int64
+	cat  *catalog.Catalog
+	pop  *core.Population
+	cost int64
 }
 
 // Per-element cost estimates for the cache bound. They deliberately
-// overshoot the raw struct sizes to cover slice headers, map buckets
-// and the strings hanging off summaries; the bound is a residency
+// overshoot the raw struct sizes to cover slice headers and the
+// strings hanging off summaries; the bound is a residency
 // budget, not an accounting exercise.
 const (
 	costBase    = 4096
@@ -33,27 +29,18 @@ const (
 	costSummary = 640
 )
 
-// newSlice derives the full read model from a replayed catalog. The
-// GSMA database is not part of the archive, so summaries carry no
+// newSlice derives the read model from a replayed catalog. The GSMA
+// database is not part of the archive, so summaries carry no
 // device-info join and classification uses the archive-derivable
 // evidence only (APN keywords, APN validation, property closure) —
 // the same footing the fed-serve experiments runner computes on.
 func newSlice(cat *catalog.Catalog, workers int) *slice {
-	sums := cat.SummariesWorkers(nil, workers)
-	sl := &slice{
-		cat:     cat,
-		sums:    sums,
-		results: core.NewClassifier().ClassifyWorkers(sums, workers),
-		labels:  make([]core.Label, len(sums)),
-		index:   make(map[identity.DeviceID]int, len(sums)),
+	pop := core.Derive(cat, nil, core.NewLabeler(cat.Host), workers)
+	return &slice{
+		cat:  cat,
+		pop:  pop,
+		cost: costBase + int64(len(cat.Records))*costRecord + int64(len(pop.Sums))*costSummary,
 	}
-	labeler := core.NewLabeler(cat.Host)
-	for i := range sums {
-		sl.labels[i] = labeler.LabelSummary(&sums[i])
-		sl.index[sums[i].Device] = i
-	}
-	sl.cost = costBase + int64(len(cat.Records))*costRecord + int64(len(sums))*costSummary
-	return sl
 }
 
 // SiteStats is the per-operator catalog view of one slice: the
@@ -100,24 +87,25 @@ func statsOf(site string, days int, sl *slice) *SiteStats {
 	st := &SiteStats{
 		Site:    site,
 		Days:    days,
-		Devices: len(sl.sums),
+		Devices: len(sl.pop.Sums),
 		Records: len(sl.cat.Records),
 		Classes: map[string]int{},
 		Labels:  map[string]int{},
 	}
 	inboundM2M := 0
-	for i := range sl.sums {
-		s := &sl.sums[i]
+	pop := sl.pop
+	for i := range pop.Sums {
+		s := &pop.Sums[i]
 		st.Events += s.Events
 		st.FailedEvents += s.FailedEvents
 		st.Calls += s.Calls
 		st.CallSeconds += s.CallSeconds
 		st.Bytes += s.Bytes
-		st.Classes[sl.results[i].Class.String()]++
-		st.Labels[sl.labels[i].String()]++
-		if sl.labels[i].InboundRoamer() {
+		st.Classes[pop.Results[i].Class.String()]++
+		st.Labels[pop.Labels[i].String()]++
+		if pop.Labels[i].InboundRoamer() {
 			st.Inbound++
-			if c := sl.results[i].Class; c == core.ClassM2M || c == core.ClassM2MMaybe {
+			if c := pop.Results[i].Class; c == core.ClassM2M || c == core.ClassM2MMaybe {
 				inboundM2M++
 			}
 		}
@@ -147,7 +135,7 @@ type DayRow struct {
 	// Devices is the number of distinct devices active that day.
 	Devices int `json:"devices"`
 	// Records is the number of device-day aggregates for the day
-	// (equal to Devices in a deduplicated catalog).
+	// (equal to Devices: a catalog holds one record per device-day).
 	Records int `json:"records"`
 	// Events, Calls and Bytes total the day's usage.
 	Events int `json:"events"`
@@ -177,39 +165,29 @@ type DaySlice struct {
 }
 
 // ComputeDaySlice derives the day-range view from a catalog already
-// replayed under a Days(lo, hi) filter.
+// replayed under a Days(lo, hi) filter. It is one pass: a built
+// catalog holds one record per (device, day), sorted by that pair with
+// every day inside [0, cat.Days), so a device change starts a new
+// device and a day's distinct devices are its records.
 func ComputeDaySlice(site string, lo, hi int, cat *catalog.Catalog) *DaySlice {
-	byDay := map[int]*DayRow{}
-	devices := map[identity.DeviceID]bool{}
+	ds := &DaySlice{Site: site, Lo: lo, Hi: hi, Records: len(cat.Records)}
+	byDay := make([]DayRow, cat.Days)
 	for i := range cat.Records {
 		r := &cat.Records[i]
-		row := byDay[r.Day]
-		if row == nil {
-			row = &DayRow{Day: r.Day}
-			byDay[r.Day] = row
+		if i == 0 || r.Device != cat.Records[i-1].Device {
+			ds.Devices++
 		}
+		row := &byDay[r.Day]
 		row.Records++
 		row.Events += r.Events
 		row.Calls += r.Calls
 		row.Bytes += r.Bytes
-		devices[r.Device] = true
 	}
-	ds := &DaySlice{Site: site, Lo: lo, Hi: hi, Devices: len(devices), Records: len(cat.Records)}
-	days := make([]int, 0, len(byDay))
 	for d := range byDay {
-		days = append(days, d)
-	}
-	sort.Ints(days)
-	for _, d := range days {
-		perDay := map[identity.DeviceID]bool{}
-		for i := range cat.Records {
-			if cat.Records[i].Day == d {
-				perDay[cat.Records[i].Device] = true
-			}
+		if row := &byDay[d]; row.Records > 0 {
+			row.Day, row.Devices = d, row.Records
+			ds.Rows = append(ds.Rows, *row)
 		}
-		row := byDay[d]
-		row.Devices = len(perDay)
-		ds.Rows = append(ds.Rows, *row)
 	}
 	return ds
 }
@@ -253,9 +231,9 @@ type DeviceView struct {
 	Evidence string `json:"evidence"`
 }
 
-// deviceViewAt renders summary position i of a slice.
-func deviceViewAt(sl *slice, i int) *DeviceView {
-	s := &sl.sums[i]
+// deviceViewAt renders position i of a population.
+func deviceViewAt(pop *core.Population, i int) *DeviceView {
+	s := &pop.Sums[i]
 	v := &DeviceView{
 		Device:       s.Device.String(),
 		SIM:          s.SIM.Concat(),
@@ -270,9 +248,9 @@ func deviceViewAt(sl *slice, i int) *DeviceView {
 		Bytes:        s.Bytes,
 		Visited:      make([]string, 0, len(s.Visited)),
 		APNs:         make([]string, 0, len(s.APNs)),
-		Label:        sl.labels[i].String(),
-		Class:        sl.results[i].Class.String(),
-		Evidence:     sl.results[i].Evidence,
+		Label:        pop.Labels[i].String(),
+		Class:        pop.Results[i].Class.String(),
+		Evidence:     pop.Results[i].Evidence,
 	}
 	for _, p := range s.Visited {
 		v.Visited = append(v.Visited, p.Concat())
@@ -287,12 +265,12 @@ func deviceViewAt(sl *slice, i int) *DeviceView {
 // already replayed under a Devices(dev, dev) filter; ok is false when
 // the device does not appear in the slice.
 func ComputeDeviceView(dev identity.DeviceID, cat *catalog.Catalog, workers int) (*DeviceView, bool) {
-	sl := newSlice(cat, workers)
-	i, ok := sl.index[dev]
+	pop := newSlice(cat, workers).pop
+	i, ok := pop.Find(dev)
 	if !ok {
 		return nil, false
 	}
-	return deviceViewAt(sl, i), true
+	return deviceViewAt(pop, i), true
 }
 
 // SeriesPoint is one x/y pair of an analysis series.
@@ -346,8 +324,8 @@ func seriesOf(site, name string, sl *slice) (*Series, bool) {
 	switch name {
 	case SeriesActiveDays:
 		counts := map[int]int{}
-		for i := range sl.sums {
-			counts[sl.sums[i].ActiveDays]++
+		for i := range sl.pop.Sums {
+			counts[sl.pop.Sums[i].ActiveDays]++
 		}
 		for _, x := range sortedIntKeys(counts) {
 			se.Points = append(se.Points, SeriesPoint{X: float64(x), Y: float64(counts[x])})

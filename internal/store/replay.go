@@ -11,7 +11,6 @@ import (
 
 	"whereroam/internal/catalog"
 	"whereroam/internal/cdrs"
-	"whereroam/internal/ingest"
 	"whereroam/internal/pipeline"
 	"whereroam/internal/signaling"
 )
@@ -241,17 +240,6 @@ func (r *Reader) Replay(q Query, workers int) (*catalog.Catalog, *ReplayStats, e
 	}
 	r.met.noteRead(&stats)
 	return acc.Build(), &stats, nil
-}
-
-// ReplayInto streams the store's CDR/xDR records (post-query, in
-// store order) into a live catalog ingester — the replay twin of
-// [ingest.CatalogIngester.ReadRecords]. The caller still owns the
-// ingester's Build/Close.
-func (r *Reader) ReplayInto(q Query, in *ingest.CatalogIngester) (*ReplayStats, error) {
-	if r.man.Kind != KindCDR {
-		return nil, fmt.Errorf("store: cannot ingest a %q store as CDRs", r.man.Kind)
-	}
-	return r.ReplayRecords(q, in.OfferRecord)
 }
 
 // ReplayRecords hands every matching CDR/xDR to sink sequentially, in

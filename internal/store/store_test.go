@@ -167,11 +167,11 @@ func TestWriteReplayRoundTrip(t *testing.T) {
 	// The ingester bridge builds the same catalog.
 	sb := catalog.NewShardedBuilder(testHost, testStart, days, nil, 4)
 	in := ingest.NewCatalogIngester(sb, 0)
-	if _, err := r.ReplayInto(Query{}, in); err != nil {
+	if _, err := r.ReplayRecords(Query{}, in.OfferRecord); err != nil {
 		t.Fatal(err)
 	}
 	if cat := in.Build(2); !reflect.DeepEqual(live.Records, cat.Records) {
-		t.Fatal("ReplayInto catalog differs from the live build")
+		t.Fatal("ReplayRecords-fed ingester catalog differs from the live build")
 	}
 }
 

@@ -11,8 +11,9 @@
 //
 //	sess := whereroam.NewSession(1, 1.0)
 //	mno := sess.MNO()
-//	sums := mno.Catalog.Summaries(mno.GSMA)
-//	results := whereroam.NewClassifier().Classify(sums)
+//	labeler := whereroam.NewLabeler(mno.Host, mno.MVNOs()...)
+//	pop := whereroam.DerivePopulation(mno.Catalog, mno.GSMA, labeler, 0)
+//	// pop.Results[i] and pop.Labels[i] describe pop.Sums[i]
 //
 // The experiment runners regenerate every table and figure of the
 // paper's evaluation; see cmd/roamrepro and EXPERIMENTS.md.
@@ -91,6 +92,10 @@ type (
 	ClassResult = core.Result
 	// Validation holds classifier-vs-ground-truth metrics.
 	Validation = core.Validation
+	// Population is one operator's classified device population:
+	// position-aligned summaries, class results and roaming labels,
+	// sorted by device.
+	Population = core.Population
 )
 
 // Classifier output classes.
@@ -106,6 +111,14 @@ func NewClassifier() *Classifier { return core.NewClassifier() }
 
 // NewLabeler returns a labeler for the host MNO and its MVNOs.
 func NewLabeler(host PLMN, mvnos ...PLMN) *Labeler { return core.NewLabeler(host, mvnos...) }
+
+// DerivePopulation summarizes a catalog per device (joining db; nil =
+// no GSMA join) and attaches the standard classifier's verdict and
+// labeler's roaming label to every device. workers below one = one
+// worker per CPU; the result is identical at any worker count.
+func DerivePopulation(cat *Catalog, db *GSMADB, labeler *Labeler, workers int) *Population {
+	return core.Derive(cat, db, labeler, workers)
+}
 
 // Validate compares classification results against simulator ground
 // truth.
