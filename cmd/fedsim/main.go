@@ -28,10 +28,10 @@ import (
 	"strings"
 	"time"
 
-	"whereroam/internal/benchfmt"
 	"whereroam/internal/dataset"
 	"whereroam/internal/experiments"
 	"whereroam/internal/mccmnc"
+	"whereroam/internal/obs"
 	"whereroam/internal/store"
 )
 
@@ -65,7 +65,7 @@ func main() {
 
 	var stopWatch func() int64
 	if *heapMiB > 0 {
-		stopWatch = benchfmt.StartHeapWatch()
+		stopWatch = obs.StartHeapWatch()
 	}
 	assertHeap := func() {
 		if stopWatch == nil {

@@ -26,10 +26,10 @@ import (
 	"runtime"
 	"time"
 
-	"whereroam/internal/benchfmt"
 	"whereroam/internal/catalog"
 	"whereroam/internal/dataset"
 	"whereroam/internal/devices"
+	"whereroam/internal/obs"
 )
 
 func main() {
@@ -55,7 +55,7 @@ func main() {
 
 	var stopWatch func() int64
 	if *maxHeapMiB > 0 {
-		stopWatch = benchfmt.StartHeapWatch()
+		stopWatch = obs.StartHeapWatch()
 	}
 
 	f, err := os.Create(*out)

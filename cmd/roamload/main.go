@@ -1,13 +1,12 @@
 // Command roamload drives a live roamd with a closed-loop mixed
 // workload — zipfian-popular device lookups, day-slice summaries,
 // stats, analysis and comparison queries — and reports p50/p99
-// latency and throughput. With -out it writes the measurements as a
-// benchfmt report so cmd/benchdiff can gate serving performance.
+// latency and throughput.
 //
 // Usage:
 //
 //	roamload -addr http://127.0.0.1:8080 [-duration 5s] [-concurrency 4]
-//	         [-seed 1] [-zipf 1.2] [-min-qps 0] [-out BENCH.json]
+//	         [-seed 1] [-zipf 1.2] [-min-qps 0]
 //
 // The exit status is non-zero when any request returned a 4xx/5xx or
 // the measured qps fell below -min-qps, so CI smoke jobs can assert
@@ -22,7 +21,6 @@ import (
 	"sort"
 	"time"
 
-	"whereroam/internal/benchfmt"
 	"whereroam/internal/serve"
 )
 
@@ -36,11 +34,10 @@ func main() {
 		seed        = flag.Int64("seed", 1, "request-stream seed")
 		zipf        = flag.Float64("zipf", 1.2, "zipfian device-popularity skew (>1)")
 		minQPS      = flag.Float64("min-qps", 0, "fail when measured qps falls below this")
-		out         = flag.String("out", "", "write a benchfmt report here")
 	)
 	flag.Parse()
 	if *addr == "" {
-		fmt.Fprintln(os.Stderr, "usage: roamload -addr URL [-duration 5s] [-concurrency 4] [-min-qps 0] [-out BENCH.json]")
+		fmt.Fprintln(os.Stderr, "usage: roamload -addr URL [-duration 5s] [-concurrency 4] [-min-qps 0]")
 		os.Exit(2)
 	}
 
@@ -75,29 +72,6 @@ func main() {
 		log.Printf("server-side p99 scrape failed: %v", err)
 	} else if ok {
 		log.Printf("server-side p99 (roamd_http_latency_seconds): %s", d)
-	}
-
-	if *out != "" {
-		rep := benchfmt.NewReport(1)
-		for _, op := range ops {
-			o := res.Ops[op]
-			if o.Count == 0 {
-				continue
-			}
-			rep.Artefacts["load_"+op] = benchfmt.Artefact{
-				NsPerOp:    o.MeanNs,
-				P50Ns:      o.P50Ns,
-				P99Ns:      o.P99Ns,
-				QPS:        float64(o.Count) / res.Seconds,
-				Workers:    *concurrency,
-				Iterations: int(o.Count),
-				Seconds:    res.Seconds,
-			}
-		}
-		if err := rep.Write(*out); err != nil {
-			log.Fatal(err)
-		}
-		log.Printf("wrote %s", *out)
 	}
 
 	failed := false

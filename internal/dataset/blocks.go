@@ -1,6 +1,7 @@
 package dataset
 
 import (
+	"whereroam/internal/identity"
 	"whereroam/internal/mccmnc"
 	"whereroam/internal/pipeline"
 )
@@ -23,6 +24,16 @@ type blockKey struct {
 type blockCounts struct {
 	offsets []map[blockKey]uint64
 	totals  map[blockKey]uint64
+}
+
+// nextIMSI hands out the next IMSI of block (home, base) from one
+// shard's offsets, advancing them in place; a shard's devices must be
+// numbered in index order, each shard exactly once.
+func nextIMSI(off map[blockKey]uint64, home mccmnc.PLMN, base uint64) identity.IMSI {
+	k := blockKey{home: home, base: base}
+	n := off[k]
+	off[k] = n + 1
+	return identity.IMSI{PLMN: home, MSIN: base + n}
 }
 
 // countBlocks runs the counting pre-pass: key replays device i's draft

@@ -229,8 +229,8 @@ func siteKey(p mccmnc.PLMN) uint64 {
 // GenerateFederation synthesizes the multi-operator dataset.
 //
 // The build has two planes. The shared plane runs once: the world and
-// GSMA catalog, then the fleet in three passes (parallel class/home
-// draft, serial IMSI allocation, parallel profile finish) — ending
+// GSMA catalog, then the fleet in three parallel passes (class/home
+// draft, IMSI block count, numbering and profile finish) — ending
 // with each device's site-presence draw: an anchor site chosen among
 // the sites its home operator can roam onto, plus each further allowed
 // site with probability AttachProb.
@@ -408,18 +408,20 @@ func generateFleet(cfg FederationConfig, root *rng.Source, db *gsma.DB, world *n
 		}
 	})
 
-	// Pass 2 (serial): IMSI allocation in device order.
-	alloc := devices.NewIMSIAllocator()
-	imsis := make([]identity.IMSI, cfg.FleetDevices)
-	for i := range drafts {
-		imsis[i] = alloc.Next(drafts[i].home, drafts[i].base)
-	}
+	// Pass 2 (parallel count): MSIN blocks hand out sequential numbers
+	// in device order, the one order-dependent step; with every shard's
+	// starting offsets known, pass 3 numbers its own devices.
+	counts := countBlocks(cfg.FleetDevices, cfg.Workers, func(i int) blockKey {
+		return blockKey{home: drafts[i].home, base: drafts[i].base}
+	})
 
-	// Pass 3 (parallel): profiles, identity and site presence.
+	// Pass 3 (parallel): IMSIs, profiles, identity and site presence.
 	fleet := make([]fleetMember, cfg.FleetDevices)
 	pipeline.Run(cfg.FleetDevices, cfg.Workers, func(sh pipeline.Shard) {
+		off := counts.offsets[sh.Index]
 		for i := sh.Lo; i < sh.Hi; i++ {
-			fleet[i] = finishFleetMember(&drafts[i], imsis[i], cfg, db, world)
+			d := &drafts[i]
+			fleet[i] = finishFleetMember(d, nextIMSI(off, d.home, d.base), cfg, db, world)
 		}
 	})
 	return fleet

@@ -219,9 +219,7 @@ func (w *mnoWalk) shard(sh pipeline.Shard, device func(devices.Device, bool), re
 	var visits []geo.Visit
 	for i := sh.Lo; i < sh.Hi; i++ {
 		d := drawMNODraft(w.root, i, w.cfg, w.classPick, w.m2mPick)
-		k := blockKey{home: d.home, base: d.base}
-		imsi := identity.IMSI{PLMN: d.home, MSIN: d.base + off[k]}
-		off[k]++
+		imsi := nextIMSI(off, d.home, d.base)
 		dev := finishDevice(&d, imsi, w.cfg, w.db, w.centre)
 		device(dev, w.reg.MatchIMSI(imsi))
 		emitDeviceDays(d.src.Split("days"), w.cfg.Host, w.cfg.Start, w.cfg.Days, record, &dev, &visits)

@@ -72,38 +72,6 @@ type Device struct {
 // HomeISO returns the ISO country of the SIM's home operator.
 func (d *Device) HomeISO() string { return mccmnc.ISOByMCC(d.Home.MCC) }
 
-// IMSIAllocator hands out sequential MSINs per (home network, base)
-// block so IMSIs are unique and dedicated ranges (the SMIP block) are
-// contiguous.
-type IMSIAllocator struct {
-	next map[imsiBlock]uint64
-}
-
-type imsiBlock struct {
-	plmn mccmnc.PLMN
-	base uint64
-}
-
-// NewIMSIAllocator returns an empty allocator.
-func NewIMSIAllocator() *IMSIAllocator {
-	return &IMSIAllocator{next: map[imsiBlock]uint64{}}
-}
-
-// Next allocates the next IMSI in the PLMN's block starting at base.
-// Distinct populations on one PLMN should use disjoint, well-spaced
-// bases; the allocator does not police overlap.
-func (a *IMSIAllocator) Next(plmn mccmnc.PLMN, base uint64) identity.IMSI {
-	k := imsiBlock{plmn, base}
-	n := a.next[k]
-	a.next[k] = n + 1
-	return identity.IMSI{PLMN: plmn, MSIN: base + n}
-}
-
-// Allocated returns how many IMSIs the block has handed out.
-func (a *IMSIAllocator) Allocated(plmn mccmnc.PLMN, base uint64) uint64 {
-	return a.next[imsiBlock{plmn, base}]
-}
-
 // Assemble builds a Device from its parts, deriving the hashed ID and
 // a plausible IMEI serial from the IMSI so that identity is stable.
 func Assemble(class Class, imsi identity.IMSI, info gsma.DeviceInfo, prof Profile, mob mobility.Model, mvno bool) Device {

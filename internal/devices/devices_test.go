@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"whereroam/internal/gsma"
+	"whereroam/internal/identity"
 	"whereroam/internal/mccmnc"
 	"whereroam/internal/mobility"
 	"whereroam/internal/radio"
@@ -25,33 +26,10 @@ func TestClassIsM2M(t *testing.T) {
 	}
 }
 
-func TestIMSIAllocator(t *testing.T) {
-	a := NewIMSIAllocator()
-	nl := mccmnc.MustParse("20404")
-	gb := mccmnc.MustParse("23410")
-	i1 := a.Next(nl, 1_000_000_000)
-	i2 := a.Next(nl, 1_000_000_000)
-	i3 := a.Next(gb, 5_000_000_000)
-	if i1 == i2 {
-		t.Fatal("allocator produced duplicate IMSI")
-	}
-	if i2.MSIN != i1.MSIN+1 {
-		t.Error("allocation should be sequential")
-	}
-	if i3.PLMN != gb || i3.MSIN != 5_000_000_000 {
-		t.Errorf("cross-network allocation wrong: %v", i3)
-	}
-	if a.Allocated(nl, 1_000_000_000) != 2 || a.Allocated(gb, 5_000_000_000) != 1 {
-		t.Error("allocation counts wrong")
-	}
-}
-
 func TestAssembleAndValidate(t *testing.T) {
 	src := rng.New(1)
 	db := gsma.Synthesize(1)
-	alloc := NewIMSIAllocator()
-	home := mccmnc.MustParse("20404")
-	imsi := alloc.Next(home, 3_000_000_000)
+	imsi := identity.IMSI{PLMN: mccmnc.MustParse("20404"), MSIN: 3_000_000_000}
 	info := db.PickFromVendors(src, gsma.ArchM2MModule, "Gemalto", "Telit")
 	prof := SmartMeterRoamingProfile(src, windowDays)
 	mob := mobility.NewStationary(src, hostCentre(t), 50)

@@ -88,7 +88,7 @@ var ScopeExemptions = map[string]string{
 // StrictGodocPackages lists the import-path prefixes whose exported
 // API must be fully documented (the strict half of the documentation
 // contract). This is the doclint_test.go strict set plus the
-// pipeline-facing internal/benchfmt and internal/ingest.
+// pipeline-facing internal/ingest.
 var StrictGodocPackages = []string{
 	ModulePath + "/internal/ingest",
 	ModulePath + "/internal/pipeline",
@@ -98,7 +98,6 @@ var StrictGodocPackages = []string{
 	ModulePath + "/internal/experiments",
 	ModulePath + "/internal/store",
 	ModulePath + "/internal/serve",
-	ModulePath + "/internal/benchfmt",
 	ModulePath + "/internal/obs",
 }
 

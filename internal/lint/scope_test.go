@@ -37,9 +37,6 @@ func TestScopePrefixMatching(t *testing.T) {
 	if lint.InDeterministicScope(lint.ModulePath + "/internal/datasetx") {
 		t.Error("prefix matching must respect path-segment boundaries")
 	}
-	if !lint.InStrictGodocScope(lint.ModulePath + "/internal/benchfmt") {
-		t.Error("internal/benchfmt joined the strict-godoc set in this change")
-	}
 	if !lint.InStrictGodocScope(lint.ModulePath + "/internal/ingest") {
 		t.Error("internal/ingest is in the strict-godoc set")
 	}

@@ -43,36 +43,51 @@ func TestServeObservability(t *testing.T) {
 	if st, _ := testGet(t, h, "/v1/sites"); st != http.StatusOK {
 		t.Fatalf("/v1/sites: status %d", st)
 	}
+	scrape := func() string {
+		var buf bytes.Buffer
+		if err := reg.WriteText(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
+	}
+	var afterFill string
 	for i := 0; i < 3; i++ {
 		if st, _ := testGet(t, h, "/v1/sites/"+site+"/stats"); st != http.StatusOK {
 			t.Fatalf("stats: status %d", st)
+		}
+		if i == 0 {
+			afterFill = scrape()
 		}
 	}
 	if st, _ := testGet(t, h, "/v1/sites/99999/stats"); st != http.StatusNotFound {
 		t.Fatalf("unknown site: status %d", st)
 	}
-
-	var buf bytes.Buffer
-	if err := reg.WriteText(&buf); err != nil {
-		t.Fatal(err)
-	}
-	text := buf.String()
+	text := scrape()
 
 	for series, min := range map[string]float64{
 		`roamd_http_requests_total{route="sites"}`:      1,
 		`roamd_http_requests_total{route="site_stats"}`: 4, // 3 ok + 1 not-found
 		`roamd_http_errors_total{route="site_stats"}`:   1,
 		`roamd_http_latency_seconds_count`:              5,
-		`roamd_cache_fills`:                             1,
-		`roamd_cache_hits`:                              2, // stats repeats hit the slice cache
 		`store_segments_selected_total`:                 1,
 		`store_segments_read_total`:                     1,
 		`store_records_read_total`:                      1,
-		`store_bytes_read_total`:                        1,
 	} {
 		if got := metricValue(t, text, series); got < min {
 			t.Errorf("%s = %v, want >= %v", series, got, min)
 		}
+	}
+	// The cache's contract, from counters: the first stats request is
+	// the fill, the two repeats are hits, and a hit fills nothing and
+	// reads zero bytes from the store.
+	for _, series := range []string{"roamd_cache_fills", "store_bytes_read_total"} {
+		cold, warm := metricValue(t, afterFill, series), metricValue(t, text, series)
+		if cold < 1 || warm != cold {
+			t.Errorf("%s = %v after the fill and %v after two hits, want equal and non-zero", series, cold, warm)
+		}
+	}
+	if hits := metricValue(t, text, "roamd_cache_hits"); hits != 2 {
+		t.Errorf("roamd_cache_hits = %v after two repeated stats requests, want 2", hits)
 	}
 	if got := metricValue(t, text, "roamd_http_inflight"); got != 0 {
 		t.Errorf("roamd_http_inflight = %v after requests drained, want 0", got)

@@ -1,8 +1,6 @@
 package serve
 
 import (
-	"sort"
-
 	"whereroam/internal/catalog"
 	"whereroam/internal/core"
 	"whereroam/internal/identity"
@@ -165,17 +163,24 @@ type DaySlice struct {
 }
 
 // ComputeDaySlice derives the day-range view from a catalog already
-// replayed under a Days(lo, hi) filter. It is one pass: a built
-// catalog holds one record per (device, day), sorted by that pair with
-// every day inside [0, cat.Days), so a device change starts a new
-// device and a day's distinct devices are its records.
+// replayed under a Days(lo, hi) filter.
 func ComputeDaySlice(site string, lo, hi int, cat *catalog.Catalog) *DaySlice {
 	ds := &DaySlice{Site: site, Lo: lo, Hi: hi, Records: len(cat.Records)}
+	ds.Rows, ds.Devices = dayRows(cat)
+	return ds
+}
+
+// dayRows is the one pass every per-day view shares: one aggregate row
+// per active day, in day order, and the number of distinct devices. A
+// built catalog holds one record per (device, day), sorted by that
+// pair with every day inside [0, cat.Days), so a device change starts
+// a new device and a day's distinct devices are its records.
+func dayRows(cat *catalog.Catalog) (rows []DayRow, devices int) {
 	byDay := make([]DayRow, cat.Days)
 	for i := range cat.Records {
 		r := &cat.Records[i]
 		if i == 0 || r.Device != cat.Records[i-1].Device {
-			ds.Devices++
+			devices++
 		}
 		row := &byDay[r.Day]
 		row.Records++
@@ -186,10 +191,10 @@ func ComputeDaySlice(site string, lo, hi int, cat *catalog.Catalog) *DaySlice {
 	for d := range byDay {
 		if row := &byDay[d]; row.Records > 0 {
 			row.Day, row.Devices = d, row.Records
-			ds.Rows = append(ds.Rows, *row)
+			rows = append(rows, *row)
 		}
 	}
-	return ds
+	return rows, devices
 }
 
 // DeviceView is the single-device lookup body: the device's window
@@ -323,64 +328,29 @@ func seriesOf(site, name string, sl *slice) (*Series, bool) {
 	se := &Series{Site: site, Name: name}
 	switch name {
 	case SeriesActiveDays:
-		counts := map[int]int{}
+		counts := make([]int, sl.cat.Days+1)
 		for i := range sl.pop.Sums {
 			counts[sl.pop.Sums[i].ActiveDays]++
 		}
-		for _, x := range sortedIntKeys(counts) {
-			se.Points = append(se.Points, SeriesPoint{X: float64(x), Y: float64(counts[x])})
+		for x, n := range counts {
+			if n > 0 {
+				se.Points = append(se.Points, SeriesPoint{X: float64(x), Y: float64(n)})
+			}
 		}
 	case SeriesDailyDevices:
-		perDay := map[int]map[identity.DeviceID]bool{}
-		for i := range sl.cat.Records {
-			r := &sl.cat.Records[i]
-			if perDay[r.Day] == nil {
-				perDay[r.Day] = map[identity.DeviceID]bool{}
-			}
-			perDay[r.Day][r.Device] = true
-		}
-		for _, d := range sortedMapKeys(perDay) {
-			se.Points = append(se.Points, SeriesPoint{X: float64(d), Y: float64(len(perDay[d]))})
+		rows, _ := dayRows(sl.cat)
+		for _, row := range rows {
+			se.Points = append(se.Points, SeriesPoint{X: float64(row.Day), Y: float64(row.Devices)})
 		}
 	case SeriesDailyBytes:
-		perDay := map[int]uint64{}
-		for i := range sl.cat.Records {
-			perDay[sl.cat.Records[i].Day] += sl.cat.Records[i].Bytes
-		}
-		for _, d := range sortedIntKeys64(perDay) {
-			se.Points = append(se.Points, SeriesPoint{X: float64(d), Y: float64(perDay[d])})
+		rows, _ := dayRows(sl.cat)
+		for _, row := range rows {
+			se.Points = append(se.Points, SeriesPoint{X: float64(row.Day), Y: float64(row.Bytes)})
 		}
 	default:
 		return nil, false
 	}
 	return se, true
-}
-
-func sortedIntKeys(m map[int]int) []int {
-	out := make([]int, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Ints(out)
-	return out
-}
-
-func sortedIntKeys64(m map[int]uint64) []int {
-	out := make([]int, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Ints(out)
-	return out
-}
-
-func sortedMapKeys(m map[int]map[identity.DeviceID]bool) []int {
-	out := make([]int, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Ints(out)
-	return out
 }
 
 // SiteBrief is one site's row inside a CompareView.

@@ -6,7 +6,10 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+	"time"
 
+	"whereroam/internal/apn"
+	"whereroam/internal/cdrs"
 	"whereroam/internal/identity"
 )
 
@@ -164,5 +167,67 @@ func TestBloomOnlyForExactDevice(t *testing.T) {
 	}
 	if plan := r.Plan(Query{}.Devices(d, d+1)); plan.PrunedBloom != 0 {
 		t.Fatal("range device query consulted the bloom")
+	}
+}
+
+// Blooms must earn their footer bytes on the shape range indexes
+// cannot help with: each device confined to one window day, written in
+// time order with small segments, so every segment's device range
+// spans nearly the whole ID space but holds only its own day's
+// devices. Exact-device replays that consult the filters skip the
+// other days' segments; with WithoutBloom they decode them all. The
+// floor is on bytes decoded, not on time.
+func TestBloomHalvesExactDeviceBytesRead(t *testing.T) {
+	const (
+		days       = 8
+		devsPerDay = 128
+		perDevice  = 4
+		lookups    = 32
+	)
+	rng := rand.New(rand.NewSource(11))
+	a := apn.MustParse("smhp.centricaplc.com")
+	devs := make([][]identity.DeviceID, days)
+	for i := 0; i < days*devsPerDay; i++ {
+		d := identity.DeviceID(rng.Uint64())
+		devs[uint64(d)%days] = append(devs[uint64(d)%days], d)
+	}
+	var recs []cdrs.Record
+	for day := range devs {
+		for slot := 0; slot < perDevice; slot++ {
+			at := testStart.Add(time.Duration(day)*24*time.Hour + time.Duration(slot)*6*time.Hour)
+			for i, d := range devs[day] {
+				recs = append(recs, cdrs.Record{
+					Device: d, Time: at.Add(time.Duration(i) * time.Second),
+					SIM: testHome, Visited: testHost, Kind: cdrs.KindData, RAT: 1,
+					Duration: 30 * time.Second, Bytes: uint64(64 + i), APN: a,
+				})
+			}
+		}
+	}
+	dir := filepath.Join(t.TempDir(), "bloomshape")
+	writeStore(t, dir, days, 256, recs)
+	r, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	bytesRead := func(base Query) int64 {
+		var total int64
+		for i := 0; i < lookups; i++ {
+			cat, stats, err := r.Replay(base.Device(devs[i%days][i/days]), 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(cat.Records) == 0 {
+				t.Fatalf("lookup %d found no records", i)
+			}
+			total += stats.BytesRead
+		}
+		return total
+	}
+	with, without := bytesRead(Query{}), bytesRead(Query{}.WithoutBloom())
+	if with == 0 || 2*with > without {
+		t.Fatalf("%d exact-device replays read %d bytes with blooms, %d without: want at least 2x fewer",
+			lookups, with, without)
 	}
 }
