@@ -2,6 +2,8 @@ package cdrs
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"io"
 	"strings"
 	"testing"
@@ -226,31 +228,175 @@ func TestCSVRejectsMalformed(t *testing.T) {
 	}
 }
 
+// bothDecoders opens the stream Reader and the byte-slice Decoder over
+// one wire image, for the tests that hold them to the same behaviour.
+func bothDecoders(wire []byte) map[string]interface{ Read(*Record) error } {
+	return map[string]interface{ Read(*Record) error }{
+		"Reader":  NewReader(bytes.NewReader(wire)),
+		"Decoder": NewDecoder(wire),
+	}
+}
+
 func TestStreamReadNoAllocSteadyState(t *testing.T) {
-	// The binary reader should not allocate per voice record once its
-	// buffer is warm (data records allocate only for the APN string).
-	var buf bytes.Buffer
+	// Neither decoder allocates per record once it is warm: a voice
+	// record has no strings, and a data record's APN is an APN-table
+	// hit after its first appearance.
 	recs := make([]Record, 100)
 	for i := range recs {
-		recs[i] = sampleVoice(i)
+		if i%2 == 0 {
+			recs[i] = sampleVoice(i)
+		} else {
+			recs[i] = sampleData(i)
+		}
 	}
+	var buf bytes.Buffer
 	if err := WriteAll(&buf, recs); err != nil {
 		t.Fatal(err)
 	}
-	data := buf.Bytes()
-	rd := NewReader(bytes.NewReader(data))
-	var rec Record
-	if err := rd.Read(&rec); err != nil { // warm up header+buffer
+	for name, rd := range bothDecoders(buf.Bytes()) {
+		var rec Record
+		for i := 0; i < 2; i++ { // warm up: header, buffer, the one APN
+			if err := rd.Read(&rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		allocs := testing.AllocsPerRun(40, func() {
+			if err := rd.Read(&rec); err != nil && err != io.EOF {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 0 {
+			t.Errorf("%s: steady-state read allocates %.1f/op, want 0", name, allocs)
+		}
+	}
+}
+
+// A Writer must not emit what no Reader accepts: the reader's length
+// bound is the writer's, tested at the exact boundary from both sides.
+func TestOversizeAPNBoundary(t *testing.T) {
+	rec := sampleData(0)
+	rec.APN = apn.APN{NetworkID: strings.Repeat("a", maxWireAPN+1)}
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	if err := w.Write(&rec); !errors.Is(err, ErrOversize) {
+		t.Fatalf("Write of a %d-byte APN = %v, want ErrOversize", maxWireAPN+1, err)
+	}
+	if err := w.Flush(); err != nil || buf.Len() != 0 || w.Count() != 0 {
+		t.Fatalf("refused record left %d bytes and count %d behind (flush: %v)", buf.Len(), w.Count(), err)
+	}
+	rec.APN.NetworkID = rec.APN.NetworkID[:maxWireAPN]
+	if err := w.Write(&rec); err != nil {
+		t.Fatalf("Write of a %d-byte APN: %v", maxWireAPN, err)
+	}
+	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	allocs := testing.AllocsPerRun(50, func() {
-		if err := rd.Read(&rec); err != nil && err != io.EOF {
+	// The longest record a Writer emits passes the reader's length
+	// check (what then rejects this one is apn.Parse: TS 23.003 caps an
+	// APN at 100 octets); one byte more is out of range.
+	wire := buf.Bytes()
+	var got Record
+	if err := NewDecoder(wire).Read(&got); err == nil || errors.Is(err, ErrOversize) || errors.Is(err, ErrTruncated) {
+		t.Fatalf("reading the %d-byte APN back = %v, want the apn.Parse rejection", maxWireAPN, err)
+	}
+	longer := append(append([]byte(nil), wire...), 'a')
+	longer[headerSize+1]++ // length prefix: bodySize+128 → bodySize+129, no carry
+	for name, rd := range bothDecoders(longer) {
+		if err := rd.Read(&got); !errors.Is(err, ErrOversize) {
+			t.Errorf("%s: record of bodySize+%d bytes = %v, want ErrOversize", name, maxWireAPN+1, err)
+		}
+	}
+	// And the longest APN that is valid end to end round-trips.
+	rec.APN = apn.MustParse(strings.Repeat("a", 50) + "." + strings.Repeat("b", 49))
+	buf.Reset()
+	if err := WriteAll(&buf, []Record{rec}); err != nil {
+		t.Fatal(err)
+	}
+	back, err := ReadAll(&buf)
+	if err != nil || len(back) != 1 || back[0].APN != rec.APN {
+		t.Fatalf("100-octet APN round trip: %v, %+v", err, back)
+	}
+}
+
+// The APN tables stop growing at their bound and the codec keeps
+// working past it, parsing and rendering the overflow each time.
+func TestAPNTablesBounded(t *testing.T) {
+	recs := make([]Record, apnTableMax+50)
+	for i := range recs {
+		recs[i] = sampleData(i)
+		recs[i].APN = apn.MustParse(fmt.Sprintf("fleet%d.example", i))
+	}
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	for i := range recs {
+		if err := w.Write(&recs[i]); err != nil {
 			t.Fatal(err)
 		}
-	})
-	if allocs > 0 {
-		t.Errorf("steady-state voice read allocates %.1f/op, want 0", allocs)
 	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	d := NewDecoder(buf.Bytes())
+	for i := range recs {
+		var got Record
+		if err := d.Read(&got); err != nil {
+			t.Fatalf("record %d: %v", i, err)
+		}
+		if got.APN != recs[i].APN {
+			t.Fatalf("record %d: APN %v, wrote %v", i, got.APN, recs[i].APN)
+		}
+	}
+	if len(w.apns) != apnTableMax || len(d.apns) != apnTableMax {
+		t.Fatalf("tables hold %d (writer) and %d (decoder) APNs, want the bound %d", len(w.apns), len(d.apns), apnTableMax)
+	}
+}
+
+// wireClasses are the errors a caller can tell apart with errors.Is.
+var wireClasses = []error{io.EOF, io.ErrUnexpectedEOF, ErrBadMagic, ErrBadVersion, ErrTruncated, ErrOversize}
+
+// FuzzRecordStream feeds arbitrary bytes to both decoders: the
+// byte-slice Decoder and the stream Reader must yield the same records
+// and stop at the same record with the same error, never panic, and
+// never grow the APN table past its bound.
+func FuzzRecordStream(f *testing.F) {
+	withOI, withoutOI := sampleData(1), sampleData(2)
+	withoutOI.APN = apn.MustParse("payandgo.o2.co.uk")
+	var seed bytes.Buffer
+	if err := WriteAll(&seed, []Record{sampleVoice(0), withOI, withoutOI}); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seed.Bytes())
+	f.Add(seed.Bytes()[:seed.Len()-3])
+	f.Add([]byte(magic))
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dec, rd := NewDecoder(data), NewReader(bytes.NewReader(data))
+		for i := 0; ; i++ {
+			var a, b Record
+			errA, errB := dec.Read(&a), rd.Read(&b)
+			if (errA == nil) != (errB == nil) {
+				t.Fatalf("record %d: Decoder error %v, Reader error %v", i, errA, errB)
+			}
+			if errA != nil {
+				for _, class := range wireClasses {
+					if errors.Is(errA, class) != errors.Is(errB, class) {
+						t.Fatalf("record %d: Decoder error %v and Reader error %v differ on %v", i, errA, errB, class)
+					}
+				}
+				if errA.Error() != errB.Error() {
+					t.Fatalf("record %d: Decoder error %q, Reader error %q", i, errA, errB)
+				}
+				break
+			}
+			if a != b {
+				t.Fatalf("record %d: Decoder %+v, Reader %+v", i, a, b)
+			}
+		}
+		if len(dec.apns) > apnTableMax || len(rd.apns) > apnTableMax {
+			t.Fatalf("APN tables grew to %d and %d, bound %d", len(dec.apns), len(rd.apns), apnTableMax)
+		}
+	})
 }
 
 func BenchmarkWriteData(b *testing.B) {

@@ -26,7 +26,17 @@ const (
 	wireVersion = 1
 	headerSize  = 6
 	bodySize    = 40
+	// maxWireAPN bounds the APN bytes of one record: the length a
+	// reader accepts and therefore the longest a writer may emit.
+	maxWireAPN = 128
 )
+
+// apnTableMax bounds the per-codec APN tables. A capture names a few
+// hundred distinct APNs at most (they label whole device populations),
+// so the bound exists for hostile input: once a table is full, further
+// distinct strings are parsed or rendered each time, as if there were
+// no table.
+const apnTableMax = 1024
 
 // Wire errors.
 var (
@@ -39,18 +49,38 @@ var (
 // Writer streams records in the binary wire format.
 type Writer struct {
 	w      *bufio.Writer
-	buf    []byte
+	buf    [2 + bodySize + maxWireAPN]byte
 	wrote  int
 	header bool
+	// apns holds the rendered form of the APNs written so far (at most
+	// apnTableMax of them), so rendering costs one fmt.Sprintf per
+	// distinct APN instead of one per data record.
+	apns map[apn.APN]string
 }
 
 // NewWriter returns a Writer targeting w.
 func NewWriter(w io.Writer) *Writer {
-	return &Writer{w: bufio.NewWriterSize(w, 64<<10), buf: make([]byte, 2+bodySize+128)}
+	return &Writer{w: bufio.NewWriterSize(w, 64<<10), apns: map[apn.APN]string{}}
 }
 
-// Write appends one record.
+// Write appends one record. A data record whose rendered APN is longer
+// than a reader accepts is refused with ErrOversize before anything is
+// written; whether the APN is well formed is checked on read, by
+// apn.Parse.
 func (w *Writer) Write(r *Record) error {
+	apnStr := ""
+	if r.Kind == KindData {
+		var ok bool
+		if apnStr, ok = w.apns[r.APN]; !ok {
+			apnStr = r.APN.String()
+			if len(apnStr) > maxWireAPN {
+				return fmt.Errorf("%w: record %d: APN of %d bytes", ErrOversize, w.wrote, len(apnStr))
+			}
+			if len(w.apns) < apnTableMax {
+				w.apns[r.APN] = apnStr
+			}
+		}
+	}
 	if !w.header {
 		var h [headerSize]byte
 		copy(h[:], magic)
@@ -60,15 +90,7 @@ func (w *Writer) Write(r *Record) error {
 		}
 		w.header = true
 	}
-	apnStr := ""
-	if r.Kind == KindData {
-		apnStr = r.APN.String()
-	}
-	n := 2 + bodySize + len(apnStr)
-	if n > len(w.buf) {
-		w.buf = make([]byte, n)
-	}
-	b := w.buf[:n]
+	b := w.buf[:2+bodySize+len(apnStr)]
 	binary.BigEndian.PutUint16(b[0:2], uint16(bodySize+len(apnStr)))
 	binary.BigEndian.PutUint64(b[2:10], uint64(r.Device))
 	binary.BigEndian.PutUint64(b[10:18], uint64(r.Time.UnixNano()))
@@ -96,19 +118,84 @@ func (w *Writer) Count() int { return w.wrote }
 // Flush drains buffered records.
 func (w *Writer) Flush() error { return w.w.Flush() }
 
+// apnTable resolves the APN bytes of data records to parsed APNs,
+// remembering up to apnTableMax distinct byte strings. It is keyed by
+// the raw wire bytes, so a hit costs one map lookup and no allocation;
+// a miss goes through apn.Parse, which is why a stream is accepted or
+// rejected exactly as it would be without the table.
+type apnTable map[string]apn.APN
+
+func (t apnTable) resolve(b []byte) (apn.APN, error) {
+	if a, ok := t[string(b)]; ok {
+		return a, nil
+	}
+	raw := string(b)
+	a, err := apn.Parse(raw)
+	if err == nil && len(t) < apnTableMax {
+		t[raw] = a
+	}
+	return a, err
+}
+
+// checkHeader validates a stream header.
+func checkHeader(h []byte) error {
+	if string(h[:4]) != magic {
+		return ErrBadMagic
+	}
+	if h[4] != wireVersion {
+		return fmt.Errorf("%w: %d", ErrBadVersion, h[4])
+	}
+	return nil
+}
+
+// recordLen validates a record's length prefix.
+func recordLen(prefix []byte) (int, error) {
+	n := int(binary.BigEndian.Uint16(prefix))
+	if n < bodySize || n > bodySize+maxWireAPN {
+		return 0, fmt.Errorf("%w: %d", ErrOversize, n)
+	}
+	return n, nil
+}
+
+// decodeFields decodes one record body — the bytes after the length
+// prefix, bodySize fixed bytes plus the APN — into rec. index is the
+// record's position in the stream, for the error. It is the one field
+// decoder: the stream [Reader] and the byte-slice [Decoder] both call
+// it, so they cannot disagree about a record.
+func decodeFields(b []byte, rec *Record, apns apnTable, index int) error {
+	rec.Device = identity.DeviceID(binary.BigEndian.Uint64(b[0:8]))
+	rec.Time = time.Unix(0, int64(binary.BigEndian.Uint64(b[8:16]))).UTC()
+	rec.SIM = mccmnc.PLMN{MCC: binary.BigEndian.Uint16(b[16:18]), MNC: binary.BigEndian.Uint16(b[18:20]), MNCLen: b[20]}
+	rec.Visited = mccmnc.PLMN{MCC: binary.BigEndian.Uint16(b[21:23]), MNC: binary.BigEndian.Uint16(b[23:25]), MNCLen: b[25]}
+	rec.Kind = Kind(b[26])
+	rec.RAT = radio.RAT(b[27])
+	rec.Duration = time.Duration(binary.BigEndian.Uint32(b[28:32])) * time.Millisecond
+	rec.Bytes = binary.BigEndian.Uint64(b[32:40])
+	rec.APN = apn.APN{}
+	if len(b) > bodySize {
+		a, err := apns.resolve(b[bodySize:])
+		if err != nil {
+			return fmt.Errorf("cdrs: record %d: %w", index, err)
+		}
+		rec.APN = a
+	}
+	return nil
+}
+
 // Reader streams records from the binary wire format into
 // caller-owned memory.
 type Reader struct {
 	r      *bufio.Reader
-	buf    []byte
+	buf    [bodySize + maxWireAPN]byte
 	lenBuf [2]byte
 	read   int
 	header bool
+	apns   apnTable
 }
 
 // NewReader returns a Reader consuming from r.
 func NewReader(r io.Reader) *Reader {
-	return &Reader{r: bufio.NewReaderSize(r, 64<<10), buf: make([]byte, bodySize+256)}
+	return &Reader{r: bufio.NewReaderSize(r, 64<<10), apns: apnTable{}}
 }
 
 // Read decodes the next record into rec; io.EOF marks a clean end.
@@ -121,11 +208,8 @@ func (rd *Reader) Read(rec *Record) error {
 			}
 			return fmt.Errorf("cdrs: reading header: %w", err)
 		}
-		if string(h[:4]) != magic {
-			return ErrBadMagic
-		}
-		if h[4] != wireVersion {
-			return fmt.Errorf("%w: %d", ErrBadVersion, h[4])
+		if err := checkHeader(h[:]); err != nil {
+			return err
 		}
 		rd.header = true
 	}
@@ -135,32 +219,16 @@ func (rd *Reader) Read(rec *Record) error {
 		}
 		return ErrTruncated
 	}
-	n := int(binary.BigEndian.Uint16(rd.lenBuf[:]))
-	if n < bodySize || n > bodySize+128 {
-		return fmt.Errorf("%w: %d", ErrOversize, n)
-	}
-	if n > len(rd.buf) {
-		rd.buf = make([]byte, n)
+	n, err := recordLen(rd.lenBuf[:])
+	if err != nil {
+		return err
 	}
 	b := rd.buf[:n]
 	if _, err := io.ReadFull(rd.r, b); err != nil {
 		return ErrTruncated
 	}
-	rec.Device = identity.DeviceID(binary.BigEndian.Uint64(b[0:8]))
-	rec.Time = time.Unix(0, int64(binary.BigEndian.Uint64(b[8:16]))).UTC()
-	rec.SIM = mccmnc.PLMN{MCC: binary.BigEndian.Uint16(b[16:18]), MNC: binary.BigEndian.Uint16(b[18:20]), MNCLen: b[20]}
-	rec.Visited = mccmnc.PLMN{MCC: binary.BigEndian.Uint16(b[21:23]), MNC: binary.BigEndian.Uint16(b[23:25]), MNCLen: b[25]}
-	rec.Kind = Kind(b[26])
-	rec.RAT = radio.RAT(b[27])
-	rec.Duration = time.Duration(binary.BigEndian.Uint32(b[28:32])) * time.Millisecond
-	rec.Bytes = binary.BigEndian.Uint64(b[32:40])
-	rec.APN = apn.APN{}
-	if n > bodySize {
-		a, err := apn.Parse(string(b[bodySize:]))
-		if err != nil {
-			return fmt.Errorf("cdrs: record %d: %w", rd.read, err)
-		}
-		rec.APN = a
+	if err := decodeFields(b, rec, rd.apns, rd.read); err != nil {
+		return err
 	}
 	rd.read++
 	return nil
@@ -168,6 +236,64 @@ func (rd *Reader) Read(rec *Record) error {
 
 // Count returns the number of records successfully read.
 func (rd *Reader) Count() int { return rd.read }
+
+// Decoder reads records from a stream already held in memory — the
+// same format, checks and errors as [Reader], without the copy
+// through a buffered reader. Decoded records do not alias the stream
+// (their strings are copies), so its buffer can be reused as soon as
+// the Decoder is done with.
+type Decoder struct {
+	b      []byte
+	read   int
+	header bool
+	apns   apnTable
+}
+
+// NewDecoder returns a Decoder over the whole stream b (header
+// included).
+func NewDecoder(b []byte) *Decoder { return &Decoder{b: b, apns: apnTable{}} }
+
+// Read decodes the next record into rec; io.EOF marks a clean end.
+func (d *Decoder) Read(rec *Record) error {
+	if !d.header {
+		if len(d.b) == 0 {
+			return io.EOF
+		}
+		if len(d.b) < headerSize {
+			d.b = nil
+			return fmt.Errorf("cdrs: reading header: %w", io.ErrUnexpectedEOF)
+		}
+		h := d.b[:headerSize]
+		d.b = d.b[headerSize:]
+		if err := checkHeader(h); err != nil {
+			return err
+		}
+		d.header = true
+	}
+	if len(d.b) == 0 {
+		return io.EOF
+	}
+	if len(d.b) < 2 {
+		d.b = nil
+		return ErrTruncated
+	}
+	n, err := recordLen(d.b[:2])
+	d.b = d.b[2:]
+	if err != nil {
+		return err
+	}
+	if len(d.b) < n {
+		d.b = nil
+		return ErrTruncated
+	}
+	b := d.b[:n]
+	d.b = d.b[n:]
+	if err := decodeFields(b, rec, d.apns, d.read); err != nil {
+		return err
+	}
+	d.read++
+	return nil
+}
 
 // WriteAll encodes all records to w and flushes.
 func WriteAll(w io.Writer, recs []Record) error {

@@ -3,6 +3,7 @@ package core
 import (
 	"sort"
 	"strconv"
+	"strings"
 
 	"whereroam/internal/apn"
 	"whereroam/internal/catalog"
@@ -77,8 +78,8 @@ var DefaultConsumerKeywords = []string{
 // keywords → validated APNs → device-property closure, with
 // OS/GSMA-label rules for the phone classes.
 type Classifier struct {
-	m2mKeywords      []string
-	consumerKeywords []string
+	m2m      keywordTable
+	consumer keywordTable
 	// Steps allows disabling the later pipeline stages for the
 	// ablation study (DESIGN.md §5).
 	Steps Steps
@@ -102,10 +103,47 @@ var AllSteps = Steps{ValidateAPNs: true, PropertyClosure: true}
 // NewClassifier returns the standard classifier.
 func NewClassifier() *Classifier {
 	return &Classifier{
-		m2mKeywords:      DefaultM2MKeywords,
-		consumerKeywords: DefaultConsumerKeywords,
-		Steps:            AllSteps,
+		m2m:      newKeywordTable(DefaultM2MKeywords),
+		consumer: newKeywordTable(DefaultConsumerKeywords),
+		Steps:    AllSteps,
 	}
+}
+
+// keywordTable is a keyword list indexed by matching rule, so an APN is
+// tokenised once and tested against the whole list: a plain keyword
+// matches when it equals one of the APN's tokens, a dotted keyword
+// ("intelligent.m2m") when it is a dotted substring of the Network
+// Identifier — the two rules of [apn.APN.ContainsKeyword].
+type keywordTable struct {
+	plain  map[string]bool
+	dotted []string
+}
+
+func newKeywordTable(keywords []string) keywordTable {
+	t := keywordTable{plain: make(map[string]bool, len(keywords))}
+	for _, kw := range keywords {
+		if strings.Contains(kw, ".") {
+			t.dotted = append(t.dotted, kw)
+		} else {
+			t.plain[kw] = true
+		}
+	}
+	return t
+}
+
+// matches reports whether any keyword of the table matches a.
+func (t *keywordTable) matches(a apn.APN) bool {
+	for _, tok := range a.Keywords() {
+		if t.plain[tok] {
+			return true
+		}
+	}
+	for _, kw := range t.dotted {
+		if a.ContainsKeyword(kw) {
+			return true
+		}
+	}
+	return false
 }
 
 // Result is the classification of one device.
@@ -138,17 +176,11 @@ func (c *Classifier) Classify(sums []catalog.Summary) []Result {
 func (c *Classifier) ClassifyWorkers(sums []catalog.Summary, workers int) []Result {
 	// Step 1 (fan-out + barrier): collect validated APNs — APN
 	// strings used in the population that match an M2M vertical
-	// keyword.
+	// keyword. A handful of APNs label a whole population, so each
+	// shard judges an APN the first time it meets it and remembers the
+	// verdict.
 	validated := mergeSets(pipeline.Map(len(sums), workers, func(sh pipeline.Shard) map[apn.APN]bool {
-		part := map[apn.APN]bool{}
-		for i := sh.Lo; i < sh.Hi; i++ {
-			for _, a := range sums[i].APNs {
-				if c.matchesM2M(a) {
-					part[a] = true
-				}
-			}
-		}
-		return part
+		return c.validatedIn(sums[sh.Lo:sh.Hi])
 	}))
 
 	// Step 2 (fan-out + barrier): devices using validated APNs are
@@ -190,22 +222,23 @@ func mergeSets[K comparable](parts []map[K]bool) map[K]bool {
 	return out
 }
 
-func (c *Classifier) matchesM2M(a apn.APN) bool {
-	for _, kw := range c.m2mKeywords {
-		if a.ContainsKeyword(kw) {
-			return true
+// validatedIn is step 1 over one run of summaries: the set of their
+// APNs that match an M2M keyword, each distinct APN judged once.
+func (c *Classifier) validatedIn(sums []catalog.Summary) map[apn.APN]bool {
+	verdict := map[apn.APN]bool{}
+	for i := range sums {
+		for _, a := range sums[i].APNs {
+			if _, judged := verdict[a]; !judged {
+				verdict[a] = c.m2m.matches(a)
+			}
 		}
 	}
-	return false
-}
-
-func (c *Classifier) matchesConsumer(a apn.APN) bool {
-	for _, kw := range c.consumerKeywords {
-		if a.ContainsKeyword(kw) {
-			return true
+	for a, ok := range verdict {
+		if !ok {
+			delete(verdict, a)
 		}
 	}
-	return false
+	return verdict
 }
 
 func (c *Classifier) usesValidated(s *catalog.Summary, validated map[apn.APN]bool) bool {
@@ -236,7 +269,7 @@ func (c *Classifier) classifyOne(s *catalog.Summary, validated map[apn.APN]bool,
 	if !c.Steps.ValidateAPNs {
 		// Ablation: keywords-only, no population-level validation.
 		for _, a := range s.APNs {
-			if c.matchesM2M(a) {
+			if c.m2m.matches(a) {
 				r.Class, r.Evidence = ClassM2M, "apn-keyword"
 				return r
 			}
@@ -251,7 +284,7 @@ func (c *Classifier) classifyOne(s *catalog.Summary, validated map[apn.APN]bool,
 	// Phone classes: OS and GSMA label plus consumer APNs (§4.3).
 	consumer := false
 	for _, a := range s.APNs {
-		if c.matchesConsumer(a) {
+		if c.consumer.matches(a) {
 			consumer = true
 			break
 		}
@@ -290,14 +323,7 @@ func Breakdown(results []Result) map[Class]int {
 // ValidatedAPNs exposes step 1 for inspection: the APN strings of the
 // population that match the keyword table, sorted.
 func (c *Classifier) ValidatedAPNs(sums []catalog.Summary) []apn.APN {
-	set := map[apn.APN]bool{}
-	for i := range sums {
-		for _, a := range sums[i].APNs {
-			if c.matchesM2M(a) {
-				set[a] = true
-			}
-		}
-	}
+	set := c.validatedIn(sums)
 	out := make([]apn.APN, 0, len(set))
 	for a := range set {
 		out = append(out, a)

@@ -5,9 +5,13 @@ import (
 	"runtime"
 	"testing"
 
+	"whereroam/internal/apn"
+	"whereroam/internal/cdrs"
 	"whereroam/internal/core"
 	"whereroam/internal/dataset"
 	"whereroam/internal/identity"
+	"whereroam/internal/mccmnc"
+	"whereroam/internal/store"
 )
 
 // These tests live outside package core because they drive the
@@ -105,6 +109,111 @@ func TestDerivePopulation(t *testing.T) {
 	}
 	if _, ok := (&core.Population{}).Find(1); ok {
 		t.Error("Find on an empty population reported a hit")
+	}
+}
+
+// anyKeyword is the matcher the classifier used before it tokenised an
+// APN once: every keyword re-tokenises the APN. It stays here as the
+// reference the keyword tables must agree with.
+func anyKeyword(a apn.APN, keywords []string) bool {
+	for _, kw := range keywords {
+		if a.ContainsKeyword(kw) {
+			return true
+		}
+	}
+	return false
+}
+
+// The tokenise-once keyword tables give the verdict of the
+// keyword-by-keyword loop on every APN a generated federation archive
+// holds, and on the corners of the token grammar.
+func TestKeywordTablesMatchKeywordLoop(t *testing.T) {
+	cfg := dataset.DefaultFederationConfig()
+	cfg.Seed = 1
+	cfg.FleetDevices, cfg.NativePerSite, cfg.Days = 150, 80, 5
+	cfg.ArchiveDir = t.TempDir()
+	dataset.GenerateFederation(cfg)
+	sites, err := store.SiteDirs(cfg.ArchiveDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	distinct := map[apn.APN]bool{}
+	for _, site := range sites {
+		r, err := store.Open(store.SiteDir(cfg.ArchiveDir, site))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.ReplayRecords(store.Query{}, func(rec cdrs.Record) {
+			if rec.Kind == cdrs.KindData {
+				distinct[rec.APN] = true
+			}
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(distinct) < 20 {
+		t.Fatalf("archive holds only %d distinct APNs", len(distinct))
+	}
+	for _, ni := range []string{
+		"intelligent.m2m",        // dotted keyword, whole NI
+		"x.intelligent.m2m.y",    // dotted keyword inside
+		"intelligent.m2mx",       // dotted keyword as a mere prefix
+		"notintelligent.m2m",     // dotted keyword must start at a label
+		"fleet-tracker_pos.corp", // hyphen and underscore split tokens
+		"fleet-", "_pos", "a--b", // empty fields between separators
+		"m2m.de", "iot.m2", // a 2-char label is dropped, a 3-char one kept
+		"pos.com", "com.net.www", // generic tails are not tokens
+		"internet", "wap.payment", // consumer table, and both tables at once
+		"smartgridx", "xsmhp", // tokens match whole, never as substrings
+		"",
+	} {
+		distinct[apn.APN{NetworkID: ni}] = true
+		distinct[apn.APN{NetworkID: ni, Operator: mccmnc.MustParse("20404")}] = true
+	}
+	c := core.NewClassifier()
+	for a := range distinct {
+		m2m, consumer := c.MatchKeywords(a)
+		if want := anyKeyword(a, core.DefaultM2MKeywords); m2m != want {
+			t.Errorf("%q: m2m table says %v, keyword loop %v", a, m2m, want)
+		}
+		if want := anyKeyword(a, core.DefaultConsumerKeywords); consumer != want {
+			t.Errorf("%q: consumer table says %v, keyword loop %v", a, consumer, want)
+		}
+	}
+}
+
+// Step 1's per-shard memo changes nothing a caller can see: the
+// validated set is the keyword loop's, and classification does not
+// depend on how the population was sharded over workers.
+func TestValidatedAPNsAndWorkerInvariance(t *testing.T) {
+	cfg := dataset.DefaultMNOConfig()
+	cfg.Devices = 3000
+	ds := dataset.GenerateMNO(cfg)
+	sums := ds.Catalog.Summaries(ds.GSMA)
+	c := core.NewClassifier()
+
+	set := map[apn.APN]bool{}
+	for i := range sums {
+		for _, a := range sums[i].APNs {
+			if anyKeyword(a, core.DefaultM2MKeywords) {
+				set[a] = true
+			}
+		}
+	}
+	got := c.ValidatedAPNs(sums)
+	if len(got) == 0 || len(got) != len(set) {
+		t.Fatalf("ValidatedAPNs returned %d APNs, the keyword loop validates %d", len(got), len(set))
+	}
+	for i, a := range got {
+		if !set[a] {
+			t.Errorf("ValidatedAPNs holds %q, which the keyword loop rejects", a)
+		}
+		if i > 0 && got[i-1].String() >= a.String() {
+			t.Errorf("ValidatedAPNs not strictly sorted at %d", i)
+		}
+	}
+	if one, four := c.ClassifyWorkers(sums, 1), c.ClassifyWorkers(sums, 4); !reflect.DeepEqual(one, four) {
+		t.Fatal("classification differs between 1 and 4 workers")
 	}
 }
 

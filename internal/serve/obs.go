@@ -114,19 +114,16 @@ func (s *Server) route(name string, h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-// buildSlice is the shared cache-fill path: open the mount's store,
-// attach the store metrics, replay under q and derive the slice —
-// under a slice_build span labeled with the cache key and the built
-// slice's cost estimate.
+// buildSlice is the shared cache-fill path: take the mount's reader
+// (store metrics already attached), replay under q and derive the
+// slice — under a slice_build span labeled with the cache key and the
+// built slice's cost estimate.
 func (s *Server) buildSlice(key string, m *mount, q store.Query) (*slice, error) {
 	return s.cache.get(key, func() (*slice, error) {
 		sp := s.obs.span("slice_build").Label("key", key)
 		r, err := m.open()
 		if err != nil {
 			return nil, err
-		}
-		if s.obs != nil {
-			r.Observe(s.obs.store)
 		}
 		cat, _, err := r.Replay(q, s.cfg.Workers)
 		if err != nil {

@@ -24,9 +24,14 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io/fs"
 	"net/http"
+	"os"
+	"path/filepath"
 	"sort"
+	"sync"
 
 	"whereroam/internal/catalog"
 	"whereroam/internal/obs"
@@ -54,11 +59,48 @@ type Config struct {
 	Tracer *obs.Tracer
 }
 
-// mount is one archived site the server answers queries for.
+// mount is one archived site the server answers queries for. It keeps
+// the store.Reader it last opened, with the store metrics attached
+// once, at open: a Reader is an immutable snapshot that any number of
+// fills replay concurrently, so nothing may be set on it afterwards.
 type mount struct {
 	name string
 	dir  string
 	info SiteInfo
+	met  *store.Metrics
+
+	mu     sync.Mutex
+	reader *store.Reader
+	stamp  manifestStamp
+}
+
+// manifestStamp identifies the two files a store.Reader materialized
+// its manifest from, as os.Stat saw them just before the Open; log is
+// nil for a store without a MANIFEST.log.
+type manifestStamp struct {
+	ckpt, log os.FileInfo
+}
+
+// stampOf stats the manifest files of the store at dir.
+func stampOf(dir string) (manifestStamp, error) {
+	var st manifestStamp
+	var err error
+	if st.ckpt, err = os.Stat(filepath.Join(dir, store.ManifestCheckpointName)); err != nil {
+		return manifestStamp{}, err
+	}
+	if st.log, err = os.Stat(filepath.Join(dir, store.ManifestLogName)); err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return manifestStamp{}, err
+	}
+	return st, nil
+}
+
+// unchanged reports whether b is the same file as a, with the same
+// size and modification time.
+func unchanged(a, b os.FileInfo) bool {
+	if a == nil || b == nil {
+		return a == nil && b == nil
+	}
+	return os.SameFile(a, b) && a.Size() == b.Size() && a.ModTime().Equal(b.ModTime())
 }
 
 // SiteInfo is one mounted store's row in the /v1/sites listing.
@@ -105,13 +147,18 @@ func New(cfg Config) *Server {
 }
 
 // Mount registers the store at dir under the given site name. The
-// manifest is read once to validate the store and record its window;
-// segment bodies are only read when a query needs them.
+// store is opened to validate it and record its window, and the mount
+// keeps that Reader for its fills (see mount.open); segment bodies are
+// only read when a query needs them.
 func (s *Server) Mount(name, dir string) error {
 	if name == "" || s.mounts[name] != nil {
 		return fmt.Errorf("serve: bad or duplicate mount name %q", name)
 	}
-	r, err := store.Open(dir)
+	m := &mount{name: name, dir: dir}
+	if s.obs != nil {
+		m.met = s.obs.store
+	}
+	r, err := m.open()
 	if err != nil {
 		return fmt.Errorf("serve: mounting %s: %w", name, err)
 	}
@@ -119,17 +166,14 @@ func (s *Server) Mount(name, dir string) error {
 	if man.Kind != store.KindCDR {
 		return fmt.Errorf("serve: %s is a %q store, not CDR", name, man.Kind)
 	}
-	s.mounts[name] = &mount{
-		name: name,
-		dir:  dir,
-		info: SiteInfo{
-			Site:     name,
-			Host:     man.Host,
-			Days:     man.Days,
-			Segments: len(man.Segments),
-			Records:  man.TotalRecords,
-		},
+	m.info = SiteInfo{
+		Site:     name,
+		Host:     man.Host,
+		Days:     man.Days,
+		Segments: len(man.Segments),
+		Records:  man.TotalRecords,
 	}
+	s.mounts[name] = m
 	s.order = append(s.order, name)
 	sort.Strings(s.order)
 	return nil
@@ -166,12 +210,30 @@ func (s *Server) Sites() []SiteInfo {
 // CacheStats snapshots the slice cache's counters.
 func (s *Server) CacheStats() CacheStats { return s.cache.stats() }
 
-// open re-opens a mount's store for a fill. Opening per fill keeps
-// the server honest about the disk: a store deleted or corrupted
-// after mount surfaces as a fill error (HTTP 503), never a stale
-// success.
+// open returns a Reader over the mount's store for a fill: the one it
+// already holds when MANIFEST.ckpt and MANIFEST.log are still the
+// files it was opened from (same file, size and modification time —
+// an append to the log, a replaced checkpoint or a store compacted
+// over all change one of them), a fresh store.Open otherwise. Checking
+// on every fill keeps the server honest about the disk: a store
+// deleted, appended to or replaced after mount shows on the very next
+// fill — as a 503 or as the new contents — never as a stale success.
+// The stamp is taken before the Open, so a change that lands between
+// the two can only make the next fill re-open once more.
 func (m *mount) open() (*store.Reader, error) {
-	return store.Open(m.dir)
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	now, err := stampOf(m.dir)
+	if err == nil && m.reader != nil && unchanged(m.stamp.ckpt, now.ckpt) && unchanged(m.stamp.log, now.log) {
+		return m.reader, nil
+	}
+	r, err := store.Open(m.dir)
+	if err != nil {
+		return nil, err
+	}
+	r.Observe(m.met)
+	m.reader, m.stamp = r, now
+	return r, nil
 }
 
 // wholeSlice returns the site's whole-window read model, building it

@@ -184,7 +184,7 @@ func Compact(dst string, inputs []string, opts CompactOptions) (*CompactStats, e
 		return compactStores(dst, readers, plan, &opts,
 			func(w io.Writer) wireEncoder[signaling.Transaction] { return signaling.NewWriter(w) },
 			func(rd io.Reader) wireDecoder[signaling.Transaction] { return signaling.NewReader(rd) },
-			txInfo,
+			txBody, txInfo,
 			func(dir string, meta Meta, segRecords int) (*SegmentWriter[signaling.Transaction], error) {
 				return NewSignalingWriter(dir, meta, segRecords)
 			})
@@ -192,7 +192,7 @@ func Compact(dst string, inputs []string, opts CompactOptions) (*CompactStats, e
 	return compactStores(dst, readers, plan, &opts,
 		func(w io.Writer) wireEncoder[cdrs.Record] { return cdrs.NewWriter(w) },
 		func(rd io.Reader) wireDecoder[cdrs.Record] { return cdrs.NewReader(rd) },
-		cdrInfo,
+		cdrBody, cdrInfo,
 		func(dir string, meta Meta, segRecords int) (*SegmentWriter[cdrs.Record], error) {
 			return NewWriter(dir, meta, segRecords)
 		})
@@ -303,7 +303,7 @@ type runSrc[T any] struct {
 // stability preserves input ordinals on ties — and cursor over the
 // slice.
 func segmentRun[T any](r *Reader, si *SegmentInfo, q Query,
-	newDec func(io.Reader) wireDecoder[T], info func(*T) RecordInfo,
+	newDec func([]byte) wireDecoder[T], info func(*T) RecordInfo,
 	recordsIn *int64) runSrc[T] {
 	dir, start := r.dir, r.man.Start
 	return runSrc[T]{open: func() (*openRun[T], error) {
@@ -456,7 +456,7 @@ func mergeGroup[T any](srcs []runSrc[T], emit func(*T) error) (err error) {
 // store's writer.
 func compactStores[T any](dst string, readers []*Reader, plan *CompactPlan, opts *CompactOptions,
 	newEnc func(io.Writer) wireEncoder[T], newDec func(io.Reader) wireDecoder[T],
-	info func(*T) RecordInfo,
+	newBodyDec func([]byte) wireDecoder[T], info func(*T) RecordInfo,
 	newWriter func(string, Meta, int) (*SegmentWriter[T], error)) (*CompactStats, error) {
 	stats := &CompactStats{}
 	total := opts.Metrics.span("compact").
@@ -470,7 +470,7 @@ func compactStores[T any](dst string, readers []*Reader, plan *CompactPlan, opts
 				continue
 			}
 			stats.SegmentsIn++
-			srcs = append(srcs, segmentRun(r, si, opts.Query, newDec, info, &stats.RecordsIn))
+			srcs = append(srcs, segmentRun(r, si, opts.Query, newBodyDec, info, &stats.RecordsIn))
 		}
 	}
 

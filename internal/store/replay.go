@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -8,6 +9,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 
 	"whereroam/internal/catalog"
 	"whereroam/internal/cdrs"
@@ -200,8 +202,7 @@ func (r *Reader) Replay(q Query, workers int) (*catalog.Catalog, *ReplayStats, e
 		p := part{b: catalog.NewBuilder(meta.Host, meta.Start, meta.Days, nil)}
 		for k := sh.Lo; k < sh.Hi; k++ {
 			si := &r.man.Segments[selected[k]]
-			err := scanSegment(r.dir, si,
-				func(rd io.Reader) wireDecoder[cdrs.Record] { return cdrs.NewReader(rd) },
+			err := scanSegment(r.dir, si, cdrBody,
 				func(rec *cdrs.Record) {
 					p.stats.RecordsRead++
 					inf := cdrInfo(rec)
@@ -230,13 +231,25 @@ func (r *Reader) Replay(q Query, workers int) (*catalog.Catalog, *ReplayStats, e
 		}
 		return p
 	})
-	acc := catalog.NewBuilder(meta.Host, meta.Start, meta.Days, nil)
+	// Fold in shard order into the first shard's builder — merging it
+	// into an empty one would only re-insert every record it holds —
+	// and let go of each builder once folded, so its maps are garbage
+	// before the next merge grows acc.
+	var acc *catalog.Builder
 	for i := range parts {
 		if parts[i].err != nil {
 			return nil, nil, parts[i].err
 		}
 		stats.add(parts[i].stats)
-		acc.Merge(parts[i].b)
+		if acc == nil {
+			acc = parts[i].b
+		} else {
+			acc.Merge(parts[i].b)
+		}
+		parts[i].b = nil
+	}
+	if acc == nil {
+		acc = catalog.NewBuilder(meta.Host, meta.Start, meta.Days, nil)
 	}
 	r.met.noteRead(&stats)
 	return acc.Build(), &stats, nil
@@ -249,9 +262,7 @@ func (r *Reader) ReplayRecords(q Query, sink func(cdrs.Record)) (*ReplayStats, e
 	if r.man.Kind != KindCDR {
 		return nil, fmt.Errorf("store: cannot replay a %q store as CDRs", r.man.Kind)
 	}
-	return replaySeq(r, q,
-		func(rd io.Reader) wireDecoder[cdrs.Record] { return cdrs.NewReader(rd) },
-		cdrInfo, sink)
+	return replaySeq(r, q, cdrBody, cdrInfo, sink)
 }
 
 // ReplayTransactions hands every matching signaling transaction to
@@ -260,13 +271,11 @@ func (r *Reader) ReplayTransactions(q Query, sink func(signaling.Transaction)) (
 	if r.man.Kind != KindSignaling {
 		return nil, fmt.Errorf("store: cannot replay a %q store as signaling", r.man.Kind)
 	}
-	return replaySeq(r, q,
-		func(rd io.Reader) wireDecoder[signaling.Transaction] { return signaling.NewReader(rd) },
-		txInfo, sink)
+	return replaySeq(r, q, txBody, txInfo, sink)
 }
 
 // replaySeq is the sequential replay loop shared by both planes.
-func replaySeq[T any](r *Reader, q Query, newDec func(io.Reader) wireDecoder[T],
+func replaySeq[T any](r *Reader, q Query, newDec func([]byte) wireDecoder[T],
 	info func(*T) RecordInfo, sink func(T)) (*ReplayStats, error) {
 	stats := r.baseStats()
 	start := r.man.Start
@@ -281,9 +290,10 @@ func replaySeq[T any](r *Reader, q Query, newDec func(io.Reader) wireDecoder[T],
 			}
 		})
 		if err != nil {
-			// Aborted mid-segment: RecordsRead still counts the decoded
-			// prefix, but the segment is not "read" and its body bytes
-			// were not fully decoded.
+			// A segment that fails its scan is not "read". RecordsRead
+			// can still count a decoded prefix of it, but only of a body
+			// whose CRC held — a record that fails to decode, or a
+			// record-count mismatch.
 			return &stats, err
 		}
 		stats.SegmentsRead++
@@ -293,12 +303,27 @@ func replaySeq[T any](r *Reader, q Query, newDec func(io.Reader) wireDecoder[T],
 	return &stats, nil
 }
 
-// scanSegment decodes one sealed segment body, verifying its length,
-// CRC and record count against the manifest entry, and calls visit
-// for every record. Any mismatch or decode failure reports the
-// segment as corrupt. The manifest's Bytes field covers body, Bloom
-// filter and footer.
-func scanSegment[T any](dir string, si *SegmentInfo, newDec func(io.Reader) wireDecoder[T], visit func(*T)) error {
+// bodyPool recycles segment-body buffers between scans. Segments of
+// one store are about the same size, so a returned buffer usually fits
+// the next body; decoded records copy what they keep (see
+// cdrs.Decoder), so nothing outlives the scan that filled the buffer.
+var bodyPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// cdrBody and txBody open the decoder of a verified segment body for
+// the two planes.
+func cdrBody(b []byte) wireDecoder[cdrs.Record] { return cdrs.NewDecoder(b) }
+
+func txBody(b []byte) wireDecoder[signaling.Transaction] {
+	return signaling.NewReader(bytes.NewReader(b))
+}
+
+// scanSegment reads one sealed segment body in a single read, verifies
+// its length and CRC against the manifest entry, and only then decodes
+// it, calling visit for every record: a body that fails its CRC
+// delivers nothing. A size, CRC or record-count mismatch and a record
+// that fails to decode all report the segment as corrupt. The
+// manifest's Bytes field covers body, Bloom filter and footer.
+func scanSegment[T any](dir string, si *SegmentInfo, newDec func([]byte) wireDecoder[T], visit func(*T)) error {
 	f, err := os.Open(filepath.Join(dir, si.Name))
 	if err != nil {
 		return fmt.Errorf("store: opening segment %s: %w", si.Name, err)
@@ -308,11 +333,26 @@ func scanSegment[T any](dir string, si *SegmentInfo, newDec func(io.Reader) wire
 	if err != nil {
 		return fmt.Errorf("store: stat segment %s: %w", si.Name, err)
 	}
-	if st.Size() != si.Bytes || si.Bytes < si.BodyBytes+footerV2Size {
+	// The manifest is input from disk. Tying its sizes to the file's
+	// real length (without an addition a huge BodyBytes could overflow)
+	// also bounds the buffer below: a scan never allocates more than
+	// the file holds.
+	if st.Size() != si.Bytes || si.BodyBytes < 0 || si.BodyBytes > si.Bytes-footerV2Size {
 		return fmt.Errorf("%w: %s is %d bytes, manifest says %d",
 			ErrCorrupt, si.Name, st.Size(), si.Bytes)
 	}
-	body := &crcCountReader{r: io.LimitReader(f, si.BodyBytes)}
+	bufp := bodyPool.Get().(*[]byte)
+	defer bodyPool.Put(bufp)
+	if int64(cap(*bufp)) < si.BodyBytes {
+		*bufp = make([]byte, si.BodyBytes)
+	}
+	body := (*bufp)[:si.BodyBytes]
+	if _, err := io.ReadFull(f, body); err != nil {
+		return fmt.Errorf("store: reading segment %s: %w", si.Name, err)
+	}
+	if crc := crc32.Checksum(body, crcTable); crc != si.BodyCRC {
+		return fmt.Errorf("%w: %s body CRC %08x, footer sealed %08x", ErrCorrupt, si.Name, crc, si.BodyCRC)
+	}
 	dec := newDec(body)
 	var rec T
 	n := 0
@@ -329,9 +369,6 @@ func scanSegment[T any](dir string, si *SegmentInfo, newDec func(io.Reader) wire
 	}
 	if n != si.Records {
 		return fmt.Errorf("%w: %s decoded %d records, footer sealed %d", ErrCorrupt, si.Name, n, si.Records)
-	}
-	if body.crc != si.BodyCRC {
-		return fmt.Errorf("%w: %s body CRC %08x, footer sealed %08x", ErrCorrupt, si.Name, body.crc, si.BodyCRC)
 	}
 	return nil
 }
@@ -444,13 +481,9 @@ func (r *Reader) verifySegment(si *SegmentInfo) error {
 		return err
 	}
 	if r.man.Kind == KindSignaling {
-		return scanSegment(r.dir, si,
-			func(rd io.Reader) wireDecoder[signaling.Transaction] { return signaling.NewReader(rd) },
-			func(*signaling.Transaction) {})
+		return scanSegment(r.dir, si, txBody, func(*signaling.Transaction) {})
 	}
-	return scanSegment(r.dir, si,
-		func(rd io.Reader) wireDecoder[cdrs.Record] { return cdrs.NewReader(rd) },
-		func(*cdrs.Record) {})
+	return scanSegment(r.dir, si, cdrBody, func(*cdrs.Record) {})
 }
 
 // verifyBloom cross-checks a segment's Bloom filter three ways: the

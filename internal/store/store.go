@@ -389,23 +389,6 @@ func txInfo(tx *signaling.Transaction) RecordInfo {
 	return RecordInfo{Device: uint64(tx.Device), Time: tx.Time, Visited: tx.Visited}
 }
 
-// crcCountReader tracks the CRC-32C and length of everything read
-// through it — the replay-side verification of a segment body.
-type crcCountReader struct {
-	r   io.Reader
-	crc uint32
-	n   int64
-}
-
-func (c *crcCountReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	if n > 0 {
-		c.crc = crc32.Update(c.crc, crcTable, p[:n])
-		c.n += int64(n)
-	}
-	return n, err
-}
-
 // crcCountWriter tracks the CRC-32C and length of everything written
 // through it — the seal-side footer fields.
 type crcCountWriter struct {

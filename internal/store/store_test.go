@@ -2,10 +2,13 @@ package store
 
 import (
 	"errors"
+	"hash/crc32"
 	"io/fs"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -360,6 +363,90 @@ func TestBitFlipFailsCRC(t *testing.T) {
 	f := Query{}.Days(0, victim.MinDay-1)
 	if _, _, err := r.Replay(f, 1); err != nil {
 		t.Fatalf("replay pruned past the corrupt segment still failed: %v", err)
+	}
+}
+
+// A sealed segment that no longer matches its manifest entry is
+// reported as corrupt, by name, from every read path — and a body that
+// fails its CRC (or its size) is rejected before a single record of it
+// reaches a sink. The two failures only a decode can find (a bad
+// record, a wrong count) need the CRC to hold, so those cases re-seal
+// the tampered body in the manifest.
+func TestCorruptSegmentDeliversNothing(t *testing.T) {
+	const days, victimIdx = 3, 1
+	recs := feedRecords(15, days)
+	for _, tc := range []struct {
+		name string
+		// tamper edits the victim's file bytes and manifest entry.
+		tamper func(data []byte, si *SegmentInfo) []byte
+		// delivered is how many of the victim's records a sequential
+		// replay hands on before it fails.
+		delivered func(si *SegmentInfo) int
+	}{
+		{"flipped body byte", func(data []byte, si *SegmentInfo) []byte {
+			data[si.BodyBytes/2] ^= 0x40
+			return data
+		}, nil},
+		{"short file", func(data []byte, si *SegmentInfo) []byte {
+			return data[:len(data)-7]
+		}, nil},
+		{"oversize length prefix", func(data []byte, si *SegmentInfo) []byte {
+			data[6], data[7] = 0xff, 0xff // first record's length prefix, after the 6-byte stream header
+			si.BodyCRC = crc32.Checksum(data[:si.BodyBytes], crcTable)
+			return data
+		}, nil},
+		{"body length past the file", func(data []byte, si *SegmentInfo) []byte {
+			si.BodyBytes = math.MaxInt64 // must be refused, not allocated
+			return data
+		}, nil},
+		{"wrong record count", func(data []byte, si *SegmentInfo) []byte {
+			si.Records++
+			return data
+		}, func(si *SegmentInfo) int { return si.Records - 1 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			writeStore(t, dir, days, 24, recs)
+			man := reloadManifest(t, dir)
+			victim := &man.Segments[victimIdx]
+			path := filepath.Join(dir, victim.Name)
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, tc.tamper(data, victim), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			rewriteManifest(t, dir, man)
+			r, err := Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			isVictim := func(err error) bool {
+				return errors.Is(err, ErrCorrupt) && strings.Contains(err.Error(), victim.Name)
+			}
+
+			if _, _, err := r.Replay(Query{}, 2); !isVictim(err) {
+				t.Errorf("Replay = %v, want ErrCorrupt naming %s", err, victim.Name)
+			}
+			want := 0
+			for i := 0; i < victimIdx; i++ {
+				want += man.Segments[i].Records
+			}
+			if tc.delivered != nil {
+				want += tc.delivered(victim)
+			}
+			got := 0
+			if _, err := r.ReplayRecords(Query{}, func(cdrs.Record) { got++ }); !isVictim(err) {
+				t.Errorf("ReplayRecords = %v, want ErrCorrupt naming %s", err, victim.Name)
+			}
+			if got != want {
+				t.Errorf("ReplayRecords delivered %d records, want %d: the segments before %s and nothing else", got, want, victim.Name)
+			}
+			if rep := r.Verify(); len(rep.Corrupt) != 1 || rep.Corrupt[0].Name != victim.Name {
+				t.Errorf("Verify should pin exactly %s as corrupt:\n%s", victim.Name, rep)
+			}
+		})
 	}
 }
 
