@@ -4,7 +4,9 @@
 // analyzer of internal/lint — where roamvet and `go vet -vettool`
 // also enforce them — and this test is a thin in-process wrapper so
 // that `go test` alone still walks the documentation contract. The
-// strict-package set is lint.StrictGodocPackages.
+// strict-package set is lint.StrictGodocPackages. One rule lives only
+// here because it needs the file tree: a comment that names a *.md
+// document must name one that exists.
 package whereroam
 
 import (
@@ -12,7 +14,9 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"os"
 	"path/filepath"
+	"regexp"
 	"sort"
 	"strings"
 	"testing"
@@ -52,10 +56,9 @@ func packageDirs(t *testing.T) []string {
 	return dirs
 }
 
-// lintDir parses one package directory (production files only —
-// godoclint is syntactic, so no type-check is needed) and returns the
-// godoclint diagnostics under the directory's module import path.
-func lintDir(t *testing.T, dir string) []lint.Diagnostic {
+// parseDir parses one package directory, production files only, with
+// comments.
+func parseDir(t *testing.T, dir string) (*token.FileSet, map[string]*ast.Package) {
 	t.Helper()
 	fset := token.NewFileSet()
 	pkgs, err := parser.ParseDir(fset, dir, func(fi fs.FileInfo) bool {
@@ -64,6 +67,15 @@ func lintDir(t *testing.T, dir string) []lint.Diagnostic {
 	if err != nil {
 		t.Fatalf("%s: %v", dir, err)
 	}
+	return fset, pkgs
+}
+
+// lintDir runs godoclint over one package directory (the analyzer is
+// syntactic, so no type-check is needed) and returns its diagnostics
+// under the directory's module import path.
+func lintDir(t *testing.T, dir string) []lint.Diagnostic {
+	t.Helper()
+	fset, pkgs := parseDir(t, dir)
 	path := lint.ModulePath
 	if dir != "." {
 		path = lint.ModulePath + "/" + filepath.ToSlash(dir)
@@ -111,6 +123,41 @@ func TestExportedAPIDocumented(t *testing.T) {
 		for _, d := range lintDir(t, dir) {
 			if !strings.Contains(d.Message, "package-level doc comment") {
 				t.Error(d)
+			}
+		}
+	}
+}
+
+// mdRef matches a Markdown document named in a comment, with any
+// directory prefix: EXPERIMENTS.md, docs/ARCHITECTURE.md.
+var mdRef = regexp.MustCompile(`[\w./-]*\w\.md\b`)
+
+// TestGodocMarkdownReferencesExist fails on a comment that points the
+// reader at a Markdown document the tree does not hold. A reference
+// resolves against the module root or the directory of the file that
+// makes it. Nested modules (bench/) keep their own documents and are
+// not walked.
+func TestGodocMarkdownReferencesExist(t *testing.T) {
+	exists := func(path string) bool {
+		_, err := os.Stat(path)
+		return err == nil
+	}
+	for _, dir := range packageDirs(t) {
+		if top, _, _ := strings.Cut(dir, "/"); top != "." && exists(filepath.Join(top, "go.mod")) {
+			continue
+		}
+		fset, pkgs := parseDir(t, dir)
+		for _, name := range sortedKeys(pkgs) {
+			for _, fname := range sortedKeys(pkgs[name].Files) {
+				for _, group := range pkgs[name].Files[fname].Comments {
+					for _, c := range group.List {
+						for _, ref := range mdRef.FindAllString(c.Text, -1) {
+							if !exists(ref) && !exists(filepath.Join(dir, ref)) {
+								t.Errorf("%s: comment refers to %s, which does not exist", fset.Position(c.Pos()), ref)
+							}
+						}
+					}
+				}
 			}
 		}
 	}

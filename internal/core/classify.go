@@ -81,7 +81,7 @@ type Classifier struct {
 	m2m      keywordTable
 	consumer keywordTable
 	// Steps allows disabling the later pipeline stages for the
-	// ablation study (DESIGN.md §5).
+	// ablation study (the abl-classifier experiment).
 	Steps Steps
 	// declared carries capture-time IR.88 verdicts (see
 	// WithDeclarations); nil when no transparency data exists.

@@ -2,7 +2,6 @@ package dataset
 
 import (
 	"math"
-	"sort"
 	"time"
 
 	"whereroam/internal/devices"
@@ -71,7 +70,7 @@ func fedM2MPopulation(fed *FederationDataset) []fedM2MDevice {
 // network changes between consecutive days, and keeps a lognormal
 // per-day keepalive budget of update-location/authentication
 // procedures on whichever network the day's schedule names.
-func emitFedM2MDevice(tap *probe.Tap[signaling.Transaction], fed *FederationDataset, d fedM2MDevice) {
+func emitFedM2MDevice(tap *probe.Tap[signaling.Transaction], fed *FederationDataset, d fedM2MDevice, order *timeSorter) {
 	m, src := d.member, d.src
 	home := m.dev.Home
 	visitedAt := func(day int) mccmnc.PLMN {
@@ -121,7 +120,7 @@ func emitFedM2MDevice(tap *probe.Tap[signaling.Transaction], fed *FederationData
 				Procedure: proc, RAT: radio.RAT4G, Result: result(),
 			})
 		}
-		sort.SliceStable(dayTxs, func(i, j int) bool { return dayTxs[i].Time.Before(dayTxs[j].Time) })
+		sortByTime(order, dayTxs, transactionTime)
 		for i := range dayTxs {
 			tap.Offer(dayTxs[i])
 		}
@@ -135,8 +134,9 @@ func emitFedM2MDevice(tap *probe.Tap[signaling.Transaction], fed *FederationData
 func fedM2MWalk(fed *FederationDataset, devs []fedM2MDevice) func(pipeline.Shard, func(signaling.Transaction)) {
 	return func(sh pipeline.Shard, sink func(signaling.Transaction)) {
 		tap := probe.NewTap("fed-hmno-probe", fed.cfg.Seed, sink)
+		var order timeSorter
 		for i := sh.Lo; i < sh.Hi; i++ {
-			emitFedM2MDevice(tap, fed, devs[i])
+			emitFedM2MDevice(tap, fed, devs[i], &order)
 		}
 	}
 }
@@ -153,9 +153,7 @@ func GenerateFederationM2M(fed *FederationDataset) *FederationM2M {
 	plane.Transactions = collectShards(len(devs), fed.cfg.Workers, fedM2MWalk(fed, devs))
 	// Stable: tied timestamps keep serial emission order, the order
 	// StreamFederationM2M delivers.
-	sort.SliceStable(plane.Transactions, func(i, j int) bool {
-		return plane.Transactions[i].Time.Before(plane.Transactions[j].Time)
-	})
+	sortByTime(new(timeSorter), plane.Transactions, transactionTime)
 	return plane
 }
 

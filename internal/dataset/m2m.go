@@ -201,13 +201,14 @@ func newM2MWalk(cfg M2MConfig) *m2mWalk {
 // complete ones.
 func (w *m2mWalk) shard(sh pipeline.Shard, sink func(signaling.Transaction)) {
 	tap := newM2MTap(w.cfg, sink)
+	var order timeSorter
 	for i := sh.Lo; i < sh.Hi; i++ {
 		src := w.drafts[i].src
 		spec := w.specs[w.drafts[i].spec]
 		roaming := src.Bool(spec.roamShare)
 		prof := devices.NewPlatformIoT(src.Split("profile"), roaming, w.cfg.Days)
 		w.truths[i] = M2MDeviceTruth{Home: spec.plmn, Roaming: roaming, FailOnly: prof.FailOnly, Profile: prof}
-		emitPlatformDevice(tap, w.world, src, w.cfg, spec, w.devIDs[i], prof)
+		emitPlatformDevice(tap, w.world, src, w.cfg, spec, w.devIDs[i], prof, &order)
 	}
 }
 
@@ -260,7 +261,7 @@ func GenerateM2M(cfg M2MConfig) *M2MDataset {
 	// StreamM2M delivers — so a streaming consumer that stable-sorts
 	// by time reproduces this slice bit for bit even on tied
 	// timestamps (second-granularity draws collide routinely).
-	sort.SliceStable(txs, func(i, j int) bool { return txs[i].Time.Before(txs[j].Time) })
+	sortByTime(new(timeSorter), txs, transactionTime)
 	ds := w.dataset()
 	ds.Transactions = txs
 	return ds
@@ -282,10 +283,12 @@ func StreamM2M(cfg M2MConfig, sink func(signaling.Transaction)) *M2MDataset {
 	return w.dataset()
 }
 
+func transactionTime(tx *signaling.Transaction) time.Time { return tx.Time }
+
 // emitPlatformDevice walks one device's schedule and offers every
-// transaction to the probe.
+// transaction to the probe. order is the shard's sort scratch.
 func emitPlatformDevice(tap *probe.Tap[signaling.Transaction], world *netsim.World,
-	src *rng.Source, cfg M2MConfig, spec hmnoSpec, dev identity.DeviceID, prof devices.PlatformProfile) {
+	src *rng.Source, cfg M2MConfig, spec hmnoSpec, dev identity.DeviceID, prof devices.PlatformProfile, order *timeSorter) {
 
 	windowS := int64(cfg.Days) * 86400
 	randTime := func() time.Time {
@@ -341,7 +344,7 @@ func emitPlatformDevice(tap *probe.Tap[signaling.Transaction], world *netsim.Wor
 	for s := range switchTimes {
 		switchTimes[s] = randTime()
 	}
-	sort.SliceStable(switchTimes, func(i, j int) bool { return switchTimes[i].Before(switchTimes[j]) })
+	sortByTime(order, switchTimes, func(t *time.Time) time.Time { return *t })
 	vmnoAt := func(t time.Time) mccmnc.PLMN {
 		seg := sort.Search(len(switchTimes), func(i int) bool { return switchTimes[i].After(t) })
 		return vmnos[seg%len(vmnos)]
@@ -385,7 +388,7 @@ func emitPlatformDevice(tap *probe.Tap[signaling.Transaction], world *netsim.Wor
 // pickVMNOs selects the device's visited networks: its primary
 // country first, spilling to further footprint countries when the
 // device uses more VMNOs than the country hosts. policy orders the
-// partners within each country (the DESIGN.md ablation): "strongest"
+// partners within each country (the abl-policy experiment): "strongest"
 // concentrates every device on the first partner, "rotate" spreads
 // deterministically, "sticky" spreads randomly.
 func pickVMNOs(world *netsim.World, src *rng.Source, spec hmnoSpec, prof devices.PlatformProfile, policy netsim.SelectionPolicy) []mccmnc.PLMN {

@@ -1,7 +1,6 @@
 package dataset
 
 import (
-	"sort"
 	"time"
 
 	"whereroam/internal/catalog"
@@ -234,8 +233,9 @@ func GenerateSMIPRaw(cfg SMIPConfig) (*SMIPDataset, *RawStreams) {
 	// Time-order the streams (probes interleave by capture point). The
 	// sort is stable: each device's emission is already time-sorted, so
 	// every device's relative order stays its emission order.
-	sort.SliceStable(raw.Radio, func(i, j int) bool { return raw.Radio[i].Time.Before(raw.Radio[j].Time) })
-	sort.SliceStable(raw.Records, func(i, j int) bool { return raw.Records[i].Time.Before(raw.Records[j].Time) })
+	var order timeSorter
+	sortByTime(&order, raw.Radio, radioEventTime)
+	sortByTime(&order, raw.Records, cdrTime)
 	return ds, raw
 }
 
@@ -264,9 +264,14 @@ func GenerateSMIPStreaming(cfg SMIPConfig) *SMIPDataset {
 // per device. Taps and builders copy records by value on Offer, so
 // reuse is safe. The zero value is ready to use.
 type emitBufs struct {
-	evs  []radio.Event
-	recs []cdrs.Record
+	evs   []radio.Event
+	recs  []cdrs.Record
+	order timeSorter
 }
+
+func radioEventTime(ev *radio.Event) time.Time { return ev.Time }
+
+func cdrTime(rec *cdrs.Record) time.Time { return rec.Time }
 
 // emitDeviceDaysSched synthesizes per-event streams for one device
 // observed from host over the [start, start+days) window. A day's
@@ -378,11 +383,11 @@ func emitDeviceDaysSched(src *rng.Source, host mccmnc.PLMN, start time.Time, day
 			}
 		}
 
-		sort.SliceStable(dayEvs, func(i, j int) bool { return dayEvs[i].Time.Before(dayEvs[j].Time) })
+		sortByTime(&bufs.order, dayEvs, radioEventTime)
 		for i := range dayEvs {
 			radioTap.Offer(dayEvs[i])
 		}
-		sort.SliceStable(dayRecs, func(i, j int) bool { return dayRecs[i].Time.Before(dayRecs[j].Time) })
+		sortByTime(&bufs.order, dayRecs, cdrTime)
 		for i := range dayRecs {
 			cdrTap.Offer(dayRecs[i])
 		}

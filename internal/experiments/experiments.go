@@ -23,11 +23,11 @@ type Report struct {
 	ID    string
 	Title string
 	// Paper summarizes what the paper reports for this artefact, so
-	// EXPERIMENTS.md can show paper-vs-measured side by side.
+	// the printed report shows paper-vs-measured side by side.
 	Paper  string
 	Tables []*analysis.Table
 	// Values holds the headline numbers keyed by stable names; tests
-	// and EXPERIMENTS.md read them.
+	// and the report's values block read them.
 	Values map[string]float64
 	// Notes carries free-form observations.
 	Notes []string

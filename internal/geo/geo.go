@@ -111,7 +111,7 @@ func Gyration(visits []Visit) float64 {
 }
 
 // GyrationUnweighted ignores weights (every visit counts once). Kept
-// for the ablation in DESIGN.md §5: without time weighting, brief
+// for the abl-gyration experiment: without time weighting, brief
 // cell reselections inflate the apparent mobility of stationary
 // devices.
 func GyrationUnweighted(visits []Visit) float64 {

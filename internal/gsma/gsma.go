@@ -17,8 +17,11 @@ package gsma
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
+	"strings"
+	"sync"
 
 	"whereroam/internal/identity"
 	"whereroam/internal/radio"
@@ -117,13 +120,48 @@ func (a Archetype) String() string {
 	return "arch(" + strconv.Itoa(int(a)) + ")"
 }
 
-// DB is an immutable synthesized catalog. All lookups are safe for
-// concurrent use.
+// DB is a synthesized catalog whose rows never change after
+// Synthesize. All lookups are safe for concurrent use; a DB must not
+// be copied.
 type DB struct {
 	byTAC   map[identity.TAC]DeviceInfo
 	byArch  [archCount][]DeviceInfo // models per archetype, popularity-ordered
 	pick    [archCount]*rng.Weighted
 	vendors map[string]bool
+
+	// restricted holds the vendor-restricted samplers PickFromVendors
+	// has built so far — a handful at most, so lookup is a scan. It is
+	// the catalog's only mutable state; restrictMu guards it.
+	restrictMu sync.Mutex
+	restricted []*restrictedPick
+}
+
+// restrictedPick is one archetype's models narrowed to a vendor set,
+// with the sampler over their popularity weights.
+type restrictedPick struct {
+	arch    Archetype
+	vendors []string
+	models  []DeviceInfo
+	pick    *rng.Weighted
+}
+
+// matches reports whether r was built for a and exactly the listed
+// vendors, in any order and with any repeats.
+func (r *restrictedPick) matches(a Archetype, vendors []string) bool {
+	if r.arch != a {
+		return false
+	}
+	for _, v := range vendors {
+		if !slices.Contains(r.vendors, v) {
+			return false
+		}
+	}
+	for _, v := range r.vendors {
+		if !slices.Contains(vendors, v) {
+			return false
+		}
+	}
+	return true
 }
 
 // Lookup returns the catalog row for the TAC.
@@ -149,24 +187,42 @@ func (db *DB) Pick(src *rng.Source, a Archetype) DeviceInfo {
 
 // PickFromVendors draws a model of the archetype restricted to the
 // listed vendors, preserving relative popularity. It panics if no
-// model matches, which indicates generator misconfiguration.
+// model matches, which indicates generator misconfiguration. The
+// restricted sampler is built on the first call for an (archetype,
+// vendor set) and shared by every later one; a call consumes exactly
+// one draw from src.
 func (db *DB) PickFromVendors(src *rng.Source, a Archetype, vendors ...string) DeviceInfo {
-	allowed := map[string]bool{}
-	for _, v := range vendors {
-		allowed[v] = true
+	r := db.restrictedFor(a, vendors)
+	return r.models[r.pick.DrawFrom(src)]
+}
+
+// restrictedFor returns the sampler for (a, vendors), building it on
+// first use.
+func (db *DB) restrictedFor(a Archetype, vendors []string) *restrictedPick {
+	db.restrictMu.Lock()
+	defer db.restrictMu.Unlock()
+	for _, r := range db.restricted {
+		if r.matches(a, vendors) {
+			return r
+		}
 	}
-	var filtered []DeviceInfo
+	r := &restrictedPick{arch: a, vendors: slices.Clone(vendors)}
 	var weights []float64
 	for rank, di := range db.byArch[a] {
-		if allowed[di.Vendor] {
-			filtered = append(filtered, di)
+		if slices.Contains(vendors, di.Vendor) {
+			r.models = append(r.models, di)
 			weights = append(weights, 1/float64(rank+1))
 		}
 	}
-	if len(filtered) == 0 {
-		panic(fmt.Sprintf("gsma: no %v models from vendors %v", a, vendors))
+	if len(r.models) == 0 {
+		// Joined, not %v: formatting the slice itself would make every
+		// caller's variadic argument escape to the heap.
+		panic(fmt.Sprintf("gsma: no %v models from vendors [%s]", a, strings.Join(vendors, " ")))
 	}
-	return filtered[rng.NewWeighted(src, weights).DrawFrom(src)]
+	// The sampler owns no stream: every draw comes from the caller's.
+	r.pick = rng.NewWeighted(nil, weights)
+	db.restricted = append(db.restricted, r)
+	return r
 }
 
 // PickWithBands draws a model of the archetype whose radio capability

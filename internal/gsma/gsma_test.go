@@ -1,6 +1,7 @@
 package gsma
 
 import (
+	"sync"
 	"testing"
 
 	"whereroam/internal/radio"
@@ -130,6 +131,118 @@ func TestPickFromVendorsPanicsOnUnknown(t *testing.T) {
 		}
 	}()
 	db.PickFromVendors(rng.New(1), ArchM2MModule, "NoSuchVendor")
+}
+
+// pickFromVendorsRebuilding is PickFromVendors as it stood before the
+// restricted sampler was cached: filter, weigh and build a CDF on
+// every call.
+func pickFromVendorsRebuilding(db *DB, src *rng.Source, a Archetype, vendors ...string) DeviceInfo {
+	allowed := map[string]bool{}
+	for _, v := range vendors {
+		allowed[v] = true
+	}
+	var filtered []DeviceInfo
+	var weights []float64
+	for rank, di := range db.byArch[a] {
+		if allowed[di.Vendor] {
+			filtered = append(filtered, di)
+			weights = append(weights, 1/float64(rank+1))
+		}
+	}
+	return filtered[rng.NewWeighted(src, weights).DrawFrom(src)]
+}
+
+func TestPickFromVendorsMatchesRebuildingReference(t *testing.T) {
+	db := testDB(t)
+	sets := [][]string{{"Gemalto", "Telit"}, {"Sierra Wireless"}}
+	got, want := rng.New(11), rng.New(11)
+	// Interleave the sets so each call has to find its own sampler.
+	for i := 0; i < 10000; i++ {
+		vs := sets[i%len(sets)]
+		g := db.PickFromVendors(got, ArchM2MModule, vs...)
+		w := pickFromVendorsRebuilding(db, want, ArchM2MModule, vs...)
+		if g != w {
+			t.Fatalf("draw %d over %v: got %+v, reference %+v", i, vs, g, w)
+		}
+	}
+	if got.Float64() != want.Float64() {
+		t.Fatal("streams diverged: the cached sampler consumed a different number of draws")
+	}
+}
+
+func TestPickFromVendorsIgnoresVendorOrder(t *testing.T) {
+	db := testDB(t)
+	a, b, c := rng.New(12), rng.New(12), rng.New(12)
+	for i := 0; i < 2000; i++ {
+		x := db.PickFromVendors(a, ArchM2MModule, "Gemalto", "Telit")
+		y := db.PickFromVendors(b, ArchM2MModule, "Telit", "Gemalto")
+		z := db.PickFromVendors(c, ArchM2MModule, "Telit", "Gemalto", "Telit")
+		if x != y || x != z {
+			t.Fatalf("draw %d depends on vendor listing: %+v / %+v / %+v", i, x, y, z)
+		}
+	}
+	if n := len(db.restricted); n != 1 {
+		t.Fatalf("%d samplers built for one vendor set", n)
+	}
+}
+
+func TestPickFromVendorsAllocatesNothingWarm(t *testing.T) {
+	db := testDB(t)
+	src := rng.New(13)
+	db.PickFromVendors(src, ArchM2MModule, "Gemalto", "Telit")
+	allocs := testing.AllocsPerRun(1000, func() {
+		db.PickFromVendors(src, ArchM2MModule, "Gemalto", "Telit")
+	})
+	if allocs != 0 {
+		t.Fatalf("%.1f allocations per warm call, want 0", allocs)
+	}
+}
+
+// Emission shards hit a fresh DB's first PickFromVendors together
+// (run under -race): every goroutine must see one sampler and the
+// draws a serial caller would.
+func TestPickFromVendorsConcurrentFirstUse(t *testing.T) {
+	ref := testDB(t)
+	const goroutines, draws = 8, 200
+	want := make([][]DeviceInfo, goroutines)
+	for g := range want {
+		src := rng.New(uint64(100 + g))
+		for i := 0; i < draws; i++ {
+			want[g] = append(want[g], pickFromVendorsRebuilding(ref, src, ArchM2MModule, "Gemalto", "Telit"))
+		}
+	}
+
+	db := testDB(t)
+	got := make([][]DeviceInfo, goroutines)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			src := rng.New(uint64(100 + g))
+			<-start
+			for i := 0; i < draws; i++ {
+				vs := []string{"Gemalto", "Telit"}
+				if g%2 == 1 {
+					vs[0], vs[1] = vs[1], vs[0]
+				}
+				got[g] = append(got[g], db.PickFromVendors(src, ArchM2MModule, vs...))
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	for g := range got {
+		for i := range got[g] {
+			if got[g][i] != want[g][i] {
+				t.Fatalf("goroutine %d draw %d: got %+v, want %+v", g, i, got[g][i], want[g][i])
+			}
+		}
+	}
+	if n := len(db.restricted); n != 1 {
+		t.Fatalf("%d samplers built for one vendor set", n)
+	}
 }
 
 func TestPickWithBands(t *testing.T) {

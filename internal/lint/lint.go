@@ -20,9 +20,9 @@
 //     rand.NewSource construction, and time.Now in the deterministic
 //     packages — randomness must flow through internal/rng substreams
 //     and clocks through configuration.
-//   - stablesort: flags sort.Slice whose less function compares
-//     timestamps — ties must use sort.SliceStable (the PR 3 bug
-//     class).
+//   - stablesort: flags sort.Slice / slices.SortFunc whose comparison
+//     function compares timestamps — ties must use a stable sort or
+//     a total-order key (the PR 3 bug class).
 //   - floatfold: flags floating-point accumulation inside a map range
 //     or inside Merge/fold bodies, where shard or iteration order is
 //     not pinned (the PR 4 bug class).

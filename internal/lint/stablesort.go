@@ -6,16 +6,17 @@ import (
 	"regexp"
 )
 
-// StableSort flags sort.Slice (and slices.SortFunc) calls whose less
-// function compares timestamps. Timestamp keys tie — two records in
-// the same nanosecond, two events on the same day — and sort.Slice is
-// explicitly unstable, so the relative order of tied elements depends
-// on the input permutation, which in this repository depends on the
-// worker count. That was exactly the PR 3 bug: a timestamp sort over
+// StableSort flags sort.Slice (and slices.SortFunc) calls whose
+// comparison function compares timestamps. Timestamp keys tie — two
+// records in the same nanosecond, two events on the same day — and
+// sort.Slice is explicitly unstable, so the relative order of tied
+// elements depends on the input permutation, which in this repository
+// depends on the worker count. That was exactly the PR 3 bug: a timestamp sort over
 // shard-merged transactions reordered ties across worker counts.
-// Tie-prone sorts must either use sort.SliceStable (preserving the
-// pinned upstream order) or extend the key to a total order, in which
-// case the site carries //roamvet:stablesort-ok <reason>.
+// Tie-prone sorts must either be stable (sort.SliceStable,
+// slices.SortStableFunc, sort.Stable — preserving the pinned upstream
+// order) or extend the key to a total order, in which case the site
+// carries //roamvet:stablesort-ok <reason>.
 var StableSort = &Analyzer{
 	Name:       "stablesort",
 	Doc:        "flags unstable sorts whose comparison key is a timestamp",
@@ -59,11 +60,19 @@ func runStableSort(pass *Pass) {
 	}
 }
 
-// comparesTimestamps reports whether the less function's body
-// compares time.Time values (via <, >, Before or After) or orders by
-// a field whose name is timestamp-like.
+// comparesTimestamps reports whether the comparison function's body
+// compares time.Time values (via <, >, Before, After or Compare) or
+// orders by a field whose name is timestamp-like (via <, > or
+// cmp.Compare).
 func comparesTimestamps(pass *Pass, fl *ast.FuncLit) bool {
 	found := false
+	timeish := func(op ast.Expr) bool {
+		if t := pass.Info.TypeOf(op); t != nil && isTimeTime(t) {
+			return true
+		}
+		sel, ok := op.(*ast.SelectorExpr)
+		return ok && timeishName.MatchString(sel.Sel.Name)
+	}
 	ast.Inspect(fl.Body, func(n ast.Node) bool {
 		if found {
 			return false
@@ -72,19 +81,17 @@ func comparesTimestamps(pass *Pass, fl *ast.FuncLit) bool {
 		case *ast.BinaryExpr:
 			switch e.Op {
 			case token.LSS, token.GTR, token.LEQ, token.GEQ:
-				for _, op := range []ast.Expr{e.X, e.Y} {
-					if t := pass.Info.TypeOf(op); t != nil && isTimeTime(t) {
-						found = true
-					}
-					if sel, ok := op.(*ast.SelectorExpr); ok && timeishName.MatchString(sel.Sel.Name) {
-						found = true
-					}
-				}
+				found = timeish(e.X) || timeish(e.Y)
 			}
 		case *ast.CallExpr:
-			if sel, ok := e.Fun.(*ast.SelectorExpr); ok && (sel.Sel.Name == "Before" || sel.Sel.Name == "After") {
-				if t := pass.Info.TypeOf(sel.X); t != nil && isTimeTime(t) {
-					found = true
+			if pkg, name, ok := pkgFunc(pass.Info, e.Fun); ok {
+				found = pkg == "cmp" && name == "Compare" && len(e.Args) == 2 &&
+					(timeish(e.Args[0]) || timeish(e.Args[1]))
+			} else if sel, ok := e.Fun.(*ast.SelectorExpr); ok {
+				switch sel.Sel.Name {
+				case "Before", "After", "Compare":
+					t := pass.Info.TypeOf(sel.X)
+					found = t != nil && isTimeTime(t)
 				}
 			}
 		}

@@ -219,7 +219,7 @@ func (w *World) ConfigFor(home, visited mccmnc.PLMN) RoamingConfig {
 // SelectionPolicy picks the visited network for a roaming device.
 type SelectionPolicy uint8
 
-// VMNO selection policies (the DESIGN.md ablation).
+// VMNO selection policies (the abl-policy experiment).
 const (
 	// PolicySticky keeps the previous VMNO until it fails.
 	PolicySticky SelectionPolicy = iota

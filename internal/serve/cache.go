@@ -2,6 +2,7 @@ package serve
 
 import (
 	"container/list"
+	"fmt"
 	"sync"
 )
 
@@ -80,7 +81,10 @@ func newSliceCache(maxBytes int64) *sliceCache {
 // get returns the slice cached under key, or builds it with fill.
 // Exactly one caller runs fill per missing key at a time; every
 // concurrent caller for the same key receives the identical *slice
-// (or the identical error, which is never cached).
+// (or the identical error, which is never cached). If fill panics the
+// panic continues up the filling caller's stack, callers already
+// waiting on the flight get an error, and the key is left clear so the
+// next request fills afresh.
 func (c *sliceCache) get(key string, fill func() (*slice, error)) (*slice, error) {
 	c.mu.Lock()
 	if el, ok := c.items[key]; ok {
@@ -102,15 +106,24 @@ func (c *sliceCache) get(key string, fill func() (*slice, error)) (*slice, error
 	c.fills++
 	c.mu.Unlock()
 
+	// Land the flight in a defer: a fill that panics (net/http recovers
+	// it per connection) must still clear inflight[key] and close done,
+	// or every later request for the key would block for ever.
+	returned := false
+	defer func() {
+		if !returned {
+			fl.s, fl.err = nil, fmt.Errorf("serve: fill of slice %q panicked", key)
+		}
+		c.mu.Lock()
+		delete(c.inflight, key)
+		if fl.err == nil {
+			c.insertLocked(key, fl.s)
+		}
+		c.mu.Unlock()
+		close(fl.done)
+	}()
 	fl.s, fl.err = fill()
-
-	c.mu.Lock()
-	delete(c.inflight, key)
-	if fl.err == nil {
-		c.insertLocked(key, fl.s)
-	}
-	c.mu.Unlock()
-	close(fl.done)
+	returned = true
 	return fl.s, fl.err
 }
 

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -82,6 +83,58 @@ func TestCacheErrorNotCached(t *testing.T) {
 	}
 	if st := c.stats(); st.Fills != 2 || st.Hits != 0 {
 		t.Fatalf("counters after retry: %+v, want Fills=2 Hits=0", st)
+	}
+}
+
+// TestCacheFillPanicReleasesFlight pins the panic path: the panic
+// surfaces on the filling caller, a caller already waiting on that
+// flight gets an error instead of blocking for ever, nothing is
+// cached, and the next request for the key runs a fresh fill.
+func TestCacheFillPanicReleasesFlight(t *testing.T) {
+	c := newSliceCache(0)
+	release := make(chan struct{})
+
+	fillerPanic := make(chan any, 1)
+	go func() {
+		defer func() { fillerPanic <- recover() }()
+		c.get("k", func() (*slice, error) {
+			<-release // hold the flight open until the waiter has joined it
+			panic("decode blew up")
+		})
+	}()
+	for c.stats().Fills == 0 {
+		runtime.Gosched()
+	}
+	waiterErr := make(chan error, 1)
+	go func() {
+		_, err := c.get("k", func() (*slice, error) {
+			t.Error("waiter ran its own fill while one was in flight")
+			return nil, nil
+		})
+		waiterErr <- err
+	}()
+	for c.stats().Waits == 0 {
+		runtime.Gosched()
+	}
+	close(release)
+
+	if p := <-fillerPanic; p != "decode blew up" {
+		t.Fatalf("filling caller recovered %v, want the fill's own panic value", p)
+	}
+	if err := <-waiterErr; err == nil {
+		t.Fatal("waiter on a panicked fill got a nil error")
+	}
+	if st := c.stats(); st.Entries != 0 {
+		t.Fatalf("panicked fill was cached: %+v", st)
+	}
+
+	want := &slice{cost: 1}
+	s, err := c.get("k", func() (*slice, error) { return want, nil })
+	if err != nil || s != want {
+		t.Fatalf("request after the panic: s=%p err=%v, want a fresh fill", s, err)
+	}
+	if st := c.stats(); st.Fills != 2 || st.Waits != 1 || st.Entries != 1 {
+		t.Fatalf("counters after recovery: %+v, want Fills=2 Waits=1 Entries=1", st)
 	}
 }
 

@@ -47,10 +47,11 @@ package store
 
 import (
 	"bufio"
+	"cmp"
 	"fmt"
 	"io"
 	"os"
-	"sort"
+	"slices"
 
 	"whereroam/internal/cdrs"
 	"whereroam/internal/signaling"
@@ -324,11 +325,11 @@ func segmentRun[T any](r *Reader, si *SegmentInfo, q Query,
 		if err != nil {
 			return nil, err
 		}
-		sort.SliceStable(recs, func(i, j int) bool {
-			if recs[i].timeN != recs[j].timeN {
-				return recs[i].timeN < recs[j].timeN
+		slices.SortStableFunc(recs, func(a, b keyed) int {
+			if c := cmp.Compare(a.timeN, b.timeN); c != 0 {
+				return c
 			}
-			return recs[i].dev < recs[j].dev
+			return cmp.Compare(a.dev, b.dev)
 		})
 		i := 0
 		run := &openRun[T]{info: info, done: func() error { return nil }}

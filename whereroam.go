@@ -16,7 +16,9 @@
 //	// pop.Results[i] and pop.Labels[i] describe pop.Sums[i]
 //
 // The experiment runners regenerate every table and figure of the
-// paper's evaluation; see cmd/roamrepro and EXPERIMENTS.md.
+// paper's evaluation; see cmd/roamrepro (-list names them, -experiment
+// all prints every report with the paper's figure beside the measured
+// one).
 package whereroam
 
 import (
