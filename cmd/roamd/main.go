@@ -23,24 +23,42 @@
 //	/debug/spans                         recent traced operations (-metrics)
 //	/debug/pprof/*                       runtime profiles (-pprof)
 //
+// SIGINT or SIGTERM stops the listener, lets in-flight requests finish
+// (up to ten seconds) and exits 0.
+//
 // -cache-mb defaults to -1: derive the slice-cache bound from the
 // process's GOMEMLIMIT (a quarter of the limit, clamped), falling
 // back to 256 MiB when no limit is set.
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
 	"net/http"
 	"os"
+	"os/signal"
 	"runtime"
 	"runtime/debug"
 	"strings"
+	"syscall"
 	"time"
 
 	"whereroam/internal/obs"
 	"whereroam/internal/serve"
+)
+
+// The listener's limits. There is no write timeout: a cold fill
+// replays and classifies a slice before the first byte and may
+// legitimately take seconds.
+const (
+	readHeaderTimeout = 5 * time.Second
+	idleTimeout       = 2 * time.Minute
+	maxHeaderBytes    = 64 << 10
+	// drainTimeout bounds how long SIGINT/SIGTERM waits for in-flight
+	// requests before the process exits non-zero.
+	drainTimeout = 10 * time.Second
 )
 
 func main() {
@@ -103,8 +121,30 @@ func main() {
 		log.Print("profiling on /debug/pprof/")
 	}
 
-	log.Printf("serving on %s", *addr)
-	if err := http.ListenAndServe(*addr, mux); err != nil {
-		log.Fatal(err)
+	hs := &http.Server{
+		Addr:              *addr,
+		Handler:           mux,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+		MaxHeaderBytes:    maxHeaderBytes,
 	}
+	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
+	served := make(chan error, 1)
+	go func() { served <- hs.ListenAndServe() }()
+	log.Printf("serving on %s", *addr)
+
+	select {
+	case err := <-served:
+		log.Fatal(err) // the listener failed: nothing is in flight to drain
+	case <-ctx.Done():
+	}
+	stop() // a second signal kills the process the default way
+	log.Printf("signal received: draining for up to %s", drainTimeout)
+	drain, cancel := context.WithTimeout(context.Background(), drainTimeout)
+	defer cancel()
+	if err := hs.Shutdown(drain); err != nil {
+		log.Fatalf("drain: %v", err)
+	}
+	<-served // http.ErrServerClosed, once Shutdown has begun
+	log.Print("stopped")
 }

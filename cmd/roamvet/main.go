@@ -8,14 +8,19 @@
 //	go vet -vettool=$(pwd)/roamvet ./...
 //
 // Standalone mode loads packages via `go list -export` and analyzes
-// every matched package of this module. As a vettool it speaks the go
-// command's unit-checking protocol (-V=full / -flags handshakes plus
-// one JSON config per package), so findings integrate with go vet's
-// caching and output, and CI can make the suite a hard build gate.
+// every matched package of this module; run from the module root on
+// exactly `./...` (the default) it also loads the nested bench/
+// module and applies the whole-module deadcode rule, which the
+// one-package-at-a-time vettool protocol cannot. As a vettool it
+// speaks the go command's unit-checking protocol (-V=full / -flags
+// handshakes plus one JSON config per package), so findings integrate
+// with go vet's caching and output, and CI can make the suite a hard
+// build gate.
 // Either way the exit status is 0 when the tree is clean, 2 when any
 // analyzer reports a finding, 1 on operational errors.
 //
-// Analyzers: maporder, rngpurity, stablesort, floatfold, godoclint.
+// Analyzers: maporder, rngpurity, stablesort, floatfold, godoclint,
+// and the whole-module deadcode.
 // Safe sites are annotated in source with //roamvet:<analyzer>-ok
 // <reason>; the reason is mandatory.
 package main
@@ -32,7 +37,7 @@ import (
 // version is the fingerprint roamvet reports to the go command's
 // -V=full handshake; it keys go vet's result cache, so bump it
 // whenever analyzer behavior changes.
-const version = "roamvet-1.0.0"
+const version = "roamvet-1.1.0"
 
 func main() {
 	args := os.Args[1:]
@@ -61,14 +66,21 @@ func main() {
 	if err != nil {
 		exit(0, err)
 	}
-	n := 0
+	var diags []lint.Diagnostic
 	for _, u := range units {
-		for _, d := range lint.Run(u, lint.AnalyzersFor(u.Path)) {
-			fmt.Fprintf(os.Stderr, "%s: %s [%s]\n", d.Pos, d.Message, d.Analyzer)
-			n++
-		}
+		diags = append(diags, lint.Run(u, lint.AnalyzersFor(u.Path))...)
 	}
-	exit(n, nil)
+	if len(patterns) == 1 && patterns[0] == "./..." {
+		bench, err := driver.Load("bench", "./...")
+		if err != nil {
+			exit(0, err)
+		}
+		diags = append(diags, lint.RunDeadcode(append(units, bench...))...)
+	}
+	for _, d := range diags {
+		fmt.Fprintln(os.Stderr, d)
+	}
+	exit(len(diags), nil)
 }
 
 // exit maps (findings, error) onto the vettool exit protocol: 1 for

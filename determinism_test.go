@@ -24,6 +24,7 @@ import (
 	"whereroam/internal/dataset"
 	"whereroam/internal/devices"
 	"whereroam/internal/identity"
+	"whereroam/internal/ingest"
 	"whereroam/internal/signaling"
 	"whereroam/internal/store"
 )
@@ -145,47 +146,23 @@ func TestSMIPStreamingMatchesBatch(t *testing.T) {
 	}
 }
 
-// StreamM2M's ordered fan-in delivers the exact serial emission order
-// at any worker count, so sorting the streamed records by time must
-// reproduce GenerateM2M's materialized transaction stream bit for
-// bit.
-func TestStreamM2MMatchesGenerate(t *testing.T) {
-	cfg := dataset.DefaultM2MConfig()
-	cfg.Devices = 800
-	cfg.Workers = 1
-	batch := dataset.GenerateM2M(cfg)
-
-	for _, workers := range []int{1, 4} {
-		scfg := cfg
-		scfg.Workers = workers
-		var txs []signaling.Transaction
-		stream := dataset.StreamM2M(scfg, func(tx signaling.Transaction) { txs = append(txs, tx) })
-		sort.SliceStable(txs, func(i, j int) bool { return txs[i].Time.Before(txs[j].Time) })
-		if !reflect.DeepEqual(batch.Transactions, txs) {
-			t.Errorf("workers %d: streamed+sorted transactions differ from batch", workers)
-		}
-		if !reflect.DeepEqual(batch.Truth, stream.Truth) {
-			t.Errorf("workers %d: ground truth differs from batch", workers)
-		}
-	}
-}
-
-// Tied timestamps must not break the batch/streaming equivalence:
-// both paths order ties by serial emission order (GenerateM2M's final
-// sort is stable over the shard-ordered capture; the stream arrives
-// in that order and is stable-sorted by consumers). A one-day window
-// forces heavy second-granularity collisions.
+// Tied timestamps must not break worker-count equivalence: the final
+// time sort is stable over the shard-ordered capture, so ties keep
+// serial emission order whatever the fan-out. A one-day window forces
+// heavy second-granularity collisions. (The ordered fan-in the name
+// recalls is pinned through StreamMNO by
+// TestOutOfCoreMNOMatchesMaterialized.)
 func TestStreamM2MTieHeavyStableOrder(t *testing.T) {
 	cfg := dataset.DefaultM2MConfig()
 	cfg.Devices = 600
 	cfg.Days = 1
 	cfg.Workers = 1
-	batch := dataset.GenerateM2M(cfg)
+	serial := dataset.GenerateM2M(cfg)
 
 	ties := 0
-	for i := 1; i < len(batch.Transactions); i++ {
-		if batch.Transactions[i].Time.Equal(batch.Transactions[i-1].Time) &&
-			batch.Transactions[i].Device != batch.Transactions[i-1].Device {
+	for i := 1; i < len(serial.Transactions); i++ {
+		if serial.Transactions[i].Time.Equal(serial.Transactions[i-1].Time) &&
+			serial.Transactions[i].Device != serial.Transactions[i-1].Device {
 			ties++
 		}
 	}
@@ -193,15 +170,9 @@ func TestStreamM2MTieHeavyStableOrder(t *testing.T) {
 		t.Fatal("capture has no cross-device timestamp ties; the regression needs them")
 	}
 
-	for _, workers := range []int{1, 4} {
-		scfg := cfg
-		scfg.Workers = workers
-		var txs []signaling.Transaction
-		dataset.StreamM2M(scfg, func(tx signaling.Transaction) { txs = append(txs, tx) })
-		sort.SliceStable(txs, func(i, j int) bool { return txs[i].Time.Before(txs[j].Time) })
-		if !reflect.DeepEqual(batch.Transactions, txs) {
-			t.Errorf("workers %d: %d cross-device ties permuted differently in streamed capture", workers, ties)
-		}
+	cfg.Workers = 4
+	if par := dataset.GenerateM2M(cfg); !reflect.DeepEqual(serial.Transactions, par.Transactions) {
+		t.Errorf("workers 4: %d cross-device ties permuted differently from the serial capture", ties)
 	}
 }
 
@@ -303,9 +274,8 @@ func TestFederationScheduleExclusive(t *testing.T) {
 }
 
 // The federated M2M plane — the §3/§6 signaling view of the shared
-// fleet — must be bit-identical across worker counts, and its
-// streaming twin must reproduce the batch stream after a stable time
-// sort. Every transaction's visited network must follow the shared
+// fleet — must be bit-identical across worker counts. Every
+// transaction's visited network must follow the shared
 // schedule (cancel-location legs of a switch aim at the previous
 // day's network by design).
 func TestFederationM2MPlaneDeterministic(t *testing.T) {
@@ -326,16 +296,6 @@ func TestFederationM2MPlaneDeterministic(t *testing.T) {
 	}
 	if !reflect.DeepEqual(serial.Truth, par.Truth) {
 		t.Error("workers=4 federated M2M truth differs from serial")
-	}
-
-	var txs []signaling.Transaction
-	stream := dataset.StreamFederationM2M(fedPar, func(tx signaling.Transaction) { txs = append(txs, tx) })
-	sort.SliceStable(txs, func(i, j int) bool { return txs[i].Time.Before(txs[j].Time) })
-	if !reflect.DeepEqual(serial.Transactions, txs) {
-		t.Error("streamed+sorted federated M2M plane differs from batch")
-	}
-	if !reflect.DeepEqual(serial.Truth, stream.Truth) {
-		t.Error("streamed federated M2M truth differs from batch")
 	}
 
 	// Schedule consistency: every non-cancel transaction sits on the
@@ -435,7 +395,7 @@ func TestStoreReplayDeterministic(t *testing.T) {
 		}
 		live := b.Build()
 		sb := catalog.NewShardedBuilder(cfg.Host, cfg.Start, cfg.Days, nil, 4)
-		in := NewCatalogIngester(sb, 0)
+		in := ingest.NewCatalogIngester(sb, 0)
 		for i := range raw.Records {
 			in.OfferRecord(raw.Records[i])
 		}
@@ -537,28 +497,29 @@ func TestStorePrunedReplay(t *testing.T) {
 	}
 }
 
-// The signaling plane closes the ROADMAP streaming-persistence loop:
-// StreamM2M's deterministic ordered stream fans out to a signaling
-// store while a consumer drains it live, and replaying the store
-// reproduces the exact stream — so the §3 transaction feed is
-// archive-once/consume-many like the CDR plane.
+// The signaling plane is archive-once/consume-many like the CDR
+// plane: the §3 transaction feed written through a signaling store's
+// sink replays as the exact stream.
 func TestStreamM2MArchiveRoundTrip(t *testing.T) {
 	cfg := dataset.DefaultM2MConfig()
 	cfg.Devices = 500
 	cfg.Workers = 4
+	live := dataset.GenerateM2M(cfg).Transactions
+	if len(live) == 0 {
+		t.Fatal("capture is empty")
+	}
 
 	dir := filepath.Join(t.TempDir(), "txfeed")
-	w, err := NewSignalingArchiveWriter(dir, store.Meta{Start: cfg.Start, Days: cfg.Days}, 256)
+	w, err := store.NewSignalingWriter(dir, store.Meta{Start: cfg.Start, Days: cfg.Days}, 256)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var live []signaling.Transaction
-	dataset.StreamM2M(cfg, Fanout(w.Sink(), func(tx signaling.Transaction) { live = append(live, tx) }))
+	sink := w.Sink()
+	for _, tx := range live {
+		sink(tx)
+	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
-	}
-	if len(live) == 0 {
-		t.Fatal("streamed capture is empty")
 	}
 
 	rep, err := store.Open(dir)
@@ -570,7 +531,7 @@ func TestStreamM2MArchiveRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(live, replayed) {
-		t.Fatal("replayed signaling stream differs from the live ordered stream")
+		t.Fatal("replayed signaling stream differs from the stream written")
 	}
 }
 
@@ -779,13 +740,5 @@ func TestSampledM2MDeterministicAcrossWorkerCounts(t *testing.T) {
 	par := dataset.GenerateM2M(cfg)
 	if !reflect.DeepEqual(serial.Transactions, par.Transactions) {
 		t.Error("workers=4 sampled capture differs from serial")
-	}
-
-	// The streaming path thins through the same per-record verdicts.
-	var txs []signaling.Transaction
-	dataset.StreamM2M(cfg, func(tx signaling.Transaction) { txs = append(txs, tx) })
-	sort.SliceStable(txs, func(i, j int) bool { return txs[i].Time.Before(txs[j].Time) })
-	if !reflect.DeepEqual(serial.Transactions, txs) {
-		t.Error("streamed sampled capture differs from materialized serial")
 	}
 }

@@ -4,9 +4,11 @@
 // analyzer of internal/lint — where roamvet and `go vet -vettool`
 // also enforce them — and this test is a thin in-process wrapper so
 // that `go test` alone still walks the documentation contract. The
-// strict-package set is lint.StrictGodocPackages. One rule lives only
-// here because it needs the file tree: a comment that names a *.md
-// document must name one that exists.
+// strict-package set is lint.StrictGodocPackages. Two rules live only
+// here because they need the file tree: a comment that names a *.md
+// document must name one that exists, and a whereroam.<Name> in the
+// documents that describe the current tree must be a name the facade
+// exports.
 package whereroam
 
 import (
@@ -157,6 +159,45 @@ func TestGodocMarkdownReferencesExist(t *testing.T) {
 							}
 						}
 					}
+				}
+			}
+		}
+	}
+}
+
+// facadeRef matches a facade name as the documents write it.
+var facadeRef = regexp.MustCompile(`\bwhereroam\.([A-Z]\w*)`)
+
+// TestMarkdownFacadeReferencesExist fails on a whereroam.<Name> in
+// README.md or docs/*.md that the root package does not export, so a
+// snippet cannot outlive the name it calls. The logs of past and
+// planned work (CHANGES.md, ROADMAP.md, ISSUE.md) quote removed names
+// on purpose and are not read.
+func TestMarkdownFacadeReferencesExist(t *testing.T) {
+	exported := map[string]bool{}
+	_, pkgs := parseDir(t, ".")
+	for _, name := range sortedKeys(pkgs) {
+		for _, f := range pkgs[name].Files {
+			for obj := range f.Scope.Objects {
+				if ast.IsExported(obj) {
+					exported[obj] = true
+				}
+			}
+		}
+	}
+	docs, err := filepath.Glob("docs/*.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, doc := range append([]string{"README.md"}, docs...) {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, line := range strings.Split(string(text), "\n") {
+			for _, m := range facadeRef.FindAllStringSubmatch(line, -1) {
+				if !exported[m[1]] {
+					t.Errorf("%s:%d: whereroam.%s is not a name the facade exports", doc, i+1, m[1])
 				}
 			}
 		}

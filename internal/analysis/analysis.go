@@ -81,24 +81,6 @@ func (e *ECDF) Max() float64 {
 	return e.sorted[len(e.sorted)-1]
 }
 
-// Min returns the smallest sample (0 for empty).
-func (e *ECDF) Min() float64 {
-	if len(e.sorted) == 0 {
-		return 0
-	}
-	return e.sorted[0]
-}
-
-// Series samples the ECDF at the given points, returning P(X <= x)
-// for each — the rows a figure plot would consume.
-func (e *ECDF) Series(points []float64) []float64 {
-	out := make([]float64, len(points))
-	for i, x := range points {
-		out[i] = e.At(x)
-	}
-	return out
-}
-
 // Crosstab is a two-way contingency table with string-keyed rows and
 // columns, preserving insertion order for rendering.
 type Crosstab struct {

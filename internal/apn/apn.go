@@ -144,10 +144,6 @@ func (a APN) String() string {
 // IsZero reports whether the APN is empty.
 func (a APN) IsZero() bool { return a.NetworkID == "" && a.Operator.IsZero() }
 
-// HasOperatorID reports whether the APN carries an Operator
-// Identifier suffix.
-func (a APN) HasOperatorID() bool { return !a.Operator.IsZero() }
-
 // Keywords tokenizes the Network Identifier into the lookup keys the
 // classifier matches its keyword table against: dot labels are split
 // further on hyphens and underscores, and the generic DNS tails

@@ -32,7 +32,7 @@ func TestParseBareNetworkID(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.HasOperatorID() {
+	if !a.Operator.IsZero() {
 		t.Error("bare NI should have no operator")
 	}
 	if a.String() != "payandgo.o2.co.uk" {

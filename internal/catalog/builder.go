@@ -294,19 +294,6 @@ func (sb *ShardedBuilder) ShardFor(dev identity.DeviceID) int {
 // one goroutine at a time.
 func (sb *ShardedBuilder) Builder(i int) *Builder { return sb.shards[i] }
 
-// AddRadioEvent routes one radio event to its shard. Not safe for
-// concurrent callers; for parallel ingestion partition the stream
-// with ShardFor and feed each shard's Builder directly.
-func (sb *ShardedBuilder) AddRadioEvent(ev radio.Event) {
-	sb.shards[sb.ShardFor(ev.Device)].AddRadioEvent(ev)
-}
-
-// AddRecord routes one CDR/xDR to its shard; same concurrency
-// contract as AddRadioEvent.
-func (sb *ShardedBuilder) AddRecord(rec cdrs.Record) {
-	sb.shards[sb.ShardFor(rec.Device)].AddRecord(rec)
-}
-
 // Build finalizes every shard concurrently on workers goroutines and
 // merges the shard outputs into one sorted catalog. Shards own
 // device-disjoint record sets and (device, day) is a total order, so

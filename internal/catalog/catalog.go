@@ -128,20 +128,10 @@ type Summary struct {
 	HasLocation    bool
 }
 
-// UsesData reports whether the device generated any data traffic.
-func (s *Summary) UsesData() bool { return !s.DataRATs.Empty() }
-
-// UsesVoice reports whether the device generated any voice traffic.
-func (s *Summary) UsesVoice() bool { return !s.VoiceRATs.Empty() }
-
-// Summaries aggregates the catalog per device and joins the GSMA
-// database. The result is sorted by device ID for determinism.
-// Aggregation is chunk-parallel over the record slice with one worker
-// per CPU; see SummariesWorkers for the worker-count contract.
-func (c *Catalog) Summaries(db *gsma.DB) []Summary { return c.SummariesWorkers(db, 0) }
-
-// SummariesWorkers is Summaries with an explicit worker count (below
-// one = one worker per CPU, one = serial). Record chunks are
+// SummariesWorkers aggregates the catalog per device and joins the
+// GSMA database (nil = no join), sorted by device ID, on workers
+// goroutines (below one = one worker per CPU, one = serial). Record
+// chunks are
 // aggregated concurrently into partial per-device summaries and
 // merged in chunk order; chunk boundaries depend only on the record
 // count, so the result — including float accumulation order — is

@@ -135,7 +135,7 @@ func TestBuilderMobilityFromDwell(t *testing.T) {
 	// A device alternating between two far-apart sectors with equal
 	// dwell should show gyration about half the sector distance.
 	s1, _ := grid.Sector(0)
-	s2, _ := grid.Sector(radio.SectorID(grid.Len() - 1))
+	s2, _ := grid.Sector(30*30 - 1) // the far corner of ukGrid
 	for h := 0; h < 12; h++ {
 		sec := s1.ID
 		if h%2 == 1 {
@@ -171,7 +171,7 @@ func TestSummaries(t *testing.T) {
 		})
 	}
 	cat := b.Build()
-	sums := cat.Summaries(db)
+	sums := cat.SummariesWorkers(db, 0)
 	if len(sums) != 1 {
 		t.Fatalf("summaries = %d", len(sums))
 	}
@@ -185,7 +185,7 @@ func TestSummaries(t *testing.T) {
 	if !s.InfoOK {
 		t.Fatal("TAC should resolve against the synthetic GSMA catalog")
 	}
-	if !s.UsesData() || s.UsesVoice() {
+	if s.DataRATs.Empty() || !s.VoiceRATs.Empty() {
 		t.Error("service flags wrong")
 	}
 	if len(s.APNs) != 1 {
@@ -200,7 +200,7 @@ func TestSummariesUnknownTAC(t *testing.T) {
 		Device: identity.DeviceID(1), Time: start, SIM: nlSIM,
 		TAC: 99999999, Interface: radio.IfGb, Result: radio.ResultOK,
 	})
-	sums := b.Build().Summaries(db)
+	sums := b.Build().SummariesWorkers(db, 0)
 	if sums[0].InfoOK {
 		t.Error("unknown TAC should not resolve")
 	}
@@ -214,7 +214,7 @@ func TestSummariesSortedAndMultiDevice(t *testing.T) {
 			SIM: nlSIM, Interface: radio.IfGb, Result: radio.ResultOK,
 		})
 	}
-	sums := b.Build().Summaries(nil)
+	sums := b.Build().SummariesWorkers(nil, 0)
 	if len(sums) != 10 {
 		t.Fatalf("summaries = %d", len(sums))
 	}

@@ -6,7 +6,6 @@ import (
 	"io"
 	"strconv"
 	"strings"
-	"time"
 
 	"whereroam/internal/apn"
 	"whereroam/internal/identity"
@@ -223,10 +222,4 @@ func parseCSVRow(row []string) (DailyRecord, error) {
 		return r, fmt.Errorf("has_location: %w", err)
 	}
 	return r, nil
-}
-
-// StartOfDay returns the UTC timestamp of a day index given the
-// window start — a convenience for tools replaying catalogs.
-func StartOfDay(start time.Time, day int) time.Time {
-	return start.Add(time.Duration(day) * 24 * time.Hour)
 }

@@ -62,10 +62,10 @@ func TestShardedBuilderMatchesSerial(t *testing.T) {
 	for _, shards := range []int{1, 3, 8} {
 		sb := NewShardedBuilder(host, start, 22, grid, shards)
 		for i := range evs {
-			sb.AddRadioEvent(evs[i])
+			sb.Builder(sb.ShardFor(evs[i].Device)).AddRadioEvent(evs[i])
 		}
 		for i := range recs {
-			sb.AddRecord(recs[i])
+			sb.Builder(sb.ShardFor(recs[i].Device)).AddRecord(recs[i])
 		}
 		got := sb.Build(0)
 		if !reflect.DeepEqual(want.Records, got.Records) {

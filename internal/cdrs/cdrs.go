@@ -36,17 +36,6 @@ func (k Kind) String() string {
 	return "data"
 }
 
-// ParseKind parses the String form.
-func ParseKind(s string) (Kind, error) {
-	switch s {
-	case "voice":
-		return KindVoice, nil
-	case "data":
-		return KindData, nil
-	}
-	return 0, fmt.Errorf("cdrs: unknown kind %q", s)
-}
-
 // Record is one CDR/xDR.
 type Record struct {
 	Device   identity.DeviceID
@@ -59,10 +48,6 @@ type Record struct {
 	Bytes    uint64        // data volume; zero for voice
 	APN      apn.APN       // data records only; zero for voice
 }
-
-// Roaming reports whether the record was generated outside the SIM's
-// home country.
-func (r Record) Roaming() bool { return !mccmnc.SameCountry(r.SIM, r.Visited) }
 
 // String renders a compact single-line debug form.
 func (r Record) String() string {

@@ -3,11 +3,9 @@ package cdrs
 import (
 	"bufio"
 	"encoding/binary"
-	"encoding/csv"
 	"errors"
 	"fmt"
 	"io"
-	"strconv"
 	"time"
 
 	"whereroam/internal/apn"
@@ -111,9 +109,6 @@ func (w *Writer) Write(r *Record) error {
 	w.wrote++
 	return nil
 }
-
-// Count returns the number of records written.
-func (w *Writer) Count() int { return w.wrote }
 
 // Flush drains buffered records.
 func (w *Writer) Flush() error { return w.w.Flush() }
@@ -234,9 +229,6 @@ func (rd *Reader) Read(rec *Record) error {
 	return nil
 }
 
-// Count returns the number of records successfully read.
-func (rd *Reader) Count() int { return rd.read }
-
 // Decoder reads records from a stream already held in memory — the
 // same format, checks and errors as [Reader], without the copy
 // through a buffered reader. Decoded records do not alias the stream
@@ -304,131 +296,4 @@ func WriteAll(w io.Writer, recs []Record) error {
 		}
 	}
 	return wr.Flush()
-}
-
-// ReadAll decodes an entire stream.
-func ReadAll(r io.Reader) ([]Record, error) {
-	rd := NewReader(r)
-	var out []Record
-	for {
-		var rec Record
-		err := rd.Read(&rec)
-		if err == io.EOF {
-			return out, nil
-		}
-		if err != nil {
-			return out, err
-		}
-		out = append(out, rec)
-	}
-}
-
-// csvHeader is the CSV interchange layout.
-var csvHeader = []string{"time", "device", "sim", "visited", "kind", "rat", "duration_ms", "bytes", "apn"}
-
-// CSVWriter streams records as CSV.
-type CSVWriter struct {
-	w      *csv.Writer
-	header bool
-	row    [9]string
-}
-
-// NewCSVWriter returns a CSVWriter targeting w.
-func NewCSVWriter(w io.Writer) *CSVWriter { return &CSVWriter{w: csv.NewWriter(w)} }
-
-// Write appends one record.
-func (c *CSVWriter) Write(r *Record) error {
-	if !c.header {
-		if err := c.w.Write(csvHeader); err != nil {
-			return err
-		}
-		c.header = true
-	}
-	c.row[0] = r.Time.UTC().Format(time.RFC3339Nano)
-	c.row[1] = r.Device.String()
-	c.row[2] = r.SIM.Concat()
-	c.row[3] = r.Visited.Concat()
-	c.row[4] = r.Kind.String()
-	c.row[5] = strconv.Itoa(int(r.RAT))
-	c.row[6] = strconv.FormatInt(int64(r.Duration/time.Millisecond), 10)
-	c.row[7] = strconv.FormatUint(r.Bytes, 10)
-	c.row[8] = ""
-	if r.Kind == KindData && !r.APN.IsZero() {
-		c.row[8] = r.APN.String()
-	}
-	return c.w.Write(c.row[:])
-}
-
-// Flush drains buffered rows and reports any write error.
-func (c *CSVWriter) Flush() error {
-	c.w.Flush()
-	return c.w.Error()
-}
-
-// CSVReader streams records from the CSV form.
-type CSVReader struct {
-	r      *csv.Reader
-	header bool
-	line   int
-}
-
-// NewCSVReader returns a CSVReader consuming from r.
-func NewCSVReader(r io.Reader) *CSVReader {
-	cr := csv.NewReader(r)
-	cr.FieldsPerRecord = len(csvHeader)
-	cr.ReuseRecord = true
-	return &CSVReader{r: cr}
-}
-
-// Read decodes the next row into rec; io.EOF marks the end.
-func (c *CSVReader) Read(rec *Record) error {
-	if !c.header {
-		if _, err := c.r.Read(); err != nil {
-			return err
-		}
-		c.header = true
-	}
-	row, err := c.r.Read()
-	if err != nil {
-		return err
-	}
-	c.line++
-	fail := func(field string, err error) error {
-		return fmt.Errorf("cdrs: csv line %d: %s: %w", c.line, field, err)
-	}
-	if rec.Time, err = time.Parse(time.RFC3339Nano, row[0]); err != nil {
-		return fail("time", err)
-	}
-	if rec.Device, err = identity.ParseDeviceID(row[1]); err != nil {
-		return fail("device", err)
-	}
-	if rec.SIM, err = mccmnc.Parse(row[2]); err != nil {
-		return fail("sim", err)
-	}
-	if rec.Visited, err = mccmnc.Parse(row[3]); err != nil {
-		return fail("visited", err)
-	}
-	if rec.Kind, err = ParseKind(row[4]); err != nil {
-		return fail("kind", err)
-	}
-	rat, err := strconv.Atoi(row[5])
-	if err != nil || rat < 0 || rat > int(radio.RATNB) {
-		return fail("rat", fmt.Errorf("%q", row[5]))
-	}
-	rec.RAT = radio.RAT(rat)
-	ms, err := strconv.ParseInt(row[6], 10, 64)
-	if err != nil || ms < 0 {
-		return fail("duration_ms", fmt.Errorf("%q", row[6]))
-	}
-	rec.Duration = time.Duration(ms) * time.Millisecond
-	if rec.Bytes, err = strconv.ParseUint(row[7], 10, 64); err != nil {
-		return fail("bytes", err)
-	}
-	rec.APN = apn.APN{}
-	if row[8] != "" {
-		if rec.APN, err = apn.Parse(row[8]); err != nil {
-			return fail("apn", err)
-		}
-	}
-	return nil
 }

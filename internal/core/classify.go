@@ -157,16 +157,9 @@ type Result struct {
 	Evidence string
 }
 
-// Classify runs the pipeline over device summaries. It returns one
-// Result per summary, in the same order. Summary chunks are processed
-// concurrently with one worker per CPU; see ClassifyWorkers for the
-// worker-count contract.
-func (c *Classifier) Classify(sums []catalog.Summary) []Result {
-	return c.ClassifyWorkers(sums, 0)
-}
-
-// ClassifyWorkers is Classify with an explicit worker count (below
-// one = one worker per CPU, one = serial). The population-level
+// ClassifyWorkers runs the pipeline over device summaries on workers
+// goroutines (below one = one worker per CPU, one = serial). It
+// returns one Result per summary, in the same order. The population-level
 // steps are two parallel sweeps separated by barriers: chunk workers
 // first collect validated APNs, which merge into one set every
 // worker then reads to collect m2m TACs, and only after both sets

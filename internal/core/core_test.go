@@ -113,7 +113,7 @@ func TestClassifyByValidatedAPN(t *testing.T) {
 	sums := []catalog.Summary{
 		sum(1, nlOp, 35600000, gsma.DeviceInfo{Type: gsma.TypeModule}, true, meterAPN),
 	}
-	res := c.Classify(sums)
+	res := c.ClassifyWorkers(sums, 0)
 	if res[0].Class != ClassM2M || res[0].Evidence != "apn-validated" {
 		t.Fatalf("result = %+v", res[0])
 	}
@@ -135,7 +135,7 @@ func TestClassifyPropertyClosure(t *testing.T) {
 		// Device 3 has a different TAC and no APN: m2m-maybe.
 		sum(3, nlOp, 456, modInfo, true),
 	}
-	res := c.Classify(sums)
+	res := c.ClassifyWorkers(sums, 0)
 	if res[1].Class != ClassM2M || res[1].Evidence != "property-closure" {
 		t.Errorf("closure result = %+v", res[1])
 	}
@@ -151,7 +151,7 @@ func TestClassifySmartphone(t *testing.T) {
 		sum(1, host, 35200000, android, true, apn.MustParse("payandgo.telco.co.uk")),
 		sum(2, host, 35200001, android, true), // voice-only smartphone
 	}
-	res := c.Classify(sums)
+	res := c.ClassifyWorkers(sums, 0)
 	for i, r := range res {
 		if r.Class != ClassSmart {
 			t.Errorf("device %d = %+v, want smart", i+1, r)
@@ -168,7 +168,7 @@ func TestClassifyFeaturePhone(t *testing.T) {
 		// GSMA-unknown device with a consumer APN only: feat per §4.3.
 		sum(2, host, 0, unknownInfo, false, apn.MustParse("wap.provider.net")),
 	}
-	res := c.Classify(sums)
+	res := c.ClassifyWorkers(sums, 0)
 	if res[0].Class != ClassFeat || res[0].Evidence != "gsma-feature-phone" {
 		t.Errorf("result = %+v", res[0])
 	}
@@ -186,7 +186,7 @@ func TestClassifySmartphoneWithM2MAPNIsM2M(t *testing.T) {
 	sums := []catalog.Summary{
 		sum(1, esOp, 35200000, android, true, apn.MustParse("telematics.scania.com")),
 	}
-	if res := c.Classify(sums); res[0].Class != ClassM2M {
+	if res := c.ClassifyWorkers(sums, 0); res[0].Class != ClassM2M {
 		t.Errorf("result = %+v", res[0])
 	}
 }
@@ -201,7 +201,7 @@ func TestClassifierStepsAblation(t *testing.T) {
 	// Keywords only: no closure, device 2 unresolved.
 	c := NewClassifier()
 	c.Steps = Steps{ValidateAPNs: false, PropertyClosure: false}
-	res := c.Classify(sums)
+	res := c.ClassifyWorkers(sums, 0)
 	if res[0].Class != ClassM2M || res[0].Evidence != "apn-keyword" {
 		t.Errorf("keyword-only result = %+v", res[0])
 	}
@@ -210,7 +210,7 @@ func TestClassifierStepsAblation(t *testing.T) {
 	}
 	// Validation without closure.
 	c.Steps = Steps{ValidateAPNs: true, PropertyClosure: false}
-	res = c.Classify(sums)
+	res = c.ClassifyWorkers(sums, 0)
 	if res[1].Class != ClassM2MMaybe {
 		t.Errorf("no-closure device = %+v", res[1])
 	}

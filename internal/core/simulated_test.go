@@ -22,8 +22,8 @@ func TestValidateOnSimulatedPopulation(t *testing.T) {
 	cfg := dataset.DefaultMNOConfig()
 	cfg.Devices = 6000
 	ds := dataset.GenerateMNO(cfg)
-	sums := ds.Catalog.Summaries(ds.GSMA)
-	res := core.NewClassifier().Classify(sums)
+	sums := ds.Catalog.SummariesWorkers(ds.GSMA, 0)
+	res := core.NewClassifier().ClassifyWorkers(sums, 0)
 	v, err := core.Validate(res, ds.Truth)
 	if err != nil {
 		t.Fatal(err)
@@ -189,7 +189,7 @@ func TestValidatedAPNsAndWorkerInvariance(t *testing.T) {
 	cfg := dataset.DefaultMNOConfig()
 	cfg.Devices = 3000
 	ds := dataset.GenerateMNO(cfg)
-	sums := ds.Catalog.Summaries(ds.GSMA)
+	sums := ds.Catalog.SummariesWorkers(ds.GSMA, 0)
 	c := core.NewClassifier()
 
 	set := map[apn.APN]bool{}
@@ -222,8 +222,8 @@ func TestClassSharesMatchPaper(t *testing.T) {
 	cfg := dataset.DefaultMNOConfig()
 	cfg.Devices = 8000
 	ds := dataset.GenerateMNO(cfg)
-	sums := ds.Catalog.Summaries(ds.GSMA)
-	res := core.NewClassifier().Classify(sums)
+	sums := ds.Catalog.SummariesWorkers(ds.GSMA, 0)
+	res := core.NewClassifier().ClassifyWorkers(sums, 0)
 	b := core.Breakdown(res)
 	n := float64(len(res))
 	check := func(c core.Class, want, tol float64) {
@@ -256,11 +256,11 @@ func TestTransparencyImprovesRecall(t *testing.T) {
 			t.Fatalf("declared device %v is not m2m ground truth", id)
 		}
 	}
-	sums := ds.Catalog.Summaries(ds.GSMA)
+	sums := ds.Catalog.SummariesWorkers(ds.GSMA, 0)
 	plain := core.NewClassifier()
-	resPlain := plain.Classify(sums)
+	resPlain := plain.ClassifyWorkers(sums, 0)
 	withDecl := plain.WithDeclarations(ds.Declared)
-	resDecl := withDecl.Classify(sums)
+	resDecl := withDecl.ClassifyWorkers(sums, 0)
 
 	vPlain, err := core.Validate(resPlain, ds.Truth)
 	if err != nil {
@@ -304,10 +304,10 @@ func BenchmarkClassify(b *testing.B) {
 	cfg := dataset.DefaultMNOConfig()
 	cfg.Devices = 4000
 	ds := dataset.GenerateMNO(cfg)
-	sums := ds.Catalog.Summaries(ds.GSMA)
+	sums := ds.Catalog.SummariesWorkers(ds.GSMA, 0)
 	c := core.NewClassifier()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = c.Classify(sums)
+		_ = c.ClassifyWorkers(sums, 0)
 	}
 }

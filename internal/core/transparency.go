@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sort"
-
 	"whereroam/internal/identity"
 	"whereroam/internal/mccmnc"
 )
@@ -50,16 +48,6 @@ func (r *Registry) MatchIMSI(im identity.IMSI) bool {
 		}
 	}
 	return false
-}
-
-// Homes returns the declaring operators, sorted.
-func (r *Registry) Homes() []mccmnc.PLMN {
-	out := make([]mccmnc.PLMN, 0, len(r.byHome))
-	for p := range r.byHome {
-		out = append(out, p)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Concat() < out[j].Concat() })
-	return out
 }
 
 // Len returns the number of declaring operators.

@@ -13,7 +13,7 @@ import (
 func TestCountBlocksMatchesSerialAllocation(t *testing.T) {
 	root := rng.New(11).Split("mno")
 	cfg := DefaultMNOConfig()
-	classPick, m2mPick := mnoPicks(root)
+	classPick, m2mPick := mnoPicks()
 
 	const n = 700
 	keys := make([]blockKey, n)

@@ -2,6 +2,8 @@ package dataset
 
 import (
 	"bytes"
+	"encoding/csv"
+	"io"
 	"math"
 	"path/filepath"
 	"reflect"
@@ -142,20 +144,24 @@ func TestM2MSaveLoadRoundTrip(t *testing.T) {
 	if err := ds.SaveTransactions(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := LoadTransactions(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Transactions) != len(ds.Transactions) {
-		t.Fatalf("loaded %d txs, saved %d", len(got.Transactions), len(ds.Transactions))
-	}
-	for i := range got.Transactions {
-		if got.Transactions[i].Device != ds.Transactions[i].Device {
-			t.Fatal("loaded transaction differs")
+	// Read the wire stream back through the signaling codec.
+	rd := signaling.NewReader(&buf)
+	for i := range ds.Transactions {
+		var tx signaling.Transaction
+		if err := rd.Read(&tx); err != nil {
+			t.Fatalf("transaction %d of %d: %v", i, len(ds.Transactions), err)
+		}
+		if !tx.Time.Equal(ds.Transactions[i].Time) {
+			t.Fatalf("transaction %d: time %v, saved %v", i, tx.Time, ds.Transactions[i].Time)
+		}
+		tx.Time = ds.Transactions[i].Time
+		if tx != ds.Transactions[i] {
+			t.Fatalf("transaction %d: loaded %+v, saved %+v", i, tx, ds.Transactions[i])
 		}
 	}
-	if got.Days < ds.Days-1 || got.Days > ds.Days {
-		t.Errorf("inferred days = %d, want ~%d", got.Days, ds.Days)
+	var tail signaling.Transaction
+	if err := rd.Read(&tail); err != io.EOF {
+		t.Fatalf("after the last transaction: %v, want io.EOF", err)
 	}
 }
 
@@ -167,13 +173,11 @@ func TestM2MCSVExport(t *testing.T) {
 	if err := ds.SaveTransactionsCSV(&buf); err != nil {
 		t.Fatal(err)
 	}
-	r := signaling.NewCSVReader(&buf)
-	n := 0
-	var tx signaling.Transaction
-	for r.Read(&tx) == nil {
-		n++
+	rows, err := csv.NewReader(&buf).ReadAll()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if n != len(ds.Transactions) {
+	if n := len(rows) - 1; n != len(ds.Transactions) { // minus the header
 		t.Errorf("CSV rows = %d, want %d", n, len(ds.Transactions))
 	}
 }
@@ -229,7 +233,7 @@ func TestGenerateMNOHomeCountries(t *testing.T) {
 			t.Fatal("MVNO device marked as foreign")
 		}
 		inbound++
-		if top3[d.HomeISO()] {
+		if top3[mccmnc.ISOByMCC(d.Home.MCC)] {
 			inTop3++
 		}
 		if d.Class == devices.ClassSmartMeter {
@@ -277,7 +281,7 @@ func TestGenerateMNOCatalogConsistency(t *testing.T) {
 		}
 	}
 	// Summaries must join the GSMA catalog for every device.
-	sums := ds.Catalog.Summaries(ds.GSMA)
+	sums := ds.Catalog.SummariesWorkers(ds.GSMA, 0)
 	joined := 0
 	for _, s := range sums {
 		if s.InfoOK {

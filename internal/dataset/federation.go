@@ -319,15 +319,14 @@ type fleetDraft struct {
 }
 
 // fleetPicks builds the fleet's shared class samplers (stateless per
-// draw, like mnoPicks) from the fleet substream root.
-func fleetPicks(froot *rng.Source) (classPick, m2mPick *rng.Weighted) {
-	classPick = rng.NewWeighted(froot.Split("class"),
-		[]float64{fleetShareSmart, fleetShareFeat, fleetShareM2M})
+// draw, like mnoPicks).
+func fleetPicks() (classPick, m2mPick *rng.Weighted) {
+	classPick = rng.NewWeighted([]float64{fleetShareSmart, fleetShareFeat, fleetShareM2M})
 	m2mWeights := make([]float64, len(m2mMix))
 	for i, m := range m2mMix {
 		m2mWeights[i] = m.share
 	}
-	m2mPick = rng.NewWeighted(froot.Split("m2m"), m2mWeights)
+	m2mPick = rng.NewWeighted(m2mWeights)
 	return classPick, m2mPick
 }
 
@@ -398,7 +397,7 @@ func finishFleetMember(d *fleetDraft, imsi identity.IMSI, cfg FederationConfig, 
 // site-presence draw.
 func generateFleet(cfg FederationConfig, root *rng.Source, db *gsma.DB, world *netsim.World) []fleetMember {
 	froot := root.Split("fleet")
-	classPick, m2mPick := fleetPicks(froot)
+	classPick, m2mPick := fleetPicks()
 
 	// Pass 1 (parallel): class and home-operator draws.
 	drafts := make([]fleetDraft, cfg.FleetDevices)
@@ -538,7 +537,7 @@ func generateSite(cfg FederationConfig, j int, root *rng.Source, db *gsma.DB, fl
 	for i, m := range nativeMix {
 		nativeWeights[i] = m.share
 	}
-	nativePick := rng.NewWeighted(sroot.Split("nativeclass"), nativeWeights)
+	nativePick := rng.NewWeighted(nativeWeights)
 	locals := make([]localDevice, cfg.NativePerSite, cfg.NativePerSite+len(fleet)/2)
 	pipeline.Run(cfg.NativePerSite, cfg.Workers, func(sh pipeline.Shard) {
 		for i := sh.Lo; i < sh.Hi; i++ {

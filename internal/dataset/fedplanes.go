@@ -32,8 +32,7 @@ type FederationM2M struct {
 	// Start and Days frame the observation window.
 	Start time.Time
 	Days  int
-	// Transactions is the time-sorted signaling stream (nil when the
-	// dataset came from StreamFederationM2M; the sink saw the stream).
+	// Transactions is the time-sorted signaling stream.
 	Transactions []signaling.Transaction
 	// Truth maps the plane's device IDs (the fleet's M2M subset) to
 	// ground-truth classes.
@@ -129,8 +128,6 @@ func emitFedM2MDevice(tap *probe.Tap[signaling.Transaction], fed *FederationData
 
 // fedM2MWalk returns the plane's one per-device emission loop over
 // devs: a shard-local probe over the sink it is handed.
-// GenerateFederationM2M and StreamFederationM2M differ only in that
-// sink.
 func fedM2MWalk(fed *FederationDataset, devs []fedM2MDevice) func(pipeline.Shard, func(signaling.Transaction)) {
 	return func(sh pipeline.Shard, sink func(signaling.Transaction)) {
 		tap := probe.NewTap("fed-hmno-probe", fed.cfg.Seed, sink)
@@ -144,34 +141,9 @@ func fedM2MWalk(fed *FederationDataset, devs []fedM2MDevice) func(pipeline.Shard
 // GenerateFederationM2M synthesizes the federated M2M transaction
 // plane from an already-built federation dataset: the same shared
 // fleet, the same presence schedule, viewed as the §3/§6 signaling
-// stream, time-sorted. It is bit-identical at every worker count, and
-// identical to StreamFederationM2M's delivery after a stable time
-// sort.
+// stream, time-sorted. It is bit-identical at every worker count.
 func GenerateFederationM2M(fed *FederationDataset) *FederationM2M {
 	devs := fedM2MPopulation(fed)
-	plane := newFederationM2M(fed, devs)
-	plane.Transactions = collectShards(len(devs), fed.cfg.Workers, fedM2MWalk(fed, devs))
-	// Stable: tied timestamps keep serial emission order, the order
-	// StreamFederationM2M delivers.
-	sortByTime(new(timeSorter), plane.Transactions, transactionTime)
-	return plane
-}
-
-// StreamFederationM2M delivers GenerateFederationM2M's transaction
-// stream to sink record by record in the exact serial emission order
-// (see streamShards) instead of materializing it. The returned plane
-// carries the ground truth with a nil Transactions slice;
-// stable-sorting the streamed records by time reproduces
-// GenerateFederationM2M's slice bit for bit. sink runs on the calling
-// goroutine and exerts backpressure through the shard windows.
-func StreamFederationM2M(fed *FederationDataset, sink func(signaling.Transaction)) *FederationM2M {
-	devs := fedM2MPopulation(fed)
-	streamShards(len(devs), fed.cfg.Workers, 0, fedM2MWalk(fed, devs), sink)
-	return newFederationM2M(fed, devs)
-}
-
-// newFederationM2M builds the plane container and its truth map.
-func newFederationM2M(fed *FederationDataset, devs []fedM2MDevice) *FederationM2M {
 	plane := &FederationM2M{
 		Hosts: fed.Hosts,
 		Start: fed.Start,
@@ -181,6 +153,9 @@ func newFederationM2M(fed *FederationDataset, devs []fedM2MDevice) *FederationM2
 	for _, d := range devs {
 		plane.Truth[d.member.dev.ID] = d.member.dev.Class
 	}
+	plane.Transactions = collectShards(len(devs), fed.cfg.Workers, fedM2MWalk(fed, devs))
+	// Stable: tied timestamps keep serial emission order.
+	sortByTime(new(timeSorter), plane.Transactions, transactionTime)
 	return plane
 }
 

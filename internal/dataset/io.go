@@ -1,9 +1,7 @@
 package dataset
 
 import (
-	"fmt"
 	"io"
-	"os"
 
 	"whereroam/internal/signaling"
 )
@@ -12,20 +10,6 @@ import (
 // binary wire format.
 func (ds *M2MDataset) SaveTransactions(w io.Writer) error {
 	return signaling.WriteAll(w, ds.Transactions)
-}
-
-// SaveTransactionsFile writes the transaction stream to a file.
-func (ds *M2MDataset) SaveTransactionsFile(path string) (err error) {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("dataset: %w", err)
-	}
-	defer func() {
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-	}()
-	return ds.SaveTransactions(f)
 }
 
 // SaveTransactionsCSV writes the transaction stream as CSV.
@@ -37,22 +21,4 @@ func (ds *M2MDataset) SaveTransactionsCSV(w io.Writer) error {
 		}
 	}
 	return cw.Flush()
-}
-
-// LoadTransactions reads a binary transaction stream into a dataset
-// shell (ground truth is not persisted; analyses that need it must
-// regenerate).
-func LoadTransactions(r io.Reader) (*M2MDataset, error) {
-	txs, err := signaling.ReadAll(r)
-	if err != nil {
-		return nil, err
-	}
-	ds := &M2MDataset{Transactions: txs}
-	if len(txs) > 0 {
-		first := txs[0].Time
-		last := txs[len(txs)-1].Time
-		ds.Start = first.Truncate(24 * 3600e9)
-		ds.Days = int(last.Sub(ds.Start).Hours()/24) + 1
-	}
-	return ds, nil
 }

@@ -110,10 +110,8 @@ func platformHMNOs() []hmnoSpec {
 	}
 }
 
-// m2mWalk is everything GenerateM2M and StreamM2M share: the world,
-// the drafted population with its identities, and the one per-device
-// emission loop, shard. The two entry points differ
-// only in the sink they hand that loop.
+// m2mWalk is GenerateM2M's state: the world, the drafted population
+// with its identities, and the one per-device emission loop, shard.
 type m2mWalk struct {
 	cfg    M2MConfig
 	world  *netsim.World
@@ -162,7 +160,7 @@ func newM2MWalk(cfg M2MConfig) *m2mWalk {
 	for i, s := range specs {
 		weights[i] = s.share
 	}
-	hmnoPick := rng.NewWeighted(root.Split("hmno"), weights)
+	hmnoPick := rng.NewWeighted(weights)
 
 	specCounts := pipeline.Map(cfg.Devices, cfg.Workers, func(sh pipeline.Shard) []uint64 {
 		counts := make([]uint64, len(specs))
@@ -212,20 +210,6 @@ func (w *m2mWalk) shard(sh pipeline.Shard, sink func(signaling.Transaction)) {
 	}
 }
 
-// dataset returns the walked population's dataset: ground truth
-// filled, Transactions left to the caller.
-func (w *m2mWalk) dataset() *M2MDataset {
-	ds := &M2MDataset{
-		Start: w.cfg.Start,
-		Days:  w.cfg.Days,
-		Truth: make(map[identity.DeviceID]M2MDeviceTruth, len(w.truths)),
-	}
-	for i := range w.truths {
-		ds.Truth[w.devIDs[i]] = w.truths[i]
-	}
-	return ds
-}
-
 // txSampleKey is the per-record identity a thinning platform probe
 // hashes its sampling verdict from. It folds in every field that
 // distinguishes transactions of one device at one instant (a switch
@@ -257,30 +241,19 @@ func newM2MTap(cfg M2MConfig, sink func(signaling.Transaction)) *probe.Tap[signa
 func GenerateM2M(cfg M2MConfig) *M2MDataset {
 	w := newM2MWalk(cfg)
 	txs := collectShards(cfg.Devices, cfg.Workers, w.shard)
-	// Stable: ties keep their serial emission order, the same order
-	// StreamM2M delivers — so a streaming consumer that stable-sorts
-	// by time reproduces this slice bit for bit even on tied
-	// timestamps (second-granularity draws collide routinely).
+	// Stable: ties keep their serial emission order (second-granularity
+	// draws collide routinely).
 	sortByTime(new(timeSorter), txs, transactionTime)
-	ds := w.dataset()
-	ds.Transactions = txs
+	ds := &M2MDataset{
+		Start:        cfg.Start,
+		Days:         cfg.Days,
+		Transactions: txs,
+		Truth:        make(map[identity.DeviceID]M2MDeviceTruth, len(w.truths)),
+	}
+	for i := range w.truths {
+		ds.Truth[w.devIDs[i]] = w.truths[i]
+	}
 	return ds
-}
-
-// StreamM2M generates the same platform dataset as GenerateM2M but
-// delivers the transaction stream to sink record by record instead of
-// materializing it: the sink observes the exact serial emission order
-// at any worker count (see streamShards), runs on the calling
-// goroutine and exerts backpressure on the producers. The returned
-// dataset carries the ground truth with a nil Transactions slice;
-// stable-sorting the streamed records by time (sort.SliceStable)
-// reproduces GenerateM2M's Transactions bit for bit. Sampled captures
-// (0 < SampleRate < 1) thin by per-record hash, exactly as
-// GenerateM2M does.
-func StreamM2M(cfg M2MConfig, sink func(signaling.Transaction)) *M2MDataset {
-	w := newM2MWalk(cfg)
-	streamShards(cfg.Devices, cfg.Workers, 0, w.shard, sink)
-	return w.dataset()
 }
 
 func transactionTime(tx *signaling.Transaction) time.Time { return tx.Time }
@@ -395,7 +368,7 @@ func pickVMNOs(world *netsim.World, src *rng.Source, spec hmnoSpec, prof devices
 	if !prof.Roaming {
 		return []mccmnc.PLMN{spec.plmn}
 	}
-	z := rng.NewZipf(src, len(spec.footprint), 1.25)
+	z := rng.NewZipf(len(spec.footprint), 1.25)
 	primary := spec.footprint[z.DrawFrom(src)-1]
 	var out []mccmnc.PLMN
 	seen := map[mccmnc.PLMN]bool{}

@@ -149,7 +149,7 @@ func drawHome(src *rng.Source, table []countryWeight) mccmnc.PLMN {
 	for i, cw := range table {
 		weights[i] = cw.w
 	}
-	iso := table[rng.NewWeighted(src, weights).DrawFrom(src)].iso
+	iso := table[rng.NewWeighted(weights).DrawFrom(src)].iso
 	ops := mccmnc.OperatorsIn(iso)
 	if len(ops) == 0 {
 		// Unregistered tail entries fall back to NL (harmless: only
@@ -191,7 +191,7 @@ func newMNOWalk(cfg MNOConfig) *mnoWalk {
 		root:   root,
 		centre: geo.Point{Lat: hostCountry.Lat, Lon: hostCountry.Lon},
 	}
-	w.classPick, w.m2mPick = mnoPicks(root)
+	w.classPick, w.m2mPick = mnoPicks()
 
 	// Counting pre-pass: replay the cheap draft draws and keep only the
 	// per-shard block counts. MSIN blocks hand out sequential numbers,
@@ -399,13 +399,13 @@ func transparencyRegistry(adoption float64, src *rng.Source, totals map[blockKey
 // The samplers are stateless per draw (DrawFrom consumes the device's
 // stream, not their own), so the counting pre-pass and the emission
 // walk can share one pair.
-func mnoPicks(root *rng.Source) (classPick, m2mPick *rng.Weighted) {
-	classPick = rng.NewWeighted(root.Split("class"), []float64{shareSmart, shareFeat, shareM2M})
+func mnoPicks() (classPick, m2mPick *rng.Weighted) {
+	classPick = rng.NewWeighted([]float64{shareSmart, shareFeat, shareM2M})
 	m2mWeights := make([]float64, len(m2mMix))
 	for i, m := range m2mMix {
 		m2mWeights[i] = m.share
 	}
-	m2mPick = rng.NewWeighted(root.Split("m2m"), m2mWeights)
+	m2mPick = rng.NewWeighted(m2mWeights)
 	return classPick, m2mPick
 }
 

@@ -36,16 +36,6 @@ var automotiveAPNs = []string{
 	"link.volvocars.se",
 }
 
-// platformAPNs are global-IoT-SIM platform APNs (the
-// "intelligent.m2m" style strings the paper maps to IoT SIM
-// providers).
-var platformAPNs = []string{
-	"intelligent.m2m",
-	"global.m2m-platform.net",
-	"iot.carrier-hub.com",
-	"sim.things-mobile.io",
-}
-
 // trackerAPNs serve logistics and asset tracking.
 var trackerAPNs = []string{
 	"track.logistics-m2m.com",

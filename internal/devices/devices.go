@@ -69,9 +69,6 @@ type Device struct {
 	MVNO bool
 }
 
-// HomeISO returns the ISO country of the SIM's home operator.
-func (d *Device) HomeISO() string { return mccmnc.ISOByMCC(d.Home.MCC) }
-
 // Assemble builds a Device from its parts, deriving the hashed ID and
 // a plausible IMEI serial from the IMSI so that identity is stable.
 func Assemble(class Class, imsi identity.IMSI, info gsma.DeviceInfo, prof Profile, mob mobility.Model, mvno bool) Device {
@@ -88,8 +85,10 @@ func Assemble(class Class, imsi identity.IMSI, info gsma.DeviceInfo, prof Profil
 	}
 }
 
-// Validate performs generator-side sanity checks; it is used by tests
-// and returns an error describing the first inconsistency.
+// Validate performs generator-side sanity checks and returns an error
+// describing the first inconsistency.
+//
+//roamvet:deadcode-ok test oracle: the dataset tests hold every generated device to these invariants
 func (d *Device) Validate() error {
 	if d.ID != identity.HashDevice(d.IMSI) {
 		return fmt.Errorf("devices: %v: ID does not match IMSI hash", d.ID)

@@ -37,8 +37,8 @@ func TestAssembleAndValidate(t *testing.T) {
 	if err := d.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if d.HomeISO() != "NL" {
-		t.Errorf("HomeISO = %q", d.HomeISO())
+	if d.Home != imsi.PLMN {
+		t.Errorf("Home = %v, want the IMSI's PLMN", d.Home)
 	}
 	// Corrupt it and confirm Validate notices.
 	d.IMEI.TAC++

@@ -480,7 +480,7 @@ func NewPlatformIoT(src *rng.Source, roaming bool, days int) PlatformProfile {
 		p.NumVMNOs = 4 + src.Intn(16) // up to 19
 	default:
 		w := []float64{0.65, 0.27, 0.05, 0.02, 0.01}
-		p.NumVMNOs = 1 + rng.NewWeighted(src, w).DrawFrom(src)
+		p.NumVMNOs = 1 + rng.NewWeighted(w).DrawFrom(src)
 	}
 	if p.NumVMNOs >= 2 {
 		switch {

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"whereroam/internal/catalog"
 	"whereroam/internal/dataset"
 	"whereroam/internal/store"
 )
@@ -10,7 +9,7 @@ import (
 // measurement path while persisting its CDR/xDR feed to a segmented
 // archive at dir (see internal/store) — persist-and-ingest in one
 // pass. The archived plane is the CDR/xDR feed (radio events are
-// live-only), which is exactly what ReplayFrom rebuilds.
+// live-only), which is exactly what a store replay rebuilds.
 //
 // The returned dataset is a side artefact: SMIP() uses the direct
 // aggregate generator — a different dataset family — so archiving
@@ -31,17 +30,4 @@ func (s *Federation) ArchiveTo(dir string) (*dataset.SMIPDataset, error) {
 		return nil, err
 	}
 	return ds, nil
-}
-
-// ReplayFrom opens the segmented archive at dir and rebuilds its
-// CDR-plane devices-catalog on the session's worker budget, with the
-// query pruning segments against the store index before any body is
-// read. The replayed catalog is bit-identical to the live build over
-// the same feed at any worker count.
-func (s *Federation) ReplayFrom(dir string, q store.Query) (*catalog.Catalog, *store.ReplayStats, error) {
-	r, err := store.Open(dir)
-	if err != nil {
-		return nil, nil, err
-	}
-	return r.Replay(q, s.Workers)
 }

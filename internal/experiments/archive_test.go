@@ -9,7 +9,7 @@ import (
 )
 
 // ArchiveTo persists the session's SMIP CDR/xDR feed while the
-// catalog builds, and ReplayFrom rebuilds the CDR plane from the
+// catalog builds, and a store replay rebuilds the CDR plane from the
 // archive — deterministically across worker counts.
 func TestSessionArchiveReplay(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "feed")
@@ -37,19 +37,18 @@ func TestSessionArchiveReplay(t *testing.T) {
 	if rep := r.Verify(); !rep.OK() {
 		t.Fatalf("archived session feed fails verification:\n%s", rep)
 	}
-	cat, stats, err := sess.ReplayFrom(dir, store.Query{})
+	cat, stats, err := r.Replay(store.Query{}, sess.Workers)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if stats.RecordsKept == 0 || len(cat.Records) == 0 {
-		t.Fatal("ReplayFrom produced no records")
+		t.Fatal("replay produced no records")
 	}
-	serial := NewSessionWorkers(1, 0.03, 1)
-	cat1, _, err := serial.ReplayFrom(dir, store.Query{})
+	cat1, _, err := r.Replay(store.Query{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(cat1.Records, cat.Records) {
-		t.Error("ReplayFrom differs between worker counts")
+		t.Error("replay differs between worker counts")
 	}
 }

@@ -33,14 +33,8 @@ type Report struct {
 	Notes []string
 }
 
-// Value returns a named value (0 when missing; tests use Has first).
+// Value returns a named value (0 when missing).
 func (r *Report) Value(key string) float64 { return r.Values[key] }
-
-// Has reports whether a named value exists.
-func (r *Report) Has(key string) bool {
-	_, ok := r.Values[key]
-	return ok
-}
 
 func (r *Report) setValue(key string, v float64) {
 	if r.Values == nil {
@@ -275,13 +269,4 @@ func ByID(id string) (Runner, bool) {
 		}
 	}
 	return Runner{}, false
-}
-
-// IDs lists the registered experiment ids in order.
-func IDs() []string {
-	out := make([]string, len(registry))
-	for i, r := range registry {
-		out[i] = r.ID
-	}
-	return out
 }

@@ -34,10 +34,16 @@ func run(t testing.TB, id string) *Report {
 	return rep
 }
 
+// has reports whether the report carries a named value.
+func has(rep *Report, key string) bool {
+	_, ok := rep.Values[key]
+	return ok
+}
+
 // within asserts a value sits inside [lo, hi].
 func within(t *testing.T, rep *Report, key string, lo, hi float64) {
 	t.Helper()
-	if !rep.Has(key) {
+	if !has(rep, key) {
 		t.Fatalf("%s: missing value %q\n%s", rep.ID, key, rep)
 	}
 	v := rep.Value(key)
@@ -53,8 +59,8 @@ func TestRegistryComplete(t *testing.T) {
 		"ext-revenue", "ext-transparency", "ext-nbiot", "ext-latency",
 		"fed-sites", "fed-agreement", "fed-validation"}
 	have := map[string]bool{}
-	for _, id := range IDs() {
-		have[id] = true
+	for _, r := range All() {
+		have[r.ID] = true
 	}
 	for _, id := range want {
 		if !have[id] {

@@ -33,10 +33,6 @@ func (st *Site) Host() mccmnc.PLMN { return st.Data.Host }
 // Summaries returns the site's per-device window aggregates.
 func (st *Site) Summaries() []catalog.Summary { return st.pop.Sums }
 
-// Results returns the site's classification results, aligned with
-// Summaries.
-func (st *Site) Results() []core.Result { return st.pop.Results }
-
 // Class returns the site's class verdict for a device; ok is false
 // when the site never observed it.
 func (st *Site) Class(dev identity.DeviceID) (core.Class, bool) {

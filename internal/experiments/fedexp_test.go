@@ -63,7 +63,7 @@ func TestSiteClassLabelUnknownDevice(t *testing.T) {
 			t.Errorf("site %v: Label(absent) = %v, %v; want zero, false", st.Host(), l, ok)
 		}
 		// And a present one round-trips to its aligned result.
-		res := st.Results()[0]
+		res := st.pop.Results[0]
 		if c, ok := st.Class(res.Device); !ok || c != res.Class {
 			t.Errorf("site %v: Class(%v) = %v, %v; want %v, true", st.Host(), res.Device, c, ok, res.Class)
 		}
@@ -107,7 +107,7 @@ func TestFedM2MPlane(t *testing.T) {
 
 func TestFedValidation(t *testing.T) {
 	rep := runFed(t, "fed-validation")
-	if !rep.Has("federated_accuracy") || !rep.Has("union_m2m_recall") {
+	if !has(rep, "federated_accuracy") || !has(rep, "union_m2m_recall") {
 		t.Fatalf("fed-validation missing headline values:\n%s", rep)
 	}
 	within(t, rep, "federated_accuracy", 0.9, 1.0)

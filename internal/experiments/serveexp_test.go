@@ -27,7 +27,7 @@ func TestFedServeMatchesDaemon(t *testing.T) {
 		t.Fatal("fed-serve runner not registered")
 	}
 	rep := runner.Run(sess)
-	if !rep.Has("served_sites") || rep.Value("served_sites") == 0 {
+	if !has(rep, "served_sites") || rep.Value("served_sites") == 0 {
 		t.Fatalf("fed-serve served no sites:\n%s", rep)
 	}
 
@@ -77,7 +77,7 @@ func TestFedServeMatchesDaemon(t *testing.T) {
 			{"_served_inbound_m2m_share", st.InboundM2MShare},
 		}
 		for _, c := range checks {
-			if !rep.Has(key + c.suffix) {
+			if !has(rep, key+c.suffix) {
 				t.Errorf("runner has no value %s", key+c.suffix)
 				continue
 			}
@@ -94,7 +94,7 @@ func TestFedServeMatchesDaemon(t *testing.T) {
 	}
 	for _, p := range cv.Pairs {
 		key := fmt.Sprintf("shared_%s_%s", p.A, p.B)
-		if !rep.Has(key) {
+		if !has(rep, key) {
 			t.Errorf("runner has no value %s", key)
 			continue
 		}

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"whereroam/internal/analysis"
-	"whereroam/internal/catalog"
 	"whereroam/internal/identity"
 	"whereroam/internal/radio"
 )
@@ -109,7 +108,3 @@ func runFig11(s *Session) *Report {
 	r.setValue("all_fail_device_share", allFail)
 	return r
 }
-
-// SMIPCatalog exposes the SMIP dataset's catalog for reuse by
-// examples (it is not an experiment itself).
-func SMIPCatalog(s *Session) *catalog.Catalog { return s.SMIP().Catalog }

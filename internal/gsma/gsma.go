@@ -18,7 +18,6 @@ package gsma
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -170,12 +169,6 @@ func (db *DB) Lookup(tac identity.TAC) (DeviceInfo, bool) {
 	return di, ok
 }
 
-// Vendors returns the number of distinct vendors in the catalog.
-func (db *DB) Vendors() int { return len(db.vendors) }
-
-// Models returns the number of distinct models (TACs) in the catalog.
-func (db *DB) Models() int { return len(db.byTAC) }
-
 // Pick draws a model of the archetype with the market's popularity
 // skew (Zipf over models, with the M2M module segment additionally
 // concentrated on its three dominant vendors). src provides the
@@ -219,39 +212,7 @@ func (db *DB) restrictedFor(a Archetype, vendors []string) *restrictedPick {
 		// caller's variadic argument escape to the heap.
 		panic(fmt.Sprintf("gsma: no %v models from vendors [%s]", a, strings.Join(vendors, " ")))
 	}
-	// The sampler owns no stream: every draw comes from the caller's.
-	r.pick = rng.NewWeighted(nil, weights)
+	r.pick = rng.NewWeighted(weights)
 	db.restricted = append(db.restricted, r)
 	return r
-}
-
-// PickWithBands draws a model of the archetype whose radio capability
-// includes every RAT in want. Panics if no model qualifies.
-func (db *DB) PickWithBands(src *rng.Source, a Archetype, want radio.RATSet) DeviceInfo {
-	// Bounded rejection sampling first (cheap, usually succeeds)...
-	for i := 0; i < 32; i++ {
-		di := db.Pick(src, a)
-		if di.Bands&want == want {
-			return di
-		}
-	}
-	// ...then exhaustive fallback.
-	for _, di := range db.byArch[a] {
-		if di.Bands&want == want {
-			return di
-		}
-	}
-	panic(fmt.Sprintf("gsma: no %v model with bands %v", a, want))
-}
-
-// ModelsOf returns the catalog rows of one vendor, sorted by TAC.
-func (db *DB) ModelsOf(vendor string) []DeviceInfo {
-	var out []DeviceInfo
-	for _, di := range db.byTAC {
-		if di.Vendor == vendor {
-			out = append(out, di)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].TAC < out[j].TAC })
-	return out
 }

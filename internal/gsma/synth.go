@@ -200,7 +200,7 @@ func Synthesize(seed uint64) *DB {
 	for _, seg := range segments {
 		models, weights := synthSegment(db, src.Split(seg.arch.String()), seg)
 		db.byArch[seg.arch] = models
-		db.pick[seg.arch] = rng.NewWeighted(src.Split("pick-"+seg.arch.String()), weights)
+		db.pick[seg.arch] = rng.NewWeighted(weights)
 	}
 	return db
 }

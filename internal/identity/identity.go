@@ -1,14 +1,12 @@
 // Package identity implements the subscriber and equipment identifiers
-// of the cellular identity plane: IMSI (E.212), IMEI with its TAC
-// prefix (3GPP TS 23.003), ICCID (E.118) and MSISDN (E.164), plus the
-// one-way hashing used to anonymize device identifiers in traces, as
-// both of the paper's datasets do.
+// of the cellular identity plane: IMSI (E.212) and IMEI with its TAC
+// prefix (3GPP TS 23.003), plus the one-way hashing used to anonymize
+// device identifiers in traces, as both of the paper's datasets do.
 package identity
 
 import (
 	"fmt"
 	"strconv"
-	"strings"
 
 	"whereroam/internal/mccmnc"
 )
@@ -28,6 +26,8 @@ func (im IMSI) msinDigits() int { return 15 - 3 - int(im.PLMN.MNCLen) }
 // ParseIMSI parses a 15-digit IMSI string. The MNC length cannot be
 // derived from the digits alone (E.212 leaves it to the home registry),
 // so the caller supplies mncLen (2 or 3).
+//
+//roamvet:deadcode-ok paper data model (§2): the IMSI grammar the generators render and the traces hash
 func ParseIMSI(s string, mncLen int) (IMSI, error) {
 	if len(s) != 15 {
 		return IMSI{}, fmt.Errorf("identity: IMSI %q: want 15 digits, have %d", s, len(s))
@@ -53,9 +53,6 @@ func ParseIMSI(s string, mncLen int) (IMSI, error) {
 func (im IMSI) String() string {
 	return im.PLMN.Concat() + fmt.Sprintf("%0*d", im.msinDigits(), im.MSIN)
 }
-
-// IsZero reports whether the IMSI is the zero value.
-func (im IMSI) IsZero() bool { return im == IMSI{} }
 
 // InRange reports whether the IMSI's MSIN falls inside [lo, hi]. MNOs
 // dedicate IMSI ranges to verticals (the paper's UK MNO dedicates one
@@ -98,6 +95,8 @@ type IMEI struct {
 }
 
 // ParseIMEI parses a 15-digit IMEI and verifies its Luhn check digit.
+//
+//roamvet:deadcode-ok paper data model (§2): the IMEI grammar whose TAC prefix keys the GSMA join
 func ParseIMEI(s string) (IMEI, error) {
 	if len(s) != 15 || !allDigits(s) {
 		return IMEI{}, fmt.Errorf("identity: IMEI %q: want 15 digits", s)
@@ -138,56 +137,13 @@ func luhnDigit(body string) int {
 
 // LuhnOK reports whether the digit string's final digit is a valid
 // Luhn check digit for the preceding digits.
+//
+//roamvet:deadcode-ok paper data model (§2): the check-digit rule of every generated IMEI
 func LuhnOK(s string) bool {
 	if len(s) < 2 || !allDigits(s) {
 		return false
 	}
 	return luhnDigit(s[:len(s)-1]) == int(s[len(s)-1]-'0')
-}
-
-// ICCID is the SIM card serial number (E.118): the "89" telecom
-// industry prefix, a country calling code, an issuer identifier, an
-// account number and a Luhn check digit — 19 or 20 digits total. Only
-// the fields the generators need are modelled.
-type ICCID struct {
-	CountryCode uint16 // E.164 country calling code, 1-3 digits
-	Issuer      uint16 // 2-digit issuer within country
-	Account     uint64 // 12-digit individual account number
-}
-
-// String renders the ICCID as 19 digits plus the Luhn check digit.
-func (ic ICCID) String() string {
-	body := fmt.Sprintf("89%03d%02d%012d", ic.CountryCode%1000, ic.Issuer%100, ic.Account%1_000_000_000_000)
-	return body + strconv.Itoa(luhnDigit(body))
-}
-
-// ParseICCID parses a 20-digit ICCID in the layout produced by String
-// and verifies the Luhn check digit.
-func ParseICCID(s string) (ICCID, error) {
-	if len(s) != 20 || !allDigits(s) {
-		return ICCID{}, fmt.Errorf("identity: ICCID %q: want 20 digits", s)
-	}
-	if !strings.HasPrefix(s, "89") {
-		return ICCID{}, fmt.Errorf("identity: ICCID %q: missing telecom prefix 89", s)
-	}
-	if !LuhnOK(s) {
-		return ICCID{}, fmt.Errorf("identity: ICCID %q: Luhn check digit mismatch", s)
-	}
-	cc, _ := strconv.ParseUint(s[2:5], 10, 16)
-	issuer, _ := strconv.ParseUint(s[5:7], 10, 16)
-	acct, _ := strconv.ParseUint(s[7:19], 10, 64)
-	return ICCID{CountryCode: uint16(cc), Issuer: uint16(issuer), Account: acct}, nil
-}
-
-// MSISDN is a subscriber telephone number in E.164 form.
-type MSISDN struct {
-	CountryCode uint16 // 1-3 digits
-	National    uint64 // up to 12 digits
-}
-
-// String renders the MSISDN with a leading +.
-func (m MSISDN) String() string {
-	return fmt.Sprintf("+%d%d", m.CountryCode, m.National)
 }
 
 // DeviceID is the one-way-hashed device identifier that appears in

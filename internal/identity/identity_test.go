@@ -159,51 +159,6 @@ func TestIMEITACPrefix(t *testing.T) {
 	}
 }
 
-func TestICCIDRoundTrip(t *testing.T) {
-	ic := ICCID{CountryCode: 44, Issuer: 10, Account: 123456789012}
-	s := ic.String()
-	if len(s) != 20 {
-		t.Fatalf("ICCID renders as %d digits: %q", len(s), s)
-	}
-	if !strings.HasPrefix(s, "89") {
-		t.Fatalf("ICCID %q lacks telecom prefix", s)
-	}
-	got, err := ParseICCID(s)
-	if err != nil {
-		t.Fatalf("ParseICCID(%q): %v", s, err)
-	}
-	if got != ic {
-		t.Errorf("round trip %v -> %v", ic, got)
-	}
-}
-
-func TestICCIDRoundTripProperty(t *testing.T) {
-	f := func(cc uint16, issuer uint16, acct uint64) bool {
-		ic := ICCID{CountryCode: cc % 1000, Issuer: issuer % 100, Account: acct % 1_000_000_000_000}
-		got, err := ParseICCID(ic.String())
-		return err == nil && got == ic
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestICCIDLuhn(t *testing.T) {
-	s := ICCID{CountryCode: 34, Issuer: 7, Account: 1}.String()
-	b := []byte(s)
-	b[len(b)-1] = '0' + (b[len(b)-1]-'0'+5)%10
-	if _, err := ParseICCID(string(b)); err == nil {
-		t.Error("ICCID with corrupted check digit accepted")
-	}
-}
-
-func TestMSISDNString(t *testing.T) {
-	m := MSISDN{CountryCode: 44, National: 7700900123}
-	if got := m.String(); got != "+447700900123" {
-		t.Errorf("MSISDN = %q", got)
-	}
-}
-
 func TestHashDeviceStable(t *testing.T) {
 	im := IMSI{PLMN: mccmnc.MustParse("21407"), MSIN: 42}
 	a, b := HashDevice(im), HashDevice(im)

@@ -1,6 +1,5 @@
 // Package ingest implements bounded-memory streaming ingestion: the
-// path from live record streams — probe taps, [probe.Stream] sources,
-// or the binary codecs of internal/cdrs — into the sharded
+// path from live record streams — probe tap sinks — into the sharded
 // devices-catalog builder, so a catalog builds while the capture is
 // still being generated and no full event slice is ever held.
 //
@@ -25,16 +24,11 @@
 package ingest
 
 import (
-	"io"
 	"sync"
-	"sync/atomic"
 
 	"whereroam/internal/catalog"
 	"whereroam/internal/cdrs"
-	"whereroam/internal/obs"
-	"whereroam/internal/probe"
 	"whereroam/internal/radio"
-	"whereroam/internal/signaling"
 )
 
 // DefaultDepth is the per-shard channel depth used when a caller
@@ -59,17 +53,13 @@ type item struct {
 // under a bounded memory envelope. Construct with
 // [NewCatalogIngester], feed it from any number of producer
 // goroutines via [CatalogIngester.OfferRadio] and
-// [CatalogIngester.OfferRecord] (or the stream and codec bridges),
-// then call [CatalogIngester.Build] once every producer is done.
+// [CatalogIngester.OfferRecord], then call [CatalogIngester.Build]
+// once every producer is done.
 type CatalogIngester struct {
 	sb     *catalog.ShardedBuilder
 	queues []chan item
 	wg     sync.WaitGroup
-
-	radioIn  atomic.Int64
-	recordIn atomic.Int64
-	met      atomic.Pointer[Metrics]
-	closed   bool
+	closed bool
 }
 
 // NewCatalogIngester starts one consumer goroutine per shard of sb,
@@ -87,26 +77,12 @@ func NewCatalogIngester(sb *catalog.ShardedBuilder, depth int) *CatalogIngester 
 		go func(i int) {
 			defer in.wg.Done()
 			b := sb.Builder(i)
-			// Drain timing starts at the shard's first item seen after
-			// metrics attach and stops when the queue closes — the
-			// "per-stage shard time" of this pipeline stage.
-			var sw obs.Stopwatch
-			timing := false
 			for it := range in.queues[i] {
-				if !timing {
-					if m := in.met.Load(); m != nil {
-						sw = m.drainTimer()
-						timing = true
-					}
-				}
 				if it.isCDR {
 					b.AddRecord(it.rec)
 				} else {
 					b.AddRadioEvent(it.ev)
 				}
-			}
-			if timing {
-				sw.Stop()
 			}
 		}(i)
 	}
@@ -118,92 +94,13 @@ func NewCatalogIngester(sb *catalog.ShardedBuilder, depth int) *CatalogIngester 
 // device's events must all come from one producer for its ingestion
 // order to be well defined.
 func (in *CatalogIngester) OfferRadio(ev radio.Event) {
-	in.radioIn.Add(1)
-	q := in.queues[in.sb.ShardFor(ev.Device)]
-	in.met.Load().noteRadio(len(q))
-	q <- item{ev: ev}
+	in.queues[in.sb.ShardFor(ev.Device)] <- item{ev: ev}
 }
 
 // OfferRecord routes one CDR/xDR to its device's shard; same blocking
 // and concurrency contract as OfferRadio.
 func (in *CatalogIngester) OfferRecord(rec cdrs.Record) {
-	in.recordIn.Add(1)
-	q := in.queues[in.sb.ShardFor(rec.Device)]
-	in.met.Load().noteRecord(len(q))
-	q <- item{rec: rec, isCDR: true}
-}
-
-// DrainRadio consumes a radio-event stream into the ingester until
-// the stream closes, returning how many events it forwarded. It
-// blocks the calling goroutine; run one drain per stream.
-func (in *CatalogIngester) DrainRadio(s *probe.Stream[radio.Event]) int64 {
-	var n int64
-	for ev := range s.C {
-		in.OfferRadio(ev)
-		n++
-	}
-	return n
-}
-
-// DrainRecords consumes a CDR/xDR stream into the ingester until the
-// stream closes, returning how many records it forwarded.
-func (in *CatalogIngester) DrainRecords(s *probe.Stream[cdrs.Record]) int64 {
-	var n int64
-	for rec := range s.C {
-		in.OfferRecord(rec)
-		n++
-	}
-	return n
-}
-
-// ReadRecords decodes a binary CDR/xDR wire stream (the internal/cdrs
-// codec) straight into the ingester — the shape of a national feed
-// arriving from a mediation system: records decode into caller-owned
-// memory one at a time and route to their shard, so the stream never
-// materializes. It returns the number of records ingested and the
-// first decode error, if any.
-func (in *CatalogIngester) ReadRecords(r io.Reader) (int, error) {
-	rd := cdrs.NewReader(r)
-	var rec cdrs.Record
-	for {
-		err := rd.Read(&rec)
-		if err == io.EOF {
-			return rd.Count(), nil
-		}
-		if err != nil {
-			return rd.Count(), err
-		}
-		in.OfferRecord(rec)
-	}
-}
-
-// ReadTransactions decodes a binary signaling wire stream (the
-// internal/signaling codec) and hands each transaction to sink,
-// decoding into caller-owned memory one record at a time — the
-// signaling counterpart of [CatalogIngester.ReadRecords], so both of
-// the repository's wire formats can feed a live consumer (or a
-// persist-and-ingest fanout; see internal/store) without the stream
-// ever materializing. It returns the number of transactions delivered
-// and the first decode error, if any.
-func ReadTransactions(r io.Reader, sink func(signaling.Transaction)) (int, error) {
-	rd := signaling.NewReader(r)
-	var tx signaling.Transaction
-	for {
-		err := rd.Read(&tx)
-		if err == io.EOF {
-			return rd.Count(), nil
-		}
-		if err != nil {
-			return rd.Count(), err
-		}
-		sink(tx)
-	}
-}
-
-// Stats returns how many radio events and CDRs/xDRs the ingester has
-// accepted so far.
-func (in *CatalogIngester) Stats() (radioEvents, records int64) {
-	return in.radioIn.Load(), in.recordIn.Load()
+	in.queues[in.sb.ShardFor(rec.Device)] <- item{rec: rec, isCDR: true}
 }
 
 // Close ends ingestion: it closes every shard queue and waits for the

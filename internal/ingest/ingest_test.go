@@ -2,6 +2,7 @@ package ingest
 
 import (
 	"bytes"
+	"io"
 	"reflect"
 	"sync"
 	"testing"
@@ -13,7 +14,6 @@ import (
 	"whereroam/internal/mccmnc"
 	"whereroam/internal/probe"
 	"whereroam/internal/radio"
-	"whereroam/internal/signaling"
 )
 
 var (
@@ -111,10 +111,6 @@ func TestCatalogIngesterMatchesSerial(t *testing.T) {
 			t.Errorf("shards=%d depth=%d producers=%d: streaming catalog differs from serial",
 				tc.shards, tc.depth, tc.producers)
 		}
-		nr, nc := in.Stats()
-		if nr != int64(len(evs)) || nc != int64(len(recs)) {
-			t.Errorf("stats = %d/%d, want %d/%d", nr, nc, len(evs), len(recs))
-		}
 	}
 }
 
@@ -130,7 +126,8 @@ func TestCatalogIngesterCloseIdempotent(t *testing.T) {
 	}
 }
 
-// The probe.Stream bridges drain channel sources into the router.
+// A probe.Stream is a valid source: a consumer ranging over its
+// channel and offering each record builds the serial catalog.
 func TestCatalogIngesterDrainStreams(t *testing.T) {
 	evs, recs := synthStreams(20, 10)
 	want := serialCatalog(t, evs, recs)
@@ -145,8 +142,8 @@ func TestCatalogIngesterDrainStreams(t *testing.T) {
 		}
 		rs.Close()
 	}()
-	if n := in.DrainRadio(rs); n != int64(len(evs)) {
-		t.Fatalf("drained %d radio events, want %d", n, len(evs))
+	for ev := range rs.C {
+		in.OfferRadio(ev)
 	}
 	go func() {
 		for i := range recs {
@@ -154,16 +151,17 @@ func TestCatalogIngesterDrainStreams(t *testing.T) {
 		}
 		cs.Close()
 	}()
-	if n := in.DrainRecords(cs); n != int64(len(recs)) {
-		t.Fatalf("drained %d records, want %d", n, len(recs))
+	for rec := range cs.C {
+		in.OfferRecord(rec)
 	}
 	if got := in.Build(0); !reflect.DeepEqual(want.Records, got.Records) {
 		t.Error("stream-drained catalog differs from serial")
 	}
 }
 
-// ReadRecords decodes the binary CDR wire format straight into the
-// router: the national-feed shape, no slice ever materialized.
+// The national-feed shape: records decoded off the binary CDR wire
+// format one at a time and offered to the router build the catalog of
+// the records that were encoded.
 func TestCatalogIngesterReadRecords(t *testing.T) {
 	_, recs := synthStreams(30, 12)
 	var buf bytes.Buffer
@@ -174,9 +172,17 @@ func TestCatalogIngesterReadRecords(t *testing.T) {
 
 	sb := catalog.NewShardedBuilder(host, start, 22, nil, 4)
 	in := NewCatalogIngester(sb, 8)
-	n, err := in.ReadRecords(&buf)
-	if err != nil {
-		t.Fatal(err)
+	rd := cdrs.NewReader(&buf)
+	n := 0
+	for {
+		var rec cdrs.Record
+		if err := rd.Read(&rec); err == io.EOF {
+			break
+		} else if err != nil {
+			t.Fatal(err)
+		}
+		in.OfferRecord(rec)
+		n++
 	}
 	if n != len(recs) {
 		t.Fatalf("ingested %d records, want %d", n, len(recs))
@@ -200,7 +206,7 @@ func TestOrderedDrainOrder(t *testing.T) {
 			go func(i int) {
 				defer wg.Done()
 				for j := 0; j < perShard; j++ {
-					o.Send(i, i*perShard+j)
+					o.Sink(i)(i*perShard + j)
 				}
 				o.CloseShard(i)
 			}(i)
@@ -222,7 +228,7 @@ func TestOrderedDrainOrder(t *testing.T) {
 // can release a blocked consumer unconditionally.
 func TestOrderedCloseIdempotent(t *testing.T) {
 	o := NewOrdered[int](3, 2)
-	o.Send(1, 42)
+	o.Sink(1)(42)
 	o.CloseShard(1)
 	o.CloseShard(1)
 	o.CloseAll()
@@ -231,48 +237,5 @@ func TestOrderedCloseIdempotent(t *testing.T) {
 	o.Drain(func(v int) { got = append(got, v) })
 	if len(got) != 1 || got[0] != 42 {
 		t.Fatalf("drained %v, want [42]", got)
-	}
-}
-
-// ReadTransactions streams the signaling wire format into a sink with
-// no materialization — the symmetric counterpart of ReadRecords, and
-// the bridge that lets archived signaling feeds flow back through the
-// same consumer shape as live ones.
-func TestReadTransactions(t *testing.T) {
-	txs := make([]signaling.Transaction, 500)
-	for i := range txs {
-		txs[i] = signaling.Transaction{
-			Device:    identity.DeviceID(i % 37),
-			Time:      start.Add(time.Duration(i) * time.Second),
-			SIM:       nlSIM,
-			Visited:   host,
-			Procedure: signaling.ProcUpdateLocation,
-			Result:    signaling.ResultOK,
-			RAT:       radio.RAT2G,
-		}
-	}
-	var buf bytes.Buffer
-	if err := signaling.WriteAll(&buf, txs); err != nil {
-		t.Fatal(err)
-	}
-	full := append([]byte(nil), buf.Bytes()...)
-	var got []signaling.Transaction
-	n, err := ReadTransactions(&buf, func(tx signaling.Transaction) { got = append(got, tx) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != len(txs) || !reflect.DeepEqual(txs, got) {
-		t.Fatalf("decoded %d transactions; stream equality: %v", n, reflect.DeepEqual(txs, got))
-	}
-
-	// A truncated stream surfaces its decode error and the prefix.
-	trunc := bytes.NewReader(full[:len(full)-7])
-	got = nil
-	n, err = ReadTransactions(trunc, func(tx signaling.Transaction) { got = append(got, tx) })
-	if err == nil {
-		t.Fatal("truncated stream decoded without error")
-	}
-	if n != len(txs)-1 || len(got) != n {
-		t.Fatalf("truncated stream delivered %d transactions, want %d", n, len(txs)-1)
 	}
 }

@@ -39,14 +39,6 @@ func NewOrdered[T any](shards, depth int) *Ordered[T] {
 	return o
 }
 
-// Shards returns the number of producer streams.
-func (o *Ordered[T]) Shards() int { return len(o.streams) }
-
-// Send delivers one record on shard i's stream, blocking while the
-// shard's window is full (backpressure against the consumer). Each
-// shard must have a single producer.
-func (o *Ordered[T]) Send(i int, rec T) { o.streams[i].Send(rec) }
-
 // Sink returns shard i's send function — a valid probe tap sink.
 func (o *Ordered[T]) Sink(i int) func(T) { return o.streams[i].Send }
 

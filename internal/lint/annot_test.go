@@ -61,6 +61,9 @@ package p
 
 //roamvet:maporder-ok the loop only counts, and counting commutes
 func f() {}
+
+//roamvet:deadcode-ok test oracle: the whole-module rule's annotations share the grammar
+func g() {}
 `)
 	if diags := lint.Run(u, nil); len(diags) != 0 {
 		t.Fatalf("got %d diagnostics %v, want 0", len(diags), diags)

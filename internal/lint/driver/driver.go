@@ -34,7 +34,6 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"regexp"
 	"runtime"
 	"strings"
 
@@ -92,7 +91,7 @@ func Load(dir string, patterns ...string) ([]*lint.Unit, error) {
 		if p.Export != "" {
 			exports[p.ImportPath] = p.Export
 		}
-		if p.DepOnly || p.Standard || p.Module == nil || p.Module.Path != lint.ModulePath {
+		if p.DepOnly || p.Standard || p.Module == nil || !lint.InModule(p.Module.Path) {
 			continue
 		}
 		if p.Error != nil {
@@ -155,11 +154,11 @@ func Exports(dir string, pkgs ...string) (map[string]string, error) {
 	return exports, nil
 }
 
-// importerFunc adapts a function to types.Importer.
-type importerFunc func(path string) (*types.Package, error)
+// ImporterFunc adapts a function to types.Importer.
+type ImporterFunc func(path string) (*types.Package, error)
 
 // Import implements types.Importer.
-func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+func (f ImporterFunc) Import(path string) (*types.Package, error) { return f(path) }
 
 // NewImporter returns a types.Importer that reads gc export data:
 // importMap (which may be nil) translates import paths as written to
@@ -173,7 +172,7 @@ func NewImporter(fset *token.FileSet, importMap, packageFile map[string]string) 
 		}
 		return os.Open(file)
 	})
-	return importerFunc(func(path string) (*types.Package, error) {
+	return ImporterFunc(func(path string) (*types.Package, error) {
 		if mapped, ok := importMap[path]; ok {
 			path = mapped
 		}
@@ -258,8 +257,6 @@ type vetConfig struct {
 	SucceedOnTypecheckFailure bool
 }
 
-var goMinorVersion = regexp.MustCompile(`^go\d+\.\d+`)
-
 // RunVetCfg analyzes the single package described by the vet config
 // file at cfgPath, printing diagnostics to w in the go vet format.
 // It returns the number of diagnostics; the caller turns that into
@@ -284,7 +281,7 @@ func RunVetCfg(cfgPath string, w io.Writer) (int, error) {
 	if cfg.VetxOnly || strings.Contains(cfg.ID, ".test") || strings.Contains(cfg.ImportPath, " [") {
 		return 0, nil
 	}
-	if cfg.ImportPath != lint.ModulePath && !strings.HasPrefix(cfg.ImportPath, lint.ModulePath+"/") {
+	if !lint.InModule(cfg.ImportPath) {
 		return 0, nil
 	}
 	fset := token.NewFileSet()

@@ -29,6 +29,8 @@
 //   - godoclint: the documentation contract — every package carries a
 //     package doc comment, and the strict-godoc packages document
 //     every exported declaration.
+//   - deadcode: the whole-module rule ([RunDeadcode]) — every library
+//     declaration is reachable from a binary; see [Deadcode].
 //
 // A finding at a provably-safe site is suppressed with an annotation
 // comment on the flagged line or the line above:
@@ -78,6 +80,8 @@ var DeterministicPackages = []string{
 // genuinely out of scope and each reason is non-empty, so an
 // accidental scope change surfaces as a test diff, not a silent lint
 // gap.
+//
+//roamvet:deadcode-ok the record scope_test.go asserts against: data for the tests, not for a binary
 var ScopeExemptions = map[string]string{
 	ModulePath + "/internal/obs": "observability is measurement of the system, not part of it: " +
 		"metrics, spans and profiles exist to read wall clocks and mutate shared counters, and " +
@@ -108,6 +112,10 @@ func InDeterministicScope(path string) bool { return hasPathPrefix(path, Determi
 // InStrictGodocScope reports whether the package with the given
 // import path must document every exported declaration.
 func InStrictGodocScope(path string) bool { return hasPathPrefix(path, StrictGodocPackages) }
+
+// InModule reports whether path names this module, a package of it,
+// or a module nested in it (bench/).
+func InModule(path string) bool { return hasPathPrefix(path, []string{ModulePath}) }
 
 func hasPathPrefix(path string, prefixes []string) bool {
 	for _, p := range prefixes {
@@ -149,12 +157,16 @@ func AnalyzersFor(path string) []*Analyzer {
 	return []*Analyzer{Godoclint}
 }
 
-// ByName returns the analyzer with the given name, or nil.
+// ByName returns the analyzer with the given name — one of the
+// per-package suite or the whole-module [Deadcode] — or nil.
 func ByName(name string) *Analyzer {
 	for _, a := range All {
 		if a.Name == name {
 			return a
 		}
+	}
+	if name == Deadcode.Name {
+		return Deadcode
 	}
 	return nil
 }
@@ -211,16 +223,25 @@ type annotKey struct {
 // annotation with a reason.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	position := p.Fset.Position(pos)
-	for _, line := range []int{position.Line, position.Line - 1} {
-		if _, ok := p.annots[annotKey{position.Filename, line, p.Analyzer.Name}]; ok {
-			return
-		}
+	if annotated(p.annots, position, p.Analyzer.Name) {
+		return
 	}
 	*p.diags = append(*p.diags, Diagnostic{
 		Pos:      position,
 		Analyzer: p.Analyzer.Name,
 		Message:  fmt.Sprintf(format, args...),
 	})
+}
+
+// annotated reports whether the line at pos, or the line above it,
+// carries a //roamvet:<analyzer>-ok annotation.
+func annotated(annots map[annotKey]string, pos token.Position, analyzer string) bool {
+	for _, line := range []int{pos.Line, pos.Line - 1} {
+		if _, ok := annots[annotKey{pos.Filename, line, analyzer}]; ok {
+			return true
+		}
+	}
+	return false
 }
 
 // annotRE matches a well-formed suppression: analyzer name, "-ok", a
@@ -277,6 +298,12 @@ func Run(u *Unit, analyzers []*Analyzer) []Diagnostic {
 		pass := &Pass{Analyzer: a, Unit: u, annots: annots, diags: &diags}
 		a.Run(pass)
 	}
+	sortDiagnostics(diags)
+	return diags
+}
+
+// sortDiagnostics orders findings by file, line, column, analyzer.
+func sortDiagnostics(diags []Diagnostic) {
 	sort.Slice(diags, func(i, j int) bool {
 		a, b := diags[i], diags[j]
 		if a.Pos.Filename != b.Pos.Filename {
@@ -290,7 +317,6 @@ func Run(u *Unit, analyzers []*Analyzer) []Diagnostic {
 		}
 		return a.Analyzer < b.Analyzer
 	})
-	return diags
 }
 
 // inspectStack walks the file like ast.Inspect but hands the callback

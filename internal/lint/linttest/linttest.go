@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -68,6 +69,78 @@ func RunAs(t *testing.T, unitPath, fixture string, analyzers ...*lint.Analyzer) 
 		t.Fatalf("linttest: %v", err)
 	}
 	match(t, diags, wants)
+}
+
+// ModulePrefix is the import path fixture modules live under: the
+// package in testdata/src/<fixture>/<dir> is imported as
+// ModulePrefix/<fixture>/<dir>.
+const ModulePrefix = lint.ModulePath + "/linttestfixture"
+
+// RunModule type-checks every package directory of the fixture module
+// testdata/src/<fixture> — resolving the fixture's own packages from
+// source and everything else from export data — hands all units to a
+// whole-module check, and compares its diagnostics against the want
+// comments of every file.
+func RunModule(t *testing.T, fixture string, check func([]*lint.Unit) []lint.Diagnostic) {
+	t.Helper()
+	root := filepath.Join("testdata", "src", fixture)
+	entries, err := os.ReadDir(root)
+	if err != nil {
+		t.Fatalf("linttest: %v", err)
+	}
+	var all []string
+	byPath := map[string][]string{}
+	for _, e := range entries {
+		if !e.IsDir() {
+			continue
+		}
+		files, err := fixtureFiles(filepath.Join(root, e.Name()))
+		if err != nil {
+			t.Fatalf("linttest: %v", err)
+		}
+		byPath[ModulePrefix+"/"+fixture+"/"+e.Name()] = files
+		all = append(all, files...)
+	}
+	var std []string
+	for _, p := range fixtureImports(t, all) {
+		if _, own := byPath[p]; !own {
+			std = append(std, p)
+		}
+	}
+	exports, err := driver.Exports(".", std...)
+	if err != nil {
+		t.Fatalf("linttest: resolving fixture imports: %v", err)
+	}
+	fset := token.NewFileSet()
+	stdImp := driver.NewImporter(fset, nil, exports)
+	loaded := map[string]*lint.Unit{}
+	var imp driver.ImporterFunc
+	imp = func(path string) (*types.Package, error) {
+		files, own := byPath[path]
+		if !own {
+			return stdImp.Import(path)
+		}
+		if loaded[path] == nil {
+			u, err := driver.Check(path, files, fset, imp)
+			if err != nil {
+				return nil, err
+			}
+			loaded[path] = u
+		}
+		return loaded[path].Pkg, nil
+	}
+	var units []*lint.Unit
+	for path := range byPath {
+		if _, err := imp(path); err != nil {
+			t.Fatalf("linttest: type-checking %s: %v", path, err)
+		}
+		units = append(units, loaded[path])
+	}
+	wants, err := parseWants(all)
+	if err != nil {
+		t.Fatalf("linttest: %v", err)
+	}
+	match(t, check(units), wants)
 }
 
 // fixtureFiles lists the .go sources of a fixture directory.

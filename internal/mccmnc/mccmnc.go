@@ -157,13 +157,6 @@ func OperatorsIn(iso string) []Operator {
 	return ops
 }
 
-// Countries returns all registered countries sorted by ISO code.
-func Countries() []Country {
-	out := make([]Country, len(allCountries))
-	copy(out, allCountries)
-	return out
-}
-
 // CountriesInRegion returns registered countries in the region,
 // sorted by ISO code.
 func CountriesInRegion(r Region) []Country {

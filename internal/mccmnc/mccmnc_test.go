@@ -89,7 +89,7 @@ func TestRegistryNoDuplicatePLMN(t *testing.T) {
 func TestRegistryScale(t *testing.T) {
 	// The paper's ES SIMs roam over 76+ countries; our registry must be
 	// able to host a footprint of that order.
-	if n := len(Countries()); n < 75 {
+	if n := len(allCountries); n < 75 {
 		t.Errorf("registry has %d countries, want >= 75", n)
 	}
 	if n := len(AllOperators()); n < 150 {

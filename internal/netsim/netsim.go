@@ -149,12 +149,6 @@ func plmnKey(p mccmnc.PLMN) uint64 {
 	return uint64(p.MCC)<<32 | uint64(p.MNC)<<8 | uint64(p.MNCLen)
 }
 
-// Operator returns the registry row for the PLMN.
-func (w *World) Operator(p mccmnc.PLMN) (mccmnc.Operator, bool) {
-	op, ok := w.operators[p]
-	return op, ok
-}
-
 // OperatorsIn returns the PLMNs operating in the ISO country, sorted.
 func (w *World) OperatorsIn(iso string) []mccmnc.PLMN {
 	out := make([]mccmnc.PLMN, len(w.byISO[iso]))
@@ -167,9 +161,6 @@ func (w *World) OperatorsIn(iso string) []mccmnc.PLMN {
 	})
 	return out
 }
-
-// HubMember reports whether the operator connects to the IPX hub.
-func (w *World) HubMember(p mccmnc.PLMN) bool { return w.hub[p] }
 
 // RoamingAllowed reports whether a SIM of home may use visited:
 // either the pair holds a bilateral agreement or both sit on the hub.
@@ -240,62 +231,6 @@ func (p SelectionPolicy) String() string {
 		return "rotate"
 	}
 	return "policy(" + strconv.Itoa(int(p)) + ")"
-}
-
-// SelectVMNO picks the next visited network in the ISO country for a
-// home SIM. prev is the current VMNO (zero at first attach); n is a
-// per-device monotone counter used by PolicyRotate. The second return
-// is false when no partner exists in the country.
-func (w *World) SelectVMNO(src *rng.Source, home mccmnc.PLMN, iso string, prev mccmnc.PLMN, policy SelectionPolicy, n int) (mccmnc.PLMN, bool) {
-	partners := w.PartnersOf(home, iso)
-	if len(partners) == 0 {
-		return mccmnc.PLMN{}, false
-	}
-	switch policy {
-	case PolicyStrongest:
-		return partners[0], true
-	case PolicyRotate:
-		return partners[n%len(partners)], true
-	default: // PolicySticky
-		if !prev.IsZero() {
-			for _, p := range partners {
-				if p == prev {
-					return p, true
-				}
-			}
-		}
-		return partners[src.Intn(len(partners))], true
-	}
-}
-
-// HSS is the home-network subscriber database deciding admission for
-// its own SIMs when a visited network asks.
-type HSS struct {
-	world *World
-	home  mccmnc.PLMN
-	// barred maps device IDs to the permanent error their
-	// subscription returns (UnknownSubscription for retired SIMs,
-	// FeatureUnsupported for 4G-incapable subscriptions, ...).
-	barred map[identity.DeviceID]signaling.Result
-}
-
-// NewHSS returns the HSS of a home operator.
-func NewHSS(w *World, home mccmnc.PLMN) *HSS {
-	return &HSS{world: w, home: home, barred: map[identity.DeviceID]signaling.Result{}}
-}
-
-// Bar registers a permanent per-device failure.
-func (h *HSS) Bar(dev identity.DeviceID, res signaling.Result) { h.barred[dev] = res }
-
-// Admit decides an update-location request from visited for dev.
-func (h *HSS) Admit(dev identity.DeviceID, visited mccmnc.PLMN) signaling.Result {
-	if res, ok := h.barred[dev]; ok {
-		return res
-	}
-	if !h.world.RoamingAllowed(h.home, visited) {
-		return signaling.ResultRoamingNotAllowed
-	}
-	return signaling.ResultOK
 }
 
 // AttachSequence produces the transaction pair of a network attach as

@@ -7,7 +7,6 @@ import (
 	"whereroam/internal/identity"
 	"whereroam/internal/mccmnc"
 	"whereroam/internal/radio"
-	"whereroam/internal/rng"
 	"whereroam/internal/signaling"
 )
 
@@ -26,7 +25,7 @@ var (
 func TestWorldDeterministic(t *testing.T) {
 	a, b := world(t), world(t)
 	for _, op := range mccmnc.AllOperators() {
-		if a.HubMember(op.PLMN) != b.HubMember(op.PLMN) {
+		if a.hub[op.PLMN] != b.hub[op.PLMN] {
 			t.Fatalf("hub membership of %v differs between identical worlds", op.PLMN)
 		}
 	}
@@ -45,7 +44,7 @@ func TestHubFootprintEuropeHeavy(t *testing.T) {
 				continue
 			}
 			n++
-			if w.HubMember(op.PLMN) {
+			if w.hub[op.PLMN] {
 				members++
 			}
 		}
@@ -75,11 +74,14 @@ func TestRoamingViaHub(t *testing.T) {
 	// partners almost everywhere (the paper has ES devices in 77
 	// countries).
 	countries := 0
-	for _, c := range mccmnc.Countries() {
-		if c.ISO == "ES" {
+	seen := map[string]bool{"ES": true}
+	for _, op := range mccmnc.AllOperators() {
+		iso := mccmnc.ISOByMCC(op.PLMN.MCC)
+		if seen[iso] {
 			continue
 		}
-		if len(w.PartnersOf(es, c.ISO)) > 0 {
+		seen[iso] = true
+		if len(w.PartnersOf(es, iso)) > 0 {
 			countries++
 		}
 	}
@@ -107,57 +109,6 @@ func TestConfigFor(t *testing.T) {
 	}
 	if got := w.ConfigFor(es, mccmnc.MustParse("21401")); got != ConfigLBO {
 		t.Errorf("national roaming config = %v, want LBO", got)
-	}
-}
-
-func TestSelectVMNOPolicies(t *testing.T) {
-	w := world(t)
-	src := rng.New(1)
-	// Strongest is deterministic.
-	a, ok := w.SelectVMNO(src, es, "GB", mccmnc.PLMN{}, PolicyStrongest, 0)
-	if !ok {
-		t.Fatal("no UK partner for ES SIM")
-	}
-	b, _ := w.SelectVMNO(src, es, "GB", mccmnc.PLMN{}, PolicyStrongest, 5)
-	if a != b {
-		t.Error("PolicyStrongest must be deterministic")
-	}
-	// Sticky keeps the previous choice.
-	got, _ := w.SelectVMNO(src, es, "GB", a, PolicySticky, 0)
-	if got != a {
-		t.Error("PolicySticky must keep the previous VMNO")
-	}
-	// Rotate cycles through partners.
-	partners := w.PartnersOf(es, "GB")
-	if len(partners) > 1 {
-		r0, _ := w.SelectVMNO(src, es, "GB", a, PolicyRotate, 0)
-		r1, _ := w.SelectVMNO(src, es, "GB", a, PolicyRotate, 1)
-		if r0 == r1 {
-			t.Error("PolicyRotate should move to the next partner")
-		}
-	}
-	// Unknown country yields nothing.
-	if _, ok := w.SelectVMNO(src, es, "XX", mccmnc.PLMN{}, PolicySticky, 0); ok {
-		t.Error("selection in unknown country should fail")
-	}
-}
-
-func TestHSSAdmission(t *testing.T) {
-	w := world(t)
-	h := NewHSS(w, es)
-	dev := identity.DeviceID(42)
-	if res := h.Admit(dev, uk); res != signaling.ResultOK {
-		t.Errorf("admission ES SIM on UK partner = %v", res)
-	}
-	h.Bar(dev, signaling.ResultUnknownSubscription)
-	if res := h.Admit(dev, uk); res != signaling.ResultUnknownSubscription {
-		t.Errorf("barred device admitted: %v", res)
-	}
-	// A network with no agreement at all: build an isolated world.
-	w2 := NewWorld(Config{HubShare: map[mccmnc.Region]float64{}, BilateralPerOperator: 0, Seed: 9})
-	h2 := NewHSS(w2, es)
-	if res := h2.Admit(identity.DeviceID(7), uk); res != signaling.ResultRoamingNotAllowed {
-		t.Errorf("agreement-free world admitted roamer: %v", res)
 	}
 }
 
@@ -251,14 +202,6 @@ func TestConfigForSymmetricDistance(t *testing.T) {
 		if w.ConfigFor(p[0], p[1]) != w.ConfigFor(p[1], p[0]) {
 			t.Errorf("asymmetric config for %v <-> %v", p[0], p[1])
 		}
-	}
-}
-
-func BenchmarkSelectVMNO(b *testing.B) {
-	w := world(b)
-	src := rng.New(1)
-	for i := 0; i < b.N; i++ {
-		_, _ = w.SelectVMNO(src, es, "GB", uk, PolicySticky, i)
 	}
 }
 

@@ -178,34 +178,12 @@ type Gauge struct {
 	v atomic.Int64
 }
 
-// Set stores v.
-func (g *Gauge) Set(v int64) {
-	if g == nil {
-		return
-	}
-	g.v.Store(v)
-}
-
 // Add adjusts the gauge by delta (negative to decrement).
 func (g *Gauge) Add(delta int64) {
 	if g == nil {
 		return
 	}
 	g.v.Add(delta)
-}
-
-// SetMax raises the gauge to v if v exceeds the current value — the
-// high-water-mark idiom (channel depth, in-flight peak).
-func (g *Gauge) SetMax(v int64) {
-	if g == nil {
-		return
-	}
-	for {
-		cur := g.v.Load()
-		if v <= cur || g.v.CompareAndSwap(cur, v) {
-			return
-		}
-	}
 }
 
 // Value returns the current value (0 on a nil gauge).
@@ -285,6 +263,8 @@ func (h *Histogram) Sum() float64 {
 // bounded-bucket histogram can honestly claim. Observations in the
 // +Inf bucket clamp to the largest finite bound. Returns 0 when
 // empty or nil.
+//
+//roamvet:deadcode-ok test oracle: the obs and serve tests read latency histograms back through it
 func (h *Histogram) Quantile(q float64) float64 {
 	if h == nil {
 		return 0

@@ -28,7 +28,6 @@ func TestRegistryConcurrency(t *testing.T) {
 			for i := 0; i < perG; i++ {
 				r.Counter("herd_total", "herd counter").Inc()
 				r.Gauge("herd_gauge", "herd gauge").Add(1)
-				r.Gauge("herd_hwm", "herd high water").SetMax(int64(i))
 				r.Histogram("herd_seconds", "herd histogram", nil).Observe(0.001)
 			}
 		}()
@@ -39,9 +38,6 @@ func TestRegistryConcurrency(t *testing.T) {
 	}
 	if got := r.Gauge("herd_gauge", "").Value(); got != goroutines*perG {
 		t.Errorf("gauge = %d, want %d", got, goroutines*perG)
-	}
-	if got := r.Gauge("herd_hwm", "").Value(); got != perG-1 {
-		t.Errorf("high-water gauge = %d, want %d", got, perG-1)
 	}
 	if got := r.Histogram("herd_seconds", "", nil).Count(); got != goroutines*perG {
 		t.Errorf("histogram count = %d, want %d", got, goroutines*perG)
@@ -111,7 +107,7 @@ func TestWriteTextGolden(t *testing.T) {
 	r := NewRegistry()
 	r.Counter(`test_requests_total{route="a"}`, "requests served").Add(2)
 	r.Counter(`test_requests_total{route="b"}`, "requests served").Add(3)
-	r.Gauge("test_inflight", "in-flight requests").Set(1)
+	r.Gauge("test_inflight", "in-flight requests").Add(1)
 	r.GaugeFunc("test_cache_bytes", "cache resident bytes", func() float64 { return 12345 })
 	h := r.Histogram(`test_latency_seconds{route="a"}`, "request latency", []float64{0.1, 1})
 	for _, v := range []float64{0.0625, 0.5, 0.75, 5} {
@@ -158,7 +154,7 @@ func TestRegistryKindCollision(t *testing.T) {
 func TestNilRegistryIsInert(t *testing.T) {
 	var r *Registry
 	r.Counter("c", "").Inc()
-	r.Gauge("g", "").Set(9)
+	r.Gauge("g", "").Add(9)
 	r.GaugeFunc("f", "", func() float64 { return 1 })
 	r.Histogram("h", "", nil).Observe(1)
 	var sb strings.Builder
@@ -184,8 +180,7 @@ func TestNilNoOpAllocs(t *testing.T) {
 	allocs := testing.AllocsPerRun(1000, func() {
 		c.Inc()
 		c.Add(5)
-		g.Set(3)
-		g.SetMax(7)
+		g.Add(3)
 		h.Observe(0.1)
 		h.Start().Stop()
 		tr.Start("op").Label("k", "v").Finish()
@@ -208,7 +203,7 @@ func BenchmarkNilNoOp(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		c.Inc()
-		g.SetMax(int64(i))
+		g.Add(int64(i))
 		h.Observe(0.1)
 		h.Start().Stop()
 		tr.Start("op").Label("k", "v").Finish()

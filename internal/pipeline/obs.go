@@ -2,24 +2,11 @@ package pipeline
 
 import "whereroam/internal/obs"
 
-// RunTimed is [Run] with per-shard wall-time observation: each
+// MapTimed is [Map] with per-shard wall-time observation: each
 // shard's execution time is observed into h. A nil histogram means
-// plain Run — no clock is read, so the deterministic unobserved path
+// plain Map — no clock is read, so the deterministic unobserved path
 // is untouched. Timing never changes shard boundaries or merge
 // order; only the observed durations differ run to run.
-func RunTimed(n, workers int, h *obs.Histogram, fn func(Shard)) {
-	if h == nil {
-		Run(n, workers, fn)
-		return
-	}
-	Run(n, workers, func(s Shard) {
-		defer h.Start().Stop()
-		fn(s)
-	})
-}
-
-// MapTimed is [Map] with per-shard wall-time observation; same
-// contract as [RunTimed].
 func MapTimed[T any](n, workers int, h *obs.Histogram, fn func(Shard) T) []T {
 	if h == nil {
 		return Map(n, workers, fn)

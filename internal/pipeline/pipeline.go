@@ -7,8 +7,8 @@
 // The engine is built for determinism, not just speed. Shard
 // boundaries depend only on the item count — never on the worker
 // count — so shard-local accumulators, shard-ordered merges and
-// per-shard RNG substreams (see [Shard.Sub]) are bit-identical
-// whether one worker drains the shard queue or sixteen do. A caller
+// per-shard RNG substreams are bit-identical whether one worker
+// drains the shard queue or sixteen do. A caller
 // that (a) derives randomness per shard or per item from
 // [whereroam/internal/rng] substreams and (b) combines shard results
 // in shard order gets the same output at every parallelism level by
@@ -20,8 +20,6 @@ import (
 	"runtime"
 	"runtime/debug"
 	"sync"
-
-	"whereroam/internal/rng"
 )
 
 // Workers normalizes a requested worker count: values below one mean
@@ -51,14 +49,6 @@ type Shard struct {
 
 // Len returns the number of items in the shard.
 func (s Shard) Len() int { return s.Hi - s.Lo }
-
-// Sub derives the shard's deterministic RNG substream: the same
-// (root, label, shard index) always yields the same stream. Because
-// shard boundaries are independent of the worker count, a shard's
-// randomness does not depend on which worker runs it or when.
-func (s Shard) Sub(root *rng.Source, label string) *rng.Source {
-	return root.SplitN(label, uint64(s.Index))
-}
 
 // Shards partitions n items into count contiguous near-equal ranges
 // (the first n%count shards are one item longer). It returns fewer

@@ -7,8 +7,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"whereroam/internal/rng"
 )
 
 func TestWorkersNormalization(t *testing.T) {
@@ -104,19 +102,6 @@ func TestMapReturnsShardOrder(t *testing.T) {
 				t.Fatalf("workers=%d: results not in shard order at %d: %v > %v", workers, i, got[i-1], got[i])
 			}
 		}
-	}
-}
-
-func TestSubDeterministic(t *testing.T) {
-	root := rng.New(42)
-	shards := Shards(100, 10)
-	a := shards[3].Sub(root, "x").Uint64()
-	b := shards[3].Sub(root, "x").Uint64()
-	if a != b {
-		t.Fatalf("Sub not deterministic: %d != %d", a, b)
-	}
-	if c := shards[4].Sub(root, "x").Uint64(); c == a {
-		t.Fatalf("distinct shards share a substream")
 	}
 }
 

@@ -2,7 +2,7 @@
 // datasets come from: taps placed on network elements (the MME, MSC
 // and SGSN pins in Fig. 4; the platform-side probes near the HMNOs in
 // §3.1) that observe a record stream, filter and optionally sample
-// it, and hand it to collectors.
+// it, and hand it to sinks.
 //
 // Taps are generic over the record type so the same machinery
 // captures signaling transactions, radio events and CDRs. The
@@ -12,7 +12,6 @@ package probe
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"whereroam/internal/rng"
 )
@@ -46,8 +45,6 @@ type Tap[T any] struct {
 	mu       sync.Mutex
 	src      *rng.Source
 	hashSeed uint64
-	offered  atomic.Int64
-	captured atomic.Int64
 }
 
 // NewTap builds a capturing tap; seed drives the sampling decisions
@@ -64,7 +61,6 @@ func NewTap[T any](name string, seed uint64, sink func(T)) *Tap[T] {
 
 // Offer presents one record to the tap.
 func (t *Tap[T]) Offer(rec T) {
-	t.offered.Add(1)
 	if t.Filter != nil && !t.Filter(rec) {
 		return
 	}
@@ -81,46 +77,9 @@ func (t *Tap[T]) Offer(rec T) {
 			return
 		}
 	}
-	t.captured.Add(1)
 	if t.Sink != nil {
 		t.Sink(rec)
 	}
-}
-
-// Stats returns how many records were offered to and captured by the
-// tap.
-func (t *Tap[T]) Stats() (offered, captured int64) {
-	return t.offered.Load(), t.captured.Load()
-}
-
-// Collector accumulates captured records in memory. It is safe for
-// concurrent use.
-type Collector[T any] struct {
-	mu   sync.Mutex
-	recs []T
-}
-
-// Add appends one record; it is a valid Tap sink.
-func (c *Collector[T]) Add(rec T) {
-	c.mu.Lock()
-	c.recs = append(c.recs, rec)
-	c.mu.Unlock()
-}
-
-// Records returns the captured records. The returned slice is the
-// collector's own; callers must not mutate it while capture is
-// ongoing.
-func (c *Collector[T]) Records() []T {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.recs
-}
-
-// Len returns the number of captured records.
-func (c *Collector[T]) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.recs)
 }
 
 // Stream is a channel-based record source (the PacketSource idiom):

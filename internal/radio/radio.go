@@ -163,6 +163,8 @@ func (d Domain) String() string {
 }
 
 // Domain returns the service domain the interface carries.
+//
+//roamvet:deadcode-ok paper data model (Fig. 4): the interface-to-domain map InterfaceFor inverts, and the oracle its tests check it against
 func (i Interface) Domain() Domain {
 	switch i {
 	case IfA, IfIuCS:

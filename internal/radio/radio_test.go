@@ -134,10 +134,10 @@ func ukGrid(t *testing.T) *Grid {
 
 func TestGridDeterministic(t *testing.T) {
 	g1, g2 := ukGrid(t), ukGrid(t)
-	if g1.Len() != g2.Len() {
+	if len(g1.sectors) != len(g2.sectors) {
 		t.Fatal("grid sizes differ")
 	}
-	for i := 0; i < g1.Len(); i++ {
+	for i := 0; i < len(g1.sectors); i++ {
 		s1, _ := g1.Sector(SectorID(i))
 		s2, _ := g2.Sector(SectorID(i))
 		if s1 != s2 {
@@ -150,7 +150,7 @@ func TestGridNearestSelf(t *testing.T) {
 	g := ukGrid(t)
 	// Property: the nearest sector to a sector's own location is that
 	// sector.
-	for i := 0; i < g.Len(); i += 37 {
+	for i := 0; i < len(g.sectors); i += 37 {
 		s, _ := g.Sector(SectorID(i))
 		if got := g.Nearest(s.At); got.ID != s.ID {
 			t.Errorf("Nearest(sector %d location) = %d", s.ID, got.ID)
@@ -162,7 +162,7 @@ func TestGridNearestClamps(t *testing.T) {
 	g := ukGrid(t)
 	farNorth := geo.Point{Lat: 89, Lon: 0}
 	s := g.Nearest(farNorth)
-	if int(s.ID) < 0 || int(s.ID) >= g.Len() {
+	if int(s.ID) < 0 || int(s.ID) >= len(g.sectors) {
 		t.Fatalf("Nearest out of range: %d", s.ID)
 	}
 }
@@ -170,7 +170,7 @@ func TestGridNearestClamps(t *testing.T) {
 func TestGridRATMix(t *testing.T) {
 	g := ukGrid(t)
 	n2, n3, n4 := 0, 0, 0
-	for i := 0; i < g.Len(); i++ {
+	for i := 0; i < len(g.sectors); i++ {
 		s, _ := g.Sector(SectorID(i))
 		if !s.RAT.Has(RAT2G) {
 			t.Fatalf("sector %d lacks 2G; every sector must carry it", i)
@@ -185,7 +185,7 @@ func TestGridRATMix(t *testing.T) {
 			n4++
 		}
 	}
-	total := float64(g.Len())
+	total := float64(len(g.sectors))
 	if f := float64(n3) / total; f < 0.75 || f > 0.95 {
 		t.Errorf("3G deployment share = %f, want ~0.85", f)
 	}
@@ -222,7 +222,7 @@ func TestNearestWithRATIsNearest(t *testing.T) {
 			return false
 		}
 		gd := geo.DistanceKm(p, got.At)
-		for i := 0; i < g.Len(); i++ {
+		for i := 0; i < len(g.sectors); i++ {
 			s, _ := g.Sector(SectorID(i))
 			if s.RAT.Has(RAT4G) && geo.DistanceKm(p, s.At) < gd-1e-9 {
 				return false

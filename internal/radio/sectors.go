@@ -77,9 +77,6 @@ func NewGrid(c mccmnc.Country, rows, cols int, spacingDeg float64) *Grid {
 	return g
 }
 
-// Len returns the number of sectors.
-func (g *Grid) Len() int { return len(g.sectors) }
-
 // Sector returns the sector with the given ID.
 func (g *Grid) Sector(id SectorID) (Sector, bool) {
 	if int(id) >= len(g.sectors) {

@@ -197,14 +197,14 @@ func (s *Source) Poisson(lambda float64) int {
 
 // Zipf draws ranks in [1, n] with P(k) proportional to 1/k^alpha using
 // inverse-CDF over a precomputed table. Build once with NewZipf, draw
-// many times.
+// many times. The sampler owns no stream: every draw consumes the
+// caller's.
 type Zipf struct {
 	cdf []float64
-	src *Source
 }
 
 // NewZipf builds a Zipf sampler over ranks 1..n with exponent alpha > 0.
-func NewZipf(src *Source, n int, alpha float64) *Zipf {
+func NewZipf(n int, alpha float64) *Zipf {
 	if n <= 0 {
 		panic("rng: NewZipf with n <= 0")
 	}
@@ -217,11 +217,8 @@ func NewZipf(src *Source, n int, alpha float64) *Zipf {
 	for i := range cdf {
 		cdf[i] /= sum
 	}
-	return &Zipf{cdf: cdf, src: src}
+	return &Zipf{cdf: cdf}
 }
-
-// Draw returns a rank in [1, n] using the sampler's own stream.
-func (z *Zipf) Draw() int { return z.DrawFrom(z.src) }
 
 // DrawFrom returns a rank in [1, n] consuming randomness from src,
 // so callers can keep per-entity streams deterministic.
@@ -240,15 +237,14 @@ func (z *Zipf) DrawFrom(src *Source) int {
 }
 
 // Weighted draws indices with probability proportional to the supplied
-// weights. Build once, draw many times.
+// weights. Build once, draw many times; like Zipf it owns no stream.
 type Weighted struct {
 	cdf []float64
-	src *Source
 }
 
 // NewWeighted builds a sampler over len(weights) outcomes. Weights must
 // be non-negative with a positive sum.
-func NewWeighted(src *Source, weights []float64) *Weighted {
+func NewWeighted(weights []float64) *Weighted {
 	if len(weights) == 0 {
 		panic("rng: NewWeighted with no weights")
 	}
@@ -267,12 +263,8 @@ func NewWeighted(src *Source, weights []float64) *Weighted {
 	for i := range cdf {
 		cdf[i] /= sum
 	}
-	return &Weighted{cdf: cdf, src: src}
+	return &Weighted{cdf: cdf}
 }
-
-// Draw returns an index in [0, len(weights)) using the sampler's own
-// stream.
-func (w *Weighted) Draw() int { return w.DrawFrom(w.src) }
 
 // DrawFrom returns an index in [0, len(weights)) consuming randomness
 // from src, so callers can keep per-entity streams deterministic.

@@ -201,11 +201,11 @@ func TestPoissonZeroForNonPositive(t *testing.T) {
 
 func TestZipfSkew(t *testing.T) {
 	s := New(29)
-	z := NewZipf(s, 100, 1.0)
+	z := NewZipf(100, 1.0)
 	const n = 100000
 	counts := make([]int, 101)
 	for i := 0; i < n; i++ {
-		r := z.Draw()
+		r := z.DrawFrom(s)
 		if r < 1 || r > 100 {
 			t.Fatalf("Zipf rank %d out of [1,100]", r)
 		}
@@ -223,11 +223,11 @@ func TestZipfSkew(t *testing.T) {
 
 func TestWeightedShares(t *testing.T) {
 	s := New(31)
-	w := NewWeighted(s, []float64{1, 2, 7})
+	w := NewWeighted([]float64{1, 2, 7})
 	const n = 100000
 	counts := make([]int, 3)
 	for i := 0; i < n; i++ {
-		counts[w.Draw()]++
+		counts[w.DrawFrom(s)]++
 	}
 	for i, want := range []float64{0.1, 0.2, 0.7} {
 		frac := float64(counts[i]) / n
@@ -249,7 +249,7 @@ func TestWeightedPanics(t *testing.T) {
 					t.Errorf("NewWeighted(%s) should panic", name)
 				}
 			}()
-			NewWeighted(New(1), weights)
+			NewWeighted(weights)
 		}()
 	}
 }
@@ -292,9 +292,9 @@ func BenchmarkUint64(b *testing.B) {
 
 func BenchmarkZipfDraw(b *testing.B) {
 	s := New(1)
-	z := NewZipf(s, 10000, 1.1)
+	z := NewZipf(10000, 1.1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = z.Draw()
+		_ = z.DrawFrom(s)
 	}
 }

@@ -131,15 +131,6 @@ func (s *Statement) TotalRevenue() float64 {
 	return t
 }
 
-// TotalEvents sums the (non-billable) event load.
-func (s *Statement) TotalEvents() int {
-	t := 0
-	for _, l := range s.Lines {
-		t += l.Events
-	}
-	return t
-}
-
 // String renders a compact settlement summary.
 func (s *Statement) String() string {
 	out := fmt.Sprintf("settlement for %s over %d days: %.2f EUR across %d partners\n",

@@ -77,8 +77,12 @@ func TestSettleBasics(t *testing.T) {
 	if math.Abs(mxLine.Revenue-wantMX) > 1e-9 {
 		t.Errorf("MX revenue = %f, want %f", mxLine.Revenue, wantMX)
 	}
-	if st.TotalEvents() != 1000 {
-		t.Errorf("events = %d, want 1000 (native excluded)", st.TotalEvents())
+	events := 0
+	for _, l := range st.Lines {
+		events += l.Events
+	}
+	if events != 1000 {
+		t.Errorf("events = %d, want 1000 (native excluded)", events)
 	}
 	if math.Abs(st.TotalRevenue()-(wantNL+wantMX)) > 1e-9 {
 		t.Errorf("total = %f", st.TotalRevenue())

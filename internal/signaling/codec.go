@@ -138,9 +138,6 @@ func (w *Writer) Write(tx *Transaction) error {
 	return nil
 }
 
-// Count returns the number of records written.
-func (w *Writer) Count() int { return w.wrote }
-
 // Flush drains buffered records to the underlying writer. Callers
 // must Flush before closing the destination.
 func (w *Writer) Flush() error { return w.w.Flush() }
@@ -196,29 +193,6 @@ func (r *Reader) Read(tx *Transaction) error {
 	}
 	r.read++
 	return nil
-}
-
-// Count returns the number of records successfully read.
-func (r *Reader) Count() int { return r.read }
-
-// ReadAll decodes an entire stream. Unlike the streaming Read path it
-// allocates the result slice; it exists for small files and for the
-// codec ablation benchmark (per-record allocation vs preallocated
-// decode).
-func ReadAll(r io.Reader) ([]Transaction, error) {
-	rd := NewReader(r)
-	var out []Transaction
-	for {
-		var tx Transaction
-		err := rd.Read(&tx)
-		if err == io.EOF {
-			return out, nil
-		}
-		if err != nil {
-			return out, err
-		}
-		out = append(out, tx)
-	}
 }
 
 // WriteAll encodes all transactions to w and flushes.

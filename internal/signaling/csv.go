@@ -6,10 +6,6 @@ import (
 	"io"
 	"strconv"
 	"time"
-
-	"whereroam/internal/identity"
-	"whereroam/internal/mccmnc"
-	"whereroam/internal/radio"
 )
 
 // csvHeader is the column layout of the CSV interchange form,
@@ -50,70 +46,4 @@ func (c *CSVWriter) Write(tx *Transaction) error {
 func (c *CSVWriter) Flush() error {
 	c.w.Flush()
 	return c.w.Error()
-}
-
-// CSVReader streams transactions from the CSV interchange form.
-type CSVReader struct {
-	r      *csv.Reader
-	header bool
-	line   int
-}
-
-// NewCSVReader returns a CSVReader consuming from r.
-func NewCSVReader(r io.Reader) *CSVReader {
-	cr := csv.NewReader(r)
-	cr.FieldsPerRecord = len(csvHeader)
-	cr.ReuseRecord = true
-	return &CSVReader{r: cr}
-}
-
-// Read decodes the next row into tx; io.EOF marks the end.
-func (c *CSVReader) Read(tx *Transaction) error {
-	if !c.header {
-		if _, err := c.r.Read(); err != nil {
-			return err
-		}
-		c.header = true
-	}
-	rec, err := c.r.Read()
-	if err != nil {
-		return err
-	}
-	c.line++
-	ts, err := time.Parse(time.RFC3339Nano, rec[0])
-	if err != nil {
-		return fmt.Errorf("signaling: csv line %d: time: %w", c.line, err)
-	}
-	dev, err := identity.ParseDeviceID(rec[1])
-	if err != nil {
-		return fmt.Errorf("signaling: csv line %d: %w", c.line, err)
-	}
-	sim, err := mccmnc.Parse(rec[2])
-	if err != nil {
-		return fmt.Errorf("signaling: csv line %d: sim: %w", c.line, err)
-	}
-	visited, err := mccmnc.Parse(rec[3])
-	if err != nil {
-		return fmt.Errorf("signaling: csv line %d: visited: %w", c.line, err)
-	}
-	rat, err := strconv.Atoi(rec[4])
-	if err != nil || rat < 0 || rat > int(radio.RATNB) {
-		return fmt.Errorf("signaling: csv line %d: rat %q", c.line, rec[4])
-	}
-	proc, err := ParseProcedure(rec[5])
-	if err != nil {
-		return fmt.Errorf("signaling: csv line %d: %w", c.line, err)
-	}
-	res, err := ParseResult(rec[6])
-	if err != nil {
-		return fmt.Errorf("signaling: csv line %d: %w", c.line, err)
-	}
-	tx.Time = ts
-	tx.Device = dev
-	tx.SIM = sim
-	tx.Visited = visited
-	tx.RAT = radio.RAT(rat)
-	tx.Procedure = proc
-	tx.Result = res
-	return nil
 }

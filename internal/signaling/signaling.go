@@ -11,7 +11,7 @@
 // The package also provides two codecs: a fixed-width binary wire
 // format with a preallocated streaming decoder (the gopacket
 // DecodingLayerParser idiom — decode into caller-owned memory, no
-// allocation per record) and a CSV form for interchange.
+// allocation per record) and a write-only CSV form for interchange.
 package signaling
 
 import (
@@ -53,16 +53,6 @@ func (p Procedure) String() string {
 	return "proc(" + strconv.Itoa(int(p)) + ")"
 }
 
-// ParseProcedure parses the String form.
-func ParseProcedure(s string) (Procedure, error) {
-	for i, n := range procNames {
-		if n == s {
-			return Procedure(i), nil
-		}
-	}
-	return ProcUnknown, fmt.Errorf("signaling: unknown procedure %q", s)
-}
-
 // Result is the outcome reported for a transaction.
 type Result uint8
 
@@ -86,16 +76,6 @@ func (r Result) String() string {
 		return resultNames[r]
 	}
 	return "result(" + strconv.Itoa(int(r)) + ")"
-}
-
-// ParseResult parses the String form.
-func ParseResult(s string) (Result, error) {
-	for i, n := range resultNames {
-		if n == s {
-			return Result(i), nil
-		}
-	}
-	return 0, fmt.Errorf("signaling: unknown result %q", s)
 }
 
 // OK reports whether the result indicates success.

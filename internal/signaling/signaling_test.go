@@ -2,7 +2,9 @@ package signaling
 
 import (
 	"bytes"
+	"encoding/csv"
 	"io"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -26,25 +28,27 @@ func sampleTx(i int) Transaction {
 }
 
 func TestProcedureStrings(t *testing.T) {
+	seen := map[string]Procedure{}
 	for p := ProcUnknown; p <= ProcRoutingAreaUpdate; p++ {
 		s := p.String()
-		got, err := ParseProcedure(s)
-		if err != nil || got != p {
-			t.Errorf("procedure %d: %q -> %v, %v", p, s, got, err)
+		if prev, dup := seen[s]; dup || s == "" || strings.HasPrefix(s, "proc(") {
+			t.Errorf("procedure %d: name %q (also %d)", p, s, prev)
 		}
+		seen[s] = p
 	}
-	if _, err := ParseProcedure("Bogus"); err == nil {
-		t.Error("ParseProcedure should reject unknown names")
+	if got := (ProcRoutingAreaUpdate + 1).String(); !strings.HasPrefix(got, "proc(") {
+		t.Errorf("out-of-range procedure renders %q", got)
 	}
 }
 
 func TestResultStrings(t *testing.T) {
+	seen := map[string]Result{}
 	for r := ResultOK; r <= ResultCongestion; r++ {
 		s := r.String()
-		got, err := ParseResult(s)
-		if err != nil || got != r {
-			t.Errorf("result %d: %q -> %v, %v", r, s, got, err)
+		if prev, dup := seen[s]; dup || s == "" {
+			t.Errorf("result %d: name %q (also %d)", r, s, prev)
 		}
+		seen[s] = r
 	}
 	if !ResultOK.OK() || ResultRoamingNotAllowed.OK() {
 		t.Error("OK() wrong")
@@ -78,7 +82,7 @@ func TestBinaryRoundTrip(t *testing.T) {
 	if buf.Len() != wantLen {
 		t.Fatalf("stream length = %d, want %d", buf.Len(), wantLen)
 	}
-	got, err := ReadAll(&buf)
+	got, err := readAll(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +148,7 @@ func TestBinaryTruncation(t *testing.T) {
 	}
 	// Chop mid-record.
 	cut := buf.Bytes()[:buf.Len()-10]
-	_, err := ReadAll(bytes.NewReader(cut))
+	_, err := readAll(bytes.NewReader(cut))
 	if err == nil || !strings.Contains(err.Error(), "truncated") {
 		t.Fatalf("truncation error = %v", err)
 	}
@@ -163,7 +167,7 @@ func TestBinaryBadMagicAndVersion(t *testing.T) {
 }
 
 func TestEmptyStream(t *testing.T) {
-	got, err := ReadAll(strings.NewReader(""))
+	got, err := readAll(strings.NewReader(""))
 	if err != nil || len(got) != 0 {
 		t.Fatalf("empty stream: %v, %d records", err, len(got))
 	}
@@ -181,20 +185,29 @@ func TestReaderCounts(t *testing.T) {
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if w.Count() != 5 {
-		t.Errorf("writer count = %d", w.Count())
+	if want := headerSize + 5*recordSize; buf.Len() != want {
+		t.Errorf("stream length = %d, want %d", buf.Len(), want)
 	}
-	r := NewReader(&buf)
-	var tx Transaction
+	got, err := readAll(&buf)
+	if err != nil || len(got) != 5 {
+		t.Errorf("read %d records (%v), wrote 5", len(got), err)
+	}
+}
+
+// readAll decodes an entire stream through the stream Reader.
+func readAll(r io.Reader) ([]Transaction, error) {
+	rd := NewReader(r)
+	var out []Transaction
 	for {
-		if err := r.Read(&tx); err == io.EOF {
-			break
-		} else if err != nil {
-			t.Fatal(err)
+		var tx Transaction
+		err := rd.Read(&tx)
+		if err == io.EOF {
+			return out, nil
 		}
-	}
-	if r.Count() != 5 {
-		t.Errorf("reader count = %d", r.Count())
+		if err != nil {
+			return out, err
+		}
+		out = append(out, tx)
 	}
 }
 
@@ -215,45 +228,26 @@ func TestCSVRoundTrip(t *testing.T) {
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	r := NewCSVReader(&buf)
-	for i := range txs {
-		var got Transaction
-		if err := r.Read(&got); err != nil {
-			t.Fatalf("row %d: %v", i, err)
+	// Read the text form back field by field: the header of §3.1, then
+	// one row per transaction whose columns parse to what was written.
+	rows, err := csv.NewReader(&buf).ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != len(txs)+1 || strings.Join(rows[0], ",") != "time,device,sim,visited,rat,procedure,result" {
+		t.Fatalf("%d rows, header %v", len(rows), rows[0])
+	}
+	for i, tx := range txs {
+		row := rows[i+1]
+		ts, err := time.Parse(time.RFC3339Nano, row[0])
+		if err != nil || !ts.Equal(tx.Time) {
+			t.Fatalf("row %d time %q (%v), want %v", i, row[0], err, tx.Time)
 		}
-		if !got.Time.Equal(txs[i].Time) {
-			t.Fatalf("row %d time mismatch", i)
+		want := []string{tx.Device.String(), tx.SIM.Concat(), tx.Visited.Concat(),
+			strconv.Itoa(int(tx.RAT)), tx.Procedure.String(), tx.Result.String()}
+		if got := row[1:]; strings.Join(got, ",") != strings.Join(want, ",") {
+			t.Fatalf("row %d: %v, want %v", i, got, want)
 		}
-		got.Time = txs[i].Time
-		if got != txs[i] {
-			t.Fatalf("row %d: %+v != %+v", i, got, txs[i])
-		}
-	}
-	var tail Transaction
-	if err := r.Read(&tail); err != io.EOF {
-		t.Fatalf("expected EOF, got %v", err)
-	}
-}
-
-func TestCSVRejectsMalformed(t *testing.T) {
-	rows := []string{
-		"time,device,sim,visited,rat,procedure,result",
-		"not-a-time,0000000000000001,21407,23410,1,Attach,OK",
-	}
-	r := NewCSVReader(strings.NewReader(strings.Join(rows, "\n")))
-	var tx Transaction
-	if err := r.Read(&tx); err == nil {
-		t.Fatal("malformed time accepted")
-	}
-	rows[1] = "2019-04-05T00:00:00Z,0000000000000001,21407,23410,9,Attach,OK"
-	r = NewCSVReader(strings.NewReader(strings.Join(rows, "\n")))
-	if err := r.Read(&tx); err == nil {
-		t.Fatal("out-of-range RAT accepted")
-	}
-	rows[1] = "2019-04-05T00:00:00Z,0000000000000001,21407,23410,1,Warp,OK"
-	r = NewCSVReader(strings.NewReader(strings.Join(rows, "\n")))
-	if err := r.Read(&tx); err == nil {
-		t.Fatal("unknown procedure accepted")
 	}
 }
 

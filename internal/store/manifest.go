@@ -26,7 +26,6 @@ package store
 // tail; the checkpoint already carries those segments.
 
 import (
-	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -210,23 +209,4 @@ func syncDir(dir string) error {
 	}
 	defer d.Close()
 	return d.Sync()
-}
-
-// equalSegmentInfo reports whether two index entries agree field for
-// field, including the Bloom filter bytes. Verification uses it to
-// cross-check footers against manifest entries.
-func equalSegmentInfo(a, b *SegmentInfo) bool {
-	return a.Name == b.Name &&
-		a.Records == b.Records &&
-		a.Bytes == b.Bytes &&
-		a.BodyBytes == b.BodyBytes &&
-		a.BodyCRC == b.BodyCRC &&
-		a.MinDay == b.MinDay &&
-		a.MaxDay == b.MaxDay &&
-		a.MinDevice == b.MinDevice &&
-		a.MaxDevice == b.MaxDevice &&
-		a.VisitedOverflow == b.VisitedOverflow &&
-		equalVisited(a.Visited, b.Visited) &&
-		a.BloomHashes == b.BloomHashes &&
-		bytes.Equal(a.Bloom, b.Bloom)
 }

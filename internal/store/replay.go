@@ -258,6 +258,8 @@ func (r *Reader) Replay(q Query, workers int) (*catalog.Catalog, *ReplayStats, e
 // ReplayRecords hands every matching CDR/xDR to sink sequentially, in
 // store order — each device's records arrive in their original
 // archive order, the order contract downstream aggregation rests on.
+//
+//roamvet:deadcode-ok test oracle: the sequential reference the concurrent Replay and Compact are compared against
 func (r *Reader) ReplayRecords(q Query, sink func(cdrs.Record)) (*ReplayStats, error) {
 	if r.man.Kind != KindCDR {
 		return nil, fmt.Errorf("store: cannot replay a %q store as CDRs", r.man.Kind)
@@ -267,6 +269,8 @@ func (r *Reader) ReplayRecords(q Query, sink func(cdrs.Record)) (*ReplayStats, e
 
 // ReplayTransactions hands every matching signaling transaction to
 // sink sequentially, in store order.
+//
+//roamvet:deadcode-ok test oracle: the sequential reference for the signaling plane's round-trip and compaction tests
 func (r *Reader) ReplayTransactions(q Query, sink func(signaling.Transaction)) (*ReplayStats, error) {
 	if r.man.Kind != KindSignaling {
 		return nil, fmt.Errorf("store: cannot replay a %q store as signaling", r.man.Kind)

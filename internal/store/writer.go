@@ -198,14 +198,13 @@ func (w *SegmentWriter[T]) Segments() int {
 }
 
 // Err returns the writer's sticky error, if any.
+//
+//roamvet:deadcode-ok failure read-back: the crash-safety tests observe a mid-stream write error through it before Close
 func (w *SegmentWriter[T]) Err() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.err
 }
-
-// Dir returns the store directory.
-func (w *SegmentWriter[T]) Dir() string { return w.dir }
 
 // Close seals the in-progress segment (if it holds records) and
 // releases the writer. The manifest needs no final rewrite — every

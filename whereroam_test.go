@@ -2,27 +2,31 @@ package whereroam
 
 import (
 	"testing"
+
+	"whereroam/internal/core"
+	"whereroam/internal/dataset"
+	"whereroam/internal/mccmnc"
 )
 
-// The facade tests exercise the public API end to end the way the
-// README quickstart does.
+// The facade tests exercise every exported name end to end the way the
+// examples do.
 
 func TestFacadeQuickstart(t *testing.T) {
 	sess := NewSession(1, 0.05)
 	mno := sess.MNO()
-	sums := mno.Catalog.Summaries(mno.GSMA)
-	if len(sums) == 0 {
+	labeler := NewLabeler(mno.Host, mno.MVNOs()...)
+	pop := DerivePopulation(mno.Catalog, mno.GSMA, labeler, 0)
+	if len(pop.Sums) == 0 {
 		t.Fatal("no summaries")
 	}
-	results := NewClassifier().Classify(sums)
-	if len(results) != len(sums) {
-		t.Fatalf("results = %d, summaries = %d", len(results), len(sums))
+	if len(pop.Results) != len(pop.Sums) || len(pop.Labels) != len(pop.Sums) {
+		t.Fatalf("results = %d, labels = %d, summaries = %d", len(pop.Results), len(pop.Labels), len(pop.Sums))
 	}
-	b := Breakdown(results)
-	if b[ClassSmart] == 0 || b[ClassM2M] == 0 {
+	b := Breakdown(pop.Results)
+	if b[core.ClassSmart] == 0 || b[core.ClassM2M] == 0 {
 		t.Errorf("breakdown missing classes: %v", b)
 	}
-	v, err := Validate(results, mno.Truth)
+	v, err := Validate(pop.Results, mno.Truth)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,33 +36,21 @@ func TestFacadeQuickstart(t *testing.T) {
 }
 
 func TestFacadeLabeler(t *testing.T) {
-	host, err := ParsePLMN("23410")
-	if err != nil {
-		t.Fatal(err)
-	}
-	nl, _ := ParsePLMN("20404")
-	lb := NewLabeler(host)
-	if got := lb.Label(nl, host).String(); got != "I:H" {
+	host, nl := mccmnc.MustParse("23410"), mccmnc.MustParse("20404")
+	var got Label = NewLabeler(host).Label(nl, host)
+	if got.String() != "I:H" {
 		t.Errorf("label = %s", got)
 	}
 }
 
-func TestFacadeAPN(t *testing.T) {
-	a, err := ParseAPN("smhp.centricaplc.com.mnc004.mcc204.gprs")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.NetworkID != "smhp.centricaplc.com" {
-		t.Errorf("NetworkID = %q", a.NetworkID)
-	}
-}
-
 func TestFacadeExperiments(t *testing.T) {
-	if len(Experiments()) < 15 {
-		t.Fatalf("registered experiments = %d", len(Experiments()))
+	for _, id := range []string{"t1", "fig11", "abl-policy", "fed-sites"} {
+		if r, ok := ExperimentByID(id); !ok || r.ID != id {
+			t.Errorf("%s missing from the registry", id)
+		}
 	}
-	if _, ok := ExperimentByID("fig11"); !ok {
-		t.Fatal("fig11 missing")
+	if _, ok := ExperimentByID("nope"); ok {
+		t.Error("unknown id resolved")
 	}
 }
 
@@ -76,18 +68,20 @@ func TestFacadeGenerators(t *testing.T) {
 	if len(ds.Transactions) == 0 {
 		t.Fatal("no transactions")
 	}
-	scfg := DefaultSMIPConfig()
-	scfg.NativeMeters, scfg.RoamingMeters = 100, 100
-	smip := GenerateSMIP(scfg)
-	if len(smip.Devices) != 200 {
-		t.Fatalf("smip devices = %d", len(smip.Devices))
+	seen := map[DeviceID]bool{}
+	for _, tx := range ds.Transactions {
+		seen[tx.Device] = true
+	}
+	if len(seen) == 0 || len(seen) > cfg.Devices {
+		t.Fatalf("%d distinct devices signalled, population is %d", len(seen), cfg.Devices)
 	}
 }
 
 func TestFacadeFederation(t *testing.T) {
 	// The facade federation: a multi-site session whose classic
 	// single-site accessors keep working, plus the cross-site views.
-	fed := NewFederation(1, 0.05, 1, DefaultFederationHosts()[:2]...)
+	hosts := []PLMN{mccmnc.MustParse("23410"), mccmnc.MustParse("26201")}
+	fed := NewFederation(1, 0.05, 1, hosts...)
 	sites := fed.Sites()
 	if len(sites) != 2 {
 		t.Fatalf("sites = %d, want 2", len(sites))
@@ -96,28 +90,37 @@ func TestFacadeFederation(t *testing.T) {
 	if len(data.Fleet) == 0 || data.World == nil {
 		t.Fatal("federation dataset missing fleet or world")
 	}
-	for _, site := range sites {
+	for i, site := range sites {
+		if site.Host() != hosts[i] {
+			t.Errorf("site %d observes from %v, want %v", i, site.Host(), hosts[i])
+		}
 		if len(site.Summaries()) == 0 {
 			t.Errorf("site %v has no summaries", site.Host())
 		}
-		if _, ok := ExperimentByID("fed-sites"); !ok {
-			t.Fatal("fed-sites runner missing")
-		}
 	}
-	// A Session is a single-site Federation: the alias must keep the
-	// historical constructor surface intact.
+	// A Session is a single-site Federation: one constructor surface.
 	var sess *Session = NewSession(1, 0.05)
 	if sess.MNO() == nil {
 		t.Fatal("session MNO dataset missing")
 	}
+	var smip *SMIPDataset = sess.SMIP()
+	if len(smip.Catalog.Records) == 0 {
+		t.Fatal("session SMIP dataset is empty")
+	}
+	t2, _ := ExperimentByID("t2")
+	var rep *Report = t2.Run(sess)
+	if rep.ID != "t2" {
+		t.Fatalf("report ID = %q", rep.ID)
+	}
 }
 
 func TestFacadeFederationGenerator(t *testing.T) {
-	cfg := DefaultFederationConfig()
-	cfg.FleetDevices, cfg.NativePerSite, cfg.Days = 120, 80, 5
-	fed := GenerateFederation(cfg)
-	if len(fed.Sites) != len(DefaultFederationHosts()) {
-		t.Fatalf("sites = %d", len(fed.Sites))
+	// The dataset behind a facade federation with no hosts named: the
+	// default three-site footprint, and the two planes that are views
+	// of the same fleet and schedule.
+	fed := NewFederation(1, 0.03, 1).FederationData()
+	if want := len(dataset.DefaultFederationHosts()); len(fed.Sites) != want {
+		t.Fatalf("sites = %d, want %d", len(fed.Sites), want)
 	}
 	for _, s := range fed.Sites {
 		if len(s.Catalog.Records) == 0 {
@@ -127,19 +130,10 @@ func TestFacadeFederationGenerator(t *testing.T) {
 	if len(fed.Schedule) != len(fed.Fleet) {
 		t.Fatalf("schedule rows = %d, fleet = %d", len(fed.Schedule), len(fed.Fleet))
 	}
-
-	// The federated planes are views of the same fleet and schedule.
-	var m2m *FederationM2M = GenerateFederationM2M(fed)
-	if len(m2m.Transactions) == 0 {
+	if m2m := dataset.GenerateFederationM2M(fed); len(m2m.Transactions) == 0 {
 		t.Error("federated M2M plane is empty")
 	}
-	var smip *FederationSMIP = GenerateFederationSMIP(fed)
-	if len(smip.Sites) != len(fed.Sites) {
+	if smip := dataset.GenerateFederationSMIP(fed); len(smip.Sites) != len(fed.Sites) {
 		t.Fatalf("SMIP plane sites = %d, want %d", len(smip.Sites), len(fed.Sites))
-	}
-	streamed := 0
-	StreamFederationM2M(fed, func(Transaction) { streamed++ })
-	if streamed != len(m2m.Transactions) {
-		t.Errorf("streamed %d transactions, batch has %d", streamed, len(m2m.Transactions))
 	}
 }
