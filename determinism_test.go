@@ -497,44 +497,6 @@ func TestStorePrunedReplay(t *testing.T) {
 	}
 }
 
-// The signaling plane is archive-once/consume-many like the CDR
-// plane: the §3 transaction feed written through a signaling store's
-// sink replays as the exact stream.
-func TestStreamM2MArchiveRoundTrip(t *testing.T) {
-	cfg := dataset.DefaultM2MConfig()
-	cfg.Devices = 500
-	cfg.Workers = 4
-	live := dataset.GenerateM2M(cfg).Transactions
-	if len(live) == 0 {
-		t.Fatal("capture is empty")
-	}
-
-	dir := filepath.Join(t.TempDir(), "txfeed")
-	w, err := store.NewSignalingWriter(dir, store.Meta{Start: cfg.Start, Days: cfg.Days}, 256)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sink := w.Sink()
-	for _, tx := range live {
-		sink(tx)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	rep, err := store.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var replayed []signaling.Transaction
-	if _, err := rep.ReplayTransactions(store.Query{}, func(tx signaling.Transaction) { replayed = append(replayed, tx) }); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(live, replayed) {
-		t.Fatal("replayed signaling stream differs from the stream written")
-	}
-}
-
 // StreamMNO's ordered fan-in must deliver exactly what GenerateMNO
 // materializes at every worker count: same devices in the same order,
 // same catalog records, same ground truth and IR.88 verdicts. Both run

@@ -163,9 +163,6 @@ func (s *Server) Mount(name, dir string) error {
 		return fmt.Errorf("serve: mounting %s: %w", name, err)
 	}
 	man := r.Manifest()
-	if man.Kind != store.KindCDR {
-		return fmt.Errorf("serve: %s is a %q store, not CDR", name, man.Kind)
-	}
 	m.info = SiteInfo{
 		Site:     name,
 		Host:     man.Host,

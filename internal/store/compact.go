@@ -48,13 +48,14 @@ package store
 import (
 	"bufio"
 	"cmp"
+	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"slices"
 
 	"whereroam/internal/cdrs"
-	"whereroam/internal/signaling"
 )
 
 // DefaultCompactFanIn is the merge fan-in used when CompactOptions
@@ -117,7 +118,7 @@ type CompactInput struct {
 // CompactPlan is the dry-run view of a compaction: what would merge,
 // from where, in how many passes.
 type CompactPlan struct {
-	// Kind is the record plane of every input (they must agree).
+	// Kind is the record plane of every input, always KindCDR.
 	Kind string
 	// Meta is the output store's stream metadata: the inputs' shared
 	// window, and their common host or the zero PLMN when they
@@ -167,10 +168,11 @@ func PlanCompact(inputs []string, opts CompactOptions) (*CompactPlan, error) {
 }
 
 // Compact merges the input stores into a new time-ordered store at
-// dst (created; must not already hold a store). Inputs must share a
-// record plane and observation window; the output's host is their
-// common host, or the zero PLMN when they differ. See the package
-// comment and docs/ARCHITECTURE.md for the determinism and
+// dst (created; must not already hold a store). Inputs must share an
+// observation window; the output's host is their common host, or the
+// zero PLMN when they differ. On failure dst is left without a store:
+// whatever the merge had already written there is removed. See the
+// package comment and docs/ARCHITECTURE.md for the determinism and
 // replay-equivalence contracts.
 func Compact(dst string, inputs []string, opts CompactOptions) (*CompactStats, error) {
 	readers, err := openInputs(inputs)
@@ -181,22 +183,7 @@ func Compact(dst string, inputs []string, opts CompactOptions) (*CompactStats, e
 	if err != nil {
 		return nil, err
 	}
-	if plan.Kind == KindSignaling {
-		return compactStores(dst, readers, plan, &opts,
-			func(w io.Writer) wireEncoder[signaling.Transaction] { return signaling.NewWriter(w) },
-			func(rd io.Reader) wireDecoder[signaling.Transaction] { return signaling.NewReader(rd) },
-			txBody, txInfo,
-			func(dir string, meta Meta, segRecords int) (*SegmentWriter[signaling.Transaction], error) {
-				return NewSignalingWriter(dir, meta, segRecords)
-			})
-	}
-	return compactStores(dst, readers, plan, &opts,
-		func(w io.Writer) wireEncoder[cdrs.Record] { return cdrs.NewWriter(w) },
-		func(rd io.Reader) wireDecoder[cdrs.Record] { return cdrs.NewReader(rd) },
-		cdrBody, cdrInfo,
-		func(dir string, meta Meta, segRecords int) (*SegmentWriter[cdrs.Record], error) {
-			return NewWriter(dir, meta, segRecords)
-		})
+	return compactStores(dst, readers, plan, &opts)
 }
 
 // openInputs opens every input store, in merge order.
@@ -215,14 +202,14 @@ func openInputs(inputs []string) ([]*Reader, error) {
 	return readers, nil
 }
 
-// planCompact validates that the inputs share a plane and window,
-// resolves the output metadata and counts runs and passes.
+// planCompact validates that the inputs share a window, resolves the
+// output metadata and counts runs and passes.
 func planCompact(readers []*Reader, opts *CompactOptions) (*CompactPlan, error) {
 	first := readers[0].Manifest()
 	meta := first.Meta()
 	sameHost := true
 	plan := &CompactPlan{
-		Kind:           first.Kind,
+		Kind:           KindCDR,
 		SegmentRecords: opts.SegmentRecords,
 		MaxFanIn:       opts.fanIn(),
 	}
@@ -231,9 +218,6 @@ func planCompact(readers []*Reader, opts *CompactOptions) (*CompactPlan, error) 
 	}
 	for _, r := range readers {
 		man := r.Manifest()
-		if man.Kind != plan.Kind {
-			return nil, fmt.Errorf("store: compact inputs mix kinds %q and %q (%s)", plan.Kind, man.Kind, r.Dir())
-		}
 		m := man.Meta()
 		if !m.Start.Equal(meta.Start) || m.Days != meta.Days {
 			return nil, fmt.Errorf("store: compact inputs disagree on the observation window (%s)", r.Dir())
@@ -267,18 +251,17 @@ func planCompact(readers []*Reader, opts *CompactOptions) (*CompactPlan, error) 
 
 // openRun is one live merge run: a cursor over a sorted record
 // sequence plus the cached comparison key of the current record.
-type openRun[T any] struct {
-	cur   T
+type openRun struct {
+	cur   cdrs.Record
 	timeN int64
 	dev   uint64
 	ok    bool
-	next  func() (T, bool, error)
+	next  func() (cdrs.Record, bool, error)
 	done  func() error
-	info  func(*T) RecordInfo
 }
 
 // advance steps the cursor and refreshes the key cache.
-func (r *openRun[T]) advance() error {
+func (r *openRun) advance() error {
 	rec, ok, err := r.next()
 	if err != nil {
 		return err
@@ -286,41 +269,37 @@ func (r *openRun[T]) advance() error {
 	r.ok = ok
 	if ok {
 		r.cur = rec
-		inf := r.info(&rec)
-		r.timeN = inf.Time.UnixNano()
-		r.dev = inf.Device
+		r.timeN = rec.Time.UnixNano()
+		r.dev = uint64(rec.Device)
 	}
 	return nil
 }
 
 // runSrc is a not-yet-open run; merging opens runs lazily, one merge
 // group at a time, so memory is bounded by fan-in × run size.
-type runSrc[T any] struct {
-	open func() (*openRun[T], error)
+type runSrc struct {
+	open func() (*openRun, error)
 }
 
 // segmentRun builds the runSrc for one sealed segment: load it (the
 // query's record filter applied), stably sort by (time, device) —
 // stability preserves input ordinals on ties — and cursor over the
 // slice.
-func segmentRun[T any](r *Reader, si *SegmentInfo, q Query,
-	newDec func([]byte) wireDecoder[T], info func(*T) RecordInfo,
-	recordsIn *int64) runSrc[T] {
+func segmentRun(r *Reader, si *SegmentInfo, q Query, recordsIn *int64) runSrc {
 	dir, start := r.dir, r.man.Start
-	return runSrc[T]{open: func() (*openRun[T], error) {
+	return runSrc{open: func() (*openRun, error) {
 		type keyed struct {
 			timeN int64
 			dev   uint64
-			rec   T
+			rec   cdrs.Record
 		}
 		recs := make([]keyed, 0, si.Records)
-		err := scanSegment(dir, si, newDec, func(rec *T) {
+		err := scanSegment(dir, si, func(rec *cdrs.Record) {
 			*recordsIn++
-			inf := info(rec)
-			if !q.keepRecord(dayOf(inf.Time, start), inf) {
+			if !q.keepRecord(dayOf(rec.Time, start), rec) {
 				return
 			}
-			recs = append(recs, keyed{timeN: inf.Time.UnixNano(), dev: inf.Device, rec: *rec})
+			recs = append(recs, keyed{timeN: rec.Time.UnixNano(), dev: uint64(rec.Device), rec: *rec})
 		})
 		if err != nil {
 			return nil, err
@@ -332,11 +311,10 @@ func segmentRun[T any](r *Reader, si *SegmentInfo, q Query,
 			return cmp.Compare(a.dev, b.dev)
 		})
 		i := 0
-		run := &openRun[T]{info: info, done: func() error { return nil }}
-		run.next = func() (T, bool, error) {
+		run := &openRun{done: func() error { return nil }}
+		run.next = func() (cdrs.Record, bool, error) {
 			if i >= len(recs) {
-				var zero T
-				return zero, false, nil
+				return cdrs.Record{}, false, nil
 			}
 			rec := recs[i].rec
 			i++
@@ -348,17 +326,16 @@ func segmentRun[T any](r *Reader, si *SegmentInfo, q Query,
 
 // fileRun builds the runSrc for an intermediate run file: a plain
 // codec stream already in merged order.
-func fileRun[T any](path string, newDec func(io.Reader) wireDecoder[T],
-	info func(*T) RecordInfo) runSrc[T] {
-	return runSrc[T]{open: func() (*openRun[T], error) {
+func fileRun(path string) runSrc {
+	return runSrc{open: func() (*openRun, error) {
 		f, err := os.Open(path)
 		if err != nil {
 			return nil, fmt.Errorf("store: opening run file: %w", err)
 		}
-		dec := newDec(bufio.NewReaderSize(f, 1<<16))
-		run := &openRun[T]{info: info, done: f.Close}
-		run.next = func() (T, bool, error) {
-			var rec T
+		dec := cdrs.NewReader(bufio.NewReaderSize(f, 1<<16))
+		run := &openRun{done: f.Close}
+		run.next = func() (cdrs.Record, bool, error) {
+			var rec cdrs.Record
 			err := dec.Read(&rec)
 			if err == io.EOF {
 				return rec, false, nil
@@ -378,8 +355,8 @@ func fileRun[T any](path string, newDec func(io.Reader) wireDecoder[T],
 // index) order, that reproduces the global total order's (input
 // index, input ordinal) tail — the determinism argument in the
 // package comment.
-func mergeGroup[T any](srcs []runSrc[T], emit func(*T) error) (err error) {
-	runs := make([]*openRun[T], len(srcs))
+func mergeGroup(srcs []runSrc, emit func(*cdrs.Record) error) (err error) {
+	runs := make([]*openRun, len(srcs))
 	defer func() {
 		for _, r := range runs {
 			if r != nil {
@@ -451,18 +428,14 @@ func mergeGroup[T any](srcs []runSrc[T], emit func(*T) error) (err error) {
 	return nil
 }
 
-// compactStores is the kind-generic compaction body: build the
-// initial segment runs, reduce them with bounded-fan-in merge passes
-// through temp run files, and run the final pass into the output
-// store's writer.
-func compactStores[T any](dst string, readers []*Reader, plan *CompactPlan, opts *CompactOptions,
-	newEnc func(io.Writer) wireEncoder[T], newDec func(io.Reader) wireDecoder[T],
-	newBodyDec func([]byte) wireDecoder[T], info func(*T) RecordInfo,
-	newWriter func(string, Meta, int) (*SegmentWriter[T], error)) (*CompactStats, error) {
+// compactStores is the compaction body: build the initial segment
+// runs, reduce them with bounded-fan-in merge passes through temp run
+// files, and run the final pass into the output store's writer.
+func compactStores(dst string, readers []*Reader, plan *CompactPlan, opts *CompactOptions) (*CompactStats, error) {
 	stats := &CompactStats{}
 	total := opts.Metrics.span("compact").
 		Label("inputs", itoa(len(readers))).Label("fan_in", itoa(plan.MaxFanIn))
-	var srcs []runSrc[T]
+	var srcs []runSrc
 	for _, r := range readers {
 		for i := range r.man.Segments {
 			si := &r.man.Segments[i]
@@ -471,7 +444,7 @@ func compactStores[T any](dst string, readers []*Reader, plan *CompactPlan, opts
 				continue
 			}
 			stats.SegmentsIn++
-			srcs = append(srcs, segmentRun(r, si, opts.Query, newBodyDec, info, &stats.RecordsIn))
+			srcs = append(srcs, segmentRun(r, si, opts.Query, &stats.RecordsIn))
 		}
 	}
 
@@ -493,7 +466,7 @@ func compactStores[T any](dst string, readers []*Reader, plan *CompactPlan, opts
 		}
 		pass := opts.Metrics.span("compact_pass").
 			Label("level", itoa(level)).Label("runs", itoa(len(srcs)))
-		next := make([]runSrc[T], 0, (len(srcs)+fan-1)/fan)
+		next := make([]runSrc, 0, (len(srcs)+fan-1)/fan)
 		for g := 0; g < len(srcs); g += fan {
 			hi := g + fan
 			if hi > len(srcs) {
@@ -502,11 +475,11 @@ func compactStores[T any](dst string, readers []*Reader, plan *CompactPlan, opts
 			path := fmt.Sprintf("%s/run-%d-%06d", tmpDir, level, g/fan)
 			run := opts.Metrics.span("compact_run").
 				Label("level", itoa(level)).Label("group", itoa(g/fan))
-			if err := writeRunFile(path, srcs[g:hi], newEnc); err != nil {
+			if err := writeRunFile(path, srcs[g:hi]); err != nil {
 				return nil, err
 			}
 			run.Finish()
-			next = append(next, fileRun(path, newDec, info))
+			next = append(next, fileRun(path))
 		}
 		srcs = next
 		level++
@@ -514,20 +487,30 @@ func compactStores[T any](dst string, readers []*Reader, plan *CompactPlan, opts
 		pass.Finish()
 	}
 
-	w, err := newWriter(dst, plan.Meta, plan.SegmentRecords)
+	_, statErr := os.Stat(dst)
+	w, err := NewWriter(dst, plan.Meta, plan.SegmentRecords)
 	if err != nil {
 		return nil, err
 	}
 	w.Observe(opts.Metrics)
 	final := opts.Metrics.span("compact_final").Label("runs", itoa(len(srcs)))
-	if err := mergeGroup(srcs, func(rec *T) error {
+	err = mergeGroup(srcs, func(rec *cdrs.Record) error {
 		stats.RecordsOut++
 		return w.Append(*rec)
-	}); err != nil {
-		w.Close()
-		return nil, err
+	})
+	if err == nil {
+		err = w.Close()
 	}
-	if err := w.Close(); err != nil {
+	if err != nil {
+		// The destination is absent or complete: a store holding the
+		// merged prefix would open and verify clean, so take it away —
+		// and the directory too, if this call made it.
+		if derr := w.discard(); derr != nil {
+			err = fmt.Errorf("%w (and removing the partial store at %s: %v)", err, dst, derr)
+		}
+		if errors.Is(statErr, fs.ErrNotExist) {
+			os.Remove(dst)
+		}
 		return nil, err
 	}
 	final.Finish()
@@ -539,14 +522,14 @@ func compactStores[T any](dst string, readers []*Reader, plan *CompactPlan, opts
 
 // writeRunFile merges a run group into one intermediate codec-stream
 // file at path.
-func writeRunFile[T any](path string, srcs []runSrc[T], newEnc func(io.Writer) wireEncoder[T]) error {
+func writeRunFile(path string, srcs []runSrc) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return fmt.Errorf("store: creating run file: %w", err)
 	}
 	bw := bufio.NewWriterSize(f, 1<<16)
-	enc := newEnc(bw)
-	if err := mergeGroup(srcs, func(rec *T) error { return enc.Write(rec) }); err != nil {
+	enc := cdrs.NewWriter(bw)
+	if err := mergeGroup(srcs, enc.Write); err != nil {
 		f.Close()
 		return err
 	}

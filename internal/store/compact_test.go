@@ -1,7 +1,9 @@
 package store
 
 import (
+	"errors"
 	"fmt"
+	"io/fs"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -308,7 +310,7 @@ func TestCompactFiltered(t *testing.T) {
 }
 
 // Compaction refuses mismatched inputs: different observation windows
-// or mixed record planes cannot merge.
+// cannot merge, and there must be something to merge.
 func TestCompactRejectsMismatchedInputs(t *testing.T) {
 	root := t.TempDir()
 	a := filepath.Join(root, "a")
@@ -319,19 +321,75 @@ func TestCompactRejectsMismatchedInputs(t *testing.T) {
 		t.Fatal("window mismatch not rejected")
 	}
 
-	sig := filepath.Join(root, "sig")
-	w, err := NewSignalingWriter(sig, testMeta(3), 16)
+	if _, err := Compact(filepath.Join(root, "out3"), nil, CompactOptions{}); err == nil {
+		t.Fatal("empty input list not rejected")
+	}
+}
+
+// A failed compaction leaves the destination absent or untouched, never
+// a store: the prefix merged before the failure would open and verify
+// clean, and roamd would mount it. Corrupt input fails while the runs
+// open — in the final pass at the default fan-in (the output writer
+// already exists), inside a run-file pass at fan-in 2 (it does not yet,
+// and TempDir must come back empty).
+func TestCompactFailureLeavesNoStore(t *testing.T) {
+	const days = 4
+	root := t.TempDir()
+	src := filepath.Join(root, "src")
+	writeStore(t, src, days, 16, feedRecords(20, days))
+	r, err := Open(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Close(); err != nil {
+	flipBodyByte(t, src, &r.Manifest().Segments[2])
+
+	for _, fanIn := range []int{DefaultCompactFanIn, 2} {
+		dst := filepath.Join(root, fmt.Sprintf("out-%d", fanIn))
+		tmp := filepath.Join(root, fmt.Sprintf("tmp-%d", fanIn))
+		if err := os.Mkdir(tmp, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		_, err := Compact(dst, []string{src}, CompactOptions{SegmentRecords: 16, MaxFanIn: fanIn, TempDir: tmp})
+		if !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("fan-in %d: Compact over a corrupt segment returned %v, want ErrCorrupt", fanIn, err)
+		}
+		if _, err := Open(dst); err == nil {
+			t.Fatalf("fan-in %d: failed compaction left a store that opens at %s", fanIn, dst)
+		}
+		if _, err := os.Stat(dst); !errors.Is(err, fs.ErrNotExist) {
+			t.Fatalf("fan-in %d: failed compaction left the directory it created: %v", fanIn, err)
+		}
+		if left, err := os.ReadDir(tmp); err != nil || len(left) != 0 {
+			t.Fatalf("fan-in %d: TempDir holds %d entries after a failed compaction (%v)", fanIn, len(left), err)
+		}
+	}
+}
+
+// The same invariant when the failure comes mid-merge, with segments
+// already sealed at the destination: a directory squatting on the
+// second segment's name fails its create. Compact did not make dst, so
+// dst and the foreign entry stay; everything Compact wrote goes.
+func TestCompactWriteFailureRemovesPartialStore(t *testing.T) {
+	const days = 4
+	root := t.TempDir()
+	src := filepath.Join(root, "src")
+	writeStore(t, src, days, 16, feedRecords(20, days))
+	dst := filepath.Join(root, "out")
+	if err := os.MkdirAll(filepath.Join(dst, "seg-000001.wrseg"), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Compact(filepath.Join(root, "out2"), []string{a, sig}, CompactOptions{}); err == nil {
-		t.Fatal("kind mismatch not rejected")
+	if _, err := Compact(dst, []string{src}, CompactOptions{SegmentRecords: 16}); err == nil {
+		t.Fatal("Compact succeeded over an uncreatable segment")
 	}
-	if _, err := Compact(filepath.Join(root, "out3"), nil, CompactOptions{}); err == nil {
-		t.Fatal("empty input list not rejected")
+	if _, err := Open(dst); err == nil {
+		t.Fatal("failed compaction left a partial store that opens")
+	}
+	left, err := os.ReadDir(dst)
+	if err != nil {
+		t.Fatalf("failed compaction removed a directory it did not create: %v", err)
+	}
+	if len(left) != 1 || left[0].Name() != "seg-000001.wrseg" {
+		t.Fatalf("destination holds %v after a failed compaction, want only the foreign entry", left)
 	}
 }
 

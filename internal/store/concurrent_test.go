@@ -9,7 +9,7 @@ import (
 
 // TestReplaySnapshotDuringConcurrentAppend pins the snapshot
 // invariant the serving layer depends on: a Reader opened while a
-// SegmentWriter keeps appending to the same directory sees exactly
+// Writer keeps appending to the same directory sees exactly
 // the segments sealed at Open time, replays them bit-identically on
 // every call, and never observes later seals.
 func TestReplaySnapshotDuringConcurrentAppend(t *testing.T) {

@@ -79,6 +79,7 @@ func FuzzManifest(f *testing.F) {
 	f.Add([]byte(`{"version":1}`))
 	f.Add([]byte(`not json`))
 	f.Add([]byte(`{"version":2,"kind":"cdr","segments":[{"name":"seg-000000.wrseg","records":-1,"bytes":-5}]}`))
+	f.Add([]byte(`{"version":2,"kind":"signaling","days":3,"segments":[]}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Reject obviously huge inputs to keep iterations fast.
@@ -98,10 +99,11 @@ func FuzzManifest(f *testing.F) {
 		if err := json.Unmarshal(data, &man); err != nil {
 			t.Fatalf("Open accepted a manifest json.Unmarshal rejects: %v", err)
 		}
-		r.Verify()
-		if man.Kind == KindCDR {
-			_, _, _ = r.Replay(Query{}, 2)
+		if man.Kind != KindCDR {
+			t.Fatalf("Open accepted a %q store", man.Kind)
 		}
+		r.Verify()
+		_, _, _ = r.Replay(Query{}, 2)
 		_, _ = r.ReplayRecords(Query{}.Days(0, 1), func(cdrs.Record) {})
 	})
 }

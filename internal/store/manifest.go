@@ -111,7 +111,9 @@ type ManifestInfo struct {
 // tail. The returned manifest always has TotalRecords recomputed from
 // its segment list and LogEntries cleared (it describes a checkpoint
 // file, not a materialized manifest). A directory with no checkpoint
-// but a v1 MANIFEST.json is rejected as an unsupported version.
+// but a v1 MANIFEST.json is rejected as an unsupported version, and so
+// is a checkpoint whose kind is not KindCDR: this is the one place a
+// store's kind enters the program, so nothing past Open re-checks it.
 func loadManifest(dir string) (Manifest, ManifestInfo, error) {
 	var man Manifest
 	var info ManifestInfo
@@ -129,6 +131,9 @@ func loadManifest(dir string) (Manifest, ManifestInfo, error) {
 	}
 	if man.Version != manifestVersionV2 {
 		return man, info, fmt.Errorf("store: unsupported manifest version %d in %s", man.Version, ManifestCheckpointName)
+	}
+	if man.Kind != KindCDR {
+		return man, info, fmt.Errorf("store: unsupported store kind %q in %s (want %q)", man.Kind, ManifestCheckpointName, KindCDR)
 	}
 	info.Version = manifestVersionV2
 	info.CheckpointSegments = len(man.Segments)

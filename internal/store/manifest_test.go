@@ -1,8 +1,10 @@
 package store
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
@@ -230,6 +232,33 @@ func TestOpenRejectsV1Manifest(t *testing.T) {
 	}
 }
 
+// A store's kind enters the program at Open and nowhere else, so Open
+// rejects by name a checkpoint naming any plane but "cdr" — a signaling
+// store an older build wrote, or no kind at all — instead of letting
+// Verify and Replay scan it as CDRs.
+func TestOpenRejectsForeignKind(t *testing.T) {
+	for _, kind := range []string{"signaling", ""} {
+		dir := t.TempDir()
+		writeStore(t, dir, 3, 4, feedRecords(4, 3))
+		path := filepath.Join(dir, ManifestCheckpointName)
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		forged := bytes.Replace(raw, []byte(`"kind": "cdr"`), []byte(`"kind": "`+kind+`"`), 1)
+		if bytes.Equal(forged, raw) {
+			t.Fatal("checkpoint fixture names no kind to rewrite")
+		}
+		if err := os.WriteFile(path, forged, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err = Open(dir)
+		if want := fmt.Sprintf("unsupported store kind %q", kind); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("Open of a kind=%q store: %v, want an error saying %s", kind, err, want)
+		}
+	}
+}
+
 // v1FooterOf re-frames a footer's shared 120-byte field prefix the way
 // a v1 writer sealed it: version byte 1, closing CRC at offset 120,
 // 124 bytes.
@@ -243,7 +272,7 @@ func v1FooterOf(v2 [footerV2Size]byte) []byte {
 // unsupported version in the error, not decoded.
 func TestDecodeFooterRejectsV1(t *testing.T) {
 	si := SegmentInfo{Records: 8, MinDay: 0, MaxDay: 2, MinDevice: 1, MaxDevice: 9, BodyCRC: 7}
-	v1 := v1FooterOf(encodeFooter(kindByte(KindCDR), &si, []mccmnc.PLMN{mccmnc.MustParse("23410")}))
+	v1 := v1FooterOf(encodeFooter(kindByteCDR, &si, []mccmnc.PLMN{mccmnc.MustParse("23410")}))
 	if len(v1) != 124 {
 		t.Fatalf("v1 footer fixture is %d bytes", len(v1))
 	}

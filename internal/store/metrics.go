@@ -14,7 +14,7 @@ import (
 // themselves are nil-safe obs types — so the store's deterministic
 // results and benchmarked hot paths are untouched unless a caller
 // explicitly attaches metrics via [Reader.Observe],
-// [SegmentWriter.Observe] or [CompactOptions.Metrics].
+// [Writer.Observe] or [CompactOptions.Metrics].
 type Metrics struct {
 	segSelected    *obs.Counter
 	segPrunedRange *obs.Counter
@@ -130,7 +130,7 @@ func (r *Reader) Observe(m *Metrics) { r.met = m }
 // Observe attaches metrics to the writer: subsequent seals and
 // checkpoints count volume and latency against m. Pass nil to
 // detach. Safe to call concurrently with producers.
-func (w *SegmentWriter[T]) Observe(m *Metrics) {
+func (w *Writer) Observe(m *Metrics) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.met = m

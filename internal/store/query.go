@@ -1,6 +1,7 @@
 package store
 
 import (
+	"whereroam/internal/cdrs"
 	"whereroam/internal/identity"
 	"whereroam/internal/mccmnc"
 )
@@ -117,14 +118,14 @@ func (q Query) judgeSegment(si *SegmentInfo) segVerdict {
 
 // keepRecord reports whether one record matches the query; day is
 // the record's event day relative to the store's Start.
-func (q Query) keepRecord(day int, inf RecordInfo) bool {
+func (q Query) keepRecord(day int, rec *cdrs.Record) bool {
 	if q.hasDays && (day < q.dayLo || day > q.dayHi) {
 		return false
 	}
-	if q.hasDevs && (inf.Device < q.devLo || inf.Device > q.devHi) {
+	if q.hasDevs && (uint64(rec.Device) < q.devLo || uint64(rec.Device) > q.devHi) {
 		return false
 	}
-	if q.hasVisited && inf.Visited != q.visited {
+	if q.hasVisited && rec.Visited != q.visited {
 		return false
 	}
 	return true

@@ -1,7 +1,6 @@
 package store
 
 import (
-	"bytes"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -14,7 +13,6 @@ import (
 	"whereroam/internal/catalog"
 	"whereroam/internal/cdrs"
 	"whereroam/internal/pipeline"
-	"whereroam/internal/signaling"
 )
 
 // ReplayStats instruments one replay: how much of the store was
@@ -50,7 +48,7 @@ type ReplayStats struct {
 	// outside the store's declared [0, Days) window during a catalog
 	// replay; the builder would silently drop them, so they are
 	// surfaced here instead of inflating RecordsKept. Always zero for
-	// the sequential replays, which deliver every matching record to
+	// the sequential replay, which delivers every matching record to
 	// the caller regardless of the window.
 	RecordsOutsideWindow int64
 }
@@ -73,7 +71,7 @@ func (s *ReplayStats) add(o ReplayStats) {
 //
 // A Reader is an immutable snapshot of the store at Open time: it
 // replays exactly the segments its manifest lists, and sealed
-// segments are never rewritten, so replaying while a SegmentWriter
+// segments are never rewritten, so replaying while a Writer
 // keeps appending to the same directory is safe and bit-identical to
 // replaying a quiescent store — later seals are simply invisible
 // until the store is re-Opened. The files a live writer does touch —
@@ -172,7 +170,7 @@ func (r *Reader) selectSegments(q Query, stats *ReplayStats) []int {
 	return selected
 }
 
-// Replay rebuilds the CDR-plane devices-catalog from the store on
+// Replay rebuilds the devices-catalog from the store on
 // workers goroutines (the usual convention: below one means one per
 // CPU). Segments prune against the query's footer-index plan without
 // being read; surviving segments decode concurrently — one shard of
@@ -186,9 +184,6 @@ func (r *Reader) selectSegments(q Query, stats *ReplayStats) []int {
 // segment (CRC, length or record-count mismatch) aborts with
 // ErrCorrupt.
 func (r *Reader) Replay(q Query, workers int) (*catalog.Catalog, *ReplayStats, error) {
-	if r.man.Kind != KindCDR {
-		return nil, nil, fmt.Errorf("store: cannot build a catalog from a %q store", r.man.Kind)
-	}
 	meta := r.man.Meta()
 	stats := r.baseStats()
 	selected := r.selectSegments(q, &stats)
@@ -202,12 +197,11 @@ func (r *Reader) Replay(q Query, workers int) (*catalog.Catalog, *ReplayStats, e
 		p := part{b: catalog.NewBuilder(meta.Host, meta.Start, meta.Days, nil)}
 		for k := sh.Lo; k < sh.Hi; k++ {
 			si := &r.man.Segments[selected[k]]
-			err := scanSegment(r.dir, si, cdrBody,
+			err := scanSegment(r.dir, si,
 				func(rec *cdrs.Record) {
 					p.stats.RecordsRead++
-					inf := cdrInfo(rec)
-					day := dayOf(inf.Time, meta.Start)
-					if !q.keepRecord(day, inf) {
+					day := dayOf(rec.Time, meta.Start)
+					if !q.keepRecord(day, rec) {
 						return
 					}
 					// The builder silently drops records outside the
@@ -261,34 +255,13 @@ func (r *Reader) Replay(q Query, workers int) (*catalog.Catalog, *ReplayStats, e
 //
 //roamvet:deadcode-ok test oracle: the sequential reference the concurrent Replay and Compact are compared against
 func (r *Reader) ReplayRecords(q Query, sink func(cdrs.Record)) (*ReplayStats, error) {
-	if r.man.Kind != KindCDR {
-		return nil, fmt.Errorf("store: cannot replay a %q store as CDRs", r.man.Kind)
-	}
-	return replaySeq(r, q, cdrBody, cdrInfo, sink)
-}
-
-// ReplayTransactions hands every matching signaling transaction to
-// sink sequentially, in store order.
-//
-//roamvet:deadcode-ok test oracle: the sequential reference for the signaling plane's round-trip and compaction tests
-func (r *Reader) ReplayTransactions(q Query, sink func(signaling.Transaction)) (*ReplayStats, error) {
-	if r.man.Kind != KindSignaling {
-		return nil, fmt.Errorf("store: cannot replay a %q store as signaling", r.man.Kind)
-	}
-	return replaySeq(r, q, txBody, txInfo, sink)
-}
-
-// replaySeq is the sequential replay loop shared by both planes.
-func replaySeq[T any](r *Reader, q Query, newDec func([]byte) wireDecoder[T],
-	info func(*T) RecordInfo, sink func(T)) (*ReplayStats, error) {
 	stats := r.baseStats()
 	start := r.man.Start
 	for _, i := range r.selectSegments(q, &stats) {
 		si := &r.man.Segments[i]
-		err := scanSegment(r.dir, si, newDec, func(rec *T) {
+		err := scanSegment(r.dir, si, func(rec *cdrs.Record) {
 			stats.RecordsRead++
-			inf := info(rec)
-			if q.keepRecord(dayOf(inf.Time, start), inf) {
+			if q.keepRecord(dayOf(rec.Time, start), rec) {
 				stats.RecordsKept++
 				sink(*rec)
 			}
@@ -313,21 +286,13 @@ func replaySeq[T any](r *Reader, q Query, newDec func([]byte) wireDecoder[T],
 // cdrs.Decoder), so nothing outlives the scan that filled the buffer.
 var bodyPool = sync.Pool{New: func() any { return new([]byte) }}
 
-// cdrBody and txBody open the decoder of a verified segment body for
-// the two planes.
-func cdrBody(b []byte) wireDecoder[cdrs.Record] { return cdrs.NewDecoder(b) }
-
-func txBody(b []byte) wireDecoder[signaling.Transaction] {
-	return signaling.NewReader(bytes.NewReader(b))
-}
-
 // scanSegment reads one sealed segment body in a single read, verifies
 // its length and CRC against the manifest entry, and only then decodes
 // it, calling visit for every record: a body that fails its CRC
 // delivers nothing. A size, CRC or record-count mismatch and a record
 // that fails to decode all report the segment as corrupt. The
 // manifest's Bytes field covers body, Bloom filter and footer.
-func scanSegment[T any](dir string, si *SegmentInfo, newDec func([]byte) wireDecoder[T], visit func(*T)) error {
+func scanSegment(dir string, si *SegmentInfo, visit func(*cdrs.Record)) error {
 	f, err := os.Open(filepath.Join(dir, si.Name))
 	if err != nil {
 		return fmt.Errorf("store: opening segment %s: %w", si.Name, err)
@@ -357,8 +322,8 @@ func scanSegment[T any](dir string, si *SegmentInfo, newDec func([]byte) wireDec
 	if crc := crc32.Checksum(body, crcTable); crc != si.BodyCRC {
 		return fmt.Errorf("%w: %s body CRC %08x, footer sealed %08x", ErrCorrupt, si.Name, crc, si.BodyCRC)
 	}
-	dec := newDec(body)
-	var rec T
+	dec := cdrs.NewDecoder(body)
+	var rec cdrs.Record
 	n := 0
 	for {
 		err := dec.Read(&rec)
@@ -471,8 +436,8 @@ func (r *Reader) verifySegment(si *SegmentInfo) error {
 	if err != nil {
 		return err
 	}
-	if ft.kind != kindByte(r.man.Kind) {
-		return fmt.Errorf("%w: footer kind %d does not match %q store", ErrCorrupt, ft.kind, r.man.Kind)
+	if ft.kind != kindByteCDR {
+		return fmt.Errorf("%w: footer kind %d does not match %q store", ErrCorrupt, ft.kind, KindCDR)
 	}
 	if footer.Records != si.Records || footer.BodyCRC != si.BodyCRC ||
 		footer.MinDay != si.MinDay || footer.MaxDay != si.MaxDay ||
@@ -484,10 +449,7 @@ func (r *Reader) verifySegment(si *SegmentInfo) error {
 	if err := r.verifyBloom(si, ft); err != nil {
 		return err
 	}
-	if r.man.Kind == KindSignaling {
-		return scanSegment(r.dir, si, txBody, func(*signaling.Transaction) {})
-	}
-	return scanSegment(r.dir, si, cdrBody, func(*cdrs.Record) {})
+	return scanSegment(r.dir, si, func(*cdrs.Record) {})
 }
 
 // verifyBloom cross-checks a segment's Bloom filter three ways: the

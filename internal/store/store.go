@@ -1,12 +1,11 @@
 // Package store implements the segmented, indexed, append-only
 // archive the paper's "national feed archived once, analyzed many
 // times" workflow needs (§2–3): a durable on-disk form of the CDR/xDR
-// and signaling record streams that internal/ingest aggregates live.
+// record stream that internal/ingest aggregates live.
 //
 // A store is a directory of fixed-record-count segment files plus a
 // manifest. Each segment body is a standalone stream of the
-// repository's binary wire codecs (internal/cdrs for CDRs/xDRs,
-// internal/signaling for transactions), sealed by a fixed-size footer
+// internal/cdrs binary wire codec, sealed by a fixed-size footer
 // that records the segment's record count, event-day range, device-ID
 // range, visited-network set, a device-hash Bloom filter and a CRC of
 // the body. The manifest mirrors every sealed footer, so a reader can
@@ -24,11 +23,11 @@
 // entry.
 //
 // Writing is a [probe.Fanout] sink away from the live pipeline: point
-// [SegmentWriter.Sink] at the same records a
+// [Writer.Sink] at the same records a
 // [whereroam/internal/ingest.CatalogIngester] is aggregating and the
 // feed is persisted and ingested in one pass. Reading back, a
 // [Reader] plans segment selection from a [Query] ([Reader.Plan]) and
-// [Reader.Replay] rebuilds the CDR-plane devices-catalog from the
+// [Reader.Replay] rebuilds the devices-catalog from the
 // archive concurrently — one builder per segment shard, merged in
 // shard order — bit-identical to a live build at any worker count
 // (docs/ARCHITECTURE.md derives the argument; the root
@@ -42,7 +41,7 @@
 // set from the manifest, sealed segments are immutable, and the
 // manifest checkpoint is only ever replaced atomically while the log
 // is append-only. A reader holding a Reader (or a catalog built from
-// one) therefore observes a frozen store even while a [SegmentWriter]
+// one) therefore observes a frozen store even while a [Writer]
 // keeps appending to the same directory — concurrent seals become
 // visible only to a later Open. The serving layer (internal/serve)
 // leans on this: cached catalog slices never need locking against the
@@ -57,22 +56,16 @@ import (
 	"io"
 	"time"
 
-	"whereroam/internal/cdrs"
 	"whereroam/internal/mccmnc"
-	"whereroam/internal/signaling"
 )
 
-// Store kinds: the record plane a store archives. A store holds
-// exactly one kind; the manifest records it.
-const (
-	// KindCDR marks a store of CDR/xDR records (the internal/cdrs
-	// wire codec) — the plane [Reader.Replay] rebuilds catalogs
-	// from.
-	KindCDR = "cdr"
-	// KindSignaling marks a store of signaling transactions (the
-	// internal/signaling wire codec).
-	KindSignaling = "signaling"
-)
+// KindCDR is the one record plane a store archives: CDR/xDR records in
+// the internal/cdrs wire codec. The manifest names it and every footer
+// carries kindByteCDR; Open rejects a manifest naming anything else.
+const KindCDR = "cdr"
+
+// kindByteCDR is KindCDR's footer encoding.
+const kindByteCDR = 0
 
 // DefaultSegmentRecords is the records-per-segment roll threshold
 // used when a writer is configured with a non-positive value: large
@@ -115,8 +108,8 @@ var (
 // live build used; the event-day index in segment footers is relative
 // to Start.
 type Meta struct {
-	// Host is the observing MNO (zero for planes without a single
-	// observer, e.g. a signaling store).
+	// Host is the observing MNO (zero for a store without a single
+	// observer, e.g. a compacted multi-site store).
 	Host mccmnc.PLMN
 	// Start is the window start; segment day ranges count from it.
 	Start time.Time
@@ -133,7 +126,7 @@ type Meta struct {
 type Manifest struct {
 	// Version is the manifest schema version.
 	Version int `json:"version"`
-	// Kind is the store's record plane (KindCDR or KindSignaling).
+	// Kind is the store's record plane, always KindCDR.
 	Kind string `json:"kind"`
 	// Host is the observing MNO as a concatenated PLMN ("23410"), or
 	// empty when the store has none.
@@ -213,7 +206,7 @@ type SegmentInfo struct {
 //	offset  size  field
 //	0       4     magic "WRSF"
 //	4       1     footer version (2)
-//	5       1     kind (0 = cdr, 1 = signaling)
+//	5       1     kind (0 = cdr)
 //	6       4     record count (big endian)
 //	10      4     min day (big endian, two's complement)
 //	14      4     max day
@@ -252,14 +245,6 @@ type footerTail struct {
 // crcTable is the Castagnoli polynomial both body and footer CRCs
 // use.
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
-
-// kindByte maps a store kind to its footer encoding.
-func kindByte(kind string) byte {
-	if kind == KindSignaling {
-		return 1
-	}
-	return 0
-}
 
 // dayOf maps an event time to its window day index with the same
 // integer truncation the catalog builder's day() uses, so pruning and
@@ -354,39 +339,6 @@ func decodeFooter(b []byte) (SegmentInfo, footerTail, error) {
 		si.Visited = append(si.Visited, p.Concat())
 	}
 	return si, ft, nil
-}
-
-// wireEncoder is the streaming-writer shape both binary codecs share
-// (cdrs.Writer and signaling.Writer).
-type wireEncoder[T any] interface {
-	Write(*T) error
-	Flush() error
-}
-
-// wireDecoder is the streaming-reader shape both binary codecs share.
-type wireDecoder[T any] interface {
-	Read(*T) error
-}
-
-// RecordInfo is the index-relevant view of one archived record: the
-// fields segment footers summarize and pruning predicates match.
-type RecordInfo struct {
-	// Device is the record's device-ID hash.
-	Device uint64
-	// Time is the record's event time.
-	Time time.Time
-	// Visited is the network the record was generated on.
-	Visited mccmnc.PLMN
-}
-
-// cdrInfo extracts the index fields of a CDR/xDR.
-func cdrInfo(r *cdrs.Record) RecordInfo {
-	return RecordInfo{Device: uint64(r.Device), Time: r.Time, Visited: r.Visited}
-}
-
-// txInfo extracts the index fields of a signaling transaction.
-func txInfo(tx *signaling.Transaction) RecordInfo {
-	return RecordInfo{Device: uint64(tx.Device), Time: tx.Time, Visited: tx.Visited}
 }
 
 // crcCountWriter tracks the CRC-32C and length of everything written

@@ -1,8 +1,9 @@
 package store
 
 import (
+	"errors"
 	"fmt"
-	"io"
+	"io/fs"
 	"math"
 	"os"
 	"path/filepath"
@@ -10,7 +11,6 @@ import (
 
 	"whereroam/internal/cdrs"
 	"whereroam/internal/mccmnc"
-	"whereroam/internal/signaling"
 )
 
 // checkpointMinTail is the smallest log tail that triggers a manifest
@@ -20,9 +20,9 @@ import (
 // Open never parses more than about half the store from the log.
 const checkpointMinTail = 16
 
-// SegmentWriter archives a record stream into a store directory:
-// records append to the current segment through the plane's binary
-// wire codec, segments seal with a Bloom filter and footer every
+// Writer archives a CDR/xDR record stream into a store directory:
+// records append to the current segment through the internal/cdrs
+// binary wire codec, segments seal with a Bloom filter and footer every
 // SegmentRecords records, and each seal appends one entry to the
 // manifest log — O(1) in segment count, with a geometric checkpoint
 // snapshotting the index. All methods are safe for concurrent
@@ -30,23 +30,17 @@ const checkpointMinTail = 16
 // producer's record order is preserved — the per-device order
 // contract replay rests on). Errors are sticky: the first I/O failure
 // fails every later append and is returned by Close.
-//
-// [Writer] and [SignalingWriter] are its two instantiations; build
-// them with [NewWriter] and [NewSignalingWriter].
-type SegmentWriter[T any] struct {
+type Writer struct {
 	dir        string
-	kind       string
 	meta       Meta
 	segRecords int
-	newEnc     func(io.Writer) wireEncoder[T]
-	info       func(*T) RecordInfo
 
 	mu       sync.Mutex
 	err      error
 	closed   bool
 	f        *os.File
 	body     *crcCountWriter
-	enc      wireEncoder[T]
+	enc      *cdrs.Writer
 	cur      SegmentInfo
 	visited  []mccmnc.PLMN
 	devs     map[uint64]struct{}
@@ -56,32 +50,10 @@ type SegmentWriter[T any] struct {
 	met      *Metrics
 }
 
-// Writer archives a CDR/xDR record stream (the internal/cdrs wire
-// codec) — the store kind [Reader.Replay] rebuilds devices-catalogs
-// from.
-type Writer = SegmentWriter[cdrs.Record]
-
-// SignalingWriter archives a signaling-transaction stream (the
-// internal/signaling wire codec).
-type SignalingWriter = SegmentWriter[signaling.Transaction]
-
-// NewWriter creates a CDR/xDR store at dir (created if absent; must
-// not already hold a store) rolling segments every segmentRecords
-// records (non-positive means [DefaultSegmentRecords]).
+// NewWriter creates a store at dir (created if absent; must not
+// already hold a store) rolling segments every segmentRecords records
+// (non-positive means [DefaultSegmentRecords]).
 func NewWriter(dir string, meta Meta, segmentRecords int) (*Writer, error) {
-	return newSegmentWriter(dir, KindCDR, meta, segmentRecords,
-		func(w io.Writer) wireEncoder[cdrs.Record] { return cdrs.NewWriter(w) }, cdrInfo)
-}
-
-// NewSignalingWriter creates a signaling-transaction store at dir;
-// same directory and segment-roll contract as [NewWriter].
-func NewSignalingWriter(dir string, meta Meta, segmentRecords int) (*SignalingWriter, error) {
-	return newSegmentWriter(dir, KindSignaling, meta, segmentRecords,
-		func(w io.Writer) wireEncoder[signaling.Transaction] { return signaling.NewWriter(w) }, txInfo)
-}
-
-func newSegmentWriter[T any](dir, kind string, meta Meta, segmentRecords int,
-	newEnc func(io.Writer) wireEncoder[T], info func(*T) RecordInfo) (*SegmentWriter[T], error) {
 	if segmentRecords < 1 {
 		segmentRecords = DefaultSegmentRecords
 	}
@@ -91,16 +63,13 @@ func newSegmentWriter[T any](dir, kind string, meta Meta, segmentRecords int,
 	if storeExists(dir) {
 		return nil, fmt.Errorf("store: %s already holds a store manifest", dir)
 	}
-	w := &SegmentWriter[T]{
+	w := &Writer{
 		dir:        dir,
-		kind:       kind,
 		meta:       meta,
 		segRecords: segmentRecords,
-		newEnc:     newEnc,
-		info:       info,
 		man: Manifest{
 			Version:        manifestVersionV2,
-			Kind:           kind,
+			Kind:           KindCDR,
 			Start:          meta.Start,
 			Days:           meta.Days,
 			SegmentRecords: segmentRecords,
@@ -127,7 +96,7 @@ func newSegmentWriter[T any](dir, kind string, meta Meta, segmentRecords int,
 
 // Append archives one record, sealing the current segment when it
 // reaches the roll threshold. Safe for concurrent producers.
-func (w *SegmentWriter[T]) Append(rec T) error {
+func (w *Writer) Append(rec cdrs.Record) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.err != nil {
@@ -150,22 +119,22 @@ func (w *SegmentWriter[T]) Append(rec T) error {
 		w.err = err
 		return err
 	}
-	inf := w.info(&rec)
-	day := dayOf(inf.Time, w.meta.Start)
+	day := dayOf(rec.Time, w.meta.Start)
 	if day < w.cur.MinDay {
 		w.cur.MinDay = day
 	}
 	if day > w.cur.MaxDay {
 		w.cur.MaxDay = day
 	}
-	if inf.Device < w.cur.MinDevice {
-		w.cur.MinDevice = inf.Device
+	dev := uint64(rec.Device)
+	if dev < w.cur.MinDevice {
+		w.cur.MinDevice = dev
 	}
-	if inf.Device > w.cur.MaxDevice {
-		w.cur.MaxDevice = inf.Device
+	if dev > w.cur.MaxDevice {
+		w.cur.MaxDevice = dev
 	}
-	w.devs[inf.Device] = struct{}{}
-	w.noteVisited(inf.Visited)
+	w.devs[dev] = struct{}{}
+	w.noteVisited(rec.Visited)
 	w.cur.Records++
 	if w.cur.Records >= w.segRecords {
 		if err := w.seal(); err != nil {
@@ -177,21 +146,21 @@ func (w *SegmentWriter[T]) Append(rec T) error {
 }
 
 // Sink adapts the writer to a probe tap / fanout sink: errors stick
-// inside the writer and surface from [SegmentWriter.Err] and
-// [SegmentWriter.Close].
-func (w *SegmentWriter[T]) Sink() func(T) {
-	return func(rec T) { _ = w.Append(rec) }
+// inside the writer and surface from [Writer.Err] and
+// [Writer.Close].
+func (w *Writer) Sink() func(cdrs.Record) {
+	return func(rec cdrs.Record) { _ = w.Append(rec) }
 }
 
 // Count returns how many records have been appended (sealed or not).
-func (w *SegmentWriter[T]) Count() int64 {
+func (w *Writer) Count() int64 {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.man.TotalRecords + int64(w.cur.Records)
 }
 
 // Segments returns how many segments have been sealed.
-func (w *SegmentWriter[T]) Segments() int {
+func (w *Writer) Segments() int {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return len(w.man.Segments)
@@ -200,7 +169,7 @@ func (w *SegmentWriter[T]) Segments() int {
 // Err returns the writer's sticky error, if any.
 //
 //roamvet:deadcode-ok failure read-back: the crash-safety tests observe a mid-stream write error through it before Close
-func (w *SegmentWriter[T]) Err() error {
+func (w *Writer) Err() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.err
@@ -211,7 +180,7 @@ func (w *SegmentWriter[T]) Err() error {
 // sealed segment is already durable in the log — so a closed and a
 // crashed-after-seal store open identically. It returns the writer's
 // first error. Idempotent.
-func (w *SegmentWriter[T]) Close() error {
+func (w *Writer) Close() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.closed {
@@ -241,9 +210,43 @@ func (w *SegmentWriter[T]) Close() error {
 	return w.err
 }
 
+// discard abandons the store being written: it closes the writer
+// without sealing the open segment and removes every file the writer
+// created, checkpoint first — Open needs it, so the directory stops
+// being a store before anything else goes. It returns the first
+// removal that failed.
+func (w *Writer) discard() error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.closed = true
+	if w.f != nil {
+		w.f.Close()
+		w.f = nil
+	}
+	if w.logF != nil {
+		w.logF.Close()
+		w.logF = nil
+	}
+	names := []string{ManifestCheckpointName, ManifestLogName}
+	for i := range w.man.Segments {
+		names = append(names, w.man.Segments[i].Name)
+	}
+	// The segment that was open, or that failed mid-seal.
+	if w.cur.Name != "" {
+		names = append(names, w.cur.Name)
+	}
+	var first error
+	for _, name := range names {
+		if err := os.Remove(filepath.Join(w.dir, name)); err != nil && !errors.Is(err, fs.ErrNotExist) && first == nil {
+			first = err
+		}
+	}
+	return first
+}
+
 // openSegment starts a fresh segment file and resets the footer
 // accumulators.
-func (w *SegmentWriter[T]) openSegment() error {
+func (w *Writer) openSegment() error {
 	name := fmt.Sprintf("seg-%06d.wrseg", len(w.man.Segments))
 	f, err := os.Create(filepath.Join(w.dir, name))
 	if err != nil {
@@ -251,7 +254,7 @@ func (w *SegmentWriter[T]) openSegment() error {
 	}
 	w.f = f
 	w.body = &crcCountWriter{w: f}
-	w.enc = w.newEnc(w.body)
+	w.enc = cdrs.NewWriter(w.body)
 	w.cur = SegmentInfo{
 		Name:      name,
 		MinDay:    math.MaxInt32,
@@ -265,7 +268,7 @@ func (w *SegmentWriter[T]) openSegment() error {
 
 // noteVisited indexes a record's visited network in the footer
 // accumulator, flipping the overflow flag once the footer is full.
-func (w *SegmentWriter[T]) noteVisited(p mccmnc.PLMN) {
+func (w *Writer) noteVisited(p mccmnc.PLMN) {
 	for _, v := range w.visited {
 		if v == p {
 			return
@@ -282,7 +285,7 @@ func (w *SegmentWriter[T]) noteVisited(p mccmnc.PLMN) {
 // and footer, closes the segment file, appends the manifest-log entry
 // and checkpoints when the log tail has grown enough. Every exit path
 // leaves w.f nil so a later Close cannot double-close the descriptor.
-func (w *SegmentWriter[T]) seal() error {
+func (w *Writer) seal() error {
 	sw := w.met.sealTimer()
 	if err := w.enc.Flush(); err != nil {
 		w.f.Close()
@@ -301,7 +304,7 @@ func (w *SegmentWriter[T]) seal() error {
 	w.cur.Bloom = bloom
 	w.cur.BloomHashes = bloomHashCount
 	w.cur.Bytes = w.body.n + int64(len(bloom)) + footerV2Size
-	footer := encodeFooter(kindByte(w.kind), &w.cur, w.visited)
+	footer := encodeFooter(kindByteCDR, &w.cur, w.visited)
 	if _, err := w.f.Write(bloom); err != nil {
 		w.f.Close()
 		w.f = nil
@@ -356,7 +359,7 @@ func (w *SegmentWriter[T]) seal() error {
 
 // checkpoint snapshots the manifest into MANIFEST.ckpt, recording how
 // many log entries (= sealed segments, one entry each) it covers.
-func (w *SegmentWriter[T]) checkpoint() error {
+func (w *Writer) checkpoint() error {
 	defer w.met.ckptTimer().Stop()
 	man := w.man
 	man.LogEntries = len(w.man.Segments)
