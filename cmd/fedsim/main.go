@@ -4,7 +4,8 @@
 // label and classifier validation — the paper's Table 1/§5
 // observation that many visited operators see the same global IoT
 // fleets — plus the federated SMIP (§4.4/§7) and M2M (§3/§6) planes
-// derived from the same fleet and schedule.
+// derived from the same fleet and schedule. -archive writes the
+// site-<plmn> stores roamd mounts; roamstore verifies and replays them.
 //
 // Usage:
 //
@@ -13,7 +14,6 @@
 //	fedsim -hosts 23410,26202      # explicit visited MNOs
 //	fedsim -gen -max-heap-mib 512   # generation only, self-asserting the heap peak
 //	fedsim -archive /data/fed       # persist each site's CDR feed to /data/fed/site-<plmn>
-//	fedsim -replay /data/fed        # replay every per-site store, then exit
 //	fedsim -experiment fed-smip     # one experiment (fed-sites, fed-agreement,
 //	                                # fed-validation, fed-smip, fed-m2m)
 package main
@@ -23,7 +23,6 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"path/filepath"
 	"runtime"
 	"strings"
 	"time"
@@ -32,7 +31,6 @@ import (
 	"whereroam/internal/experiments"
 	"whereroam/internal/mccmnc"
 	"whereroam/internal/obs"
-	"whereroam/internal/store"
 )
 
 func main() {
@@ -49,14 +47,8 @@ func main() {
 		heapMiB = flag.Int64("max-heap-mib", 0, "fail if the process heap peak exceeds this many MiB (0 = no assertion)")
 		archive = flag.String("archive", "", "persist each site's CDR/xDR feed to a per-site store under this directory")
 		archSeg = flag.Int("archive-segment", 0, "records per archive segment (0 = store default); small values give tiny archives many prunable segments")
-		replay  = flag.String("replay", "", "verify (strictly: torn/corrupt segments fail) and replay every per-site store under this directory, then exit; use roamstore for tolerant replay")
 	)
 	flag.Parse()
-
-	if *replay != "" {
-		replaySites(*replay, *workers)
-		return
-	}
 
 	plmns, err := resolveHosts(*hosts, *sites)
 	if err != nil {
@@ -120,37 +112,6 @@ func main() {
 		fmt.Printf("(%s ran in %v)\n\n", r.ID, time.Since(start).Round(time.Millisecond))
 	}
 	assertHeap()
-}
-
-// replaySites verifies and replays every per-site store under dir
-// (the layout fedsim -archive writes: one site-<plmn> store per
-// visited operator).
-func replaySites(dir string, workers int) {
-	names, err := store.SiteDirs(dir)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if len(names) == 0 {
-		log.Fatalf("no site-<plmn> stores under %s", dir)
-	}
-	for _, name := range names {
-		siteDir := store.SiteDir(dir, name)
-		r, err := store.Open(siteDir)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if rep := r.Verify(); !rep.OK() {
-			fmt.Print(rep)
-			os.Exit(1)
-		}
-		cat, stats, err := r.Replay(store.Query{}, workers)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("%s: replayed %d records into %d catalog rows (%d segments read, %d pruned, %d torn-skipped)\n",
-			filepath.Base(siteDir), stats.RecordsKept, len(cat.Records),
-			stats.SegmentsRead, stats.SegmentsPruned, stats.SegmentsTorn)
-	}
 }
 
 // resolveHosts turns the -hosts / -sites flags into the federation's

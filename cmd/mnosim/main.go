@@ -2,19 +2,18 @@
 // the daily devices-catalog as CSV, plus an optional ground-truth
 // class file for validation.
 //
-// With -outofcore the dataset never materializes: StreamMNO hands
-// devices and records straight to the CSV writers with at most one
-// device resident per worker, so the process peak stays near the
-// counting pre-pass regardless of -devices. -max-heap-mib
-// turns the run into a self-asserting memory experiment: the process
-// samples its own heap and exits non-zero if the peak exceeded the
-// budget — the hook CI's scale-smoke job uses to prove the
-// out-of-core path fits where the materialized one does not.
+// The dataset never materializes: StreamMNO hands devices and records
+// straight to the CSV writers with at most one device resident per
+// worker, so the process peak stays near the counting pre-pass
+// regardless of -devices. -max-heap-mib turns the run into a
+// self-asserting memory experiment: the process samples its own heap
+// and exits non-zero if the peak exceeded the budget — the hook CI's
+// scale-smoke job uses to hold the streamed path to a fixed budget.
 //
 // Usage:
 //
 //	mnosim -devices 30000 -days 22 -seed 1 -out catalog.csv -truth truth.csv
-//	mnosim -devices 300000 -outofcore -max-heap-mib 512 -out catalog.csv
+//	mnosim -devices 300000 -max-heap-mib 512 -out catalog.csv
 package main
 
 import (
@@ -42,10 +41,13 @@ func main() {
 		workers    = flag.Int("workers", runtime.GOMAXPROCS(0), "synthesis worker pool size (output is identical for any value)")
 		out        = flag.String("out", "catalog.csv", "devices-catalog output path")
 		truth      = flag.String("truth", "", "optional ground-truth class CSV output path")
-		outOfCore  = flag.Bool("outofcore", false, "stream the generation into the CSV writers without materializing the dataset")
 		maxHeapMiB = flag.Int64("max-heap-mib", 0, "fail if the process heap peak exceeds this many MiB (0 = no assertion)")
 	)
 	flag.Parse()
+	if *devN <= 0 || *days <= 0 {
+		log.Printf("-devices and -days must be positive (got %d, %d)", *devN, *days)
+		os.Exit(2)
+	}
 
 	cfg := dataset.DefaultMNOConfig()
 	cfg.Devices = *devN
@@ -75,54 +77,34 @@ func main() {
 	}
 
 	start := time.Now()
-	var records int64
-	var devCount int
-	if *outOfCore {
-		cw, err := catalog.NewCSVWriter(f, cfg.Host, cfg.Days)
-		if err != nil {
-			log.Fatal(err)
-		}
-		stream := dataset.StreamMNO(cfg, dataset.MNOSink{
-			Device: func(d devices.Device, _ bool) {
-				if tw != nil {
-					if err := tw.Write([]string{d.ID.String(), d.Class.String()}); err != nil {
-						log.Fatal(err)
-					}
-				}
-			},
-			Record: func(rec catalog.DailyRecord) {
-				if err := cw.Write(&rec); err != nil {
-					log.Fatal(err)
-				}
-			},
-		})
-		if err := cw.Flush(); err != nil {
-			log.Fatal(err)
-		}
-		records, devCount = stream.Records, stream.Devices
-		log.Printf("streamed %d catalog records for %d devices in %v",
-			records, devCount, time.Since(start).Round(time.Millisecond))
-	} else {
-		ds := dataset.GenerateMNO(cfg)
-		log.Printf("generated %d catalog records for %d devices in %v",
-			len(ds.Catalog.Records), len(ds.Devices), time.Since(start).Round(time.Millisecond))
-		if err := ds.Catalog.WriteCSV(f); err != nil {
-			log.Fatal(err)
-		}
-		if tw != nil {
-			for _, d := range ds.Devices {
+	cw, err := catalog.NewCSVWriter(f, cfg.Host, cfg.Days)
+	if err != nil {
+		log.Fatal(err)
+	}
+	stream := dataset.StreamMNO(cfg, dataset.MNOSink{
+		Device: func(d devices.Device, _ bool) {
+			if tw != nil {
 				if err := tw.Write([]string{d.ID.String(), d.Class.String()}); err != nil {
 					log.Fatal(err)
 				}
 			}
-		}
-		records, devCount = int64(len(ds.Catalog.Records)), len(ds.Devices)
+		},
+		Record: func(rec catalog.DailyRecord) {
+			if err := cw.Write(&rec); err != nil {
+				log.Fatal(err)
+			}
+		},
+	})
+	if err := cw.Flush(); err != nil {
+		log.Fatal(err)
 	}
+	log.Printf("streamed %d catalog records for %d devices in %v",
+		stream.Records, stream.Devices, time.Since(start).Round(time.Millisecond))
 
 	if err := f.Close(); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("wrote %s (%d records)\n", *out, records)
+	fmt.Printf("wrote %s (%d records)\n", *out, stream.Records)
 	if tw != nil {
 		tw.Flush()
 		if err := tw.Error(); err != nil {
@@ -131,7 +113,7 @@ func main() {
 		if err := tf.Close(); err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("wrote %s (%d devices)\n", *truth, devCount)
+		fmt.Printf("wrote %s (%d devices)\n", *truth, stream.Devices)
 	}
 
 	if stopWatch != nil {

@@ -1,5 +1,6 @@
 // Command roamrepro regenerates the paper's tables and figures from
 // the synthetic datasets and prints them in the harness's text form.
+// Archiving and replaying the SMIP feed are roamstore's verbs.
 //
 // Usage:
 //
@@ -7,8 +8,6 @@
 //	roamrepro -experiment fig11     # one experiment
 //	roamrepro -scale 1.0 -seed 7    # bigger population, other seed
 //	roamrepro -sites 2              # federation size for the fed-* experiments
-//	roamrepro -archive /data/feed   # persist the SMIP CDR feed while building
-//	roamrepro -replay /data/feed    # verify + replay an archive, then exit
 //	roamrepro -list                 # show experiment ids
 package main
 
@@ -23,7 +22,6 @@ import (
 	"whereroam/internal/dataset"
 	"whereroam/internal/experiments"
 	"whereroam/internal/mccmnc"
-	"whereroam/internal/store"
 )
 
 func main() {
@@ -35,8 +33,6 @@ func main() {
 		scale   = flag.Float64("scale", 0.5, "population scale factor (1.0 ≈ a tenth of paper scale)")
 		workers = flag.Int("workers", runtime.GOMAXPROCS(0), "pipeline worker pool size (results are identical for any value)")
 		sites   = flag.Int("sites", 0, "federation sites for the fed-* experiments (0 = default footprint)")
-		archive = flag.String("archive", "", "persist the session's SMIP CDR/xDR feed to a segmented store at this directory")
-		replay  = flag.String("replay", "", "verify (strictly: torn/corrupt segments fail) and replay the segmented store at this directory, then exit; use roamstore for tolerant replay")
 		list    = flag.Bool("list", false, "list experiment ids and exit")
 	)
 	flag.Parse()
@@ -48,38 +44,11 @@ func main() {
 		return
 	}
 
-	if *replay != "" {
-		r, err := store.Open(*replay)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if rep := r.Verify(); !rep.OK() {
-			fmt.Print(rep)
-			os.Exit(1)
-		}
-		cat, stats, err := r.Replay(store.Query{}, *workers)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("replayed %s: %d records into %d catalog rows (%d segments read, %d pruned, %d torn-skipped; %d body bytes)\n",
-			*replay, stats.RecordsKept, len(cat.Records),
-			stats.SegmentsRead, stats.SegmentsPruned, stats.SegmentsTorn, stats.BytesRead)
-		return
-	}
-
 	var hosts []mccmnc.PLMN
 	if def := dataset.DefaultFederationHosts(); *sites > 0 && *sites < len(def) {
 		hosts = def[:*sites]
 	}
 	sess := experiments.NewFederation(*seed, *scale, *workers, hosts...)
-	if *archive != "" {
-		ds, err := sess.ArchiveTo(*archive)
-		if err != nil {
-			log.Fatal(err)
-		}
-		log.Printf("archived the SMIP CDR/xDR feed to %s (%d catalog records built live)",
-			*archive, len(ds.Catalog.Records))
-	}
 	runners := experiments.All()
 	if *id != "all" {
 		r, ok := experiments.ByID(*id)

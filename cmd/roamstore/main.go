@@ -66,6 +66,34 @@ func usage() {
 	os.Exit(2)
 }
 
+// badFlags reports a rejected flag combination the way flag parsing
+// does: one line on stderr and exit status 2, before anything is
+// created.
+func badFlags(format string, args ...any) {
+	log.Printf(format, args...)
+	os.Exit(2)
+}
+
+// dayQuery is the query for the -min-day/-max-day window (negative
+// means unset: day 0 and lastDay), rejecting a window that is inverted
+// or starts after lastDay.
+func dayQuery(cmd string, minDay, maxDay, lastDay int) store.Query {
+	if minDay < 0 && maxDay < 0 {
+		return store.Query{}
+	}
+	lo, hi := max(minDay, 0), maxDay
+	if hi < 0 {
+		hi = lastDay
+	}
+	if lo > lastDay {
+		badFlags("%s: -min-day %d is past the window's last day %d", cmd, lo, lastDay)
+	}
+	if lo > hi {
+		badFlags("%s: -min-day %d is after -max-day %d", cmd, lo, hi)
+	}
+	return store.Query{}.Days(lo, hi)
+}
+
 // cmdWrite runs the persist-and-ingest path: the §7 streaming
 // generator builds its catalog live while every CDR/xDR fans out to
 // the archive.
@@ -83,6 +111,10 @@ func cmdWrite(args []string) {
 	fs.Parse(args)
 	if *dir == "" {
 		log.Fatal("write: -dir is required")
+	}
+	if *days <= 0 || *native < 0 || *roaming < 0 || *segRecs < 0 {
+		badFlags("write: need -days > 0, -native and -roaming >= 0, -segment >= 0 (got %d, %d, %d, %d)",
+			*days, *native, *roaming, *segRecs)
 	}
 
 	cfg := dataset.DefaultSMIPConfig()
@@ -177,17 +209,7 @@ func cmdReplay(args []string) {
 	)
 	r := openStore(fs, args, dir)
 
-	f := store.Query{}
-	if *minDay >= 0 || *maxDay >= 0 {
-		lo, hi := *minDay, *maxDay
-		if lo < 0 {
-			lo = 0
-		}
-		if hi < 0 {
-			hi = r.Manifest().Days - 1
-		}
-		f = f.Days(lo, hi)
-	}
+	f := dayQuery("replay", *minDay, *maxDay, r.Manifest().Days-1)
 	if *device != "" {
 		// strconv rejects trailing garbage, unlike Sscanf %x — a typo
 		// must error out, not silently filter on the wrong device.
@@ -246,24 +268,14 @@ func cmdCompact(args []string) {
 		plan    = fs.Bool("plan", false, "print the merge plan and exit without compacting")
 	)
 	fs.Parse(args)
+	opts := store.CompactOptions{SegmentRecords: *segRecs, MaxFanIn: *fanIn,
+		Query: dayQuery("compact", *minDay, *maxDay, 1<<31-1)}
 	inputs := fs.Args()
 	if len(inputs) == 0 {
 		log.Fatal("compact: need at least one input store directory")
 	}
 	if *out == "" && !*plan {
 		log.Fatal("compact: -out is required (or use -plan for a dry run)")
-	}
-
-	opts := store.CompactOptions{SegmentRecords: *segRecs, MaxFanIn: *fanIn}
-	if *minDay >= 0 || *maxDay >= 0 {
-		lo, hi := *minDay, *maxDay
-		if lo < 0 {
-			lo = 0
-		}
-		if hi < 0 {
-			hi = 1<<31 - 1
-		}
-		opts.Query = opts.Query.Days(lo, hi)
 	}
 
 	if *plan {

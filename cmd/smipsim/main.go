@@ -1,23 +1,17 @@
 // Command smipsim synthesizes the §7 SMIP smart-meter dataset and
-// writes its devices-catalog as CSV. With -raw it exercises the full
-// per-event measurement path (radio events and CDRs through probe
-// taps into the catalog builder) instead of the direct aggregate
-// generator; -stream runs the same measurement path without keeping
-// the capture, each emission shard feeding the catalog builder it owns
-// — bit-identical to -raw, without ever holding the event streams.
+// writes its devices-catalog as CSV. By default it runs the direct
+// aggregate generator; -stream runs the full per-event measurement
+// path instead (radio events and CDRs through probe taps into the
+// catalog builder each emission shard owns) without ever holding the
+// event streams.
 //
-// With -archive the streaming path additionally persists the CDR/xDR
-// feed to a segmented archive (internal/store) while the catalog
-// builds — persist-and-ingest in one pass; with -replay the catalog
-// is instead rebuilt from such an archive, no generation at all.
+// Archiving the CDR/xDR feed while the catalog builds, and rebuilding
+// a catalog from such an archive, are roamstore's write and replay.
 //
 // Usage:
 //
 //	smipsim -native 20000 -roaming 12000 -out smip.csv
-//	smipsim -native 2000 -roaming 1500 -raw -out smip.csv
 //	smipsim -native 50000 -roaming 30000 -stream -out smip.csv
-//	smipsim -stream -archive /data/smip-feed -out smip.csv
-//	smipsim -replay /data/smip-feed -out smip-replayed.csv
 //	smipsim -nbiot 0.5    # §8: half the roaming fleet on NB-IoT
 package main
 
@@ -30,7 +24,6 @@ import (
 	"time"
 
 	"whereroam/internal/dataset"
-	"whereroam/internal/store"
 )
 
 func main() {
@@ -41,39 +34,15 @@ func main() {
 		roaming = flag.Int("roaming", 12000, "roaming meters on global IoT SIMs")
 		days    = flag.Int("days", 26, "observation window in days")
 		seed    = flag.Uint64("seed", 1, "generator seed")
-		nbiot   = flag.Float64("nbiot", 0, "fraction of roaming meters migrated to NB-IoT")
-		raw     = flag.Bool("raw", false, "generate via the per-event probe+builder pipeline (materialized capture)")
-		stream  = flag.Bool("stream", false, "generate via the per-event pipeline without materializing the capture")
-		archive = flag.String("archive", "", "persist the CDR/xDR feed to a segmented store at this directory (implies -stream)")
-		replay  = flag.String("replay", "", "rebuild the catalog from a segmented store instead of generating")
-		workers = flag.Int("workers", runtime.GOMAXPROCS(0), "raw-capture worker pool size (output is identical for any value)")
+		nbiot   = flag.Float64("nbiot", 0, "fraction of roaming meters migrated to NB-IoT, in [0, 1]")
+		stream  = flag.Bool("stream", false, "generate via the per-event probe+builder pipeline instead of the aggregate model")
+		workers = flag.Int("workers", runtime.GOMAXPROCS(0), "per-event pipeline worker pool size (output is identical for any value)")
 		out     = flag.String("out", "smip.csv", "devices-catalog output path")
 	)
 	flag.Parse()
-
-	if *replay != "" {
-		r, err := store.Open(*replay)
-		if err != nil {
-			log.Fatal(err)
-		}
-		cat, stats, err := r.Replay(store.Query{}, *workers)
-		if err != nil {
-			log.Fatal(err)
-		}
-		log.Printf("replayed %d records (%d segments read, %d pruned, %d torn-skipped; %d body bytes)",
-			stats.RecordsKept, stats.SegmentsRead, stats.SegmentsPruned, stats.SegmentsTorn, stats.BytesRead)
-		f, err := os.Create(*out)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := cat.WriteCSV(f); err != nil {
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("wrote %s (%d records replayed from %s)\n", *out, len(cat.Records), *replay)
-		return
+	if !(*nbiot >= 0 && *nbiot <= 1) { // NaN fails too
+		log.Printf("-nbiot %v is outside [0, 1]", *nbiot)
+		os.Exit(2)
 	}
 
 	cfg := dataset.DefaultSMIPConfig()
@@ -84,35 +53,12 @@ func main() {
 	cfg.NBIoTMigration = *nbiot
 	cfg.Workers = *workers
 
-	var arch *store.Writer
-	if *archive != "" {
-		*stream = true
-		w, err := store.NewWriter(*archive, store.Meta{Host: cfg.Host, Start: cfg.Start, Days: cfg.Days}, 0)
-		if err != nil {
-			log.Fatal(err)
-		}
-		arch = w
-		cfg.ArchiveCDRs = w.Sink()
-	}
-
 	start := time.Now()
 	var ds *dataset.SMIPDataset
-	switch {
-	case *stream:
+	if *stream {
 		ds = dataset.GenerateSMIPStreaming(cfg)
 		log.Printf("streaming pipeline: catalog built with no materialized capture")
-		if arch != nil {
-			if err := arch.Close(); err != nil {
-				log.Fatal(err)
-			}
-			log.Printf("archived %d records into %d segments at %s", arch.Count(), arch.Segments(), *archive)
-		}
-	case *raw:
-		var streams *dataset.RawStreams
-		ds, streams = dataset.GenerateSMIPRaw(cfg)
-		log.Printf("raw pipeline: %d radio events, %d CDRs/xDRs",
-			len(streams.Radio), len(streams.Records))
-	default:
+	} else {
 		ds = dataset.GenerateSMIP(cfg)
 	}
 	log.Printf("generated %d catalog records for %d meters in %v",
@@ -128,7 +74,6 @@ func main() {
 	if err := f.Close(); err != nil {
 		log.Fatal(err)
 	}
-	nNB := len(ds.NBIoT)
 	fmt.Printf("wrote %s (%d records; %d native, %d roaming, %d on NB-IoT)\n",
-		*out, len(ds.Catalog.Records), *native, *roaming, nNB)
+		*out, len(ds.Catalog.Records), *native, *roaming, len(ds.NBIoT))
 }

@@ -278,11 +278,11 @@ func GenerateMNO(cfg MNOConfig) *MNODataset {
 	return ds
 }
 
-// outOfCoreDepth is StreamMNO's per-shard fan-in window. It is
+// streamMNODepth is StreamMNO's per-shard fan-in window. It is
 // deliberately much smaller than ingest.DefaultDepth: in-flight items
 // are the only per-population state the streaming path holds, so
 // shards × depth bounds its working set.
-const outOfCoreDepth = 64
+const streamMNODepth = 64
 
 // MNOSink receives StreamMNO's output. Both callbacks are optional
 // (nil skips the plane); they run on the calling goroutine, in the
@@ -340,7 +340,7 @@ func StreamMNO(cfg MNOConfig, sink MNOSink) *MNOStream {
 		Transparency: w.reg,
 		Devices:      cfg.Devices,
 	}
-	streamShards(cfg.Devices, cfg.Workers, outOfCoreDepth, func(sh pipeline.Shard, send func(mnoItem)) {
+	streamShards(cfg.Devices, cfg.Workers, streamMNODepth, func(sh pipeline.Shard, send func(mnoItem)) {
 		w.shard(sh, func(dev devices.Device, declared bool) { send(mnoItem{dev: dev, declared: declared}) },
 			func(rec catalog.DailyRecord) { send(mnoItem{rec: rec, isRec: true}) })
 	}, func(it mnoItem) {

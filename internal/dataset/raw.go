@@ -114,6 +114,8 @@ func (c capture) build(locals []localDevice, extra func(pipeline.Shard) shardSin
 
 // RawStreams is the per-event view of a capture: what the probes at
 // the MME/MSC/SGSN hand to the pipeline before any aggregation.
+//
+//roamvet:deadcode-ok test oracle: the capture GenerateSMIPRaw keeps, which the store-replay tests and the smipraw.* digests read
 type RawStreams struct {
 	Radio   []radio.Event
 	Records []cdrs.Record
@@ -206,6 +208,8 @@ func smipCapture(cfg SMIPConfig) capture {
 // exists to exercise (and cross-validate) the real pipeline; keep
 // cohorts in the thousands, or use GenerateSMIPStreaming when the
 // materialized capture itself is the problem.
+//
+//roamvet:deadcode-ok test oracle: the capture-keeping reference GenerateSMIPStreaming is held to (TestSMIPStreamingMatchesBatch, store replay, smipraw.* digests)
 func GenerateSMIPRaw(cfg SMIPConfig) (*SMIPDataset, *RawStreams) {
 	ds, locals := smipPopulation(cfg)
 
