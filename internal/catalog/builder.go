@@ -1,9 +1,11 @@
 package catalog
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"time"
 
+	"whereroam/internal/apn"
 	"whereroam/internal/cdrs"
 	"whereroam/internal/geo"
 	"whereroam/internal/identity"
@@ -17,34 +19,90 @@ import (
 // times — the weights for centroid and gyration — are estimated from
 // inter-event gaps, capped so an idle night does not attribute hours
 // to the last sector of the evening.
+//
+// State is indexed by device: one map probe finds a device's entry
+// (none for a repeat of the previous device), and the entry's day
+// slots name its rows. Rows live in fixed-size chunks that never
+// move, so no device-day is a heap object of its own.
 type Builder struct {
 	host  mccmnc.PLMN
 	start time.Time
 	days  int
 	grid  *radio.Grid
 
-	recs map[dayKey]*DailyRecord
-	// last event per device for dwell attribution.
-	last map[identity.DeviceID]lastSeen
-	// visits per device-day for the mobility metrics.
-	visits map[dayKey][]geo.Visit
-	// callDur accumulates voice duration per device-day as integer
-	// nanoseconds; finalize converts it to CallSeconds once. Integer
-	// accumulation is associative, so however the records were grouped
-	// across builders (shards, merged feeds, archive segments) the
-	// final float is bit-identical to a serial single-builder run —
-	// float summation would depend on the grouping.
-	callDur map[dayKey]time.Duration
+	index map[identity.DeviceID]int32
+	devs  []device
+	// slots holds days entries per device — device i owns
+	// slots[i*days : (i+1)*days] — each a row number plus one, or zero
+	// for a day without activity.
+	slots []int32
+	// memoDev/memoIdx remember the last device looked up (memoIdx < 0:
+	// none), so a run of records of one device skips the map.
+	memoDev identity.DeviceID
+	memoIdx int32
+
+	chunks [][]row
+	nrows  int32
+	// plmns and apns hand each row its first visited network and APN
+	// without an allocation of its own; finalize packs the lists into
+	// exactly sized arrays, so no slab chunk outlives the build.
+	plmns slab[mccmnc.PLMN]
+	apns  slab[apn.APN]
 }
 
-type dayKey struct {
-	dev identity.DeviceID
-	day int
+// device is one device's entry: its dwell state.
+type device struct {
+	id identity.DeviceID
+	// last is the device's latest radio event, for dwell attribution;
+	// seen reports whether there was one.
+	last lastSeen
+	seen bool
 }
 
 type lastSeen struct {
 	t      time.Time
 	sector radio.SectorID
+}
+
+// row is one device-day: the catalog record plus the state finalize
+// turns into its derived fields.
+type row struct {
+	DailyRecord
+	// callDur accumulates voice duration as integer nanoseconds;
+	// finalize converts it to CallSeconds once. Integer accumulation is
+	// associative, so however the records were grouped across builders
+	// (shards, merged feeds, replay workers) the final float is
+	// bit-identical to a serial single-builder run — float summation
+	// would depend on the grouping.
+	callDur time.Duration
+	// visits are the day's dwell-weighted sector positions, for the
+	// mobility metrics.
+	visits []geo.Visit
+}
+
+// Row storage: a first chunk small enough that a one-device fill stays
+// cheap, then fixed-size chunks, small enough that the hundreds of
+// shard builders of a capture waste little in their last chunk.
+const (
+	firstChunkRows = 16
+	chunkRows      = 64
+)
+
+// slab hands out one-element slices carved from fixed-size chunks.
+// Each slice has capacity one, so a second element makes append copy
+// it out to the heap and no two slices ever share an element.
+type slab[T any] struct{ free []T }
+
+const slabLen = 128
+
+func (s *slab[T]) one(v T) []T {
+	if len(s.free) == 0 {
+		s.free = make([]T, slabLen)
+	}
+	out := s.free[:1:1]
+	out[0] = v
+	s.free = s.free[1:]
+	return out
 }
 
 // maxDwell caps the inter-event gap attributed as dwell time on the
@@ -60,10 +118,8 @@ func NewBuilder(host mccmnc.PLMN, start time.Time, days int, grid *radio.Grid) *
 		start:   start,
 		days:    days,
 		grid:    grid,
-		recs:    map[dayKey]*DailyRecord{},
-		last:    map[identity.DeviceID]lastSeen{},
-		visits:  map[dayKey][]geo.Visit{},
-		callDur: map[dayKey]time.Duration{},
+		index:   map[identity.DeviceID]int32{},
+		memoIdx: -1,
 	}
 }
 
@@ -76,17 +132,84 @@ func (b *Builder) day(t time.Time) int {
 	return d
 }
 
-func (b *Builder) record(dev identity.DeviceID, day int, sim mccmnc.PLMN, tac identity.TAC) *DailyRecord {
-	k := dayKey{dev, day}
-	r := b.recs[k]
-	if r == nil {
-		r = &DailyRecord{Device: dev, Day: day, SIM: sim, TAC: tac}
-		b.recs[k] = r
+// device returns the entry index of dev, adding an entry on first
+// sight.
+func (b *Builder) device(dev identity.DeviceID) int32 {
+	if b.memoIdx >= 0 && b.memoDev == dev {
+		return b.memoIdx
 	}
+	i, ok := b.index[dev]
+	if !ok {
+		i = int32(len(b.devs))
+		b.index[dev] = i
+		b.devs = append(b.devs, device{id: dev})
+		b.slots = append(b.slots, make([]int32, b.days)...)
+	}
+	b.memoDev, b.memoIdx = dev, i
+	return i
+}
+
+// slot returns device i's slot for day.
+func (b *Builder) slot(i int32, day int) *int32 {
+	return &b.slots[int(i)*b.days+day]
+}
+
+// row returns row number n.
+func (b *Builder) row(n int32) *row {
+	if n < firstChunkRows {
+		return &b.chunks[0][n]
+	}
+	n -= firstChunkRows
+	return &b.chunks[1+n/chunkRows][n%chunkRows]
+}
+
+// newRow takes the next free row, opening a chunk when the last one is
+// full, and stores its number in slot.
+func (b *Builder) newRow(slot *int32) *row {
+	n := b.nrows
+	if n == 0 {
+		b.chunks = append(b.chunks, make([]row, firstChunkRows))
+	} else if n >= firstChunkRows && (n-firstChunkRows)%chunkRows == 0 {
+		b.chunks = append(b.chunks, make([]row, chunkRows))
+	}
+	b.nrows++
+	*slot = n + 1
+	return b.row(n)
+}
+
+// record returns device i's row for day, creating it on first sight.
+func (b *Builder) record(i int32, day int, sim mccmnc.PLMN, tac identity.TAC) *row {
+	s := b.slot(i, day)
+	if *s == 0 {
+		r := b.newRow(s)
+		r.DailyRecord = DailyRecord{Device: b.devs[i].id, Day: day, SIM: sim, TAC: tac}
+		return r
+	}
+	r := b.row(*s - 1)
 	if r.TAC == 0 && tac != 0 {
 		r.TAC = tac
 	}
 	return r
+}
+
+// addVisited is DailyRecord.AddVisited with the row's first network
+// taken from the slab.
+func (b *Builder) addVisited(r *row, p mccmnc.PLMN) {
+	if r.Visited == nil {
+		r.Visited = b.plmns.one(p)
+		return
+	}
+	r.AddVisited(p)
+}
+
+// addAPN is DailyRecord.AddAPN with the row's first APN taken from the
+// slab.
+func (b *Builder) addAPN(r *row, a apn.APN) {
+	if r.APNs == nil && !a.IsZero() {
+		r.APNs = b.apns.one(a)
+		return
+	}
+	r.AddAPN(a)
 }
 
 // AddRadioEvent ingests one radio-interface event.
@@ -95,55 +218,72 @@ func (b *Builder) AddRadioEvent(ev radio.Event) {
 	if day < 0 {
 		return
 	}
-	r := b.record(ev.Device, day, ev.SIM, ev.TAC)
+	i := b.device(ev.Device)
+	r := b.record(i, day, ev.SIM, ev.TAC)
 	r.Events++
 	if ev.Result != radio.ResultOK {
 		r.FailedEvents++
 	} else {
 		r.RadioFlags = r.RadioFlags.With(ev.RAT())
 	}
-	r.AddVisited(b.host)
+	b.addVisited(r, b.host)
 
 	if b.grid == nil {
 		return
 	}
 	// Attribute the gap since the previous event as dwell on the
 	// previous sector.
-	if prev, ok := b.last[ev.Device]; ok {
-		gap := ev.Time.Sub(prev.t)
+	d := &b.devs[i]
+	if d.seen {
+		gap := ev.Time.Sub(d.last.t)
 		if gap > 0 {
 			if gap > maxDwell {
 				gap = maxDwell
 			}
-			if s, ok := b.grid.Sector(prev.sector); ok {
-				pd := b.day(prev.t)
-				if pd >= 0 {
-					k := dayKey{ev.Device, pd}
-					b.visits[k] = append(b.visits[k], geo.Visit{At: s.At, Weight: gap.Seconds()})
-				}
-			}
+			b.addVisit(i, d.last, gap.Seconds())
 		}
 	}
-	b.last[ev.Device] = lastSeen{t: ev.Time, sector: ev.Sector}
+	d.last, d.seen = lastSeen{t: ev.Time, sector: ev.Sector}, true
+}
+
+// addVisit appends a visit of weight seconds at the sector and day of
+// at to device i's row.
+func (b *Builder) addVisit(i int32, at lastSeen, weight float64) {
+	s, ok := b.grid.Sector(at.sector)
+	if !ok {
+		return
+	}
+	if pd := b.day(at.t); pd >= 0 {
+		if n := *b.slot(i, pd); n != 0 {
+			r := b.row(n - 1)
+			r.visits = append(r.visits, geo.Visit{At: s.At, Weight: weight})
+		}
+	}
 }
 
 // AddRecord ingests one CDR/xDR.
 func (b *Builder) AddRecord(rec cdrs.Record) {
-	day := b.day(rec.Time)
-	if day < 0 {
+	b.AddDayRecord(b.day(rec.Time), &rec)
+}
+
+// AddDayRecord ingests one CDR/xDR whose window day the caller already
+// computed (as AddRecord would: whole days since the window start). A
+// day outside [0, days) drops the record, as AddRecord does.
+func (b *Builder) AddDayRecord(day int, rec *cdrs.Record) {
+	if uint(day) >= uint(b.days) {
 		return
 	}
-	r := b.record(rec.Device, day, rec.SIM, 0)
-	r.AddVisited(rec.Visited)
+	r := b.record(b.device(rec.Device), day, rec.SIM, 0)
+	b.addVisited(r, rec.Visited)
 	switch rec.Kind {
 	case cdrs.KindVoice:
 		r.Calls++
-		b.callDur[dayKey{rec.Device, day}] += rec.Duration
+		r.callDur += rec.Duration
 		r.VoiceRATs = r.VoiceRATs.With(rec.RAT)
 	case cdrs.KindData:
 		r.Bytes += rec.Bytes
 		r.DataRATs = r.DataRATs.With(rec.RAT)
-		r.AddAPN(rec.APN)
+		b.addAPN(r, rec.APN)
 	}
 	r.RadioFlags = r.RadioFlags.With(rec.RAT)
 }
@@ -151,105 +291,135 @@ func (b *Builder) AddRecord(rec cdrs.Record) {
 // Build finalizes the catalog: it computes the mobility metrics and
 // returns records sorted by (device, day).
 func (b *Builder) Build() *Catalog {
-	out := &Catalog{Host: b.host, Days: b.days, Records: b.finalize()}
-	sortRecords(out.Records)
-	return out
+	return &Catalog{Host: b.host, Days: b.days, Records: b.finalize()}
 }
 
 // finalize flushes trailing dwell, computes each record's mobility
-// metrics and returns the records unsorted. It is the shard-local
-// half of a build; Build and ShardedBuilder.Build add the global
-// sort.
+// metrics and returns the records in (device, day) order: devices
+// sorted by ID, each device's rows in day order.
 func (b *Builder) finalize() []DailyRecord {
 	// Flush trailing dwell: the final event of each device gets a
 	// nominal one-minute dwell so single-event days still have a
 	// location.
 	if b.grid != nil {
-		//roamvet:maporder-ok one write per ranged device: visits[{dev,day}] is appended by exactly one iteration, so no visit order can interleave
-		for dev, prev := range b.last {
-			if s, ok := b.grid.Sector(prev.sector); ok {
-				if pd := b.day(prev.t); pd >= 0 {
-					k := dayKey{dev, pd}
-					b.visits[k] = append(b.visits[k], geo.Visit{At: s.At, Weight: 60})
-				}
+		for i := range b.devs {
+			if d := &b.devs[i]; d.seen {
+				b.addVisit(int32(i), d.last, 60)
 			}
 		}
 	}
-	recs := make([]DailyRecord, 0, len(b.recs))
-	//roamvet:maporder-ok finalize returns an unordered batch by documented contract; Build and ShardedBuilder.Build apply sortRecords' (device, day) total order before anything order-sensitive sees it
-	for k, r := range b.recs {
-		if d := b.callDur[k]; d != 0 {
-			r.CallSeconds = d.Seconds()
+	order := make([]int32, len(b.devs))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	slices.SortFunc(order, func(x, y int32) int { return cmp.Compare(b.devs[x].id, b.devs[y].id) })
+	// Size one array for all visited lists and one for all APN lists;
+	// unused rows of the last chunk are zero and count nothing.
+	nv, na := 0, 0
+	for _, c := range b.chunks {
+		for k := range c {
+			nv += len(c[k].Visited)
+			na += len(c[k].APNs)
 		}
-		if vs := b.visits[k]; len(vs) > 0 {
-			if c, ok := geo.Centroid(vs); ok {
-				r.Centroid = c
-				r.GyrationKm = geo.Gyration(vs)
-				r.HasLocation = true
+	}
+	plmns := make([]mccmnc.PLMN, 0, nv)
+	apns := make([]apn.APN, 0, na)
+	recs := make([]DailyRecord, 0, b.nrows)
+	for _, i := range order {
+		for _, n := range b.slots[int(i)*b.days : int(i+1)*b.days] {
+			if n == 0 {
+				continue
 			}
+			r := b.row(n - 1)
+			if r.callDur != 0 {
+				r.CallSeconds = r.callDur.Seconds()
+			}
+			if len(r.visits) > 0 {
+				if c, ok := geo.Centroid(r.visits); ok {
+					r.Centroid = c
+					r.GyrationKm = geo.Gyration(r.visits)
+					r.HasLocation = true
+				}
+			}
+			recs = append(recs, r.DailyRecord)
+			out := &recs[len(recs)-1]
+			out.Visited, plmns = pack(plmns, r.Visited)
+			out.APNs, apns = pack(apns, r.APNs)
 		}
-		recs = append(recs, *r)
 	}
 	return recs
 }
 
-// sortRecords orders records by (device, day) — a total order, since
-// the pair is unique per record, so the result is deterministic
-// whatever permutation the shards delivered.
-func sortRecords(recs []DailyRecord) {
-	sort.Slice(recs, func(i, j int) bool {
-		a, c := &recs[i], &recs[j]
-		if a.Device != c.Device {
-			return a.Device < c.Device
-		}
-		return a.Day < c.Day
-	})
+// pack appends s to arena, whose capacity the caller sized for every
+// list, and returns s's copy there (capacity-limited, so an append to
+// it copies out) with the grown arena. An empty s stays as it is, nil
+// included.
+func pack[T any](arena, s []T) ([]T, []T) {
+	if len(s) == 0 {
+		return s, arena
+	}
+	lo := len(arena)
+	arena = append(arena, s...)
+	return arena[lo:len(arena):len(arena)], arena
 }
 
-// Merge folds another builder's accumulated state into b, combining
-// catalogs built from separate capture feeds (e.g. one builder per
-// probe site). Per-day records combine field-wise (counts and flags
-// add, visited networks and APNs union in b-then-o order, an unknown
-// TAC backfills). Dwell state merges by keeping the later last-seen
-// event per device; the dwell chain *across* the two builders is not
-// reconstructed, so for exact parity with a single builder keep the
-// feeds device-disjoint — which is why ShardedBuilder routes events
-// by device and merges finalized shard outputs instead.
+// Merge folds another builder over the same window into b, combining
+// catalogs built from separate feeds (e.g. one builder per probe site,
+// or one per replay worker over contiguous segment ranges). It walks
+// o's devices in o's first-seen order: a device-day absent from b moves
+// over whole, and one present on both sides combines field-wise
+// (counts, bytes and call duration add, RAT flags OR, an unknown TAC
+// backfills, visited networks, APNs and visits append in b-then-o
+// first-seen order). Each of these composes over a contiguous split of
+// one record stream, so folding the builders of consecutive ranges in
+// range order equals one builder over the whole stream. Dwell state
+// keeps the later last-seen event per device; the dwell chain *across*
+// the two builders is not reconstructed, so for exact parity with a
+// single builder over radio events keep the feeds device-disjoint —
+// which is why ShardedBuilder routes events by device and merges
+// finalized shard outputs instead.
+//
+// Merge consumes o: b may share o's rows' slices afterwards, so o must
+// not be used again.
 func (b *Builder) Merge(o *Builder) {
-	//roamvet:maporder-ok per-ranged-key fold into b.recs[k]: each (device, day) key is touched by exactly one iteration, and the b-then-o union order within a key is fixed by the merge direction
-	for k, ro := range o.recs {
-		r := b.recs[k]
-		if r == nil {
-			b.recs[k] = ro
-			continue
-		}
-		if r.TAC == 0 && ro.TAC != 0 {
-			r.TAC = ro.TAC
-		}
-		r.Events += ro.Events
-		r.FailedEvents += ro.FailedEvents
-		r.Calls += ro.Calls
-		r.Bytes += ro.Bytes
-		r.RadioFlags |= ro.RadioFlags
-		r.DataRATs |= ro.DataRATs
-		r.VoiceRATs |= ro.VoiceRATs
-		for _, v := range ro.Visited {
-			r.AddVisited(v)
-		}
-		for _, a := range ro.APNs {
-			r.AddAPN(a)
-		}
+	if o.days != b.days || !o.start.Equal(b.start) {
+		panic("catalog: Merge of builders over different windows")
 	}
-	for k, vs := range o.visits {
-		b.visits[k] = append(b.visits[k], vs...)
-	}
-	for k, d := range o.callDur {
-		b.callDur[k] += d
-	}
-	//roamvet:maporder-ok keyed max-fold: each device keeps its later last-seen event, an extremum that no visit order can change
-	for dev, seen := range o.last {
-		if prev, ok := b.last[dev]; !ok || seen.t.After(prev.t) {
-			b.last[dev] = seen
+	for oi := range o.devs {
+		od := &o.devs[oi]
+		i := b.device(od.id)
+		if d := &b.devs[i]; od.seen && (!d.seen || od.last.t.After(d.last.t)) {
+			d.last, d.seen = od.last, true
+		}
+		for day, n := range o.slots[oi*o.days : (oi+1)*o.days] {
+			if n == 0 {
+				continue
+			}
+			ro := o.row(n - 1)
+			s := b.slot(i, day)
+			if *s == 0 {
+				*b.newRow(s) = *ro
+				continue
+			}
+			r := b.row(*s - 1)
+			if r.TAC == 0 && ro.TAC != 0 {
+				r.TAC = ro.TAC
+			}
+			r.Events += ro.Events
+			r.FailedEvents += ro.FailedEvents
+			r.Calls += ro.Calls
+			r.callDur += ro.callDur
+			r.Bytes += ro.Bytes
+			r.RadioFlags |= ro.RadioFlags
+			r.DataRATs |= ro.DataRATs
+			r.VoiceRATs |= ro.VoiceRATs
+			for _, v := range ro.Visited {
+				r.AddVisited(v)
+			}
+			for _, a := range ro.APNs {
+				r.AddAPN(a)
+			}
+			r.visits = append(r.visits, ro.visits...)
 		}
 	}
 }
@@ -295,23 +465,35 @@ func (sb *ShardedBuilder) ShardFor(dev identity.DeviceID) int {
 func (sb *ShardedBuilder) Builder(i int) *Builder { return sb.shards[i] }
 
 // Build finalizes every shard concurrently on workers goroutines and
-// merges the shard outputs into one sorted catalog. Shards own
-// device-disjoint record sets and (device, day) is a total order, so
-// the merged catalog is identical to a serial single-builder run for
-// any shard or worker count.
+// merges the shard outputs into one catalog sorted by (device, day).
+// Shards own device-disjoint record sets and (device, day) is a total
+// order, so the merged catalog is identical to a serial single-builder
+// run for any shard or worker count.
 func (sb *ShardedBuilder) Build(workers int) *Catalog {
 	parts := pipeline.Map(len(sb.shards), workers, func(sh pipeline.Shard) []DailyRecord {
-		var recs []DailyRecord
-		for i := sh.Lo; i < sh.Hi; i++ {
+		recs := sb.shards[sh.Lo].finalize()
+		for i := sh.Lo + 1; i < sh.Hi; i++ {
 			recs = append(recs, sb.shards[i].finalize()...)
 		}
 		return recs
 	})
+	n := 0
+	for _, recs := range parts {
+		n += len(recs)
+	}
 	first := sb.shards[0]
 	out := &Catalog{Host: first.host, Days: first.days}
+	if n > 0 {
+		out.Records = make([]DailyRecord, 0, n)
+	}
 	for _, recs := range parts {
 		out.Records = append(out.Records, recs...)
 	}
-	sortRecords(out.Records)
+	slices.SortFunc(out.Records, func(a, c DailyRecord) int {
+		if a.Device != c.Device {
+			return cmp.Compare(a.Device, c.Device)
+		}
+		return cmp.Compare(a.Day, c.Day)
+	})
 	return out
 }

@@ -226,6 +226,56 @@ func TestStreamReadNoAllocSteadyState(t *testing.T) {
 	}
 }
 
+// A Decoder moved to a second stream with Reset keeps its APN table,
+// so a stream whose APNs the first one already named decodes without
+// a single allocation.
+func TestDecoderResetKeepsAPNTable(t *testing.T) {
+	encode := func(from int) []byte {
+		recs := make([]Record, 50)
+		for i := range recs {
+			if i%2 == 0 {
+				recs[i] = sampleVoice(from + i)
+			} else {
+				recs[i] = sampleData(from + i)
+			}
+		}
+		var buf bytes.Buffer
+		if err := WriteAll(&buf, recs); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	first, second := encode(0), encode(100)
+	d := NewDecoder(first)
+	var rec Record
+	for {
+		if err := d.Read(&rec); err == io.EOF {
+			break
+		} else if err != nil {
+			t.Fatal(err)
+		}
+	}
+	n := 0
+	allocs := testing.AllocsPerRun(20, func() {
+		d.Reset(second)
+		n = 0
+		for {
+			if err := d.Read(&rec); err == io.EOF {
+				break
+			} else if err != nil {
+				t.Fatal(err)
+			}
+			n++
+		}
+	})
+	if n != 50 {
+		t.Fatalf("second stream decoded %d records after Reset, want 50", n)
+	}
+	if allocs != 0 {
+		t.Errorf("decoding a second stream after Reset allocates %.1f times, want 0", allocs)
+	}
+}
+
 // A Writer must not emit what no Reader accepts: the reader's length
 // bound is the writer's, tested at the exact boundary from both sides.
 func TestOversizeAPNBoundary(t *testing.T) {
@@ -312,7 +362,10 @@ var wireClasses = []error{io.EOF, io.ErrUnexpectedEOF, ErrBadMagic, ErrBadVersio
 // FuzzRecordStream feeds arbitrary bytes to both decoders: the
 // byte-slice Decoder and the stream Reader must yield the same records
 // and stop at the same record with the same error, never panic, and
-// never grow the APN table past its bound.
+// never grow the APN table past its bound. It also cuts the input in
+// two streams: one Decoder moved across them with Reset must decode
+// each exactly as a fresh Decoder does — records, error classes and
+// the per-stream record index in the error.
 func FuzzRecordStream(f *testing.F) {
 	withOI, withoutOI := sampleData(1), sampleData(2)
 	withoutOI.APN = apn.MustParse("payandgo.o2.co.uk")
@@ -350,6 +403,34 @@ func FuzzRecordStream(f *testing.F) {
 		}
 		if len(dec.apns) > apnTableMax || len(rd.apns) > apnTableMax {
 			t.Fatalf("APN tables grew to %d and %d, bound %d", len(dec.apns), len(rd.apns), apnTableMax)
+		}
+
+		cut := 0
+		if len(data) > 0 {
+			cut = int(data[0]) % (len(data) + 1)
+		}
+		reused := NewDecoder(nil)
+		for s, stream := range [][]byte{data[:cut], data[cut:]} {
+			fresh := NewDecoder(stream)
+			reused.Reset(stream)
+			for i := 0; ; i++ {
+				var a, b Record
+				errA, errB := reused.Read(&a), fresh.Read(&b)
+				if (errA == nil) != (errB == nil) || (errA != nil && errA.Error() != errB.Error()) {
+					t.Fatalf("stream %d record %d: reset Decoder error %v, fresh Decoder error %v", s, i, errA, errB)
+				}
+				if errA != nil {
+					for _, class := range wireClasses {
+						if errors.Is(errA, class) != errors.Is(errB, class) {
+							t.Fatalf("stream %d record %d: reset error %v and fresh error %v differ on %v", s, i, errA, errB, class)
+						}
+					}
+					break
+				}
+				if a != b {
+					t.Fatalf("stream %d record %d: reset Decoder %+v, fresh Decoder %+v", s, i, a, b)
+				}
+			}
 		}
 	})
 }

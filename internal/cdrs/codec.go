@@ -245,6 +245,12 @@ type Decoder struct {
 // included).
 func NewDecoder(b []byte) *Decoder { return &Decoder{b: b, apns: apnTable{}} }
 
+// Reset points the Decoder at a new stream b (header included), as
+// NewDecoder(b) would, but keeps its APN table: a caller decoding many
+// streams of one capture parses each distinct APN once, not once per
+// stream. Record indexes in errors count from the start of b.
+func (d *Decoder) Reset(b []byte) { d.b, d.read, d.header = b, 0, false }
+
 // Read decodes the next record into rec; io.EOF marks a clean end.
 func (d *Decoder) Read(rec *Record) error {
 	if !d.header {

@@ -116,11 +116,24 @@ func (s *Server) route(name string, h http.HandlerFunc) http.HandlerFunc {
 
 // buildSlice is the shared cache-fill path: take the mount's reader
 // (store metrics already attached), replay under q and derive the
-// slice — under a slice_build span labeled with the cache key and the
-// built slice's cost estimate.
+// slice — under a slice_build span labeled with the cache key and
+// either the built slice's cost estimate or the fill's error. The span
+// finishes on every path, a panicking fill included, so the failed
+// fills reach /debug/spans and the slow-op log too.
 func (s *Server) buildSlice(key string, m *mount, q store.Query) (*slice, error) {
-	return s.cache.get(key, func() (*slice, error) {
+	return s.cache.get(key, func() (sl *slice, err error) {
 		sp := s.obs.span("slice_build").Label("key", key)
+		defer func() {
+			switch {
+			case err != nil:
+				sp.Label("error", err.Error())
+			case sl == nil:
+				sp.Label("error", "panic")
+			default:
+				sp.Label("cost_bytes", strconv.FormatInt(sl.cost, 10))
+			}
+			sp.Finish()
+		}()
 		r, err := m.open()
 		if err != nil {
 			return nil, err
@@ -129,8 +142,6 @@ func (s *Server) buildSlice(key string, m *mount, q store.Query) (*slice, error)
 		if err != nil {
 			return nil, err
 		}
-		sl := newSlice(cat, s.cfg.Workers)
-		sp.Label("cost_bytes", strconv.FormatInt(sl.cost, 10)).Finish()
-		return sl, nil
+		return newSlice(cat, s.cfg.Workers), nil
 	})
 }

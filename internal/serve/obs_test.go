@@ -107,6 +107,33 @@ func TestServeObservability(t *testing.T) {
 	}
 }
 
+// TestFailedFillLeavesSpan pins that a fill which fails still finishes
+// its slice_build span: a traced server whose store vanished answers
+// 503, and the tracer ring then holds the span with the cache key and
+// the fill's error.
+func TestFailedFillLeavesSpan(t *testing.T) {
+	tracer := obs.NewTracer(32, 0, nil)
+	h, names := goneStoreServer(t, Config{Workers: 1, Tracer: tracer})
+	if st, body := testGet(t, h, "/v1/sites/"+names[0]+"/stats"); st != http.StatusServiceUnavailable {
+		t.Fatalf("stats with store gone: status %d (%s)", st, body)
+	}
+	for _, sp := range tracer.Recent() {
+		if sp.Name != "slice_build" {
+			continue
+		}
+		var key, errLabel bool
+		for _, l := range sp.Labels {
+			key = key || strings.HasPrefix(l, "key=")
+			errLabel = errLabel || (strings.HasPrefix(l, "error=") && len(l) > len("error="))
+		}
+		if !key || !errLabel {
+			t.Fatalf("failed fill's slice_build span labels = %q, want key= and error=", sp.Labels)
+		}
+		return
+	}
+	t.Fatalf("tracer ring has no slice_build span after a failed fill: %+v", tracer.Recent())
+}
+
 // TestUninstrumentedServerHasNoWrapper pins the zero-config path:
 // without a registry or tracer the middleware is not installed and
 // requests still serve.

@@ -192,10 +192,11 @@ func TestHandlerErrors(t *testing.T) {
 	}
 }
 
-// TestStoreGoneMidRequest pins the 503 path: a store that vanishes
-// after mount turns cold requests into JSON 503s, never panics or
-// empty 200s.
-func TestStoreGoneMidRequest(t *testing.T) {
+// goneStoreServer mounts a private copy of one site store under cfg,
+// then deletes the copy, so every cold request for that site has to
+// fail its fill. It returns the handler and the mounted site names.
+func goneStoreServer(t *testing.T, cfg Config) (http.Handler, []string) {
+	t.Helper()
 	// Copy one site store into a disposable dir so deleting it does
 	// not disturb the shared archive.
 	src := testArchive(t)
@@ -222,7 +223,7 @@ func TestStoreGoneMidRequest(t *testing.T) {
 		}
 	}
 
-	s := New(Config{Workers: 1})
+	s := New(cfg)
 	names, err := s.MountSites(root)
 	if err != nil {
 		t.Fatal(err)
@@ -231,6 +232,14 @@ func TestStoreGoneMidRequest(t *testing.T) {
 	if err := os.RemoveAll(siteDir); err != nil {
 		t.Fatal(err)
 	}
+	return h, names
+}
+
+// TestStoreGoneMidRequest pins the 503 path: a store that vanishes
+// after mount turns cold requests into JSON 503s, never panics or
+// empty 200s.
+func TestStoreGoneMidRequest(t *testing.T) {
+	h, names := goneStoreServer(t, Config{Workers: 1})
 	for _, path := range []string{
 		"/v1/sites/" + names[0] + "/stats",
 		"/v1/sites/" + names[0] + "/days?lo=0&hi=1",

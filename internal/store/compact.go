@@ -294,7 +294,7 @@ func segmentRun(r *Reader, si *SegmentInfo, q Query, recordsIn *int64) runSrc {
 			rec   cdrs.Record
 		}
 		recs := make([]keyed, 0, si.Records)
-		err := scanSegment(dir, si, func(rec *cdrs.Record) {
+		err := scanSegment(dir, si, cdrs.NewDecoder(nil), func(rec *cdrs.Record) {
 			*recordsIn++
 			if !q.keepRecord(dayOf(rec.Time, start), rec) {
 				return

@@ -9,7 +9,7 @@ import (
 // Metrics bundles the store's instrumentation handles: segment
 // planner counters (selected vs range-pruned vs Bloom-pruned), read
 // and write volume counters, seal/checkpoint latency histograms,
-// per-shard replay timing, and compaction spans. A nil *Metrics is a
+// per-worker-range replay timing, and compaction spans. A nil *Metrics is a
 // complete no-op — every hook checks the receiver, and the handles
 // themselves are nil-safe obs types — so the store's deterministic
 // results and benchmarked hot paths are untouched unless a caller
@@ -50,7 +50,7 @@ func NewMetrics(reg *obs.Registry, tracer *obs.Tracer) *Metrics {
 		recordsWritten: reg.Counter("store_records_written_total", "records sealed into segments"),
 		sealSeconds:    reg.Histogram("store_seal_seconds", "segment seal latency (flush, bloom, footer, fsyncs, log append)", nil),
 		ckptSeconds:    reg.Histogram("store_checkpoint_seconds", "manifest checkpoint write latency", nil),
-		shardSeconds:   reg.Histogram("store_replay_shard_seconds", "per-shard wall time of concurrent replays", nil),
+		shardSeconds:   reg.Histogram("store_replay_shard_seconds", "wall time of one replay worker's contiguous segment range (decode and build)", nil),
 		tracer:         tracer,
 	}
 }
@@ -101,7 +101,7 @@ func (m *Metrics) ckptTimer() obs.Stopwatch {
 	return m.ckptSeconds.Start()
 }
 
-// shardHist exposes the replay-shard histogram for pipeline.MapTimed
+// shardHist exposes the replay-range histogram for pipeline.MapTimed
 // (nil when detached, which MapTimed treats as plain Map).
 func (m *Metrics) shardHist() *obs.Histogram {
 	if m == nil {
@@ -123,7 +123,7 @@ func (m *Metrics) span(name string) *obs.Span {
 func itoa(n int) string { return strconv.Itoa(n) }
 
 // Observe attaches metrics to the reader: subsequent replays count
-// planner decisions, read volume and per-shard timing against m.
+// planner decisions, read volume and per-worker-range timing against m.
 // Pass nil to detach.
 func (r *Reader) Observe(m *Metrics) { r.met = m }
 

@@ -173,14 +173,16 @@ func (r *Reader) selectSegments(q Query, stats *ReplayStats) []int {
 // Replay rebuilds the devices-catalog from the store on
 // workers goroutines (the usual convention: below one means one per
 // CPU). Segments prune against the query's footer-index plan without
-// being read; surviving segments decode concurrently — one shard of
-// contiguous segments per worker callback, each into its own
-// shard-local catalog builder — and the shard builders fold in shard
-// order. Shard boundaries depend only on the selected-segment count
-// and every per-(device, day) aggregate combines associatively, so
-// the catalog is bit-identical at any worker count to a serial build
-// over the same records (and to the live build the archive was tapped
-// from). Torn segments are skipped and counted; a corrupt sealed
+// being read; the surviving segments are cut into one contiguous range
+// per worker, each range decodes into its own catalog builder through
+// one decoder reused across the range's segments, and the range
+// builders fold in range order. Where the cuts fall depends on the
+// worker count, but every per-(device, day) aggregate is an integer
+// add, an OR, a first non-zero value or a first-seen union — each
+// composes over any contiguous split of the store-order record stream
+// — so the catalog is bit-identical at any worker count to a serial
+// build over the same records (and to the live build the archive was
+// tapped from). Torn segments are skipped and counted; a corrupt sealed
 // segment (CRC, length or record-count mismatch) aborts with
 // ErrCorrupt.
 func (r *Reader) Replay(q Query, workers int) (*catalog.Catalog, *ReplayStats, error) {
@@ -193,11 +195,16 @@ func (r *Reader) Replay(q Query, workers int) (*catalog.Catalog, *ReplayStats, e
 		stats ReplayStats
 		err   error
 	}
-	parts := pipeline.MapTimed(len(selected), workers, r.met.shardHist(), func(sh pipeline.Shard) part {
+	// Map over the ranges hands each callback one range (several only
+	// past pipeline's shard cap), so there are at most min(workers,
+	// selected) builders and decoders.
+	ranges := pipeline.Shards(len(selected), pipeline.Workers(workers))
+	parts := pipeline.MapTimed(len(ranges), workers, r.met.shardHist(), func(sh pipeline.Shard) part {
 		p := part{b: catalog.NewBuilder(meta.Host, meta.Start, meta.Days, nil)}
-		for k := sh.Lo; k < sh.Hi; k++ {
+		dec := cdrs.NewDecoder(nil)
+		for k := ranges[sh.Lo].Lo; k < ranges[sh.Hi-1].Hi; k++ {
 			si := &r.man.Segments[selected[k]]
-			err := scanSegment(r.dir, si,
+			err := scanSegment(r.dir, si, dec,
 				func(rec *cdrs.Record) {
 					p.stats.RecordsRead++
 					day := dayOf(rec.Time, meta.Start)
@@ -212,7 +219,7 @@ func (r *Reader) Replay(q Query, workers int) (*catalog.Catalog, *ReplayStats, e
 						return
 					}
 					p.stats.RecordsKept++
-					p.b.AddRecord(*rec)
+					p.b.AddDayRecord(day, rec)
 				})
 			if err != nil {
 				// An aborted scan is not a read segment: the counters
@@ -225,10 +232,9 @@ func (r *Reader) Replay(q Query, workers int) (*catalog.Catalog, *ReplayStats, e
 		}
 		return p
 	})
-	// Fold in shard order into the first shard's builder — merging it
-	// into an empty one would only re-insert every record it holds —
-	// and let go of each builder once folded, so its maps are garbage
-	// before the next merge grows acc.
+	// Fold in range order into the first range's builder — merging it
+	// into an empty one would only copy every row it holds — and let go
+	// of each builder once folded.
 	var acc *catalog.Builder
 	for i := range parts {
 		if parts[i].err != nil {
@@ -257,9 +263,10 @@ func (r *Reader) Replay(q Query, workers int) (*catalog.Catalog, *ReplayStats, e
 func (r *Reader) ReplayRecords(q Query, sink func(cdrs.Record)) (*ReplayStats, error) {
 	stats := r.baseStats()
 	start := r.man.Start
+	dec := cdrs.NewDecoder(nil)
 	for _, i := range r.selectSegments(q, &stats) {
 		si := &r.man.Segments[i]
-		err := scanSegment(r.dir, si, func(rec *cdrs.Record) {
+		err := scanSegment(r.dir, si, dec, func(rec *cdrs.Record) {
 			stats.RecordsRead++
 			if q.keepRecord(dayOf(rec.Time, start), rec) {
 				stats.RecordsKept++
@@ -288,11 +295,13 @@ var bodyPool = sync.Pool{New: func() any { return new([]byte) }}
 
 // scanSegment reads one sealed segment body in a single read, verifies
 // its length and CRC against the manifest entry, and only then decodes
-// it, calling visit for every record: a body that fails its CRC
-// delivers nothing. A size, CRC or record-count mismatch and a record
-// that fails to decode all report the segment as corrupt. The
-// manifest's Bytes field covers body, Bloom filter and footer.
-func scanSegment(dir string, si *SegmentInfo, visit func(*cdrs.Record)) error {
+// it through dec (reset onto the body, so its APN table carries over
+// from earlier scans), calling visit for every record: a body that
+// fails its CRC delivers nothing. A size, CRC or record-count mismatch
+// and a record that fails to decode all report the segment as
+// corrupt. The manifest's Bytes field covers body, Bloom filter and
+// footer.
+func scanSegment(dir string, si *SegmentInfo, dec *cdrs.Decoder, visit func(*cdrs.Record)) error {
 	f, err := os.Open(filepath.Join(dir, si.Name))
 	if err != nil {
 		return fmt.Errorf("store: opening segment %s: %w", si.Name, err)
@@ -322,7 +331,7 @@ func scanSegment(dir string, si *SegmentInfo, visit func(*cdrs.Record)) error {
 	if crc := crc32.Checksum(body, crcTable); crc != si.BodyCRC {
 		return fmt.Errorf("%w: %s body CRC %08x, footer sealed %08x", ErrCorrupt, si.Name, crc, si.BodyCRC)
 	}
-	dec := cdrs.NewDecoder(body)
+	dec.Reset(body)
 	var rec cdrs.Record
 	n := 0
 	for {
@@ -415,9 +424,10 @@ func (r *Reader) Verify() *VerifyReport {
 		Segments: len(r.man.Segments),
 		Torn:     append([]string(nil), r.torn...),
 	}
+	dec := cdrs.NewDecoder(nil)
 	for i := range r.man.Segments {
 		si := &r.man.Segments[i]
-		if err := r.verifySegment(si); err != nil {
+		if err := r.verifySegment(si, dec); err != nil {
 			rep.Corrupt = append(rep.Corrupt, SegmentError{Name: si.Name, Err: err.Error()})
 			continue
 		}
@@ -430,8 +440,8 @@ func (r *Reader) Verify() *VerifyReport {
 // verifySegment checks one sealed segment: footer decode and
 // manifest agreement first — every index field pruning trusts,
 // including the visited set and the Bloom filter — then the full
-// body scan.
-func (r *Reader) verifySegment(si *SegmentInfo) error {
+// body scan through dec.
+func (r *Reader) verifySegment(si *SegmentInfo, dec *cdrs.Decoder) error {
 	footer, ft, err := r.readFooter(si)
 	if err != nil {
 		return err
@@ -449,7 +459,7 @@ func (r *Reader) verifySegment(si *SegmentInfo) error {
 	if err := r.verifyBloom(si, ft); err != nil {
 		return err
 	}
-	return scanSegment(r.dir, si, func(*cdrs.Record) {})
+	return scanSegment(r.dir, si, dec, func(*cdrs.Record) {})
 }
 
 // verifyBloom cross-checks a segment's Bloom filter three ways: the

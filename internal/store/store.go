@@ -28,8 +28,9 @@
 // feed is persisted and ingested in one pass. Reading back, a
 // [Reader] plans segment selection from a [Query] ([Reader.Plan]) and
 // [Reader.Replay] rebuilds the devices-catalog from the
-// archive concurrently — one builder per segment shard, merged in
-// shard order — bit-identical to a live build at any worker count
+// archive concurrently — one builder and one decoder per worker, each
+// over a contiguous range of the selected segments, folded in range
+// order — bit-identical to a live build at any worker count
 // (docs/ARCHITECTURE.md derives the argument; the root
 // determinism tests pin it). [Compact] merges N tap-order stores into
 // one time-ordered store whose replay is bit-identical to replaying

@@ -666,3 +666,30 @@ func TestReplayCountsOutOfWindowRecords(t *testing.T) {
 		t.Fatal("windowed replay differs from the windowed live build")
 	}
 }
+
+// A catalog replay costs well under one allocation per record: each
+// worker decodes its whole range through one decoder and one builder,
+// and the builder takes its device-days from chunks rather than the
+// heap one at a time.
+func TestReplayAllocsPerRecord(t *testing.T) {
+	const days = 6
+	recs := feedRecords(300, days)
+	dir := t.TempDir()
+	writeStore(t, dir, days, 256, recs)
+	r, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 4} {
+		allocs := testing.AllocsPerRun(5, func() {
+			if _, _, err := r.Replay(Query{}, workers); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if perRecord := allocs / float64(len(recs)); perRecord >= 0.6 {
+			t.Errorf("workers=%d: replay allocates %.2f objects per record, want < 0.6", workers, perRecord)
+		} else {
+			t.Logf("workers=%d: %.3f allocs per record", workers, perRecord)
+		}
+	}
+}
