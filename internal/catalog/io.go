@@ -4,6 +4,7 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 
@@ -103,7 +104,10 @@ func (c *Catalog) WriteCSV(w io.Writer) error {
 	return cw.Flush()
 }
 
-// ReadCSV reads a catalog in the WriteCSV layout.
+// ReadCSV reads a catalog in the WriteCSV layout. It rejects, with the
+// offending line, any row no writer produces: a day outside the meta
+// row's window, a negative count, a non-finite float, a centroid off
+// the globe, or a negative call time or gyration.
 func ReadCSV(r io.Reader) (*Catalog, error) {
 	cr := csv.NewReader(r)
 	cr.FieldsPerRecord = -1
@@ -139,7 +143,7 @@ func ReadCSV(r io.Reader) (*Catalog, error) {
 		if len(row) != len(csvHeader) {
 			return nil, fmt.Errorf("catalog: line %d: %d fields, want %d", line, len(row), len(csvHeader))
 		}
-		rec, err := parseCSVRow(row)
+		rec, err := parseCSVRow(row, days)
 		if err != nil {
 			return nil, fmt.Errorf("catalog: line %d: %w", line, err)
 		}
@@ -147,7 +151,7 @@ func ReadCSV(r io.Reader) (*Catalog, error) {
 	}
 }
 
-func parseCSVRow(row []string) (DailyRecord, error) {
+func parseCSVRow(row []string, days int) (DailyRecord, error) {
 	var r DailyRecord
 	dev, err := identity.ParseDeviceID(row[0])
 	if err != nil {
@@ -156,6 +160,9 @@ func parseCSVRow(row []string) (DailyRecord, error) {
 	r.Device = dev
 	if r.Day, err = strconv.Atoi(row[1]); err != nil {
 		return r, fmt.Errorf("day: %w", err)
+	}
+	if r.Day < 0 || r.Day >= days {
+		return r, fmt.Errorf("day %d outside the %d-day window", r.Day, days)
 	}
 	if r.SIM, err = mccmnc.Parse(row[2]); err != nil {
 		return r, err
@@ -172,17 +179,17 @@ func parseCSVRow(row []string) (DailyRecord, error) {
 			r.Visited = append(r.Visited, p)
 		}
 	}
-	if r.Events, err = strconv.Atoi(row[5]); err != nil {
-		return r, fmt.Errorf("events: %w", err)
+	if r.Events, err = parseCount("events", row[5]); err != nil {
+		return r, err
 	}
-	if r.FailedEvents, err = strconv.Atoi(row[6]); err != nil {
-		return r, fmt.Errorf("failed: %w", err)
+	if r.FailedEvents, err = parseCount("failed", row[6]); err != nil {
+		return r, err
 	}
-	if r.Calls, err = strconv.Atoi(row[7]); err != nil {
-		return r, fmt.Errorf("calls: %w", err)
+	if r.Calls, err = parseCount("calls", row[7]); err != nil {
+		return r, err
 	}
-	if r.CallSeconds, err = strconv.ParseFloat(row[8], 64); err != nil {
-		return r, fmt.Errorf("call_seconds: %w", err)
+	if r.CallSeconds, err = parseFloatIn("call_seconds", row[8], 0, math.Inf(1)); err != nil {
+		return r, err
 	}
 	if r.Bytes, err = strconv.ParseUint(row[9], 10, 64); err != nil {
 		return r, fmt.Errorf("bytes: %w", err)
@@ -209,17 +216,45 @@ func parseCSVRow(row []string) (DailyRecord, error) {
 			r.APNs = append(r.APNs, a)
 		}
 	}
-	if r.Centroid.Lat, err = strconv.ParseFloat(row[14], 64); err != nil {
-		return r, fmt.Errorf("lat: %w", err)
+	if r.Centroid.Lat, err = parseFloatIn("lat", row[14], -90, 90); err != nil {
+		return r, err
 	}
-	if r.Centroid.Lon, err = strconv.ParseFloat(row[15], 64); err != nil {
-		return r, fmt.Errorf("lon: %w", err)
+	if r.Centroid.Lon, err = parseFloatIn("lon", row[15], -180, 180); err != nil {
+		return r, err
 	}
-	if r.GyrationKm, err = strconv.ParseFloat(row[16], 64); err != nil {
-		return r, fmt.Errorf("gyration: %w", err)
+	if r.GyrationKm, err = parseFloatIn("gyration_km", row[16], 0, math.Inf(1)); err != nil {
+		return r, err
 	}
 	if r.HasLocation, err = strconv.ParseBool(row[17]); err != nil {
 		return r, fmt.Errorf("has_location: %w", err)
 	}
 	return r, nil
+}
+
+// parseCount parses a non-negative integer column.
+func parseCount(column, s string) (int, error) {
+	n, err := strconv.Atoi(s)
+	if err != nil {
+		return 0, fmt.Errorf("%s: %w", column, err)
+	}
+	if n < 0 {
+		return 0, fmt.Errorf("%s: negative count %d", column, n)
+	}
+	return n, nil
+}
+
+// parseFloatIn parses a float column and requires it to be finite and
+// within [lo, hi].
+func parseFloatIn(column, s string, lo, hi float64) (float64, error) {
+	v, err := strconv.ParseFloat(s, 64)
+	if err != nil {
+		return 0, fmt.Errorf("%s: %w", column, err)
+	}
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return 0, fmt.Errorf("%s: %v is not finite", column, v)
+	}
+	if v < lo || v > hi {
+		return 0, fmt.Errorf("%s: %v outside [%g, %g]", column, v, lo, hi)
+	}
+	return v, nil
 }

@@ -111,4 +111,96 @@ func TestCatalogCSVErrors(t *testing.T) {
 	if _, err := ReadCSV(strings.NewReader(broken)); err == nil {
 		t.Error("corrupted bytes field accepted")
 	}
+
+	// Rows no writer produces: each case sets one column of the first
+	// record of a 4-day catalog. The edge values a writer can produce
+	// must still read.
+	c.Days = 4
+	buf.Reset()
+	if err := c.WriteCSV(&buf); err != nil {
+		t.Fatal(err)
+	}
+	withColumn := func(col int, val string) string {
+		lines := strings.SplitAfter(buf.String(), "\n")
+		row := strings.Split(lines[2], ",")
+		row[col] = val
+		lines[2] = strings.Join(row, ",")
+		return strings.Join(lines, "")
+	}
+	for _, tc := range []struct {
+		name string
+		col  int
+		val  string
+	}{
+		{"day past the window", 1, "99"},
+		{"day at the window's end", 1, "4"},
+		{"negative day", 1, "-3"},
+		{"negative events", 5, "-7"},
+		{"negative failed", 6, "-1"},
+		{"negative calls", 7, "-2"},
+		{"negative call_seconds", 8, "-0.5"},
+		{"NaN call_seconds", 8, "NaN"},
+		{"NaN lat", 14, "NaN"},
+		{"lat past the pole", 14, "90.5"},
+		{"+Inf lon", 15, "+Inf"},
+		{"lon past the antimeridian", 15, "-180.25"},
+		{"negative gyration_km", 16, "-5"},
+		{"infinite gyration_km", 16, "Inf"},
+	} {
+		_, err := ReadCSV(strings.NewReader(withColumn(tc.col, tc.val)))
+		if err == nil {
+			t.Errorf("%s: ReadCSV succeeded", tc.name)
+		} else if !strings.Contains(err.Error(), "line 2: ") {
+			t.Errorf("%s: error %q does not name the line", tc.name, err)
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		col  int
+		val  string
+	}{
+		{"last day", 1, "3"},
+		{"zero counts", 5, "0"},
+		{"south pole", 14, "-90.000000"},
+		{"antimeridian", 15, "-180.000000"},
+		{"zero gyration_km", 16, "0.0000"},
+	} {
+		if _, err := ReadCSV(strings.NewReader(withColumn(tc.col, tc.val))); err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+		}
+	}
+}
+
+// FuzzCatalogCSV holds ReadCSV to the rows writers produce: whatever it
+// accepts, WriteCSV → ReadCSV → WriteCSV reproduces byte for byte.
+func FuzzCatalogCSV(f *testing.F) {
+	var buf bytes.Buffer
+	if err := sampleCatalog().WriteCSV(&buf); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	f.Add([]byte("#host,23410,days,4\nheader\n" +
+		"0000000000000007,3,20404,35600001,23410;20801,+5,0,1,1e3,7,15,1,1,\"m2m.example\",-90,180.0000,0.00001,T\n"))
+	f.Add([]byte("#host,23410,days,2\nheader\n" +
+		"00000000000000AB,1,20404,35600001,,0,0,0,0.05,0,0,0,0,,89.9999999,-179.99999999,12.34567,0\n"))
+	f.Fuzz(func(t *testing.T, in []byte) {
+		c, err := ReadCSV(bytes.NewReader(in))
+		if err != nil {
+			return
+		}
+		var first, second bytes.Buffer
+		if err := c.WriteCSV(&first); err != nil {
+			t.Fatal(err)
+		}
+		back, err := ReadCSV(bytes.NewReader(first.Bytes()))
+		if err != nil {
+			t.Fatalf("ReadCSV rejects WriteCSV's output: %v\n%s", err, first.Bytes())
+		}
+		if err := back.WriteCSV(&second); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatalf("round trip moved bytes:\n%s\nthen\n%s", first.Bytes(), second.Bytes())
+		}
+	})
 }

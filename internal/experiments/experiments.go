@@ -15,6 +15,7 @@ import (
 
 	"whereroam/internal/analysis"
 	"whereroam/internal/dataset"
+	"whereroam/internal/identity"
 	"whereroam/internal/mccmnc"
 )
 
@@ -114,6 +115,7 @@ type Federation struct {
 	m2m     *dataset.M2MDataset
 	mno     *dataset.MNODataset
 	mnoView *mnoView
+	m2mAgg  map[identity.DeviceID]*m2mDeviceAgg
 	smip    *dataset.SMIPDataset
 	fed     *dataset.FederationDataset
 	fedM2M  *dataset.FederationM2M

@@ -160,7 +160,6 @@ func runExtNBIoT(s *Session) *Report {
 // user-plane penalty of home-routed roaming for far destinations, and
 // what IPX hub breakout recovers.
 func runExtLatency(s *Session) *Report {
-	ds := s.M2M()
 	r := &Report{
 		ID:    "ext-latency",
 		Title: "Home-routed vs IPX-hub-breakout user-plane latency",
@@ -169,9 +168,10 @@ func runExtLatency(s *Session) *Report {
 	world := netsim.NewWorld(netsim.DefaultConfig())
 	model := netsim.DefaultLatencyModel()
 
-	// One sample per roaming device: its home and primary visited
-	// network.
-	aggs := aggregateM2M(ds)
+	// One sample per roaming device: its home network and the visited
+	// network it last attached to (a.last, the network of its latest
+	// non-CancelLocation transaction) — not its most-used one.
+	aggs := s.m2mAggs()
 	var hr, policy []float64
 	worstHR := 0.0
 	var worstPair string

@@ -33,6 +33,18 @@ type m2mDeviceAgg struct {
 	useCount  map[string]int
 }
 
+// m2mAggs returns the session's per-device M2M aggregate, built on
+// first use under s.mu like view(). The runners over it only read it.
+func (s *Session) m2mAggs() map[identity.DeviceID]*m2mDeviceAgg {
+	ds := s.M2M()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.m2mAgg == nil {
+		s.m2mAgg = aggregateM2M(ds)
+	}
+	return s.m2mAgg
+}
+
 // aggregateM2M walks the time-sorted transaction stream once and
 // produces per-device aggregates.
 func aggregateM2M(ds *dataset.M2MDataset) map[identity.DeviceID]*m2mDeviceAgg {
@@ -105,7 +117,7 @@ var hmnoNames = map[mccmnc.PLMN]string{
 
 func runT1(s *Session) *Report {
 	ds := s.M2M()
-	aggs := aggregateM2M(ds)
+	aggs := s.m2mAggs()
 	r := &Report{
 		ID:    "t1",
 		Title: "HMNO shares and platform footprint",
@@ -174,8 +186,7 @@ func runT1(s *Session) *Report {
 }
 
 func runFig2(s *Session) *Report {
-	ds := s.M2M()
-	aggs := aggregateM2M(ds)
+	aggs := s.m2mAggs()
 	r := &Report{
 		ID:    "fig2",
 		Title: "Share of M2M devices per visited country per HMNO",
@@ -229,8 +240,7 @@ func runFig2(s *Session) *Report {
 }
 
 func runFig3Left(s *Session) *Report {
-	ds := s.M2M()
-	aggs := aggregateM2M(ds)
+	aggs := s.m2mAggs()
 	r := &Report{
 		ID:    "fig3l",
 		Title: "CDF of signaling records per device",
@@ -273,8 +283,7 @@ func runFig3Left(s *Session) *Report {
 }
 
 func runFig3Center(s *Session) *Report {
-	ds := s.M2M()
-	aggs := aggregateM2M(ds)
+	aggs := s.m2mAggs()
 	r := &Report{
 		ID:    "fig3c",
 		Title: "Number of VMNOs used by roaming devices",
@@ -319,7 +328,7 @@ func runFig3Center(s *Session) *Report {
 
 func runFig3Right(s *Session) *Report {
 	ds := s.M2M()
-	aggs := aggregateM2M(ds)
+	aggs := s.m2mAggs()
 	r := &Report{
 		ID:    "fig3r",
 		Title: "Inter-VMNO switches per device (devices with ≥2 VMNOs)",

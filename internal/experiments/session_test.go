@@ -8,8 +8,9 @@ import (
 	"time"
 )
 
-// Sessions share nothing: two of them can run the same §4 runner on
-// different goroutines (CI runs this under -race), and a session nobody
+// Sessions share nothing mutable (at most gsma.Synthesize's read-only
+// catalog): two of them can run the same §4 runner on different
+// goroutines (CI runs this under -race), and a session nobody
 // references any more is garbage — the derived MNO view lives on the
 // session, not in a package-level table keyed by it.
 func TestSessionsRunConcurrentlyAndAreCollectable(t *testing.T) {
@@ -44,6 +45,38 @@ func TestSessionsRunConcurrentlyAndAreCollectable(t *testing.T) {
 		case <-time.After(10 * time.Second):
 			t.Fatal("a dropped session was not collected: something still references it")
 		}
+	}
+}
+
+// The runners over the session's M2M aggregate may run on one session
+// together (run under -race): the aggregate is built once and only
+// read, so each report equals the one a fresh session gives it alone.
+func TestM2MRunnersShareOneAggregate(t *testing.T) {
+	ids := []string{"t1", "fig2", "fig3l", "fig3c", "fig3r", "ext-latency"}
+	shared := NewSessionWorkers(1, 0.05, 2)
+	got := make([]string, len(ids))
+	var wg sync.WaitGroup
+	for i, id := range ids {
+		r, ok := ByID(id)
+		if !ok {
+			t.Fatalf("%s not registered", id)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = r.Run(shared).String()
+		}()
+	}
+	wg.Wait()
+	aggs := shared.m2mAggs()
+	for i, id := range ids {
+		r, _ := ByID(id)
+		if want := r.Run(NewSessionWorkers(1, 0.05, 2)).String(); got[i] != want {
+			t.Errorf("%s on a shared session differs from a fresh one:\n%s\nwant\n%s", id, got[i], want)
+		}
+	}
+	if again := shared.m2mAggs(); reflect.ValueOf(again).Pointer() != reflect.ValueOf(aggs).Pointer() {
+		t.Error("the session rebuilt its M2M aggregate")
 	}
 }
 

@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+
+	"whereroam/internal/rng"
 )
 
 func TestDistanceKnownPairs(t *testing.T) {
@@ -180,6 +182,104 @@ func TestGyrationMonotoneInSpread(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// haversineRef is DistanceKm as written before its body moved into
+// distanceTo; the two must agree bit for bit.
+func haversineRef(a, b Point) float64 {
+	const degToRad = math.Pi / 180
+	la1, lo1 := a.Lat*degToRad, a.Lon*degToRad
+	la2, lo2 := b.Lat*degToRad, b.Lon*degToRad
+	dLat := la2 - la1
+	dLon := lo2 - lo1
+	s1 := math.Sin(dLat / 2)
+	s2 := math.Sin(dLon / 2)
+	h := s1*s1 + math.Cos(la1)*math.Cos(la2)*s2*s2
+	if h > 1 {
+		h = 1
+	}
+	return 2 * EarthRadiusKm * math.Asin(math.Sqrt(h))
+}
+
+// gyrationRef is Gyration as a plain loop: one DistanceKm per
+// positive-weight visit, nothing hoisted or reused.
+func gyrationRef(visits []Visit) float64 {
+	c, ok := Centroid(visits)
+	if !ok {
+		return 0
+	}
+	var sum, sumW float64
+	for _, v := range visits {
+		if v.Weight <= 0 {
+			continue
+		}
+		d := DistanceKm(v.At, c)
+		sum += v.Weight * d * d
+		sumW += v.Weight
+	}
+	if sumW == 0 {
+		return 0
+	}
+	return math.Sqrt(sum / sumW)
+}
+
+func TestDistanceKmMatchesHaversineRef(t *testing.T) {
+	src := rng.New(41)
+	for i := 0; i < 20000; i++ {
+		a := Point{180*src.Float64() - 90, 360*src.Float64() - 180}
+		b := Point{180*src.Float64() - 90, 360*src.Float64() - 180}
+		if i%4 == 0 { // nearby pairs, the sector-search case
+			b = Point{a.Lat + 0.05*src.NormFloat64(), a.Lon + 0.05*src.NormFloat64()}
+		}
+		if got, want := DistanceKm(a, b), haversineRef(a, b); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("DistanceKm(%v, %v) = %v, reference %v", a, b, got, want)
+		}
+	}
+}
+
+// seededVisits draws a visit set the way a device-day looks to the
+// builder: runs of visits at one sector (a stationary device repeats
+// its sector), consecutive sectors on one lattice row or column,
+// zero-weight visits inside runs, and — for antimeridian sets — a
+// cluster straddling ±180°.
+func seededVisits(src *rng.Source, antimeridian bool) []Visit {
+	centre := Point{140*src.Float64() - 70, 360*src.Float64() - 180}
+	if antimeridian {
+		centre.Lon = 180 - 0.02*src.Float64()
+	}
+	var visits []Visit
+	for runs := 1 + src.Intn(8); runs > 0; runs-- {
+		at := Point{centre.Lat + 0.03*src.NormFloat64(), centre.Lon + 0.03*src.NormFloat64()}
+		if at.Lon > 180 {
+			at.Lon -= 360
+		}
+		if n := len(visits); n > 0 {
+			switch src.Intn(3) {
+			case 0: // same row
+				at.Lat = visits[n-1].At.Lat
+			case 1: // same column
+				at.Lon = visits[n-1].At.Lon
+			}
+		}
+		for n := 1 + src.Intn(6); n > 0; n-- {
+			w := float64(1 + src.Intn(3600))
+			if src.Bool(0.2) {
+				w = 0
+			}
+			visits = append(visits, Visit{At: at, Weight: w})
+		}
+	}
+	return visits
+}
+
+func TestGyrationMatchesDistanceKmLoop(t *testing.T) {
+	src := rng.New(42)
+	for i := 0; i < 5000; i++ {
+		visits := seededVisits(src, i%3 == 0)
+		if got, want := Gyration(visits), gyrationRef(visits); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("set %d: Gyration = %v, DistanceKm loop %v (%v)", i, got, want, visits)
+		}
 	}
 }
 

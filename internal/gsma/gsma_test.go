@@ -1,16 +1,21 @@
 package gsma
 
 import (
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"whereroam/internal/radio"
 	"whereroam/internal/rng"
 )
 
+// testDB returns a fresh catalog, never Synthesize's shared one: the
+// sampler-cache tests count the samplers a DB has built, which only
+// means something on a DB no other test has drawn from.
 func testDB(t testing.TB) *DB {
 	t.Helper()
-	return Synthesize(1)
+	return synthesize(1)
 }
 
 func TestCatalogScale(t *testing.T) {
@@ -26,13 +31,82 @@ func TestCatalogScale(t *testing.T) {
 }
 
 func TestSynthesizeDeterministic(t *testing.T) {
-	a, b := Synthesize(7), Synthesize(7)
+	a, b := synthesize(7), synthesize(7)
 	if len(a.byTAC) != len(b.byTAC) || len(a.vendors) != len(b.vendors) {
 		t.Fatal("same seed produced different catalogs")
 	}
 	for tac, di := range a.byTAC {
 		if other, ok := b.byTAC[tac]; !ok || other != di {
 			t.Fatalf("TAC %v differs between identical seeds", tac)
+		}
+	}
+}
+
+func TestSynthesizeSharesLiveCatalog(t *testing.T) {
+	a := Synthesize(21)
+	if b := Synthesize(21); b != a {
+		t.Fatal("same seed built a second catalog while the first is referenced")
+	}
+	// Another seed takes the one memo entry.
+	c := Synthesize(22)
+	if c == a {
+		t.Fatal("different seeds returned the same catalog")
+	}
+	if d := Synthesize(22); d != c {
+		t.Fatal("the new seed's catalog is not shared")
+	}
+	if e := Synthesize(21); e == a {
+		t.Fatal("seed 21 still memoized after seed 22 replaced it")
+	}
+	runtime.KeepAlive(a)
+	runtime.KeepAlive(c)
+}
+
+func TestSynthesizeDoesNotPinCatalog(t *testing.T) {
+	collected := make(chan struct{})
+	func() {
+		db := Synthesize(23)
+		runtime.AddCleanup(db, func(ch chan struct{}) { close(ch) }, collected)
+	}()
+	for i := 0; ; i++ {
+		runtime.GC()
+		select {
+		case <-collected:
+			lastBuild.mu.Lock()
+			v := lastBuild.db.Value()
+			lastBuild.mu.Unlock()
+			if v != nil {
+				t.Fatal("memo still resolves to a collected catalog")
+			}
+			return
+		case <-time.After(50 * time.Millisecond):
+		}
+		if i == 40 {
+			t.Fatal("catalog still reachable after its last reference was dropped: the memo pins it")
+		}
+	}
+}
+
+// Datasets built on several goroutines call Synthesize together (run
+// under -race): all of them must get the one catalog.
+func TestSynthesizeConcurrentFirstCalls(t *testing.T) {
+	const goroutines = 8
+	got := make([]*DB, goroutines)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			got[g] = Synthesize(24)
+		}()
+	}
+	close(start)
+	wg.Wait()
+	for g := range got {
+		if got[g] != got[0] {
+			t.Fatalf("goroutine %d got a different catalog", g)
 		}
 	}
 }

@@ -2,6 +2,8 @@ package gsma
 
 import (
 	"fmt"
+	"sync"
+	"weak"
 
 	"whereroam/internal/identity"
 	"whereroam/internal/radio"
@@ -26,9 +28,37 @@ type segment struct {
 	vendorShare []float64
 }
 
-// Synthesize builds the standard catalog. The composition follows the
-// scale the paper reports: ~2,400 vendors, ~25,000 models.
+// lastBuild is Synthesize's one-entry memo: the seed of the most recent
+// build and a weak pointer to its catalog. Weak, so a DB is shared by
+// every dataset alive at the same time yet freed once none references
+// it, never pinned for the life of the process.
+var lastBuild struct {
+	mu   sync.Mutex
+	seed uint64
+	db   weak.Pointer[DB]
+}
+
+// Synthesize returns the standard catalog for seed. The composition
+// follows the scale the paper reports: ~2,400 vendors, ~25,000 models.
+// While a catalog for the same seed is still referenced, Synthesize
+// returns that one: a DB is read-only after construction (its
+// restricted-sampler cache is guarded and order-independent), so
+// sharing it is indistinguishable from building a copy.
 func Synthesize(seed uint64) *DB {
+	lastBuild.mu.Lock()
+	defer lastBuild.mu.Unlock()
+	if lastBuild.seed == seed {
+		if db := lastBuild.db.Value(); db != nil {
+			return db
+		}
+	}
+	db := synthesize(seed)
+	lastBuild.seed, lastBuild.db = seed, weak.Make(db)
+	return db
+}
+
+// synthesize builds the standard catalog for seed.
+func synthesize(seed uint64) *DB {
 	src := rng.New(seed).Split("gsma")
 	segments := []segment{
 		{

@@ -1,6 +1,8 @@
 package radio
 
 import (
+	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -8,6 +10,7 @@ import (
 	"whereroam/internal/geo"
 	"whereroam/internal/identity"
 	"whereroam/internal/mccmnc"
+	"whereroam/internal/rng"
 )
 
 func TestRATSetWithHas(t *testing.T) {
@@ -252,5 +255,123 @@ func BenchmarkGridNearest(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = g.Nearest(p)
+	}
+}
+
+// nearestWithRATRingCols is NearestWithRAT as it was written before
+// the deployed-set check and the stepped ring walk: every ring's
+// column offsets materialized by ringCols, every ring searched even
+// for a RAT no sector deploys. The rewrite must return what it did.
+func nearestWithRATRingCols(g *Grid, p geo.Point, rat RAT) (Sector, bool) {
+	base := g.Nearest(p)
+	if base.RAT.Has(rat) {
+		return base, true
+	}
+	br, bc := int(base.ID)/g.cols, int(base.ID)%g.cols
+	maxRing := g.rows + g.cols
+	for ring := 1; ring <= maxRing; ring++ {
+		best := Sector{}
+		bestD := math.Inf(1)
+		for dr := -ring; dr <= ring; dr++ {
+			for _, dc := range ringCols(dr, ring) {
+				r, c := br+dr, bc+dc
+				if r < 0 || r >= g.rows || c < 0 || c >= g.cols {
+					continue
+				}
+				s := g.sectors[r*g.cols+c]
+				if !s.RAT.Has(rat) {
+					continue
+				}
+				if d := geo.DistanceKm(p, s.At); d < bestD {
+					best, bestD = s, d
+				}
+			}
+		}
+		if !math.IsInf(bestD, 1) {
+			return best, true
+		}
+	}
+	return Sector{}, false
+}
+
+func ringCols(dr, ring int) []int {
+	if dr == -ring || dr == ring {
+		cols := make([]int, 0, 2*ring+1)
+		for dc := -ring; dc <= ring; dc++ {
+			cols = append(cols, dc)
+		}
+		return cols
+	}
+	return []int{-ring, ring}
+}
+
+// withNB returns a copy of g with NB-IoT added to every 97th sector,
+// so the ring walk also runs over a sparse RAT and far rings.
+func withNB(g *Grid) *Grid {
+	nb := *g
+	nb.sectors = slices.Clone(g.sectors)
+	for i := 0; i < len(nb.sectors); i += 97 {
+		nb.sectors[i].RAT |= HasNB
+		nb.deployed |= HasNB
+	}
+	return &nb
+}
+
+func TestNearestWithRATMatchesRingColsWalk(t *testing.T) {
+	uk := ukGrid(t)
+	c, _ := mccmnc.CountryByISO("GB")
+	grids := map[string]*Grid{
+		"uk 40x40":       uk,
+		"uk 40x40 + NB":  withNB(uk),
+		"oblong 7x23":    NewGrid(c, 7, 23, DefaultSpacingDeg),
+		"oblong 7x23+NB": withNB(NewGrid(c, 7, 23, DefaultSpacingDeg)),
+	}
+	rats := []RAT{RATUnknown, RAT2G, RAT3G, RAT4G, RATNB}
+	for name, g := range grids {
+		src := rng.New(31)
+		south, west := g.origin.Lat, g.origin.Lon
+		north := south + float64(g.rows-1)*g.spacing
+		east := west + float64(g.cols-1)*g.spacing
+		for i := 0; i < 2000; i++ {
+			// A quarter of the points land outside the lattice, where
+			// Nearest clamps to the border.
+			p := geo.Point{
+				Lat: south + (north-south)*(1.5*src.Float64()-0.25),
+				Lon: west + (east-west)*(1.5*src.Float64()-0.25),
+			}
+			if i%10 == 0 { // exactly on a sector
+				s, _ := g.Sector(SectorID(src.Intn(len(g.sectors))))
+				p = s.At
+			}
+			for _, rat := range rats {
+				got, gotOK := g.NearestWithRAT(p, rat)
+				want, wantOK := nearestWithRATRingCols(g, p, rat)
+				if got != want || gotOK != wantOK {
+					t.Fatalf("%s: NearestWithRAT(%v, %v) = %+v, %v; ringCols walk %+v, %v",
+						name, p, rat, got, gotOK, want, wantOK)
+				}
+			}
+		}
+	}
+}
+
+func TestNearestWithRATAllocatesNothing(t *testing.T) {
+	g := ukGrid(t)
+	// A point whose own sector lacks 4G, so the answer comes from a ring.
+	var p geo.Point
+	for i := range g.sectors {
+		if !g.sectors[i].RAT.Has(RAT4G) {
+			p = g.sectors[i].At
+			break
+		}
+	}
+	cases := map[string]RAT{"ring hit": RAT4G, "undeployed RAT": RATNB}
+	for name, rat := range cases {
+		allocs := testing.AllocsPerRun(100, func() {
+			g.NearestWithRAT(p, rat)
+		})
+		if allocs != 0 {
+			t.Errorf("%s: %.1f allocations per call, want 0", name, allocs)
+		}
 	}
 }

@@ -27,6 +27,9 @@ type Grid struct {
 	cols    int
 	spacing float64 // degrees between neighbouring sectors
 	sectors []Sector
+	// deployed is the union of every sector's RAT set: a RAT outside
+	// it has no sector to find, so NearestWithRAT answers at once.
+	deployed RATSet
 }
 
 // DefaultSpacingDeg is the default sector spacing (~2 km in latitude).
@@ -73,6 +76,7 @@ func NewGrid(c mccmnc.Country, rows, cols int, spacingDeg float64) *Grid {
 			},
 			RAT: rats,
 		}
+		g.deployed |= rats
 	}
 	return g
 }
@@ -98,8 +102,12 @@ func (g *Grid) Nearest(p geo.Point) Sector {
 
 // NearestWithRAT returns the closest sector that deploys the RAT,
 // searching outward ring by ring. The second return is false when no
-// sector in the grid deploys it.
+// sector in the grid deploys it — known from the grid's deployed set
+// without searching.
 func (g *Grid) NearestWithRAT(p geo.Point, rat RAT) (Sector, bool) {
+	if !g.deployed.Has(rat) {
+		return Sector{}, false
+	}
 	base := g.Nearest(p)
 	if base.RAT.Has(rat) {
 		return base, true
@@ -107,15 +115,25 @@ func (g *Grid) NearestWithRAT(p geo.Point, rat RAT) (Sector, bool) {
 	br, bc := int(base.ID)/g.cols, int(base.ID)%g.cols
 	maxRing := g.rows + g.cols
 	for ring := 1; ring <= maxRing; ring++ {
-		best := Sector{}
+		var best *Sector
 		bestD := math.Inf(1)
 		for dr := -ring; dr <= ring; dr++ {
-			for _, dc := range ringCols(dr, ring) {
-				r, c := br+dr, bc+dc
-				if r < 0 || r >= g.rows || c < 0 || c >= g.cols {
+			r := br + dr
+			if r < 0 || r >= g.rows {
+				continue
+			}
+			// The top and bottom rows are the ring's full edge; every
+			// row between contributes only its two sides, ±ring.
+			step := 2 * ring
+			if dr == -ring || dr == ring {
+				step = 1
+			}
+			for dc := -ring; dc <= ring; dc += step {
+				c := bc + dc
+				if c < 0 || c >= g.cols {
 					continue
 				}
-				s := g.sectors[r*g.cols+c]
+				s := &g.sectors[r*g.cols+c]
 				if !s.RAT.Has(rat) {
 					continue
 				}
@@ -124,25 +142,11 @@ func (g *Grid) NearestWithRAT(p geo.Point, rat RAT) (Sector, bool) {
 				}
 			}
 		}
-		if !math.IsInf(bestD, 1) {
-			return best, true
+		if best != nil {
+			return *best, true
 		}
 	}
 	return Sector{}, false
-}
-
-// ringCols returns the column offsets belonging to ring at row offset
-// dr: the full edge for the top/bottom rows, just the two sides
-// otherwise.
-func ringCols(dr, ring int) []int {
-	if dr == -ring || dr == ring {
-		cols := make([]int, 0, 2*ring+1)
-		for dc := -ring; dc <= ring; dc++ {
-			cols = append(cols, dc)
-		}
-		return cols
-	}
-	return []int{-ring, ring}
 }
 
 func clamp(v, lo, hi int) int {
