@@ -10,70 +10,70 @@ package main
 import (
 	"flag"
 	"fmt"
-	"log"
-	"os"
+	"io"
+	"log/slog"
 	"runtime"
 	"time"
 
+	"whereroam/internal/cli"
 	"whereroam/internal/dataset"
 	"whereroam/internal/netsim"
 )
 
-func main() {
-	log.SetFlags(0)
-	log.SetPrefix("m2msim: ")
-	var (
-		devices = flag.Int("devices", 12000, "IoT SIM population size")
-		days    = flag.Int("days", 11, "observation window in days")
-		seed    = flag.Uint64("seed", 1, "generator seed")
-		sample  = flag.Float64("sample", 1, "probe sampling rate (0,1]")
-		policy  = flag.String("policy", "sticky", "VMNO selection policy: sticky|strongest|rotate")
-		workers = flag.Int("workers", runtime.GOMAXPROCS(0), "synthesis worker pool size (output is identical for any value)")
-		out     = flag.String("out", "m2m.bin", "output path")
-		asCSV   = flag.Bool("csv", false, "write CSV instead of the binary wire format")
-	)
-	flag.Parse()
+func main() { cli.Main("m2msim", run) }
 
+func run(args []string, stdout io.Writer) error {
 	cfg := dataset.DefaultM2MConfig()
-	cfg.Devices = *devices
-	cfg.Days = *days
-	cfg.Seed = *seed
-	cfg.SampleRate = *sample
-	cfg.Workers = *workers
-	switch *policy {
-	case "sticky":
-		cfg.Policy = netsim.PolicySticky
-	case "strongest":
-		cfg.Policy = netsim.PolicyStrongest
-	case "rotate":
-		cfg.Policy = netsim.PolicyRotate
-	default:
-		log.Fatalf("unknown policy %q", *policy)
+	fs := flag.NewFlagSet("m2msim", flag.ContinueOnError)
+	fs.IntVar(&cfg.Devices, "devices", cfg.Devices, "IoT SIM population size")
+	fs.IntVar(&cfg.Days, "days", cfg.Days, "observation window in days")
+	fs.Uint64Var(&cfg.Seed, "seed", cfg.Seed, "generator seed")
+	fs.Float64Var(&cfg.SampleRate, "sample", 1, "probe sampling rate (0,1]")
+	fs.IntVar(&cfg.Workers, "workers", runtime.GOMAXPROCS(0), "synthesis worker pool size (output is identical for any value)")
+	policy := fs.String("policy", "sticky", "VMNO selection policy: sticky|strongest|rotate")
+	out := fs.String("out", "m2m.bin", "output path")
+	asCSV := fs.Bool("csv", false, "write CSV instead of the binary wire format")
+	if err := cli.Parse(fs, args); err != nil {
+		return err
+	}
+	if cfg.Devices <= 0 || cfg.Days <= 0 || !(cfg.SampleRate > 0 && cfg.SampleRate <= 1) { // NaN fails too
+		return cli.Usagef("need -devices and -days > 0, -sample in (0, 1] (got %d, %d, %v)",
+			cfg.Devices, cfg.Days, cfg.SampleRate)
+	}
+	var ok bool
+	cfg.Policy, ok = map[string]netsim.SelectionPolicy{
+		"sticky": netsim.PolicySticky, "strongest": netsim.PolicyStrongest, "rotate": netsim.PolicyRotate,
+	}[*policy]
+	if !ok {
+		return cli.Usagef("unknown -policy %q", *policy)
 	}
 
+	f, err := cli.Create(*out)
+	if err != nil {
+		return err
+	}
+	defer f.Discard()
 	start := time.Now()
 	ds := dataset.GenerateM2M(cfg)
-	log.Printf("generated %d transactions from %d devices in %v",
-		len(ds.Transactions), len(ds.Truth), time.Since(start).Round(time.Millisecond))
+	slog.Info("generated", "transactions", len(ds.Transactions), "devices", len(ds.Truth),
+		"elapsed", time.Since(start).Round(time.Millisecond))
 
-	f, err := os.Create(*out)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer func() {
-		if err := f.Close(); err != nil {
-			log.Fatal(err)
-		}
-	}()
 	if *asCSV {
 		err = ds.SaveTransactionsCSV(f)
 	} else {
 		err = ds.SaveTransactions(f)
 	}
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	info, _ := f.Stat()
-	fmt.Printf("wrote %s (%d bytes, %d transactions, %d devices, %d days)\n",
+	info, err := f.Stat()
+	if err != nil {
+		return err
+	}
+	if err := f.Commit(); err != nil {
+		return err
+	}
+	fmt.Fprintf(stdout, "wrote %s (%d bytes, %d transactions, %d devices, %d days)\n",
 		*out, info.Size(), len(ds.Transactions), len(ds.Truth), ds.Days)
+	return nil
 }

@@ -9,6 +9,7 @@
 // self-asserting memory experiment: the process samples its own heap
 // and exits non-zero if the peak exceeded the budget — the hook CI's
 // scale-smoke job uses to hold the streamed path to a fixed budget.
+// Both output files appear only when the whole run succeeds.
 //
 // Usage:
 //
@@ -20,107 +21,98 @@ import (
 	"encoding/csv"
 	"flag"
 	"fmt"
-	"log"
-	"os"
+	"io"
+	"log/slog"
 	"runtime"
 	"time"
 
 	"whereroam/internal/catalog"
+	"whereroam/internal/cli"
 	"whereroam/internal/dataset"
 	"whereroam/internal/devices"
 	"whereroam/internal/obs"
 )
 
-func main() {
-	log.SetFlags(0)
-	log.SetPrefix("mnosim: ")
-	var (
-		devN       = flag.Int("devices", 30000, "distinct devices across the window")
-		days       = flag.Int("days", 22, "observation window in days")
-		seed       = flag.Uint64("seed", 1, "generator seed")
-		workers    = flag.Int("workers", runtime.GOMAXPROCS(0), "synthesis worker pool size (output is identical for any value)")
-		out        = flag.String("out", "catalog.csv", "devices-catalog output path")
-		truth      = flag.String("truth", "", "optional ground-truth class CSV output path")
-		maxHeapMiB = flag.Int64("max-heap-mib", 0, "fail if the process heap peak exceeds this many MiB (0 = no assertion)")
-	)
-	flag.Parse()
-	if *devN <= 0 || *days <= 0 {
-		log.Printf("-devices and -days must be positive (got %d, %d)", *devN, *days)
-		os.Exit(2)
-	}
+func main() { cli.Main("mnosim", run) }
 
+func run(args []string, stdout io.Writer) (err error) {
 	cfg := dataset.DefaultMNOConfig()
-	cfg.Devices = *devN
-	cfg.Days = *days
-	cfg.Seed = *seed
-	cfg.Workers = *workers
-
-	var stopWatch func() int64
-	if *maxHeapMiB > 0 {
-		stopWatch = obs.StartHeapWatch()
+	fs := flag.NewFlagSet("mnosim", flag.ContinueOnError)
+	fs.IntVar(&cfg.Devices, "devices", cfg.Devices, "distinct devices across the window")
+	fs.IntVar(&cfg.Days, "days", cfg.Days, "observation window in days")
+	fs.Uint64Var(&cfg.Seed, "seed", cfg.Seed, "generator seed")
+	fs.IntVar(&cfg.Workers, "workers", runtime.GOMAXPROCS(0), "synthesis worker pool size (output is identical for any value)")
+	out := fs.String("out", "catalog.csv", "devices-catalog output path")
+	truth := fs.String("truth", "", "optional ground-truth class CSV output path")
+	maxHeapMiB := fs.Int64("max-heap-mib", 0, "fail if the process heap peak exceeds this many MiB (0 = no assertion)")
+	if err := cli.Parse(fs, args); err != nil {
+		return err
+	}
+	if cfg.Devices <= 0 || cfg.Days <= 0 {
+		return cli.Usagef("-devices and -days must be positive (got %d, %d)", cfg.Devices, cfg.Days)
 	}
 
-	f, err := os.Create(*out)
+	defer obs.HeapBudget(*maxHeapMiB)(&err)
+
+	f, err := cli.Create(*out)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
+	defer f.Discard()
+	// werr keeps the first write error; the sink callbacks cannot
+	// return one, so they stop writing instead.
+	var werr error
 	var tw *csv.Writer
-	var tf *os.File
+	var tf *cli.File
 	if *truth != "" {
-		if tf, err = os.Create(*truth); err != nil {
-			log.Fatal(err)
+		if tf, err = cli.Create(*truth); err != nil {
+			return err
 		}
+		defer tf.Discard()
 		tw = csv.NewWriter(tf)
-		if err := tw.Write([]string{"device", "class"}); err != nil {
-			log.Fatal(err)
-		}
+		werr = tw.Write([]string{"device", "class"})
 	}
 
 	start := time.Now()
 	cw, err := catalog.NewCSVWriter(f, cfg.Host, cfg.Days)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	stream := dataset.StreamMNO(cfg, dataset.MNOSink{
 		Device: func(d devices.Device, _ bool) {
-			if tw != nil {
-				if err := tw.Write([]string{d.ID.String(), d.Class.String()}); err != nil {
-					log.Fatal(err)
-				}
+			if tw != nil && werr == nil {
+				werr = tw.Write([]string{d.ID.String(), d.Class.String()})
 			}
 		},
 		Record: func(rec catalog.DailyRecord) {
-			if err := cw.Write(&rec); err != nil {
-				log.Fatal(err)
+			if werr == nil {
+				werr = cw.Write(&rec)
 			}
 		},
 	})
+	if werr != nil {
+		return werr
+	}
 	if err := cw.Flush(); err != nil {
-		log.Fatal(err)
+		return err
 	}
-	log.Printf("streamed %d catalog records for %d devices in %v",
-		stream.Records, stream.Devices, time.Since(start).Round(time.Millisecond))
-
-	if err := f.Close(); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("wrote %s (%d records)\n", *out, stream.Records)
+	slog.Info("streamed", "records", stream.Records, "devices", stream.Devices,
+		"elapsed", time.Since(start).Round(time.Millisecond))
 	if tw != nil {
 		tw.Flush()
 		if err := tw.Error(); err != nil {
-			log.Fatal(err)
+			return err
 		}
-		if err := tf.Close(); err != nil {
-			log.Fatal(err)
+		if err := tf.Commit(); err != nil {
+			return err
 		}
-		fmt.Printf("wrote %s (%d devices)\n", *truth, stream.Devices)
 	}
-
-	if stopWatch != nil {
-		peak := stopWatch() >> 20
-		if peak > *maxHeapMiB {
-			log.Fatalf("heap peak %d MiB exceeds budget %d MiB", peak, *maxHeapMiB)
-		}
-		log.Printf("heap peak %d MiB within budget %d MiB", peak, *maxHeapMiB)
+	if err := f.Commit(); err != nil {
+		return err
 	}
+	fmt.Fprintf(stdout, "wrote %s (%d records)\n", *out, stream.Records)
+	if tw != nil {
+		fmt.Fprintf(stdout, "wrote %s (%d devices)\n", *truth, stream.Devices)
+	}
+	return nil
 }

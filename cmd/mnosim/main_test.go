@@ -3,47 +3,21 @@ package main
 import (
 	"bytes"
 	"encoding/csv"
+	"io"
 	"os"
-	"os/exec"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"whereroam/internal/catalog"
+	"whereroam/internal/cli"
 	"whereroam/internal/identity"
 )
-
-// runEnv makes the test binary act as mnosim, so each case runs the
-// real command in a child process and sees its exit status.
-const runEnv = "MNOSIM_TEST_RUN_MAIN"
-
-func TestMain(m *testing.M) {
-	if os.Getenv(runEnv) == "1" {
-		main()
-		os.Exit(0)
-	}
-	os.Exit(m.Run())
-}
-
-// mnosim runs the command and returns its combined output and exit
-// status.
-func mnosim(t *testing.T, args ...string) (string, int) {
-	t.Helper()
-	cmd := exec.Command(os.Args[0], args...)
-	cmd.Env = append(os.Environ(), runEnv+"=1")
-	out, err := cmd.CombinedOutput()
-	if cmd.ProcessState == nil {
-		t.Fatal(err)
-	}
-	return string(out), cmd.ProcessState.ExitCode()
-}
 
 func TestRejectsBadConfigBeforeCreatingOutput(t *testing.T) {
 	for _, bad := range []string{"-devices=0", "-days=0"} {
 		path := filepath.Join(t.TempDir(), "c.csv")
-		out, code := mnosim(t, "-out", path, bad)
-		if code != 2 || strings.Contains(out, "goroutine") {
-			t.Errorf("%s: exit status %d, want 2 without a stack trace; output:\n%s", bad, code, out)
+		if code := cli.ExitCode(run([]string{"-out", path, bad}, io.Discard)); code != 2 {
+			t.Errorf("%s: exit status %d, want 2", bad, code)
 		}
 		if _, err := os.Stat(path); !os.IsNotExist(err) {
 			t.Errorf("%s left %s behind (stat: %v)", bad, path, err)
@@ -51,11 +25,33 @@ func TestRejectsBadConfigBeforeCreatingOutput(t *testing.T) {
 	}
 }
 
+// TestFailedRunLeavesOutputUntouched holds both outputs to
+// all-or-nothing: an unwritable -truth fails the run, and the catalog
+// path keeps what it held before.
+func TestFailedRunLeavesOutputUntouched(t *testing.T) {
+	dir := t.TempDir()
+	catPath := filepath.Join(dir, "c.csv")
+	if err := os.WriteFile(catPath, []byte("old"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	err := run([]string{"-devices", "50", "-out", catPath, "-truth", filepath.Join(dir, "nodir", "t.csv")}, io.Discard)
+	if cli.ExitCode(err) != 1 {
+		t.Fatalf("run = %v, want a failure with exit status 1", err)
+	}
+	if b, _ := os.ReadFile(catPath); string(b) != "old" {
+		t.Errorf("a failed run rewrote -out to %d bytes", len(b))
+	}
+	if es, _ := os.ReadDir(dir); len(es) != 1 {
+		t.Errorf("a failed run left %d entries in the output directory, want only c.csv", len(es))
+	}
+}
+
 func TestCatalogAndTruthAgree(t *testing.T) {
 	dir := t.TempDir()
 	catPath, truthPath := filepath.Join(dir, "c.csv"), filepath.Join(dir, "t.csv")
-	if out, code := mnosim(t, "-devices", "300", "-out", catPath, "-truth", truthPath); code != 0 {
-		t.Fatalf("exit status %d:\n%s", code, out)
+	var stdout bytes.Buffer
+	if err := run([]string{"-devices", "300", "-out", catPath, "-truth", truthPath}, &stdout); err != nil {
+		t.Fatalf("%v\n%s", err, stdout.String())
 	}
 	cb, err := os.ReadFile(catPath)
 	if err != nil {

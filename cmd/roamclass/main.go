@@ -11,42 +11,44 @@ package main
 import (
 	"flag"
 	"fmt"
-	"log"
+	"io"
 	"os"
 
 	"whereroam/internal/analysis"
 	"whereroam/internal/catalog"
+	"whereroam/internal/cli"
 	"whereroam/internal/core"
 	"whereroam/internal/dataset"
 	"whereroam/internal/gsma"
 )
 
-func main() {
-	log.SetFlags(0)
-	log.SetPrefix("roamclass: ")
+func main() { cli.Main("roamclass", run) }
+
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("roamclass", flag.ContinueOnError)
 	var (
-		in       = flag.String("in", "catalog.csv", "devices-catalog CSV input")
-		gsmaSeed = flag.Uint64("gsma-seed", 1, "seed of the synthetic GSMA catalog the dataset was generated with")
-		showAPNs = flag.Bool("apns", false, "print the validated APN list (classification step 1)")
+		in       = fs.String("in", "catalog.csv", "devices-catalog CSV input")
+		gsmaSeed = fs.Uint64("gsma-seed", 1, "seed of the synthetic GSMA catalog the dataset was generated with")
+		showAPNs = fs.Bool("apns", false, "print the validated APN list (classification step 1)")
 	)
-	flag.Parse()
+	if err := cli.Parse(fs, args); err != nil {
+		return err
+	}
 
 	f, err := os.Open(*in)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
+	defer f.Close()
 	cat, err := catalog.ReadCSV(f)
 	if err != nil {
-		log.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		log.Fatal(err)
+		return fmt.Errorf("%s: %w", *in, err)
 	}
 
 	pop := core.Derive(cat, gsma.Synthesize(*gsmaSeed),
 		core.NewLabeler(cat.Host, dataset.MVNO1, dataset.MVNO2), 0)
 
-	fmt.Printf("catalog: host %s, %d days, %d records, %d devices\n\n",
+	fmt.Fprintf(stdout, "catalog: host %s, %d days, %d records, %d devices\n\n",
 		cat.Host, cat.Days, len(cat.Records), len(pop.Sums))
 
 	// Roaming labels.
@@ -58,7 +60,7 @@ func main() {
 	for _, l := range core.AllLabels {
 		lt.AddRow(l.String(), labels[l], float64(labels[l])/float64(len(pop.Sums)))
 	}
-	fmt.Println(lt)
+	fmt.Fprintln(stdout, lt)
 
 	// Classes.
 	b := core.Breakdown(pop.Results)
@@ -66,12 +68,13 @@ func main() {
 	for _, c := range []core.Class{core.ClassSmart, core.ClassFeat, core.ClassM2M, core.ClassM2MMaybe} {
 		ct.AddRow(c.String(), b[c], float64(b[c])/float64(len(pop.Results)))
 	}
-	fmt.Println(ct)
+	fmt.Fprintln(stdout, ct)
 
 	if *showAPNs {
-		fmt.Println("validated M2M APNs:")
+		fmt.Fprintln(stdout, "validated M2M APNs:")
 		for _, a := range core.NewClassifier().ValidatedAPNs(pop.Sums) {
-			fmt.Println("  " + a.String())
+			fmt.Fprintln(stdout, "  "+a.String())
 		}
 	}
+	return nil
 }

@@ -1,6 +1,6 @@
 // Command roamd serves catalog, classification and analysis queries
 // over archived CDR stores. It mounts every site-<plmn> store under
-// an archive root (the layout fedsim -archive writes), builds hot
+// an archive root (the layout roamrepro -archive writes), builds hot
 // catalog slices on demand via pruned replay, and keeps them in a
 // size-bounded LRU behind an HTTP/JSON API.
 //
@@ -35,9 +35,10 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"log"
+	"io"
+	"log/slog"
+	"net"
 	"net/http"
-	"os"
 	"os/signal"
 	"runtime"
 	"runtime/debug"
@@ -45,6 +46,7 @@ import (
 	"syscall"
 	"time"
 
+	"whereroam/internal/cli"
 	"whereroam/internal/obs"
 	"whereroam/internal/serve"
 )
@@ -62,89 +64,88 @@ const (
 )
 
 func main() {
-	log.SetFlags(0)
-	log.SetPrefix("roamd: ")
-	var (
-		archive = flag.String("archive", "", "archive root containing site-<plmn> store directories (required)")
-		addr    = flag.String("addr", ":8080", "listen address")
-		cacheMB = flag.Int("cache-mb", -1, "slice cache bound in MiB (0 = unbounded, -1 = auto from GOMEMLIMIT)")
-		workers = flag.Int("workers", runtime.GOMAXPROCS(0), "replay parallelism per slice fill")
-		metrics = flag.Bool("metrics", true, "expose /metrics and /debug/spans")
-		pprofOn = flag.Bool("pprof", false, "expose /debug/pprof/* profiling endpoints")
-		slowMS  = flag.Int("slow-ms", 250, "log traced operations slower than this many milliseconds")
-	)
-	flag.Parse()
+	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
+	context.AfterFunc(ctx, stop) // a second signal kills the process the default way
+	cli.Main("roamd", func(args []string, _ io.Writer) error { return run(ctx, args, net.Listen) })
+}
+
+// run serves until ctx is cancelled, then drains in-flight requests
+// and returns nil. listen opens the -addr listener (net.Listen in
+// production); an error from it, or from serving, is returned at once.
+func run(ctx context.Context, args []string, listen func(network, addr string) (net.Listener, error)) error {
+	var cfg serve.Config
+	fs := flag.NewFlagSet("roamd", flag.ContinueOnError)
+	archive := fs.String("archive", "", "archive root containing site-<plmn> store directories (required)")
+	addr := fs.String("addr", ":8080", "listen address")
+	cacheMB := fs.Int("cache-mb", -1, "slice cache bound in MiB (0 = unbounded, -1 = auto from GOMEMLIMIT)")
+	fs.IntVar(&cfg.Workers, "workers", runtime.GOMAXPROCS(0), "replay parallelism per slice fill")
+	metrics := fs.Bool("metrics", true, "expose /metrics and /debug/spans")
+	pprofOn := fs.Bool("pprof", false, "expose /debug/pprof/* profiling endpoints")
+	slowMS := fs.Int("slow-ms", 250, "log traced operations slower than this many milliseconds")
+	if err := cli.Parse(fs, args); err != nil {
+		return err
+	}
 	if *archive == "" {
-		fmt.Fprintln(os.Stderr, "usage: roamd -archive DIR [-addr :8080] [-cache-mb -1] [-workers N] [-metrics] [-pprof] [-slow-ms 250]")
-		os.Exit(2)
+		return cli.Usagef("-archive is required")
 	}
 
-	cacheBytes := int64(*cacheMB) << 20
+	cfg.MaxCacheBytes = int64(*cacheMB) << 20
 	if *cacheMB < 0 {
-		cacheBytes = serve.AutoCacheBytes(debug.SetMemoryLimit(-1))
-		log.Printf("cache bound auto-derived: %d MiB", cacheBytes>>20)
+		cfg.MaxCacheBytes = serve.AutoCacheBytes(debug.SetMemoryLimit(-1))
+		slog.Info("cache bound auto-derived", "mib", cfg.MaxCacheBytes>>20)
 	}
-
-	cfg := serve.Config{
-		Workers:       *workers,
-		MaxCacheBytes: cacheBytes,
-	}
-	var reg *obs.Registry
-	var tracer *obs.Tracer
+	mux := http.NewServeMux()
 	if *metrics {
-		reg = obs.NewRegistry()
-		tracer = obs.NewTracer(256, time.Duration(*slowMS)*time.Millisecond, log.Printf)
-		cfg.Metrics = reg
-		cfg.Tracer = tracer
+		logf := func(format string, args ...any) { slog.Warn(fmt.Sprintf(format, args...)) }
+		cfg.Metrics = obs.NewRegistry()
+		cfg.Tracer = obs.NewTracer(256, time.Duration(*slowMS)*time.Millisecond, logf)
+		mux.Handle("GET /metrics", cfg.Metrics.Handler())
+		mux.Handle("GET /debug/spans", cfg.Tracer.Handler())
+		slog.Info("metrics on /metrics, spans on /debug/spans")
 	}
 
 	srv := serve.New(cfg)
 	names, err := srv.MountSites(*archive)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	log.Printf("mounted %d sites from %s: %s", len(names), *archive, strings.Join(names, " "))
+	slog.Info("mounted", "sites", len(names), "archive", *archive, "names", strings.Join(names, " "))
 	for _, si := range srv.Sites() {
-		log.Printf("  site %s: host=%s days=%d segments=%d records=%d",
-			si.Site, si.Host, si.Days, si.Segments, si.Records)
+		slog.Info("site", "site", si.Site, "host", si.Host, "days", si.Days,
+			"segments", si.Segments, "records", si.Records)
 	}
-
-	mux := http.NewServeMux()
 	mux.Handle("/v1/", srv.Handler())
-	if *metrics {
-		mux.Handle("GET /metrics", reg.Handler())
-		mux.Handle("GET /debug/spans", tracer.Handler())
-		log.Print("metrics on /metrics, spans on /debug/spans")
-	}
 	if *pprofOn {
 		obs.RegisterPprof(mux)
-		log.Print("profiling on /debug/pprof/")
+		slog.Info("profiling on /debug/pprof/")
 	}
 
+	ln, err := listen("tcp", *addr)
+	if err != nil {
+		return err
+	}
 	hs := &http.Server{
-		Addr:              *addr,
 		Handler:           mux,
 		ReadHeaderTimeout: readHeaderTimeout,
 		IdleTimeout:       idleTimeout,
 		MaxHeaderBytes:    maxHeaderBytes,
 	}
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	served := make(chan error, 1)
-	go func() { served <- hs.ListenAndServe() }()
-	log.Printf("serving on %s", *addr)
+	go func() { served <- hs.Serve(ln) }()
+	slog.Info("serving", "addr", ln.Addr().String())
 
 	select {
 	case err := <-served:
-		log.Fatal(err) // the listener failed: nothing is in flight to drain
+		return err // the listener failed: nothing is in flight to drain
 	case <-ctx.Done():
 	}
-	stop() // a second signal kills the process the default way
-	log.Printf("signal received: draining for up to %s", drainTimeout)
+	slog.Info("draining", "timeout", drainTimeout)
 	drain, cancel := context.WithTimeout(context.Background(), drainTimeout)
 	defer cancel()
 	if err := hs.Shutdown(drain); err != nil {
-		log.Fatalf("drain: %v", err)
+		return fmt.Errorf("drain: %w", err)
 	}
 	<-served // http.ErrServerClosed, once Shutdown has begun
-	log.Print("stopped")
+	slog.Info("stopped")
+	return nil
 }

@@ -14,45 +14,42 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
-	"log"
-	"os"
+	"io"
+	"log/slog"
 	"sort"
 	"time"
 
+	"whereroam/internal/cli"
 	"whereroam/internal/serve"
 )
 
-func main() {
-	log.SetFlags(0)
-	log.SetPrefix("roamload: ")
-	var (
-		addr        = flag.String("addr", "", "base URL of the roamd under test (required)")
-		duration    = flag.Duration("duration", 5*time.Second, "load duration")
-		concurrency = flag.Int("concurrency", 4, "closed-loop workers")
-		seed        = flag.Int64("seed", 1, "request-stream seed")
-		zipf        = flag.Float64("zipf", 1.2, "zipfian device-popularity skew (>1)")
-		minQPS      = flag.Float64("min-qps", 0, "fail when measured qps falls below this")
-	)
-	flag.Parse()
-	if *addr == "" {
-		fmt.Fprintln(os.Stderr, "usage: roamload -addr URL [-duration 5s] [-concurrency 4] [-min-qps 0]")
-		os.Exit(2)
+func main() { cli.Main("roamload", run) }
+
+func run(args []string, stdout io.Writer) error {
+	var cfg serve.LoadConfig
+	fs := flag.NewFlagSet("roamload", flag.ContinueOnError)
+	fs.StringVar(&cfg.BaseURL, "addr", "", "base URL of the roamd under test (required)")
+	fs.DurationVar(&cfg.Duration, "duration", 5*time.Second, "load duration")
+	fs.IntVar(&cfg.Concurrency, "concurrency", 4, "closed-loop workers")
+	fs.Int64Var(&cfg.Seed, "seed", 1, "request-stream seed")
+	fs.Float64Var(&cfg.ZipfS, "zipf", 1.2, "zipfian device-popularity skew (>1)")
+	minQPS := fs.Float64("min-qps", 0, "fail when measured qps falls below this")
+	if err := cli.Parse(fs, args); err != nil {
+		return err
+	}
+	if cfg.BaseURL == "" {
+		return cli.Usagef("-addr is required")
 	}
 
-	res, err := serve.RunLoad(serve.LoadConfig{
-		BaseURL:     *addr,
-		Concurrency: *concurrency,
-		Duration:    *duration,
-		Seed:        *seed,
-		ZipfS:       *zipf,
-	})
+	res, err := serve.RunLoad(cfg)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
-	log.Printf("%d requests in %.2fs → %.1f qps (5xx=%d 4xx=%d transport=%d)",
+	fmt.Fprintf(stdout, "%d requests in %.2fs → %.1f qps (5xx=%d 4xx=%d transport=%d)\n",
 		res.Requests, res.Seconds, res.QPS, res.Errors5xx, res.Errors4xx, res.TransportErrors)
 	ops := make([]string, 0, len(res.Ops))
 	for op := range res.Ops {
@@ -61,34 +58,26 @@ func main() {
 	sort.Strings(ops)
 	for _, op := range ops {
 		o := res.Ops[op]
-		log.Printf("  %-14s count=%-6d p50=%s p99=%s mean=%s",
+		fmt.Fprintf(stdout, "  %-14s count=%-6d p50=%s p99=%s mean=%s\n",
 			o.Op, o.Count, time.Duration(o.P50Ns), time.Duration(o.P99Ns), time.Duration(o.MeanNs))
 	}
 
 	// Cross-check the client-observed latency against the daemon's own
 	// histogram. The scrape quietly skips when the daemon runs with
 	// -metrics=false (ok is false, no error).
-	if d, ok, err := serve.ScrapeHistogramQuantile(nil, *addr, "roamd_http_latency_seconds", 0.99); err != nil {
-		log.Printf("server-side p99 scrape failed: %v", err)
+	if d, ok, err := serve.ScrapeHistogramQuantile(nil, cfg.BaseURL, "roamd_http_latency_seconds", 0.99); err != nil {
+		slog.Warn("server-side p99 scrape failed", "err", err)
 	} else if ok {
-		log.Printf("server-side p99 (roamd_http_latency_seconds): %s", d)
+		fmt.Fprintf(stdout, "server-side p99 (roamd_http_latency_seconds): %s\n", d)
 	}
 
-	failed := false
-	if res.Errors5xx > 0 || res.Errors4xx > 0 || res.TransportErrors > 0 {
-		log.Printf("FAIL: request errors (5xx=%d 4xx=%d transport=%d)",
-			res.Errors5xx, res.Errors4xx, res.TransportErrors)
-		failed = true
+	switch {
+	case res.Errors5xx > 0 || res.Errors4xx > 0 || res.TransportErrors > 0:
+		return errors.New("requests failed (see the error counts above)")
+	case res.Requests == 0 || res.QPS <= 0:
+		return errors.New("no completed requests")
+	case *minQPS > 0 && res.QPS < *minQPS:
+		return fmt.Errorf("qps %.1f below floor %.1f", res.QPS, *minQPS)
 	}
-	if res.Requests == 0 || res.QPS <= 0 {
-		log.Print("FAIL: no completed requests")
-		failed = true
-	}
-	if *minQPS > 0 && res.QPS < *minQPS {
-		log.Printf("FAIL: qps %.1f below floor %.1f", res.QPS, *minQPS)
-		failed = true
-	}
-	if failed {
-		os.Exit(1)
-	}
+	return nil
 }

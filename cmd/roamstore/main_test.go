@@ -3,53 +3,34 @@ package main
 import (
 	"bytes"
 	"os"
-	"os/exec"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"whereroam/internal/catalog"
+	"whereroam/internal/cli"
 )
 
-// runEnv makes the test binary act as roamstore, so each case runs the
-// real command in a child process and sees its exit status.
-const runEnv = "ROAMSTORE_TEST_RUN_MAIN"
-
-func TestMain(m *testing.M) {
-	if os.Getenv(runEnv) == "1" {
-		main()
-		os.Exit(0)
-	}
-	os.Exit(m.Run())
+// roamstore runs the command in-process and returns its stdout and
+// exit status.
+func roamstore(args ...string) (string, int) {
+	var stdout bytes.Buffer
+	code := cli.ExitCode(run(args, &stdout))
+	return stdout.String(), code
 }
 
-// roamstore runs the command and returns its combined output and exit
-// status.
-func roamstore(t *testing.T, args ...string) (string, int) {
+// wantUsageError asserts a rejection at the flag boundary: status 2.
+func wantUsageError(t *testing.T, args []string, code int) {
 	t.Helper()
-	cmd := exec.Command(os.Args[0], args...)
-	cmd.Env = append(os.Environ(), runEnv+"=1")
-	out, err := cmd.CombinedOutput()
-	if cmd.ProcessState == nil {
-		t.Fatal(err)
-	}
-	return string(out), cmd.ProcessState.ExitCode()
-}
-
-// wantUsageError asserts a rejection at the flag boundary: status 2
-// and a message, not a panic's goroutine dump.
-func wantUsageError(t *testing.T, out string, code int) {
-	t.Helper()
-	if code != 2 || strings.Contains(out, "goroutine") {
-		t.Errorf("exit status %d, want 2 without a stack trace; output:\n%s", code, out)
+	if code != 2 {
+		t.Errorf("%v: exit status %d, want 2", args, code)
 	}
 }
 
 func TestWriteRejectsBadConfigBeforeCreatingTheStore(t *testing.T) {
 	for _, bad := range []string{"-days=0", "-native=-1", "-roaming=-1", "-segment=-1"} {
 		dir := filepath.Join(t.TempDir(), "D")
-		out, code := roamstore(t, "write", "-dir", dir, bad)
-		wantUsageError(t, out, code)
+		_, code := roamstore("write", "-dir", dir, bad)
+		wantUsageError(t, []string{bad}, code)
 		if _, err := os.Stat(dir); !os.IsNotExist(err) {
 			t.Errorf("write %s left %s behind (stat: %v)", bad, dir, err)
 		}
@@ -59,14 +40,13 @@ func TestWriteRejectsBadConfigBeforeCreatingTheStore(t *testing.T) {
 // TestWriteVerifyReplay drives the archive round trip on one store,
 // then holds replay and compact to their day-window checks over it.
 func TestWriteVerifyReplay(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "feed")
+	dir := writeStore(t)
 	csvPath := filepath.Join(t.TempDir(), "replayed.csv")
 	for _, args := range [][]string{
-		{"write", "-dir", dir, "-native", "60", "-roaming", "40", "-days", "10", "-workers", "1"},
 		{"verify", "-dir", dir},
 		{"replay", "-dir", dir, "-out", csvPath},
 	} {
-		if out, code := roamstore(t, args...); code != 0 {
+		if out, code := roamstore(args...); code != 0 {
 			t.Fatalf("%s exited %d:\n%s", args[0], code, out)
 		}
 	}
@@ -83,7 +63,65 @@ func TestWriteVerifyReplay(t *testing.T) {
 		{"replay", "-dir", dir, "-min-day", "40"},
 		{"compact", "-out", filepath.Join(t.TempDir(), "C"), "-min-day", "5", "-max-day", "3", dir},
 	} {
-		out, code := roamstore(t, args...)
-		wantUsageError(t, out, code)
+		_, code := roamstore(args...)
+		wantUsageError(t, args, code)
+	}
+}
+
+// writeStore archives a small feed and returns its directory.
+func writeStore(t *testing.T) string {
+	t.Helper()
+	dir := filepath.Join(t.TempDir(), "feed")
+	if out, code := roamstore("write", "-dir", dir, "-native", "60", "-roaming", "40", "-days", "10", "-workers", "1"); code != 0 {
+		t.Fatalf("write exited %d:\n%s", code, out)
+	}
+	return dir
+}
+
+func TestRejectsIncompleteCommandLines(t *testing.T) {
+	dir := writeStore(t)
+	for _, args := range [][]string{
+		{},
+		{"bogus"},
+		{"ls"},
+		{"verify"},
+		{"write"},
+		{"ls", "-dir", dir, "stray"},
+		{"compact", "-out", filepath.Join(t.TempDir(), "C")},
+		{"compact", dir},
+		{"replay", "-dir", dir, "-device", "12zz"},
+		{"replay", "-dir", dir, "-visited", "999"},
+	} {
+		_, code := roamstore(args...)
+		wantUsageError(t, args, code)
+	}
+}
+
+// TestFailedReplayLeavesNoOutput corrupts a sealed segment's body: the
+// replay fails with exit status 1 and -out is never created.
+func TestFailedReplayLeavesNoOutput(t *testing.T) {
+	dir := writeStore(t)
+	seg := filepath.Join(dir, "seg-000000.wrseg")
+	fi, err := os.Stat(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(seg, os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = f.WriteAt([]byte("corrupt!"), fi.Size()/2)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	outDir := t.TempDir()
+	if _, code := roamstore("replay", "-dir", dir, "-out", filepath.Join(outDir, "x.csv")); code != 1 {
+		t.Errorf("replay over a corrupt segment exited %d, want 1", code)
+	}
+	if es, _ := os.ReadDir(outDir); len(es) != 0 {
+		t.Errorf("a failed replay left %d entries beside -out", len(es))
 	}
 }

@@ -18,62 +18,60 @@ package main
 import (
 	"flag"
 	"fmt"
-	"log"
-	"os"
+	"io"
+	"log/slog"
 	"runtime"
 	"time"
 
+	"whereroam/internal/cli"
 	"whereroam/internal/dataset"
 )
 
-func main() {
-	log.SetFlags(0)
-	log.SetPrefix("smipsim: ")
-	var (
-		native  = flag.Int("native", 20000, "SMIP-native meters")
-		roaming = flag.Int("roaming", 12000, "roaming meters on global IoT SIMs")
-		days    = flag.Int("days", 26, "observation window in days")
-		seed    = flag.Uint64("seed", 1, "generator seed")
-		nbiot   = flag.Float64("nbiot", 0, "fraction of roaming meters migrated to NB-IoT, in [0, 1]")
-		stream  = flag.Bool("stream", false, "generate via the per-event probe+builder pipeline instead of the aggregate model")
-		workers = flag.Int("workers", runtime.GOMAXPROCS(0), "per-event pipeline worker pool size (output is identical for any value)")
-		out     = flag.String("out", "smip.csv", "devices-catalog output path")
-	)
-	flag.Parse()
-	if !(*nbiot >= 0 && *nbiot <= 1) { // NaN fails too
-		log.Printf("-nbiot %v is outside [0, 1]", *nbiot)
-		os.Exit(2)
+func main() { cli.Main("smipsim", run) }
+
+func run(args []string, stdout io.Writer) error {
+	cfg := dataset.DefaultSMIPConfig()
+	fs := flag.NewFlagSet("smipsim", flag.ContinueOnError)
+	fs.IntVar(&cfg.NativeMeters, "native", cfg.NativeMeters, "SMIP-native meters")
+	fs.IntVar(&cfg.RoamingMeters, "roaming", cfg.RoamingMeters, "roaming meters on global IoT SIMs")
+	fs.IntVar(&cfg.Days, "days", cfg.Days, "observation window in days")
+	fs.Uint64Var(&cfg.Seed, "seed", cfg.Seed, "generator seed")
+	fs.Float64Var(&cfg.NBIoTMigration, "nbiot", 0, "fraction of roaming meters migrated to NB-IoT, in [0, 1]")
+	fs.IntVar(&cfg.Workers, "workers", runtime.GOMAXPROCS(0), "per-event pipeline worker pool size (output is identical for any value)")
+	stream := fs.Bool("stream", false, "generate via the per-event probe+builder pipeline instead of the aggregate model")
+	out := fs.String("out", "smip.csv", "devices-catalog output path")
+	if err := cli.Parse(fs, args); err != nil {
+		return err
+	}
+	if cfg.Days <= 0 || cfg.NativeMeters < 0 || cfg.RoamingMeters < 0 ||
+		!(cfg.NBIoTMigration >= 0 && cfg.NBIoTMigration <= 1) { // NaN fails too
+		return cli.Usagef("need -days > 0, -native and -roaming >= 0, -nbiot in [0, 1] (got %d, %d, %d, %v)",
+			cfg.Days, cfg.NativeMeters, cfg.RoamingMeters, cfg.NBIoTMigration)
 	}
 
-	cfg := dataset.DefaultSMIPConfig()
-	cfg.NativeMeters = *native
-	cfg.RoamingMeters = *roaming
-	cfg.Days = *days
-	cfg.Seed = *seed
-	cfg.NBIoTMigration = *nbiot
-	cfg.Workers = *workers
-
+	f, err := cli.Create(*out)
+	if err != nil {
+		return err
+	}
+	defer f.Discard()
 	start := time.Now()
 	var ds *dataset.SMIPDataset
 	if *stream {
 		ds = dataset.GenerateSMIPStreaming(cfg)
-		log.Printf("streaming pipeline: catalog built with no materialized capture")
+		slog.Info("streaming pipeline: catalog built with no materialized capture")
 	} else {
 		ds = dataset.GenerateSMIP(cfg)
 	}
-	log.Printf("generated %d catalog records for %d meters in %v",
-		len(ds.Catalog.Records), len(ds.Devices), time.Since(start).Round(time.Millisecond))
+	slog.Info("generated", "records", len(ds.Catalog.Records), "meters", len(ds.Devices),
+		"elapsed", time.Since(start).Round(time.Millisecond))
 
-	f, err := os.Create(*out)
-	if err != nil {
-		log.Fatal(err)
-	}
 	if err := ds.Catalog.WriteCSV(f); err != nil {
-		log.Fatal(err)
+		return err
 	}
-	if err := f.Close(); err != nil {
-		log.Fatal(err)
+	if err := f.Commit(); err != nil {
+		return err
 	}
-	fmt.Printf("wrote %s (%d records; %d native, %d roaming, %d on NB-IoT)\n",
-		*out, len(ds.Catalog.Records), *native, *roaming, len(ds.NBIoT))
+	fmt.Fprintf(stdout, "wrote %s (%d records; %d native, %d roaming, %d on NB-IoT)\n",
+		*out, len(ds.Catalog.Records), cfg.NativeMeters, cfg.RoamingMeters, len(ds.NBIoT))
+	return nil
 }

@@ -1,36 +1,48 @@
 package main
 
 import (
+	"io"
 	"os"
-	"os/exec"
 	"path/filepath"
-	"strings"
 	"testing"
+
+	"whereroam/internal/cli"
 )
 
-// runEnv makes the test binary act as smipsim, so each case runs the
-// real command in a child process and sees its exit status.
-const runEnv = "SMIPSIM_TEST_RUN_MAIN"
-
-func TestMain(m *testing.M) {
-	if os.Getenv(runEnv) == "1" {
-		main()
-		os.Exit(0)
+// rejects asserts that args fail with exit status 2 and create nothing
+// at -out.
+func rejects(t *testing.T, args ...string) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "s.csv")
+	if code := cli.ExitCode(run(append(args, "-out", path), io.Discard)); code != 2 {
+		t.Errorf("%v: exit status %d, want 2", args, code)
 	}
-	os.Exit(m.Run())
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Errorf("%v left %s behind (stat: %v)", args, path, err)
+	}
 }
 
 func TestNBIoTOutsideUnitIntervalRejected(t *testing.T) {
 	for _, v := range []string{"1.7", "-0.5", "NaN"} {
-		path := filepath.Join(t.TempDir(), "s.csv")
-		cmd := exec.Command(os.Args[0], "-native", "20", "-roaming", "20", "-nbiot", v, "-out", path)
-		cmd.Env = append(os.Environ(), runEnv+"=1")
-		out, _ := cmd.CombinedOutput()
-		if code := cmd.ProcessState.ExitCode(); code != 2 || strings.Contains(string(out), "goroutine") {
-			t.Errorf("-nbiot %s: exit status %d, want 2 without a stack trace; output:\n%s", v, code, out)
-		}
-		if _, err := os.Stat(path); !os.IsNotExist(err) {
-			t.Errorf("-nbiot %s left %s behind (stat: %v)", v, path, err)
-		}
+		rejects(t, "-native", "20", "-roaming", "20", "-nbiot", v)
+	}
+}
+
+func TestRejectsBadConfigBeforeCreatingOutput(t *testing.T) {
+	for _, bad := range [][]string{{"-days", "0"}, {"-native", "-5"}, {"-roaming", "-1"}, {"stray"}} {
+		rejects(t, bad...)
+	}
+}
+
+// TestUnwritableOutputLeavesNothing: a missing -out directory fails the
+// run with exit status 1, and nothing is left beside it.
+func TestUnwritableOutputLeavesNothing(t *testing.T) {
+	dir := t.TempDir()
+	err := run([]string{"-native", "20", "-roaming", "20", "-out", filepath.Join(dir, "nodir", "s.csv")}, io.Discard)
+	if cli.ExitCode(err) != 1 {
+		t.Fatalf("run = %v, want a failure with exit status 1", err)
+	}
+	if es, _ := os.ReadDir(dir); len(es) != 0 {
+		t.Errorf("a failed run left %d entries behind", len(es))
 	}
 }

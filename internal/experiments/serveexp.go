@@ -38,7 +38,7 @@ func runFedServe(s *Session) *Report {
 	if dir == "" {
 		// The session was not configured to archive; build the same
 		// federation into a scratch archive so the runner is
-		// self-contained (fedsim -experiment fed-serve without
+		// self-contained (roamrepro -experiment fed-serve without
 		// -archive still works).
 		td, err := os.MkdirTemp("", "whereroam-fedserve-")
 		if err != nil {

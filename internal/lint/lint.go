@@ -92,8 +92,9 @@ var ScopeExemptions = map[string]string{
 // StrictGodocPackages lists the import-path prefixes whose exported
 // API must be fully documented (the strict half of the documentation
 // contract). This is the doclint_test.go strict set plus the
-// pipeline-facing internal/ingest.
+// pipeline-facing internal/ingest and the command scaffold internal/cli.
 var StrictGodocPackages = []string{
+	ModulePath + "/internal/cli",
 	ModulePath + "/internal/ingest",
 	ModulePath + "/internal/pipeline",
 	ModulePath + "/internal/probe",

@@ -1,20 +1,44 @@
 package obs
 
 import (
+	"fmt"
+	"log/slog"
 	"runtime"
 	"sync/atomic"
 	"time"
 )
 
-// StartHeapWatch begins sampling the live heap and returns a stop
+// HeapBudget is a command's -max-heap-mib assertion, used as
+//
+//	defer obs.HeapBudget(maxMiB)(&err)
+//
+// With maxMiB > 0 it starts a heap watch and returns the check that
+// stops it: the check logs the peak heap growth and, when it exceeded
+// maxMiB MiB and *err is nil, sets *err. With maxMiB <= 0 the check
+// does nothing.
+func HeapBudget(maxMiB int64) (check func(err *error)) {
+	if maxMiB <= 0 {
+		return func(*error) {}
+	}
+	stop := startHeapWatch()
+	return func(err *error) {
+		peak := stop() >> 20
+		if peak <= maxMiB {
+			slog.Info("heap peak within budget", "peak_mib", peak, "budget_mib", maxMiB)
+		} else if *err == nil {
+			*err = fmt.Errorf("heap peak %d MiB exceeds budget %d MiB", peak, maxMiB)
+		}
+	}
+}
+
+// startHeapWatch begins sampling the live heap and returns a stop
 // function that ends the sampling and reports the peak heap growth in
 // bytes: the maximum HeapAlloc sample observed since the call, minus a
 // pre-call baseline taken after a forced GC. A millisecond sampler
 // undershoots very short spikes, but the structures the heap budgets
 // care about — materialized populations versus bounded stream windows
-// — live for most of a run. The sim CLIs use it to self-assert their
-// -max-heap-mib budgets.
-func StartHeapWatch() func() int64 {
+// — live for most of a run.
+func startHeapWatch() func() int64 {
 	runtime.GC()
 	var base runtime.MemStats
 	runtime.ReadMemStats(&base)

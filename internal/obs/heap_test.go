@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"errors"
 	"runtime"
 	"testing"
 	"time"
@@ -15,7 +16,7 @@ func TestStartHeapWatch(t *testing.T) {
 	const retained, want = 33 << 20, 32 << 20
 	before := runtime.NumGoroutine()
 
-	stop := StartHeapWatch()
+	stop := startHeapWatch()
 	buf := make([]byte, retained)
 	time.Sleep(50 * time.Millisecond) // the sampler ticks every millisecond
 	peak := stop()
@@ -32,5 +33,42 @@ func TestStartHeapWatch(t *testing.T) {
 	}
 	if n := runtime.NumGoroutine(); n > before {
 		t.Errorf("%d goroutines after stop, %d before the watch: sampler leaked", n, before)
+	}
+}
+
+// TestHeapBudget pins the check's contract: over budget it sets a nil
+// *err, it never overwrites an earlier error, and a zero budget starts
+// no watch.
+func TestHeapBudget(t *testing.T) {
+	var err error
+	check := HeapBudget(1)
+	buf := make([]byte, 8<<20)
+	time.Sleep(20 * time.Millisecond)
+	check(&err)
+	runtime.KeepAlive(buf)
+	if err == nil {
+		t.Error("8 MiB retained under a 1 MiB budget passed the check")
+	}
+
+	earlier := errors.New("run failed")
+	err = earlier
+	check = HeapBudget(1)
+	buf = make([]byte, 8<<20)
+	time.Sleep(20 * time.Millisecond)
+	check(&err)
+	runtime.KeepAlive(buf)
+	if err != earlier {
+		t.Errorf("check replaced the run's error with %v", err)
+	}
+
+	before := runtime.NumGoroutine()
+	check = HeapBudget(0)
+	if n := runtime.NumGoroutine(); n != before {
+		t.Errorf("a zero budget started %d goroutines", n-before)
+	}
+	err = nil
+	check(&err)
+	if err != nil {
+		t.Errorf("a zero budget failed the run: %v", err)
 	}
 }
