@@ -57,7 +57,7 @@ func main() {
 	// signaling stream and as per-site §7 smart-meter datasets.
 	m2m := fed.FederationM2M()
 	fmt.Printf("\nfederated M2M plane: %d transactions from %d fleet devices\n",
-		len(m2m.Transactions), len(m2m.Truth))
+		m2m.Transactions(), m2m.Devices())
 	for _, site := range fed.FederationSMIP().Sites {
 		native := 0
 		for _, isNative := range site.Native {

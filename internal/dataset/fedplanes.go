@@ -25,6 +25,8 @@ import (
 // scheduled at that day (or its home network on home days), and
 // inter-site moves surface as the paper's cancel-location/attach
 // switch sequences.
+//
+//roamvet:deadcode-ok test oracle: the materialized plane the fold's per-device order and the fed.m2m digest are checked against
 type FederationM2M struct {
 	// Hosts mirrors the federation's visited-MNO list; Visited fields
 	// outside it are home-network transactions.
@@ -40,8 +42,9 @@ type FederationM2M struct {
 }
 
 // fedM2MDevice is one fleet member participating in the M2M plane,
-// with its plane-local RNG substream.
+// with its index in the fleet and its plane-local RNG substream.
 type fedM2MDevice struct {
+	fleet  int
 	member *fleetMember
 	src    *rng.Source
 }
@@ -57,18 +60,20 @@ func fedM2MPopulation(fed *FederationDataset) []fedM2MDevice {
 		if !m.dev.Class.IsM2M() {
 			continue
 		}
-		devs = append(devs, fedM2MDevice{member: m, src: m.src.Split("m2mplane")})
+		devs = append(devs, fedM2MDevice{fleet: i, member: m, src: m.src.Split("m2mplane")})
 	}
 	return devs
 }
 
 // emitFedM2MDevice walks one device's schedule and offers every
 // transaction to the tap in day order (stable time-sorted within each
-// day). The device attaches where the schedule first places it,
-// re-attaches through a switch sequence whenever the scheduled
-// network changes between consecutive days, and keeps a lognormal
-// per-day keepalive budget of update-location/authentication
-// procedures on whichever network the day's schedule names.
+// day). Every instant falls inside its own day, so the device's whole
+// capture is offered in time order. The device attaches where the
+// schedule first places it, re-attaches through a switch sequence
+// whenever the scheduled network changes between consecutive days,
+// and keeps a lognormal per-day keepalive budget of
+// update-location/authentication procedures on whichever network the
+// day's schedule names.
 func emitFedM2MDevice(tap *probe.Tap[signaling.Transaction], fed *FederationDataset, d fedM2MDevice, order *timeSorter) {
 	m, src := d.member, d.src
 	home := m.dev.Home
@@ -127,13 +132,18 @@ func emitFedM2MDevice(tap *probe.Tap[signaling.Transaction], fed *FederationData
 }
 
 // fedM2MWalk returns the plane's one per-device emission loop over
-// devs: a shard-local probe over the sink it is handed.
-func fedM2MWalk(fed *FederationDataset, devs []fedM2MDevice) func(pipeline.Shard, func(signaling.Transaction)) {
-	return func(sh pipeline.Shard, sink func(signaling.Transaction)) {
-		tap := probe.NewTap("fed-hmno-probe", fed.cfg.Seed, sink)
-		var order timeSorter
+// devs: a shard-local probe filling the scratch buffer that emit
+// receives per device. emitFedM2MDevice already offers in time order,
+// so the buffer needs no sort.
+func fedM2MWalk(fed *FederationDataset, devs []fedM2MDevice) deviceWalk[signaling.Transaction] {
+	return func(sh pipeline.Shard, emit func(int, []signaling.Transaction)) {
+		sc := txScratchPool.Get().(*txScratch)
+		defer txScratchPool.Put(sc)
+		tap := probe.NewTap("fed-hmno-probe", fed.cfg.Seed, sc.add)
 		for i := sh.Lo; i < sh.Hi; i++ {
-			emitFedM2MDevice(tap, fed, devs[i], &order)
+			sc.buf = sc.buf[:0]
+			emitFedM2MDevice(tap, fed, devs[i], &sc.order)
+			emit(i, sc.buf)
 		}
 	}
 }
@@ -142,6 +152,8 @@ func fedM2MWalk(fed *FederationDataset, devs []fedM2MDevice) func(pipeline.Shard
 // plane from an already-built federation dataset: the same shared
 // fleet, the same presence schedule, viewed as the §3/§6 signaling
 // stream, time-sorted. It is bit-identical at every worker count.
+//
+//roamvet:deadcode-ok test oracle: the materialized plane the fold's per-device order and the fed.m2m digest are checked against
 func GenerateFederationM2M(fed *FederationDataset) *FederationM2M {
 	devs := fedM2MPopulation(fed)
 	plane := &FederationM2M{
@@ -157,6 +169,20 @@ func GenerateFederationM2M(fed *FederationDataset) *FederationM2M {
 	// Stable: tied timestamps keep serial emission order.
 	sortByTime(new(timeSorter), plane.Transactions, transactionTime)
 	return plane
+}
+
+// FoldFederationM2M runs GenerateFederationM2M's emission walk without
+// materializing or globally sorting the plane: fold(i, txs) is called
+// once for every M2M fleet member, i indexing fed.Fleet, with the
+// device's transactions in time order — exactly its subsequence of
+// GenerateFederationM2M(fed).Transactions. Calls for distinct devices
+// run concurrently, so fold may write only state owned by i; txs is
+// valid only during the call.
+func FoldFederationM2M(fed *FederationDataset, fold func(i int, txs []signaling.Transaction)) {
+	devs := fedM2MPopulation(fed)
+	foldShards(len(devs), fed.cfg.Workers, fedM2MWalk(fed, devs), func(k int, txs []signaling.Transaction) {
+		fold(devs[k].fleet, txs)
+	})
 }
 
 // FederationSMIP is the federated §7 smart-meter plane: one

@@ -11,6 +11,7 @@ package dataset
 
 import (
 	"sort"
+	"sync"
 	"time"
 
 	"whereroam/internal/devices"
@@ -194,21 +195,41 @@ func newM2MWalk(cfg M2MConfig) *m2mWalk {
 
 // shard walks each device of one canonical shard through its
 // attach/switch schedule and the roaming machinery into a shard-local
-// platform-side probe over sink. Sampled captures thin per record by
-// identity hash, so they fan out over the same shard-local taps as
+// platform-side probe, and hands emit each device's capture in time
+// order: the probe fills the scratch buffer, which the scratch sorter
+// stable-sorts before emit sees it. Sampled captures thin per record
+// by identity hash, so they fan out over the same shard-local taps as
 // complete ones.
-func (w *m2mWalk) shard(sh pipeline.Shard, sink func(signaling.Transaction)) {
-	tap := newM2MTap(w.cfg, sink)
-	var order timeSorter
+func (w *m2mWalk) shard(sh pipeline.Shard, emit func(i int, txs []signaling.Transaction)) {
+	sc := txScratchPool.Get().(*txScratch)
+	defer txScratchPool.Put(sc)
+	tap := newM2MTap(w.cfg, sc.add)
 	for i := sh.Lo; i < sh.Hi; i++ {
 		src := w.drafts[i].src
 		spec := w.specs[w.drafts[i].spec]
 		roaming := src.Bool(spec.roamShare)
 		prof := devices.NewPlatformIoT(src.Split("profile"), roaming, w.cfg.Days)
 		w.truths[i] = M2MDeviceTruth{Home: spec.plmn, Roaming: roaming, FailOnly: prof.FailOnly, Profile: prof}
-		emitPlatformDevice(tap, w.world, src, w.cfg, spec, w.devIDs[i], prof, &order)
+		sc.buf = sc.buf[:0]
+		emitPlatformDevice(tap, w.world, src, w.cfg, spec, w.devIDs[i], prof, &sc.order)
+		sortByTime(&sc.order, sc.buf, transactionTime)
+		emit(i, sc.buf)
 	}
 }
+
+// txScratch is a signaling walk's per-device capture buffer and sort
+// scratch. Shards borrow one from txScratchPool for their run, so the
+// buffer grows to a heavy device's capture about once per worker
+// instead of once per shard.
+type txScratch struct {
+	buf   []signaling.Transaction
+	order timeSorter
+}
+
+var txScratchPool = sync.Pool{New: func() any { return new(txScratch) }}
+
+// add is the probe sink that fills the buffer.
+func (sc *txScratch) add(tx signaling.Transaction) { sc.buf = append(sc.buf, tx) }
 
 // txSampleKey is the per-record identity a thinning platform probe
 // hashes its sampling verdict from. It folds in every field that
@@ -237,7 +258,10 @@ func newM2MTap(cfg M2MConfig, sink func(signaling.Transaction)) *probe.Tap[signa
 // GenerateM2M synthesizes the platform dataset: it builds the world,
 // draws the device population, walks each device's attach/switch
 // schedule through the roaming machinery and captures the resulting
-// transactions with a platform-side probe, time-sorted.
+// transactions with a platform-side probe, time-sorted. The sort is
+// stable over the shard-ordered capture, so ties keep serial emission
+// order and each device's subsequence is exactly the time-ordered
+// slice FoldM2M hands that device.
 func GenerateM2M(cfg M2MConfig) *M2MDataset {
 	w := newM2MWalk(cfg)
 	txs := collectShards(cfg.Devices, cfg.Workers, w.shard)
@@ -256,10 +280,28 @@ func GenerateM2M(cfg M2MConfig) *M2MDataset {
 	return ds
 }
 
+// FoldM2M runs GenerateM2M's emission walk without materializing or
+// globally sorting the capture: fold(i, truth, txs) is called once for
+// every device i in [0, cfg.Devices) with the device's ground truth
+// and its captured transactions in time order — exactly its
+// subsequence of GenerateM2M(cfg).Transactions (empty when the device
+// captured nothing). Calls for distinct devices run concurrently, so
+// fold may write only state owned by i; txs is valid only during the
+// call.
+func FoldM2M(cfg M2MConfig, fold func(i int, truth M2MDeviceTruth, txs []signaling.Transaction)) {
+	w := newM2MWalk(cfg)
+	foldShards(cfg.Devices, cfg.Workers, w.shard, func(i int, txs []signaling.Transaction) {
+		fold(i, w.truths[i], txs)
+	})
+}
+
 func transactionTime(tx *signaling.Transaction) time.Time { return tx.Time }
 
 // emitPlatformDevice walks one device's schedule and offers every
-// transaction to the probe. order is the shard's sort scratch.
+// transaction to the probe. It does not offer them in time order: the
+// switch instants are sorted and every switch chain goes first, then
+// the keepalives at random instants — m2mWalk.shard time-sorts the
+// device's capture afterwards. order is the shard's sort scratch.
 func emitPlatformDevice(tap *probe.Tap[signaling.Transaction], world *netsim.World,
 	src *rng.Source, cfg M2MConfig, spec hmnoSpec, dev identity.DeviceID, prof devices.PlatformProfile, order *timeSorter) {
 

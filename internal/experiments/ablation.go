@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"math"
+	"slices"
 
 	"whereroam/internal/analysis"
 	"whereroam/internal/core"
@@ -10,6 +11,7 @@ import (
 	"whereroam/internal/mccmnc"
 	"whereroam/internal/netsim"
 	"whereroam/internal/rng"
+	"whereroam/internal/signaling"
 )
 
 func init() {
@@ -141,14 +143,17 @@ func runAblationPolicy(s *Session) *Report {
 		cfg.Seed = s.Seed
 		cfg.Devices = s.scaled(3000)
 		cfg.Policy = pol
-		ds := dataset.GenerateM2M(cfg)
+		cfg.Workers = s.Workers
+		perDev := make([][]vmnoLoad, cfg.Devices)
+		dataset.FoldM2M(cfg, func(i int, _ dataset.M2MDeviceTruth, txs []signaling.Transaction) {
+			perDev[i] = roamingLoad(txs)
+		})
 		load := map[mccmnc.PLMN]int{}
 		total := 0
-		for i := range ds.Transactions {
-			tx := &ds.Transactions[i]
-			if tx.Roaming() {
-				load[tx.Visited]++
-				total++
+		for _, dev := range perDev {
+			for _, l := range dev {
+				load[l.vmno] += l.n
+				total += l.n
 			}
 		}
 		top := 0
@@ -167,4 +172,34 @@ func runAblationPolicy(s *Session) *Report {
 	}
 	r.Tables = append(r.Tables, tbl)
 	return r
+}
+
+// vmnoLoad is one device's roaming transactions on one visited network.
+type vmnoLoad struct {
+	vmno mccmnc.PLMN
+	n    int
+}
+
+// roamingLoad folds one device's capture into its roaming load per
+// visited network: nil for a device that never roamed, otherwise one
+// exactly sized slice.
+func roamingLoad(txs []signaling.Transaction) []vmnoLoad {
+	// Stack scratch sized past the most networks a profile draws (19).
+	var buf [20]vmnoLoad
+	loads := buf[:0]
+	for k := range txs {
+		tx := &txs[k]
+		if !tx.Roaming() {
+			continue
+		}
+		if v := slices.IndexFunc(loads, func(l vmnoLoad) bool { return l.vmno == tx.Visited }); v >= 0 {
+			loads[v].n++
+		} else {
+			loads = append(loads, vmnoLoad{vmno: tx.Visited, n: 1})
+		}
+	}
+	if len(loads) == 0 {
+		return nil
+	}
+	return slices.Clone(loads)
 }

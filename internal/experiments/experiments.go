@@ -15,7 +15,6 @@ import (
 
 	"whereroam/internal/analysis"
 	"whereroam/internal/dataset"
-	"whereroam/internal/identity"
 	"whereroam/internal/mccmnc"
 )
 
@@ -112,13 +111,12 @@ type Federation struct {
 	ArchiveSegmentRecords int
 
 	mu      sync.Mutex
-	m2m     *dataset.M2MDataset
+	m2m     *M2MView
 	mno     *dataset.MNODataset
 	mnoView *mnoView
-	m2mAgg  map[identity.DeviceID]*m2mDeviceAgg
 	smip    *dataset.SMIPDataset
 	fed     *dataset.FederationDataset
-	fedM2M  *dataset.FederationM2M
+	fedM2M  *FederationM2MView
 	fedSMIP *dataset.FederationSMIP
 	sites   []*Site
 }
@@ -176,8 +174,12 @@ func (s *Federation) withArchiveDir(dir string) *Federation {
 	}
 }
 
-// M2M lazily builds the platform dataset.
-func (s *Session) M2M() *dataset.M2MDataset {
+// M2M lazily folds the platform plane (dataset.FoldM2M) into the
+// session's per-device aggregates. Each device's transactions reach
+// the fold in time order — exactly its subsequence of the globally
+// sorted dataset.GenerateM2M capture, the order the switch count
+// needs — and the session holds none of them.
+func (s *Session) M2M() *M2MView {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.m2m == nil {
@@ -185,7 +187,7 @@ func (s *Session) M2M() *dataset.M2MDataset {
 		cfg.Seed = s.Seed
 		cfg.Devices = s.scaled(cfg.Devices)
 		cfg.Workers = s.Workers
-		s.m2m = dataset.GenerateM2M(cfg)
+		s.m2m = newM2MView(cfg)
 	}
 	return s.m2m
 }

@@ -120,6 +120,7 @@ func runExtNBIoT(s *Session) *Report {
 		cfg.NativeMeters = 0
 		cfg.RoamingMeters = s.scaled(6000)
 		cfg.NBIoTMigration = migration
+		cfg.Workers = s.Workers
 		ds := dataset.GenerateSMIP(cfg)
 
 		// RAT-only detection: flag every device with NB-IoT activity.
@@ -171,12 +172,12 @@ func runExtLatency(s *Session) *Report {
 	// One sample per roaming device: its home network and the visited
 	// network it last attached to (a.last, the network of its latest
 	// non-CancelLocation transaction) — not its most-used one.
-	aggs := s.m2mAggs()
+	aggs := s.M2M().aggs
 	var hr, policy []float64
 	worstHR := 0.0
 	var worstPair string
-	//roamvet:maporder-ok hr/policy samples feed analysis.NewECDF which sorts them (multisets are visit-order-invariant); the worst-pair argmax tie-breaks lexicographically
-	for _, a := range aggs {
+	for i := range aggs {
+		a := &aggs[i]
 		if !a.roaming || a.last.IsZero() {
 			continue
 		}
@@ -187,8 +188,7 @@ func runExtLatency(s *Session) *Report {
 		policy = append(policy, p)
 		// Tie-break equal RTTs on the pair name: distinct pairs tie
 		// on RTT routinely (the latency model is distance-bucketed),
-		// and without the tie-break the reported pair would follow
-		// the map visit order of this loop.
+		// and the reported pair must not depend on visit order.
 		pair := fmt.Sprintf("%s -> %s", a.home, visited)
 		if h > worstHR || (h == worstHR && worstPair != "" && pair < worstPair) {
 			worstHR = h

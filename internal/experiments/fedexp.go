@@ -74,15 +74,17 @@ func (s *Federation) FederationData() *dataset.FederationDataset {
 	return s.fed
 }
 
-// FederationM2M lazily builds the federated §3/§6 transaction plane:
-// the signaling stream the shared fleet's M2M devices generate across
-// every site, consistent with the presence schedule.
-func (s *Federation) FederationM2M() *dataset.FederationM2M {
+// FederationM2M lazily folds the federated §3/§6 transaction plane —
+// the signaling the shared fleet's M2M devices generate across every
+// site (dataset.FoldFederationM2M) — into per-device counts, each
+// transaction checked against the presence schedule as it passes. The
+// session holds none of the transactions.
+func (s *Federation) FederationM2M() *FederationM2MView {
 	fed := s.FederationData()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.fedM2M == nil {
-		s.fedM2M = dataset.GenerateFederationM2M(fed)
+		s.fedM2M = newFederationM2MView(fed)
 	}
 	return s.fedM2M
 }

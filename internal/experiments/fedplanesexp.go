@@ -2,8 +2,10 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 
 	"whereroam/internal/analysis"
+	"whereroam/internal/dataset"
 	"whereroam/internal/identity"
 	"whereroam/internal/mccmnc"
 	"whereroam/internal/signaling"
@@ -81,8 +83,92 @@ func runFedSMIP(s *Session) *Report {
 	return r
 }
 
+// FederationM2MView is what a session keeps of the federated M2M plane
+// (§3/§6): per-device transaction counts, every transaction already
+// checked against the shared presence schedule. It never holds the
+// transactions themselves.
+type FederationM2MView struct {
+	// hosts mirrors the federation's visited-MNO list.
+	hosts []mccmnc.PLMN
+	// devs holds one entry per fleet device, in fleet order; members
+	// outside the M2M plane stay zero.
+	devs []fedM2MCounts
+	// siteTx[i*len(hosts)+j] counts fleet device i's transactions on
+	// hosts[j].
+	siteTx []int
+}
+
+// fedM2MCounts is one fleet device's fold of the federated M2M plane.
+type fedM2MCounts struct {
+	total, roamTx int
+	// switches counts cancel-location legs, one per inter-network move.
+	switches int
+	// checked counts the other transactions; consistent, those on the
+	// network the shared schedule names for their day.
+	checked, consistent int
+}
+
+// newFederationM2MView folds fed's M2M plane per device; each device's
+// fold writes only its own slots.
+func newFederationM2MView(fed *dataset.FederationDataset) *FederationM2MView {
+	nh := len(fed.Hosts)
+	v := &FederationM2MView{
+		hosts:  fed.Hosts,
+		devs:   make([]fedM2MCounts, len(fed.Fleet)),
+		siteTx: make([]int, len(fed.Fleet)*nh),
+	}
+	dataset.FoldFederationM2M(fed, func(i int, txs []signaling.Transaction) {
+		c := &v.devs[i]
+		c.total = len(txs)
+		site := v.siteTx[i*nh : (i+1)*nh]
+		for k := range txs {
+			tx := &txs[k]
+			if j := slices.Index(fed.Hosts, tx.Visited); j >= 0 {
+				site[j]++
+			}
+			if tx.Roaming() {
+				c.roamTx++
+			}
+			if tx.Procedure == signaling.ProcCancelLocation {
+				c.switches++
+				continue // cancels aim at the previous day's network by design
+			}
+			day := int(tx.Time.Sub(fed.Start).Hours() / 24)
+			want := fed.Fleet[i].Home
+			if sidx := fed.ScheduledSite(i, day); sidx >= 0 {
+				want = fed.Hosts[sidx]
+			}
+			c.checked++
+			if tx.Visited == want {
+				c.consistent++
+			}
+		}
+	})
+	return v
+}
+
+// Transactions returns the number of transactions in the plane.
+func (v *FederationM2MView) Transactions() int {
+	n := 0
+	for i := range v.devs {
+		n += v.devs[i].total
+	}
+	return n
+}
+
+// Devices returns the number of fleet devices with at least one
+// transaction in the plane.
+func (v *FederationM2MView) Devices() int {
+	n := 0
+	for i := range v.devs {
+		if v.devs[i].total > 0 {
+			n++
+		}
+	}
+	return n
+}
+
 func runFedM2M(s *Session) *Report {
-	fed := s.FederationData()
 	plane := s.FederationM2M()
 	r := &Report{
 		ID:    "fed-m2m",
@@ -90,49 +176,25 @@ func runFedM2M(s *Session) *Report {
 		Paper: "§3/§6: the platform-side signaling stream is a view of the same fleet the catalogs see — a device transacts only on the network the shared schedule puts it on, and inter-site moves surface as cancel-location/attach switch chains",
 	}
 
-	idx := make(map[identity.DeviceID]int, len(fed.Fleet))
-	for i := range fed.Fleet {
-		idx[fed.Fleet[i].ID] = i
-	}
-	siteIdx := map[mccmnc.PLMN]int{}
-	for j, h := range plane.Hosts {
-		siteIdx[h] = j
-	}
-
-	perSite := make([]int, len(plane.Hosts))
-	homeTx, roamTx, switches := 0, 0, 0
+	nh := len(plane.hosts)
+	perSite := make([]int, nh)
+	roamTx, switches := 0, 0
 	consistent, checked := 0, 0
-	devices := map[identity.DeviceID]bool{}
-	for i := range plane.Transactions {
-		tx := &plane.Transactions[i]
-		devices[tx.Device] = true
-		if j, ok := siteIdx[tx.Visited]; ok {
-			perSite[j]++
+	for i := range plane.devs {
+		c := &plane.devs[i]
+		for j, n := range plane.siteTx[i*nh : (i+1)*nh] {
+			perSite[j] += n
 		}
-		if tx.Roaming() {
-			roamTx++
-		} else {
-			homeTx++
-		}
-		if tx.Procedure == signaling.ProcCancelLocation {
-			switches++
-			continue // cancels aim at the previous day's network by design
-		}
-		day := int(tx.Time.Sub(plane.Start).Hours() / 24)
-		fi := idx[tx.Device]
-		want := fed.Fleet[fi].Home
-		if sidx := fed.ScheduledSite(fi, day); sidx >= 0 {
-			want = fed.Hosts[sidx]
-		}
-		checked++
-		if tx.Visited == want {
-			consistent++
-		}
+		roamTx += c.roamTx
+		switches += c.switches
+		checked += c.checked
+		consistent += c.consistent
 	}
+	n, devices := plane.Transactions(), plane.Devices()
+	homeTx := n - roamTx
 
-	n := len(plane.Transactions)
 	tbl := analysis.NewTable("network", "transactions", "share")
-	for j, h := range plane.Hosts {
+	for j, h := range plane.hosts {
 		tbl.AddRow(siteName(h), perSite[j], analysis.Pct(float64(perSite[j])/float64(max(n, 1))))
 		r.setValue("site_"+h.Concat()+"_tx_share", float64(perSite[j])/float64(max(n, 1)))
 	}
@@ -140,10 +202,10 @@ func runFedM2M(s *Session) *Report {
 	r.Tables = append(r.Tables, tbl)
 
 	r.setValue("m2m_transactions", float64(n))
-	r.setValue("m2m_devices", float64(len(devices)))
+	r.setValue("m2m_devices", float64(devices))
 	r.setValue("roaming_tx_share", float64(roamTx)/float64(max(n, 1)))
-	if len(devices) > 0 {
-		r.setValue("switches_per_device", float64(switches)/float64(len(devices)))
+	if devices > 0 {
+		r.setValue("switches_per_device", float64(switches)/float64(devices))
 	}
 	if checked > 0 {
 		r.setValue("schedule_consistency", float64(consistent)/float64(checked))

@@ -1,7 +1,9 @@
 package experiments
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"whereroam/internal/analysis"
@@ -19,62 +21,76 @@ func init() {
 	register("fig3r", "Inter-VMNO switches per device", runFig3Right)
 }
 
+// M2MView is what a session keeps of the platform plane (§3): the
+// observation window and one aggregate per device that captured at
+// least one transaction, in ascending device-ID order (the pinned
+// order for sweeps whose output depends on visit order — crosstab
+// insertion, for one). It never holds the transactions themselves.
+type M2MView struct {
+	// Days is the observation window in days.
+	Days int
+	aggs []m2mDeviceAgg
+}
+
 // m2mDeviceAgg is the per-device aggregate the §3 analyses share.
 type m2mDeviceAgg struct {
-	home      mccmnc.PLMN
-	roaming   bool
-	total     int
-	okCount   int
-	visited   map[mccmnc.PLMN]bool
-	countries map[string]bool
-	switches  int
-	last      mccmnc.PLMN
-	primary   string // ISO of the most-used visited country
-	useCount  map[string]int
+	id      identity.DeviceID
+	home    mccmnc.PLMN
+	roaming bool
+	total   int
+	okCount int
+	// roamTx counts the transactions on a network other than the
+	// SIM's home network.
+	roamTx int
+	// visited lists the distinct visited networks in first-use order.
+	visited  []mccmnc.PLMN
+	switches int
+	last     mccmnc.PLMN
+	primary  string // ISO of the most-used visited country
 }
 
-// m2mAggs returns the session's per-device M2M aggregate, built on
-// first use under s.mu like view(). The runners over it only read it.
-func (s *Session) m2mAggs() map[identity.DeviceID]*m2mDeviceAgg {
-	ds := s.M2M()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.m2mAgg == nil {
-		s.m2mAgg = aggregateM2M(ds)
-	}
-	return s.m2mAgg
-}
-
-// aggregateM2M walks the time-sorted transaction stream once and
-// produces per-device aggregates.
-func aggregateM2M(ds *dataset.M2MDataset) map[identity.DeviceID]*m2mDeviceAgg {
-	aggs := make(map[identity.DeviceID]*m2mDeviceAgg, len(ds.Truth))
-	for i := range ds.Transactions {
-		tx := &ds.Transactions[i]
-		a := aggs[tx.Device]
-		if a == nil {
-			truth := ds.Truth[tx.Device]
-			a = &m2mDeviceAgg{
-				home:      truth.Home,
-				roaming:   truth.Roaming,
-				visited:   map[mccmnc.PLMN]bool{},
-				countries: map[string]bool{},
-				useCount:  map[string]int{},
-			}
-			aggs[tx.Device] = a
+// newM2MView folds the platform plane cfg describes into the
+// per-device aggregates. Each device's fold writes only its own slot;
+// the slots are compacted and ordered afterwards.
+func newM2MView(cfg dataset.M2MConfig) *M2MView {
+	aggs := make([]m2mDeviceAgg, cfg.Devices)
+	dataset.FoldM2M(cfg, func(i int, truth dataset.M2MDeviceTruth, txs []signaling.Transaction) {
+		if len(txs) > 0 {
+			aggs[i] = aggregateDevice(truth, txs)
 		}
-		a.total++
+	})
+	aggs = slices.DeleteFunc(aggs, func(a m2mDeviceAgg) bool { return a.total == 0 })
+	slices.SortStableFunc(aggs, func(a, b m2mDeviceAgg) int { return cmp.Compare(a.id, b.id) })
+	return &M2MView{Days: cfg.Days, aggs: aggs}
+}
+
+// aggregateDevice folds one device's non-empty, time-ordered capture.
+func aggregateDevice(truth dataset.M2MDeviceTruth, txs []signaling.Transaction) m2mDeviceAgg {
+	a := m2mDeviceAgg{id: txs[0].Device, home: truth.Home, roaming: truth.Roaming, total: len(txs)}
+	// Stack scratch sized past the most networks a profile draws (19):
+	// one heap slice per device, the clone of visited.
+	var visitedBuf [20]mccmnc.PLMN
+	var usesBuf [20]int
+	visited, uses := visitedBuf[:0], usesBuf[:0]
+	for k := range txs {
+		tx := &txs[k]
 		if tx.Result.OK() {
 			a.okCount++
 		}
-		a.visited[tx.Visited] = true
-		iso := mccmnc.ISOByMCC(tx.Visited.MCC)
-		a.countries[iso] = true
-		a.useCount[iso]++
+		if tx.Roaming() {
+			a.roamTx++
+		}
+		v := slices.Index(visited, tx.Visited)
+		if v < 0 {
+			v = len(visited)
+			visited = append(visited, tx.Visited)
+			uses = append(uses, 0)
+		}
+		uses[v]++
 		// Switch counting: CancelLocation marks the departure from a
-		// VMNO; counting visited-network changes across the ordered
-		// stream measures the same thing the paper reads from its
-		// traces.
+		// VMNO; counting visited-network changes across the device's
+		// time-ordered capture measures the same thing the paper reads
+		// from its traces.
 		if tx.Procedure != signaling.ProcCancelLocation {
 			if !a.last.IsZero() && tx.Visited != a.last {
 				a.switches++
@@ -82,30 +98,32 @@ func aggregateM2M(ds *dataset.M2MDataset) map[identity.DeviceID]*m2mDeviceAgg {
 			a.last = tx.Visited
 		}
 	}
-	//roamvet:maporder-ok each iteration writes only the ranged entry's own primary field; entries are visited exactly once
-	for _, a := range aggs {
-		best, bestN := "", -1
-		//roamvet:maporder-ok argmax with a lexicographic tie-break ((n, -iso) is a total order), so the winner is visit-order-independent
-		for iso, n := range a.useCount {
-			if n > bestN || (n == bestN && iso < best) {
-				best, bestN = iso, n
+	a.visited = slices.Clone(visited)
+
+	// The primary country is the most-used one, ties broken towards
+	// the lexicographically first ISO; each country is summed at its
+	// first network.
+	var isoBuf [20]string
+	isos := isoBuf[:0]
+	for _, p := range visited {
+		isos = append(isos, mccmnc.ISOByMCC(p.MCC))
+	}
+	bestN := -1
+	for v, iso := range isos {
+		if slices.Index(isos, iso) < v {
+			continue
+		}
+		n := 0
+		for w := v; w < len(isos); w++ {
+			if isos[w] == iso {
+				n += uses[w]
 			}
 		}
-		a.primary = best
+		if n > bestN || (n == bestN && iso < a.primary) {
+			a.primary, bestN = iso, n
+		}
 	}
-	return aggs
-}
-
-// sortedAggDevices returns the aggregate map's device keys in
-// ascending ID order — the pinned iteration order for sweeps whose
-// output depends on visit order (crosstab insertion, for one).
-func sortedAggDevices(aggs map[identity.DeviceID]*m2mDeviceAgg) []identity.DeviceID {
-	devs := make([]identity.DeviceID, 0, len(aggs))
-	for dev := range aggs {
-		devs = append(devs, dev)
-	}
-	sort.Slice(devs, func(i, j int) bool { return devs[i] < devs[j] })
-	return devs
+	return a
 }
 
 var hmnoNames = map[mccmnc.PLMN]string{
@@ -116,8 +134,7 @@ var hmnoNames = map[mccmnc.PLMN]string{
 }
 
 func runT1(s *Session) *Report {
-	ds := s.M2M()
-	aggs := s.m2mAggs()
+	aggs := s.M2M().aggs
 	r := &Report{
 		ID:    "t1",
 		Title: "HMNO shares and platform footprint",
@@ -132,8 +149,8 @@ func runT1(s *Session) *Report {
 		vmnos     map[mccmnc.PLMN]bool
 	}
 	stats := map[string]*hmnoStat{}
-	//roamvet:maporder-ok per-HMNO fold of commutative effects only: integer adds and idempotent set-inserts, plus a first-visit ensure-exists — no counter depends on visit order
-	for _, a := range aggs {
+	for i := range aggs {
+		a := &aggs[i]
 		name := hmnoNames[a.home]
 		st := stats[name]
 		if st == nil {
@@ -142,10 +159,9 @@ func runT1(s *Session) *Report {
 		}
 		st.devices++
 		st.signaling += a.total
-		for c := range a.countries {
-			st.countries[c] = true
-		}
-		for v := range a.visited {
+		st.roamTx += a.roamTx
+		for _, v := range a.visited {
+			st.countries[mccmnc.ISOByMCC(v.MCC)] = true
 			st.vmnos[v] = true
 		}
 	}
@@ -153,17 +169,6 @@ func runT1(s *Session) *Report {
 	for _, st := range stats {
 		totalDevices += st.devices
 		totalSignaling += st.signaling
-	}
-	// ES roaming-signaling share.
-	esRoamTx, esTx := 0, 0
-	for i := range ds.Transactions {
-		tx := &ds.Transactions[i]
-		if hmnoNames[tx.SIM] == "ES" {
-			esTx++
-			if tx.Roaming() {
-				esRoamTx++
-			}
-		}
 	}
 
 	tbl := analysis.NewTable("HMNO", "devices", "share", "countries", "VMNOs", "signaling share")
@@ -180,26 +185,27 @@ func runT1(s *Session) *Report {
 		r.setValue(name+"_vmnos", float64(len(st.vmnos)))
 		r.setValue(name+"_signaling_share", sigShare)
 	}
-	r.setValue("es_roaming_signaling_share", float64(esRoamTx)/float64(esTx))
+	// ES roaming-signaling share: every platform transaction carries
+	// its device's home network as the SIM.
+	if es := stats["ES"]; es != nil {
+		r.setValue("es_roaming_signaling_share", float64(es.roamTx)/float64(es.signaling))
+	}
 	r.Tables = append(r.Tables, tbl)
 	return r
 }
 
 func runFig2(s *Session) *Report {
-	aggs := s.m2mAggs()
+	aggs := s.M2M().aggs
 	r := &Report{
 		ID:    "fig2",
 		Title: "Share of M2M devices per visited country per HMNO",
 		Paper: "ES devices spread over ~77 countries; MX/AR ~90% in their home country; DE spread across many European VMNOs",
 	}
 	// Crosstab rows and columns keep insertion order, so the Add
-	// sweep must visit devices in a pinned order — iterating the
-	// aggs map directly would make tied rows land in per-run order
-	// after the total sort (and columns in per-run order, full stop).
+	// sweep visits devices in the view's pinned device-ID order.
 	ct := analysis.NewCrosstab()
-	for _, dev := range sortedAggDevices(aggs) {
-		a := aggs[dev]
-		ct.Add(a.primary, hmnoNames[a.home], 1)
+	for i := range aggs {
+		ct.Add(aggs[i].primary, hmnoNames[aggs[i].home], 1)
 	}
 	ct.SortRowsByTotal()
 
@@ -240,15 +246,15 @@ func runFig2(s *Session) *Report {
 }
 
 func runFig3Left(s *Session) *Report {
-	aggs := s.m2mAggs()
+	aggs := s.M2M().aggs
 	r := &Report{
 		ID:    "fig3l",
 		Title: "CDF of signaling records per device",
 		Paper: "mean ≈267 records; 97% of devices < 2000; max ≈130k (flooders); roaming median ≈10× native median",
 	}
 	var all, ok4g, roaming, native []float64
-	//roamvet:maporder-ok every sample slice feeds analysis.NewECDF, which sorts its input — the collected multisets are visit-order-invariant
-	for _, a := range aggs {
+	for i := range aggs {
+		a := &aggs[i]
 		v := float64(a.total)
 		all = append(all, v)
 		if a.okCount > 0 {
@@ -283,7 +289,7 @@ func runFig3Left(s *Session) *Report {
 }
 
 func runFig3Center(s *Session) *Report {
-	aggs := s.m2mAggs()
+	aggs := s.M2M().aggs
 	r := &Report{
 		ID:    "fig3c",
 		Title: "Number of VMNOs used by roaming devices",
@@ -292,7 +298,8 @@ func runFig3Center(s *Session) *Report {
 	counts := map[int]int{}
 	roamers := 0
 	maxV := 0
-	for _, a := range aggs {
+	for i := range aggs {
+		a := &aggs[i]
 		if !a.roaming {
 			continue
 		}
@@ -327,16 +334,15 @@ func runFig3Center(s *Session) *Report {
 }
 
 func runFig3Right(s *Session) *Report {
-	ds := s.M2M()
-	aggs := s.m2mAggs()
+	view := s.M2M()
 	r := &Report{
 		ID:    "fig3r",
 		Title: "Inter-VMNO switches per device (devices with ≥2 VMNOs)",
 		Paper: "~50% switch at most twice over 11 days; 20% switch at least daily; ~3% switch 100–3000 times",
 	}
 	var switches []float64
-	//roamvet:maporder-ok the switch counts feed analysis.NewECDF, which sorts its input — the collected multiset is visit-order-invariant
-	for _, a := range aggs {
+	for i := range view.aggs {
+		a := &view.aggs[i]
 		if !a.roaming || len(a.visited) < 2 {
 			continue
 		}
@@ -344,12 +350,12 @@ func runFig3Right(s *Session) *Report {
 	}
 	e := analysis.NewECDF(switches)
 	tbl := analysis.NewTable("switches ≤", "share")
-	for _, p := range []float64{1, 2, 5, 10, float64(ds.Days), 50, 100, 1000, 3000} {
+	for _, p := range []float64{1, 2, 5, 10, float64(view.Days), 50, 100, 1000, 3000} {
 		tbl.AddRow(fmt.Sprintf("%.0f", p), analysis.Pct(e.At(p)))
 	}
 	r.Tables = append(r.Tables, tbl)
 	r.setValue("share_le2", e.At(2))
-	r.setValue("share_daily_plus", 1-e.At(float64(ds.Days)-1))
+	r.setValue("share_daily_plus", 1-e.At(float64(view.Days)-1))
 	r.setValue("share_100plus", 1-e.At(99))
 	r.setValue("max_switches", e.Max())
 	return r

@@ -68,14 +68,14 @@ func TestM2MRunnersShareOneAggregate(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	aggs := shared.m2mAggs()
+	view := shared.M2M()
 	for i, id := range ids {
 		r, _ := ByID(id)
 		if want := r.Run(NewSessionWorkers(1, 0.05, 2)).String(); got[i] != want {
 			t.Errorf("%s on a shared session differs from a fresh one:\n%s\nwant\n%s", id, got[i], want)
 		}
 	}
-	if again := shared.m2mAggs(); reflect.ValueOf(again).Pointer() != reflect.ValueOf(aggs).Pointer() {
+	if again := shared.M2M(); again != view {
 		t.Error("the session rebuilt its M2M aggregate")
 	}
 }
