@@ -250,11 +250,14 @@ func cmdCompact(args []string, stdout io.Writer) error {
 		minDay  = fs.Int("min-day", -1, "compact only records from this window day on")
 		maxDay  = fs.Int("max-day", -1, "compact only records up to this window day")
 		segRecs = fs.Int("segment", 0, "output records per segment (0 = store default)")
-		fanIn   = fs.Int("fanin", 0, "merge fan-in (0 = default; output is identical at any value)")
+		fanIn   = fs.Int("fanin", 0, "merge fan-in, 0 (the default) or at least 2; output is identical at any value")
 		plan    = fs.Bool("plan", false, "print the merge plan and exit without compacting")
 	)
 	if err := fs.Parse(args); err != nil {
 		return cli.Usagef("%w", err)
+	}
+	if *segRecs < 0 || *fanIn < 0 || *fanIn == 1 {
+		return cli.Usagef("compact: need -segment >= 0 and -fanin 0 or >= 2 (got %d, %d)", *segRecs, *fanIn)
 	}
 	q, err := dayQuery("compact", *minDay, *maxDay, 1<<31-1)
 	if err != nil {

@@ -78,6 +78,24 @@ func writeStore(t *testing.T) string {
 	return dir
 }
 
+// compact refuses a fan-in or segment size the store would otherwise
+// silently replace, before anything is created at -out.
+func TestCompactRejectsBadSizesBeforeCreatingTheStore(t *testing.T) {
+	dir := writeStore(t)
+	for _, bad := range []string{"-fanin=-3", "-fanin=1", "-segment=-1"} {
+		out := filepath.Join(t.TempDir(), "C")
+		_, code := roamstore("compact", "-out", out, bad, dir)
+		wantUsageError(t, []string{bad}, code)
+		if _, err := os.Stat(out); !os.IsNotExist(err) {
+			t.Errorf("compact %s left %s behind (stat: %v)", bad, out, err)
+		}
+	}
+	out := filepath.Join(t.TempDir(), "C")
+	if stdout, code := roamstore("compact", "-out", out, "-fanin=2", dir); code != 0 {
+		t.Fatalf("compact -fanin=2 exited %d:\n%s", code, stdout)
+	}
+}
+
 func TestRejectsIncompleteCommandLines(t *testing.T) {
 	dir := writeStore(t)
 	for _, args := range [][]string{

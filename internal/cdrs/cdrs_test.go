@@ -183,12 +183,20 @@ func TestBinaryOversizeRejected(t *testing.T) {
 	}
 }
 
+// decoderReads gives a Decoder the Read signature, dropping frames.
+type decoderReads struct{ *Decoder }
+
+func (d decoderReads) Read(rec *Record) error {
+	_, err := d.ReadFrame(rec)
+	return err
+}
+
 // bothDecoders opens the stream Reader and the byte-slice Decoder over
 // one wire image, for the tests that hold them to the same behaviour.
 func bothDecoders(wire []byte) map[string]interface{ Read(*Record) error } {
 	return map[string]interface{ Read(*Record) error }{
 		"Reader":  NewReader(bytes.NewReader(wire)),
-		"Decoder": NewDecoder(wire),
+		"Decoder": decoderReads{NewDecoder(wire)},
 	}
 }
 
@@ -249,7 +257,7 @@ func TestDecoderResetKeepsAPNTable(t *testing.T) {
 	d := NewDecoder(first)
 	var rec Record
 	for {
-		if err := d.Read(&rec); err == io.EOF {
+		if _, err := d.ReadFrame(&rec); err == io.EOF {
 			break
 		} else if err != nil {
 			t.Fatal(err)
@@ -260,7 +268,7 @@ func TestDecoderResetKeepsAPNTable(t *testing.T) {
 		d.Reset(second)
 		n = 0
 		for {
-			if err := d.Read(&rec); err == io.EOF {
+			if _, err := d.ReadFrame(&rec); err == io.EOF {
 				break
 			} else if err != nil {
 				t.Fatal(err)
@@ -301,7 +309,7 @@ func TestOversizeAPNBoundary(t *testing.T) {
 	// APN at 100 octets); one byte more is out of range.
 	wire := buf.Bytes()
 	var got Record
-	if err := NewDecoder(wire).Read(&got); err == nil || errors.Is(err, ErrOversize) || errors.Is(err, ErrTruncated) {
+	if _, err := NewDecoder(wire).ReadFrame(&got); err == nil || errors.Is(err, ErrOversize) || errors.Is(err, ErrTruncated) {
 		t.Fatalf("reading the %d-byte APN back = %v, want the apn.Parse rejection", maxWireAPN, err)
 	}
 	longer := append(append([]byte(nil), wire...), 'a')
@@ -344,7 +352,7 @@ func TestAPNTablesBounded(t *testing.T) {
 	d := NewDecoder(buf.Bytes())
 	for i := range recs {
 		var got Record
-		if err := d.Read(&got); err != nil {
+		if _, err := d.ReadFrame(&got); err != nil {
 			t.Fatalf("record %d: %v", i, err)
 		}
 		if got.APN != recs[i].APN {
@@ -359,18 +367,25 @@ func TestAPNTablesBounded(t *testing.T) {
 // wireClasses are the errors a caller can tell apart with errors.Is.
 var wireClasses = []error{io.EOF, io.ErrUnexpectedEOF, ErrBadMagic, ErrBadVersion, ErrTruncated, ErrOversize}
 
-// FuzzRecordStream feeds arbitrary bytes to both decoders: the
-// byte-slice Decoder and the stream Reader must yield the same records
-// and stop at the same record with the same error, never panic, and
-// never grow the APN table past its bound. It also cuts the input in
-// two streams: one Decoder moved across them with Reset must decode
-// each exactly as a fresh Decoder does — records, error classes and
-// the per-stream record index in the error.
+// FuzzRecordStream feeds arbitrary bytes to the stream Reader's Read
+// and the byte-slice Decoder's ReadFrame: both must yield the same
+// records and stop at the same record with the same error, never
+// panic, and never grow the APN tables past their bound. The returned
+// frames must be exactly the bytes consumed after the header, in
+// order; their peeks must agree with the decoded records; and each
+// frame must be canonical exactly when the Writer re-encodes its
+// record to the same bytes, in which case WriteFrame(frame) and
+// Write(&rec) emit the same stream. It also cuts the input in two
+// streams: one Decoder moved across them with Reset must decode each
+// exactly as a fresh Decoder does — records, error classes and the
+// per-stream record index in the error.
 func FuzzRecordStream(f *testing.F) {
 	withOI, withoutOI := sampleData(1), sampleData(2)
 	withoutOI.APN = apn.MustParse("payandgo.o2.co.uk")
+	mixedCase := sampleData(3)
+	mixedCase.APN = apn.APN{NetworkID: "Smart.METER"}
 	var seed bytes.Buffer
-	if err := WriteAll(&seed, []Record{sampleVoice(0), withOI, withoutOI}); err != nil {
+	if err := WriteAll(&seed, []Record{sampleVoice(0), withOI, withoutOI, mixedCase}); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(seed.Bytes())
@@ -379,30 +394,66 @@ func FuzzRecordStream(f *testing.F) {
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		dec, rd := NewDecoder(data), NewReader(bytes.NewReader(data))
+		rd, dec := NewReader(bytes.NewReader(data)), NewDecoder(data)
+		var frames, viaFrame, viaWrite bytes.Buffer
+		wFrame, wRec := NewWriter(&viaFrame), NewWriter(&viaWrite)
+		clean := false
 		for i := 0; ; i++ {
 			var a, b Record
-			errA, errB := dec.Read(&a), rd.Read(&b)
+			errA := rd.Read(&a)
+			frame, errB := dec.ReadFrame(&b)
 			if (errA == nil) != (errB == nil) {
-				t.Fatalf("record %d: Decoder error %v, Reader error %v", i, errA, errB)
+				t.Fatalf("record %d: Reader error %v, ReadFrame error %v", i, errA, errB)
 			}
 			if errA != nil {
 				for _, class := range wireClasses {
 					if errors.Is(errA, class) != errors.Is(errB, class) {
-						t.Fatalf("record %d: Decoder error %v and Reader error %v differ on %v", i, errA, errB, class)
+						t.Fatalf("record %d: Reader error %v and ReadFrame error %v differ on %v", i, errA, errB, class)
 					}
 				}
 				if errA.Error() != errB.Error() {
-					t.Fatalf("record %d: Decoder error %q, Reader error %q", i, errA, errB)
+					t.Fatalf("record %d: Reader error %q, ReadFrame error %q", i, errA, errB)
 				}
+				clean = errA == io.EOF
 				break
 			}
 			if a != b {
-				t.Fatalf("record %d: Decoder %+v, Reader %+v", i, a, b)
+				t.Fatalf("record %d: Reader %+v, ReadFrame %+v", i, a, b)
+			}
+			frames.Write(frame)
+			if FrameTime(frame) != b.Time.UnixNano() || FrameDevice(frame) != uint64(b.Device) || FrameVisited(frame) != b.Visited {
+				t.Fatalf("record %d: frame peeks (%d, %x, %v) disagree with %+v",
+					i, FrameTime(frame), FrameDevice(frame), FrameVisited(frame), b)
+			}
+			encoded, encErr := AppendFrame(nil, &b)
+			if canon := dec.Canonical(frame, &b); canon != (encErr == nil && bytes.Equal(frame, encoded)) {
+				t.Fatalf("record %d: Canonical = %v for frame %x, which re-encodes to %x (%v)", i, canon, frame, encoded, encErr)
+			} else if canon {
+				if err := wFrame.WriteFrame(frame); err != nil {
+					t.Fatal(err)
+				}
+				if err := wRec.Write(&b); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
-		if len(dec.apns) > apnTableMax || len(rd.apns) > apnTableMax {
-			t.Fatalf("APN tables grew to %d and %d, bound %d", len(dec.apns), len(rd.apns), apnTableMax)
+		if len(dec.apns) > apnTableMax || len(rd.apns) > apnTableMax || len(dec.canon) > apnTableMax {
+			t.Fatalf("APN tables grew to %d, %d and %d, bound %d", len(dec.apns), len(rd.apns), len(dec.canon), apnTableMax)
+		}
+		if frames.Len() > 0 && !bytes.HasPrefix(data[headerSize:], frames.Bytes()) {
+			t.Fatalf("frames %x are not the bytes after the header of %x", frames.Bytes(), data)
+		}
+		if clean && len(data) > 0 && headerSize+frames.Len() != len(data) {
+			t.Fatalf("clean end after %d frame bytes of a %d-byte stream", frames.Len(), len(data))
+		}
+		if err := wFrame.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if err := wRec.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(viaFrame.Bytes(), viaWrite.Bytes()) {
+			t.Fatalf("canonical frames written verbatim %x, re-encoded %x", viaFrame.Bytes(), viaWrite.Bytes())
 		}
 
 		cut := 0
@@ -415,7 +466,8 @@ func FuzzRecordStream(f *testing.F) {
 			reused.Reset(stream)
 			for i := 0; ; i++ {
 				var a, b Record
-				errA, errB := reused.Read(&a), fresh.Read(&b)
+				_, errA := reused.ReadFrame(&a)
+				_, errB := fresh.ReadFrame(&b)
 				if (errA == nil) != (errB == nil) || (errA != nil && errA.Error() != errB.Error()) {
 					t.Fatalf("stream %d record %d: reset Decoder error %v, fresh Decoder error %v", s, i, errA, errB)
 				}

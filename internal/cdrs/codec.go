@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"time"
 
 	"whereroam/internal/apn"
@@ -79,6 +80,14 @@ func (w *Writer) Write(r *Record) error {
 			}
 		}
 	}
+	return w.WriteFrame(appendFrame(w.buf[:0], r, apnStr))
+}
+
+// WriteFrame appends one frame — a length prefix and body as
+// [Decoder.ReadFrame] returns it or [AppendFrame] builds it — verbatim,
+// after the stream header if it is the first. The frame is not checked:
+// a caller copying frames between streams has already decoded them.
+func (w *Writer) WriteFrame(frame []byte) error {
 	if !w.header {
 		var h [headerSize]byte
 		copy(h[:], magic)
@@ -88,7 +97,33 @@ func (w *Writer) Write(r *Record) error {
 		}
 		w.header = true
 	}
-	b := w.buf[:2+bodySize+len(apnStr)]
+	if _, err := w.w.Write(frame); err != nil {
+		return fmt.Errorf("cdrs: writing record %d: %w", w.wrote, err)
+	}
+	w.wrote++
+	return nil
+}
+
+// AppendFrame appends to dst the frame [Writer.Write] emits for r —
+// length prefix and body, no stream header — and refuses, like Write,
+// a data record whose rendered APN no reader accepts.
+func AppendFrame(dst []byte, r *Record) ([]byte, error) {
+	apnStr := ""
+	if r.Kind == KindData {
+		apnStr = r.APN.String()
+		if len(apnStr) > maxWireAPN {
+			return dst, fmt.Errorf("%w: APN of %d bytes", ErrOversize, len(apnStr))
+		}
+	}
+	return appendFrame(dst, r, apnStr), nil
+}
+
+// appendFrame is the one frame encoder: r's fixed fields and apnStr as
+// its APN bytes, appended to dst.
+func appendFrame(dst []byte, r *Record, apnStr string) []byte {
+	n := len(dst)
+	dst = slices.Grow(dst, 2+bodySize+len(apnStr))[:n+2+bodySize+len(apnStr)]
+	b := dst[n:]
 	binary.BigEndian.PutUint16(b[0:2], uint16(bodySize+len(apnStr)))
 	binary.BigEndian.PutUint64(b[2:10], uint64(r.Device))
 	binary.BigEndian.PutUint64(b[10:18], uint64(r.Time.UnixNano()))
@@ -103,11 +138,18 @@ func (w *Writer) Write(r *Record) error {
 	binary.BigEndian.PutUint32(b[30:34], uint32(r.Duration/time.Millisecond))
 	binary.BigEndian.PutUint64(b[34:42], r.Bytes)
 	copy(b[42:], apnStr)
-	if _, err := w.w.Write(b); err != nil {
-		return fmt.Errorf("cdrs: writing record %d: %w", w.wrote, err)
-	}
-	w.wrote++
-	return nil
+	return dst
+}
+
+// FrameTime peeks a frame's event time in Unix nanoseconds.
+func FrameTime(frame []byte) int64 { return int64(binary.BigEndian.Uint64(frame[10:18])) }
+
+// FrameDevice peeks a frame's device hash.
+func FrameDevice(frame []byte) uint64 { return binary.BigEndian.Uint64(frame[2:10]) }
+
+// FrameVisited peeks a frame's visited network.
+func FrameVisited(frame []byte) mccmnc.PLMN {
+	return mccmnc.PLMN{MCC: binary.BigEndian.Uint16(frame[23:25]), MNC: binary.BigEndian.Uint16(frame[25:27]), MNCLen: frame[27]}
 }
 
 // Flush drains buffered records.
@@ -143,8 +185,9 @@ func checkHeader(h []byte) error {
 	return nil
 }
 
-// recordLen validates a record's length prefix.
-func recordLen(prefix []byte) (int, error) {
+// FrameLen validates a frame's 2-byte length prefix and returns the
+// length of the body that follows it.
+func FrameLen(prefix []byte) (int, error) {
 	n := int(binary.BigEndian.Uint16(prefix))
 	if n < bodySize || n > bodySize+maxWireAPN {
 		return 0, fmt.Errorf("%w: %d", ErrOversize, n)
@@ -214,7 +257,7 @@ func (rd *Reader) Read(rec *Record) error {
 		}
 		return ErrTruncated
 	}
-	n, err := recordLen(rd.lenBuf[:])
+	n, err := FrameLen(rd.lenBuf[:])
 	if err != nil {
 		return err
 	}
@@ -233,12 +276,16 @@ func (rd *Reader) Read(rec *Record) error {
 // same format, checks and errors as [Reader], without the copy
 // through a buffered reader. Decoded records do not alias the stream
 // (their strings are copies), so its buffer can be reused as soon as
-// the Decoder is done with.
+// the Decoder is done with; the frames [Decoder.ReadFrame] returns do
+// alias it.
 type Decoder struct {
 	b      []byte
 	read   int
 	header bool
 	apns   apnTable
+	// canon memoises Canonical per distinct APN wire string, allocated
+	// on first use and bounded like apns.
+	canon map[string]bool
 }
 
 // NewDecoder returns a Decoder over the whole stream b (header
@@ -251,46 +298,75 @@ func NewDecoder(b []byte) *Decoder { return &Decoder{b: b, apns: apnTable{}} }
 // stream. Record indexes in errors count from the start of b.
 func (d *Decoder) Reset(b []byte) { d.b, d.read, d.header = b, 0, false }
 
-// Read decodes the next record into rec; io.EOF marks a clean end.
-func (d *Decoder) Read(rec *Record) error {
+// ReadFrame decodes the next record into rec and returns its frame:
+// the length prefix and body, aliasing the stream. io.EOF marks a
+// clean end.
+func (d *Decoder) ReadFrame(rec *Record) ([]byte, error) {
 	if !d.header {
 		if len(d.b) == 0 {
-			return io.EOF
+			return nil, io.EOF
 		}
 		if len(d.b) < headerSize {
 			d.b = nil
-			return fmt.Errorf("cdrs: reading header: %w", io.ErrUnexpectedEOF)
+			return nil, fmt.Errorf("cdrs: reading header: %w", io.ErrUnexpectedEOF)
 		}
 		h := d.b[:headerSize]
 		d.b = d.b[headerSize:]
 		if err := checkHeader(h); err != nil {
-			return err
+			return nil, err
 		}
 		d.header = true
 	}
 	if len(d.b) == 0 {
-		return io.EOF
+		return nil, io.EOF
 	}
 	if len(d.b) < 2 {
 		d.b = nil
-		return ErrTruncated
+		return nil, ErrTruncated
 	}
-	n, err := recordLen(d.b[:2])
-	d.b = d.b[2:]
+	n, err := FrameLen(d.b[:2])
 	if err != nil {
-		return err
+		d.b = d.b[2:]
+		return nil, err
 	}
-	if len(d.b) < n {
+	if len(d.b) < 2+n {
 		d.b = nil
-		return ErrTruncated
+		return nil, ErrTruncated
 	}
-	b := d.b[:n]
-	d.b = d.b[n:]
-	if err := decodeFields(b, rec, d.apns, d.read); err != nil {
-		return err
+	frame := d.b[:2+n]
+	d.b = d.b[2+n:]
+	if err := decodeFields(frame[2:], rec, d.apns, d.read); err != nil {
+		return nil, err
 	}
 	d.read++
-	return nil
+	return frame, nil
+}
+
+// Canonical reports whether frame — returned by ReadFrame together
+// with rec — is byte for byte what [Writer.Write] emits for rec, so
+// that copying it verbatim equals decoding and re-encoding it. Every
+// fixed field round-trips exactly, so the APN bytes decide: a
+// non-data frame must carry none, and a data frame's must be
+// rec.APN.String(). They need not be: apn.Parse lowercases and trims,
+// so an APN a writer was handed as {NetworkID: "Smart.METER"} is on
+// the wire as is and decodes to "smart.meter". The answer for each
+// distinct APN string is memoised.
+func (d *Decoder) Canonical(frame []byte, rec *Record) bool {
+	apnBytes := frame[2+bodySize:]
+	if rec.Kind != KindData {
+		return len(apnBytes) == 0
+	}
+	c, ok := d.canon[string(apnBytes)]
+	if !ok {
+		c = rec.APN.String() == string(apnBytes)
+		if d.canon == nil {
+			d.canon = map[string]bool{}
+		}
+		if len(d.canon) < apnTableMax {
+			d.canon[string(apnBytes)] = c
+		}
+	}
+	return c
 }
 
 // WriteAll encodes all records to w and flushes.

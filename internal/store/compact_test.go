@@ -1,6 +1,8 @@
 package store
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"io/fs"
@@ -451,5 +453,134 @@ func TestCompactEmptyInputs(t *testing.T) {
 	}
 	if rep := r.Verify(); !rep.OK() {
 		t.Fatalf("empty compacted store fails verification:\n%s", rep)
+	}
+}
+
+// storeDigest hashes every file of a store directory — segment files,
+// MANIFEST.ckpt and MANIFEST.log — in name order.
+func storeDigest(t *testing.T, dir string) string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(h, "%s %d\n", e.Name(), len(data))
+		h.Write(data)
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// mixedAPNRecords is feedRecords with its data records spread over
+// three APNs: a plain one, one with an operator suffix, and one
+// appended as apn.APN{NetworkID: "Smart.METER"}, which the writer
+// renders as is but a decoder parses to "smart.meter" — so its frames
+// do not re-encode to themselves, and compaction rewrites them.
+func mixedAPNRecords(devices, days int) []cdrs.Record {
+	apns := []apn.APN{
+		{NetworkID: "Smart.METER"},
+		apn.MustParse("smhp.centricaplc.com"),
+		apn.MustParse("m2m.telemetry.mnc004.mcc204.gprs"),
+	}
+	recs := feedRecords(devices, days)
+	for i := range recs {
+		if recs[i].Kind == cdrs.KindData {
+			recs[i].APN = apns[uint64(recs[i].Device)%3]
+		}
+	}
+	return recs
+}
+
+// TestCompactDigests pins the bytes of compacted stores — every
+// segment file and both manifest files — to digests of the output of
+// a compactor that decoded, stable-sorted and re-encoded every record.
+// TestCompactFanInInvariant only compares fan-ins with each other;
+// these constants hold every fan-in, a day-narrowed query and
+// non-canonical input frames to the same bytes.
+func TestCompactDigests(t *testing.T) {
+	const days = 5
+	root := t.TempDir()
+	sites := writeSiteStores(t, root, days, 16, siteFeeds(t, 2, 50, days, 3))
+	mixed := filepath.Join(root, "mixed")
+	writeStore(t, mixed, days, 16, mixedAPNRecords(30, days))
+
+	cases := []struct {
+		name   string
+		inputs []string
+		query  Query
+		fanIns []int
+		want   string
+	}{
+		{"sites", sites, Query{}, []int{0, 2, 3},
+			"08994b059b5ca40e183ebc3796ae391e124c0c2bb5de02015e46a25d4077dee4"},
+		{"sites-days-1-3", sites, Query{}.Days(1, 3), []int{0, 2, 3},
+			"96da87872eb22c227e87214a06de039fe83a966e1386547573328ed2aa289d8e"},
+		{"mixed-apn", []string{mixed}, Query{}, []int{2, 3, 64},
+			"e9ae9221023312cacb363537f6915a0dea915989551841f8907046b04d81792c"},
+	}
+	for _, c := range cases {
+		for _, fanIn := range c.fanIns {
+			t.Run(fmt.Sprintf("%s/fanin=%d", c.name, fanIn), func(t *testing.T) {
+				out := filepath.Join(root, fmt.Sprintf("out-%s-%d", c.name, fanIn))
+				opts := CompactOptions{SegmentRecords: 16, Query: c.query, MaxFanIn: fanIn}
+				if _, err := Compact(out, c.inputs, opts); err != nil {
+					t.Fatal(err)
+				}
+				if got := storeDigest(t, out); got != c.want {
+					t.Errorf("compacted store digest %s, want %s", got, c.want)
+				}
+			})
+		}
+	}
+}
+
+// A run whose first frame fails to read still comes back from open and
+// must be closed: mergeGroup over a good and a truncated run file
+// fails with the truncation and runs done on both.
+func TestMergeGroupClosesRunsWhoseOpenFails(t *testing.T) {
+	dir := t.TempDir()
+	var frames []byte
+	for _, rec := range feedRecords(2, 1) {
+		var err error
+		if frames, err = cdrs.AppendFrame(frames, &rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	good, truncated := filepath.Join(dir, "good"), filepath.Join(dir, "truncated")
+	if err := os.WriteFile(good, frames, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(truncated, frames[:10], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	done := map[string]int{}
+	var srcs []runSrc
+	for _, path := range []string{good, truncated} {
+		src := fileRun(path)
+		srcs = append(srcs, runSrc{open: func(dec *cdrs.Decoder) (*openRun, error) {
+			r, err := src.open(dec)
+			if r != nil {
+				inner := r.done
+				r.done = func() error {
+					done[path]++
+					return inner()
+				}
+			}
+			return r, err
+		}})
+	}
+	err := mergeGroup(srcs, func([]byte) error { return nil })
+	if !errors.Is(err, cdrs.ErrTruncated) {
+		t.Fatalf("mergeGroup over a truncated run file returned %v, want cdrs.ErrTruncated", err)
+	}
+	for _, path := range []string{good, truncated} {
+		if done[path] != 1 {
+			t.Errorf("%s: done ran %d times, want 1", filepath.Base(path), done[path])
+		}
 	}
 }

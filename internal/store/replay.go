@@ -205,7 +205,7 @@ func (r *Reader) Replay(q Query, workers int) (*catalog.Catalog, *ReplayStats, e
 		for k := ranges[sh.Lo].Lo; k < ranges[sh.Hi-1].Hi; k++ {
 			si := &r.man.Segments[selected[k]]
 			err := scanSegment(r.dir, si, dec,
-				func(rec *cdrs.Record) {
+				func(_ []byte, rec *cdrs.Record) {
 					p.stats.RecordsRead++
 					day := dayOf(rec.Time, meta.Start)
 					if !q.keepRecord(day, rec) {
@@ -266,7 +266,7 @@ func (r *Reader) ReplayRecords(q Query, sink func(cdrs.Record)) (*ReplayStats, e
 	dec := cdrs.NewDecoder(nil)
 	for _, i := range r.selectSegments(q, &stats) {
 		si := &r.man.Segments[i]
-		err := scanSegment(r.dir, si, dec, func(rec *cdrs.Record) {
+		err := scanSegment(r.dir, si, dec, func(_ []byte, rec *cdrs.Record) {
 			stats.RecordsRead++
 			if q.keepRecord(dayOf(rec.Time, start), rec) {
 				stats.RecordsKept++
@@ -296,12 +296,13 @@ var bodyPool = sync.Pool{New: func() any { return new([]byte) }}
 // scanSegment reads one sealed segment body in a single read, verifies
 // its length and CRC against the manifest entry, and only then decodes
 // it through dec (reset onto the body, so its APN table carries over
-// from earlier scans), calling visit for every record: a body that
-// fails its CRC delivers nothing. A size, CRC or record-count mismatch
-// and a record that fails to decode all report the segment as
-// corrupt. The manifest's Bytes field covers body, Bloom filter and
+// from earlier scans), calling visit for every record with its wire
+// frame, which aliases a pooled buffer and is valid only during the
+// call: a body that fails its CRC delivers nothing. A size, CRC or
+// record-count mismatch and a record that fails to decode all report
+// the segment as corrupt. The manifest's Bytes field covers body, Bloom filter and
 // footer.
-func scanSegment(dir string, si *SegmentInfo, dec *cdrs.Decoder, visit func(*cdrs.Record)) error {
+func scanSegment(dir string, si *SegmentInfo, dec *cdrs.Decoder, visit func(frame []byte, rec *cdrs.Record)) error {
 	f, err := os.Open(filepath.Join(dir, si.Name))
 	if err != nil {
 		return fmt.Errorf("store: opening segment %s: %w", si.Name, err)
@@ -335,14 +336,14 @@ func scanSegment(dir string, si *SegmentInfo, dec *cdrs.Decoder, visit func(*cdr
 	var rec cdrs.Record
 	n := 0
 	for {
-		err := dec.Read(&rec)
+		frame, err := dec.ReadFrame(&rec)
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
 			return fmt.Errorf("%w: %s record %d: %v", ErrCorrupt, si.Name, n, err)
 		}
-		visit(&rec)
+		visit(frame, &rec)
 		n++
 	}
 	if n != si.Records {
@@ -459,7 +460,7 @@ func (r *Reader) verifySegment(si *SegmentInfo, dec *cdrs.Decoder) error {
 	if err := r.verifyBloom(si, ft); err != nil {
 		return err
 	}
-	return scanSegment(r.dir, si, dec, func(*cdrs.Record) {})
+	return scanSegment(r.dir, si, dec, func([]byte, *cdrs.Record) {})
 }
 
 // verifyBloom cross-checks a segment's Bloom filter three ways: the

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"time"
 
 	"whereroam/internal/cdrs"
 	"whereroam/internal/mccmnc"
@@ -67,6 +68,7 @@ func NewWriter(dir string, meta Meta, segmentRecords int) (*Writer, error) {
 		dir:        dir,
 		meta:       meta,
 		segRecords: segmentRecords,
+		devs:       map[uint64]struct{}{},
 		man: Manifest{
 			Version:        manifestVersionV2,
 			Kind:           KindCDR,
@@ -99,6 +101,38 @@ func NewWriter(dir string, meta Meta, segmentRecords int) (*Writer, error) {
 func (w *Writer) Append(rec cdrs.Record) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	if err := w.ready(); err != nil {
+		return err
+	}
+	if err := w.enc.Write(&rec); err != nil {
+		w.err = err
+		return err
+	}
+	return w.noteRecord(dayOf(rec.Time, w.meta.Start), uint64(rec.Device), rec.Visited)
+}
+
+// appendFrame archives one record given as its wire frame — one a
+// cdrs.Decoder verified and cdrs.Decoder.Canonical accepted, or one
+// cdrs.AppendFrame built — copied verbatim; the footer accumulators
+// read the frame's time, device and visited network in place. It is
+// Append for a record already encoded.
+func (w *Writer) appendFrame(frame []byte) error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if err := w.ready(); err != nil {
+		return err
+	}
+	if err := w.enc.WriteFrame(frame); err != nil {
+		w.err = err
+		return err
+	}
+	day := dayOf(time.Unix(0, cdrs.FrameTime(frame)), w.meta.Start)
+	return w.noteRecord(day, cdrs.FrameDevice(frame), cdrs.FrameVisited(frame))
+}
+
+// ready refuses an append to a failed or closed writer and opens a
+// segment if none is open. Callers hold mu.
+func (w *Writer) ready() error {
 	if w.err != nil {
 		return w.err
 	}
@@ -115,18 +149,19 @@ func (w *Writer) Append(rec cdrs.Record) error {
 			return err
 		}
 	}
-	if err := w.enc.Write(&rec); err != nil {
-		w.err = err
-		return err
-	}
-	day := dayOf(rec.Time, w.meta.Start)
+	return nil
+}
+
+// noteRecord folds one just-encoded record into the footer
+// accumulators and seals the segment at the roll threshold. Callers
+// hold mu.
+func (w *Writer) noteRecord(day int, dev uint64, visited mccmnc.PLMN) error {
 	if day < w.cur.MinDay {
 		w.cur.MinDay = day
 	}
 	if day > w.cur.MaxDay {
 		w.cur.MaxDay = day
 	}
-	dev := uint64(rec.Device)
 	if dev < w.cur.MinDevice {
 		w.cur.MinDevice = dev
 	}
@@ -134,7 +169,7 @@ func (w *Writer) Append(rec cdrs.Record) error {
 		w.cur.MaxDevice = dev
 	}
 	w.devs[dev] = struct{}{}
-	w.noteVisited(rec.Visited)
+	w.noteVisited(visited)
 	w.cur.Records++
 	if w.cur.Records >= w.segRecords {
 		if err := w.seal(); err != nil {
@@ -262,7 +297,10 @@ func (w *Writer) openSegment() error {
 		MinDevice: math.MaxUint64,
 	}
 	w.visited = w.visited[:0]
-	w.devs = make(map[uint64]struct{})
+	// One device set serves every segment: cleared, not remade, so it
+	// keeps its buckets. The Bloom filter ORs it in any order and is
+	// sized by its count, so reuse changes no byte.
+	clear(w.devs)
 	return nil
 }
 
@@ -349,7 +387,6 @@ func (w *Writer) seal() error {
 	w.met.noteSeal(w.cur.Bytes, w.cur.Records)
 	w.f, w.body, w.enc = nil, nil, nil
 	w.cur = SegmentInfo{}
-	w.devs = nil
 	tail := len(w.man.Segments) - w.ckptSegs
 	if tail >= checkpointMinTail && tail >= w.ckptSegs {
 		return w.checkpoint()
