@@ -517,22 +517,54 @@ func drawSchedule(src *rng.Source, class devices.Class, sites []bool, anchor, da
 // generateSite builds one visited operator's population and catalog.
 func generateSite(cfg FederationConfig, j int, root *rng.Source, db *gsma.DB, fleet []fleetMember) *FederationSite {
 	host := cfg.Hosts[j]
+	locals := siteLocals(cfg, j, root, db, fleet)
+	site := &FederationSite{
+		Index:   j,
+		Host:    host,
+		Present: make(map[identity.DeviceID]bool, len(locals)-cfg.NativePerSite),
+		Truth:   make(map[identity.DeviceID]devices.Class, len(locals)),
+	}
+	for i := range locals {
+		site.Truth[locals[i].dev.ID] = locals[i].dev.Class
+		if i >= cfg.NativePerSite {
+			site.Present[locals[i].dev.ID] = true
+		}
+	}
+
+	// With ArchiveDir set, the site's CDR/xDR feed additionally fans
+	// out to a per-site segmented archive in the same pass.
+	var extra func(pipeline.Shard) shardSinks
+	if cfg.ArchiveDir != "" {
+		w, err := store.NewWriter(store.SiteDir(cfg.ArchiveDir, host.Concat()), siteMeta(cfg, host), cfg.ArchiveSegmentRecords)
+		if err != nil {
+			panic(fmt.Sprintf("dataset: federation archive: %v", err))
+		}
+		defer func() {
+			if err := w.Close(); err != nil {
+				panic(fmt.Sprintf("dataset: federation archive: %v", err))
+			}
+		}()
+		archive := shardSinks{cdr: w.Sink()}
+		extra = func(pipeline.Shard) shardSinks { return archive }
+	}
+	site.Catalog = siteCapture(cfg, host).build(locals, extra)
+	return site
+}
+
+// siteLocals draws site j's observation set: natives first, then the
+// present fleet in fleet order — a deterministic list whose shard
+// boundaries depend only on its length. Every draw comes from a pure
+// split of root or of a fleet member's substream, so a second call
+// with the same arguments returns identical devices with fresh emit
+// streams (ArchiveFederation re-walks a retained dataset that way).
+func siteLocals(cfg FederationConfig, j int, root *rng.Source, db *gsma.DB, fleet []fleetMember) []localDevice {
+	host := cfg.Hosts[j]
 	sroot := root.SplitN("site", siteKey(host))
 	hostCountry, _ := mccmnc.CountryByMCC(host.MCC)
 	centre := geo.Point{Lat: hostCountry.Lat, Lon: hostCountry.Lon}
 
-	site := &FederationSite{
-		Index:   j,
-		Host:    host,
-		Present: make(map[identity.DeviceID]bool),
-		Truth:   make(map[identity.DeviceID]devices.Class, cfg.NativePerSite),
-	}
-
-	// Local observation set: natives first, then the present fleet in
-	// fleet order — a deterministic list whose shard boundaries depend
-	// only on its length. The site's consumer block is the natives'
-	// only allocator, so native i's MSIN is nativeBase + i with no
-	// allocation pass.
+	// The site's consumer block is the natives' only allocator, so
+	// native i's MSIN is nativeBase + i with no allocation pass.
 	nativeWeights := make([]float64, len(nativeMix))
 	for i, m := range nativeMix {
 		nativeWeights[i] = m.share
@@ -552,9 +584,6 @@ func generateSite(cfg FederationConfig, j int, root *rng.Source, db *gsma.DB, fl
 			}
 		}
 	})
-	for i := range locals {
-		site.Truth[locals[i].dev.ID] = locals[i].dev.Class
-	}
 
 	// A fleet device joins the site only when the shared presence
 	// schedule gives it at least one day here, and its emission is
@@ -575,28 +604,38 @@ func generateSite(cfg FederationConfig, j int, root *rng.Source, db *gsma.DB, fl
 			emit:       vsrc.Split("days"),
 			presentDay: func(day int) bool { return int(sched[day]) == j },
 		})
-		site.Present[dev.ID] = true
-		site.Truth[dev.ID] = dev.Class
 	}
+	return locals
+}
 
-	// With ArchiveDir set, the site's CDR/xDR feed additionally fans
-	// out to a per-site segmented archive in the same pass.
-	var extra func(pipeline.Shard) shardSinks
-	if cfg.ArchiveDir != "" {
-		w, err := store.NewWriter(store.SiteDir(cfg.ArchiveDir, host.Concat()), store.Meta{Host: host, Start: cfg.Start, Days: cfg.Days}, cfg.ArchiveSegmentRecords)
+// ArchiveFederation writes every site's CDR/xDR feed of fed to a
+// segmented store at dir/site-<plmn> — the stores
+// FederationConfig.ArchiveDir writes during the build, with the same
+// records per device — without synthesizing the federation again: it
+// re-derives each site's population from the retained fleet and
+// re-walks the CDR/xDR plane alone (no radio sector lookups, no
+// catalog builder). It returns the first NewWriter, Append or Close
+// error, and closes every writer it opened.
+func ArchiveFederation(fed *FederationDataset, dir string, segmentRecords int) error {
+	cfg := fed.cfg
+	root := rng.New(cfg.Seed).Split("federation")
+	for j, host := range cfg.Hosts {
+		w, err := store.NewWriter(store.SiteDir(dir, host.Concat()), siteMeta(cfg, host), segmentRecords)
 		if err != nil {
-			panic(fmt.Sprintf("dataset: federation archive: %v", err))
+			return fmt.Errorf("dataset: archiving site %v: %w", host, err)
 		}
-		defer func() {
-			if err := w.Close(); err != nil {
-				panic(fmt.Sprintf("dataset: federation archive: %v", err))
-			}
-		}()
-		archive := shardSinks{cdr: w.Sink()}
-		extra = func(pipeline.Shard) shardSinks { return archive }
+		siteCapture(cfg, host).archive(siteLocals(cfg, j, root, fed.GSMA, fed.members), w.Sink())
+		// Append errors are sticky: Close reports the first of them.
+		if err := w.Close(); err != nil {
+			return fmt.Errorf("dataset: archiving site %v: %w", host, err)
+		}
 	}
-	site.Catalog = siteCapture(cfg, host).build(locals, extra)
-	return site
+	return nil
+}
+
+// siteMeta is the archive metadata of one federation site's store.
+func siteMeta(cfg FederationConfig, host mccmnc.PLMN) store.Meta {
+	return store.Meta{Host: host, Start: cfg.Start, Days: cfg.Days}
 }
 
 // siteCapture is one federation site's observation window.

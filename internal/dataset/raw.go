@@ -112,6 +112,22 @@ func (c capture) build(locals []localDevice, extra func(pipeline.Shard) shardSin
 	return build(c.workers)
 }
 
+// archive walks locals through the CDR/xDR plane alone into sink:
+// the same per-device emission as build, with a nil radio tap, so
+// every radio draw is kept but no sector is looked up and no builder
+// or grid exists. Each device's records reach sink in its build-time
+// order.
+func (c capture) archive(locals []localDevice, sink func(cdrs.Record)) {
+	pipeline.Run(len(locals), c.workers, func(sh pipeline.Shard) {
+		cdrTap := probe.NewTap("mediation", c.seed, sink)
+		var bufs emitBufs
+		for i := sh.Lo; i < sh.Hi; i++ {
+			l := &locals[i]
+			emitDeviceDaysSched(l.emit, c.host, c.start, c.days, nil, nil, cdrTap, &l.dev, l.presentDay, &bufs)
+		}
+	})
+}
+
 // RawStreams is the per-event view of a capture: what the probes at
 // the MME/MSC/SGSN hand to the pipeline before any aggregation.
 //
@@ -290,6 +306,10 @@ func cdrTime(rec *cdrs.Record) time.Time { return rec.Time }
 // it spent at the others. The gate is consulted before the
 // daily-activity draw: being scheduled elsewhere is not "inactive
 // here", it is "not here".
+//
+// A nil radioTap (with a nil grid) walks the CDR/xDR plane alone: the
+// radio loop still makes every draw, so the records are the same, but
+// builds, sorts and offers no radio event.
 func emitDeviceDaysSched(src *rng.Source, host mccmnc.PLMN, start time.Time, days int, grid *radio.Grid,
 	radioTap *probe.Tap[radio.Event], cdrTap *probe.Tap[cdrs.Record], dev *devices.Device, presentDay func(int) bool, bufs *emitBufs) {
 
@@ -342,6 +362,9 @@ func emitDeviceDaysSched(src *rng.Source, host mccmnc.PLMN, start time.Time, day
 			res := radio.ResultOK
 			if p.FailProb > 0 && src.Bool(p.FailProb) {
 				res = radio.ResultFail
+			}
+			if radioTap == nil {
+				continue
 			}
 			dayEvs = append(dayEvs, radio.Event{
 				Device:    dev.ID,

@@ -159,21 +159,6 @@ func (s *Session) scaled(n int) int {
 	return v
 }
 
-// withArchiveDir returns a fresh session — nothing built yet — with
-// s's configuration and ArchiveDir set to dir. Every exported field of
-// Federation is configuration and must be copied here;
-// TestWithArchiveDirCopiesConfig fails when one is missing.
-func (s *Federation) withArchiveDir(dir string) *Federation {
-	return &Federation{
-		Seed:                  s.Seed,
-		Factor:                s.Factor,
-		Workers:               s.Workers,
-		Hosts:                 s.Hosts,
-		ArchiveDir:            dir,
-		ArchiveSegmentRecords: s.ArchiveSegmentRecords,
-	}
-}
-
 // M2M lazily folds the platform plane (dataset.FoldM2M) into the
 // session's per-device aggregates. Each device's transactions reach
 // the fold in time order — exactly its subsequence of the globally

@@ -6,6 +6,7 @@ import (
 
 	"whereroam/internal/analysis"
 	"whereroam/internal/catalog"
+	"whereroam/internal/dataset"
 	"whereroam/internal/serve"
 	"whereroam/internal/store"
 )
@@ -15,13 +16,21 @@ func init() {
 }
 
 // runFedServe computes, for every federation site archive, the exact
-// statistics the roamd daemon serves over it: the archived CDR/xDR
-// feed is replayed back into a catalog and the serving layer's
+// statistics the roamd daemon serves over it: each site's archived
+// CDR/xDR feed is replayed back into a catalog and the serving layer's
 // stats and comparison views are derived with the same
 // serve.ComputeStats / serve.ComputeCompare functions the HTTP
 // handlers call. That shared code path is the report's point — a
 // golden test can pin roamd's JSON responses bit-identical to these
 // values.
+//
+// The archive is the session's own: with ArchiveDir set, the stores
+// the federation build wrote in its pass; without it, a scratch
+// archive that dataset.ArchiveFederation writes from the session's
+// retained federation by re-walking the CDR/xDR plane alone. Both
+// routes hold the same records per device, so the report is the same
+// either way, and neither synthesizes the federation a second time.
+// An archive I/O failure becomes a note, not a panic.
 //
 // The archive persists the CDR/xDR plane only (radio events are
 // live-only and the GSMA device database is not archived), so the
@@ -34,24 +43,22 @@ func runFedServe(s *Session) *Report {
 		Paper: "§2/§5: operational visibility means querying the archived corpus, not rerunning collection — the serving layer answers from replayed slices",
 	}
 
+	// Building the session's federation writes its archive when
+	// ArchiveDir is set.
+	fed := s.FederationData()
 	dir := s.ArchiveDir
 	if dir == "" {
-		// The session was not configured to archive; build the same
-		// federation into a scratch archive so the runner is
-		// self-contained (roamrepro -experiment fed-serve without
-		// -archive still works).
 		td, err := os.MkdirTemp("", "whereroam-fedserve-")
 		if err != nil {
 			r.Notes = append(r.Notes, "cannot create scratch archive: "+err.Error())
 			return r
 		}
 		defer os.RemoveAll(td)
-		s.withArchiveDir(td).FederationData()
+		if err := dataset.ArchiveFederation(fed, td, s.ArchiveSegmentRecords); err != nil {
+			r.Notes = append(r.Notes, "cannot write scratch archive: "+err.Error())
+			return r
+		}
 		dir = td
-	} else {
-		// Ensure the session's generation (and with it the archive
-		// write) has happened.
-		s.FederationData()
 	}
 
 	names, err := store.SiteDirs(dir)

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -100,6 +102,47 @@ func TestFedServeMatchesDaemon(t *testing.T) {
 		}
 		if want := rep.Value(key); float64(p.Shared) != want {
 			t.Errorf("pair %s-%s: daemon shares %d, runner %v", p.A, p.B, p.Shared, want)
+		}
+	}
+}
+
+// fed-serve reads the session's own archive when ArchiveDir is set and
+// writes a scratch one from the retained federation when it is not;
+// both routes must print the same report.
+func TestFedServeArchiveRoutesAgree(t *testing.T) {
+	runner, ok := ByID("fed-serve")
+	if !ok {
+		t.Fatal("fed-serve runner not registered")
+	}
+	archived := NewFederation(1, 0.06, 2)
+	archived.ArchiveDir = t.TempDir()
+	rep := runner.Run(archived)
+	if !has(rep, "served_sites") || rep.Value("served_sites") == 0 {
+		t.Fatalf("fed-serve served no sites:\n%s", rep)
+	}
+	if got, want := runner.Run(NewFederation(1, 0.06, 2)).String(), rep.String(); got != want {
+		t.Errorf("scratch-archive report differs from the session-archive one:\n%s\nwant\n%s", got, want)
+	}
+}
+
+// fed-serve's report pinned by the SHA-256 of Report.String() at seeds
+// 1–3 × scale 0.05. The constants were taken at commit 485dad7, when
+// the runner's scratch archive came from a second, full federation
+// build; it is now written from the session's retained federation.
+func TestFedServeReportDigests(t *testing.T) {
+	want := map[uint64]string{
+		1: "c57fe94318016a3d1542523e2db24bf26ecc7df386c6ae5d0d8d25f41a85a7ab",
+		2: "1994529827d3c57a488789af6946b03b07312e84cb25d1aa5ce420bab020ba48",
+		3: "debd6ba0f3443aaa7fe3bdc083c52bd67f686183408aa8f269fefd3f6571d3f3",
+	}
+	r, ok := ByID("fed-serve")
+	if !ok {
+		t.Fatal("fed-serve not registered")
+	}
+	for seed := uint64(1); seed <= 3; seed++ {
+		sum := sha256.Sum256([]byte(r.Run(NewSessionWorkers(seed, 0.05, 0)).String()))
+		if got := hex.EncodeToString(sum[:]); got != want[seed] {
+			t.Errorf("seed %d fed-serve: report digest %s, pinned %s", seed, got, want[seed])
 		}
 	}
 }

@@ -79,51 +79,3 @@ func TestM2MRunnersShareOneAggregate(t *testing.T) {
 		t.Error("the session rebuilt its M2M aggregate")
 	}
 }
-
-// withArchiveDir must carry every exported field — they are all
-// configuration — so a field added to Federation cannot be silently
-// dropped from the scratch session fed-serve builds.
-func TestWithArchiveDirCopiesConfig(t *testing.T) {
-	src := &Federation{}
-	v := reflect.ValueOf(src).Elem()
-	for i := 0; i < v.NumField(); i++ {
-		if !v.Type().Field(i).IsExported() {
-			continue
-		}
-		f := v.Field(i)
-		switch f.Kind() {
-		case reflect.Uint64:
-			f.SetUint(7)
-		case reflect.Int:
-			f.SetInt(3)
-		case reflect.Float64:
-			f.SetFloat(0.5)
-		case reflect.Bool:
-			f.SetBool(true)
-		case reflect.String:
-			f.SetString("src")
-		case reflect.Slice:
-			f.Set(reflect.MakeSlice(f.Type(), 1, 1))
-		default:
-			t.Fatalf("field %s: teach this test to fill a %s", v.Type().Field(i).Name, f.Kind())
-		}
-	}
-	src.sites = []*Site{{}} // built state must not travel
-
-	got := reflect.ValueOf(src.withArchiveDir("scratch")).Elem()
-	for i := 0; i < v.NumField(); i++ {
-		field := v.Type().Field(i)
-		switch {
-		case field.Name == "ArchiveDir":
-			if got.Field(i).String() != "scratch" {
-				t.Errorf("ArchiveDir = %q, want the override", got.Field(i).String())
-			}
-		case field.IsExported():
-			if !reflect.DeepEqual(got.Field(i).Interface(), v.Field(i).Interface()) {
-				t.Errorf("exported field %s was not copied", field.Name)
-			}
-		case field.Name != "mu" && !got.Field(i).IsZero():
-			t.Errorf("lazily built field %s travelled to the fresh session", field.Name)
-		}
-	}
-}
