@@ -34,7 +34,7 @@ import (
 func main() { cli.Main("roamrepro", run) }
 
 func run(args []string, stdout io.Writer) (err error) {
-	sess := experiments.NewFederation(1, 0.5, runtime.GOMAXPROCS(0))
+	sess := experiments.NewSessionWorkers(1, 0.5, runtime.GOMAXPROCS(0))
 	fs := flag.NewFlagSet("roamrepro", flag.ContinueOnError)
 	id := fs.String("experiment", "all", "experiment id or 'all'")
 	fs.Uint64Var(&sess.Seed, "seed", sess.Seed, "generator seed")
@@ -42,8 +42,8 @@ func run(args []string, stdout io.Writer) (err error) {
 	fs.IntVar(&sess.Workers, "workers", sess.Workers, "pipeline worker pool size (results are identical for any value)")
 	sites := fs.Int("sites", 0, "federation sites for the fed-* experiments: the first N default hosts (0 = all)")
 	hosts := fs.String("hosts", "", "comma-separated visited-MNO PLMNs for the fed-* experiments (overrides -sites)")
-	fs.StringVar(&sess.ArchiveDir, "archive", "", "persist each federation site's CDR/xDR feed to a per-site store under this directory")
-	fs.IntVar(&sess.ArchiveSegmentRecords, "archive-segment", 0, "records per archive segment (0 = store default); small values give tiny archives many prunable segments")
+	archive := fs.String("archive", "", "persist each federation site's CDR/xDR feed to a per-site store under this directory")
+	segment := fs.Int("archive-segment", 0, "records per archive segment (0 = store default); small values give tiny archives many prunable segments")
 	heapMiB := fs.Int64("max-heap-mib", 0, "fail if the process heap peak exceeds this many MiB (0 = no assertion)")
 	list := fs.Bool("list", false, "list experiment ids and exit")
 	if err := cli.Parse(fs, args); err != nil {
@@ -71,6 +71,11 @@ func run(args []string, stdout io.Writer) (err error) {
 	}
 
 	defer obs.HeapBudget(*heapMiB)(&err)
+	if *archive != "" {
+		if err := dataset.ArchiveFederation(sess.FederationData(), *archive, *segment); err != nil {
+			return err
+		}
+	}
 	for _, r := range runners {
 		start := time.Now()
 		rep := r.Run(sess)

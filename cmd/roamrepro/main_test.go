@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"io"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -27,6 +28,29 @@ func TestFederationWithArchive(t *testing.T) {
 	sites, _ := filepath.Glob(filepath.Join(dir, "site-*"))
 	if len(sites) != 2 {
 		t.Errorf("archive holds %v, want one store per -hosts entry", sites)
+	}
+}
+
+// An -archive path that is a regular file fails the run with status 1
+// — an error, not a panic — before any report, and leaves the
+// directory holding it as it was.
+func TestArchiveOntoFileFails(t *testing.T) {
+	dir := t.TempDir()
+	file := filepath.Join(dir, "fed")
+	if err := os.WriteFile(file, []byte("not a directory"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var stdout bytes.Buffer
+	err := run([]string{"-experiment", "fed-sites", "-scale", "0.03", "-archive", file}, &stdout)
+	if code := cli.ExitCode(err); code != 1 {
+		t.Fatalf("exit status %d (%v), want 1", code, err)
+	}
+	if stdout.Len() != 0 {
+		t.Errorf("the failed run printed a report:\n%s", stdout.String())
+	}
+	entries, _ := os.ReadDir(dir)
+	if body, _ := os.ReadFile(file); len(entries) != 1 || string(body) != "not a directory" {
+		t.Errorf("the failed run left %d entries and the file reading %q", len(entries), body)
 	}
 }
 

@@ -14,7 +14,9 @@ import (
 	"hash"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
+	"sync"
 	"testing"
 	"time"
 
@@ -93,57 +95,40 @@ func TestM2MDeterministicAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
-// The raw SMIP capture exercises the one capture walk: each emission
-// shard feeds the builder it owns (and a collector pair), and the
-// shard outputs merge into one sorted catalog and one time-ordered
-// capture.
-func TestSMIPRawDeterministicAcrossWorkerCounts(t *testing.T) {
-	cfg := dataset.DefaultSMIPConfig()
-	cfg.NativeMeters, cfg.RoamingMeters = 300, 200
-	cfg.Workers = 1
-	serial, serialRaw := dataset.GenerateSMIPRaw(cfg)
-	cfg.Workers = 4
-	par, parRaw := dataset.GenerateSMIPRaw(cfg)
-	if !reflect.DeepEqual(serialRaw.Radio, parRaw.Radio) {
-		t.Error("workers=4 radio stream differs from serial")
+// smipFeed runs the per-event SMIP capture with an ArchiveCDRs
+// collector and returns the dataset and the archived feed the way a
+// national mediation feed arrives: ordered by time, ties by device
+// (population order) and then by each device's own sequence. The
+// collector is called concurrently from the emission shards, so the
+// records are grouped per device first.
+func smipFeed(cfg dataset.SMIPConfig) (*dataset.SMIPDataset, []cdrs.Record) {
+	var mu sync.Mutex
+	perDev := map[identity.DeviceID][]cdrs.Record{}
+	cfg.ArchiveCDRs = func(r cdrs.Record) {
+		mu.Lock()
+		perDev[r.Device] = append(perDev[r.Device], r)
+		mu.Unlock()
 	}
-	if !reflect.DeepEqual(serialRaw.Records, parRaw.Records) {
-		t.Error("workers=4 CDR stream differs from serial")
+	ds := dataset.GenerateSMIPStreaming(cfg)
+	var feed []cdrs.Record
+	for _, d := range ds.Devices {
+		feed = append(feed, perDev[d.ID]...)
 	}
-	if !reflect.DeepEqual(serial.Catalog.Records, par.Catalog.Records) {
-		t.Error("workers=4 built catalog differs from serial")
-	}
+	sort.SliceStable(feed, func(i, j int) bool { return feed[i].Time.Before(feed[j].Time) })
+	return ds, feed
 }
 
-// The streaming entry point — the same capture walk with no event
-// slice ever materialized — must produce the capture-keeping entry
-// point's catalog bit for bit, at every worker count: the builder's
-// output depends only on per-device record order, and a device's
-// events are offered in per-device time order whatever else a shard's
-// taps feed.
-func TestSMIPStreamingMatchesBatch(t *testing.T) {
-	for seed := uint64(1); seed <= 3; seed++ {
-		cfg := dataset.DefaultSMIPConfig()
-		cfg.Seed = seed
-		cfg.NativeMeters, cfg.RoamingMeters = 300, 200
-		cfg.Workers = 1
-		batch, _ := dataset.GenerateSMIPRaw(cfg)
-
-		for _, workers := range []int{1, 4, 0} {
-			scfg := cfg
-			scfg.Workers = workers
-			stream := dataset.GenerateSMIPStreaming(scfg)
-			if !reflect.DeepEqual(batch.Catalog.Records, stream.Catalog.Records) {
-				t.Errorf("seed %d workers %d: streaming catalog differs from batch", seed, workers)
-			}
-			if !reflect.DeepEqual(batch.Native, stream.Native) {
-				t.Errorf("seed %d workers %d: native cohort map differs", seed, workers)
-			}
-			if batch.NativeRange != stream.NativeRange {
-				t.Errorf("seed %d workers %d: native IMSI range differs", seed, workers)
-			}
-		}
-	}
+// fedM2MPlane folds the federated M2M plane into one stream: the
+// members' slices concatenated in fleet order, then stable-sorted by
+// time.
+func fedM2MPlane(fed *dataset.FederationDataset) []signaling.Transaction {
+	per := make([][]signaling.Transaction, len(fed.Fleet))
+	dataset.FoldFederationM2M(fed, func(i int, txs []signaling.Transaction) {
+		per[i] = slices.Clone(txs)
+	})
+	plane := slices.Concat(per...)
+	sort.SliceStable(plane, func(i, j int) bool { return plane[i].Time.Before(plane[j].Time) })
+	return plane
 }
 
 // Tied timestamps must not break worker-count equivalence: the final
@@ -283,19 +268,14 @@ func TestFederationM2MPlaneDeterministic(t *testing.T) {
 	cfg.FleetDevices, cfg.NativePerSite, cfg.Days = 250, 50, 8
 	cfg.Workers = 1
 	fed := dataset.GenerateFederation(cfg)
-	serial := dataset.GenerateFederationM2M(fed)
-	if len(serial.Transactions) == 0 {
+	serial := fedM2MPlane(fed)
+	if len(serial) == 0 {
 		t.Fatal("federated M2M plane emitted no transactions")
 	}
 
 	cfg.Workers = 4
-	fedPar := dataset.GenerateFederation(cfg)
-	par := dataset.GenerateFederationM2M(fedPar)
-	if !reflect.DeepEqual(serial.Transactions, par.Transactions) {
+	if par := fedM2MPlane(dataset.GenerateFederation(cfg)); !reflect.DeepEqual(serial, par) {
 		t.Error("workers=4 federated M2M stream differs from serial")
-	}
-	if !reflect.DeepEqual(serial.Truth, par.Truth) {
-		t.Error("workers=4 federated M2M truth differs from serial")
 	}
 
 	// Schedule consistency: every non-cancel transaction sits on the
@@ -304,7 +284,7 @@ func TestFederationM2MPlaneDeterministic(t *testing.T) {
 	for i := range fed.Fleet {
 		idx[fed.Fleet[i].ID] = i
 	}
-	for _, tx := range serial.Transactions {
+	for _, tx := range serial {
 		if tx.Procedure == signaling.ProcCancelLocation {
 			continue
 		}
@@ -375,29 +355,29 @@ func TestFederationSMIPPlaneDeterministic(t *testing.T) {
 // times — and the replayed catalog must be bit-identical to the live
 // CDR-plane build at every worker count, even though the archive was
 // written from concurrent emission shards (so its segmentation is not
-// itself deterministic). The live reference is the CDR/xDR plane of
-// the same seed's capture: the batch build feeds a single builder
-// serially, the streaming build routes the identical records through
-// the ingest router — the archive must reproduce both.
+// itself deterministic). The live reference is the CDR/xDR feed of
+// the same seed's single-worker capture: the batch build feeds a
+// single builder serially, the streaming build routes the identical
+// records through the ingest router — the archive must reproduce both.
 func TestStoreReplayDeterministic(t *testing.T) {
 	for seed := uint64(1); seed <= 3; seed++ {
 		cfg := dataset.DefaultSMIPConfig()
 		cfg.Seed = seed
 		cfg.NativeMeters, cfg.RoamingMeters = 300, 200
 		cfg.Workers = 1
-		_, raw := dataset.GenerateSMIPRaw(cfg)
+		_, feed := smipFeed(cfg)
 
 		// Live CDR-plane reference builds: batch (serial builder) and
 		// streaming (ingest router) over the same per-device sequences.
 		b := catalog.NewBuilder(cfg.Host, cfg.Start, cfg.Days, nil)
-		for i := range raw.Records {
-			b.AddRecord(raw.Records[i])
+		for i := range feed {
+			b.AddRecord(feed[i])
 		}
 		live := b.Build()
 		sb := catalog.NewShardedBuilder(cfg.Host, cfg.Start, cfg.Days, nil, 4)
 		in := ingest.NewCatalogIngester(sb, 0)
-		for i := range raw.Records {
-			in.OfferRecord(raw.Records[i])
+		for i := range feed {
+			in.OfferRecord(feed[i])
 		}
 		if liveStream := in.Build(4); !reflect.DeepEqual(live.Records, liveStream.Records) {
 			t.Fatalf("seed %d: live streaming CDR-plane build differs from batch", seed)
@@ -424,8 +404,8 @@ func TestStoreReplayDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := rep.Manifest().TotalRecords; got != int64(len(raw.Records)) {
-			t.Fatalf("seed %d: archived %d records, live capture has %d", seed, got, len(raw.Records))
+		if got := rep.Manifest().TotalRecords; got != int64(len(feed)) {
+			t.Fatalf("seed %d: archived %d records, live capture has %d", seed, got, len(feed))
 		}
 		for _, workers := range []int{1, 4, 0} {
 			cat, _, err := rep.Replay(store.Query{}, workers)
@@ -449,15 +429,15 @@ func TestStorePrunedReplay(t *testing.T) {
 	cfg := dataset.DefaultSMIPConfig()
 	cfg.NativeMeters, cfg.RoamingMeters = 300, 200
 	cfg.Workers = 1
-	_, raw := dataset.GenerateSMIPRaw(cfg)
+	_, feed := smipFeed(cfg)
 
 	dir := filepath.Join(t.TempDir(), "feed")
 	w, err := store.NewWriter(dir, store.Meta{Host: cfg.Host, Start: cfg.Start, Days: cfg.Days}, 512)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range raw.Records {
-		if err := w.Append(raw.Records[i]); err != nil {
+	for i := range feed {
+		if err := w.Append(feed[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -486,10 +466,10 @@ func TestStorePrunedReplay(t *testing.T) {
 	}
 
 	b := catalog.NewBuilder(cfg.Host, cfg.Start, cfg.Days, nil)
-	for i := range raw.Records {
-		day := int(raw.Records[i].Time.Sub(cfg.Start) / (24 * time.Hour))
+	for i := range feed {
+		day := int(feed[i].Time.Sub(cfg.Start) / (24 * time.Hour))
 		if day >= lo && day <= hi {
-			b.AddRecord(raw.Records[i])
+			b.AddRecord(feed[i])
 		}
 	}
 	if want := b.Build(); !reflect.DeepEqual(want.Records, cat.Records) {
@@ -547,21 +527,29 @@ func TestOutOfCoreMNOMatchesMaterialized(t *testing.T) {
 	}
 }
 
-// The twin pins above only ever compare one path with another; this
-// pins the absolute bytes a seed produces. The constants were recorded
-// at the commit before the generators were folded onto one emission
-// walk per plane, and must survive any refactor that claims to leave
-// generated data unchanged. A deliberate change to what a seed
-// generates re-records them (the failure message prints the new
-// digest).
+// The worker-count pins above only ever compare one run with another;
+// this pins the absolute bytes a seed produces. The constants were
+// recorded at the commit before the generators were folded onto one
+// emission walk per plane (the smipraw.* and fed.m2m ones at seeds 2–3
+// from the materializing generators since retired, which the one
+// per-event walk reproduces), and must survive any refactor that
+// claims to leave generated data unchanged. A deliberate change to
+// what a seed generates re-records them (the failure message prints
+// the new digest).
 func TestGeneratorDigests(t *testing.T) {
 	got := map[string]string{}
+	// record hashes one artefact; recording a name twice (at another
+	// worker count) must reproduce the digest.
 	record := func(name string, write func(h hash.Hash) error) {
 		h := sha256.New()
 		if err := write(h); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		got[name] = hex.EncodeToString(h.Sum(nil))
+		d := hex.EncodeToString(h.Sum(nil))
+		if prev, ok := got[name]; ok && prev != d {
+			t.Errorf("%s: digest %s at one worker count, %s at another", name, prev, d)
+		}
+		got[name] = d
 	}
 	idSet := func(set map[identity.DeviceID]bool) func(hash.Hash) error {
 		return func(h hash.Hash) error {
@@ -616,12 +604,9 @@ func TestGeneratorDigests(t *testing.T) {
 		}
 		return nil
 	})
-	record("fed.m2m", func(h hash.Hash) error {
-		return signaling.WriteAll(h, dataset.GenerateFederationM2M(fed).Transactions)
-	})
 
 	// The SMIP family: the aggregate generator, the per-event capture
-	// (catalog, CDR wire bytes, radio-event order), the single-worker
+	// (catalog, time-ordered CDR wire bytes), the single-worker
 	// archive feed bench/feed.go relies on, and the federated plane.
 	smipDS := func(ds *dataset.SMIPDataset) func(hash.Hash) error {
 		return func(h hash.Hash) error {
@@ -632,15 +617,27 @@ func TestGeneratorDigests(t *testing.T) {
 	scfg := dataset.DefaultSMIPConfig()
 	scfg.NativeMeters, scfg.RoamingMeters = 300, 200
 	record("smip.catalog", smipDS(dataset.GenerateSMIP(scfg)))
-	rawDS, raw := dataset.GenerateSMIPRaw(scfg)
-	record("smipraw.catalog", smipDS(rawDS))
-	record("smipraw.records", func(h hash.Hash) error { return cdrs.WriteAll(h, raw.Records) })
-	record("smipraw.radio", func(h hash.Hash) error {
-		for _, ev := range raw.Radio {
-			fmt.Fprintln(h, ev)
+
+	// The per-event planes at seeds 1–3, each at one and four workers.
+	for seed := uint64(1); seed <= 3; seed++ {
+		suffix := ""
+		if seed > 1 {
+			suffix = fmt.Sprintf("/seed%d", seed)
 		}
-		return nil
-	})
+		for _, workers := range []int{1, 4} {
+			pcfg := scfg
+			pcfg.Seed, pcfg.Workers = seed, workers
+			ds, feed := smipFeed(pcfg)
+			record("smipraw.catalog"+suffix, smipDS(ds))
+			record("smipraw.records"+suffix, func(h hash.Hash) error { return cdrs.WriteAll(h, feed) })
+
+			fc := fcfg
+			fc.Seed, fc.Workers = seed, workers
+			plane := fedM2MPlane(dataset.GenerateFederation(fc))
+			record("fed.m2m"+suffix, func(h hash.Hash) error { return signaling.WriteAll(h, plane) })
+		}
+	}
+
 	scfg.Workers = 1
 	var feed []cdrs.Record
 	scfg.ArchiveCDRs = func(r cdrs.Record) { feed = append(feed, r) }
@@ -663,11 +660,16 @@ func TestGeneratorDigests(t *testing.T) {
 		"fed.site2.present": "8c467d59ff455197e3e23d2452f5a0d6d85de1e81aef4d625950a6c08cb95354",
 		"fed.schedule":      "7b01adcedbc64f0407cf8e2db7dcc71fc042b059af0de4a0c66aa5826b6df9a6",
 		"fed.m2m":           "f81289b29d9e323c931e00620d236e34df1deac6781c44c96b0a2295bc0e4165",
+		"fed.m2m/seed2":     "a30997a3a905ad941131560fc5f3392788504bcdd3d363a499d5ec51a7cebd3f",
+		"fed.m2m/seed3":     "0a251a029326fcf813d235a0f41ba9b26bae4653498e08642b23081526982b8a",
 
 		"smip.catalog":          "3c0ee4b17c3bfb35534967319920c00ffc9265818e8f1c7b60be0dcfb85c728d",
 		"smipraw.catalog":       "9e8de7588b677a94891b8c5a4146923be9ea02c0d8ef59edba11c03c1b64c96a",
 		"smipraw.records":       "61c01921909f37879bc5a0f17535205e4e8caae68c5a81b16050fd76d229fbb9",
-		"smipraw.radio":         "0cc0d3e8bda609eef8d363b062042f7cddf1a6f26fcecffff3ea224a22a4d0a6",
+		"smipraw.catalog/seed2": "5c9837d3f2545ba83d77a1c76e6bbde421727b8f374745d14f34fc60101d675e",
+		"smipraw.records/seed2": "f2440ed1102cab434421f7e4a98db5ae7413335e7249e0e172dab1eba11c6ffe",
+		"smipraw.catalog/seed3": "c1212d9294fa9c720a00c95c6b38ddbe7b091970410a8b11bef32187373e1405",
+		"smipraw.records/seed3": "a7b22f738834a9ed5cc8b00940fd209ee7074cf63bf5129e67ab8dd760ed6783",
 		"smipstream.feed":       "9a411a07f22485ebae7a00c2e9ec896d7cd65b0ca25f24f8cded4fe092d666e3",
 		"fedsmip.site0.catalog": "c3568df2cb597a8556146bbf175963ccf4e857729fedea9f5d119c6e8728baf6",
 		"fedsmip.site1.catalog": "a6e72d7225e831ce8f67ba81aae040832d4e28cbc3ed794ac7d5c06ecd645bf3",

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"whereroam/internal/catalog"
+	"whereroam/internal/cdrs"
 	"whereroam/internal/devices"
 	"whereroam/internal/geo"
 	"whereroam/internal/gsma"
@@ -60,13 +61,13 @@ type FederationConfig struct {
 	// site's catalog builds — the
 	// persist-and-ingest fanout of internal/store, one store per
 	// visited operator. The build panics on archive I/O errors,
-	// mirroring the config-validation panics.
+	// mirroring the config-validation panics; a caller that must
+	// report them archives a built dataset with ArchiveFederation.
 	ArchiveDir string
 	// ArchiveSegmentRecords caps records per archive segment; 0 means
 	// store.DefaultSegmentRecords. Smaller segments mean more pruning
-	// opportunities per query — CI's smoke job uses a small cap so even
-	// a tiny archive exercises range and bloom pruning. The archived
-	// bytes are identical either way; only the segment boundaries move.
+	// opportunities per query. The archived bytes are identical either
+	// way; only the segment boundaries move.
 	ArchiveSegmentRecords int
 }
 
@@ -533,7 +534,7 @@ func generateSite(cfg FederationConfig, j int, root *rng.Source, db *gsma.DB, fl
 
 	// With ArchiveDir set, the site's CDR/xDR feed additionally fans
 	// out to a per-site segmented archive in the same pass.
-	var extra func(pipeline.Shard) shardSinks
+	var tee func(cdrs.Record)
 	if cfg.ArchiveDir != "" {
 		w, err := store.NewWriter(store.SiteDir(cfg.ArchiveDir, host.Concat()), siteMeta(cfg, host), cfg.ArchiveSegmentRecords)
 		if err != nil {
@@ -544,10 +545,9 @@ func generateSite(cfg FederationConfig, j int, root *rng.Source, db *gsma.DB, fl
 				panic(fmt.Sprintf("dataset: federation archive: %v", err))
 			}
 		}()
-		archive := shardSinks{cdr: w.Sink()}
-		extra = func(pipeline.Shard) shardSinks { return archive }
+		tee = w.Sink()
 	}
-	site.Catalog = siteCapture(cfg, host).build(locals, extra)
+	site.Catalog = siteCapture(cfg, host).build(locals, tee)
 	return site
 }
 

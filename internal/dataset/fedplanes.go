@@ -18,29 +18,6 @@ import (
 	"whereroam/internal/signaling"
 )
 
-// FederationM2M is the federated §3/§6 transaction plane: the
-// control-plane signaling the fleet's M2M devices generate across the
-// whole federation, consistent with the shared presence schedule —
-// every transaction's visited network is the one site the device is
-// scheduled at that day (or its home network on home days), and
-// inter-site moves surface as the paper's cancel-location/attach
-// switch sequences.
-//
-//roamvet:deadcode-ok test oracle: the materialized plane the fold's per-device order and the fed.m2m digest are checked against
-type FederationM2M struct {
-	// Hosts mirrors the federation's visited-MNO list; Visited fields
-	// outside it are home-network transactions.
-	Hosts []mccmnc.PLMN
-	// Start and Days frame the observation window.
-	Start time.Time
-	Days  int
-	// Transactions is the time-sorted signaling stream.
-	Transactions []signaling.Transaction
-	// Truth maps the plane's device IDs (the fleet's M2M subset) to
-	// ground-truth classes.
-	Truth map[identity.DeviceID]devices.Class
-}
-
 // fedM2MDevice is one fleet member participating in the M2M plane,
 // with its index in the fleet and its plane-local RNG substream.
 type fedM2MDevice struct {
@@ -148,36 +125,18 @@ func fedM2MWalk(fed *FederationDataset, devs []fedM2MDevice) deviceWalk[signalin
 	}
 }
 
-// GenerateFederationM2M synthesizes the federated M2M transaction
-// plane from an already-built federation dataset: the same shared
-// fleet, the same presence schedule, viewed as the §3/§6 signaling
-// stream, time-sorted. It is bit-identical at every worker count.
-//
-//roamvet:deadcode-ok test oracle: the materialized plane the fold's per-device order and the fed.m2m digest are checked against
-func GenerateFederationM2M(fed *FederationDataset) *FederationM2M {
-	devs := fedM2MPopulation(fed)
-	plane := &FederationM2M{
-		Hosts: fed.Hosts,
-		Start: fed.Start,
-		Days:  fed.Days,
-		Truth: make(map[identity.DeviceID]devices.Class, len(devs)),
-	}
-	for _, d := range devs {
-		plane.Truth[d.member.dev.ID] = d.member.dev.Class
-	}
-	plane.Transactions = collectShards(len(devs), fed.cfg.Workers, fedM2MWalk(fed, devs))
-	// Stable: tied timestamps keep serial emission order.
-	sortByTime(new(timeSorter), plane.Transactions, transactionTime)
-	return plane
-}
-
-// FoldFederationM2M runs GenerateFederationM2M's emission walk without
-// materializing or globally sorting the plane: fold(i, txs) is called
-// once for every M2M fleet member, i indexing fed.Fleet, with the
-// device's transactions in time order — exactly its subsequence of
-// GenerateFederationM2M(fed).Transactions. Calls for distinct devices
-// run concurrently, so fold may write only state owned by i; txs is
-// valid only during the call.
+// FoldFederationM2M walks the federated §3/§6 transaction plane: the
+// control-plane signaling the fleet's M2M devices generate across the
+// whole federation, consistent with the shared presence schedule —
+// every transaction's visited network is the one site the device is
+// scheduled at that day (or its home network on home days), and
+// inter-site moves surface as the paper's cancel-location/attach
+// switch sequences. The plane is never materialized or globally
+// sorted: fold(i, txs) is called once for every M2M fleet member, i
+// indexing fed.Fleet, with the device's transactions in time order,
+// bit-identical at every worker count. Calls for distinct devices run
+// concurrently, so fold may write only state owned by i; txs is valid
+// only during the call.
 func FoldFederationM2M(fed *FederationDataset, fold func(i int, txs []signaling.Transaction)) {
 	devs := fedM2MPopulation(fed)
 	foldShards(len(devs), fed.cfg.Workers, fedM2MWalk(fed, devs), func(k int, txs []signaling.Transaction) {

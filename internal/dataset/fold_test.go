@@ -99,9 +99,10 @@ func TestFoldM2MMatchesDeviceSubsequences(t *testing.T) {
 }
 
 // FoldFederationM2M's order contract: it is called once per M2M fleet
-// member, with that member's fleet index, and each slice is exactly
-// the member's subsequence of the globally sorted
-// GenerateFederationM2M plane, at any worker count.
+// member, with that member's fleet index, and each slice holds the
+// member's transactions alone — at least its day-0 attach — in time
+// order, at any worker count. The bytes themselves are pinned by the
+// fed.m2m digests.
 func TestFoldFederationM2MMatchesDeviceSubsequences(t *testing.T) {
 	for seed := uint64(1); seed <= 3; seed++ {
 		for _, workers := range []int{1, 4} {
@@ -110,23 +111,37 @@ func TestFoldFederationM2MMatchesDeviceSubsequences(t *testing.T) {
 			cfg.Seed, cfg.Workers = seed, workers
 			cfg.FleetDevices, cfg.NativePerSite, cfg.Days = 150, 20, 5
 			fed := GenerateFederation(cfg)
-			plane := GenerateFederationM2M(fed)
 
-			folded := make([]bool, len(fed.Fleet))
-			for i := range fed.Fleet {
-				folded[i] = fed.Fleet[i].Class.IsM2M()
-			}
 			calls := make([]int, len(fed.Fleet))
 			got := make([][]signaling.Transaction, len(fed.Fleet))
 			FoldFederationM2M(fed, func(i int, txs []signaling.Transaction) {
 				calls[i]++
 				got[i] = slices.Clone(txs)
 			})
-			checkFold(t, name, folded, calls, got, plane.Transactions)
-			for i, txs := range got {
-				if len(txs) > 0 && txs[0].Device != fed.Fleet[i].ID {
-					t.Errorf("%s: fleet member %d folded device %v's transactions", name, i, txs[0].Device)
+			members := 0
+			for i := range fed.Fleet {
+				wantCalls := 0
+				if fed.Fleet[i].Class.IsM2M() {
+					wantCalls = 1
+					members++
 				}
+				if calls[i] != wantCalls {
+					t.Errorf("%s: fleet member %d folded %d times, want %d", name, i, calls[i], wantCalls)
+				}
+				if wantCalls == 1 && len(got[i]) == 0 {
+					t.Errorf("%s: M2M fleet member %d folded no transactions", name, i)
+				}
+				for k, tx := range got[i] {
+					if tx.Device != fed.Fleet[i].ID {
+						t.Fatalf("%s: fleet member %d folded device %v's transaction", name, i, tx.Device)
+					}
+					if k > 0 && tx.Time.Before(got[i][k-1].Time) {
+						t.Fatalf("%s: fleet member %d's transactions are not in time order", name, i)
+					}
+				}
+			}
+			if members == 0 {
+				t.Fatalf("%s: the fleet has no M2M member; contract vacuous", name)
 			}
 		}
 	}

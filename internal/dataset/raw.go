@@ -43,26 +43,19 @@ type capture struct {
 	router bool
 }
 
-// shardSinks are the consumers one emission shard feeds beside its
-// catalog builder — an archive writer, a collector. Either may be nil.
-type shardSinks struct {
-	radio func(radio.Event)
-	cdr   func(cdrs.Record)
-}
-
 // build walks locals through the per-event measurement path — radio
 // events and CDRs/xDRs through one probe tap pair per emission shard —
 // and aggregates the devices-catalog. It is the package's only
-// per-event walk; its callers differ in population and in the extra
-// sinks (extra may be nil) a shard's taps also feed, ahead of the
-// builder.
+// per-event walk; its callers differ in population and in tee, which
+// (when non-nil) also receives every CDR/xDR ahead of the builder —
+// an archive writer's sink, called concurrently from the shards.
 //
 // Emission shards are device-disjoint and every device's events are
 // offered in per-device time order, so each shard owns the builder it
 // feeds — no channel hop, no event slice — and
 // catalog.ShardedBuilder.Build's (device, day) sort makes the catalog
 // bit-identical at any worker count.
-func (c capture) build(locals []localDevice, extra func(pipeline.Shard) shardSinks) *catalog.Catalog {
+func (c capture) build(locals []localDevice, tee func(cdrs.Record)) *catalog.Catalog {
 	hostCountry, _ := mccmnc.CountryByMCC(c.host.MCC)
 	grid := radio.NewGrid(hostCountry, 60, 60, radio.DefaultSpacingDeg)
 
@@ -92,14 +85,8 @@ func (c capture) build(locals []localDevice, extra func(pipeline.Shard) shardSin
 
 	pipeline.Run(len(locals), c.workers, func(sh pipeline.Shard) {
 		radioSink, cdrSink := sinks(sh)
-		if extra != nil {
-			x := extra(sh)
-			if x.radio != nil {
-				radioSink = probe.Fanout(x.radio, radioSink)
-			}
-			if x.cdr != nil {
-				cdrSink = probe.Fanout(x.cdr, cdrSink)
-			}
+		if tee != nil {
+			cdrSink = probe.Fanout(tee, cdrSink)
 		}
 		radioTap := probe.NewTap("mme-msc-sgsn", c.seed, radioSink)
 		cdrTap := probe.NewTap("mediation", c.seed, cdrSink)
@@ -126,15 +113,6 @@ func (c capture) archive(locals []localDevice, sink func(cdrs.Record)) {
 			emitDeviceDaysSched(l.emit, c.host, c.start, c.days, nil, nil, cdrTap, &l.dev, l.presentDay, &bufs)
 		}
 	})
-}
-
-// RawStreams is the per-event view of a capture: what the probes at
-// the MME/MSC/SGSN hand to the pipeline before any aggregation.
-//
-//roamvet:deadcode-ok test oracle: the capture GenerateSMIPRaw keeps, which the store-replay tests and the smipraw.* digests read
-type RawStreams struct {
-	Radio   []radio.Event
-	Records []cdrs.Record
 }
 
 // smipPopulation draws the two meter cohorts of the per-event SMIP
@@ -215,66 +193,22 @@ func smipCapture(cfg SMIPConfig) capture {
 	return capture{host: cfg.Host, start: cfg.Start, days: cfg.Days, seed: cfg.Seed, workers: cfg.Workers}
 }
 
-// GenerateSMIPRaw builds the same SMIP population as GenerateSMIP but
-// materializes the §4.1 measurement path end to end: it synthesizes
-// individual radio events and CDRs/xDRs, runs them through probe taps
-// into the catalog builders — dwell-based mobility metrics included —
-// and also returns the capture itself, time-ordered. It is an order of
-// magnitude more expensive per device than the direct generator and
-// exists to exercise (and cross-validate) the real pipeline; keep
-// cohorts in the thousands, or use GenerateSMIPStreaming when the
-// materialized capture itself is the problem.
-//
-//roamvet:deadcode-ok test oracle: the capture-keeping reference GenerateSMIPStreaming is held to (TestSMIPStreamingMatchesBatch, store replay, smipraw.* digests)
-func GenerateSMIPRaw(cfg SMIPConfig) (*SMIPDataset, *RawStreams) {
-	ds, locals := smipPopulation(cfg)
-
-	// One collector pair per emission shard (written by that shard
-	// alone), gathered in shard order afterwards — the exact emission
-	// order of a serial run.
-	shards := make([]RawStreams, pipeline.ShardCount(len(locals)))
-	ds.Catalog = smipCapture(cfg).build(locals, func(sh pipeline.Shard) shardSinks {
-		col := &shards[sh.Index]
-		sinks := shardSinks{
-			radio: func(ev radio.Event) { col.Radio = append(col.Radio, ev) },
-			cdr:   func(rec cdrs.Record) { col.Records = append(col.Records, rec) },
-		}
-		if cfg.ArchiveCDRs != nil {
-			sinks.cdr = probe.Fanout(cfg.ArchiveCDRs, sinks.cdr)
-		}
-		return sinks
-	})
-
-	raw := &RawStreams{}
-	for i := range shards {
-		raw.Radio = append(raw.Radio, shards[i].Radio...)
-		raw.Records = append(raw.Records, shards[i].Records...)
-	}
-	// Time-order the streams (probes interleave by capture point). The
-	// sort is stable: each device's emission is already time-sorted, so
-	// every device's relative order stays its emission order.
-	var order timeSorter
-	sortByTime(&order, raw.Radio, radioEventTime)
-	sortByTime(&order, raw.Records, cdrTime)
-	return ds, raw
-}
-
-// GenerateSMIPStreaming is GenerateSMIPRaw without the materialized
-// capture: the same population, the same per-event synthesis through
-// probe taps, with the radio events and CDRs/xDRs flowing straight
-// from each emission shard's taps into the catalog builder that shard
-// owns. No event slice is ever held, so peak allocation stays flat
-// where GenerateSMIPRaw grows linearly with the capture; the catalog is
-// bit-identical to GenerateSMIPRaw's at any worker count.
+// GenerateSMIPStreaming draws the SMIP meter cohorts and walks them
+// through the §4.1 measurement path end to end: it synthesizes
+// individual radio events and CDRs/xDRs per device and runs them
+// through probe taps straight into the catalog builder each emission
+// shard owns — dwell-based mobility metrics included. No event slice
+// is ever held, so peak allocation stays flat whatever the capture's
+// size; the catalog is bit-identical at any worker count. It is an
+// order of magnitude more expensive per device than GenerateSMIP and
+// exists to exercise the real pipeline.
 //
 // With cfg.ArchiveCDRs set, every CDR/xDR additionally fans out to
 // the archive sink before it reaches the builder — persist-and-ingest
 // in one pass, the feed never materialized.
 func GenerateSMIPStreaming(cfg SMIPConfig) *SMIPDataset {
 	ds, locals := smipPopulation(cfg)
-	ds.Catalog = smipCapture(cfg).build(locals, func(pipeline.Shard) shardSinks {
-		return shardSinks{cdr: cfg.ArchiveCDRs}
-	})
+	ds.Catalog = smipCapture(cfg).build(locals, cfg.ArchiveCDRs)
 	return ds
 }
 

@@ -1,12 +1,13 @@
 package dataset
 
 import (
-	"reflect"
 	"sort"
 	"sync"
 	"testing"
 
+	"whereroam/internal/catalog"
 	"whereroam/internal/cdrs"
+	"whereroam/internal/identity"
 	"whereroam/internal/radio"
 )
 
@@ -17,15 +18,34 @@ func rawSMIP() SMIPConfig {
 	return cfg
 }
 
-func TestGenerateSMIPRawPipeline(t *testing.T) {
-	ds, raw := GenerateSMIPRaw(rawSMIP())
-	if len(raw.Radio) == 0 || len(raw.Records) == 0 {
-		t.Fatal("raw streams empty")
+// smipFeed runs the per-event capture with an ArchiveCDRs collector and
+// returns the dataset and every CDR/xDR the sink saw, devices in
+// population order and each device's records in arrival order.
+func smipFeed(cfg SMIPConfig) (*SMIPDataset, []cdrs.Record) {
+	var mu sync.Mutex
+	perDev := map[identity.DeviceID][]cdrs.Record{}
+	cfg.ArchiveCDRs = func(r cdrs.Record) {
+		mu.Lock()
+		perDev[r.Device] = append(perDev[r.Device], r)
+		mu.Unlock()
 	}
-	// Streams are time-ordered after capture.
-	for i := 1; i < len(raw.Radio); i++ {
-		if raw.Radio[i].Time.Before(raw.Radio[i-1].Time) {
-			t.Fatal("radio stream not time-ordered")
+	ds := GenerateSMIPStreaming(cfg)
+	var feed []cdrs.Record
+	for _, d := range ds.Devices {
+		feed = append(feed, perDev[d.ID]...)
+	}
+	return ds, feed
+}
+
+func TestGenerateSMIPRawPipeline(t *testing.T) {
+	ds, feed := smipFeed(rawSMIP())
+	if len(feed) == 0 {
+		t.Fatal("archived feed empty")
+	}
+	// Each device's records reach the sink in time order.
+	for i := 1; i < len(feed); i++ {
+		if feed[i].Device == feed[i-1].Device && feed[i].Time.Before(feed[i-1].Time) {
+			t.Fatalf("device %v's records not time-ordered", feed[i].Device)
 		}
 	}
 	// The builder's catalog covers the devices that were active.
@@ -33,12 +53,17 @@ func TestGenerateSMIPRawPipeline(t *testing.T) {
 		t.Fatal("builder produced no catalog records")
 	}
 	seen := map[uint64]bool{}
+	events := 0
 	for i := range ds.Catalog.Records {
 		r := &ds.Catalog.Records[i]
 		seen[uint64(r.Device)] = true
+		events += r.Events
 		if r.FailedEvents > r.Events {
 			t.Fatal("failed > events")
 		}
+	}
+	if events == 0 {
+		t.Fatal("catalog counts no radio events")
 	}
 	if len(seen) < 650 {
 		t.Errorf("catalog covers %d devices of 700", len(seen))
@@ -51,7 +76,7 @@ func TestRawMatchesDirectGeneratorShape(t *testing.T) {
 	// intermittence, the ~10x signaling ratio, and RAT usage.
 	cfg := rawSMIP()
 	direct := GenerateSMIP(cfg)
-	rawDS, _ := GenerateSMIPRaw(cfg)
+	rawDS := GenerateSMIPStreaming(cfg)
 
 	summarize := func(ds *SMIPDataset) (natMed, roamMed, ratio float64) {
 		activeDays := map[uint64]int{}
@@ -93,7 +118,7 @@ func TestRawMatchesDirectGeneratorShape(t *testing.T) {
 }
 
 func TestRawMobilityIsStationary(t *testing.T) {
-	ds, _ := GenerateSMIPRaw(rawSMIP())
+	ds := GenerateSMIPStreaming(rawSMIP())
 	// Meters are stationary; the dwell-weighted gyration computed by
 	// the builder from raw sector visits must say so.
 	located, under1km := 0, 0
@@ -116,46 +141,48 @@ func TestRawMobilityIsStationary(t *testing.T) {
 }
 
 func TestRawRATConsistency(t *testing.T) {
-	ds, raw := GenerateSMIPRaw(rawSMIP())
-	// Roaming meters are 2G-only: every radio event from a roaming
-	// device must ride a 2G interface.
-	for i := range raw.Radio {
-		ev := &raw.Radio[i]
-		native := ds.Native[ev.Device]
-		if !native && ev.RAT() != radio.RAT2G {
-			t.Fatalf("roaming meter event on %v", ev.RAT())
+	ds := GenerateSMIPStreaming(rawSMIP())
+	// Roaming meters are 2G-only: every RAT a roaming device's radio
+	// events and records flag in the catalog must be 2G.
+	roaming := 0
+	for i := range ds.Catalog.Records {
+		r := &ds.Catalog.Records[i]
+		if ds.Native[r.Device] {
+			continue
 		}
+		roaming++
+		if r.RadioFlags&^radio.Has2G != 0 {
+			t.Fatalf("roaming meter %v flags RATs %v on day %d", r.Device, r.RadioFlags, r.Day)
+		}
+	}
+	if roaming == 0 {
+		t.Fatal("no roaming meter in the catalog")
 	}
 }
 
-func BenchmarkGenerateSMIPRaw(b *testing.B) {
+func BenchmarkGenerateSMIPStreaming(b *testing.B) {
 	cfg := rawSMIP()
 	cfg.NativeMeters, cfg.RoamingMeters = 150, 100
 	for i := 0; i < b.N; i++ {
-		_, _ = GenerateSMIPRaw(cfg)
+		_ = GenerateSMIPStreaming(cfg)
 	}
 }
 
-// Both per-event entry points share one population and one capture, so
-// both honour NBIoTMigration (about half the roaming meters migrate and
-// every one of their records rides NB-IoT) and ArchiveCDRs (the sink
-// sees every CDR/xDR the capture emitted).
+// The per-event capture honours NBIoTMigration (about half the roaming
+// meters migrate and every one of their records and radio events rides
+// NB-IoT) and ArchiveCDRs (the sink sees every CDR/xDR the catalog was
+// built from: a catalog built from the archived feed alone carries the
+// live catalog's CDR-plane fields, device-day by device-day).
 func TestRawHonoursNBIoTMigrationAndArchive(t *testing.T) {
 	cfg := rawSMIP()
 	cfg.NBIoTMigration = 0.5
+	ds, feed := smipFeed(cfg)
 
-	var mu sync.Mutex
-	archived := 0
-	cfg.ArchiveCDRs = func(cdrs.Record) { mu.Lock(); archived++; mu.Unlock() }
-	rawDS, raw := GenerateSMIPRaw(cfg)
-	if archived != len(raw.Records) {
-		t.Errorf("GenerateSMIPRaw archived %d records, capture holds %d", archived, len(raw.Records))
-	}
 	onNB := 0
-	for i := range raw.Records {
-		r := &raw.Records[i]
-		if rawDS.NBIoT[r.Device] != (r.RAT == radio.RATNB) {
-			t.Fatalf("record of device %v on %v, migrated=%v", r.Device, r.RAT, rawDS.NBIoT[r.Device])
+	for i := range feed {
+		r := &feed[i]
+		if ds.NBIoT[r.Device] != (r.RAT == radio.RATNB) {
+			t.Fatalf("record of device %v on %v, migrated=%v", r.Device, r.RAT, ds.NBIoT[r.Device])
 		}
 		if r.RAT == radio.RATNB {
 			onNB++
@@ -164,25 +191,50 @@ func TestRawHonoursNBIoTMigrationAndArchive(t *testing.T) {
 	if onNB == 0 {
 		t.Error("no CDR/xDR on NB-IoT")
 	}
-	for i := range raw.Radio {
-		if ev := &raw.Radio[i]; rawDS.NBIoT[ev.Device] != (ev.RAT() == radio.RATNB) {
-			t.Fatalf("radio event of device %v on %v, migrated=%v", ev.Device, ev.RAT(), rawDS.NBIoT[ev.Device])
+	for i := range ds.Catalog.Records {
+		r := &ds.Catalog.Records[i]
+		migrated := ds.NBIoT[r.Device]
+		if migrated && r.RadioFlags&^radio.HasNB != 0 || !migrated && r.RadioFlags.Has(radio.RATNB) {
+			t.Fatalf("device %v flags RATs %v on day %d, migrated=%v", r.Device, r.RadioFlags, r.Day, migrated)
+		}
+	}
+	if n := len(ds.NBIoT); n < cfg.RoamingMeters*4/10 || n > cfg.RoamingMeters*6/10 {
+		t.Errorf("%d of %d roaming meters on NB-IoT, want about half", n, cfg.RoamingMeters)
+	}
+	for id := range ds.NBIoT {
+		if native, ok := ds.Native[id]; !ok || native {
+			t.Fatalf("NB-IoT device %v is not a roaming meter", id)
 		}
 	}
 
-	cfg.ArchiveCDRs = nil
-	streamDS := GenerateSMIPStreaming(cfg)
-	for name, ds := range map[string]*SMIPDataset{"raw": rawDS, "streaming": streamDS} {
-		if n := len(ds.NBIoT); n < cfg.RoamingMeters*4/10 || n > cfg.RoamingMeters*6/10 {
-			t.Errorf("%s: %d of %d roaming meters on NB-IoT, want about half", name, n, cfg.RoamingMeters)
-		}
-		for id := range ds.NBIoT {
-			if native, ok := ds.Native[id]; !ok || native {
-				t.Fatalf("%s: NB-IoT device %v is not a roaming meter", name, id)
-			}
-		}
+	b := catalog.NewBuilder(cfg.Host, cfg.Start, cfg.Days, nil)
+	for i := range feed {
+		b.AddRecord(feed[i])
 	}
-	if !reflect.DeepEqual(rawDS.NBIoT, streamDS.NBIoT) || !reflect.DeepEqual(rawDS.Catalog.Records, streamDS.Catalog.Records) {
-		t.Error("raw and streaming disagree on the migrated fleet")
+	type deviceDay struct {
+		dev identity.DeviceID
+		day int
+	}
+	archived := map[deviceDay]*catalog.DailyRecord{}
+	fromFeed := b.Build()
+	for i := range fromFeed.Records {
+		r := &fromFeed.Records[i]
+		archived[deviceDay{r.Device, r.Day}] = r
+	}
+	for i := range ds.Catalog.Records {
+		r := &ds.Catalog.Records[i]
+		k := deviceDay{r.Device, r.Day}
+		a, ok := archived[k]
+		if !ok {
+			a = &catalog.DailyRecord{}
+		}
+		if a.Calls != r.Calls || a.CallSeconds != r.CallSeconds || a.Bytes != r.Bytes ||
+			a.DataRATs != r.DataRATs || a.VoiceRATs != r.VoiceRATs {
+			t.Fatalf("device %v day %d: the archived feed's CDR-plane fields differ from the live catalog's", r.Device, r.Day)
+		}
+		delete(archived, k)
+	}
+	if len(archived) != 0 {
+		t.Errorf("the archived feed holds %d device-days the live catalog lacks", len(archived))
 	}
 }

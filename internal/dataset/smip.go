@@ -28,16 +28,15 @@ type SMIPConfig struct {
 	// NB-IoT (the §8 scenario). Zero reproduces the paper's 2G fleet.
 	NBIoTMigration float64
 	// Workers bounds the per-event capture's worker pool
-	// (GenerateSMIPRaw, GenerateSMIPStreaming); values below one mean
-	// one worker per CPU. The capture and the built catalog are
-	// identical for every worker count.
+	// (GenerateSMIPStreaming); values below one mean one worker per
+	// CPU. The built catalog, and each device's records in
+	// ArchiveCDRs, are identical for every worker count.
 	Workers int
 	// ArchiveCDRs, when non-nil, additionally receives every CDR/xDR
-	// the per-event measurement path (GenerateSMIPRaw,
-	// GenerateSMIPStreaming) offers its catalog builders — the
-	// probe.Fanout persist-and-ingest hook. Point it at a
-	// store.Writer.Sink to archive the live feed while the catalog
-	// builds in the same pass. It is called concurrently from the
+	// the per-event measurement path (GenerateSMIPStreaming) offers
+	// its catalog builders — the probe.Fanout persist-and-ingest hook.
+	// Point it at a store.Writer.Sink to archive the live feed while
+	// the catalog builds in the same pass. It is called concurrently from the
 	// emission shards; each device's records arrive in per-device time
 	// order, the order contract an archived feed's replay rests on (see
 	// internal/store).

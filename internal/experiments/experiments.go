@@ -71,18 +71,13 @@ func (r *Report) String() string {
 	return b.String()
 }
 
-// Federation drives experiments over one shared cellular world
-// observed from any number of visited-operator sites. It is the
-// session layer of the repository: it shares the expensive synthetic
-// datasets between runners (the MNO dataset alone feeds eight
-// experiments), and — when more than one site is configured, or a
-// fed-* runner asks — fans the shared GSMA catalog and global roamer
-// fleet out to per-site capture pipelines (see Sites).
-//
-// A single-site Federation is the classic Session; Session is an
-// alias so every existing constructor and runner signature keeps
-// compiling and produces the same single-site results as before.
-type Federation struct {
+// Session drives experiments over one shared cellular world observed
+// from any number of visited-operator sites. It is the session layer
+// of the repository: it shares the expensive synthetic datasets
+// between runners (the MNO dataset alone feeds eight experiments),
+// and — when a fed-* runner asks — fans the shared GSMA catalog and
+// global roamer fleet out to per-site capture pipelines (see Sites).
+type Session struct {
 	// Seed drives every generator.
 	Seed uint64
 	// Factor scales the default device counts (1.0 ≈ a tenth of
@@ -99,16 +94,6 @@ type Federation struct {
 	// classic single-site datasets (MNO/M2M/SMIP) are independent of
 	// it and always observe from the paper's UK operator.
 	Hosts []mccmnc.PLMN
-	// ArchiveDir, when non-empty, persists each federation site's
-	// CDR/xDR feed to a segmented archive at ArchiveDir/site-<plmn>
-	// while the site catalogs build (dataset.FederationConfig's
-	// ArchiveDir, threaded through FederationData).
-	ArchiveDir string
-	// ArchiveSegmentRecords caps records per archive segment (0 =
-	// store.DefaultSegmentRecords); threaded through FederationData
-	// like ArchiveDir. Small caps let tiny smoke archives span many
-	// segments and exercise the replay pruning paths.
-	ArchiveSegmentRecords int
 
 	mu      sync.Mutex
 	m2m     *M2MView
@@ -121,34 +106,14 @@ type Federation struct {
 	sites   []*Site
 }
 
-// Session is the single-site view of a Federation — the historical
-// name of the session layer, kept as an alias so existing callers
-// compile unchanged.
-type Session = Federation
-
-// NewSession returns a session with the given seed and scale factor,
-// running its pipelines with one worker per CPU.
-func NewSession(seed uint64, factor float64) *Session {
-	return NewSessionWorkers(seed, factor, 0)
-}
-
-// NewSessionWorkers returns a session with an explicit pipeline
-// worker count (below one = one worker per CPU, one = serial).
+// NewSessionWorkers returns a session with the given seed, scale
+// factor and pipeline worker count (below one = one worker per CPU,
+// one = serial). Set Hosts on it to choose the federation's sites.
 func NewSessionWorkers(seed uint64, factor float64, workers int) *Session {
 	if factor <= 0 {
 		factor = 1
 	}
 	return &Session{Seed: seed, Factor: factor, Workers: workers}
-}
-
-// NewFederation returns a multi-site session: one shared world and
-// global fleet observed by every host in hosts (empty = the default
-// three-site footprint). The single-site datasets and every classic
-// runner keep working on it unchanged.
-func NewFederation(seed uint64, factor float64, workers int, hosts ...mccmnc.PLMN) *Federation {
-	f := NewSessionWorkers(seed, factor, workers)
-	f.Hosts = hosts
-	return f
 }
 
 func (s *Session) scaled(n int) int {

@@ -16,7 +16,7 @@ var (
 
 func session(t testing.TB) *Session {
 	sessOnce.Do(func() {
-		sess = NewSession(1, 0.35) // ~4.2k platform SIMs, ~10.5k MNO devices
+		sess = NewSessionWorkers(1, 0.35, 0) // ~4.2k platform SIMs, ~10.5k MNO devices
 	})
 	return sess
 }

@@ -17,7 +17,7 @@ func init() {
 	register("fed-validation", "Federation: federated vs single-site classifier validation", runFedValidation)
 }
 
-// Site is one visited operator's analysis view inside a Federation:
+// Site is one visited operator's analysis view inside a Session:
 // the site dataset plus the classified population its local pipeline
 // derived — everything a single-MNO analysis has, per site.
 type Site struct {
@@ -57,7 +57,7 @@ func (st *Site) Label(dev identity.DeviceID) (core.Label, bool) {
 // world, GSMA catalog and roamer fleet, one catalog build per host in
 // Hosts (empty = the default three-site footprint), bit-identical at
 // any worker count.
-func (s *Federation) FederationData() *dataset.FederationDataset {
+func (s *Session) FederationData() *dataset.FederationDataset {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.fed == nil {
@@ -67,8 +67,6 @@ func (s *Federation) FederationData() *dataset.FederationDataset {
 		cfg.FleetDevices = s.scaled(cfg.FleetDevices)
 		cfg.NativePerSite = s.scaled(cfg.NativePerSite)
 		cfg.Workers = s.Workers
-		cfg.ArchiveDir = s.ArchiveDir
-		cfg.ArchiveSegmentRecords = s.ArchiveSegmentRecords
 		s.fed = dataset.GenerateFederation(cfg)
 	}
 	return s.fed
@@ -79,7 +77,7 @@ func (s *Federation) FederationData() *dataset.FederationDataset {
 // site (dataset.FoldFederationM2M) — into per-device counts, each
 // transaction checked against the presence schedule as it passes. The
 // session holds none of the transactions.
-func (s *Federation) FederationM2M() *FederationM2MView {
+func (s *Session) FederationM2M() *FederationM2MView {
 	fed := s.FederationData()
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -93,7 +91,7 @@ func (s *Federation) FederationM2M() *FederationM2MView {
 // one meters-only dataset per site over the shared fleet's meters
 // plus each site's native deployment. The catalogs build batch or
 // streaming per the session, bit-identical either way.
-func (s *Federation) FederationSMIP() *dataset.FederationSMIP {
+func (s *Session) FederationSMIP() *dataset.FederationSMIP {
 	fed := s.FederationData()
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -106,7 +104,7 @@ func (s *Federation) FederationSMIP() *dataset.FederationSMIP {
 // Sites lazily builds the per-site analysis views: each site's
 // population is derived locally over its own catalog — the same
 // core.Derive the single-site analyses use.
-func (s *Federation) Sites() []*Site {
+func (s *Session) Sites() []*Site {
 	fed := s.FederationData()
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -9,7 +9,7 @@ import (
 
 // One shared federation across the fed-* tests (the datasets dominate
 // the runtime, exactly like the classic session share).
-var fedSess = NewFederation(1, 0.12, 0)
+var fedSess = NewSessionWorkers(1, 0.12, 0)
 
 func runFed(t testing.TB, id string) *Report {
 	t.Helper()
@@ -123,12 +123,10 @@ func TestFedValidation(t *testing.T) {
 	}
 }
 
-// The classic single-site constructors must keep producing identical
-// results through the Federation redesign, and the fed-* runners must
-// be bit-identical across worker counts on top of it.
+// The fed-* runners must be bit-identical across worker counts.
 func TestFedRunnersWorkerCountInvariant(t *testing.T) {
-	serial := NewFederation(1, 0.06, 1)
-	par := NewFederation(1, 0.06, 4)
+	serial := NewSessionWorkers(1, 0.06, 1)
+	par := NewSessionWorkers(1, 0.06, 4)
 	for _, id := range []string{"fed-sites", "fed-agreement", "fed-validation", "fed-smip", "fed-m2m"} {
 		r, _ := ByID(id)
 		a, b := r.Run(serial), r.Run(par)

@@ -24,13 +24,10 @@ func init() {
 // golden test can pin roamd's JSON responses bit-identical to these
 // values.
 //
-// The archive is the session's own: with ArchiveDir set, the stores
-// the federation build wrote in its pass; without it, a scratch
-// archive that dataset.ArchiveFederation writes from the session's
-// retained federation by re-walking the CDR/xDR plane alone. Both
-// routes hold the same records per device, so the report is the same
-// either way, and neither synthesizes the federation a second time.
-// An archive I/O failure becomes a note, not a panic.
+// The archive is a scratch one that dataset.ArchiveFederation writes
+// from the session's retained federation by re-walking the CDR/xDR
+// plane alone — the federation is not synthesized a second time. An
+// archive I/O failure becomes a note, not a panic.
 //
 // The archive persists the CDR/xDR plane only (radio events are
 // live-only and the GSMA device database is not archived), so the
@@ -43,31 +40,20 @@ func runFedServe(s *Session) *Report {
 		Paper: "§2/§5: operational visibility means querying the archived corpus, not rerunning collection — the serving layer answers from replayed slices",
 	}
 
-	// Building the session's federation writes its archive when
-	// ArchiveDir is set.
-	fed := s.FederationData()
-	dir := s.ArchiveDir
-	if dir == "" {
-		td, err := os.MkdirTemp("", "whereroam-fedserve-")
-		if err != nil {
-			r.Notes = append(r.Notes, "cannot create scratch archive: "+err.Error())
-			return r
-		}
-		defer os.RemoveAll(td)
-		if err := dataset.ArchiveFederation(fed, td, s.ArchiveSegmentRecords); err != nil {
-			r.Notes = append(r.Notes, "cannot write scratch archive: "+err.Error())
-			return r
-		}
-		dir = td
+	dir, err := os.MkdirTemp("", "whereroam-fedserve-")
+	if err != nil {
+		r.Notes = append(r.Notes, "cannot create scratch archive: "+err.Error())
+		return r
+	}
+	defer os.RemoveAll(dir)
+	if err := dataset.ArchiveFederation(s.FederationData(), dir, 0); err != nil {
+		r.Notes = append(r.Notes, "cannot write scratch archive: "+err.Error())
+		return r
 	}
 
 	names, err := store.SiteDirs(dir)
 	if err != nil {
 		r.Notes = append(r.Notes, "cannot list archive root: "+err.Error())
-		return r
-	}
-	if len(names) == 0 {
-		r.Notes = append(r.Notes, "no site-* archives under "+dir)
 		return r
 	}
 

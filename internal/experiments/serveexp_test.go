@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"testing"
 
+	"whereroam/internal/dataset"
 	"whereroam/internal/serve"
 )
 
@@ -18,11 +19,14 @@ import (
 // live roamd-equivalent HTTP server mounted over the same seed-1
 // archive must agree exactly (float64 equality, no tolerance),
 // because they execute the same serve.Compute* functions over the
-// same replayed slices.
+// same replayed slices. The daemon mounts an archive of the session's
+// federation written apart from the runner's scratch one.
 func TestFedServeMatchesDaemon(t *testing.T) {
 	dir := t.TempDir()
-	sess := NewFederation(1, 0.06, 2)
-	sess.ArchiveDir = dir
+	sess := NewSessionWorkers(1, 0.06, 2)
+	if err := dataset.ArchiveFederation(sess.FederationData(), dir, 0); err != nil {
+		t.Fatal(err)
+	}
 
 	runner, ok := ByID("fed-serve")
 	if !ok {
@@ -103,25 +107,6 @@ func TestFedServeMatchesDaemon(t *testing.T) {
 		if want := rep.Value(key); float64(p.Shared) != want {
 			t.Errorf("pair %s-%s: daemon shares %d, runner %v", p.A, p.B, p.Shared, want)
 		}
-	}
-}
-
-// fed-serve reads the session's own archive when ArchiveDir is set and
-// writes a scratch one from the retained federation when it is not;
-// both routes must print the same report.
-func TestFedServeArchiveRoutesAgree(t *testing.T) {
-	runner, ok := ByID("fed-serve")
-	if !ok {
-		t.Fatal("fed-serve runner not registered")
-	}
-	archived := NewFederation(1, 0.06, 2)
-	archived.ArchiveDir = t.TempDir()
-	rep := runner.Run(archived)
-	if !has(rep, "served_sites") || rep.Value("served_sites") == 0 {
-		t.Fatalf("fed-serve served no sites:\n%s", rep)
-	}
-	if got, want := runner.Run(NewFederation(1, 0.06, 2)).String(), rep.String(); got != want {
-		t.Errorf("scratch-archive report differs from the session-archive one:\n%s\nwant\n%s", got, want)
 	}
 }
 

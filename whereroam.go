@@ -57,7 +57,7 @@ type (
 // scale factor (1.0 ≈ one tenth of paper scale). Pipelines run with
 // one worker per CPU; results are identical for every worker count.
 func NewSession(seed uint64, factor float64) *Session {
-	return experiments.NewSession(seed, factor)
+	return experiments.NewSessionWorkers(seed, factor, 0)
 }
 
 // NewFederation returns a multi-site session: one shared GSMA
@@ -66,7 +66,9 @@ func NewSession(seed uint64, factor float64) *Session {
 // three-site footprint). Every classic runner works on it unchanged;
 // the fed-* runners and Sites() expose the cross-site views.
 func NewFederation(seed uint64, factor float64, workers int, hosts ...PLMN) *Session {
-	return experiments.NewFederation(seed, factor, workers, hosts...)
+	s := experiments.NewSessionWorkers(seed, factor, workers)
+	s.Hosts = hosts
+	return s
 }
 
 // ExperimentByID returns one table/figure runner ("t1", "fig2", ...,

@@ -1,11 +1,13 @@
 package whereroam
 
 import (
+	"sync/atomic"
 	"testing"
 
 	"whereroam/internal/core"
 	"whereroam/internal/dataset"
 	"whereroam/internal/mccmnc"
+	"whereroam/internal/signaling"
 )
 
 // The facade tests exercise every exported name end to end the way the
@@ -98,7 +100,7 @@ func TestFacadeFederation(t *testing.T) {
 			t.Errorf("site %v has no summaries", site.Host())
 		}
 	}
-	// A Session is a single-site Federation: one constructor surface.
+	// A single-site Session: the same type, the other constructor.
 	var sess *Session = NewSession(1, 0.05)
 	if sess.MNO() == nil {
 		t.Fatal("session MNO dataset missing")
@@ -130,7 +132,9 @@ func TestFacadeFederationGenerator(t *testing.T) {
 	if len(fed.Schedule) != len(fed.Fleet) {
 		t.Fatalf("schedule rows = %d, fleet = %d", len(fed.Schedule), len(fed.Fleet))
 	}
-	if m2m := dataset.GenerateFederationM2M(fed); len(m2m.Transactions) == 0 {
+	var txs atomic.Int64
+	dataset.FoldFederationM2M(fed, func(_ int, dev []signaling.Transaction) { txs.Add(int64(len(dev))) })
+	if txs.Load() == 0 {
 		t.Error("federated M2M plane is empty")
 	}
 	if smip := dataset.GenerateFederationSMIP(fed); len(smip.Sites) != len(fed.Sites) {
