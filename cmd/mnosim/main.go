@@ -2,10 +2,11 @@
 // the daily devices-catalog as CSV, plus an optional ground-truth
 // class file for validation.
 //
-// The dataset never materializes: StreamMNO hands devices and records
-// straight to the CSV writers with at most one device resident per
-// worker, so the process peak stays near the counting pre-pass
-// regardless of -devices. -max-heap-mib turns the run into a
+// The dataset never materializes: StreamMNO's one producer walks the
+// devices in order and hands them and their records, through a small
+// bounded window, straight to the CSV writers, so the process peak
+// stays near the counting pre-pass regardless of -devices. -workers
+// sizes that pre-pass; the output is identical for any value. -max-heap-mib turns the run into a
 // self-asserting memory experiment: the process samples its own heap
 // and exits non-zero if the peak exceeded the budget — the hook CI's
 // scale-smoke job uses to hold the streamed path to a fixed budget.
@@ -41,7 +42,7 @@ func run(args []string, stdout io.Writer) (err error) {
 	fs.IntVar(&cfg.Devices, "devices", cfg.Devices, "distinct devices across the window")
 	fs.IntVar(&cfg.Days, "days", cfg.Days, "observation window in days")
 	fs.Uint64Var(&cfg.Seed, "seed", cfg.Seed, "generator seed")
-	fs.IntVar(&cfg.Workers, "workers", runtime.GOMAXPROCS(0), "synthesis worker pool size (output is identical for any value)")
+	fs.IntVar(&cfg.Workers, "workers", runtime.GOMAXPROCS(0), "counting pre-pass worker pool size (output is identical for any value)")
 	out := fs.String("out", "catalog.csv", "devices-catalog output path")
 	truth := fs.String("truth", "", "optional ground-truth class CSV output path")
 	maxHeapMiB := fs.Int64("max-heap-mib", 0, "fail if the process heap peak exceeds this many MiB (0 = no assertion)")

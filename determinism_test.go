@@ -8,6 +8,7 @@
 package whereroam
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -134,9 +135,7 @@ func fedM2MPlane(fed *dataset.FederationDataset) []signaling.Transaction {
 // Tied timestamps must not break worker-count equivalence: the final
 // time sort is stable over the shard-ordered capture, so ties keep
 // serial emission order whatever the fan-out. A one-day window forces
-// heavy second-granularity collisions. (The ordered fan-in the name
-// recalls is pinned through StreamMNO by
-// TestOutOfCoreMNOMatchesMaterialized.)
+// heavy second-granularity collisions.
 func TestStreamM2MTieHeavyStableOrder(t *testing.T) {
 	cfg := dataset.DefaultM2MConfig()
 	cfg.Devices = 600
@@ -477,69 +476,22 @@ func TestStorePrunedReplay(t *testing.T) {
 	}
 }
 
-// StreamMNO's ordered fan-in must deliver exactly what GenerateMNO
-// materializes at every worker count: same devices in the same order,
-// same catalog records, same ground truth and IR.88 verdicts. Both run
-// the same emission walk, so this pins the fan-in, not a second
-// generator.
-func TestOutOfCoreMNOMatchesMaterialized(t *testing.T) {
-	for seed := uint64(1); seed <= 3; seed++ {
-		cfg := dataset.DefaultMNOConfig()
-		cfg.Seed = seed
-		cfg.Devices = 1500
-		cfg.Workers = 1
-		mat := dataset.GenerateMNO(cfg)
-
-		for _, workers := range []int{1, 4, 0} {
-			scfg := cfg
-			scfg.Workers = workers
-			var devs []devices.Device
-			declared := map[identity.DeviceID]bool{}
-			truth := map[identity.DeviceID]devices.Class{}
-			var recs []catalog.DailyRecord
-			stream := dataset.StreamMNO(scfg, dataset.MNOSink{
-				Device: func(dev devices.Device, dec bool) {
-					devs = append(devs, dev)
-					truth[dev.ID] = dev.Class
-					if dec {
-						declared[dev.ID] = true
-					}
-				},
-				Record: func(rec catalog.DailyRecord) { recs = append(recs, rec) },
-			})
-			if !reflect.DeepEqual(mat.Devices, devs) {
-				t.Errorf("seed %d workers %d: streamed devices differ from materialized", seed, workers)
-			}
-			if !reflect.DeepEqual(mat.Catalog.Records, recs) {
-				t.Errorf("seed %d workers %d: streamed catalog records differ from materialized", seed, workers)
-			}
-			if !reflect.DeepEqual(mat.Truth, truth) {
-				t.Errorf("seed %d workers %d: ground truth differs", seed, workers)
-			}
-			if !reflect.DeepEqual(mat.Declared, declared) {
-				t.Errorf("seed %d workers %d: IR.88 verdicts differ", seed, workers)
-			}
-			if stream.Records != int64(len(recs)) {
-				t.Errorf("seed %d workers %d: stream reports %d records, sink saw %d",
-					seed, workers, stream.Records, len(recs))
-			}
-		}
-	}
-}
-
 // The worker-count pins above only ever compare one run with another;
 // this pins the absolute bytes a seed produces. The constants were
 // recorded at the commit before the generators were folded onto one
 // emission walk per plane (the smipraw.* and fed.m2m ones at seeds 2–3
 // from the materializing generators since retired, which the one
-// per-event walk reproduces), and must survive any refactor that
+// per-event walk reproduces; the mno.* ones at seeds 2–3 and
+// m2m.sampled before StreamMNO's per-shard fan-in and the probe taps
+// were retired), and must survive any refactor that
 // claims to leave generated data unchanged. A deliberate change to
 // what a seed generates re-records them (the failure message prints
 // the new digest).
 func TestGeneratorDigests(t *testing.T) {
 	got := map[string]string{}
 	// record hashes one artefact; recording a name twice (at another
-	// worker count) must reproduce the digest.
+	// worker count, or through another entry point) must reproduce the
+	// digest.
 	record := func(name string, write func(h hash.Hash) error) {
 		h := sha256.New()
 		if err := write(h); err != nil {
@@ -547,9 +499,16 @@ func TestGeneratorDigests(t *testing.T) {
 		}
 		d := hex.EncodeToString(h.Sum(nil))
 		if prev, ok := got[name]; ok && prev != d {
-			t.Errorf("%s: digest %s at one worker count, %s at another", name, prev, d)
+			t.Errorf("%s: digest %s on one recording, %s on another", name, prev, d)
 		}
 		got[name] = d
+	}
+	// seedSuffix names a seed's digests; seed 1 keeps the bare name.
+	seedSuffix := func(seed uint64) string {
+		if seed == 1 {
+			return ""
+		}
+		return fmt.Sprintf("/seed%d", seed)
 	}
 	idSet := func(set map[identity.DeviceID]bool) func(hash.Hash) error {
 		return func(h hash.Hash) error {
@@ -567,27 +526,74 @@ func TestGeneratorDigests(t *testing.T) {
 		}
 	}
 
-	mcfg := dataset.DefaultMNOConfig()
-	mcfg.Devices = 1500
-	mno := dataset.GenerateMNO(mcfg)
-	record("mno.devices", func(h hash.Hash) error {
-		// Mobility models are pointers; a sampled position stands in
-		// for their drawn parameters.
-		at := mcfg.Start.Add(36 * time.Hour)
-		for i := range mno.Devices {
-			d := &mno.Devices[i]
-			fmt.Fprintf(h, "%v|%v|%v|%+v|%v|%+v|%v|%v|%v\n",
-				d.ID, d.IMSI, d.IMEI, d.Info, d.Class, d.Profile, d.Home, d.MVNO, d.Mobility.Position(at))
+	// The MNO plane at seeds 1–3, each at one and four workers, through
+	// both entry points under the same names: GenerateMNO materializes
+	// it, StreamMNO hands it to a sink that writes the catalog through
+	// catalog.NewCSVWriter (the bytes Catalog.WriteCSV writes).
+	recordMNO := func(suffix string, start time.Time, devs []devices.Device, csv []byte, declared map[identity.DeviceID]bool) {
+		record("mno.devices"+suffix, func(h hash.Hash) error {
+			// Mobility models are pointers; a sampled position stands
+			// in for their drawn parameters.
+			at := start.Add(36 * time.Hour)
+			for i := range devs {
+				d := &devs[i]
+				fmt.Fprintf(h, "%v|%v|%v|%+v|%v|%+v|%v|%v|%v\n",
+					d.ID, d.IMSI, d.IMEI, d.Info, d.Class, d.Profile, d.Home, d.MVNO, d.Mobility.Position(at))
+			}
+			return nil
+		})
+		record("mno.catalog"+suffix, func(h hash.Hash) error { _, err := h.Write(csv); return err })
+		record("mno.declared"+suffix, idSet(declared))
+	}
+	for seed := uint64(1); seed <= 3; seed++ {
+		for _, workers := range []int{1, 4} {
+			mcfg := dataset.DefaultMNOConfig()
+			mcfg.Devices, mcfg.Seed, mcfg.Workers = 1500, seed, workers
+			mno := dataset.GenerateMNO(mcfg)
+			var csv bytes.Buffer
+			err := mno.Catalog.WriteCSV(&csv)
+			recordMNO(seedSuffix(seed), mcfg.Start, mno.Devices, csv.Bytes(), mno.Declared)
+
+			var devs []devices.Device
+			declared := map[identity.DeviceID]bool{}
+			csv.Reset()
+			cw, _ := catalog.NewCSVWriter(&csv, mcfg.Host, mcfg.Days)
+			var rows int64
+			stream := dataset.StreamMNO(mcfg, dataset.MNOSink{
+				Device: func(d devices.Device, dec bool) {
+					devs = append(devs, d)
+					declared[d.ID] = dec
+				},
+				Record: func(rec catalog.DailyRecord) {
+					rows++
+					if err == nil {
+						err = cw.Write(&rec)
+					}
+				},
+			})
+			if err == nil {
+				err = cw.Flush()
+			}
+			if err != nil || stream.Records != rows || stream.Devices != len(devs) {
+				t.Fatalf("seed %d workers %d: stream reports %d records, %d devices; sink saw %d, %d (%v)",
+					seed, workers, stream.Records, stream.Devices, rows, len(devs), err)
+			}
+			recordMNO(seedSuffix(seed), mcfg.Start, devs, csv.Bytes(), declared)
 		}
-		return nil
-	})
-	record("mno.catalog", func(h hash.Hash) error { return mno.Catalog.WriteCSV(h) })
-	record("mno.declared", idSet(mno.Declared))
+	}
 
 	pcfg := dataset.DefaultM2MConfig()
 	pcfg.Devices = 800
 	m2m := dataset.GenerateM2M(pcfg)
 	record("m2m.transactions", func(h hash.Hash) error { return m2m.SaveTransactions(h) })
+	// The hash-thinned capture m2msim -sample writes, at one and four
+	// workers: its kept set hangs on the probe's hash seed.
+	for _, workers := range []int{1, 4} {
+		scfg := pcfg
+		scfg.SampleRate, scfg.Workers = 0.5, workers
+		sampled := dataset.GenerateM2M(scfg)
+		record("m2m.sampled", func(h hash.Hash) error { return sampled.SaveTransactions(h) })
+	}
 
 	fcfg := dataset.DefaultFederationConfig()
 	fcfg.FleetDevices, fcfg.NativePerSite, fcfg.Days = 250, 150, 8
@@ -620,10 +626,7 @@ func TestGeneratorDigests(t *testing.T) {
 
 	// The per-event planes at seeds 1–3, each at one and four workers.
 	for seed := uint64(1); seed <= 3; seed++ {
-		suffix := ""
-		if seed > 1 {
-			suffix = fmt.Sprintf("/seed%d", seed)
-		}
+		suffix := seedSuffix(seed)
 		for _, workers := range []int{1, 4} {
 			pcfg := scfg
 			pcfg.Seed, pcfg.Workers = seed, workers
@@ -652,6 +655,7 @@ func TestGeneratorDigests(t *testing.T) {
 		"mno.catalog":       "6460e8010d25fc16b1ba48e23053effcfdff02b8ee4f12c36c145d14df6a6be8",
 		"mno.declared":      "1673fb0976b31940f015c6f3aa0cc128792ffc514abe9e46c3a537e8502f297c",
 		"m2m.transactions":  "a7341ab129e5e1e4c48081f51d89a9c36e4b5a505a5a979b375df8a26d952c08",
+		"m2m.sampled":       "d3e894c81d7e88555d2a9403813a69c88e59e5713447c1692604359ec1b55ede",
 		"fed.site0.catalog": "96cbed0556380ccdee4629a252e7e730b2a7863dc6b8e87fe1b17e6f7dad8f3a",
 		"fed.site0.present": "a156a5adc04381ad8284bb0f01736b02257b328c196c50097f648088b258930f",
 		"fed.site1.catalog": "8471befdbd5c302e4ec62a57b20b92f8a25fa9936f67bf5da3d18b72963e1f25",
@@ -674,6 +678,13 @@ func TestGeneratorDigests(t *testing.T) {
 		"fedsmip.site0.catalog": "c3568df2cb597a8556146bbf175963ccf4e857729fedea9f5d119c6e8728baf6",
 		"fedsmip.site1.catalog": "a6e72d7225e831ce8f67ba81aae040832d4e28cbc3ed794ac7d5c06ecd645bf3",
 		"fedsmip.site2.catalog": "110b5d6fb238bb8f46cc6cc6af1e808984ad71b6a5d918f67c7a88e76f86f07f",
+
+		"mno.devices/seed2":  "dc851cb059f304a19010c7c8ce719bf437b61ddae81d96a56ea7dcaded9a06f7",
+		"mno.catalog/seed2":  "3b0005de4eb99ee09bcd9b27e31fad101604ec44ae4de42a94e7678d4532b4ba",
+		"mno.declared/seed2": "78e11d70e21b0c4cbc7c59ef8b216c3e2d745d762ade76e1c7f64f5e751398bf",
+		"mno.devices/seed3":  "30cb2d6e22fb187aba87eddbb507744b13387e94dc0ce7e03d06bbfa21dd7bd1",
+		"mno.catalog/seed3":  "120d18bb82938288d63041acccd393724b462181f796eda3613f7f900f2c78c2",
+		"mno.declared/seed3": "fa9caa0f9d2da179f5e6e3acf842514d83bbd0e580ef38c9f7601cfeb9bd1ccd",
 	}
 	for name, w := range want {
 		if got[name] != w {

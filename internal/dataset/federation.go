@@ -50,7 +50,7 @@ type FederationConfig struct {
 	// is bit-identical for every worker count.
 	Workers int
 	// Streaming builds each site's catalog through the ingest router
-	// (probe taps → ingest.CatalogIngester) instead of the builders the
+	// (emission sinks → ingest.CatalogIngester) instead of the builders the
 	// emission shards own. Both produce bit-identical catalogs and the
 	// shard-owned build is faster at the same heap; the field remains
 	// only while the benchmark's serve fixture sets it (see ROADMAP,
@@ -240,7 +240,7 @@ func siteKey(p mccmnc.PLMN) uint64 {
 // out over internal/pipeline: the site drafts its native population
 // and walks all locally present devices — natives first, then the
 // present fleet in fleet order — through the per-event measurement
-// path (radio events and CDRs/xDRs through probe taps) into the
+// path (radio events and CDRs/xDRs) into the
 // catalog builder its emission shard owns (see capture.build). Every
 // random draw comes from a per-device or per-(device, site) substream,
 // so the dataset is bit-identical across worker counts.
@@ -640,5 +640,5 @@ func siteMeta(cfg FederationConfig, host mccmnc.PLMN) store.Meta {
 
 // siteCapture is one federation site's observation window.
 func siteCapture(cfg FederationConfig, host mccmnc.PLMN) capture {
-	return capture{host: host, start: cfg.Start, days: cfg.Days, seed: cfg.Seed, workers: cfg.Workers, router: cfg.Streaming}
+	return capture{host: host, start: cfg.Start, days: cfg.Days, workers: cfg.Workers, router: cfg.Streaming}
 }

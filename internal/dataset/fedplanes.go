@@ -12,7 +12,6 @@ import (
 	"whereroam/internal/mobility"
 	"whereroam/internal/netsim"
 	"whereroam/internal/pipeline"
-	"whereroam/internal/probe"
 	"whereroam/internal/radio"
 	"whereroam/internal/rng"
 	"whereroam/internal/signaling"
@@ -42,16 +41,16 @@ func fedM2MPopulation(fed *FederationDataset) []fedM2MDevice {
 	return devs
 }
 
-// emitFedM2MDevice walks one device's schedule and offers every
-// transaction to the tap in day order (stable time-sorted within each
+// emitFedM2MDevice walks one device's schedule and hands every
+// transaction to sink in day order (stable time-sorted within each
 // day). Every instant falls inside its own day, so the device's whole
-// capture is offered in time order. The device attaches where the
+// capture arrives in time order. The device attaches where the
 // schedule first places it, re-attaches through a switch sequence
 // whenever the scheduled network changes between consecutive days,
 // and keeps a lognormal per-day keepalive budget of
 // update-location/authentication procedures on whichever network the
 // day's schedule names.
-func emitFedM2MDevice(tap *probe.Tap[signaling.Transaction], fed *FederationDataset, d fedM2MDevice, order *timeSorter) {
+func emitFedM2MDevice(sink func(signaling.Transaction), fed *FederationDataset, d fedM2MDevice, order *timeSorter) {
 	m, src := d.member, d.src
 	home := m.dev.Home
 	visitedAt := func(day int) mccmnc.PLMN {
@@ -103,23 +102,22 @@ func emitFedM2MDevice(tap *probe.Tap[signaling.Transaction], fed *FederationData
 		}
 		sortByTime(order, dayTxs, transactionTime)
 		for i := range dayTxs {
-			tap.Offer(dayTxs[i])
+			sink(dayTxs[i])
 		}
 	}
 }
 
 // fedM2MWalk returns the plane's one per-device emission loop over
-// devs: a shard-local probe filling the scratch buffer that emit
-// receives per device. emitFedM2MDevice already offers in time order,
-// so the buffer needs no sort.
+// devs: the device's capture fills the scratch buffer that emit
+// receives per device. emitFedM2MDevice already captures in time
+// order, so the buffer needs no sort.
 func fedM2MWalk(fed *FederationDataset, devs []fedM2MDevice) deviceWalk[signaling.Transaction] {
 	return func(sh pipeline.Shard, emit func(int, []signaling.Transaction)) {
 		sc := txScratchPool.Get().(*txScratch)
 		defer txScratchPool.Put(sc)
-		tap := probe.NewTap("fed-hmno-probe", fed.cfg.Seed, sc.add)
 		for i := sh.Lo; i < sh.Hi; i++ {
 			sc.buf = sc.buf[:0]
-			emitFedM2MDevice(tap, fed, devs[i], &sc.order)
+			emitFedM2MDevice(sc.add, fed, devs[i], &sc.order)
 			emit(i, sc.buf)
 		}
 	}

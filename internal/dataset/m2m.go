@@ -194,16 +194,16 @@ func newM2MWalk(cfg M2MConfig) *m2mWalk {
 }
 
 // shard walks each device of one canonical shard through its
-// attach/switch schedule and the roaming machinery into a shard-local
+// attach/switch schedule and the roaming machinery into the
 // platform-side probe, and hands emit each device's capture in time
 // order: the probe fills the scratch buffer, which the scratch sorter
 // stable-sorts before emit sees it. Sampled captures thin per record
-// by identity hash, so they fan out over the same shard-local taps as
-// complete ones.
+// by identity hash, so they fan out over the same shards as complete
+// ones.
 func (w *m2mWalk) shard(sh pipeline.Shard, emit func(i int, txs []signaling.Transaction)) {
 	sc := txScratchPool.Get().(*txScratch)
 	defer txScratchPool.Put(sc)
-	tap := newM2MTap(w.cfg, sc.add)
+	sink := probe.Sample("hmno-probe", w.cfg.Seed, w.cfg.SampleRate, txSampleKey, sc.add)
 	for i := sh.Lo; i < sh.Hi; i++ {
 		src := w.drafts[i].src
 		spec := w.specs[w.drafts[i].spec]
@@ -211,7 +211,7 @@ func (w *m2mWalk) shard(sh pipeline.Shard, emit func(i int, txs []signaling.Tran
 		prof := devices.NewPlatformIoT(src.Split("profile"), roaming, w.cfg.Days)
 		w.truths[i] = M2MDeviceTruth{Home: spec.plmn, Roaming: roaming, FailOnly: prof.FailOnly, Profile: prof}
 		sc.buf = sc.buf[:0]
-		emitPlatformDevice(tap, w.world, src, w.cfg, spec, w.devIDs[i], prof, &sc.order)
+		emitPlatformDevice(sink, w.world, src, w.cfg, spec, w.devIDs[i], prof, &sc.order)
 		sortByTime(&sc.order, sc.buf, transactionTime)
 		emit(i, sc.buf)
 	}
@@ -241,18 +241,6 @@ func txSampleKey(tx signaling.Transaction) uint64 {
 	k := uint64(tx.Device)*0x9e3779b97f4a7c15 ^ uint64(tx.Time.UnixNano())
 	k = k*0x100000001b3 ^ uint64(tx.Procedure)
 	return k ^ uint64(tx.Visited.MCC)<<24 ^ uint64(tx.Visited.MNC)<<40
-}
-
-// newM2MTap builds the platform-side probe for one emission shard:
-// plain for a complete capture, hash-thinning for a sampled one. All
-// shard taps share (name, seed), so their per-record verdicts agree.
-func newM2MTap(cfg M2MConfig, sink func(signaling.Transaction)) *probe.Tap[signaling.Transaction] {
-	tap := probe.NewTap("hmno-probe", cfg.Seed, sink)
-	if cfg.SampleRate > 0 && cfg.SampleRate < 1 {
-		tap.SampleRate = cfg.SampleRate
-		tap.SampleKey = txSampleKey
-	}
-	return tap
 }
 
 // GenerateM2M synthesizes the platform dataset: it builds the world,
@@ -297,12 +285,12 @@ func FoldM2M(cfg M2MConfig, fold func(i int, truth M2MDeviceTruth, txs []signali
 
 func transactionTime(tx *signaling.Transaction) time.Time { return tx.Time }
 
-// emitPlatformDevice walks one device's schedule and offers every
-// transaction to the probe. It does not offer them in time order: the
+// emitPlatformDevice walks one device's schedule and hands every
+// transaction to sink. It does not hand them on in time order: the
 // switch instants are sorted and every switch chain goes first, then
 // the keepalives at random instants — m2mWalk.shard time-sorts the
 // device's capture afterwards. order is the shard's sort scratch.
-func emitPlatformDevice(tap *probe.Tap[signaling.Transaction], world *netsim.World,
+func emitPlatformDevice(sink func(signaling.Transaction), world *netsim.World,
 	src *rng.Source, cfg M2MConfig, spec hmnoSpec, dev identity.DeviceID, prof devices.PlatformProfile, order *timeSorter) {
 
 	windowS := int64(cfg.Days) * 86400
@@ -341,7 +329,7 @@ func emitPlatformDevice(tap *probe.Tap[signaling.Transaction], world *netsim.Wor
 		if prof.FailOnly {
 			tx.Result = failResult
 		}
-		tap.Offer(tx)
+		sink(tx)
 	}
 
 	// Budget the transaction count: switches cost 3 transactions,

@@ -29,7 +29,8 @@ type MNOConfig struct {
 	// Workers bounds the synthesis worker pool; values below one mean
 	// one worker per CPU. The generated dataset is bit-identical for
 	// every worker count (per-device RNG substreams, shard-ordered
-	// merge).
+	// merge). StreamMNO emits on one producer and uses it for the
+	// counting pre-pass only.
 	Workers int
 	// TransparencyAdoption is the probability that a home operator
 	// publishes IR.88 declarations for its M2M IMSI ranges (§1: the
@@ -278,18 +279,19 @@ func GenerateMNO(cfg MNOConfig) *MNODataset {
 	return ds
 }
 
-// streamMNODepth is StreamMNO's per-shard fan-in window. It is
-// deliberately much smaller than ingest.DefaultDepth: in-flight items
-// are the only per-population state the streaming path holds, so
-// shards × depth bounds its working set.
+// streamMNODepth is StreamMNO's producer-to-sink window. In-flight
+// items are the only per-population state the stream holds, so the
+// window bounds its working set; 64 items, about four devices with
+// their rows, let the producer run on through the sink's buffered
+// writes and flushes.
 const streamMNODepth = 64
 
 // MNOSink receives StreamMNO's output. Both callbacks are optional
 // (nil skips the plane); they run on the calling goroutine, in the
 // exact order GenerateMNO materializes: devices in device-index order,
 // each followed by its daily catalog records in day order. A sink that
-// stalls blocks the producers through the fan-in windows —
-// backpressure, not buffering.
+// stalls blocks the producer through the window — backpressure, not
+// buffering.
 type MNOSink struct {
 	// Device receives each synthesized device with its capture-time
 	// IR.88 verdict (the MNODataset.Declared entry).
@@ -313,8 +315,8 @@ type MNOStream struct {
 	Records int64
 }
 
-// mnoItem is one element of StreamMNO's fan-in stream: a device
-// announcement or one of its daily records.
+// mnoItem is one element of StreamMNO's window: a device announcement
+// or one of its daily records.
 type mnoItem struct {
 	dev      devices.Device
 	declared bool
@@ -323,13 +325,14 @@ type mnoItem struct {
 }
 
 // StreamMNO delivers GenerateMNO's population to sink device by device
-// instead of materializing it: the same emission walk feeds bounded
-// per-shard windows (ingest.Ordered) that the caller drains in shard
-// order, so the sink observes the exact serial order at any worker
-// count and collecting it reproduces MNODataset.Devices and
-// Catalog.Records bit for bit. Memory is bounded by the worker count,
-// the windows and the pre-pass's per-shard offset maps — never by
-// cfg.Devices.
+// instead of materializing it: one producer goroutine runs the same
+// emission walk over the canonical shards in order into a bounded
+// window that the caller drains, so the sink observes exactly the
+// order GenerateMNO collects, and collecting it reproduces
+// MNODataset.Devices and Catalog.Records bit for bit. The producer
+// overlaps the sink; cfg.Workers sizes only the counting pre-pass.
+// Memory is bounded by the window and the pre-pass's per-shard offset
+// maps — never by cfg.Devices.
 func StreamMNO(cfg MNOConfig, sink MNOSink) *MNOStream {
 	w := newMNOWalk(cfg)
 	out := &MNOStream{
@@ -340,21 +343,36 @@ func StreamMNO(cfg MNOConfig, sink MNOSink) *MNOStream {
 		Transparency: w.reg,
 		Devices:      cfg.Devices,
 	}
-	streamShards(cfg.Devices, cfg.Workers, streamMNODepth, func(sh pipeline.Shard, send func(mnoItem)) {
-		w.shard(sh, func(dev devices.Device, declared bool) { send(mnoItem{dev: dev, declared: declared}) },
-			func(rec catalog.DailyRecord) { send(mnoItem{rec: rec, isRec: true}) })
-	}, func(it mnoItem) {
+	items := make(chan mnoItem, streamMNODepth)
+	// A producer panic closes the window, so the drain ends before the
+	// panic is re-raised on the caller.
+	done := make(chan any, 1)
+	go func() {
+		defer func() {
+			p := recover()
+			close(items)
+			done <- p
+		}()
+		pipeline.Run(cfg.Devices, 1, func(sh pipeline.Shard) {
+			w.shard(sh, func(dev devices.Device, declared bool) { items <- mnoItem{dev: dev, declared: declared} },
+				func(rec catalog.DailyRecord) { items <- mnoItem{rec: rec, isRec: true} })
+		})
+	}()
+	for it := range items {
 		if it.isRec {
 			out.Records++
 			if sink.Record != nil {
 				sink.Record(it.rec)
 			}
-			return
+			continue
 		}
 		if sink.Device != nil {
 			sink.Device(it.dev, it.declared)
 		}
-	})
+	}
+	if p := <-done; p != nil {
+		panic(p)
+	}
 	return out
 }
 

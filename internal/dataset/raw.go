@@ -36,7 +36,6 @@ type capture struct {
 	host    mccmnc.PLMN
 	start   time.Time
 	days    int
-	seed    uint64
 	workers int
 	// router builds the catalog through the ingest router instead of
 	// shard-owned builders (FederationConfig's Streaming field).
@@ -44,8 +43,8 @@ type capture struct {
 }
 
 // build walks locals through the per-event measurement path — radio
-// events and CDRs/xDRs through one probe tap pair per emission shard —
-// and aggregates the devices-catalog. It is the package's only
+// events and CDRs/xDRs into the catalog builder each emission shard
+// owns — and aggregates the devices-catalog. It is the package's only
 // per-event walk; its callers differ in population and in tee, which
 // (when non-nil) also receives every CDR/xDR ahead of the builder —
 // an archive writer's sink, called concurrently from the shards.
@@ -88,29 +87,26 @@ func (c capture) build(locals []localDevice, tee func(cdrs.Record)) *catalog.Cat
 		if tee != nil {
 			cdrSink = probe.Fanout(tee, cdrSink)
 		}
-		radioTap := probe.NewTap("mme-msc-sgsn", c.seed, radioSink)
-		cdrTap := probe.NewTap("mediation", c.seed, cdrSink)
 		var bufs emitBufs
 		for i := sh.Lo; i < sh.Hi; i++ {
 			l := &locals[i]
-			emitDeviceDaysSched(l.emit, c.host, c.start, c.days, grid, radioTap, cdrTap, &l.dev, l.presentDay, &bufs)
+			emitDeviceDaysSched(l.emit, c.host, c.start, c.days, grid, radioSink, cdrSink, &l.dev, l.presentDay, &bufs)
 		}
 	})
 	return build(c.workers)
 }
 
 // archive walks locals through the CDR/xDR plane alone into sink:
-// the same per-device emission as build, with a nil radio tap, so
+// the same per-device emission as build, with a nil radio sink, so
 // every radio draw is kept but no sector is looked up and no builder
 // or grid exists. Each device's records reach sink in its build-time
 // order.
 func (c capture) archive(locals []localDevice, sink func(cdrs.Record)) {
 	pipeline.Run(len(locals), c.workers, func(sh pipeline.Shard) {
-		cdrTap := probe.NewTap("mediation", c.seed, sink)
 		var bufs emitBufs
 		for i := sh.Lo; i < sh.Hi; i++ {
 			l := &locals[i]
-			emitDeviceDaysSched(l.emit, c.host, c.start, c.days, nil, nil, cdrTap, &l.dev, l.presentDay, &bufs)
+			emitDeviceDaysSched(l.emit, c.host, c.start, c.days, nil, nil, sink, &l.dev, l.presentDay, &bufs)
 		}
 	})
 }
@@ -190,13 +186,13 @@ func smipPopulation(cfg SMIPConfig) (*SMIPDataset, []localDevice) {
 
 // smipCapture is the SMIP host's observation window.
 func smipCapture(cfg SMIPConfig) capture {
-	return capture{host: cfg.Host, start: cfg.Start, days: cfg.Days, seed: cfg.Seed, workers: cfg.Workers}
+	return capture{host: cfg.Host, start: cfg.Start, days: cfg.Days, workers: cfg.Workers}
 }
 
 // GenerateSMIPStreaming draws the SMIP meter cohorts and walks them
 // through the §4.1 measurement path end to end: it synthesizes
 // individual radio events and CDRs/xDRs per device and runs them
-// through probe taps straight into the catalog builder each emission
+// straight into the catalog builder each emission
 // shard owns — dwell-based mobility metrics included. No event slice
 // is ever held, so peak allocation stays flat whatever the capture's
 // size; the catalog is bit-identical at any worker count. It is an
@@ -215,8 +211,8 @@ func GenerateSMIPStreaming(cfg SMIPConfig) *SMIPDataset {
 // emitBufs carries the per-day scratch slices the emission fills and
 // drains for every emitted day, one per emission shard: the backing
 // arrays are reused across the shard's devices instead of reallocated
-// per device. Taps and builders copy records by value on Offer, so
-// reuse is safe. The zero value is ready to use.
+// per device. Sinks and builders copy records by value, so reuse is
+// safe. The zero value is ready to use.
 type emitBufs struct {
 	evs   []radio.Event
 	recs  []cdrs.Record
@@ -229,7 +225,7 @@ func cdrTime(rec *cdrs.Record) time.Time { return rec.Time }
 
 // emitDeviceDaysSched synthesizes per-event streams for one device
 // observed from host over the [start, start+days) window. A day's
-// events are generated first and offered time-sorted (stable, so
+// events are generated first and handed to the sinks time-sorted (stable, so
 // generation order breaks timestamp ties): each device's stream is
 // then time-ordered end to end — the per-device order contract the
 // catalogs' bit-identity rests on.
@@ -241,11 +237,11 @@ func cdrTime(rec *cdrs.Record) time.Time { return rec.Time }
 // daily-activity draw: being scheduled elsewhere is not "inactive
 // here", it is "not here".
 //
-// A nil radioTap (with a nil grid) walks the CDR/xDR plane alone: the
+// A nil radioSink (with a nil grid) walks the CDR/xDR plane alone: the
 // radio loop still makes every draw, so the records are the same, but
-// builds, sorts and offers no radio event.
+// builds, sorts and hands on no radio event.
 func emitDeviceDaysSched(src *rng.Source, host mccmnc.PLMN, start time.Time, days int, grid *radio.Grid,
-	radioTap *probe.Tap[radio.Event], cdrTap *probe.Tap[cdrs.Record], dev *devices.Device, presentDay func(int) bool, bufs *emitBufs) {
+	radioSink func(radio.Event), cdrSink func(cdrs.Record), dev *devices.Device, presentDay func(int) bool, bufs *emitBufs) {
 
 	p := dev.Profile
 	daySeconds := int64(24 * 3600)
@@ -297,7 +293,7 @@ func emitDeviceDaysSched(src *rng.Source, host mccmnc.PLMN, start time.Time, day
 			if p.FailProb > 0 && src.Bool(p.FailProb) {
 				res = radio.ResultFail
 			}
-			if radioTap == nil {
+			if radioSink == nil {
 				continue
 			}
 			dayEvs = append(dayEvs, radio.Event{
@@ -346,11 +342,11 @@ func emitDeviceDaysSched(src *rng.Source, host mccmnc.PLMN, start time.Time, day
 
 		sortByTime(&bufs.order, dayEvs, radioEventTime)
 		for i := range dayEvs {
-			radioTap.Offer(dayEvs[i])
+			radioSink(dayEvs[i])
 		}
 		sortByTime(&bufs.order, dayRecs, cdrTime)
 		for i := range dayRecs {
-			cdrTap.Offer(dayRecs[i])
+			cdrSink(dayRecs[i])
 		}
 	}
 }

@@ -1,9 +1,6 @@
 package dataset
 
-import (
-	"whereroam/internal/ingest"
-	"whereroam/internal/pipeline"
-)
+import "whereroam/internal/pipeline"
 
 // deviceWalk is a plane's per-device emission loop over one canonical
 // shard: it hands emit each device's records, in the device's time
@@ -40,39 +37,4 @@ func collectShards[T any](n, workers int, walk deviceWalk[T]) []T {
 // valid only during the call.
 func foldShards[T any](n, workers int, walk deviceWalk[T], fold func(i int, recs []T)) {
 	pipeline.Run(n, workers, func(sh pipeline.Shard) { walk(sh, fold) })
-}
-
-// streamShards runs a per-record walk with each shard sending into a
-// private bounded window (ingest.Ordered; depth below one means
-// ingest.DefaultDepth) while the calling goroutine drains the windows
-// in shard order into sink. The sink therefore observes exactly the
-// serial emission order at any worker count, while producers run
-// ahead of it by at most depth records per shard — a stalled sink
-// blocks them: backpressure, not buffering.
-func streamShards[T any](n, workers, depth int, walk func(sh pipeline.Shard, send func(T)), sink func(T)) {
-	ord := ingest.NewOrdered[T](pipeline.ShardCount(n), depth)
-	// The emission fan-out runs beside the drain; a shard's stream
-	// closes as its producer finishes, and a producer panic closes
-	// every stream so the drain unblocks before the panic is
-	// re-raised on the caller.
-	done := make(chan any, 1)
-	go func() {
-		defer func() {
-			p := recover()
-			ord.CloseAll()
-			done <- p
-		}()
-		pipeline.Run(n, workers, func(sh pipeline.Shard) {
-			// Close in a defer: a shard that panics mid-emission must
-			// still end its stream, or the drain would block on it
-			// forever while sibling producers sit on full windows and
-			// the panic never surfaces.
-			defer ord.CloseShard(sh.Index)
-			walk(sh, ord.Sink(sh.Index))
-		})
-	}()
-	ord.Drain(sink)
-	if p := <-done; p != nil {
-		panic(p)
-	}
 }

@@ -1,5 +1,5 @@
 // Package ingest implements bounded-memory streaming ingestion: the
-// path from live record streams — probe tap sinks — into the sharded
+// path from live record streams — emission sinks — into the sharded
 // devices-catalog builder, so a catalog builds while the capture is
 // still being generated and no full event slice is ever held.
 //

@@ -12,7 +12,6 @@ import (
 	"whereroam/internal/cdrs"
 	"whereroam/internal/identity"
 	"whereroam/internal/mccmnc"
-	"whereroam/internal/probe"
 	"whereroam/internal/radio"
 )
 
@@ -126,36 +125,37 @@ func TestCatalogIngesterCloseIdempotent(t *testing.T) {
 	}
 }
 
-// A probe.Stream is a valid source: a consumer ranging over its
-// channel and offering each record builds the serial catalog.
+// A channel is a valid source: a consumer ranging over a bounded
+// channel the producer closes at end of capture, and offering each
+// record, builds the serial catalog.
 func TestCatalogIngesterDrainStreams(t *testing.T) {
 	evs, recs := synthStreams(20, 10)
 	want := serialCatalog(t, evs, recs)
 
 	sb := catalog.NewShardedBuilder(host, start, 22, ukGrid(t), 3)
 	in := NewCatalogIngester(sb, 16)
-	rs := probe.NewStream[radio.Event](8)
-	cs := probe.NewStream[cdrs.Record](8)
+	rs := make(chan radio.Event, 8)
+	cs := make(chan cdrs.Record, 8)
 	go func() {
 		for i := range evs {
-			rs.Send(evs[i])
+			rs <- evs[i]
 		}
-		rs.Close()
+		close(rs)
 	}()
-	for ev := range rs.C {
+	for ev := range rs {
 		in.OfferRadio(ev)
 	}
 	go func() {
 		for i := range recs {
-			cs.Send(recs[i])
+			cs <- recs[i]
 		}
-		cs.Close()
+		close(cs)
 	}()
-	for rec := range cs.C {
+	for rec := range cs {
 		in.OfferRecord(rec)
 	}
 	if got := in.Build(0); !reflect.DeepEqual(want.Records, got.Records) {
-		t.Error("stream-drained catalog differs from serial")
+		t.Error("channel-drained catalog differs from serial")
 	}
 }
 
@@ -189,53 +189,5 @@ func TestCatalogIngesterReadRecords(t *testing.T) {
 	}
 	if got := in.Build(0); !reflect.DeepEqual(want.Records, got.Records) {
 		t.Error("codec-fed catalog differs from serial")
-	}
-}
-
-// Ordered must deliver the exact shard-order concatenation whatever
-// order the producers run in, with depth 1 forcing full backpressure.
-func TestOrderedDrainOrder(t *testing.T) {
-	const shards, perShard = 7, 50
-	for _, depth := range []int{1, 8} {
-		o := NewOrdered[int](shards, depth)
-		var wg sync.WaitGroup
-		// Launch producers in reverse shard order to stress the
-		// consumer's ordering, not the launch order.
-		for i := shards - 1; i >= 0; i-- {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				for j := 0; j < perShard; j++ {
-					o.Sink(i)(i*perShard + j)
-				}
-				o.CloseShard(i)
-			}(i)
-		}
-		var got []int
-		if n := o.Drain(func(v int) { got = append(got, v) }); n != shards*perShard {
-			t.Fatalf("depth=%d: drained %d, want %d", depth, n, shards*perShard)
-		}
-		wg.Wait()
-		for k, v := range got {
-			if v != k {
-				t.Fatalf("depth=%d: position %d holds %d; fan-in is not shard-ordered", depth, k, v)
-			}
-		}
-	}
-}
-
-// CloseShard and CloseAll tolerate repeated closes, so failure paths
-// can release a blocked consumer unconditionally.
-func TestOrderedCloseIdempotent(t *testing.T) {
-	o := NewOrdered[int](3, 2)
-	o.Sink(1)(42)
-	o.CloseShard(1)
-	o.CloseShard(1)
-	o.CloseAll()
-	o.CloseAll()
-	var got []int
-	o.Drain(func(v int) { got = append(got, v) })
-	if len(got) != 1 || got[0] != 42 {
-		t.Fatalf("drained %v, want [42]", got)
 	}
 }

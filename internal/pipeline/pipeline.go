@@ -86,8 +86,8 @@ func numShards(n int) int {
 
 // ShardCount returns the canonical shard count Run and Map use for n
 // items. It is a function of the item count alone — never of the
-// worker count — which is what keeps shard-indexed artefacts (ordered
-// fan-in streams, per-shard accumulators) worker-count-invariant.
+// worker count — which is what keeps shard-indexed artefacts
+// (per-shard builders and accumulators) worker-count-invariant.
 // Callers that pre-size per-shard structures for Run/Map must use
 // this count.
 func ShardCount(n int) int { return numShards(n) }

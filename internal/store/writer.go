@@ -180,9 +180,9 @@ func (w *Writer) noteRecord(day int, dev uint64, visited mccmnc.PLMN) error {
 	return nil
 }
 
-// Sink adapts the writer to a probe tap / fanout sink: errors stick
-// inside the writer and surface from [Writer.Err] and
-// [Writer.Close].
+// Sink adapts the writer to a record sink (say, one leg of a probe
+// fanout): errors stick inside the writer and surface from
+// [Writer.Err] and [Writer.Close].
 func (w *Writer) Sink() func(cdrs.Record) {
 	return func(rec cdrs.Record) { _ = w.Append(rec) }
 }
