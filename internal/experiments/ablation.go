@@ -44,7 +44,7 @@ func runAblationClassifier(s *Session) *Report {
 		c := core.NewClassifier()
 		c.Steps = cfgCase.steps
 		res := c.ClassifyWorkers(v.Sums, s.Workers)
-		val, err := core.Validate(res, v.ds.Truth)
+		val, err := core.Validate(res, v.Truth)
 		if err != nil {
 			r.Notes = append(r.Notes, "validation failed: "+err.Error())
 			continue

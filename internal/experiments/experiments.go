@@ -15,6 +15,7 @@ import (
 
 	"whereroam/internal/analysis"
 	"whereroam/internal/dataset"
+	"whereroam/internal/gsma"
 	"whereroam/internal/mccmnc"
 )
 
@@ -73,10 +74,11 @@ func (r *Report) String() string {
 
 // Session drives experiments over one shared cellular world observed
 // from any number of visited-operator sites. It is the session layer
-// of the repository: it shares the expensive synthetic datasets
-// between runners (the MNO dataset alone feeds eight experiments),
-// and — when a fed-* runner asks — fans the shared GSMA catalog and
-// global roamer fleet out to per-site capture pipelines (see Sites).
+// of the repository: it builds each expensive synthetic dataset once
+// and shares, between runners, a view of what they read of it (the
+// MNO view alone feeds twelve experiments), and — when a fed-* runner
+// asks — fans the shared GSMA catalog and global roamer fleet out to
+// per-site capture pipelines (see Sites).
 type Session struct {
 	// Seed drives every generator.
 	Seed uint64
@@ -95,15 +97,20 @@ type Session struct {
 	// it and always observe from the paper's UK operator.
 	Hosts []mccmnc.PLMN
 
-	mu      sync.Mutex
-	m2m     *M2MView
-	mno     *dataset.MNODataset
-	mnoView *mnoView
-	smip    *dataset.SMIPDataset
-	fed     *dataset.FederationDataset
-	fedM2M  *FederationM2MView
-	fedSMIP *dataset.FederationSMIP
-	sites   []*Site
+	mu       sync.Mutex
+	m2m      *M2MView
+	mnoView  *mnoView
+	smipView *smipView
+	fed      *dataset.FederationDataset
+	fedM2M   *FederationM2MView
+	fedSMIP  *dataset.FederationSMIP
+	sites    []*Site
+	// gsma pins the TAC catalog the MNO and SMIP datasets were built
+	// on. gsma.Synthesize shares one catalog per seed only while
+	// something references it, and the session keeps neither dataset,
+	// so without the pin a later generator would rebuild it whenever a
+	// collection ran in between.
+	gsma *gsma.DB
 }
 
 // NewSessionWorkers returns a session with the given seed, scale
@@ -142,34 +149,54 @@ func (s *Session) M2M() *M2MView {
 	return s.m2m
 }
 
-// MNO lazily builds the visited-MNO dataset.
+// MNO generates the visited-MNO dataset and returns it fully
+// materialized, Catalog.Records included. It generates on every call
+// and the session does not keep the result: the first call also builds
+// the session's view of it (the classified population and the outputs
+// of every runner's record loop), which is all the runners read.
 func (s *Session) MNO() *dataset.MNODataset {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.mno == nil {
-		cfg := dataset.DefaultMNOConfig()
-		cfg.Seed = s.Seed
-		cfg.Devices = s.scaled(cfg.Devices)
-		cfg.Workers = s.Workers
-		s.mno = dataset.GenerateMNO(cfg)
-	}
-	return s.mno
+	return s.generateMNO()
 }
 
-// SMIP lazily builds the smart-meter dataset (the aggregate-level
-// generator behind fig11, fig12 and t3).
+// generateMNO is MNO with s.mu held.
+func (s *Session) generateMNO() *dataset.MNODataset {
+	cfg := dataset.DefaultMNOConfig()
+	cfg.Seed = s.Seed
+	cfg.Devices = s.scaled(cfg.Devices)
+	cfg.Workers = s.Workers
+	ds := dataset.GenerateMNO(cfg)
+	s.gsma = ds.GSMA
+	if s.mnoView == nil {
+		s.mnoView = newMNOView(ds, s.Workers)
+	}
+	return ds
+}
+
+// SMIP generates the smart-meter dataset (the aggregate-level
+// generator behind fig11) and returns it fully materialized. Like MNO,
+// it generates on every call and the session does not keep the result:
+// the first call also folds it into the session's per-device view.
 func (s *Session) SMIP() *dataset.SMIPDataset {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.smip == nil {
-		cfg := dataset.DefaultSMIPConfig()
-		cfg.Seed = s.Seed
-		cfg.NativeMeters = s.scaled(cfg.NativeMeters)
-		cfg.RoamingMeters = s.scaled(cfg.RoamingMeters)
-		cfg.Workers = s.Workers
-		s.smip = dataset.GenerateSMIP(cfg)
+	return s.generateSMIP()
+}
+
+// generateSMIP is SMIP with s.mu held.
+func (s *Session) generateSMIP() *dataset.SMIPDataset {
+	cfg := dataset.DefaultSMIPConfig()
+	cfg.Seed = s.Seed
+	cfg.NativeMeters = s.scaled(cfg.NativeMeters)
+	cfg.RoamingMeters = s.scaled(cfg.RoamingMeters)
+	cfg.Workers = s.Workers
+	ds := dataset.GenerateSMIP(cfg)
+	s.gsma = ds.GSMA
+	if s.smipView == nil {
+		s.smipView = newSMIPView(ds)
 	}
-	return s.smip
+	return ds
 }
 
 // Runner is one registered experiment.

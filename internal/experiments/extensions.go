@@ -30,8 +30,28 @@ func runExtRevenue(s *Session) *Report {
 		Title: "Occupancy vs wholesale revenue per class",
 		Paper: "§6/§9 argue inbound M2M consumes resources without matching roaming revenue; this extension prices the catalog with 2019 wholesale rates",
 	}
+	tbl := analysis.NewTable("class", "devices", "event share", "revenue share", "EUR/device")
+	for _, e := range v.ecos {
+		tbl.AddRow(e.Group, e.Devices, e.EventShare, e.RevenueShare, e.RevenuePerDevice)
+		r.setValue(e.Group+"_event_share", e.EventShare)
+		r.setValue(e.Group+"_revenue_share", e.RevenueShare)
+		r.setValue(e.Group+"_eur_per_device", e.RevenuePerDevice)
+	}
+	r.Tables = append(r.Tables, tbl)
+
+	st := v.statement
+	r.setValue("total_revenue_eur", st.TotalRevenue())
+	r.setValue("partners", float64(len(st.Lines)))
+	r.Notes = append(r.Notes, st.String())
+	return r
+}
+
+// settle prices cat's records at the 2019 wholesale rates: the
+// occupancy-vs-revenue split per inbound class, which reads v's
+// population, and the settlement per partner.
+func (v *mnoView) settle(cat *catalog.Catalog) ([]settlement.ClassEconomics, *settlement.Statement) {
 	rates := settlement.DefaultRates()
-	ecos := settlement.EconomicsByGroup(v.ds.Catalog, rates, func(rec *catalog.DailyRecord) string {
+	ecos := settlement.EconomicsByGroup(cat, rates, func(rec *catalog.DailyRecord) string {
 		i, ok := v.Find(rec.Device)
 		if !ok || !v.Labels[i].InboundRoamer() {
 			return ""
@@ -42,20 +62,7 @@ func runExtRevenue(s *Session) *Report {
 		}
 		return class.String()
 	})
-	tbl := analysis.NewTable("class", "devices", "event share", "revenue share", "EUR/device")
-	for _, e := range ecos {
-		tbl.AddRow(e.Group, e.Devices, e.EventShare, e.RevenueShare, e.RevenuePerDevice)
-		r.setValue(e.Group+"_event_share", e.EventShare)
-		r.setValue(e.Group+"_revenue_share", e.RevenueShare)
-		r.setValue(e.Group+"_eur_per_device", e.RevenuePerDevice)
-	}
-	r.Tables = append(r.Tables, tbl)
-
-	st := settlement.Settle(v.ds.Catalog, rates)
-	r.setValue("total_revenue_eur", st.TotalRevenue())
-	r.setValue("partners", float64(len(st.Lines)))
-	r.Notes = append(r.Notes, st.String())
-	return r
+	return ecos, settlement.Settle(cat, rates)
 }
 
 // runExtTransparency measures how far IR.88 declarations alone get a
@@ -68,15 +75,14 @@ func runExtTransparency(s *Session) *Report {
 		Title: "IR.88 transparency declarations",
 		Paper: "§1: GSMA recommends publishing dedicated M2M APNs/IMSI ranges; adoption is partial, so classification remains necessary",
 	}
-	ds := v.ds
 	// Coverage of the declarations alone.
 	trueM2M, declared := 0, 0
-	for id, class := range ds.Truth {
+	for id, class := range v.Truth {
 		if !class.IsM2M() {
 			continue
 		}
 		trueM2M++
-		if ds.Declared[id] {
+		if v.Declared[id] {
 			declared++
 		}
 	}
@@ -87,9 +93,9 @@ func runExtTransparency(s *Session) *Report {
 
 	// Classifier with and without the declarations.
 	plain := core.NewClassifier()
-	withDecl := plain.WithDeclarations(ds.Declared)
-	vPlain, _ := core.Validate(plain.ClassifyWorkers(v.Sums, s.Workers), ds.Truth)
-	vDecl, _ := core.Validate(withDecl.ClassifyWorkers(v.Sums, s.Workers), ds.Truth)
+	withDecl := plain.WithDeclarations(v.Declared)
+	vPlain, _ := core.Validate(plain.ClassifyWorkers(v.Sums, s.Workers), v.Truth)
+	vDecl, _ := core.Validate(withDecl.ClassifyWorkers(v.Sums, s.Workers), v.Truth)
 
 	tbl := analysis.NewTable("config", "m2m recall", "m2m precision", "abstained")
 	tbl.AddRow("declarations-only(coverage)", coverage, 1.0, 1-coverage)
@@ -97,7 +103,7 @@ func runExtTransparency(s *Session) *Report {
 	tbl.AddRow("classifier+declarations", vDecl.Recall(core.ClassM2M), vDecl.Precision(core.ClassM2M), vDecl.Abstained(core.ClassM2M))
 	r.Tables = append(r.Tables, tbl)
 	r.setValue("declaration_coverage", coverage)
-	r.setValue("declaring_operators", float64(ds.Transparency.Len()))
+	r.setValue("declaring_operators", float64(v.Transparency.Len()))
 	r.setValue("classifier_m2m_recall", vPlain.Recall(core.ClassM2M))
 	r.setValue("combined_m2m_recall", vDecl.Recall(core.ClassM2M))
 	return r

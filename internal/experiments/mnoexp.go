@@ -9,8 +9,10 @@ import (
 	"whereroam/internal/core"
 	"whereroam/internal/dataset"
 	"whereroam/internal/devices"
+	"whereroam/internal/identity"
 	"whereroam/internal/mccmnc"
 	"whereroam/internal/radio"
+	"whereroam/internal/settlement"
 )
 
 func init() {
@@ -25,31 +27,71 @@ func init() {
 	register("t3", "SMIP-roaming provenance: home operator and module vendors (§4.4)", runT3)
 }
 
-// mnoView bundles the MNO dataset with the classified population every
-// §4–§7 analysis shares; labeler also labels single daily records.
+// mnoView is what a session keeps of the visited-MNO dataset (§4–§6):
+// the classified population every analysis shares, the window, ground
+// truth and declarations, and the outputs of the runners' loops over
+// daily records, run once when the dataset is built. It never holds
+// the records themselves.
 type mnoView struct {
 	*core.Population
-	ds      *dataset.MNODataset
-	labeler *core.Labeler
+	Days         int
+	Truth        map[identity.DeviceID]devices.Class
+	Declared     map[identity.DeviceID]bool
+	Transparency *core.Registry
+
+	// perDay and dayTotal are t2's per-day label counts.
+	perDay   map[int]map[core.Label]int
+	dayTotal map[int]int
+	// ecos and statement are ext-revenue's wholesale settlement.
+	ecos      []settlement.ClassEconomics
+	statement *settlement.Statement
 }
 
-// view lazily builds the session's mnoView. It lives on the session,
-// like Sites, so it is built once however many runners share it and is
-// collected with the session.
+// newMNOView derives ds's population and runs every record loop over
+// its catalog. groupOf, in the settlement, reads the population, so
+// that is derived first.
+func newMNOView(ds *dataset.MNODataset, workers int) *mnoView {
+	labeler := core.NewLabeler(ds.Host, dataset.MVNO1, dataset.MVNO2)
+	v := &mnoView{
+		Population:   core.Derive(ds.Catalog, ds.GSMA, labeler, workers),
+		Days:         ds.Days,
+		Truth:        ds.Truth,
+		Declared:     ds.Declared,
+		Transparency: ds.Transparency,
+	}
+	v.perDay, v.dayTotal = dayLabels(ds.Catalog, labeler)
+	v.ecos, v.statement = v.settle(ds.Catalog)
+	return v
+}
+
+// view returns the session's mnoView, generating the MNO dataset the
+// first time. It lives on the session, like Sites, so it is built once
+// however many runners share it and is collected with the session.
 func (s *Session) view() *mnoView {
-	ds := s.MNO()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.mnoView != nil {
-		return s.mnoView
-	}
-	labeler := core.NewLabeler(ds.Host, dataset.MVNO1, dataset.MVNO2)
-	s.mnoView = &mnoView{
-		Population: core.Derive(ds.Catalog, ds.GSMA, labeler, s.Workers),
-		ds:         ds,
-		labeler:    labeler,
+	if s.mnoView == nil {
+		s.generateMNO()
 	}
 	return s.mnoView
+}
+
+// dayLabels counts the roaming labels of cat's daily records per day
+// (the paper's "per-day" framing), and the records per day.
+func dayLabels(cat *catalog.Catalog, labeler *core.Labeler) (perDay map[int]map[core.Label]int, dayTotal map[int]int) {
+	perDay = map[int]map[core.Label]int{}
+	dayTotal = map[int]int{}
+	for i := range cat.Records {
+		rec := &cat.Records[i]
+		m := perDay[rec.Day]
+		if m == nil {
+			m = map[core.Label]int{}
+			perDay[rec.Day] = m
+		}
+		m[labeler.LabelRecord(rec)]++
+		dayTotal[rec.Day]++
+	}
+	return perDay, dayTotal
 }
 
 func runT2(s *Session) *Report {
@@ -60,36 +102,23 @@ func runT2(s *Session) *Report {
 		Paper: "labels/day: H:H ≈48%, V:H ≈33%, I:H ≈18%; classes: smart 62%, feat 8%, m2m 26%, m2m-maybe 4%",
 	}
 
-	// Per-day label shares over daily records (the paper's "per-day"
-	// framing), averaged across the window.
-	perDay := map[int]map[core.Label]int{}
-	dayTotal := map[int]int{}
-	for i := range v.ds.Catalog.Records {
-		rec := &v.ds.Catalog.Records[i]
-		m := perDay[rec.Day]
-		if m == nil {
-			m = map[core.Label]int{}
-			perDay[rec.Day] = m
-		}
-		m[v.labeler.LabelRecord(rec)]++
-		dayTotal[rec.Day]++
-	}
-	// Average in day order: float accumulation over map iteration
-	// order would wobble in the last bits from run to run.
+	// Per-day label shares over daily records, averaged across the
+	// window in day order: float accumulation over map iteration order
+	// would wobble in the last bits from run to run.
 	labelShare := map[core.Label]float64{}
-	for day := 0; day < v.ds.Days; day++ {
-		m := perDay[day]
+	for day := 0; day < v.Days; day++ {
+		m := v.perDay[day]
 		if m == nil {
 			continue
 		}
 		for _, l := range core.AllLabels {
 			if n := m[l]; n > 0 {
-				labelShare[l] += float64(n) / float64(dayTotal[day])
+				labelShare[l] += float64(n) / float64(v.dayTotal[day])
 			}
 		}
 	}
 	for l := range labelShare {
-		labelShare[l] /= float64(len(perDay))
+		labelShare[l] /= float64(len(v.perDay))
 	}
 	tbl := analysis.NewTable("label", "avg daily share")
 	for _, l := range core.AllLabels {
@@ -110,7 +139,7 @@ func runT2(s *Session) *Report {
 
 	// Classifier validation against ground truth (the simulator's
 	// bonus over the paper).
-	val, err := core.Validate(v.Results, v.ds.Truth)
+	val, err := core.Validate(v.Results, v.Truth)
 	if err == nil {
 		r.setValue("classifier_accuracy", val.Accuracy())
 		r.setValue("m2m_precision", val.Precision(core.ClassM2M))
@@ -356,7 +385,7 @@ func runFig10(s *Session) *Report {
 		Title: "Traffic per class and roaming status",
 		Paper: "m2m signaling ≪ smartphone signaling; feat lowest; most m2m place no calls; inbound m2m data tiny; inbound smart data < native smart (bill shock)",
 	}
-	days := float64(v.ds.Days)
+	days := float64(v.Days)
 	sig := groupECDF(v, func(sum *catalog.Summary) (float64, bool) {
 		if sum.ActiveDays == 0 {
 			return 0, false
@@ -427,7 +456,7 @@ func runFig12(s *Session) *Report {
 			continue
 		}
 		var g *groupStats
-		switch v.ds.Truth[sum.Device] {
+		switch v.Truth[sum.Device] {
 		case devices.ClassConnectedCar:
 			g = groups["cars"]
 		case devices.ClassSmartMeter:

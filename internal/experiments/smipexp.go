@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"whereroam/internal/analysis"
+	"whereroam/internal/dataset"
 	"whereroam/internal/identity"
 	"whereroam/internal/radio"
 )
@@ -10,27 +11,33 @@ func init() {
 	register("fig11", "SMIP native vs roaming smart meters (§7.1)", runFig11)
 }
 
-func runFig11(s *Session) *Report {
-	ds := s.SMIP()
-	r := &Report{
-		ID:    "fig11",
-		Title: "SMIP device activity: native vs roaming",
-		Paper: "native: 73% active the whole period (83% for the day-1 cohort); roaming: 50% active ≤5 days; roaming signaling ≈10× native per device-day; failures: ~10% of all devices, 35% of roaming; roaming 2G-only, native 2/3 on 3G only",
-	}
+// smipView is what a session keeps of the smart-meter dataset (§7):
+// the window, the native cohort and fig11's per-device aggregates,
+// folded once when the dataset is built. It never holds the daily
+// records.
+type smipView struct {
+	Days   int
+	Native map[identity.DeviceID]bool
+	aggs   map[identity.DeviceID]*meterAgg
+}
 
-	type devAgg struct {
-		activeDays int
-		firstDay   int
-		events     int
-		failed     int
-		flags      radio.RATSet
-	}
-	aggs := map[identity.DeviceID]*devAgg{}
+// meterAgg is one meter's activity over the window.
+type meterAgg struct {
+	activeDays int
+	firstDay   int
+	events     int
+	failed     int
+	flags      radio.RATSet
+}
+
+// newSMIPView folds ds's daily records into per-device aggregates.
+func newSMIPView(ds *dataset.SMIPDataset) *smipView {
+	aggs := map[identity.DeviceID]*meterAgg{}
 	for i := range ds.Catalog.Records {
 		rec := &ds.Catalog.Records[i]
 		a := aggs[rec.Device]
 		if a == nil {
-			a = &devAgg{firstDay: rec.Day}
+			a = &meterAgg{firstDay: rec.Day}
 			aggs[rec.Device] = a
 		}
 		a.activeDays++
@@ -41,6 +48,27 @@ func runFig11(s *Session) *Report {
 		a.failed += rec.FailedEvents
 		a.flags |= rec.RadioFlags
 	}
+	return &smipView{Days: ds.Days, Native: ds.Native, aggs: aggs}
+}
+
+// meterView returns the session's smipView, generating the SMIP dataset
+// the first time.
+func (s *Session) meterView() *smipView {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.smipView == nil {
+		s.generateSMIP()
+	}
+	return s.smipView
+}
+
+func runFig11(s *Session) *Report {
+	v := s.meterView()
+	r := &Report{
+		ID:    "fig11",
+		Title: "SMIP device activity: native vs roaming",
+		Paper: "native: 73% active the whole period (83% for the day-1 cohort); roaming: 50% active ≤5 days; roaming signaling ≈10× native per device-day; failures: ~10% of all devices, 35% of roaming; roaming 2G-only, native 2/3 on 3G only",
+	}
 
 	type cohort struct {
 		days, daysDay1      []float64
@@ -50,9 +78,9 @@ func runFig11(s *Session) *Report {
 	}
 	var native, roaming cohort
 	//roamvet:maporder-ok the day-count slices feed analysis.NewECDF which sorts them; every other cohort field is a commutative integer(-valued) add
-	for dev, a := range aggs {
+	for dev, a := range v.aggs {
 		c := &roaming
-		if ds.Native[dev] {
+		if v.Native[dev] {
 			c = &native
 		}
 		c.n++
@@ -80,7 +108,7 @@ func runFig11(s *Session) *Report {
 	render := func(name string, c *cohort) {
 		e := analysis.NewECDF(c.days)
 		e1 := analysis.NewECDF(c.daysDay1)
-		full := float64(ds.Days)
+		full := float64(v.Days)
 		tbl := analysis.NewTable(name, "value")
 		tbl.AddRow("devices", c.n)
 		tbl.AddRow("active whole period", analysis.Pct(1-e.At(full-1)))
