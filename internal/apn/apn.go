@@ -147,31 +147,80 @@ func (a APN) IsZero() bool { return a.NetworkID == "" && a.Operator.IsZero() }
 // Keywords tokenizes the Network Identifier into the lookup keys the
 // classifier matches its keyword table against: dot labels are split
 // further on hyphens and underscores, and the generic DNS tails
-// ("com", "net", "org", country TLDs of length 2) are dropped.
+// ("com", "net", "org", country TLDs of length 2) are dropped. It
+// collects EachKeyword's tokens.
 func (a APN) Keywords() []string {
 	var out []string
-	for _, lbl := range strings.Split(a.NetworkID, ".") {
-		for _, tok := range strings.FieldsFunc(lbl, func(r rune) bool { return r == '-' || r == '_' }) {
-			if len(tok) <= 2 || tok == "com" || tok == "net" || tok == "org" || tok == "www" {
-				continue
-			}
-			out = append(out, tok)
-		}
-	}
+	a.EachKeyword(func(tok string) bool {
+		out = append(out, tok)
+		return true
+	})
 	return out
+}
+
+// EachKeyword calls f with each of Keywords' tokens in order, until f
+// returns false, without building a slice: the tokens are substrings
+// of the Network Identifier. It is the package's one tokenizer.
+// Splitting on dots and then on hyphens and underscores, dropping
+// empty fields, leaves the maximal runs of bytes that are none of the
+// three; all are ASCII, so no UTF-8 sequence is ever cut.
+func (a APN) EachKeyword(f func(tok string) bool) {
+	s := a.NetworkID
+	for i := 0; i < len(s); {
+		if isKeywordSep(s[i]) {
+			i++
+			continue
+		}
+		j := i + 1
+		for j < len(s) && !isKeywordSep(s[j]) {
+			j++
+		}
+		if tok := s[i:j]; !genericToken(tok) && !f(tok) {
+			return
+		}
+		i = j
+	}
+}
+
+func isKeywordSep(c byte) bool { return c == '.' || c == '-' || c == '_' }
+
+// genericToken reports whether a token is too short or too generic to
+// be a keyword: two bytes or fewer (country TLDs), or a generic DNS
+// label.
+func genericToken(tok string) bool {
+	return len(tok) <= 2 || tok == "com" || tok == "net" || tok == "org" || tok == "www"
 }
 
 // ContainsKeyword reports whether any Network Identifier token equals
 // kw, or whether kw (which may itself be dotted, like
-// "intelligent.m2m") appears as a dotted substring of the NI.
+// "intelligent.m2m") appears as a dotted substring of the NI: a run of
+// whole labels. It allocates nothing.
 func (a APN) ContainsKeyword(kw string) bool {
 	if strings.Contains(kw, ".") {
-		return strings.Contains("."+a.NetworkID+".", "."+kw+".")
+		return containsLabels(a.NetworkID, kw)
 	}
-	for _, tok := range a.Keywords() {
-		if tok == kw {
+	found := false
+	a.EachKeyword(func(tok string) bool {
+		found = tok == kw
+		return !found
+	})
+	return found
+}
+
+// containsLabels reports whether kw occurs in ni starting and ending
+// at label boundaries — strings.Contains("."+ni+".", "."+kw+".")
+// without building either string.
+func containsLabels(ni, kw string) bool {
+	for off := 0; off+len(kw) <= len(ni); {
+		i := strings.Index(ni[off:], kw)
+		if i < 0 {
+			return false
+		}
+		lo, hi := off+i, off+i+len(kw)
+		if (lo == 0 || ni[lo-1] == '.') && (hi == len(ni) || ni[hi] == '.') {
 			return true
 		}
+		off = lo + 1
 	}
 	return false
 }

@@ -1,6 +1,7 @@
 package apn
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -199,4 +200,84 @@ func BenchmarkKeywords(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_ = a.Keywords()
 	}
+}
+
+// splitKeywords is the two-pass tokenizer Keywords replaced: dot
+// labels through strings.Split, then hyphen/underscore fields through
+// strings.FieldsFunc, with the same skip rule.
+func splitKeywords(ni string) []string {
+	var out []string
+	for _, lbl := range strings.Split(ni, ".") {
+		for _, tok := range strings.FieldsFunc(lbl, func(r rune) bool { return r == '-' || r == '_' }) {
+			if len(tok) <= 2 || tok == "com" || tok == "net" || tok == "org" || tok == "www" {
+				continue
+			}
+			out = append(out, tok)
+		}
+	}
+	return out
+}
+
+// checkKeywords compares the in-place tokenizer and the matcher built
+// on it with the two-pass tokenizer and a padded strings.Contains.
+func checkKeywords(t *testing.T, ni, kw string) {
+	t.Helper()
+	a := APN{NetworkID: ni}
+	want := splitKeywords(ni)
+	if got := a.Keywords(); !slices.Equal(got, want) {
+		t.Fatalf("Keywords(%q) = %q, two-pass tokenizer %q", ni, got, want)
+	}
+	var walked []string
+	a.EachKeyword(func(tok string) bool {
+		walked = append(walked, tok)
+		return len(walked) < 2
+	})
+	if n := min(len(want), 2); !slices.Equal(walked, want[:n]) {
+		t.Fatalf("EachKeyword(%q) stopped early = %q, want %q", ni, walked, want[:n])
+	}
+	var ref bool
+	if strings.Contains(kw, ".") {
+		ref = strings.Contains("."+ni+".", "."+kw+".")
+	} else {
+		ref = slices.Contains(want, kw)
+	}
+	if got := a.ContainsKeyword(kw); got != ref {
+		t.Fatalf("ContainsKeyword(%q, %q) = %v, reference %v", ni, kw, got, ref)
+	}
+}
+
+// Matching walks the Network Identifier in place: neither rule
+// allocates.
+func TestContainsKeywordAllocatesNothing(t *testing.T) {
+	a := MustParse("device-fleet.intelligent.m2m.provider.com")
+	allocs := testing.AllocsPerRun(100, func() {
+		a.ContainsKeyword("fleet")
+		a.ContainsKeyword("intelligent.m2m")
+		a.ContainsKeyword("absent.pair")
+	})
+	if allocs != 0 {
+		t.Fatalf("%.1f allocations per run, want 0", allocs)
+	}
+}
+
+// FuzzAPNKeywords checks the in-place tokenizer, and ContainsKeyword
+// on both of its rules, against the two-pass tokenizer and a padded
+// strings.Contains on arbitrary bytes. The seeds are the corners of
+// the grammar: empty labels and fields, generic tails, repeated and
+// overlapping dotted keywords, non-ASCII and invalid UTF-8.
+func FuzzAPNKeywords(f *testing.F) {
+	for _, c := range [][2]string{
+		{"smhp.centricaplc.com", "smhp"},
+		{"global-iot_data.scania.net", "iot"}, {"global-iot_data.scania.net", "iot.data"},
+		{"a..b", "a.b"}, {"..", "."}, {".lead.", "lead"}, {"", "x"},
+		{"a--b", "a"}, {"--x--_y_", "x"}, {"-_-", "y"}, {"a..b--c__d.", "b--c"},
+		{"intelligent.m2m.intelligent.m2m", "intelligent.m2m"},
+		{"xintelligent.m2m", "intelligent.m2m"}, {"intelligent.m2mx", "intelligent.m2m"},
+		{"m2m.intelligent.m2m", "m2m.intelligent"}, {"a.b.a.b.c", "a.b.c"},
+		{"smärt-grid.ü", "smärt"}, {"\xff\xfe-pos.\xc3", "\xff\xfe"}, {"télématique_m2m", "m2m"},
+		{"www.org.net.com.uk", "www"},
+	} {
+		f.Add(c[0], c[1])
+	}
+	f.Fuzz(checkKeywords)
 }

@@ -46,8 +46,8 @@ type Builder struct {
 	// plmns and apns hand each row its first visited network and APN
 	// without an allocation of its own; finalize packs the lists into
 	// exactly sized arrays, so no slab chunk outlives the build.
-	plmns slab[mccmnc.PLMN]
-	apns  slab[apn.APN]
+	plmns Slab[mccmnc.PLMN]
+	apns  Slab[apn.APN]
 }
 
 // device is one device's entry: its dwell state.
@@ -88,14 +88,19 @@ const (
 	chunkRows      = 64
 )
 
-// slab hands out one-element slices carved from fixed-size chunks.
-// Each slice has capacity one, so a second element makes append copy
-// it out to the heap and no two slices ever share an element.
-type slab[T any] struct{ free []T }
+// Slab hands out one-element slices carved from fixed-size chunks, so
+// a list that usually holds one element — a record's visited networks
+// or APNs — is not a heap object of its own. Each slice has capacity
+// one, so a second element makes append copy it out to the heap and no
+// two slices ever share an element. A chunk lives as long as any slice
+// carved from it. The zero value is ready to use; not safe for
+// concurrent use.
+type Slab[T any] struct{ free []T }
 
 const slabLen = 128
 
-func (s *slab[T]) one(v T) []T {
+// One returns a length-one, capacity-one slice holding v.
+func (s *Slab[T]) One(v T) []T {
 	if len(s.free) == 0 {
 		s.free = make([]T, slabLen)
 	}
@@ -123,13 +128,19 @@ func NewBuilder(host mccmnc.PLMN, start time.Time, days int, grid *radio.Grid) *
 	}
 }
 
-// day returns the window day index of t, or -1 when outside.
+// day returns the window day index of t — whole days since the window
+// start, rounded down — or -1 when t lies outside the window. Any
+// instant before the start is outside, also one less than a day
+// before it.
 func (b *Builder) day(t time.Time) int {
-	d := int(t.Sub(b.start) / (24 * time.Hour))
-	if d < 0 || d >= b.days {
+	since := t.Sub(b.start)
+	if since < 0 {
 		return -1
 	}
-	return d
+	if d := int(since / (24 * time.Hour)); d < b.days {
+		return d
+	}
+	return -1
 }
 
 // device returns the entry index of dev, adding an entry on first
@@ -196,7 +207,7 @@ func (b *Builder) record(i int32, day int, sim mccmnc.PLMN, tac identity.TAC) *r
 // taken from the slab.
 func (b *Builder) addVisited(r *row, p mccmnc.PLMN) {
 	if r.Visited == nil {
-		r.Visited = b.plmns.one(p)
+		r.Visited = b.plmns.One(p)
 		return
 	}
 	r.AddVisited(p)
@@ -206,7 +217,7 @@ func (b *Builder) addVisited(r *row, p mccmnc.PLMN) {
 // slab.
 func (b *Builder) addAPN(r *row, a apn.APN) {
 	if r.APNs == nil && !a.IsZero() {
-		r.APNs = b.apns.one(a)
+		r.APNs = b.apns.One(a)
 		return
 	}
 	r.AddAPN(a)
@@ -246,6 +257,70 @@ func (b *Builder) AddRadioEvent(ev radio.Event) {
 	d.last, d.seen = lastSeen{t: ev.Time, sector: ev.Sector}, true
 }
 
+// AddRadioDay ingests one device-day of radio events: evs are one
+// device's events in time order, all inside one window day — what the
+// dataset capture hands over for each day it emits. The catalog it
+// leaves is the one calling AddRadioEvent on each event in turn
+// leaves, but the device, the day and the row are looked up once and
+// the row's visit list is sized once. Input that breaks the
+// precondition (mixed devices, an instant out of order, a day
+// boundary crossed) is ingested event by event instead, so the result
+// never depends on the caller keeping it.
+func (b *Builder) AddRadioDay(evs []radio.Event) {
+	if len(evs) == 0 {
+		return
+	}
+	first := &evs[0]
+	day := b.day(first.Time)
+	oneDay := day >= 0 && b.day(evs[len(evs)-1].Time) == day
+	for k := 1; oneDay && k < len(evs); k++ {
+		oneDay = evs[k].Device == first.Device && !evs[k].Time.Before(evs[k-1].Time)
+	}
+	if !oneDay {
+		for k := range evs {
+			b.AddRadioEvent(evs[k])
+		}
+		return
+	}
+	i := b.device(first.Device)
+	r := b.record(i, day, first.SIM, first.TAC)
+	b.addVisited(r, b.host)
+	if need := len(r.visits) + len(evs); b.grid != nil && cap(r.visits) < need {
+		// Every event but the first attributes its gap to this row; the
+		// last event's dwell lands here too, from the device's next event
+		// or the trailing flush.
+		r.visits = append(make([]geo.Visit, 0, need), r.visits...)
+	}
+	d := &b.devs[i]
+	for k := range evs {
+		ev := &evs[k]
+		if r.TAC == 0 && ev.TAC != 0 {
+			r.TAC = ev.TAC
+		}
+		r.Events++
+		if ev.Result != radio.ResultOK {
+			r.FailedEvents++
+		} else {
+			r.RadioFlags = r.RadioFlags.With(ev.RAT())
+		}
+		if b.grid == nil {
+			continue
+		}
+		if d.seen {
+			if gap := ev.Time.Sub(d.last.t); gap > 0 {
+				gap = min(gap, maxDwell)
+				if k == 0 {
+					// The previous event may lie on an earlier day.
+					b.addVisit(i, d.last, gap.Seconds())
+				} else if s, ok := b.grid.Sector(d.last.sector); ok {
+					r.visits = append(r.visits, geo.Visit{At: s.At, Weight: gap.Seconds()})
+				}
+			}
+		}
+		d.last, d.seen = lastSeen{t: ev.Time, sector: ev.Sector}, true
+	}
+}
+
 // addVisit appends a visit of weight seconds at the sector and day of
 // at to device i's row.
 func (b *Builder) addVisit(i int32, at lastSeen, weight float64) {
@@ -267,8 +342,9 @@ func (b *Builder) AddRecord(rec cdrs.Record) {
 }
 
 // AddDayRecord ingests one CDR/xDR whose window day the caller already
-// computed (as AddRecord would: whole days since the window start). A
-// day outside [0, days) drops the record, as AddRecord does.
+// computed (as AddRecord would: whole days since the window start,
+// rounded down, so an instant before the start is outside). A day
+// outside [0, days) drops the record, as AddRecord does.
 func (b *Builder) AddDayRecord(day int, rec *cdrs.Record) {
 	if uint(day) >= uint(b.days) {
 		return

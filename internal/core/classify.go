@@ -131,12 +131,16 @@ func newKeywordTable(keywords []string) keywordTable {
 	return t
 }
 
-// matches reports whether any keyword of the table matches a.
+// matches reports whether any keyword of the table matches a. It
+// walks the APN's tokens in place and allocates nothing.
 func (t *keywordTable) matches(a apn.APN) bool {
-	for _, tok := range a.Keywords() {
-		if t.plain[tok] {
-			return true
-		}
+	hit := false
+	a.EachKeyword(func(tok string) bool {
+		hit = t.plain[tok]
+		return !hit
+	})
+	if hit {
+		return true
 	}
 	for _, kw := range t.dotted {
 		if a.ContainsKeyword(kw) {

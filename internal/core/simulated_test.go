@@ -3,9 +3,12 @@ package core_test
 import (
 	"reflect"
 	"runtime"
+	"slices"
+	"strings"
 	"testing"
 
 	"whereroam/internal/apn"
+	"whereroam/internal/catalog"
 	"whereroam/internal/cdrs"
 	"whereroam/internal/core"
 	"whereroam/internal/dataset"
@@ -112,21 +115,50 @@ func TestDerivePopulation(t *testing.T) {
 	}
 }
 
-// anyKeyword is the matcher the classifier used before it tokenised an
-// APN once: every keyword re-tokenises the APN. It stays here as the
-// reference the keyword tables must agree with.
+// anyKeyword is the reference the keyword tables must agree with: the
+// rule of apn.APN.ContainsKeyword written over the collected
+// Keywords() slice and a padded strings.Contains, as the matcher was
+// before it walked the APN in place. Every keyword re-tokenises the
+// APN.
 func anyKeyword(a apn.APN, keywords []string) bool {
 	for _, kw := range keywords {
-		if a.ContainsKeyword(kw) {
+		if strings.Contains(kw, ".") {
+			if strings.Contains("."+a.NetworkID+".", "."+kw+".") {
+				return true
+			}
+			continue
+		}
+		if slices.Contains(a.Keywords(), kw) {
 			return true
 		}
 	}
 	return false
 }
 
-// The tokenise-once keyword tables give the verdict of the
-// keyword-by-keyword loop on every APN a generated federation archive
-// holds, and on the corners of the token grammar.
+// keywordCorners are Network Identifiers at the corners of the token
+// grammar, for the table-against-reference tests.
+var keywordCorners = []string{
+	"intelligent.m2m",                 // dotted keyword, whole NI
+	"x.intelligent.m2m.y",             // dotted keyword inside
+	"intelligent.m2mx",                // dotted keyword as a mere prefix
+	"notintelligent.m2m",              // dotted keyword must start at a label
+	"intelligent.m2m.intelligent.m2m", // a second occurrence
+	"fleet-tracker_pos.corp",          // hyphen and underscore split tokens
+	"fleet-", "_pos", "a--b",          // empty fields between separators
+	"a..b", ".lead", "trail.", "..", // empty labels
+	"m2m.de", "iot.m2", // a 2-char label is dropped, a 3-char one kept
+	"pos.com", "com.net.www", // generic tails are not tokens
+	"internet", "wap.payment", // consumer table, and both tables at once
+	"smartgridx", "xsmhp", // tokens match whole, never as substrings
+	"smärt-grid.ü", "\xff\xfe-pos", "télématique_m2m", // non-ASCII and invalid UTF-8
+	"",
+}
+
+// The tokenise-once keyword tables, which walk an APN in place, give
+// the verdict of the keyword-by-keyword loop on every APN a generated
+// federation archive holds and a seed-1 MNO dataset at its default
+// size carries, and on the corners of the token grammar — and
+// allocate nothing doing it.
 func TestKeywordTablesMatchKeywordLoop(t *testing.T) {
 	cfg := dataset.DefaultFederationConfig()
 	cfg.Seed = 1
@@ -154,19 +186,16 @@ func TestKeywordTablesMatchKeywordLoop(t *testing.T) {
 	if len(distinct) < 20 {
 		t.Fatalf("archive holds only %d distinct APNs", len(distinct))
 	}
-	for _, ni := range []string{
-		"intelligent.m2m",        // dotted keyword, whole NI
-		"x.intelligent.m2m.y",    // dotted keyword inside
-		"intelligent.m2mx",       // dotted keyword as a mere prefix
-		"notintelligent.m2m",     // dotted keyword must start at a label
-		"fleet-tracker_pos.corp", // hyphen and underscore split tokens
-		"fleet-", "_pos", "a--b", // empty fields between separators
-		"m2m.de", "iot.m2", // a 2-char label is dropped, a 3-char one kept
-		"pos.com", "com.net.www", // generic tails are not tokens
-		"internet", "wap.payment", // consumer table, and both tables at once
-		"smartgridx", "xsmhp", // tokens match whole, never as substrings
-		"",
-	} {
+	archived := len(distinct)
+	dataset.StreamMNO(dataset.DefaultMNOConfig(), dataset.MNOSink{Record: func(rec catalog.DailyRecord) {
+		for _, a := range rec.APNs {
+			distinct[a] = true
+		}
+	}})
+	if len(distinct) < archived+20 {
+		t.Fatalf("the MNO dataset adds only %d distinct APNs", len(distinct)-archived)
+	}
+	for _, ni := range keywordCorners {
 		distinct[apn.APN{NetworkID: ni}] = true
 		distinct[apn.APN{NetworkID: ni, Operator: mccmnc.MustParse("20404")}] = true
 	}
@@ -178,6 +207,9 @@ func TestKeywordTablesMatchKeywordLoop(t *testing.T) {
 		}
 		if want := anyKeyword(a, core.DefaultConsumerKeywords); consumer != want {
 			t.Errorf("%q: consumer table says %v, keyword loop %v", a, consumer, want)
+		}
+		if allocs := testing.AllocsPerRun(10, func() { c.MatchKeywords(a) }); allocs != 0 {
+			t.Fatalf("%q: %.1f allocations per match, want 0", a, allocs)
 		}
 	}
 }

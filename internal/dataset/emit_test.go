@@ -1,0 +1,52 @@
+package dataset
+
+import (
+	"testing"
+
+	"whereroam/internal/catalog"
+	"whereroam/internal/devices"
+	"whereroam/internal/pipeline"
+	"whereroam/internal/rng"
+)
+
+// emitDeviceDays carves each record's visited network and APN from
+// the shard's slabs instead of allocating two one-element lists per
+// record, so a shard's records cost a small fraction of an allocation
+// each — the odd traveller's trip map and a slab chunk every 128
+// records.
+func TestEmitDeviceDaysAllocationsPerRecord(t *testing.T) {
+	cfg := DefaultMNOConfig()
+	cfg.Devices, cfg.Workers = 400, 1
+	w := newMNOWalk(cfg)
+	var devs []devices.Device
+	w.shard(pipeline.Shard{Index: 0, Lo: 0, Hi: cfg.Devices}, func(dev devices.Device, _ bool) {
+		devs = append(devs, dev)
+	}, func(catalog.DailyRecord) {})
+	srcs := make([]*rng.Source, len(devs))
+	for i := range srcs {
+		srcs[i] = rng.New(uint64(i)).Split("days")
+	}
+	var scratch dayScratch
+	records, apns := 0, 0
+	emit := func(rec catalog.DailyRecord) {
+		records++
+		apns += len(rec.APNs)
+	}
+	walk := func() {
+		for i := range devs {
+			emitDeviceDays(srcs[i], cfg.Host, cfg.Start, cfg.Days, emit, &devs[i], &scratch)
+		}
+	}
+	walk()
+	records, apns = 0, 0
+	const runs = 3
+	allocs := testing.AllocsPerRun(runs, walk)
+	// AllocsPerRun walks once more before it counts.
+	perRun := float64(records) / (runs + 1)
+	if perRun < 1000 || apns == 0 {
+		t.Fatalf("%.0f records (%d APNs) per walk: too few to measure", perRun, apns)
+	}
+	if perRecord := allocs / perRun; perRecord > 0.05 {
+		t.Fatalf("%.3f allocations per record (%.0f per walk of %.0f records), want at most 0.05", perRecord, allocs, perRun)
+	}
+}

@@ -82,9 +82,9 @@ func emitFedM2MDevice(sink func(signaling.Transaction), fed *FederationDataset, 
 		if day == 0 || visited != prev {
 			t := dayStart.Add(time.Duration(src.Int63n(3600)) * time.Second)
 			if day == 0 {
-				dayTxs = append(dayTxs, netsim.AttachSequence(m.dev.ID, t, home, visited, radio.RAT4G, result())...)
+				dayTxs = netsim.AppendAttachSequence(dayTxs, m.dev.ID, t, home, visited, radio.RAT4G, result())
 			} else {
-				dayTxs = append(dayTxs, netsim.SwitchSequence(m.dev.ID, t, home, prev, visited, radio.RAT4G, result())...)
+				dayTxs = netsim.AppendSwitchSequence(dayTxs, m.dev.ID, t, home, prev, visited, radio.RAT4G, result())
 			}
 		}
 		prev = visited

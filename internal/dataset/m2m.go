@@ -352,10 +352,11 @@ func emitPlatformDevice(sink func(signaling.Transaction), world *netsim.World,
 		seg := sort.Search(len(switchTimes), func(i int) bool { return switchTimes[i].After(t) })
 		return vmnos[seg%len(vmnos)]
 	}
+	var seq [3]signaling.Transaction
 	for s, st := range switchTimes {
 		old := vmnos[s%len(vmnos)]
 		next := vmnos[(s+1)%len(vmnos)]
-		for _, tx := range netsim.SwitchSequence(dev, st, spec.plmn, old, next, radio.RAT4G, result()) {
+		for _, tx := range netsim.AppendSwitchSequence(seq[:0], dev, st, spec.plmn, old, next, radio.RAT4G, result()) {
 			offer(tx)
 		}
 		budget -= 3
@@ -380,7 +381,7 @@ func emitPlatformDevice(sink func(signaling.Transaction), world *netsim.World,
 			offer(tx)
 			budget--
 		default:
-			for _, tx := range netsim.AttachSequence(dev, t, spec.plmn, visited, radio.RAT4G, result()) {
+			for _, tx := range netsim.AppendAttachSequence(seq[:0], dev, t, spec.plmn, visited, radio.RAT4G, result()) {
 				offer(tx)
 			}
 			budget -= 2

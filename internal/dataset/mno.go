@@ -4,6 +4,7 @@ import (
 	"sort"
 	"time"
 
+	"whereroam/internal/apn"
 	"whereroam/internal/catalog"
 	"whereroam/internal/core"
 	"whereroam/internal/devices"
@@ -217,13 +218,13 @@ func newMNOWalk(cfg MNOConfig) *mnoWalk {
 // walk advances the shard's offsets in place.
 func (w *mnoWalk) shard(sh pipeline.Shard, device func(devices.Device, bool), record func(catalog.DailyRecord)) {
 	off := w.counts.offsets[sh.Index]
-	var visits []geo.Visit
+	var scratch dayScratch
 	for i := sh.Lo; i < sh.Hi; i++ {
 		d := drawMNODraft(w.root, i, w.cfg, w.classPick, w.m2mPick)
 		imsi := nextIMSI(off, d.home, d.base)
 		dev := finishDevice(&d, imsi, w.cfg, w.db, w.centre)
 		device(dev, w.reg.MatchIMSI(imsi))
-		emitDeviceDays(d.src.Split("days"), w.cfg.Host, w.cfg.Start, w.cfg.Days, record, &dev, &visits)
+		emitDeviceDays(d.src.Split("days"), w.cfg.Host, w.cfg.Start, w.cfg.Days, record, &dev, &scratch)
 	}
 }
 
@@ -590,12 +591,24 @@ func SMIPNativeRange(host mccmnc.PLMN, count uint64) identity.IMSIRange {
 	return identity.IMSIRange{PLMN: host, Lo: SMIPNativeBase, Hi: SMIPNativeBase + count}
 }
 
+// dayScratch is emitDeviceDays' per-shard scratch, reused across the
+// shard's devices. The zero value is ready to use.
+type dayScratch struct {
+	// visits is the per-day mobility sample's buffer, so the sampling
+	// allocates nothing on the steady state.
+	visits []geo.Visit
+	// plmns and apns hand each record its one visited network and its
+	// one APN: a record's lists come from a slab, not from a heap
+	// object per record (catalog.Slab: capacity one, so a later append
+	// copies out and no two records alias).
+	plmns catalog.Slab[mccmnc.PLMN]
+	apns  catalog.Slab[apn.APN]
+}
+
 // emitDeviceDays samples the device's daily activity and hands each
-// resulting catalog record to emit, in day order. visits is a
-// per-shard scratch buffer reused across devices so the per-day
-// mobility sampling allocates nothing on the steady state; pass a
-// pointer to a nil slice to start one.
-func emitDeviceDays(src *rng.Source, host mccmnc.PLMN, start time.Time, days int, emit func(catalog.DailyRecord), dev *devices.Device, visits *[]geo.Visit) {
+// resulting catalog record to emit, in day order. scratch is the
+// shard's, reused across its devices.
+func emitDeviceDays(src *rng.Source, host mccmnc.PLMN, start time.Time, days int, emit func(catalog.DailyRecord), dev *devices.Device, scratch *dayScratch) {
 	p := dev.Profile
 	// Native smartphones occasionally travel abroad (H:A days,
 	// captured via CDRs only — no radio events). The map is allocated
@@ -623,9 +636,9 @@ func emitDeviceDays(src *rng.Source, host mccmnc.PLMN, start time.Time, days int
 		}
 		abroad, isAbroad := outboundDays[day]
 		if isAbroad {
-			rec.AddVisited(abroad)
+			rec.Visited = scratch.plmns.One(abroad)
 		} else {
-			rec.AddVisited(host)
+			rec.Visited = scratch.plmns.One(host)
 		}
 
 		// Signaling events (radio logs exist only on the host
@@ -660,7 +673,9 @@ func emitDeviceDays(src *rng.Source, host mccmnc.PLMN, start time.Time, days int
 				if p.DataRAT2 != 0 && src.Bool(0.5) {
 					rec.DataRATs = rec.DataRATs.With(p.DataRAT2)
 				}
-				rec.AddAPN(p.APN)
+				if !p.APN.IsZero() {
+					rec.APNs = scratch.apns.One(p.APN)
+				}
 			}
 		}
 		if p.UsesVoice {
@@ -682,14 +697,14 @@ func emitDeviceDays(src *rng.Source, host mccmnc.PLMN, start time.Time, days int
 		// daily metrics (outbound days have no host-side location).
 		if !isAbroad {
 			dayStart := start.Add(time.Duration(day) * 24 * time.Hour)
-			vs := (*visits)[:0]
+			vs := scratch.visits[:0]
 			for h := 0; h < 24; h += 3 {
 				vs = append(vs, geo.Visit{
 					At:     dev.Mobility.Position(dayStart.Add(time.Duration(h) * time.Hour)),
 					Weight: 3,
 				})
 			}
-			*visits = vs
+			scratch.visits = vs
 			if c, ok := geo.Centroid(vs); ok {
 				rec.Centroid = c
 				rec.GyrationKm = geo.Gyration(vs)

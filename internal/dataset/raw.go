@@ -1,6 +1,7 @@
 package dataset
 
 import (
+	"sync"
 	"time"
 
 	"whereroam/internal/catalog"
@@ -58,7 +59,7 @@ func (c capture) build(locals []localDevice, tee func(cdrs.Record)) *catalog.Cat
 	hostCountry, _ := mccmnc.CountryByMCC(c.host.MCC)
 	grid := radio.NewGrid(hostCountry, 60, 60, radio.DefaultSpacingDeg)
 
-	var sinks func(pipeline.Shard) (func(radio.Event), func(cdrs.Record))
+	var sinks func(pipeline.Shard) (func([]radio.Event), func(cdrs.Record))
 	var build func(workers int) *catalog.Catalog
 	if c.router {
 		// The router's last generator-side entrance, kept bit-identical
@@ -69,15 +70,20 @@ func (c capture) build(locals []localDevice, tee func(cdrs.Record)) *catalog.Cat
 		// defer covers an emission panic, so a caller that recovers it
 		// does not leak the per-shard consumer goroutines.
 		defer in.Close()
-		sinks = func(pipeline.Shard) (func(radio.Event), func(cdrs.Record)) {
-			return in.OfferRadio, in.OfferRecord
+		offerDay := func(evs []radio.Event) {
+			for i := range evs {
+				in.OfferRadio(evs[i])
+			}
+		}
+		sinks = func(pipeline.Shard) (func([]radio.Event), func(cdrs.Record)) {
+			return offerDay, in.OfferRecord
 		}
 		build = in.Build
 	} else {
 		sb := catalog.NewShardedBuilder(c.host, c.start, c.days, grid, pipeline.ShardCount(len(locals)))
-		sinks = func(sh pipeline.Shard) (func(radio.Event), func(cdrs.Record)) {
+		sinks = func(sh pipeline.Shard) (func([]radio.Event), func(cdrs.Record)) {
 			b := sb.Builder(sh.Index)
-			return b.AddRadioEvent, b.AddRecord
+			return b.AddRadioDay, b.AddRecord
 		}
 		build = sb.Build
 	}
@@ -87,10 +93,11 @@ func (c capture) build(locals []localDevice, tee func(cdrs.Record)) *catalog.Cat
 		if tee != nil {
 			cdrSink = probe.Fanout(tee, cdrSink)
 		}
-		var bufs emitBufs
+		bufs := emitBufsPool.Get().(*emitBufs)
+		defer emitBufsPool.Put(bufs)
 		for i := sh.Lo; i < sh.Hi; i++ {
 			l := &locals[i]
-			emitDeviceDaysSched(l.emit, c.host, c.start, c.days, grid, radioSink, cdrSink, &l.dev, l.presentDay, &bufs)
+			emitDeviceDaysSched(l.emit, c.host, c.start, c.days, grid, radioSink, cdrSink, &l.dev, l.presentDay, bufs)
 		}
 	})
 	return build(c.workers)
@@ -103,10 +110,11 @@ func (c capture) build(locals []localDevice, tee func(cdrs.Record)) *catalog.Cat
 // order.
 func (c capture) archive(locals []localDevice, sink func(cdrs.Record)) {
 	pipeline.Run(len(locals), c.workers, func(sh pipeline.Shard) {
-		var bufs emitBufs
+		bufs := emitBufsPool.Get().(*emitBufs)
+		defer emitBufsPool.Put(bufs)
 		for i := sh.Lo; i < sh.Hi; i++ {
 			l := &locals[i]
-			emitDeviceDaysSched(l.emit, c.host, c.start, c.days, nil, nil, sink, &l.dev, l.presentDay, &bufs)
+			emitDeviceDaysSched(l.emit, c.host, c.start, c.days, nil, nil, sink, &l.dev, l.presentDay, bufs)
 		}
 	})
 }
@@ -209,15 +217,19 @@ func GenerateSMIPStreaming(cfg SMIPConfig) *SMIPDataset {
 }
 
 // emitBufs carries the per-day scratch slices the emission fills and
-// drains for every emitted day, one per emission shard: the backing
-// arrays are reused across the shard's devices instead of reallocated
-// per device. Sinks and builders copy records by value, so reuse is
-// safe. The zero value is ready to use.
+// drains for every emitted day: the backing arrays are reused across
+// devices instead of reallocated per device. Sinks and builders copy
+// records by value, so reuse is safe. The zero value is ready to use.
 type emitBufs struct {
 	evs   []radio.Event
 	recs  []cdrs.Record
 	order timeSorter
 }
+
+// emitBufsPool lends each emission shard its emitBufs for the shard's
+// run, so the buffers grow to a busy device-day about once per worker
+// instead of once per shard.
+var emitBufsPool = sync.Pool{New: func() any { return new(emitBufs) }}
 
 func radioEventTime(ev *radio.Event) time.Time { return ev.Time }
 
@@ -228,7 +240,10 @@ func cdrTime(rec *cdrs.Record) time.Time { return rec.Time }
 // events are generated first and handed to the sinks time-sorted (stable, so
 // generation order breaks timestamp ties): each device's stream is
 // then time-ordered end to end — the per-device order contract the
-// catalogs' bit-identity rests on.
+// catalogs' bit-identity rests on. radioSink receives each emitted
+// day's radio events at once, as one slice valid only during the call
+// (catalog.Builder.AddRadioDay's input); cdrSink receives the day's
+// records one at a time.
 //
 // When presentDay is non-nil, only days it reports true for emit
 // anything — and absent days consume no randomness at all, so a
@@ -241,7 +256,7 @@ func cdrTime(rec *cdrs.Record) time.Time { return rec.Time }
 // radio loop still makes every draw, so the records are the same, but
 // builds, sorts and hands on no radio event.
 func emitDeviceDaysSched(src *rng.Source, host mccmnc.PLMN, start time.Time, days int, grid *radio.Grid,
-	radioSink func(radio.Event), cdrSink func(cdrs.Record), dev *devices.Device, presentDay func(int) bool, bufs *emitBufs) {
+	radioSink func([]radio.Event), cdrSink func(cdrs.Record), dev *devices.Device, presentDay func(int) bool, bufs *emitBufs) {
 
 	p := dev.Profile
 	daySeconds := int64(24 * 3600)
@@ -251,6 +266,27 @@ func emitDeviceDaysSched(src *rng.Source, host mccmnc.PLMN, start time.Time, day
 		bufs.evs = dayEvs
 		bufs.recs = dayRecs
 	}()
+	// sectorAt remembers its last answer: NearestWithRAT is a pure
+	// function of the position and the RAT, and a stationary device
+	// (every smart meter) asks about one position all window long.
+	var memoPos geo.Point
+	var memoRAT radio.RAT
+	var memoSector radio.SectorID
+	memoOK := false
+	sectorAt := func(t time.Time, rat radio.RAT) radio.SectorID {
+		pos := dev.Mobility.Position(t)
+		if memoOK && pos == memoPos && rat == memoRAT {
+			return memoSector
+		}
+		var id radio.SectorID
+		if s, ok := grid.NearestWithRAT(pos, rat); ok {
+			id = s.ID
+		} else {
+			id = grid.Nearest(pos).ID
+		}
+		memoPos, memoRAT, memoSector, memoOK = pos, rat, id, true
+		return id
+	}
 	for day := p.PresenceStart; day < p.PresenceStart+p.PresenceDays && day < days; day++ {
 		if presentDay != nil && !presentDay(day) {
 			continue
@@ -262,13 +298,6 @@ func emitDeviceDaysSched(src *rng.Source, host mccmnc.PLMN, start time.Time, day
 		dayStart := start.Add(time.Duration(day) * 24 * time.Hour)
 		at := func() time.Time {
 			return dayStart.Add(time.Duration(src.Int63n(daySeconds)) * time.Second)
-		}
-		sectorAt := func(t time.Time, rat radio.RAT) radio.SectorID {
-			pos := dev.Mobility.Position(t)
-			if s, ok := grid.NearestWithRAT(pos, rat); ok {
-				return s.ID
-			}
-			return grid.Nearest(pos).ID
 		}
 
 		// Radio events.
@@ -340,9 +369,9 @@ func emitDeviceDaysSched(src *rng.Source, host mccmnc.PLMN, start time.Time, day
 			}
 		}
 
-		sortByTime(&bufs.order, dayEvs, radioEventTime)
-		for i := range dayEvs {
-			radioSink(dayEvs[i])
+		if len(dayEvs) > 0 {
+			sortByTime(&bufs.order, dayEvs, radioEventTime)
+			radioSink(dayEvs)
 		}
 		sortByTime(&bufs.order, dayRecs, cdrTime)
 		for i := range dayRecs {

@@ -102,7 +102,7 @@ func GenerateSMIP(cfg SMIPConfig) *SMIPDataset {
 	}
 	cat := &catalog.Catalog{Host: cfg.Host, Days: cfg.Days}
 	appendRec := func(rec catalog.DailyRecord) { cat.Records = append(cat.Records, rec) }
-	var visits []geo.Visit
+	var scratch dayScratch
 
 	for i := 0; i < cfg.NativeMeters; i++ {
 		src := root.SplitN("native", uint64(i))
@@ -113,7 +113,7 @@ func GenerateSMIP(cfg SMIPConfig) *SMIPDataset {
 		dev := devices.Assemble(devices.ClassSmartMeter, imsi, info, prof, mob, false)
 		ds.Devices = append(ds.Devices, dev)
 		ds.Native[dev.ID] = true
-		emitDeviceDays(src.Split("days"), cfg.Host, cfg.Start, cfg.Days, appendRec, &dev, &visits)
+		emitDeviceDays(src.Split("days"), cfg.Host, cfg.Start, cfg.Days, appendRec, &dev, &scratch)
 	}
 	for i := 0; i < cfg.RoamingMeters; i++ {
 		src := root.SplitN("roaming", uint64(i))
@@ -134,7 +134,7 @@ func GenerateSMIP(cfg SMIPConfig) *SMIPDataset {
 		if migrated {
 			ds.NBIoT[dev.ID] = true
 		}
-		emitDeviceDays(src.Split("days"), cfg.Host, cfg.Start, cfg.Days, appendRec, &dev, &visits)
+		emitDeviceDays(src.Split("days"), cfg.Host, cfg.Start, cfg.Days, appendRec, &dev, &scratch)
 	}
 	ds.Catalog = cat
 	ds.NativeRange = SMIPNativeRange(cfg.Host, uint64(cfg.NativeMeters))

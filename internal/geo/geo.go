@@ -21,21 +21,31 @@ const degToRad = math.Pi / 180
 // DistanceKm returns the great-circle (haversine) distance between two
 // points in kilometres.
 func DistanceKm(a, b Point) float64 {
-	la2 := b.Lat * degToRad
-	return distanceTo(a, la2, b.Lon*degToRad, math.Cos(la2))
+	return DistanceRadKm(ToRadians(a), ToRadians(b))
 }
 
-// distanceTo is DistanceKm(a, b) given b's latitude and longitude in
-// radians and the cosine of its latitude, so a loop measuring many
-// points from one b computes b's half of the haversine once. It is
-// DistanceKm's only body: both give bit-identical results.
-func distanceTo(a Point, la2, lo2, cosLa2 float64) float64 {
-	la1, lo1 := a.Lat*degToRad, a.Lon*degToRad
-	dLat := la2 - la1
-	dLon := lo2 - lo1
+// Radians is one point's half of the haversine: its latitude and
+// longitude in radians and the cosine of its latitude. A loop that
+// measures many distances from or to one point converts it once.
+type Radians struct {
+	Lat, Lon, CosLat float64
+}
+
+// ToRadians returns p's half of the haversine.
+func ToRadians(p Point) Radians {
+	la := p.Lat * degToRad
+	return Radians{Lat: la, Lon: p.Lon * degToRad, CosLat: math.Cos(la)}
+}
+
+// DistanceRadKm is DistanceKm(a, b) from the two points' halves. It is
+// DistanceKm's only body, so both give bit-identical results however
+// the halves were computed and reused.
+func DistanceRadKm(a, b Radians) float64 {
+	dLat := b.Lat - a.Lat
+	dLon := b.Lon - a.Lon
 	s1 := math.Sin(dLat / 2)
 	s2 := math.Sin(dLon / 2)
-	h := s1*s1 + math.Cos(la1)*cosLa2*s2*s2
+	h := s1*s1 + a.CosLat*b.CosLat*s2*s2
 	if h > 1 {
 		h = 1
 	}
@@ -109,8 +119,7 @@ func Gyration(visits []Visit) float64 {
 	// visit per dwell between events, and most of a device's events
 	// stay on one sector (about 85 % of a batch_repro pass's visits
 	// repeat the one before).
-	la2, lo2 := c.Lat*degToRad, c.Lon*degToRad
-	cosLa2 := math.Cos(la2)
+	cr := ToRadians(c)
 	var sum, sumW, d float64
 	var at Point
 	measured := false
@@ -119,7 +128,7 @@ func Gyration(visits []Visit) float64 {
 			continue
 		}
 		if !measured || v.At != at {
-			at, d, measured = v.At, distanceTo(v.At, la2, lo2, cosLa2), true
+			at, d, measured = v.At, DistanceRadKm(ToRadians(v.At), cr), true
 		}
 		sum += v.Weight * d * d
 		sumW += v.Weight

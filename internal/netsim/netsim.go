@@ -233,37 +233,40 @@ func (p SelectionPolicy) String() string {
 	return "policy(" + strconv.Itoa(int(p)) + ")"
 }
 
-// AttachSequence produces the transaction pair of a network attach as
-// the platform probe records it: Authentication then UpdateLocation.
-// result applies to the UpdateLocation; a failed authentication
-// (UnknownSubscription) suppresses the UpdateLocation, matching
-// procedure order.
-func AttachSequence(dev identity.DeviceID, t time.Time, sim, visited mccmnc.PLMN, rat radio.RAT, result signaling.Result) []signaling.Transaction {
+// AppendAttachSequence appends the transactions of a network attach,
+// as the platform probe records them, to dst and returns the extended
+// slice: Authentication then UpdateLocation. result applies to the
+// UpdateLocation; a failed authentication (UnknownSubscription)
+// suppresses the UpdateLocation, matching procedure order. It appends
+// at most two transactions, so a caller with a [2] or [3] array
+// (SwitchSequence's size) on its stack allocates nothing.
+func AppendAttachSequence(dst []signaling.Transaction, dev identity.DeviceID, t time.Time, sim, visited mccmnc.PLMN, rat radio.RAT, result signaling.Result) []signaling.Transaction {
 	auth := signaling.Transaction{
 		Device: dev, Time: t, SIM: sim, Visited: visited,
 		Procedure: signaling.ProcAuthentication, RAT: rat, Result: signaling.ResultOK,
 	}
 	if result == signaling.ResultUnknownSubscription {
 		auth.Result = result
-		return []signaling.Transaction{auth}
+		return append(dst, auth)
 	}
 	ul := signaling.Transaction{
 		Device: dev, Time: t.Add(200 * time.Millisecond), SIM: sim, Visited: visited,
 		Procedure: signaling.ProcUpdateLocation, RAT: rat, Result: result,
 	}
-	return []signaling.Transaction{auth, ul}
+	return append(dst, auth, ul)
 }
 
-// SwitchSequence produces the transactions of an inter-VMNO switch:
-// the home network cancels the old location, then the device attaches
-// to the new VMNO.
-func SwitchSequence(dev identity.DeviceID, t time.Time, sim, oldVMNO, newVMNO mccmnc.PLMN, rat radio.RAT, result signaling.Result) []signaling.Transaction {
-	cancel := signaling.Transaction{
+// AppendSwitchSequence appends the transactions of an inter-VMNO
+// switch to dst and returns the extended slice: the home network
+// cancels the old location, then the device attaches to the new VMNO
+// one second later (AppendAttachSequence). It appends at most three
+// transactions.
+func AppendSwitchSequence(dst []signaling.Transaction, dev identity.DeviceID, t time.Time, sim, oldVMNO, newVMNO mccmnc.PLMN, rat radio.RAT, result signaling.Result) []signaling.Transaction {
+	dst = append(dst, signaling.Transaction{
 		Device: dev, Time: t, SIM: sim, Visited: oldVMNO,
 		Procedure: signaling.ProcCancelLocation, RAT: rat, Result: signaling.ResultOK,
-	}
-	return append([]signaling.Transaction{cancel},
-		AttachSequence(dev, t.Add(time.Second), sim, newVMNO, rat, result)...)
+	})
+	return AppendAttachSequence(dst, dev, t.Add(time.Second), sim, newVMNO, rat, result)
 }
 
 // String summarizes the world for debugging.

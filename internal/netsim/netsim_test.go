@@ -115,7 +115,7 @@ func TestConfigFor(t *testing.T) {
 func TestAttachSequence(t *testing.T) {
 	dev := identity.DeviceID(1)
 	ts := time.Date(2018, 11, 19, 10, 0, 0, 0, time.UTC)
-	txs := AttachSequence(dev, ts, es, uk, radio.RAT4G, signaling.ResultOK)
+	txs := AppendAttachSequence(nil, dev, ts, es, uk, radio.RAT4G, signaling.ResultOK)
 	if len(txs) != 2 {
 		t.Fatalf("attach = %d transactions, want 2", len(txs))
 	}
@@ -131,12 +131,12 @@ func TestAttachSequence(t *testing.T) {
 		}
 	}
 	// UnknownSubscription fails at authentication and stops there.
-	failed := AttachSequence(dev, ts, es, uk, radio.RAT4G, signaling.ResultUnknownSubscription)
+	failed := AppendAttachSequence(nil, dev, ts, es, uk, radio.RAT4G, signaling.ResultUnknownSubscription)
 	if len(failed) != 1 || failed[0].Result != signaling.ResultUnknownSubscription {
 		t.Errorf("unknown subscription sequence = %+v", failed)
 	}
 	// RoamingNotAllowed authenticates OK then fails the UL.
-	rna := AttachSequence(dev, ts, es, uk, radio.RAT4G, signaling.ResultRoamingNotAllowed)
+	rna := AppendAttachSequence(nil, dev, ts, es, uk, radio.RAT4G, signaling.ResultRoamingNotAllowed)
 	if len(rna) != 2 || rna[0].Result != signaling.ResultOK || rna[1].Result != signaling.ResultRoamingNotAllowed {
 		t.Errorf("roaming-not-allowed sequence = %+v", rna)
 	}
@@ -147,7 +147,7 @@ func TestSwitchSequence(t *testing.T) {
 	ts := time.Date(2018, 11, 20, 0, 0, 0, 0, time.UTC)
 	old := uk
 	new_ := mccmnc.MustParse("23415")
-	txs := SwitchSequence(dev, ts, es, old, new_, radio.RAT4G, signaling.ResultOK)
+	txs := AppendSwitchSequence(nil, dev, ts, es, old, new_, radio.RAT4G, signaling.ResultOK)
 	if len(txs) != 3 {
 		t.Fatalf("switch = %d transactions, want 3", len(txs))
 	}
@@ -161,6 +161,33 @@ func TestSwitchSequence(t *testing.T) {
 		if txs[i].Time.Before(txs[i-1].Time) {
 			t.Fatal("switch transactions out of order")
 		}
+	}
+}
+
+// The Append forms extend dst in place: what was there stays, and a
+// stack array with room for a switch sequence takes every sequence
+// without a heap allocation.
+func TestAppendSequencesExtendDst(t *testing.T) {
+	dev := identity.DeviceID(3)
+	ts := time.Date(2018, 11, 21, 6, 0, 0, 0, time.UTC)
+	head := signaling.Transaction{Device: dev, Time: ts, SIM: es, Visited: uk, Procedure: signaling.ProcUpdateLocation}
+	got := AppendAttachSequence([]signaling.Transaction{head}, dev, ts, es, uk, radio.RAT4G, signaling.ResultOK)
+	if len(got) != 3 || got[0] != head || got[1].Procedure != signaling.ProcAuthentication {
+		t.Fatalf("attach onto a one-element dst = %+v", got)
+	}
+	got = AppendSwitchSequence(got[:1], dev, ts, es, uk, mccmnc.MustParse("23415"), radio.RAT4G, signaling.ResultUnknownSubscription)
+	if len(got) != 3 || got[0] != head || got[1].Procedure != signaling.ProcCancelLocation || got[2].Result != signaling.ResultUnknownSubscription {
+		t.Fatalf("failed switch onto a one-element dst = %+v", got)
+	}
+
+	var n int
+	allocs := testing.AllocsPerRun(100, func() {
+		var seq [3]signaling.Transaction
+		n = len(AppendSwitchSequence(seq[:0], dev, ts, es, uk, mccmnc.MustParse("23415"), radio.RAT4G, signaling.ResultOK))
+		n += len(AppendAttachSequence(seq[:0], dev, ts, es, uk, radio.RAT4G, signaling.ResultOK))
+	})
+	if n != 5 || allocs != 0 {
+		t.Fatalf("%d transactions with %.1f allocations per run into a stack array, want 5 and 0", n, allocs)
 	}
 }
 

@@ -20,7 +20,10 @@ type Sector struct {
 // Grid is a deterministic square lattice of sectors around a
 // country's centroid, standing in for an operator's sector catalog.
 // Spacing is uniform so nearest-sector lookup is O(1) index math,
-// which keeps the mobility simulation linear in events.
+// which keeps the mobility simulation linear in events. A sector's
+// latitude depends on its row alone and its longitude on its column,
+// so the grid keeps their halves of the haversine per row and per
+// column: NearestWithRAT's ring search converts only the query point.
 type Grid struct {
 	origin  geo.Point // south-west corner
 	rows    int
@@ -30,6 +33,13 @@ type Grid struct {
 	// deployed is the union of every sector's RAT set: a RAT outside
 	// it has no sector to find, so NearestWithRAT answers at once.
 	deployed RATSet
+	// rowRad holds each row's latitude in radians and its cosine
+	// (Lon unused); colLon each column's longitude in radians. Both
+	// come from geo.ToRadians of a sector's own position, so a
+	// distance assembled from them is bit-identical to
+	// geo.DistanceKm to that sector.
+	rowRad []geo.Radians
+	colLon []float64
 }
 
 // DefaultSpacingDeg is the default sector spacing (~2 km in latitude).
@@ -78,6 +88,14 @@ func NewGrid(c mccmnc.Country, rows, cols int, spacingDeg float64) *Grid {
 		}
 		g.deployed |= rats
 	}
+	g.rowRad = make([]geo.Radians, rows)
+	for r := range g.rowRad {
+		g.rowRad[r] = geo.ToRadians(g.sectors[r*cols].At)
+	}
+	g.colLon = make([]float64, cols)
+	for c := range g.colLon {
+		g.colLon[c] = geo.ToRadians(g.sectors[c].At).Lon
+	}
 	return g
 }
 
@@ -101,7 +119,9 @@ func (g *Grid) Nearest(p geo.Point) Sector {
 }
 
 // NearestWithRAT returns the closest sector that deploys the RAT,
-// searching outward ring by ring. The second return is false when no
+// searching outward ring by ring and ranking candidates by
+// geo.DistanceKm (computed from the grid's per-row and per-column
+// halves, bit-identically). The second return is false when no
 // sector in the grid deploys it — known from the grid's deployed set
 // without searching.
 func (g *Grid) NearestWithRAT(p geo.Point, rat RAT) (Sector, bool) {
@@ -113,6 +133,7 @@ func (g *Grid) NearestWithRAT(p geo.Point, rat RAT) (Sector, bool) {
 		return base, true
 	}
 	br, bc := int(base.ID)/g.cols, int(base.ID)%g.cols
+	q := geo.ToRadians(p)
 	maxRing := g.rows + g.cols
 	for ring := 1; ring <= maxRing; ring++ {
 		var best *Sector
@@ -128,6 +149,7 @@ func (g *Grid) NearestWithRAT(p geo.Point, rat RAT) (Sector, bool) {
 			if dr == -ring || dr == ring {
 				step = 1
 			}
+			at := g.rowRad[r]
 			for dc := -ring; dc <= ring; dc += step {
 				c := bc + dc
 				if c < 0 || c >= g.cols {
@@ -137,7 +159,8 @@ func (g *Grid) NearestWithRAT(p geo.Point, rat RAT) (Sector, bool) {
 				if !s.RAT.Has(rat) {
 					continue
 				}
-				if d := geo.DistanceKm(p, s.At); d < bestD {
+				at.Lon = g.colLon[c]
+				if d := geo.DistanceRadKm(q, at); d < bestD {
 					best, bestD = s, d
 				}
 			}

@@ -214,7 +214,9 @@ func (r *Reader) Replay(q Query, workers int) (*catalog.Catalog, *ReplayStats, e
 					// The builder silently drops records outside the
 					// declared window; count them apart so RecordsKept
 					// always equals what the catalog actually absorbed.
-					if day < 0 || day >= meta.Days {
+					// dayOf truncates, so an instant less than a day
+					// before the start is day 0 yet outside.
+					if day < 0 || day >= meta.Days || rec.Time.Before(meta.Start) {
 						p.stats.RecordsOutsideWindow++
 						return
 					}

@@ -247,10 +247,14 @@ type footerTail struct {
 // use.
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// dayOf maps an event time to its window day index with the same
-// integer truncation the catalog builder's day() uses, so pruning and
-// replay agree with the live build about which day a record belongs
-// to.
+// dayOf maps an event time to its window day index by truncating the
+// whole days since start toward zero. From the window start on it is
+// the catalog builder's day; before the start the two can differ — an
+// instant less than a day early is day 0 here but outside the
+// builder's window. That only makes pruning conservative, which is
+// all pruning needs: a footer's day range and a query's day filter
+// keep at least every record the builder would keep, and replay's own
+// window check drops what the builder drops.
 func dayOf(t, start time.Time) int {
 	return int(t.Sub(start) / (24 * time.Hour))
 }

@@ -177,6 +177,54 @@ func TestWriteReplayRoundTrip(t *testing.T) {
 	}
 }
 
+// A record less than a day before the window start is outside the
+// window for the replay as for the live build, although dayOf
+// truncates it to day 0: both drop it, replay counts it apart, and a
+// day-0 filter keeps the same catalog.
+func TestReplayDropsPreWindowRecordsLikeLiveBuild(t *testing.T) {
+	const days = 3
+	var recs []cdrs.Record
+	for i, off := range []time.Duration{-25 * time.Hour, -time.Hour, -time.Nanosecond} {
+		for _, dev := range []identity.DeviceID{0x77, identity.DeviceID(0x80 + i)} {
+			recs = append(recs, cdrs.Record{Device: dev, Time: testStart.Add(off), SIM: testHome,
+				Visited: testHost, Kind: cdrs.KindData, RAT: 1, Bytes: 1000, APN: apn.MustParse("pre.window")})
+		}
+	}
+	recs = append(recs, feedRecords(5, days)...)
+	recs = append(recs, cdrs.Record{Device: 0x77, Time: testStart.Add(time.Minute), SIM: testHome,
+		Visited: testHost, Kind: cdrs.KindVoice, RAT: 1, Duration: time.Second})
+	dir := t.TempDir()
+	writeStore(t, dir, days, 4, recs)
+	r, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := buildCatalog(days, recs, nil)
+	for _, rec := range live.Records {
+		for _, a := range rec.APNs {
+			if a.NetworkID == "pre.window" {
+				t.Fatalf("the live build kept a pre-window record: %+v", rec)
+			}
+		}
+	}
+	for _, q := range []Query{{}, Query{}.Days(0, 0)} {
+		cat, stats, err := r.Replay(q, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := live.Records
+		if q != (Query{}) {
+			want = buildCatalog(days, recs, func(rec *cdrs.Record) bool { return rec.Time.Sub(testStart) < 24*time.Hour }).Records
+		}
+		if !reflect.DeepEqual(want, cat.Records) {
+			t.Fatalf("query %+v: replay differs from the live build:\n got %+v\nwant %+v", q, cat.Records, want)
+		}
+		if stats.RecordsOutsideWindow < 4 {
+			t.Fatalf("query %+v: replay counted %d records outside the window, want at least the 4 less than a day early", q, stats.RecordsOutsideWindow)
+		}
+	}
+}
+
 // A time-ordered feed gives day-correlated segments, so a day filter
 // must skip whole segments — reading provably fewer bytes — while
 // producing exactly the day-sliced catalog.
