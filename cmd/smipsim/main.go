@@ -37,7 +37,7 @@ func run(args []string, stdout io.Writer) error {
 	fs.IntVar(&cfg.Days, "days", cfg.Days, "observation window in days")
 	fs.Uint64Var(&cfg.Seed, "seed", cfg.Seed, "generator seed")
 	fs.Float64Var(&cfg.NBIoTMigration, "nbiot", 0, "fraction of roaming meters migrated to NB-IoT, in [0, 1]")
-	fs.IntVar(&cfg.Workers, "workers", runtime.GOMAXPROCS(0), "per-event pipeline worker pool size (output is identical for any value)")
+	fs.IntVar(&cfg.Workers, "workers", runtime.GOMAXPROCS(0), "worker pool size of the aggregate generator and the per-event pipeline (output is identical for any value)")
 	stream := fs.Bool("stream", false, "generate via the per-event probe+builder pipeline instead of the aggregate model")
 	out := fs.String("out", "smip.csv", "devices-catalog output path")
 	if err := cli.Parse(fs, args); err != nil {

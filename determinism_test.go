@@ -623,6 +623,33 @@ func TestGeneratorDigests(t *testing.T) {
 	scfg := dataset.DefaultSMIPConfig()
 	scfg.NativeMeters, scfg.RoamingMeters = 300, 200
 	record("smip.catalog", smipDS(dataset.GenerateSMIP(scfg)))
+	// The aggregate generator at seeds 1–3, each at one and four
+	// workers, and with half the roaming fleet on NB-IoT (ext-nbiot's
+	// path): the catalog, then every meter's identity in device order
+	// with the cohort sets.
+	for seed := uint64(1); seed <= 3; seed++ {
+		for _, workers := range []int{1, 4} {
+			acfg := scfg
+			acfg.Seed, acfg.Workers = seed, workers
+			record("smip.catalog"+seedSuffix(seed), smipDS(dataset.GenerateSMIP(acfg)))
+		}
+	}
+	for _, workers := range []int{1, 4} {
+		acfg := scfg
+		acfg.NBIoTMigration, acfg.Workers = 0.5, workers
+		ds := dataset.GenerateSMIP(acfg)
+		record("smip.nbiot", smipDS(ds))
+		record("smip.devices", func(h hash.Hash) error {
+			for i := range ds.Devices {
+				d := &ds.Devices[i]
+				fmt.Fprintf(h, "%v|%v|%v\n", d.ID, d.IMSI, d.IMEI.TAC)
+			}
+			fmt.Fprintln(h, "native")
+			idSet(ds.Native)(h)
+			fmt.Fprintln(h, "nbiot")
+			return idSet(ds.NBIoT)(h)
+		})
+	}
 
 	// The per-event planes at seeds 1–3, each at one and four workers.
 	for seed := uint64(1); seed <= 3; seed++ {
@@ -675,6 +702,10 @@ func TestGeneratorDigests(t *testing.T) {
 		"smipraw.catalog/seed3": "c1212d9294fa9c720a00c95c6b38ddbe7b091970410a8b11bef32187373e1405",
 		"smipraw.records/seed3": "a7b22f738834a9ed5cc8b00940fd209ee7074cf63bf5129e67ab8dd760ed6783",
 		"smipstream.feed":       "9a411a07f22485ebae7a00c2e9ec896d7cd65b0ca25f24f8cded4fe092d666e3",
+		"smip.catalog/seed2":    "b066797dc18e8d1b7498c903ad0f1fcf3d1ca87d63b22216f95e92807a3b1c05",
+		"smip.catalog/seed3":    "4c26beeaac38695e3d764422c93081fa510e0511ddd7ee92d592ed906a7e977a",
+		"smip.nbiot":            "af98718ad06ebc0b6da60c128d12298370bd63c19f59123186534e8e0943fc9b",
+		"smip.devices":          "567c4945c5fd3c180e0f335940be570ac8befd4f707e64c5093da1bc507c4a1b",
 		"fedsmip.site0.catalog": "c3568df2cb597a8556146bbf175963ccf4e857729fedea9f5d119c6e8728baf6",
 		"fedsmip.site1.catalog": "a6e72d7225e831ce8f67ba81aae040832d4e28cbc3ed794ac7d5c06ecd645bf3",
 		"fedsmip.site2.catalog": "110b5d6fb238bb8f46cc6cc6af1e808984ad71b6a5d918f67c7a88e76f86f07f",

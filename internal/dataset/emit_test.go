@@ -10,8 +10,8 @@ import (
 )
 
 // emitDeviceDays carves each record's visited network and APN from
-// the shard's slabs instead of allocating two one-element lists per
-// record, so a shard's records cost a small fraction of an allocation
+// the worker's slabs instead of allocating two one-element lists per
+// record, so a walk's records cost a small fraction of an allocation
 // each — the odd traveller's trip map and a slab chunk every 128
 // records.
 func TestEmitDeviceDaysAllocationsPerRecord(t *testing.T) {
@@ -19,7 +19,7 @@ func TestEmitDeviceDaysAllocationsPerRecord(t *testing.T) {
 	cfg.Devices, cfg.Workers = 400, 1
 	w := newMNOWalk(cfg)
 	var devs []devices.Device
-	w.shard(pipeline.Shard{Index: 0, Lo: 0, Hi: cfg.Devices}, func(dev devices.Device, _ bool) {
+	w.shard(pipeline.Shard{Index: 0, Lo: 0, Hi: cfg.Devices}, func(_ int, dev devices.Device, _ bool) {
 		devs = append(devs, dev)
 	}, func(catalog.DailyRecord) {})
 	srcs := make([]*rng.Source, len(devs))

@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"sort"
+	"sync"
 	"time"
 
 	"whereroam/internal/apn"
@@ -210,45 +211,41 @@ func newMNOWalk(cfg MNOConfig) *mnoWalk {
 
 // shard synthesizes the devices of one canonical shard: each device is
 // drafted from its own RNG substream, numbered from the shard's block
-// offsets, finished, announced to device with its capture-time IR.88
-// verdict (IMSIs are visible at attach, before anonymization), and
-// followed by its daily catalog records in day order. Nothing outlives
-// the iteration but what the sinks keep, so at most one device per
-// worker is resident here. Each shard must be walked exactly once: the
-// walk advances the shard's offsets in place.
-func (w *mnoWalk) shard(sh pipeline.Shard, device func(devices.Device, bool), record func(catalog.DailyRecord)) {
+// offsets, finished, announced to device with its index and its
+// capture-time IR.88 verdict (IMSIs are visible at attach, before
+// anonymization), and followed by its daily catalog records in day
+// order. Nothing outlives the iteration but what the sinks keep, so at
+// most one device per worker is resident here. Each shard must be
+// walked exactly once: the walk advances the shard's offsets in place.
+func (w *mnoWalk) shard(sh pipeline.Shard, device func(i int, dev devices.Device, declared bool), record func(catalog.DailyRecord)) {
 	off := w.counts.offsets[sh.Index]
-	var scratch dayScratch
+	scratch := dayScratchPool.Get().(*dayScratch)
+	defer dayScratchPool.Put(scratch)
 	for i := sh.Lo; i < sh.Hi; i++ {
 		d := drawMNODraft(w.root, i, w.cfg, w.classPick, w.m2mPick)
 		imsi := nextIMSI(off, d.home, d.base)
 		dev := finishDevice(&d, imsi, w.cfg, w.db, w.centre)
-		device(dev, w.reg.MatchIMSI(imsi))
-		emitDeviceDays(d.src.Split("days"), w.cfg.Host, w.cfg.Start, w.cfg.Days, record, &dev, &scratch)
+		device(i, dev, w.reg.MatchIMSI(imsi))
+		emitDeviceDays(d.src.Split("days"), w.cfg.Host, w.cfg.Start, w.cfg.Days, record, &dev, scratch)
 	}
 }
 
 // GenerateMNO synthesizes the visited-MNO dataset: the emission walk
-// fans out over cfg.Workers goroutines into shard-local collectors that
-// are concatenated in shard order. Every random draw comes from a
-// per-device substream and shard boundaries do not depend on the worker
-// count, so the output is bit-identical for any worker count.
+// fans out over cfg.Workers goroutines, each device lands in its own
+// index's slot, and the daily records go to a dayRecords collector
+// sized once to its exact bound (Devices × Days) and compacted in
+// shard order. Every random draw comes from a per-device substream and
+// shard boundaries do not depend on the worker count, so the output is
+// bit-identical for any worker count.
 func GenerateMNO(cfg MNOConfig) *MNODataset {
 	w := newMNOWalk(cfg)
-	type shardOut struct {
-		devs     []devices.Device
-		declared []identity.DeviceID
-		recs     []catalog.DailyRecord
-	}
-	outs := pipeline.Map(cfg.Devices, cfg.Workers, func(sh pipeline.Shard) *shardOut {
-		out := &shardOut{devs: make([]devices.Device, 0, sh.Len())}
-		w.shard(sh, func(dev devices.Device, declared bool) {
-			out.devs = append(out.devs, dev)
-			if declared {
-				out.declared = append(out.declared, dev.ID)
-			}
-		}, func(rec catalog.DailyRecord) { out.recs = append(out.recs, rec) })
-		return out
+	devs := make([]devices.Device, cfg.Devices)
+	declared := make([]bool, cfg.Devices)
+	recs := newDayRecords(cfg.Devices, cfg.Days)
+	pipeline.Run(cfg.Devices, cfg.Workers, func(sh pipeline.Shard) {
+		w.shard(sh, func(i int, dev devices.Device, dec bool) {
+			devs[i], declared[i] = dev, dec
+		}, recs.region(sh).add)
 	})
 
 	ds := &MNODataset{
@@ -256,25 +253,16 @@ func GenerateMNO(cfg MNOConfig) *MNODataset {
 		Start:        cfg.Start,
 		Days:         cfg.Days,
 		GSMA:         w.db,
-		Devices:      make([]devices.Device, 0, cfg.Devices),
-		Catalog:      &catalog.Catalog{Host: cfg.Host, Days: cfg.Days},
+		Devices:      devs,
+		Catalog:      &catalog.Catalog{Host: cfg.Host, Days: cfg.Days, Records: recs.records()},
 		Truth:        make(map[identity.DeviceID]devices.Class, cfg.Devices),
 		Transparency: w.reg,
 		Declared:     map[identity.DeviceID]bool{},
 	}
-	records := 0
-	for _, o := range outs {
-		records += len(o.recs)
-	}
-	ds.Catalog.Records = make([]catalog.DailyRecord, 0, records)
-	for _, o := range outs {
-		ds.Devices = append(ds.Devices, o.devs...)
-		ds.Catalog.Records = append(ds.Catalog.Records, o.recs...)
-		for i := range o.devs {
-			ds.Truth[o.devs[i].ID] = o.devs[i].Class
-		}
-		for _, id := range o.declared {
-			ds.Declared[id] = true
+	for i := range devs {
+		ds.Truth[devs[i].ID] = devs[i].Class
+		if declared[i] {
+			ds.Declared[devs[i].ID] = true
 		}
 	}
 	return ds
@@ -355,7 +343,7 @@ func StreamMNO(cfg MNOConfig, sink MNOSink) *MNOStream {
 			done <- p
 		}()
 		pipeline.Run(cfg.Devices, 1, func(sh pipeline.Shard) {
-			w.shard(sh, func(dev devices.Device, declared bool) { items <- mnoItem{dev: dev, declared: declared} },
+			w.shard(sh, func(_ int, dev devices.Device, declared bool) { items <- mnoItem{dev: dev, declared: declared} },
 				func(rec catalog.DailyRecord) { items <- mnoItem{rec: rec, isRec: true} })
 		})
 	}()
@@ -591,8 +579,8 @@ func SMIPNativeRange(host mccmnc.PLMN, count uint64) identity.IMSIRange {
 	return identity.IMSIRange{PLMN: host, Lo: SMIPNativeBase, Hi: SMIPNativeBase + count}
 }
 
-// dayScratch is emitDeviceDays' per-shard scratch, reused across the
-// shard's devices. The zero value is ready to use.
+// dayScratch is emitDeviceDays' scratch, reused across the devices of
+// every shard a worker walks. The zero value is ready to use.
 type dayScratch struct {
 	// visits is the per-day mobility sample's buffer, so the sampling
 	// allocates nothing on the steady state.
@@ -605,9 +593,73 @@ type dayScratch struct {
 	apns  catalog.Slab[apn.APN]
 }
 
+// dayScratchPool lends each emission shard a dayScratch for the
+// shard's run, so the 256-shard split costs one scratch per worker,
+// not one per shard.
+var dayScratchPool = sync.Pool{New: func() any { return new(dayScratch) }}
+
+// dayRecords collects an aggregate generator's daily records into one
+// buffer allocated once at its exact bound. emitDeviceDays emits at
+// most one record per window day (a profile's PresenceStart is never
+// negative), so n devices emit at most n × days records, and shard s
+// appends into its own region [Lo·days, Hi·days) of the buffer: no
+// shard ever regrows a slice, and no two shards share memory.
+type dayRecords struct {
+	buf     []catalog.DailyRecord
+	days    int
+	regions []dayRegion // per canonical shard
+}
+
+// dayRegion is one shard's region of a dayRecords buffer.
+type dayRegion struct{ recs []catalog.DailyRecord }
+
+// errDayBound is the panic value of a device that emits more daily
+// records than the window has days.
+const errDayBound = "dataset: daily records overflow their shard's Devices × Days bound (a device emitted more records than the window has days)"
+
+func newDayRecords(n, days int) *dayRecords {
+	return &dayRecords{
+		buf:     make([]catalog.DailyRecord, n*days),
+		days:    days,
+		regions: make([]dayRegion, pipeline.ShardCount(n)),
+	}
+}
+
+// region returns shard sh's region, empty and capped at the shard's
+// bound. Its add is the shard's record sink.
+func (c *dayRecords) region(sh pipeline.Shard) *dayRegion {
+	r := &c.regions[sh.Index]
+	r.recs = c.buf[sh.Lo*c.days : sh.Lo*c.days : sh.Hi*c.days]
+	return r
+}
+
+// add appends rec to the region. A full region panics: it never
+// reallocates.
+func (r *dayRegion) add(rec catalog.DailyRecord) {
+	if len(r.recs) == cap(r.recs) {
+		panic(errDayBound)
+	}
+	r.recs = append(r.recs, rec)
+}
+
+// records compacts the regions in shard order, after the walk's
+// fan-in, and returns them as one slice. A region never starts before
+// the records already moved end, so each copy moves data down (or
+// nowhere). The tail past the last record is cleared: it holds stale
+// copies whose Visited and APNs would otherwise keep slab chunks
+// reachable.
+func (c *dayRecords) records() []catalog.DailyRecord {
+	n := 0
+	for i := range c.regions {
+		n += copy(c.buf[n:], c.regions[i].recs)
+	}
+	clear(c.buf[n:])
+	return c.buf[:n:n]
+}
+
 // emitDeviceDays samples the device's daily activity and hands each
 // resulting catalog record to emit, in day order. scratch is the
-// shard's, reused across its devices.
+// walking worker's, reused across its devices.
 func emitDeviceDays(src *rng.Source, host mccmnc.PLMN, start time.Time, days int, emit func(catalog.DailyRecord), dev *devices.Device, scratch *dayScratch) {
 	p := dev.Profile
 	// Native smartphones occasionally travel abroad (H:A days,

@@ -8,11 +8,8 @@ import (
 	"whereroam/internal/cdrs"
 	"whereroam/internal/devices"
 	"whereroam/internal/geo"
-	"whereroam/internal/gsma"
-	"whereroam/internal/identity"
 	"whereroam/internal/ingest"
 	"whereroam/internal/mccmnc"
-	"whereroam/internal/mobility"
 	"whereroam/internal/pipeline"
 	"whereroam/internal/probe"
 	"whereroam/internal/radio"
@@ -119,77 +116,23 @@ func (c capture) archive(locals []localDevice, sink func(cdrs.Record)) {
 	})
 }
 
-// smipPopulation draws the two meter cohorts of the per-event SMIP
-// generators — natives in the host's dedicated IMSI block, then the
-// roaming meters on the NL operator's global IoT SIMs — from per-meter
-// substreams. Each cohort is its block's only allocator, so meter i's
-// MSIN is base + i with no allocation pass.
+// smipPopulation drafts the per-event SMIP generators' meter cohorts
+// on the worker pool (see smipMeters).
 func smipPopulation(cfg SMIPConfig) (*SMIPDataset, []localDevice) {
-	if cfg.NativeMeters < 0 || cfg.RoamingMeters < 0 || cfg.Days <= 0 {
-		panic("dataset: SMIP config needs non-negative cohorts and positive Days")
-	}
-	db := gsma.Synthesize(cfg.GSMASeed)
-	root := rng.New(cfg.Seed).Split("smipraw")
-	hostCountry, _ := mccmnc.CountryByMCC(cfg.Host.MCC)
-	centre := geo.Point{Lat: hostCountry.Lat, Lon: hostCountry.Lon}
-	nlHome := mccmnc.MustParse("20404")
-
+	m := newSMIPMeters(cfg, "smipraw", 40)
 	n := cfg.NativeMeters + cfg.RoamingMeters
 	locals := make([]localDevice, n)
 	migrated := make([]bool, n)
 	pipeline.Run(n, cfg.Workers, func(sh pipeline.Shard) {
 		for i := sh.Lo; i < sh.Hi; i++ {
-			var src *rng.Source
-			var imsi identity.IMSI
-			var prof devices.Profile
-			var info gsma.DeviceInfo
-			if i < cfg.NativeMeters {
-				src = root.SplitN("native", uint64(i))
-				imsi = identity.IMSI{PLMN: cfg.Host, MSIN: SMIPNativeBase + uint64(i)}
-				prof = devices.SmartMeterNativeProfile(src.Split("profile"), cfg.Days, cfg.Host)
-				info = db.Pick(src.Split("tac"), gsma.ArchM2MModule)
-			} else {
-				r := uint64(i - cfg.NativeMeters)
-				src = root.SplitN("roaming", r)
-				imsi = identity.IMSI{PLMN: nlHome, MSIN: smipRoamingBase + r}
-				// Short-circuit as GenerateSMIP does: a zero-migration
-				// fleet draws nothing here.
-				migrated[i] = cfg.NBIoTMigration > 0 && src.Bool(cfg.NBIoTMigration)
-				if migrated[i] {
-					prof = devices.NBIoTMeterProfile(src.Split("profile"), cfg.Days)
-				} else {
-					prof = devices.SmartMeterRoamingProfile(src.Split("profile"), cfg.Days)
-				}
-				// §4.4: every roaming meter maps to a Gemalto or Telit module.
-				info = db.PickFromVendors(src.Split("tac"), gsma.ArchM2MModule, "Gemalto", "Telit")
-			}
-			mob := mobility.NewStationary(src.Split("mob"), centre, 40)
-			locals[i] = localDevice{
-				dev:  devices.Assemble(devices.ClassSmartMeter, imsi, info, prof, mob, false),
-				emit: src.Split("days"),
-			}
+			locals[i].dev, locals[i].emit, migrated[i] = m.draw(i)
 		}
 	})
-
-	ds := &SMIPDataset{
-		Host:        cfg.Host,
-		Start:       cfg.Start,
-		Days:        cfg.Days,
-		GSMA:        db,
-		Devices:     make([]devices.Device, n),
-		Native:      make(map[identity.DeviceID]bool, n),
-		NBIoT:       map[identity.DeviceID]bool{},
-		NativeRange: SMIPNativeRange(cfg.Host, uint64(cfg.NativeMeters)),
-	}
+	devs := make([]devices.Device, n)
 	for i := range locals {
-		id := locals[i].dev.ID
-		ds.Devices[i] = locals[i].dev
-		ds.Native[id] = i < cfg.NativeMeters
-		if migrated[i] {
-			ds.NBIoT[id] = true
-		}
+		devs[i] = locals[i].dev
 	}
-	return ds, locals
+	return m.newDataset(devs, migrated), locals
 }
 
 // smipCapture is the SMIP host's observation window.

@@ -11,6 +11,7 @@ import (
 	"whereroam/internal/identity"
 	"whereroam/internal/mccmnc"
 	"whereroam/internal/mobility"
+	"whereroam/internal/pipeline"
 	"whereroam/internal/rng"
 )
 
@@ -27,10 +28,11 @@ type SMIPConfig struct {
 	// NBIoTMigration is the fraction of roaming meters migrated to
 	// NB-IoT (the §8 scenario). Zero reproduces the paper's 2G fleet.
 	NBIoTMigration float64
-	// Workers bounds the per-event capture's worker pool
-	// (GenerateSMIPStreaming); values below one mean one worker per
-	// CPU. The built catalog, and each device's records in
-	// ArchiveCDRs, are identical for every worker count.
+	// Workers bounds the worker pool of both generators: the aggregate
+	// GenerateSMIP and the per-event capture (GenerateSMIPStreaming);
+	// values below one mean one worker per CPU. The dataset, and each
+	// device's records in ArchiveCDRs, are identical for every worker
+	// count.
 	Workers int
 	// ArchiveCDRs, when non-nil, additionally receives every CDR/xDR
 	// the per-event measurement path (GenerateSMIPStreaming) offers
@@ -78,65 +80,118 @@ type SMIPDataset struct {
 // NL operator.
 const smipRoamingBase = 4_000_000_000
 
+// smipRoamingHome is the NL operator the roaming meters' global IoT
+// SIMs are homed at.
+var smipRoamingHome = mccmnc.MustParse("20404")
+
 // GenerateSMIP synthesizes the smart-meter dataset at the aggregate
 // level (daily catalog records drawn directly, no per-event capture).
-// Each cohort is its IMSI block's only allocator, so meter i's MSIN is
-// base + i.
+// The meters fan out over cfg.Workers goroutines: each is drafted from
+// its own substream into its index's slot, and its daily records go to
+// a dayRecords collector sized once to its exact bound (meters × Days)
+// and compacted in shard order, so the dataset is bit-identical for
+// any worker count.
 func GenerateSMIP(cfg SMIPConfig) *SMIPDataset {
+	m := newSMIPMeters(cfg, "smip", 150)
+	n := cfg.NativeMeters + cfg.RoamingMeters
+	devs := make([]devices.Device, n)
+	migrated := make([]bool, n)
+	recs := newDayRecords(n, cfg.Days)
+	pipeline.Run(n, cfg.Workers, func(sh pipeline.Shard) {
+		scratch := dayScratchPool.Get().(*dayScratch)
+		defer dayScratchPool.Put(scratch)
+		emit := recs.region(sh).add
+		for i := sh.Lo; i < sh.Hi; i++ {
+			var days *rng.Source
+			devs[i], days, migrated[i] = m.draw(i)
+			emitDeviceDays(days, cfg.Host, cfg.Start, cfg.Days, emit, &devs[i], scratch)
+		}
+	})
+	ds := m.newDataset(devs, migrated)
+	ds.Catalog = &catalog.Catalog{Host: cfg.Host, Days: cfg.Days, Records: recs.records()}
+	return ds
+}
+
+// smipMeters drafts the two meter cohorts both SMIP generators share —
+// natives in the host's dedicated IMSI block, then the roaming meters
+// on the NL operator's global IoT SIMs — each meter from its own
+// substream of root. Each cohort is its block's only allocator, so
+// meter i's MSIN is base + i with no allocation pass. The generators
+// differ only in the root stream's label and the meters' mobility
+// radius.
+type smipMeters struct {
+	cfg    SMIPConfig
+	db     *gsma.DB
+	root   *rng.Source
+	centre geo.Point
+	radius float64
+}
+
+func newSMIPMeters(cfg SMIPConfig, label string, radius float64) *smipMeters {
 	if cfg.NativeMeters < 0 || cfg.RoamingMeters < 0 || cfg.Days <= 0 {
 		panic("dataset: SMIP config needs non-negative cohorts and positive Days")
 	}
-	db := gsma.Synthesize(cfg.GSMASeed)
-	root := rng.New(cfg.Seed).Split("smip")
 	hostCountry, _ := mccmnc.CountryByMCC(cfg.Host.MCC)
-	centre := geo.Point{Lat: hostCountry.Lat, Lon: hostCountry.Lon}
-	nlHome := mccmnc.MustParse("20404")
-
-	ds := &SMIPDataset{
-		Host:   cfg.Host,
-		Start:  cfg.Start,
-		Days:   cfg.Days,
-		GSMA:   db,
-		Native: make(map[identity.DeviceID]bool, cfg.NativeMeters+cfg.RoamingMeters),
-		NBIoT:  map[identity.DeviceID]bool{},
+	return &smipMeters{
+		cfg:    cfg,
+		db:     gsma.Synthesize(cfg.GSMASeed),
+		root:   rng.New(cfg.Seed).Split(label),
+		centre: geo.Point{Lat: hostCountry.Lat, Lon: hostCountry.Lon},
+		radius: radius,
 	}
-	cat := &catalog.Catalog{Host: cfg.Host, Days: cfg.Days}
-	appendRec := func(rec catalog.DailyRecord) { cat.Records = append(cat.Records, rec) }
-	var scratch dayScratch
+}
 
-	for i := 0; i < cfg.NativeMeters; i++ {
-		src := root.SplitN("native", uint64(i))
-		imsi := identity.IMSI{PLMN: cfg.Host, MSIN: SMIPNativeBase + uint64(i)}
-		prof := devices.SmartMeterNativeProfile(src.Split("profile"), cfg.Days, cfg.Host)
-		info := db.Pick(src.Split("tac"), gsma.ArchM2MModule)
-		mob := mobility.NewStationary(src.Split("mob"), centre, 150)
-		dev := devices.Assemble(devices.ClassSmartMeter, imsi, info, prof, mob, false)
-		ds.Devices = append(ds.Devices, dev)
-		ds.Native[dev.ID] = true
-		emitDeviceDays(src.Split("days"), cfg.Host, cfg.Start, cfg.Days, appendRec, &dev, &scratch)
-	}
-	for i := 0; i < cfg.RoamingMeters; i++ {
-		src := root.SplitN("roaming", uint64(i))
-		imsi := identity.IMSI{PLMN: nlHome, MSIN: smipRoamingBase + uint64(i)}
-		migrated := cfg.NBIoTMigration > 0 && src.Bool(cfg.NBIoTMigration)
-		var prof devices.Profile
+// draw drafts meter i and returns it with the substream its daily
+// activity draws from and whether it was migrated to NB-IoT.
+func (m *smipMeters) draw(i int) (dev devices.Device, days *rng.Source, migrated bool) {
+	cfg := &m.cfg
+	var src *rng.Source
+	var imsi identity.IMSI
+	var prof devices.Profile
+	var info gsma.DeviceInfo
+	if i < cfg.NativeMeters {
+		src = m.root.SplitN("native", uint64(i))
+		imsi = identity.IMSI{PLMN: cfg.Host, MSIN: SMIPNativeBase + uint64(i)}
+		prof = devices.SmartMeterNativeProfile(src.Split("profile"), cfg.Days, cfg.Host)
+		info = m.db.Pick(src.Split("tac"), gsma.ArchM2MModule)
+	} else {
+		r := uint64(i - cfg.NativeMeters)
+		src = m.root.SplitN("roaming", r)
+		imsi = identity.IMSI{PLMN: smipRoamingHome, MSIN: smipRoamingBase + r}
+		// A zero-migration fleet draws nothing here.
+		migrated = cfg.NBIoTMigration > 0 && src.Bool(cfg.NBIoTMigration)
 		if migrated {
 			prof = devices.NBIoTMeterProfile(src.Split("profile"), cfg.Days)
 		} else {
 			prof = devices.SmartMeterRoamingProfile(src.Split("profile"), cfg.Days)
 		}
 		// §4.4: every roaming meter maps to a Gemalto or Telit module.
-		info := db.PickFromVendors(src.Split("tac"), gsma.ArchM2MModule, "Gemalto", "Telit")
-		mob := mobility.NewStationary(src.Split("mob"), centre, 150)
-		dev := devices.Assemble(devices.ClassSmartMeter, imsi, info, prof, mob, false)
-		ds.Devices = append(ds.Devices, dev)
-		ds.Native[dev.ID] = false
-		if migrated {
-			ds.NBIoT[dev.ID] = true
-		}
-		emitDeviceDays(src.Split("days"), cfg.Host, cfg.Start, cfg.Days, appendRec, &dev, &scratch)
+		info = m.db.PickFromVendors(src.Split("tac"), gsma.ArchM2MModule, "Gemalto", "Telit")
 	}
-	ds.Catalog = cat
-	ds.NativeRange = SMIPNativeRange(cfg.Host, uint64(cfg.NativeMeters))
+	mob := mobility.NewStationary(src.Split("mob"), m.centre, m.radius)
+	return devices.Assemble(devices.ClassSmartMeter, imsi, info, prof, mob, false), src.Split("days"), migrated
+}
+
+// newDataset wraps the drafted meters, in index order, in their dataset:
+// everything but the catalog.
+func (m *smipMeters) newDataset(devs []devices.Device, migrated []bool) *SMIPDataset {
+	cfg := &m.cfg
+	ds := &SMIPDataset{
+		Host:        cfg.Host,
+		Start:       cfg.Start,
+		Days:        cfg.Days,
+		GSMA:        m.db,
+		Devices:     devs,
+		Native:      make(map[identity.DeviceID]bool, len(devs)),
+		NBIoT:       map[identity.DeviceID]bool{},
+		NativeRange: SMIPNativeRange(cfg.Host, uint64(cfg.NativeMeters)),
+	}
+	for i := range devs {
+		id := devs[i].ID
+		ds.Native[id] = i < cfg.NativeMeters
+		if migrated[i] {
+			ds.NBIoT[id] = true
+		}
+	}
 	return ds
 }

@@ -1,11 +1,17 @@
 package gsma
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"math"
+	"reflect"
 	"runtime"
 	"sync"
 	"testing"
 	"time"
 
+	"whereroam/internal/identity"
 	"whereroam/internal/radio"
 	"whereroam/internal/rng"
 )
@@ -361,6 +367,33 @@ func TestDistinctTACBlocks(t *testing.T) {
 				t.Fatalf("TAC %v: block overlap or missing", di.TAC)
 			}
 		}
+	}
+}
+
+// TestCatalogDigest pins the standard catalog byte for byte: per
+// archetype, every model's row in popularity order and the pick
+// weights synthSegment hands the sampler. The build replays
+// synthesize's segment loop on a scratch DB, and its models must be
+// the ones synthesize keeps.
+func TestCatalogDigest(t *testing.T) {
+	db := synthesize(1)
+	src := rng.New(1).Split("gsma")
+	scratch := &DB{byTAC: map[identity.TAC]DeviceInfo{}, vendors: map[string]bool{}}
+	h := sha256.New()
+	for _, seg := range standardSegments {
+		models, weights := synthSegment(scratch, src.Split(seg.arch.String()), seg)
+		if !reflect.DeepEqual(models, db.byArch[seg.arch]) {
+			t.Fatalf("%v: the replayed segment differs from synthesize's", seg.arch)
+		}
+		fmt.Fprintf(h, "%v %d\n", seg.arch, len(models))
+		for i, di := range models {
+			fmt.Fprintf(h, "%v|%s|%s|%s|%v|%v|%x\n",
+				di.TAC, di.Vendor, di.Model, di.OS, di.Type, di.Bands, math.Float64bits(weights[i]))
+		}
+	}
+	const want = "fe7ce51930a9fc6fbdc8f42b8d5b4553180e16d2ba30f395514047de056bf7b1"
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Errorf("gsma.catalog: digest %s, want %s", got, want)
 	}
 }
 

@@ -169,11 +169,33 @@ func HashDevice(im IMSI) DeviceID {
 	for i := 0; i < len(salt); i++ {
 		mix(salt[i])
 	}
-	s := im.String()
-	for i := 0; i < len(s); i++ {
-		mix(s[i])
+	var buf [40]byte
+	for _, b := range im.appendDigits(buf[:0]) {
+		mix(b)
 	}
 	return DeviceID(h)
+}
+
+// appendDigits appends the digits String renders, without formatting
+// through fmt: the MCC as three digits, the MNC zero-padded to MNCLen
+// and the MSIN zero-padded to msinDigits, each printed in full when
+// wider, as %0*d does. (An MNCLen above 12, which no PLMN has, would
+// give String a negative width and a left-justified MSIN.)
+func (im IMSI) appendDigits(dst []byte) []byte {
+	dst = appendZeroPadded(dst, uint64(im.PLMN.MCC), 3)
+	dst = appendZeroPadded(dst, uint64(im.PLMN.MNC), int(im.PLMN.MNCLen))
+	return appendZeroPadded(dst, im.MSIN, im.msinDigits())
+}
+
+// appendZeroPadded appends v in decimal, zero-padded to width digits
+// and in full when wider.
+func appendZeroPadded(dst []byte, v uint64, width int) []byte {
+	var digits [20]byte
+	d := strconv.AppendUint(digits[:0], v, 10)
+	for i := len(d); i < width; i++ {
+		dst = append(dst, '0')
+	}
+	return append(dst, d...)
 }
 
 // String renders the DeviceID as fixed-width hex, the form used in

@@ -1,6 +1,7 @@
 package identity
 
 import (
+	"hash/fnv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -213,5 +214,51 @@ func BenchmarkIMEIString(b *testing.B) {
 	im := IMEI{TAC: 35332811, Serial: 123456}
 	for i := 0; i < b.N; i++ {
 		_ = im.String()
+	}
+}
+
+// hashString is HashDevice's reference: FNV-64a over the salt and the
+// IMSI's String rendering.
+func hashString(im IMSI) DeviceID {
+	h := fnv.New64a()
+	h.Write([]byte("whereroam/v1"))
+	h.Write([]byte(im.String()))
+	return DeviceID(h.Sum64())
+}
+
+// HashDevice feeds FNV the digits String renders without formatting
+// them: the same ID for 2- and 3-digit MNCs, a zero MSIN, an MSIN of
+// exactly its width and one wider than its width (printed in full),
+// with no allocation.
+func TestHashDeviceMatchesString(t *testing.T) {
+	two, three := mccmnc.MustParse("21407"), mccmnc.MustParse("334020")
+	cases := []IMSI{
+		{PLMN: two, MSIN: 123456789},
+		{PLMN: three, MSIN: 987654321},
+		{PLMN: two, MSIN: 0},
+		{PLMN: three, MSIN: 0},
+		{PLMN: two, MSIN: 9_999_999_999},  // exactly ten digits
+		{PLMN: three, MSIN: 999_999_999},  // exactly nine digits
+		{PLMN: two, MSIN: 12_345_678_901}, // wider than ten
+		{PLMN: three, MSIN: 1<<64 - 1},    // twenty digits
+		{PLMN: mccmnc.PLMN{MCC: 1, MNC: 5, MNCLen: 2}, MSIN: 7},
+		{PLMN: mccmnc.PLMN{MCC: 12345, MNC: 1234, MNCLen: 3}, MSIN: 42},
+		{PLMN: mccmnc.PLMN{}, MSIN: 0},
+	}
+	for _, im := range cases {
+		if got, want := HashDevice(im), hashString(im); got != want {
+			t.Errorf("HashDevice(%q) = %v, want %v", im.String(), got, want)
+		}
+	}
+	f := func(msin uint64, mcc, mnc uint16, mncLen uint8) bool {
+		im := IMSI{PLMN: mccmnc.PLMN{MCC: mcc % 1000, MNC: mnc % 1000, MNCLen: 2 + mncLen%2}, MSIN: msin}
+		return HashDevice(im) == hashString(im)
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+	im := cases[0]
+	if allocs := testing.AllocsPerRun(100, func() { HashDevice(im) }); allocs != 0 {
+		t.Errorf("HashDevice allocates %.0f times per call, want 0", allocs)
 	}
 }

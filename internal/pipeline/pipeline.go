@@ -47,9 +47,6 @@ type Shard struct {
 	Hi    int // one past the last item index (exclusive)
 }
 
-// Len returns the number of items in the shard.
-func (s Shard) Len() int { return s.Hi - s.Lo }
-
 // Shards partitions n items into count contiguous near-equal ranges
 // (the first n%count shards are one item longer). It returns fewer
 // than count shards only when n < count; zero items yield no shards.

@@ -38,10 +38,10 @@ func TestShardsPartition(t *testing.T) {
 			if s.Lo != prevHi {
 				t.Fatalf("n=%d count=%d: shard %d not contiguous (Lo=%d, want %d)", tc.n, tc.count, i, s.Lo, prevHi)
 			}
-			if s.Len() <= 0 {
+			if s.Hi <= s.Lo {
 				t.Fatalf("n=%d count=%d: empty shard %d", tc.n, tc.count, i)
 			}
-			covered += s.Len()
+			covered += s.Hi - s.Lo
 			prevHi = s.Hi
 		}
 		if covered != tc.n {
