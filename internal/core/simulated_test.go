@@ -14,6 +14,7 @@ import (
 	"whereroam/internal/dataset"
 	"whereroam/internal/identity"
 	"whereroam/internal/mccmnc"
+	"whereroam/internal/rng"
 	"whereroam/internal/store"
 )
 
@@ -329,6 +330,43 @@ func TestTransparencyDisabled(t *testing.T) {
 	ds := dataset.GenerateMNO(cfg)
 	if ds.Transparency.Len() != 0 || len(ds.Declared) != 0 {
 		t.Error("transparency should be empty when adoption is 0")
+	}
+}
+
+// Population monotonicity: a device that is m2m under Derive of a
+// sub-catalog is m2m in every super-catalog, because the validated-APN
+// and TAC sets its verdict rests on only gain members as devices join.
+// Each rng seed keeps device d in the links of a nested chain whose
+// share exceeds rng.Hash01(seed, d), and derives every link.
+func TestM2MMonotoneInPopulation(t *testing.T) {
+	cfg := dataset.DefaultMNOConfig()
+	cfg.Devices = 1500
+	ds := dataset.GenerateMNO(cfg)
+	labeler := core.NewLabeler(ds.Host, dataset.MVNO1, dataset.MVNO2)
+	derive := func(keep func(identity.DeviceID) bool) *core.Population {
+		sub := &catalog.Catalog{Host: ds.Catalog.Host, Days: ds.Catalog.Days}
+		for _, r := range ds.Catalog.Records {
+			if keep(r.Device) {
+				sub.Records = append(sub.Records, r)
+			}
+		}
+		return core.Derive(sub, ds.GSMA, labeler, 0)
+	}
+	for seed := uint64(1); seed <= 8; seed++ {
+		prev := &core.Population{}
+		for _, share := range []float64{0.02, 0.1, 0.3, 1} {
+			pop := derive(func(d identity.DeviceID) bool { return rng.Hash01(seed, uint64(d)) < share })
+			for i, r := range prev.Results {
+				if r.Class != core.ClassM2M {
+					continue
+				}
+				if j, ok := pop.Find(r.Device); !ok || pop.Results[j].Class != core.ClassM2M {
+					t.Errorf("seed %d: device %v is m2m (%s) among %d devices but not among %d",
+						seed, r.Device, prev.Results[i].Evidence, len(prev.Sums), len(pop.Sums))
+				}
+			}
+			prev = pop
+		}
 	}
 }
 

@@ -1,10 +1,6 @@
 package experiments
 
-import (
-	"crypto/sha256"
-	"encoding/hex"
-	"testing"
-)
+import "testing"
 
 // The reports that read the MNO or SMIP dataset — t2, fig5–fig10,
 // fig11, fig12, t3, abl-classifier, ext-revenue and ext-transparency —
@@ -61,19 +57,5 @@ func TestMNOSMIPReportDigests(t *testing.T) {
 			"ext-transparency": "66e2b90fd2fbb62117e3535599d9fd4d401238511a5afd7a1fb139532104fb07",
 		},
 	}
-	ids := []string{"t2", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "t3",
-		"abl-classifier", "ext-revenue", "ext-transparency"}
-	for seed := uint64(1); seed <= 3; seed++ {
-		s := NewSessionWorkers(seed, 0.05, 0)
-		for _, id := range ids {
-			r, ok := ByID(id)
-			if !ok {
-				t.Fatalf("%s not registered", id)
-			}
-			sum := sha256.Sum256([]byte(r.Run(s).String()))
-			if got := hex.EncodeToString(sum[:]); got != want[seed][id] {
-				t.Errorf("seed %d %s: report digest %s, pinned %s", seed, id, got, want[seed][id])
-			}
-		}
-	}
+	checkDigests(t, want)
 }
