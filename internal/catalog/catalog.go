@@ -11,7 +11,8 @@
 package catalog
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"whereroam/internal/apn"
 	"whereroam/internal/geo"
@@ -90,7 +91,11 @@ type Catalog struct {
 	Host mccmnc.PLMN
 	// Days is the window length.
 	Days int
-	// Records holds every device-day aggregate.
+	// Records holds every device-day aggregate, each device's records
+	// as one contiguous run (SummariesWorkers relies on it). Every
+	// constructor keeps it: the builders sort by (device, day), the
+	// generators emit device by device, and ReadCSV rejects a device
+	// that reappears after another device's rows.
 	Records []DailyRecord
 }
 
@@ -130,138 +135,76 @@ type Summary struct {
 
 // SummariesWorkers aggregates the catalog per device and joins the
 // GSMA database (nil = no join), sorted by device ID, on workers
-// goroutines (below one = one worker per CPU, one = serial). Record
-// chunks are
-// aggregated concurrently into partial per-device summaries and
-// merged in chunk order; chunk boundaries depend only on the record
-// count, so the result — including float accumulation order — is
-// identical for every worker count. (The chunked grouping is the
-// reproducibility contract; it regroups float additions relative to
-// the pre-chunking single pass, so CallSeconds/MeanGyrationKm may
-// differ in the last bits from catalogs summarized by older
-// versions.)
+// goroutines (below one = one worker per CPU, one = serial). It relies
+// on Records holding each device's records as one contiguous run:
+// every shard edge moves forward to the next device start, so each
+// device is summed in one pass in record order, and the result —
+// float sums included — is the summary of a catalog holding that
+// device's records alone, at every worker count. It panics when a
+// device's records are not one run.
 func (c *Catalog) SummariesWorkers(db *gsma.DB, workers int) []Summary {
-	parts := pipeline.Map(len(c.Records), workers, func(sh pipeline.Shard) *summaryPartial {
-		return c.summarizeChunk(sh.Lo, sh.Hi)
-	})
-	if len(parts) == 0 {
-		return nil
-	}
-	acc := parts[0]
-	for _, p := range parts[1:] {
-		acc.merge(p)
-	}
-
-	out := make([]Summary, 0, len(acc.byDev))
-	for id, s := range acc.byDev {
-		if n := acc.gyrN[id]; n > 0 {
-			s.MeanGyrationKm = acc.gyrSum[id] / float64(n)
-			s.HasLocation = true
+	recs := c.Records
+	deviceStart := func(i int) int {
+		for i > 0 && i < len(recs) && recs[i].Device == recs[i-1].Device {
+			i++
 		}
-		out = append(out, *s)
+		return i
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Device < out[j].Device })
-	if db != nil {
-		pipeline.Run(len(out), workers, func(sh pipeline.Shard) {
-			for i := sh.Lo; i < sh.Hi; i++ {
-				out[i].Info, out[i].InfoOK = db.Lookup(out[i].TAC)
-			}
-		})
+	parts := pipeline.Map(len(recs), workers, func(sh pipeline.Shard) []Summary {
+		return summarize(recs[deviceStart(sh.Lo):deviceStart(sh.Hi)], db)
+	})
+	out := slices.Concat(parts...)
+	slices.SortFunc(out, func(a, b Summary) int { return cmp.Compare(a.Device, b.Device) })
+	for i := 1; i < len(out); i++ {
+		if out[i].Device == out[i-1].Device {
+			panic("catalog: the records of device " + out[i].Device.String() + " are not one contiguous run")
+		}
 	}
 	return out
 }
 
-// summaryPartial is one chunk's per-device aggregation state.
-type summaryPartial struct {
-	byDev  map[identity.DeviceID]*Summary
-	gyrSum map[identity.DeviceID]float64
-	gyrN   map[identity.DeviceID]int
-}
-
-// summarizeChunk aggregates the record range [lo, hi).
-func (c *Catalog) summarizeChunk(lo, hi int) *summaryPartial {
-	p := &summaryPartial{
-		byDev:  map[identity.DeviceID]*Summary{},
-		gyrSum: map[identity.DeviceID]float64{},
-		gyrN:   map[identity.DeviceID]int{},
+// summarize sums recs, whole device runs, into one Summary per device
+// in record order, joined against db when it is not nil.
+func summarize(recs []DailyRecord, db *gsma.DB) []Summary {
+	var out []Summary
+	for i := 0; i < len(recs); {
+		s := Summary{Device: recs[i].Device, SIM: recs[i].SIM, TAC: recs[i].TAC, FirstDay: recs[i].Day, LastDay: recs[i].Day}
+		var gyrSum float64
+		var gyrN int
+		for ; i < len(recs) && recs[i].Device == s.Device; i++ {
+			r := &recs[i]
+			s.ActiveDays++
+			s.FirstDay = min(s.FirstDay, r.Day)
+			s.LastDay = max(s.LastDay, r.Day)
+			s.Events += r.Events
+			s.FailedEvents += r.FailedEvents
+			s.Calls += r.Calls
+			s.CallSeconds += r.CallSeconds
+			s.Bytes += r.Bytes
+			s.RadioFlags |= r.RadioFlags
+			s.DataRATs |= r.DataRATs
+			s.VoiceRATs |= r.VoiceRATs
+			for _, a := range r.APNs {
+				s.addAPN(a)
+			}
+			for _, v := range r.Visited {
+				s.addVisited(v)
+			}
+			if r.HasLocation {
+				gyrSum += r.GyrationKm
+				gyrN++
+			}
+		}
+		if gyrN > 0 {
+			s.MeanGyrationKm = gyrSum / float64(gyrN)
+			s.HasLocation = true
+		}
+		if db != nil {
+			s.Info, s.InfoOK = db.Lookup(s.TAC)
+		}
+		out = append(out, s)
 	}
-	for i := lo; i < hi; i++ {
-		r := &c.Records[i]
-		s := p.byDev[r.Device]
-		if s == nil {
-			s = &Summary{Device: r.Device, SIM: r.SIM, TAC: r.TAC, FirstDay: r.Day, LastDay: r.Day}
-			p.byDev[r.Device] = s
-		}
-		s.ActiveDays++
-		if r.Day < s.FirstDay {
-			s.FirstDay = r.Day
-		}
-		if r.Day > s.LastDay {
-			s.LastDay = r.Day
-		}
-		s.Events += r.Events
-		s.FailedEvents += r.FailedEvents
-		s.Calls += r.Calls
-		s.CallSeconds += r.CallSeconds
-		s.Bytes += r.Bytes
-		s.RadioFlags |= r.RadioFlags
-		s.DataRATs |= r.DataRATs
-		s.VoiceRATs |= r.VoiceRATs
-		for _, a := range r.APNs {
-			s.addAPN(a)
-		}
-		for _, v := range r.Visited {
-			s.addVisited(v)
-		}
-		if r.HasLocation {
-			p.gyrSum[r.Device] += r.GyrationKm
-			p.gyrN[r.Device]++
-		}
-	}
-	return p
-}
-
-// merge folds a later chunk's partials into p. p's chunk precedes
-// o's, so p's first-seen fields (SIM, TAC, APN/Visited order) win —
-// the same outcome a single pass over the concatenated chunks gives.
-func (p *summaryPartial) merge(o *summaryPartial) {
-	//roamvet:maporder-ok per-ranged-key fold into p.byDev[id]: each device is touched by exactly one iteration and first-seen fields follow the fixed p-then-o merge direction
-	for id, so := range o.byDev {
-		s := p.byDev[id]
-		if s == nil {
-			p.byDev[id] = so
-			continue
-		}
-		s.ActiveDays += so.ActiveDays
-		if so.FirstDay < s.FirstDay {
-			s.FirstDay = so.FirstDay
-		}
-		if so.LastDay > s.LastDay {
-			s.LastDay = so.LastDay
-		}
-		s.Events += so.Events
-		s.FailedEvents += so.FailedEvents
-		s.Calls += so.Calls
-		//roamvet:floatfold-ok Summaries folds chunk partials serially in ascending chunk order, so each device's CallSeconds additions happen in one pinned sequence
-		s.CallSeconds += so.CallSeconds
-		s.Bytes += so.Bytes
-		s.RadioFlags |= so.RadioFlags
-		s.DataRATs |= so.DataRATs
-		s.VoiceRATs |= so.VoiceRATs
-		for _, a := range so.APNs {
-			s.addAPN(a)
-		}
-		for _, v := range so.Visited {
-			s.addVisited(v)
-		}
-	}
-	for id, g := range o.gyrSum {
-		//roamvet:floatfold-ok per-ranged-key single addition, and chunk partials fold serially in ascending chunk order — the gyration sum sequence per device is pinned
-		p.gyrSum[id] += g
-	}
-	for id, n := range o.gyrN {
-		p.gyrN[id] += n
-	}
+	return out
 }
 
 func (s *Summary) addAPN(a apn.APN) {

@@ -1,6 +1,7 @@
 package catalog
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -11,6 +12,7 @@ import (
 	"whereroam/internal/identity"
 	"whereroam/internal/mccmnc"
 	"whereroam/internal/radio"
+	"whereroam/internal/rng"
 )
 
 var (
@@ -221,6 +223,63 @@ func TestSummariesSortedAndMultiDevice(t *testing.T) {
 	for i := 1; i < len(sums); i++ {
 		if sums[i-1].Device >= sums[i].Device {
 			t.Fatal("summaries must be sorted by device ID")
+		}
+	}
+}
+
+// Each device's summary must equal the summary of a catalog holding
+// that device's records alone, at every worker count. The catalog has
+// ≈ 4 700 records, so the 256 canonical shard edges fall inside device
+// runs; a device summed in two pieces has its CallSeconds and gyration
+// additions regrouped and differs in the last bits. Devices are not in
+// ID order, as in a generator's catalog.
+func TestSummariesMatchPerDeviceReference(t *testing.T) {
+	db := gsma.Synthesize(1)
+	src := rng.New(7)
+	apns := []apn.APN{
+		apn.MustParse("internet"),
+		apn.MustParse("meter.rwe-npower.co.uk"),
+		apn.MustParse("smhp.centricaplc.com.mnc004.mcc204.gprs"),
+	}
+	visited := []mccmnc.PLMN{host, mccmnc.MustParse("20801"), mccmnc.MustParse("26202")}
+	cat := &Catalog{Host: host, Days: 22}
+	runs := map[identity.DeviceID][]DailyRecord{}
+	for d := 0; d < 600; d++ {
+		dev := identity.DeviceID(src.Uint64())
+		tac := identity.TAC(35600000 + src.Intn(2)*64000000) // known and unknown to db
+		lo := len(cat.Records)
+		for day := src.Intn(22); day < 22; day += 1 + src.Intn(2) {
+			cat.Records = append(cat.Records, DailyRecord{
+				Device: dev, Day: day, SIM: nlSIM, TAC: tac,
+				Visited:     []mccmnc.PLMN{visited[src.Intn(3)]},
+				Events:      src.Intn(40),
+				Calls:       src.Intn(3),
+				CallSeconds: src.Exp(90),
+				Bytes:       uint64(src.Intn(1 << 20)),
+				RadioFlags:  radio.RATSet(src.Intn(8)),
+				APNs:        []apn.APN{apns[src.Intn(3)]},
+				GyrationKm:  src.Exp(3),
+				HasLocation: src.Bool(0.8),
+			})
+		}
+		runs[dev] = cat.Records[lo:len(cat.Records):len(cat.Records)]
+	}
+	for _, workers := range []int{1, 2, 5, 0} {
+		sums := cat.SummariesWorkers(db, workers)
+		if len(sums) != len(runs) {
+			t.Fatalf("workers=%d: %d summaries for %d devices", workers, len(sums), len(runs))
+		}
+		differ := 0
+		for _, got := range sums {
+			alone := &Catalog{Host: host, Days: 22, Records: runs[got.Device]}
+			if want := alone.SummariesWorkers(db, 1); len(want) != 1 || !reflect.DeepEqual(got, want[0]) {
+				if differ++; differ <= 3 {
+					t.Errorf("workers=%d: device %v: summary %+v, alone %+v", workers, got.Device, got, want)
+				}
+			}
+		}
+		if differ > 0 {
+			t.Errorf("workers=%d: %d of %d devices differ from their own catalog's summary", workers, differ, len(sums))
 		}
 	}
 }

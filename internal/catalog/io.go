@@ -107,7 +107,9 @@ func (c *Catalog) WriteCSV(w io.Writer) error {
 // ReadCSV reads a catalog in the WriteCSV layout. It rejects, with the
 // offending line, any row no writer produces: a day outside the meta
 // row's window, a negative count, a non-finite float, a centroid off
-// the globe, or a negative call time or gyration.
+// the globe, a negative call time or gyration, or a device that
+// reappears after another device's rows (Records keeps each device's
+// records as one run).
 func ReadCSV(r io.Reader) (*Catalog, error) {
 	cr := csv.NewReader(r)
 	cr.FieldsPerRecord = -1
@@ -130,6 +132,7 @@ func ReadCSV(r io.Reader) (*Catalog, error) {
 		return nil, fmt.Errorf("catalog: reading header: %w", err)
 	}
 	out := &Catalog{Host: host, Days: days}
+	ended := map[identity.DeviceID]bool{} // devices whose run is over
 	line := 1
 	for {
 		row, err := cr.Read()
@@ -146,6 +149,12 @@ func ReadCSV(r io.Reader) (*Catalog, error) {
 		rec, err := parseCSVRow(row, days)
 		if err != nil {
 			return nil, fmt.Errorf("catalog: line %d: %w", line, err)
+		}
+		if n := len(out.Records); n > 0 && rec.Device != out.Records[n-1].Device {
+			ended[out.Records[n-1].Device] = true
+			if ended[rec.Device] {
+				return nil, fmt.Errorf("catalog: line %d: device %v reappears after another device's rows", line, rec.Device)
+			}
 		}
 		out.Records = append(out.Records, rec)
 	}

@@ -112,6 +112,20 @@ func TestCatalogCSVErrors(t *testing.T) {
 		t.Error("corrupted bytes field accepted")
 	}
 
+	// A device whose rows are split by another device's.
+	c.Records = append(c.Records, c.Records[0])
+	c.Records[2].Day = 5
+	buf.Reset()
+	if err := c.WriteCSV(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadCSV(&buf); err == nil {
+		t.Error("a device reappearing after another device's rows was accepted")
+	} else if !strings.Contains(err.Error(), "line 4: ") {
+		t.Errorf("split device run: error %q does not name the line", err)
+	}
+	c = sampleCatalog()
+
 	// Rows no writer produces: each case sets one column of the first
 	// record of a 4-day catalog. The edge values a writer can produce
 	// must still read.
@@ -172,7 +186,8 @@ func TestCatalogCSVErrors(t *testing.T) {
 }
 
 // FuzzCatalogCSV holds ReadCSV to the rows writers produce: whatever it
-// accepts, WriteCSV → ReadCSV → WriteCSV reproduces byte for byte.
+// accepts, WriteCSV → ReadCSV → WriteCSV reproduces byte for byte, and
+// summarizes without a device split across runs.
 func FuzzCatalogCSV(f *testing.F) {
 	var buf bytes.Buffer
 	if err := sampleCatalog().WriteCSV(&buf); err != nil {
@@ -202,5 +217,6 @@ func FuzzCatalogCSV(f *testing.F) {
 		if !bytes.Equal(first.Bytes(), second.Bytes()) {
 			t.Fatalf("round trip moved bytes:\n%s\nthen\n%s", first.Bytes(), second.Bytes())
 		}
+		c.SummariesWorkers(nil, 0) // panics on a device split across runs
 	})
 }
