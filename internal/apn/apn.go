@@ -46,45 +46,55 @@ func Parse(s string) (APN, error) {
 	if len(s) > maxAPNLen {
 		return APN{}, fmt.Errorf("apn: %q: longer than %d octets", s, maxAPNLen)
 	}
-	labels := strings.Split(s, ".")
 	var out APN
-	// Detect the 3-label Operator Identifier suffix.
-	if len(labels) >= 3 && labels[len(labels)-1] == "gprs" {
-		mncLbl, mccLbl := labels[len(labels)-3], labels[len(labels)-2]
-		mnc, okMNC := parseCodeLabel(mncLbl, "mnc")
-		mcc, okMCC := parseCodeLabel(mccLbl, "mcc")
-		if !okMNC || !okMCC {
-			return APN{}, fmt.Errorf("apn: %q: malformed operator identifier", s)
+	// The Network Identifier is a prefix of s: cut the 3-label
+	// Operator Identifier suffix off in place when there is one.
+	ni := s
+	if rest, ok := strings.CutSuffix(s, ".gprs"); ok {
+		if i := strings.LastIndexByte(rest, '.'); i >= 0 {
+			mccLbl := rest[i+1:]
+			j := strings.LastIndexByte(rest[:i], '.')
+			mncLbl := rest[j+1 : i]
+			mnc, okMNC := parseCodeLabel(mncLbl, "mnc")
+			mcc, okMCC := parseCodeLabel(mccLbl, "mcc")
+			if !okMNC || !okMCC {
+				return APN{}, fmt.Errorf("apn: %q: malformed operator identifier", s)
+			}
+			// The OI always carries a 3-digit, zero-padded MNC; recover
+			// the registry's MNC length so the PLMN compares equal to the
+			// one in traces.
+			plmn := mccmnc.PLMN{MCC: mcc, MNC: mnc, MNCLen: 3}
+			if op, ok := mccmnc.Lookup(plmn); ok {
+				plmn = op.PLMN
+			} else if mnc < 100 {
+				// Unregistered network: assume 2-digit for small MNCs,
+				// matching common European practice.
+				plmn.MNCLen = 2
+			}
+			out.Operator = plmn
+			if j < 0 {
+				return APN{}, fmt.Errorf("apn: %q: operator identifier without network identifier", s)
+			}
+			ni = rest[:j]
 		}
-		// The OI always carries a 3-digit, zero-padded MNC; recover
-		// the registry's MNC length so the PLMN compares equal to the
-		// one in traces.
-		plmn := mccmnc.PLMN{MCC: mcc, MNC: mnc, MNCLen: 3}
-		if op, ok := mccmnc.Lookup(plmn); ok {
-			plmn = op.PLMN
-		} else if mnc < 100 {
-			// Unregistered network: assume 2-digit for small MNCs,
-			// matching common European practice.
-			plmn.MNCLen = 2
-		}
-		out.Operator = plmn
-		labels = labels[:len(labels)-3]
 	}
-	if len(labels) == 0 {
-		return APN{}, fmt.Errorf("apn: %q: operator identifier without network identifier", s)
-	}
-	for _, lbl := range labels {
+	for rest := ni; ; {
+		lbl, tail, more := strings.Cut(rest, ".")
 		if err := checkLabel(lbl); err != nil {
 			return APN{}, fmt.Errorf("apn: %q: %w", s, err)
 		}
+		if !more {
+			break
+		}
+		rest = tail
 	}
-	out.NetworkID = strings.Join(labels, ".")
+	out.NetworkID = ni
 	// TS 23.003: the NI must not start with reserved prefixes used by
 	// network-internal DNS.
-	for _, reserved := range []string{"rac", "lac", "sgsn", "rnc"} {
-		if strings.HasPrefix(out.NetworkID, reserved+".") || out.NetworkID == reserved {
-			return APN{}, fmt.Errorf("apn: %q: network identifier starts with reserved label %q", s, reserved)
-		}
+	first, _, _ := strings.Cut(ni, ".")
+	switch first {
+	case "rac", "lac", "sgsn", "rnc":
+		return APN{}, fmt.Errorf("apn: %q: network identifier starts with reserved label %q", s, first)
 	}
 	return out, nil
 }

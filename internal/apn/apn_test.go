@@ -1,6 +1,7 @@
 package apn
 
 import (
+	"errors"
 	"slices"
 	"strings"
 	"testing"
@@ -280,4 +281,90 @@ func FuzzAPNKeywords(f *testing.F) {
 		f.Add(c[0], c[1])
 	}
 	f.Fuzz(checkKeywords)
+}
+
+// TestParseAllocatesNothing pins the in-place cut: parsing an APN that
+// is already lower case allocates nothing, with or without an OI.
+func TestParseAllocatesNothing(t *testing.T) {
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := Parse("smhp.centricaplc.com.mnc004.mcc204.gprs"); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Parse("device-fleet.intelligent.m2m"); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("%.1f allocations per run, want 0", allocs)
+	}
+}
+
+// parseReference is the strings.Split/strings.Join parser Parse
+// replaced, kept as the oracle for FuzzAPNParse.
+func parseReference(s string) (APN, error) {
+	s = strings.ToLower(strings.TrimSpace(s))
+	if s == "" {
+		return APN{}, errors.New("empty")
+	}
+	if len(s) > maxAPNLen {
+		return APN{}, errors.New("too long")
+	}
+	labels := strings.Split(s, ".")
+	var out APN
+	if len(labels) >= 3 && labels[len(labels)-1] == "gprs" {
+		mnc, okMNC := parseCodeLabel(labels[len(labels)-3], "mnc")
+		mcc, okMCC := parseCodeLabel(labels[len(labels)-2], "mcc")
+		if !okMNC || !okMCC {
+			return APN{}, errors.New("malformed operator identifier")
+		}
+		plmn := mccmnc.PLMN{MCC: mcc, MNC: mnc, MNCLen: 3}
+		if op, ok := mccmnc.Lookup(plmn); ok {
+			plmn = op.PLMN
+		} else if mnc < 100 {
+			plmn.MNCLen = 2
+		}
+		out.Operator = plmn
+		labels = labels[:len(labels)-3]
+	}
+	if len(labels) == 0 {
+		return APN{}, errors.New("no network identifier")
+	}
+	for _, lbl := range labels {
+		if err := checkLabel(lbl); err != nil {
+			return APN{}, err
+		}
+	}
+	out.NetworkID = strings.Join(labels, ".")
+	for _, reserved := range []string{"rac", "lac", "sgsn", "rnc"} {
+		if strings.HasPrefix(out.NetworkID, reserved+".") || out.NetworkID == reserved {
+			return APN{}, errors.New("reserved label")
+		}
+	}
+	return out, nil
+}
+
+// FuzzAPNParse checks the in-place Parse against parseReference: the
+// same APN on success, and an error on exactly the same inputs. The
+// seeds are the corners of the Operator Identifier cut.
+func FuzzAPNParse(f *testing.F) {
+	for _, s := range []string{
+		"mnc001.mcc234.gprs", ".mnc001.mcc234.gprs", "x.gprs", "rac.x",
+		"SMHP.CentricaPLC.com.MNC004.MCC204.GPRS", "  internet.provider.com \t",
+		"smhp.centricaplc.com.mnc004.mcc204.gprs", "a.mnc+01.mcc204.gprs",
+		"gprs", ".gprs", "..gprs", "a..gprs", "a.mcc204.gprs", "a.mnc004.gprs",
+		"rac", "racx.y", "sgsn.mnc004.mcc204.gprs", "a.b.mnc999.mcc999.gprs",
+		"x.mnc004.mcc204.gprs.gprs", "a.", ".a", "a..b", "-a.b", "",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		got, err := Parse(s)
+		want, wantErr := parseReference(s)
+		if (err != nil) != (wantErr != nil) {
+			t.Fatalf("Parse(%q) error %v, reference error %v", s, err, wantErr)
+		}
+		if err == nil && got != want {
+			t.Fatalf("Parse(%q) = %+v, reference %+v", s, got, want)
+		}
+	})
 }

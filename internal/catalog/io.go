@@ -133,16 +133,17 @@ func ReadCSV(r io.Reader) (*Catalog, error) {
 	}
 	out := &Catalog{Host: host, Days: days}
 	ended := map[identity.DeviceID]bool{} // devices whose run is over
-	line := 1
+	// Errors name file lines: the meta row is line 1, the header 2.
+	line := 2
 	for {
 		row, err := cr.Read()
 		if err == io.EOF {
 			return out, nil
 		}
+		line++
 		if err != nil {
 			return nil, fmt.Errorf("catalog: line %d: %w", line, err)
 		}
-		line++
 		if len(row) != len(csvHeader) {
 			return nil, fmt.Errorf("catalog: line %d: %d fields, want %d", line, len(row), len(csvHeader))
 		}

@@ -121,7 +121,7 @@ func TestCatalogCSVErrors(t *testing.T) {
 	}
 	if _, err := ReadCSV(&buf); err == nil {
 		t.Error("a device reappearing after another device's rows was accepted")
-	} else if !strings.Contains(err.Error(), "line 4: ") {
+	} else if !strings.Contains(err.Error(), "line 5: ") {
 		t.Errorf("split device run: error %q does not name the line", err)
 	}
 	c = sampleCatalog()
@@ -164,7 +164,7 @@ func TestCatalogCSVErrors(t *testing.T) {
 		_, err := ReadCSV(strings.NewReader(withColumn(tc.col, tc.val)))
 		if err == nil {
 			t.Errorf("%s: ReadCSV succeeded", tc.name)
-		} else if !strings.Contains(err.Error(), "line 2: ") {
+		} else if !strings.Contains(err.Error(), "line 3: ") {
 			t.Errorf("%s: error %q does not name the line", tc.name, err)
 		}
 	}

@@ -50,3 +50,23 @@ func TestEmitDeviceDaysAllocationsPerRecord(t *testing.T) {
 		t.Fatalf("%.3f allocations per record (%.0f per walk of %.0f records), want at most 0.05", perRecord, allocs, perRun)
 	}
 }
+
+// drawHome reads a home table built once: a draw allocates nothing,
+// for every table the generators draw from.
+func TestDrawHomeAllocatesNothing(t *testing.T) {
+	src := rng.New(3)
+	tables := []*homeTable{smartHomes, featHomes}
+	for _, m := range m2mMix {
+		tables = append(tables, m2mHomes[m.class])
+	}
+	for i, table := range tables {
+		allocs := testing.AllocsPerRun(100, func() {
+			if drawHome(src.Split("home"), table).IsZero() {
+				t.Fatal("drawHome returned the zero PLMN")
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("table %d: %.1f allocations per draw, want 0", i, allocs)
+		}
+	}
+}

@@ -165,7 +165,7 @@ type FederationSite struct {
 // its per-day presence schedule.
 type fleetMember struct {
 	dev devices.Device
-	src *rng.Source
+	src rng.Source
 	// sites marks the sites the device's home operator provisioned it
 	// into (anchor + AttachProb extras); the schedule allocates days
 	// among them.
@@ -316,7 +316,7 @@ type fleetDraft struct {
 	class devices.Class
 	home  mccmnc.PLMN
 	base  uint64
-	src   *rng.Source
+	src   rng.Source
 }
 
 // fleetPicks builds the fleet's shared class samplers (stateless per
@@ -357,7 +357,7 @@ func drawFleetDraft(froot *rng.Source, i int, classPick, m2mPick *rng.Weighted) 
 	if class.IsM2M() {
 		base = M2MBlockBase
 	}
-	return fleetDraft{class: class, home: home, base: base, src: src}
+	return fleetDraft{class: class, home: home, base: base, src: *src}
 }
 
 // finishFleetMember runs one drafted fleet device through pass 3:
@@ -365,11 +365,11 @@ func drawFleetDraft(froot *rng.Source, i int, classPick, m2mPick *rng.Weighted) 
 // device's substream is not advanced past this point: per-site
 // emission derives from it with read-only splits, so a site's build
 // never perturbs another's draws.
-func finishFleetMember(d *fleetDraft, imsi identity.IMSI, cfg FederationConfig, db *gsma.DB, world *netsim.World) fleetMember {
+func finishFleetMember(d *fleetDraft, imsi identity.IMSI, cfg FederationConfig, db *gsma.DB, world *netsim.World, mobs *mobilitySlabs) fleetMember {
 	psrc := d.src.Split("profile")
 	prof, info := classProfile(psrc, d.class, cfg.Days, mccmnc.PLMN{}, d.home, true, db)
 	homeCountry, _ := mccmnc.CountryByMCC(d.home.MCC)
-	mob := classMobility(d.src.Split("mobility"), d.class,
+	mob := mobs.classMobility(d.src.Split("mobility"), d.class,
 		geo.Point{Lat: homeCountry.Lat, Lon: homeCountry.Lon})
 	dev := devices.Assemble(d.class, imsi, info, prof, mob, false)
 
@@ -378,7 +378,8 @@ func finishFleetMember(d *fleetDraft, imsi identity.IMSI, cfg FederationConfig, 
 	ssrc := d.src.Split("sites")
 	sites := make([]bool, len(cfg.Hosts))
 	anchor := -1
-	var allowed []int
+	var buf [8]int // a few hosts fit the stack; more spill to the heap
+	allowed := buf[:0]
 	for j, host := range cfg.Hosts {
 		if host != d.home && world.RoamingAllowed(d.home, host) {
 			allowed = append(allowed, j)
@@ -418,10 +419,12 @@ func generateFleet(cfg FederationConfig, root *rng.Source, db *gsma.DB, world *n
 	// Pass 3 (parallel): IMSIs, profiles, identity and site presence.
 	fleet := make([]fleetMember, cfg.FleetDevices)
 	pipeline.Run(cfg.FleetDevices, cfg.Workers, func(sh pipeline.Shard) {
+		scratch := dayScratchPool.Get().(*dayScratch)
+		defer dayScratchPool.Put(scratch)
 		off := counts.offsets[sh.Index]
 		for i := sh.Lo; i < sh.Hi; i++ {
 			d := &drafts[i]
-			fleet[i] = finishFleetMember(d, nextIMSI(off, d.home, d.base), cfg, db, world)
+			fleet[i] = finishFleetMember(d, nextIMSI(off, d.home, d.base), cfg, db, world, &scratch.mobs)
 		}
 	})
 	return fleet
@@ -472,7 +475,8 @@ func drawSchedule(src *rng.Source, class devices.Class, sites []bool, anchor, da
 		return sched
 	}
 
-	var present []int
+	var buf [8]int // a few sites fit the stack; more spill to the heap
+	present := buf[:0]
 	for j, ok := range sites {
 		if ok {
 			present = append(present, j)
@@ -572,15 +576,17 @@ func siteLocals(cfg FederationConfig, j int, root *rng.Source, db *gsma.DB, flee
 	nativePick := rng.NewWeighted(nativeWeights)
 	locals := make([]localDevice, cfg.NativePerSite, cfg.NativePerSite+len(fleet)/2)
 	pipeline.Run(cfg.NativePerSite, cfg.Workers, func(sh pipeline.Shard) {
+		scratch := dayScratchPool.Get().(*dayScratch)
+		defer dayScratchPool.Put(scratch)
 		for i := sh.Lo; i < sh.Hi; i++ {
 			src := sroot.SplitN("native", uint64(i))
 			class := nativeMix[nativePick.DrawFrom(src)].class
 			imsi := identity.IMSI{PLMN: host, MSIN: nativeBase + uint64(i)}
 			prof, info := classProfile(src.Split("profile"), class, cfg.Days, host, host, false, db)
-			mob := classMobility(src.Split("mobility"), class, centre)
+			mob := scratch.mobs.classMobility(src.Split("mobility"), class, centre)
 			locals[i] = localDevice{
 				dev:  devices.Assemble(class, imsi, info, prof, mob, false),
-				emit: src.Split("days"),
+				emit: *src.Split("days"),
 			}
 		}
 	})
@@ -591,18 +597,20 @@ func siteLocals(cfg FederationConfig, j int, root *rng.Source, db *gsma.DB, flee
 	// on day d contributes nothing to this catalog that day. Fleet
 	// devices move by a site-local mobility model drawn from their
 	// per-(device, site) substream.
+	scratch := dayScratchPool.Get().(*dayScratch)
+	defer dayScratchPool.Put(scratch)
 	for i := range fleet {
 		if fleet[i].daysAt(j) == 0 {
 			continue
 		}
 		vsrc := fleet[i].src.SplitN("visit", siteKey(host))
 		dev := fleet[i].dev
-		dev.Mobility = classMobility(vsrc.Split("mobility"), dev.Class, centre)
-		sched := fleet[i].sched
+		dev.Mobility = scratch.mobs.classMobility(vsrc.Split("mobility"), dev.Class, centre)
 		locals = append(locals, localDevice{
-			dev:        dev,
-			emit:       vsrc.Split("days"),
-			presentDay: func(day int) bool { return int(sched[day]) == j },
+			dev:   dev,
+			emit:  *vsrc.Split("days"),
+			sched: fleet[i].sched,
+			site:  j,
 		})
 	}
 	return locals

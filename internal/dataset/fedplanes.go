@@ -9,7 +9,6 @@ import (
 	"whereroam/internal/gsma"
 	"whereroam/internal/identity"
 	"whereroam/internal/mccmnc"
-	"whereroam/internal/mobility"
 	"whereroam/internal/netsim"
 	"whereroam/internal/pipeline"
 	"whereroam/internal/radio"
@@ -22,7 +21,7 @@ import (
 type fedM2MDevice struct {
 	fleet  int
 	member *fleetMember
-	src    *rng.Source
+	src    rng.Source
 }
 
 // fedM2MPopulation selects the fleet's M2M subset in fleet order and
@@ -36,7 +35,7 @@ func fedM2MPopulation(fed *FederationDataset) []fedM2MDevice {
 		if !m.dev.Class.IsM2M() {
 			continue
 		}
-		devs = append(devs, fedM2MDevice{fleet: i, member: m, src: m.src.Split("m2mplane")})
+		devs = append(devs, fedM2MDevice{fleet: i, member: m, src: *m.src.Split("m2mplane")})
 	}
 	return devs
 }
@@ -50,8 +49,8 @@ func fedM2MPopulation(fed *FederationDataset) []fedM2MDevice {
 // and keeps a lognormal per-day keepalive budget of
 // update-location/authentication procedures on whichever network the
 // day's schedule names.
-func emitFedM2MDevice(sink func(signaling.Transaction), fed *FederationDataset, d fedM2MDevice, order *timeSorter) {
-	m, src := d.member, d.src
+func emitFedM2MDevice(sink func(signaling.Transaction), fed *FederationDataset, d *fedM2MDevice, sc *txScratch) {
+	m, src := d.member, &d.src
 	home := m.dev.Home
 	visitedAt := func(day int) mccmnc.PLMN {
 		if s := m.sched[day]; s >= 0 {
@@ -69,7 +68,8 @@ func emitFedM2MDevice(sink func(signaling.Transaction), fed *FederationDataset, 
 	// profiles (§3.2).
 	lam := src.LogNormal(math.Log(6), 0.9)
 
-	var dayTxs []signaling.Transaction
+	dayTxs := sc.day
+	defer func() { sc.day = dayTxs }()
 	prev := mccmnc.PLMN{}
 	for day := 0; day < fed.Days; day++ {
 		dayTxs = dayTxs[:0]
@@ -100,7 +100,7 @@ func emitFedM2MDevice(sink func(signaling.Transaction), fed *FederationDataset, 
 				Procedure: proc, RAT: radio.RAT4G, Result: result(),
 			})
 		}
-		sortByTime(order, dayTxs, transactionTime)
+		sortByTime(&sc.order, dayTxs, transactionTime)
 		for i := range dayTxs {
 			sink(dayTxs[i])
 		}
@@ -117,7 +117,7 @@ func fedM2MWalk(fed *FederationDataset, devs []fedM2MDevice) deviceWalk[signalin
 		defer txScratchPool.Put(sc)
 		for i := sh.Lo; i < sh.Hi; i++ {
 			sc.buf = sc.buf[:0]
-			emitFedM2MDevice(sc.add, fed, devs[i], &sc.order)
+			emitFedM2MDevice(sc.add, fed, &devs[i], sc)
 			emit(i, sc.buf)
 		}
 	}
@@ -203,15 +203,17 @@ func generateSMIPSite(fed *FederationDataset, root *rng.Source, j int) *SMIPData
 	// SMIPNativeBase + i with no allocation pass.
 	locals := make([]localDevice, cfg.NativePerSite)
 	pipeline.Run(cfg.NativePerSite, cfg.Workers, func(sh pipeline.Shard) {
+		scratch := dayScratchPool.Get().(*dayScratch)
+		defer dayScratchPool.Put(scratch)
 		for i := sh.Lo; i < sh.Hi; i++ {
 			src := sroot.SplitN("meter", uint64(i))
 			imsi := identity.IMSI{PLMN: host, MSIN: SMIPNativeBase + uint64(i)}
 			prof := devices.SmartMeterNativeProfile(src.Split("profile"), cfg.Days, host)
 			info := fed.GSMA.Pick(src.Split("tac"), gsma.ArchM2MModule)
-			mob := mobility.NewStationary(src.Split("mob"), centre, 150)
+			mob := scratch.mobs.stationaryAt(src.Split("mob"), centre, 150)
 			locals[i] = localDevice{
 				dev:  devices.Assemble(devices.ClassSmartMeter, imsi, info, prof, mob, false),
-				emit: src.Split("days"),
+				emit: *src.Split("days"),
 			}
 		}
 	})
@@ -224,6 +226,8 @@ func generateSMIPSite(fed *FederationDataset, root *rng.Source, j int) *SMIPData
 	// camp on their anchor, so the schedule gate is all-or-nothing per
 	// site — but it is still consulted, keeping the plane correct if
 	// the schedule model ever grows mobile meters.
+	scratch := dayScratchPool.Get().(*dayScratch)
+	defer dayScratchPool.Put(scratch)
 	for i := range fed.members {
 		m := &fed.members[i]
 		if m.dev.Class != devices.ClassSmartMeter || m.daysAt(j) == 0 {
@@ -231,14 +235,14 @@ func generateSMIPSite(fed *FederationDataset, root *rng.Source, j int) *SMIPData
 		}
 		vsrc := m.src.SplitN("smipvisit", siteKey(host))
 		dev := m.dev
-		dev.Mobility = mobility.NewStationary(vsrc.Split("mob"), centre, 150)
-		sched := m.sched
+		dev.Mobility = scratch.mobs.stationaryAt(vsrc.Split("mob"), centre, 150)
 		ds.Devices = append(ds.Devices, dev)
 		ds.Native[dev.ID] = false
 		locals = append(locals, localDevice{
-			dev:        dev,
-			emit:       vsrc.Split("days"),
-			presentDay: func(day int) bool { return int(sched[day]) == j },
+			dev:   dev,
+			emit:  *vsrc.Split("days"),
+			sched: m.sched,
+			site:  j,
 		})
 	}
 

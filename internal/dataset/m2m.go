@@ -10,6 +10,7 @@
 package dataset
 
 import (
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -81,8 +82,10 @@ type hmnoSpec struct {
 	// roamShare is the fraction of its devices operating abroad.
 	roamShare float64
 	// footprint is the visited-country pool (ISO codes) with Zipf
-	// skew: earlier entries attract more devices.
-	footprint []string
+	// skew: earlier entries attract more devices. footprintPick is
+	// that Zipf sampler, built once with the spec.
+	footprint     []string
+	footprintPick *rng.Zipf
 }
 
 // platformHMNOs encodes the §3.2 numbers: ES 52.3% (82% roaming over
@@ -100,7 +103,7 @@ func platformHMNOs() []hmnoSpec {
 			}
 		}
 	}
-	return []hmnoSpec{
+	specs := []hmnoSpec{
 		{plmn: mccmnc.MustParse("21407"), share: 0.523, roamShare: 0.82, footprint: esFootprint},
 		{plmn: mccmnc.MustParse("334020"), share: 0.422, roamShare: 0.10,
 			footprint: []string{"US", "GT", "CO", "AR", "CL", "PE"}},
@@ -109,6 +112,10 @@ func platformHMNOs() []hmnoSpec {
 		{plmn: mccmnc.MustParse("26201"), share: 0.008, roamShare: 0.95,
 			footprint: []string{"AT", "CH", "FR", "NL", "BE", "PL", "CZ", "IT", "DK", "GB"}},
 	}
+	for i := range specs {
+		specs[i].footprintPick = rng.NewZipf(len(specs[i].footprint), 1.25)
+	}
+	return specs
 }
 
 // m2mWalk is GenerateM2M's state: the world, the drafted population
@@ -128,7 +135,7 @@ type m2mWalk struct {
 // draw plus the per-device RNG substream the emission walk resumes.
 type m2mDraft struct {
 	spec int
-	src  *rng.Source
+	src  rng.Source
 }
 
 // m2mPlatformBase is the MSIN base of the platform's per-HMNO IMSI
@@ -167,7 +174,8 @@ func newM2MWalk(cfg M2MConfig) *m2mWalk {
 		counts := make([]uint64, len(specs))
 		for i := sh.Lo; i < sh.Hi; i++ {
 			src := root.SplitN("device", uint64(i))
-			w.drafts[i] = m2mDraft{spec: hmnoPick.DrawFrom(src), src: src}
+			spec := hmnoPick.DrawFrom(src)
+			w.drafts[i] = m2mDraft{spec: spec, src: *src}
 			counts[w.drafts[i].spec]++
 		}
 		return counts
@@ -205,25 +213,31 @@ func (w *m2mWalk) shard(sh pipeline.Shard, emit func(i int, txs []signaling.Tran
 	defer txScratchPool.Put(sc)
 	sink := probe.Sample("hmno-probe", w.cfg.Seed, w.cfg.SampleRate, txSampleKey, sc.add)
 	for i := sh.Lo; i < sh.Hi; i++ {
-		src := w.drafts[i].src
+		src := &w.drafts[i].src
 		spec := w.specs[w.drafts[i].spec]
 		roaming := src.Bool(spec.roamShare)
 		prof := devices.NewPlatformIoT(src.Split("profile"), roaming, w.cfg.Days)
 		w.truths[i] = M2MDeviceTruth{Home: spec.plmn, Roaming: roaming, FailOnly: prof.FailOnly, Profile: prof}
 		sc.buf = sc.buf[:0]
-		emitPlatformDevice(sink, w.world, src, w.cfg, spec, w.devIDs[i], prof, &sc.order)
+		emitPlatformDevice(sink, w.world, src, w.cfg, spec, w.devIDs[i], prof, sc)
 		sortByTime(&sc.order, sc.buf, transactionTime)
 		emit(i, sc.buf)
 	}
 }
 
 // txScratch is a signaling walk's per-device capture buffer and sort
-// scratch. Shards borrow one from txScratchPool for their run, so the
-// buffer grows to a heavy device's capture about once per worker
-// instead of once per shard.
+// scratch, plus the platform walk's VMNO and switch-instant scratch and
+// the federation plane's per-day buffer.
+// Shards borrow one from txScratchPool for their run, so the buffers
+// grow to a heavy device's about once per worker instead of once per
+// shard.
 type txScratch struct {
-	buf   []signaling.Transaction
-	order timeSorter
+	buf         []signaling.Transaction
+	order       timeSorter
+	vmnos       []mccmnc.PLMN
+	partners    []mccmnc.PLMN
+	switchTimes []time.Time
+	day         []signaling.Transaction
 }
 
 var txScratchPool = sync.Pool{New: func() any { return new(txScratch) }}
@@ -289,9 +303,9 @@ func transactionTime(tx *signaling.Transaction) time.Time { return tx.Time }
 // transaction to sink. It does not hand them on in time order: the
 // switch instants are sorted and every switch chain goes first, then
 // the keepalives at random instants — m2mWalk.shard time-sorts the
-// device's capture afterwards. order is the shard's sort scratch.
+// device's capture afterwards. sc is the shard's scratch.
 func emitPlatformDevice(sink func(signaling.Transaction), world *netsim.World,
-	src *rng.Source, cfg M2MConfig, spec hmnoSpec, dev identity.DeviceID, prof devices.PlatformProfile, order *timeSorter) {
+	src *rng.Source, cfg M2MConfig, spec hmnoSpec, dev identity.DeviceID, prof devices.PlatformProfile, sc *txScratch) {
 
 	windowS := int64(cfg.Days) * 86400
 	randTime := func() time.Time {
@@ -299,7 +313,7 @@ func emitPlatformDevice(sink func(signaling.Transaction), world *netsim.World,
 	}
 
 	// Pick the device's visited networks.
-	vmnos := pickVMNOs(world, src, spec, prof, cfg.Policy)
+	vmnos := sc.pickVMNOs(world, src, spec, prof, cfg.Policy)
 	// Failure mode for fail-only devices (drawn once: subscriptions
 	// fail consistently, §3.3).
 	failResult := signaling.ResultOK
@@ -343,11 +357,12 @@ func emitPlatformDevice(sink func(signaling.Transaction), world *netsim.World,
 	// The device's timeline is segmented by its switch instants: the
 	// device camps on vmnos[i mod n] during segment i, so keepalives,
 	// switches and the analysis-side switch counting all agree.
-	switchTimes := make([]time.Time, switches)
-	for s := range switchTimes {
-		switchTimes[s] = randTime()
+	switchTimes := sc.switchTimes[:0]
+	for range switches {
+		switchTimes = append(switchTimes, randTime())
 	}
-	sortByTime(order, switchTimes, func(t *time.Time) time.Time { return *t })
+	sc.switchTimes = switchTimes
+	sortByTime(&sc.order, switchTimes, func(t *time.Time) time.Time { return *t })
 	vmnoAt := func(t time.Time) mccmnc.PLMN {
 		seg := sort.Search(len(switchTimes), func(i int) bool { return switchTimes[i].After(t) })
 		return vmnos[seg%len(vmnos)]
@@ -389,27 +404,29 @@ func emitPlatformDevice(sink func(signaling.Transaction), world *netsim.World,
 	}
 }
 
-// pickVMNOs selects the device's visited networks: its primary
-// country first, spilling to further footprint countries when the
-// device uses more VMNOs than the country hosts. policy orders the
+// pickVMNOs selects the device's visited networks into sc.vmnos: its
+// primary country first, spilling to further footprint countries when
+// the device uses more VMNOs than the country hosts. policy orders the
 // partners within each country (the abl-policy experiment): "strongest"
 // concentrates every device on the first partner, "rotate" spreads
-// deterministically, "sticky" spreads randomly.
-func pickVMNOs(world *netsim.World, src *rng.Source, spec hmnoSpec, prof devices.PlatformProfile, policy netsim.SelectionPolicy) []mccmnc.PLMN {
+// deterministically, "sticky" spreads randomly. The result is valid
+// until the next call.
+func (sc *txScratch) pickVMNOs(world *netsim.World, src *rng.Source, spec hmnoSpec, prof devices.PlatformProfile, policy netsim.SelectionPolicy) []mccmnc.PLMN {
+	out := sc.vmnos[:0]
+	defer func() { sc.vmnos = out }()
 	if !prof.Roaming {
-		return []mccmnc.PLMN{spec.plmn}
+		out = append(out, spec.plmn)
+		return out
 	}
-	z := rng.NewZipf(len(spec.footprint), 1.25)
-	primary := spec.footprint[z.DrawFrom(src)-1]
-	var out []mccmnc.PLMN
-	seen := map[mccmnc.PLMN]bool{}
+	primary := spec.footprint[spec.footprintPick.DrawFrom(src)-1]
 	countryIdx := 0
 	country := primary
 	for len(out) < prof.NumVMNOs {
 		added := false
-		partners := world.PartnersOf(spec.plmn, country)
-		if n := len(partners); n > 1 {
-			var off int
+		sc.partners = world.AppendPartners(sc.partners[:0], spec.plmn, country)
+		n := len(sc.partners)
+		var off int
+		if n > 1 {
 			switch policy {
 			case netsim.PolicyStrongest:
 				off = 0
@@ -418,17 +435,13 @@ func pickVMNOs(world *netsim.World, src *rng.Source, spec hmnoSpec, prof devices
 			default: // PolicySticky
 				off = src.Intn(n)
 			}
-			rotated := make([]mccmnc.PLMN, 0, n)
-			rotated = append(rotated, partners[off:]...)
-			rotated = append(rotated, partners[:off]...)
-			partners = rotated
 		}
-		for _, p := range partners {
-			if seen[p] {
+		for k := range n {
+			p := sc.partners[(off+k)%n]
+			if slices.Contains(out, p) {
 				continue
 			}
 			out = append(out, p)
-			seen[p] = true
 			added = true
 			if len(out) == prof.NumVMNOs {
 				break
@@ -442,14 +455,15 @@ func pickVMNOs(world *netsim.World, src *rng.Source, spec hmnoSpec, prof devices
 		if countryIdx >= len(spec.footprint) {
 			if !added && len(out) == 0 {
 				// Nowhere to roam at all: fall back to home.
-				return []mccmnc.PLMN{spec.plmn}
+				out = append(out[:0], spec.plmn)
+				return out
 			}
 			break
 		}
 		country = spec.footprint[countryIdx]
 	}
 	if len(out) == 0 {
-		return []mccmnc.PLMN{spec.plmn}
+		out = append(out, spec.plmn)
 	}
 	return out
 }

@@ -123,47 +123,69 @@ type countryWeight struct {
 	w   float64
 }
 
-var smartHomes = []countryWeight{
+// homeTable is a home-country table ready to draw from: its weighted
+// sampler and each row's operators are built once, not on every draw.
+type homeTable struct {
+	pick *rng.Weighted
+	rows []homeRow
+}
+
+type homeRow struct {
+	iso string
+	ops []mccmnc.Operator
+}
+
+func newHomeTable(table []countryWeight) *homeTable {
+	t := &homeTable{rows: make([]homeRow, len(table))}
+	weights := make([]float64, len(table))
+	for i, cw := range table {
+		weights[i] = cw.w
+		ops := mccmnc.OperatorsIn(cw.iso)
+		if len(ops) == 0 {
+			// Unregistered tail entries fall back to NL (harmless: only
+			// reachable via zero-weight rows).
+			ops = mccmnc.OperatorsIn("NL")
+		}
+		t.rows[i] = homeRow{iso: cw.iso, ops: ops}
+	}
+	t.pick = rng.NewWeighted(weights)
+	return t
+}
+
+var smartHomes = newHomeTable([]countryWeight{
 	{"FR", 0.09}, {"DE", 0.08}, {"ES", 0.07}, {"IE", 0.07}, {"US", 0.07},
 	{"IT", 0.07}, {"PL", 0.06}, {"NL", 0.06}, {"RO", 0.05}, {"SE", 0.04},
 	{"PT", 0.04}, {"AU", 0.03}, {"IN", 0.03}, {"CN", 0.03}, {"CA", 0.03},
 	{"DK", 0.03}, {"NO", 0.03}, {"BE", 0.03}, {"CH", 0.03}, {"GR", 0.02},
 	{"JP", 0.02}, {"BR", 0.02},
-}
+})
 
-var featHomes = []countryWeight{
+var featHomes = newHomeTable([]countryWeight{
 	{"ES", 0.15}, {"NL", 0.12}, {"RO", 0.12}, {"PL", 0.10}, {"SE", 0.08},
 	{"IN", 0.08}, {"TR", 0.07}, {"EG", 0.05}, {"MA", 0.05}, {"UA", 0.05},
 	{"NG", 0.04}, {"PK", 0.0}, {"FR", 0.04}, {"DE", 0.03}, {"IT", 0.02},
-}
+})
 
 // m2m homes are per subclass: meters all come from NL (§4.4), the
 // platform verticals from ES/SE, cars from DE.
-var m2mHomes = map[devices.Class][]countryWeight{
-	devices.ClassSmartMeter:   {{"NL", 1.0}},
-	devices.ClassPOSTerminal:  {{"SE", 0.50}, {"ES", 0.30}, {"DE", 0.05}, {"FR", 0.05}, {"IT", 0.05}, {"BE", 0.05}},
-	devices.ClassAssetTracker: {{"ES", 0.50}, {"SE", 0.30}, {"NL", 0.05}, {"FR", 0.05}, {"PL", 0.05}, {"CZ", 0.05}},
-	devices.ClassWearable:     {{"ES", 0.40}, {"SE", 0.30}, {"NL", 0.10}, {"US", 0.05}, {"FR", 0.05}, {"DE", 0.05}, {"IE", 0.05}},
-	devices.ClassConnectedCar: {{"DE", 0.60}, {"SE", 0.10}, {"ES", 0.10}, {"FR", 0.05}, {"IT", 0.05}, {"AT", 0.05}, {"CZ", 0.05}},
+var m2mHomes = map[devices.Class]*homeTable{
+	devices.ClassSmartMeter:   newHomeTable([]countryWeight{{"NL", 1.0}}),
+	devices.ClassPOSTerminal:  newHomeTable([]countryWeight{{"SE", 0.50}, {"ES", 0.30}, {"DE", 0.05}, {"FR", 0.05}, {"IT", 0.05}, {"BE", 0.05}}),
+	devices.ClassAssetTracker: newHomeTable([]countryWeight{{"ES", 0.50}, {"SE", 0.30}, {"NL", 0.05}, {"FR", 0.05}, {"PL", 0.05}, {"CZ", 0.05}}),
+	devices.ClassWearable:     newHomeTable([]countryWeight{{"ES", 0.40}, {"SE", 0.30}, {"NL", 0.10}, {"US", 0.05}, {"FR", 0.05}, {"DE", 0.05}, {"IE", 0.05}}),
+	devices.ClassConnectedCar: newHomeTable([]countryWeight{{"DE", 0.60}, {"SE", 0.10}, {"ES", 0.10}, {"FR", 0.05}, {"IT", 0.05}, {"AT", 0.05}, {"CZ", 0.05}}),
 }
 
-func drawHome(src *rng.Source, table []countryWeight) mccmnc.PLMN {
-	weights := make([]float64, len(table))
-	for i, cw := range table {
-		weights[i] = cw.w
-	}
-	iso := table[rng.NewWeighted(weights).DrawFrom(src)].iso
-	ops := mccmnc.OperatorsIn(iso)
-	if len(ops) == 0 {
-		// Unregistered tail entries fall back to NL (harmless: only
-		// reachable via zero-weight rows).
-		ops = mccmnc.OperatorsIn("NL")
-	}
+// nlMeterHome is the one NL operator smart meters concentrate on (§4.4).
+var nlMeterHome = mccmnc.MustParse("20404")
+
+func drawHome(src *rng.Source, table *homeTable) mccmnc.PLMN {
+	row := &table.rows[table.pick.DrawFrom(src)]
 	// Smart meters concentrate on one specific NL operator (§4.4).
-	if iso == "NL" {
-		return mccmnc.MustParse("20404")
+	if row.iso == "NL" {
+		return nlMeterHome
 	}
-	return ops[src.Intn(len(ops))].PLMN
+	return row.ops[src.Intn(len(row.ops))].PLMN
 }
 
 // mnoWalk is everything GenerateMNO and StreamMNO share: the dataset
@@ -224,7 +246,7 @@ func (w *mnoWalk) shard(sh pipeline.Shard, device func(i int, dev devices.Device
 	for i := sh.Lo; i < sh.Hi; i++ {
 		d := drawMNODraft(w.root, i, w.cfg, w.classPick, w.m2mPick)
 		imsi := nextIMSI(off, d.home, d.base)
-		dev := finishDevice(&d, imsi, w.cfg, w.db, w.centre)
+		dev := finishDevice(&d, imsi, w.cfg, w.db, w.centre, &scratch.mobs)
 		device(i, dev, w.reg.MatchIMSI(imsi))
 		emitDeviceDays(d.src.Split("days"), w.cfg.Host, w.cfg.Start, w.cfg.Days, record, &dev, scratch)
 	}
@@ -445,7 +467,7 @@ type deviceDraft struct {
 	home    mccmnc.PLMN
 	mvno    bool
 	base    uint64
-	src     *rng.Source
+	src     rng.Source
 }
 
 // draftDevice draws one device's roaming status, home network and
@@ -505,16 +527,16 @@ func draftDevice(src *rng.Source, cfg MNOConfig, class devices.Class) deviceDraf
 	case class.IsM2M() && inbound:
 		base = M2MBlockBase
 	}
-	return deviceDraft{class: class, inbound: inbound, home: home, mvno: mvno, base: base, src: src}
+	return deviceDraft{class: class, inbound: inbound, home: home, mvno: mvno, base: base, src: *src}
 }
 
 // finishDevice builds the drafted device's profile, catalog identity
-// and mobility model once its IMSI is known.
-func finishDevice(d *deviceDraft, imsi identity.IMSI, cfg MNOConfig, db *gsma.DB, centre geo.Point) devices.Device {
+// and mobility model (out of mobs) once its IMSI is known.
+func finishDevice(d *deviceDraft, imsi identity.IMSI, cfg MNOConfig, db *gsma.DB, centre geo.Point, mobs *mobilitySlabs) devices.Device {
 	psrc := d.src.Split("profile")
 	msrc := d.src.Split("mobility")
 	prof, info := classProfile(psrc, d.class, cfg.Days, cfg.Host, d.home, d.inbound, db)
-	mob := classMobility(msrc, d.class, centre)
+	mob := mobs.classMobility(msrc, d.class, centre)
 	return devices.Assemble(d.class, imsi, info, prof, mob, d.mvno)
 }
 
@@ -546,27 +568,39 @@ func classProfile(psrc *rng.Source, class devices.Class, days int, host, home mc
 	}
 }
 
+// mobilitySlabs hands out a generator worker's mobility models from
+// chunked slabs (catalog.Slab), not one heap object per device. A
+// chunk lives as long as any device moving by one of its models. The
+// zero value is ready to use; not safe for concurrent use.
+type mobilitySlabs struct {
+	stationary catalog.Slab[mobility.Stationary]
+	commuter   catalog.Slab[mobility.Commuter]
+	vehicular  catalog.Slab[mobility.Vehicular]
+	waypoint   catalog.Slab[mobility.Waypoint]
+}
+
 // classMobility draws the class's mobility model anchored at centre,
 // consuming msrc exactly as a serial build would. The radii mirror
 // the paper's observations: meters and POS terminals are stationary,
 // cars and trackers vehicular, phones and wearables commute.
-func classMobility(msrc *rng.Source, class devices.Class, centre geo.Point) mobility.Model {
+func (s *mobilitySlabs) classMobility(msrc *rng.Source, class devices.Class, centre geo.Point) mobility.Model {
 	switch class {
-	case devices.ClassSmartphone:
-		return mobility.NewCommuter(msrc, centre, 120)
+	case devices.ClassSmartphone, devices.ClassWearable:
+		return &s.commuter.One(mobility.NewCommuter(msrc, centre, 120))[0]
 	case devices.ClassFeaturePhone:
-		return mobility.NewWaypoint(msrc, centre, 15)
-	case devices.ClassSmartMeter:
-		return mobility.NewStationary(msrc, centre, 150)
+		return &s.waypoint.One(mobility.NewWaypoint(msrc, centre, 15))[0]
+	case devices.ClassSmartMeter, devices.ClassPOSTerminal:
+		return s.stationaryAt(msrc, centre, 150)
 	case devices.ClassConnectedCar:
-		return mobility.NewVehicular(msrc, centre, 120)
-	case devices.ClassWearable:
-		return mobility.NewCommuter(msrc, centre, 120)
-	case devices.ClassPOSTerminal:
-		return mobility.NewStationary(msrc, centre, 150)
+		return &s.vehicular.One(mobility.NewVehicular(msrc, centre, 120))[0]
 	default: // ClassAssetTracker
-		return mobility.NewVehicular(msrc, centre, 150)
+		return &s.vehicular.One(mobility.NewVehicular(msrc, centre, 150))[0]
 	}
+}
+
+// stationaryAt draws a stationary model within spreadKm of centre.
+func (s *mobilitySlabs) stationaryAt(src *rng.Source, centre geo.Point, spreadKm float64) *mobility.Stationary {
+	return &s.stationary.One(mobility.NewStationary(src, centre, spreadKm))[0]
 }
 
 // SMIPNativeBase is the dedicated MSIN base of the host's smart-meter
@@ -579,9 +613,12 @@ func SMIPNativeRange(host mccmnc.PLMN, count uint64) identity.IMSIRange {
 	return identity.IMSIRange{PLMN: host, Lo: SMIPNativeBase, Hi: SMIPNativeBase + count}
 }
 
-// dayScratch is emitDeviceDays' scratch, reused across the devices of
-// every shard a worker walks. The zero value is ready to use.
+// dayScratch is a generator worker's scratch, reused across the
+// devices of every shard it walks: emitDeviceDays' buffers and slabs,
+// and the slabs its drafted devices' mobility models come from. The
+// zero value is ready to use.
 type dayScratch struct {
+	mobs mobilitySlabs
 	// visits is the per-day mobility sample's buffer, so the sampling
 	// allocates nothing on the steady state.
 	visits []geo.Visit

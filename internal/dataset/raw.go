@@ -19,12 +19,19 @@ import (
 // localDevice is one device a visited operator observes, with the
 // substream its emission draws from, the mobility model it moves by
 // while in the operator's country, and — for federation fleet devices
-// — the shared presence schedule's per-day gate at this site.
+// — the shared presence schedule that gates its days at this site.
 type localDevice struct {
 	dev  devices.Device
-	emit *rng.Source
-	// presentDay gates emission days; nil means every window day.
-	presentDay func(day int) bool
+	emit rng.Source
+	// sched, when non-nil, is the fleet presence schedule: the device
+	// emits only on the days it places at site.
+	sched []int8
+	site  int
+}
+
+// present reports whether the device is at this site on day.
+func (l *localDevice) present(day int) bool {
+	return l.sched == nil || int(l.sched[day]) == l.site
 }
 
 // capture is one visited operator's observation window: the §4.1
@@ -94,7 +101,7 @@ func (c capture) build(locals []localDevice, tee func(cdrs.Record)) *catalog.Cat
 		defer emitBufsPool.Put(bufs)
 		for i := sh.Lo; i < sh.Hi; i++ {
 			l := &locals[i]
-			emitDeviceDaysSched(l.emit, c.host, c.start, c.days, grid, radioSink, cdrSink, &l.dev, l.presentDay, bufs)
+			emitDeviceDaysSched(l, c.host, c.start, c.days, grid, radioSink, cdrSink, bufs)
 		}
 	})
 	return build(c.workers)
@@ -111,7 +118,7 @@ func (c capture) archive(locals []localDevice, sink func(cdrs.Record)) {
 		defer emitBufsPool.Put(bufs)
 		for i := sh.Lo; i < sh.Hi; i++ {
 			l := &locals[i]
-			emitDeviceDaysSched(l.emit, c.host, c.start, c.days, nil, nil, sink, &l.dev, l.presentDay, bufs)
+			emitDeviceDaysSched(l, c.host, c.start, c.days, nil, nil, sink, bufs)
 		}
 	})
 }
@@ -178,17 +185,18 @@ func radioEventTime(ev *radio.Event) time.Time { return ev.Time }
 
 func cdrTime(rec *cdrs.Record) time.Time { return rec.Time }
 
-// emitDeviceDaysSched synthesizes per-event streams for one device
-// observed from host over the [start, start+days) window. A day's
-// events are generated first and handed to the sinks time-sorted (stable, so
-// generation order breaks timestamp ties): each device's stream is
+// emitDeviceDaysSched synthesizes per-event streams for one device,
+// drawing from its emit substream, observed from host over the
+// [start, start+days) window. A day's events are generated first and
+// handed to the sinks time-sorted (stable, so generation order breaks
+// timestamp ties): each device's stream is
 // then time-ordered end to end — the per-device order contract the
 // catalogs' bit-identity rests on. radioSink receives each emitted
 // day's radio events at once, as one slice valid only during the call
 // (catalog.Builder.AddRadioDay's input); cdrSink receives the day's
 // records one at a time.
 //
-// When presentDay is non-nil, only days it reports true for emit
+// Only the days the device is present (localDevice.present) emit
 // anything — and absent days consume no randomness at all, so a
 // device's draws at one federation site never depend on how many days
 // it spent at the others. The gate is consulted before the
@@ -198,9 +206,10 @@ func cdrTime(rec *cdrs.Record) time.Time { return rec.Time }
 // A nil radioSink (with a nil grid) walks the CDR/xDR plane alone: the
 // radio loop still makes every draw, so the records are the same, but
 // builds, sorts and hands on no radio event.
-func emitDeviceDaysSched(src *rng.Source, host mccmnc.PLMN, start time.Time, days int, grid *radio.Grid,
-	radioSink func([]radio.Event), cdrSink func(cdrs.Record), dev *devices.Device, presentDay func(int) bool, bufs *emitBufs) {
+func emitDeviceDaysSched(l *localDevice, host mccmnc.PLMN, start time.Time, days int, grid *radio.Grid,
+	radioSink func([]radio.Event), cdrSink func(cdrs.Record), bufs *emitBufs) {
 
+	src, dev := &l.emit, &l.dev
 	p := dev.Profile
 	daySeconds := int64(24 * 3600)
 	dayEvs := bufs.evs
@@ -231,7 +240,7 @@ func emitDeviceDaysSched(src *rng.Source, host mccmnc.PLMN, start time.Time, day
 		return id
 	}
 	for day := p.PresenceStart; day < p.PresenceStart+p.PresenceDays && day < days; day++ {
-		if presentDay != nil && !presentDay(day) {
+		if !l.present(day) {
 			continue
 		}
 		if !src.Bool(p.DailyActiveProb) {

@@ -102,9 +102,9 @@ func GenerateSMIP(cfg SMIPConfig) *SMIPDataset {
 		defer dayScratchPool.Put(scratch)
 		emit := recs.region(sh).add
 		for i := sh.Lo; i < sh.Hi; i++ {
-			var days *rng.Source
+			var days rng.Source
 			devs[i], days, migrated[i] = m.draw(i)
-			emitDeviceDays(days, cfg.Host, cfg.Start, cfg.Days, emit, &devs[i], scratch)
+			emitDeviceDays(&days, cfg.Host, cfg.Start, cfg.Days, emit, &devs[i], scratch)
 		}
 	})
 	ds := m.newDataset(devs, migrated)
@@ -125,6 +125,9 @@ type smipMeters struct {
 	root   *rng.Source
 	centre geo.Point
 	radius float64
+	// mobs holds meter i's mobility model at index i: one slab for the
+	// cohorts, not one heap object per meter.
+	mobs []mobility.Stationary
 }
 
 func newSMIPMeters(cfg SMIPConfig, label string, radius float64) *smipMeters {
@@ -138,12 +141,13 @@ func newSMIPMeters(cfg SMIPConfig, label string, radius float64) *smipMeters {
 		root:   rng.New(cfg.Seed).Split(label),
 		centre: geo.Point{Lat: hostCountry.Lat, Lon: hostCountry.Lon},
 		radius: radius,
+		mobs:   make([]mobility.Stationary, cfg.NativeMeters+cfg.RoamingMeters),
 	}
 }
 
 // draw drafts meter i and returns it with the substream its daily
 // activity draws from and whether it was migrated to NB-IoT.
-func (m *smipMeters) draw(i int) (dev devices.Device, days *rng.Source, migrated bool) {
+func (m *smipMeters) draw(i int) (dev devices.Device, days rng.Source, migrated bool) {
 	cfg := &m.cfg
 	var src *rng.Source
 	var imsi identity.IMSI
@@ -168,8 +172,8 @@ func (m *smipMeters) draw(i int) (dev devices.Device, days *rng.Source, migrated
 		// §4.4: every roaming meter maps to a Gemalto or Telit module.
 		info = m.db.PickFromVendors(src.Split("tac"), gsma.ArchM2MModule, "Gemalto", "Telit")
 	}
-	mob := mobility.NewStationary(src.Split("mob"), m.centre, m.radius)
-	return devices.Assemble(devices.ClassSmartMeter, imsi, info, prof, mob, false), src.Split("days"), migrated
+	m.mobs[i] = mobility.NewStationary(src.Split("mob"), m.centre, m.radius)
+	return devices.Assemble(devices.ClassSmartMeter, imsi, info, prof, &m.mobs[i], false), *src.Split("days"), migrated
 }
 
 // newDataset wraps the drafted meters, in index order, in their dataset:

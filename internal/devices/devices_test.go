@@ -33,7 +33,7 @@ func TestAssembleAndValidate(t *testing.T) {
 	info := db.PickFromVendors(src, gsma.ArchM2MModule, "Gemalto", "Telit")
 	prof := SmartMeterRoamingProfile(src, windowDays)
 	mob := mobility.NewStationary(src, hostCentre(t), 50)
-	d := Assemble(ClassSmartMeter, imsi, info, prof, mob, false)
+	d := Assemble(ClassSmartMeter, imsi, info, prof, &mob, false)
 	if err := d.Validate(); err != nil {
 		t.Fatal(err)
 	}

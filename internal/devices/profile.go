@@ -445,6 +445,10 @@ type PlatformProfile struct {
 	SwitchesTotal int
 }
 
+// numVMNOsPick draws a roaming platform device's VMNO count minus one
+// (1 to 5 VMNOs), unless it is a fail-only coverage hunter.
+var numVMNOsPick = rng.NewWeighted([]float64{0.65, 0.27, 0.05, 0.02, 0.01})
+
 // NewPlatformIoT draws a platform device's behaviour. days is the
 // observation window (11 in the paper).
 func NewPlatformIoT(src *rng.Source, roaming bool, days int) PlatformProfile {
@@ -479,8 +483,7 @@ func NewPlatformIoT(src *rng.Source, roaming bool, days int) PlatformProfile {
 		// Desperate coverage hunters: many attempted VMNOs.
 		p.NumVMNOs = 4 + src.Intn(16) // up to 19
 	default:
-		w := []float64{0.65, 0.27, 0.05, 0.02, 0.01}
-		p.NumVMNOs = 1 + rng.NewWeighted(w).DrawFrom(src)
+		p.NumVMNOs = 1 + numVMNOsPick.DrawFrom(src)
 	}
 	if p.NumVMNOs >= 2 {
 		switch {

@@ -84,8 +84,9 @@ func runAblationGyration(s *Session) *Report {
 	var under1kmW, under1kmU int
 	const n = 2000
 	src := newSrc(s.Seed)
+	var visits []geo.Visit
 	for i := 0; i < n; i++ {
-		visits := stationaryDay(src.SplitN("dev", uint64(i)), centre)
+		visits = stationaryDay(visits[:0], src.SplitN("dev", uint64(i)), centre)
 		if geo.Gyration(visits) <= 1 {
 			under1kmW++
 		}
@@ -104,16 +105,16 @@ func runAblationGyration(s *Session) *Report {
 
 func newSrc(seed uint64) *rng.Source { return rng.New(seed).Split("ablation") }
 
-// stationaryDay builds one stationary device's daily sector visits: a
-// dominant home dwell plus a few brief reselection episodes ~2 km
-// away. Weighted by dwell these devices are stationary; counted per
-// visit they look mobile.
-func stationaryDay(src *rng.Source, centre geo.Point) []geo.Visit {
+// stationaryDay appends one stationary device's daily sector visits to
+// visits: a dominant home dwell plus a few brief reselection episodes
+// ~2 km away. Weighted by dwell these devices are stationary; counted
+// per visit they look mobile.
+func stationaryDay(visits []geo.Visit, src *rng.Source, centre geo.Point) []geo.Visit {
 	home := geo.Point{
 		Lat: centre.Lat + (src.Float64()*2-1)*0.5,
 		Lon: centre.Lon + (src.Float64()*2-1)*0.5,
 	}
-	visits := []geo.Visit{{At: home, Weight: 86000}}
+	visits = append(visits, geo.Visit{At: home, Weight: 86000})
 	nJitter := 1 + src.Intn(3)
 	for j := 0; j < nJitter; j++ {
 		ang := 2 * math.Pi * src.Float64()

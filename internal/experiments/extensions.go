@@ -194,11 +194,13 @@ func runExtLatency(s *Session) *Report {
 		policy = append(policy, p)
 		// Tie-break equal RTTs on the pair name: distinct pairs tie
 		// on RTT routinely (the latency model is distance-bucketed),
-		// and the reported pair must not depend on visit order.
-		pair := fmt.Sprintf("%s -> %s", a.home, visited)
-		if h > worstHR || (h == worstHR && worstPair != "" && pair < worstPair) {
-			worstHR = h
-			worstPair = pair
+		// and the reported pair must not depend on visit order. The
+		// name is built only for a device that can take the place.
+		if h > worstHR || (h == worstHR && worstPair != "") {
+			if pair := fmt.Sprintf("%s -> %s", a.home, visited); h > worstHR || pair < worstPair {
+				worstHR = h
+				worstPair = pair
+			}
 		}
 	}
 	eHR := analysis.NewECDF(hr)

@@ -244,31 +244,48 @@ func runFig6(s *Session) *Report {
 }
 
 // groupECDF collects a per-device metric per (class, inbound) group,
-// sampling devices in population (device) order.
+// sampling devices in population (device) order. Groups are kept in
+// first-seen order and each "class/roam" key is built once per group.
 func groupECDF(v *mnoView, metric func(*catalog.Summary) (float64, bool)) map[string]*analysis.ECDF {
-	samples := map[string][]float64{}
+	type group struct {
+		class   core.Class
+		inbound bool
+		vals    []float64
+	}
+	var groups []group
 	for i := range v.Sums {
 		class := v.Results[i].Class
 		if class == core.ClassM2MMaybe {
 			continue
 		}
-		var roam string
+		var inbound bool
 		switch label := v.Labels[i]; {
 		case label.InboundRoamer():
-			roam = "inbound"
+			inbound = true
 		case label.Native() || label == core.LabelVH:
-			roam = "native"
 		default:
 			continue
 		}
-		if val, ok := metric(&v.Sums[i]); ok {
-			key := class.String() + "/" + roam
-			samples[key] = append(samples[key], val)
+		val, ok := metric(&v.Sums[i])
+		if !ok {
+			continue
 		}
+		g := 0
+		for g < len(groups) && (groups[g].class != class || groups[g].inbound != inbound) {
+			g++
+		}
+		if g == len(groups) {
+			groups = append(groups, group{class: class, inbound: inbound})
+		}
+		groups[g].vals = append(groups[g].vals, val)
 	}
-	out := map[string]*analysis.ECDF{}
-	for k, vs := range samples {
-		out[k] = analysis.NewECDF(vs)
+	out := make(map[string]*analysis.ECDF, len(groups))
+	for _, g := range groups {
+		roam := "native"
+		if g.inbound {
+			roam = "inbound"
+		}
+		out[g.class.String()+"/"+roam] = analysis.NewECDF(g.vals)
 	}
 	return out
 }

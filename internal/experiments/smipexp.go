@@ -18,11 +18,12 @@ func init() {
 type smipView struct {
 	Days   int
 	Native map[identity.DeviceID]bool
-	aggs   map[identity.DeviceID]*meterAgg
+	aggs   []meterAgg // one per device, in catalog order
 }
 
 // meterAgg is one meter's activity over the window.
 type meterAgg struct {
+	device     identity.DeviceID
 	activeDays int
 	firstDay   int
 	events     int
@@ -30,16 +31,17 @@ type meterAgg struct {
 	flags      radio.RATSet
 }
 
-// newSMIPView folds ds's daily records into per-device aggregates.
+// newSMIPView folds ds's daily records into per-device aggregates, one
+// per run of a device's records (Catalog.Records keeps each device's
+// records as one run).
 func newSMIPView(ds *dataset.SMIPDataset) *smipView {
-	aggs := map[identity.DeviceID]*meterAgg{}
+	aggs := make([]meterAgg, 0, len(ds.Devices))
 	for i := range ds.Catalog.Records {
 		rec := &ds.Catalog.Records[i]
-		a := aggs[rec.Device]
-		if a == nil {
-			a = &meterAgg{firstDay: rec.Day}
-			aggs[rec.Device] = a
+		if n := len(aggs); n == 0 || aggs[n-1].device != rec.Device {
+			aggs = append(aggs, meterAgg{device: rec.Device, firstDay: rec.Day})
 		}
+		a := &aggs[len(aggs)-1]
 		a.activeDays++
 		if rec.Day < a.firstDay {
 			a.firstDay = rec.Day
@@ -77,10 +79,10 @@ func runFig11(s *Session) *Report {
 		only2G, only3G, mix int
 	}
 	var native, roaming cohort
-	//roamvet:maporder-ok the day-count slices feed analysis.NewECDF which sorts them; every other cohort field is a commutative integer(-valued) add
-	for dev, a := range v.aggs {
+	for i := range v.aggs {
+		a := &v.aggs[i]
 		c := &roaming
-		if v.Native[dev] {
+		if v.Native[a.device] {
 			c = &native
 		}
 		c.n++
@@ -88,9 +90,7 @@ func runFig11(s *Session) *Report {
 		if a.firstDay == 0 {
 			c.daysDay1 = append(c.daysDay1, float64(a.activeDays))
 		}
-		//roamvet:floatfold-ok sums of integer-valued float64 terms far below 2^53 are exact, so addition order cannot change the result
 		c.events += float64(a.events)
-		//roamvet:floatfold-ok sums of integer-valued float64 terms far below 2^53 are exact, so addition order cannot change the result
 		c.activeDays += float64(a.activeDays)
 		if a.failed > 0 {
 			c.withFail++

@@ -144,7 +144,9 @@ func Gyration(visits []Visit) float64 {
 // cell reselections inflate the apparent mobility of stationary
 // devices.
 func GyrationUnweighted(visits []Visit) float64 {
-	uw := make([]Visit, 0, len(visits))
+	// A day of a few visits fits the stack array; longer ones spill.
+	var buf [8]Visit
+	uw := buf[:0]
 	for _, v := range visits {
 		if v.Weight > 0 {
 			uw = append(uw, Visit{At: v.At, Weight: 1})

@@ -180,12 +180,20 @@ func AllOperators() []Operator {
 // It resolves via the registry so that countries with multiple MCCs
 // (e.g. the UK's 234/235) compare as equal.
 func SameCountry(a, b PLMN) bool {
-	ca, oka := countryByMCC[a.MCC]
-	cb, okb := countryByMCC[b.MCC]
-	if oka && okb {
-		return ca.ISO == cb.ISO
+	ca, cb := countryIDOf(a.MCC), countryIDOf(b.MCC)
+	if ca != 0 && cb != 0 {
+		return ca == cb
 	}
 	return a.MCC == b.MCC
+}
+
+// countryIDOf returns the country ID countryID holds for mcc, or 0 for
+// an unregistered MCC.
+func countryIDOf(mcc uint16) uint16 {
+	if int(mcc) < len(countryID) {
+		return countryID[mcc]
+	}
+	return 0
 }
 
 var (
@@ -195,11 +203,22 @@ var (
 	operatorsByISO = map[string][]Operator{}
 	allCountries   []Country
 	allOperators   []Operator
+	// countryID is countryByMCC as a dense table: one ID per ISO code
+	// (from 1), 0 where the MCC is unregistered. SameCountry reads it.
+	countryID [1000]uint16
 )
 
 func init() {
+	ids := map[string]uint16{}
+	register := func(mcc uint16, c Country) {
+		countryByMCC[mcc] = c
+		if ids[c.ISO] == 0 {
+			ids[c.ISO] = uint16(len(ids) + 1)
+		}
+		countryID[mcc] = ids[c.ISO]
+	}
 	for _, c := range countryTable {
-		countryByMCC[c.MCC] = c
+		register(c.MCC, c)
 		countryByISO[c.ISO] = c
 		allCountries = append(allCountries, c)
 	}
@@ -207,7 +226,7 @@ func init() {
 	// country (E.212 grants some countries several MCCs).
 	for mcc, iso := range secondaryMCC {
 		if c, ok := countryByISO[iso]; ok {
-			countryByMCC[mcc] = c
+			register(mcc, c)
 		}
 	}
 	sort.Slice(allCountries, func(i, j int) bool { return allCountries[i].ISO < allCountries[j].ISO })

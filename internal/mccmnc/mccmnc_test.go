@@ -140,6 +140,46 @@ func TestSameCountry(t *testing.T) {
 	}
 }
 
+// sameCountryByMap is SameCountry as it read countryByMCC before the
+// dense table, kept as the oracle for TestSameCountryMatchesMap.
+func sameCountryByMap(a, b PLMN) bool {
+	ca, oka := countryByMCC[a.MCC]
+	cb, okb := countryByMCC[b.MCC]
+	if oka && okb {
+		return ca.ISO == cb.ISO
+	}
+	return a.MCC == b.MCC
+}
+
+// TestSameCountryMatchesMap checks the dense table against the map for
+// every pair of registered MCCs, and for unregistered MCCs (inside and
+// outside the table's range) paired with registered ones and with
+// themselves.
+func TestSameCountryMatchesMap(t *testing.T) {
+	var mccs []uint16
+	for mcc := range countryByMCC {
+		mccs = append(mccs, mcc)
+	}
+	if len(mccs) < len(countryTable) {
+		t.Fatalf("%d registered MCCs, want at least %d", len(mccs), len(countryTable))
+	}
+	unregistered := []uint16{0, 1, 199, 999, 1000, 65535}
+	for mcc := uint16(200); mcc < 1000 && len(unregistered) < 12; mcc++ {
+		if _, ok := countryByMCC[mcc]; !ok {
+			unregistered = append(unregistered, mcc)
+		}
+	}
+	all := append(append([]uint16{}, mccs...), unregistered...)
+	for _, a := range all {
+		for _, b := range all {
+			pa, pb := PLMN{MCC: a, MNC: 1, MNCLen: 2}, PLMN{MCC: b, MNC: 2, MNCLen: 3}
+			if got, want := SameCountry(pa, pb), sameCountryByMap(pa, pb); got != want {
+				t.Fatalf("SameCountry(%d, %d) = %v, the map says %v", a, b, got, want)
+			}
+		}
+	}
+}
+
 func TestOperatorsIn(t *testing.T) {
 	gb := OperatorsIn("GB")
 	if len(gb) != 4 {

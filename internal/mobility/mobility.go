@@ -4,6 +4,9 @@
 // maintaining state, which keeps the simulators O(events) and allows
 // the same device to be queried independently by different probes.
 //
+// The constructors return values, so a generator can keep its models
+// in a slab it owns; a model's pointer is what implements Model.
+//
 // The models map to the populations the paper contrasts:
 //
 //   - Stationary: smart meters and POS terminals — fixed location with
@@ -70,8 +73,8 @@ type Stationary struct {
 
 // NewStationary draws a stationary model: the home point is placed
 // within spreadKm of centre.
-func NewStationary(src *rng.Source, centre geo.Point, spreadKm float64) *Stationary {
-	return &Stationary{
+func NewStationary(src *rng.Source, centre geo.Point, spreadKm float64) Stationary {
+	return Stationary{
 		Home:         offsetKm(centre, (src.Float64()*2-1)*spreadKm, (src.Float64()*2-1)*spreadKm),
 		JitterKm:     1.5,
 		ReselectProb: 0.01,
@@ -99,11 +102,11 @@ type Commuter struct {
 
 // NewCommuter draws a commuter: home within spreadKm of centre, work
 // 2–15 km from home.
-func NewCommuter(src *rng.Source, centre geo.Point, spreadKm float64) *Commuter {
+func NewCommuter(src *rng.Source, centre geo.Point, spreadKm float64) Commuter {
 	home := offsetKm(centre, (src.Float64()*2-1)*spreadKm, (src.Float64()*2-1)*spreadKm)
 	d := 2 + 13*src.Float64()
 	ang := 2 * math.Pi * src.Float64()
-	return &Commuter{
+	return Commuter{
 		Home: home,
 		Work: offsetKm(home, d*math.Cos(ang), d*math.Sin(ang)),
 		seed: src.Uint64(),
@@ -149,8 +152,8 @@ type Vehicular struct {
 }
 
 // NewVehicular draws a vehicle operating within rangeKm of centre.
-func NewVehicular(src *rng.Source, centre geo.Point, rangeKm float64) *Vehicular {
-	return &Vehicular{
+func NewVehicular(src *rng.Source, centre geo.Point, rangeKm float64) Vehicular {
+	return Vehicular{
 		Base:    centre,
 		RangeKm: rangeKm,
 		SpeedKm: 40 + 50*src.Float64(),
@@ -191,8 +194,8 @@ type Waypoint struct {
 }
 
 // NewWaypoint draws a random-waypoint wanderer around centre.
-func NewWaypoint(src *rng.Source, centre geo.Point, radiusKm float64) *Waypoint {
-	return &Waypoint{Centre: centre, RadiusKm: radiusKm, EpochH: 6, seed: src.Uint64()}
+func NewWaypoint(src *rng.Source, centre geo.Point, radiusKm float64) Waypoint {
+	return Waypoint{Centre: centre, RadiusKm: radiusKm, EpochH: 6, seed: src.Uint64()}
 }
 
 // Position implements Model: it interpolates between the epoch's

@@ -24,12 +24,11 @@ func sampleDay(m Model, day time.Time, stepMin int) []geo.Visit {
 func TestModelsDeterministic(t *testing.T) {
 	build := func() []Model {
 		src := rng.New(42)
-		return []Model{
-			NewStationary(src.Split("s"), centre, 20),
-			NewCommuter(src.Split("c"), centre, 20),
-			NewVehicular(src.Split("v"), centre, 80),
-			NewWaypoint(src.Split("w"), centre, 10),
-		}
+		s := NewStationary(src.Split("s"), centre, 20)
+		c := NewCommuter(src.Split("c"), centre, 20)
+		v := NewVehicular(src.Split("v"), centre, 80)
+		w := NewWaypoint(src.Split("w"), centre, 10)
+		return []Model{&s, &c, &v, &w}
 	}
 	a, b := build(), build()
 	ts := time.Date(2019, 4, 8, 13, 37, 0, 0, time.UTC)
@@ -62,7 +61,7 @@ func TestStationaryStaysPut(t *testing.T) {
 	day := time.Date(2019, 4, 8, 0, 0, 0, 0, time.UTC)
 	for dev := 0; dev < 20; dev++ {
 		m := NewStationary(src.SplitN("dev", uint64(dev)), centre, 30)
-		g := geo.Gyration(sampleDay(m, day, 10))
+		g := geo.Gyration(sampleDay(&m, day, 10))
 		// §5.3: stationary devices should sit well under 1 km of
 		// gyration even with reselection jitter.
 		if g > 1.0 {
@@ -112,8 +111,8 @@ func TestCommuterGyrationExceedsStationary(t *testing.T) {
 	day := time.Date(2019, 4, 9, 0, 0, 0, 0, time.UTC) // Tuesday
 	comm := NewCommuter(src.Split("c"), centre, 20)
 	stat := NewStationary(src.Split("s"), centre, 20)
-	gc := geo.Gyration(sampleDay(comm, day, 10))
-	gs := geo.Gyration(sampleDay(stat, day, 10))
+	gc := geo.Gyration(sampleDay(&comm, day, 10))
+	gs := geo.Gyration(sampleDay(&stat, day, 10))
 	if gc <= gs {
 		t.Errorf("commuter gyration %.2f should exceed stationary %.2f", gc, gs)
 	}
@@ -126,7 +125,7 @@ func TestVehicularCoversDistance(t *testing.T) {
 	src := rng.New(5)
 	m := NewVehicular(src, centre, 80)
 	day := time.Date(2019, 4, 10, 0, 0, 0, 0, time.UTC)
-	g := geo.Gyration(sampleDay(m, day, 10))
+	g := geo.Gyration(sampleDay(&m, day, 10))
 	// Fig. 12: connected cars show smartphone-like or larger
 	// mobility; a day of driving should cover tens of km.
 	if g < 10 {
@@ -179,9 +178,9 @@ func TestMobilityOrdering(t *testing.T) {
 		}
 		return total / n
 	}
-	meters := avg(func(i uint64) Model { return NewStationary(src.SplitN("m", i), centre, 30) })
-	phones := avg(func(i uint64) Model { return NewCommuter(src.SplitN("p", i), centre, 30) })
-	cars := avg(func(i uint64) Model { return NewVehicular(src.SplitN("v", i), centre, 80) })
+	meters := avg(func(i uint64) Model { m := NewStationary(src.SplitN("m", i), centre, 30); return &m })
+	phones := avg(func(i uint64) Model { m := NewCommuter(src.SplitN("p", i), centre, 30); return &m })
+	cars := avg(func(i uint64) Model { m := NewVehicular(src.SplitN("v", i), centre, 80); return &m })
 	if !(meters < phones && phones < cars) {
 		t.Errorf("gyration ordering broken: meters=%.2f phones=%.2f cars=%.2f", meters, phones, cars)
 	}

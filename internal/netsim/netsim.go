@@ -9,7 +9,6 @@ package netsim
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"time"
 
@@ -52,7 +51,9 @@ type World struct {
 	operators map[mccmnc.PLMN]mccmnc.Operator
 	hub       map[mccmnc.PLMN]bool
 	bilateral map[pair]bool
-	byISO     map[string][]mccmnc.PLMN
+	// byISO holds each country's PLMNs sorted by PLMN: NewWorld fills
+	// it in AllOperators order, which is PLMN order.
+	byISO map[string][]mccmnc.PLMN
 }
 
 type pair struct{ a, b mccmnc.PLMN }
@@ -149,19 +150,6 @@ func plmnKey(p mccmnc.PLMN) uint64 {
 	return uint64(p.MCC)<<32 | uint64(p.MNC)<<8 | uint64(p.MNCLen)
 }
 
-// OperatorsIn returns the PLMNs operating in the ISO country, sorted.
-func (w *World) OperatorsIn(iso string) []mccmnc.PLMN {
-	out := make([]mccmnc.PLMN, len(w.byISO[iso]))
-	copy(out, w.byISO[iso])
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].MCC != out[j].MCC {
-			return out[i].MCC < out[j].MCC
-		}
-		return out[i].MNC < out[j].MNC
-	})
-	return out
-}
-
 // RoamingAllowed reports whether a SIM of home may use visited:
 // either the pair holds a bilateral agreement or both sit on the hub.
 // Devices are always allowed on their own home network.
@@ -175,16 +163,15 @@ func (w *World) RoamingAllowed(home, visited mccmnc.PLMN) bool {
 	return w.hub[home] && w.hub[visited]
 }
 
-// PartnersOf returns all networks a home SIM can roam onto in the ISO
-// country, sorted by PLMN.
-func (w *World) PartnersOf(home mccmnc.PLMN, iso string) []mccmnc.PLMN {
-	var out []mccmnc.PLMN
-	for _, v := range w.OperatorsIn(iso) {
+// AppendPartners appends to dst all networks a home SIM can roam onto
+// in the ISO country, sorted by PLMN, and returns the extended slice.
+func (w *World) AppendPartners(dst []mccmnc.PLMN, home mccmnc.PLMN, iso string) []mccmnc.PLMN {
+	for _, v := range w.byISO[iso] {
 		if v != home && w.RoamingAllowed(home, v) {
-			out = append(out, v)
+			dst = append(dst, v)
 		}
 	}
-	return out
+	return dst
 }
 
 // ConfigFor returns the roaming architecture used for the pair. Per

@@ -81,7 +81,7 @@ func TestRoamingViaHub(t *testing.T) {
 			continue
 		}
 		seen[iso] = true
-		if len(w.PartnersOf(es, iso)) > 0 {
+		if len(w.AppendPartners(nil, es, iso)) > 0 {
 			countries++
 		}
 	}
@@ -92,10 +92,40 @@ func TestRoamingViaHub(t *testing.T) {
 
 func TestPartnersExcludeHome(t *testing.T) {
 	w := world(t)
-	for _, p := range w.PartnersOf(es, "ES") {
+	for _, p := range w.AppendPartners(nil, es, "ES") {
 		if p == es {
-			t.Fatal("PartnersOf must not include the home network itself")
+			t.Fatal("AppendPartners must not include the home network itself")
 		}
+	}
+}
+
+// TestPartnersSortedByPLMN pins that byISO is in PLMN order by
+// construction, for every country the registry knows.
+func TestPartnersSortedByPLMN(t *testing.T) {
+	w := world(t)
+	for _, op := range mccmnc.AllOperators() {
+		ps := w.AppendPartners(nil, es, op.ISO)
+		for i := 1; i < len(ps); i++ {
+			if a, b := ps[i-1], ps[i]; a.MCC > b.MCC || (a.MCC == b.MCC && a.MNC > b.MNC) {
+				t.Fatalf("%s partners out of PLMN order: %v before %v", op.ISO, a, b)
+			}
+		}
+	}
+}
+
+// TestAppendPartnersAllocatesNothing pins that AppendPartners reads
+// the world in place: appending into a buffer with room allocates
+// nothing.
+func TestAppendPartnersAllocatesNothing(t *testing.T) {
+	w := world(t)
+	buf := make([]mccmnc.PLMN, 0, 64)
+	allocs := testing.AllocsPerRun(100, func() {
+		if len(w.AppendPartners(buf[:0], es, "FR")) == 0 {
+			t.Fatal("an ES SIM has no partner in FR")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("%.1f allocations per run, want 0", allocs)
 	}
 }
 

@@ -8,10 +8,7 @@
 // adding a new consumer of randomness does not perturb existing ones.
 package rng
 
-import (
-	"hash/fnv"
-	"math"
-)
+import "math"
 
 // Source is a SplitMix64 pseudo random number generator.
 //
@@ -33,21 +30,51 @@ func New(seed uint64) *Source {
 // label return identical streams, calls with different labels return
 // streams that are statistically independent of each other and of the
 // parent.
+//
+// Split is small enough to inline, so a child that does not outlive
+// its caller stays on the caller's stack and costs no allocation. A
+// child that a struct keeps escapes to the heap unless the struct
+// holds it as a Source value: prefer `src rng.Source` fields, filled
+// with `*parent.Split(label)`, to `*rng.Source` ones.
 func (s *Source) Split(label string) *Source {
-	h := fnv.New64a()
-	h.Write([]byte(label))
-	// Mix the label hash with the parent state through one SplitMix64
-	// round so that (seed, label) pairs map to well-spread child seeds.
-	return &Source{state: mix64(s.state ^ h.Sum64())}
+	return &Source{state: s.childState(label)}
 }
 
 // SplitN derives an independent child stream identified by label and an
-// index, for per-entity streams ("device", i).
+// index, for per-entity streams ("device", i). Like Split it inlines,
+// so a short-lived child costs no allocation.
 func (s *Source) SplitN(label string, n uint64) *Source {
-	c := s.Split(label)
-	c.state = mix64(c.state ^ (n * 0x9e3779b97f4a7c15))
-	return c
+	return &Source{state: s.childStateN(label, n)}
 }
+
+// childState is Split's derivation, kept out of line so Split stays
+// within the inlining budget. The label is hashed with FNV-1a in
+// place, which equals hash/fnv's New64a without its heap state.
+//
+//go:noinline
+func (s *Source) childState(label string) uint64 {
+	h := uint64(fnvOffset64)
+	for i := 0; i < len(label); i++ {
+		h ^= uint64(label[i])
+		h *= fnvPrime64
+	}
+	// Mix the label hash with the parent state through one SplitMix64
+	// round so that (seed, label) pairs map to well-spread child seeds.
+	return mix64(s.state ^ h)
+}
+
+// childStateN is SplitN's derivation: Split's child, mixed with n.
+//
+//go:noinline
+func (s *Source) childStateN(label string, n uint64) uint64 {
+	return mix64(s.childState(label) ^ (n * 0x9e3779b97f4a7c15))
+}
+
+// The FNV-1a 64-bit parameters, as hash/fnv defines them.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
 
 func mix64(z uint64) uint64 {
 	z += 0x9e3779b97f4a7c15

@@ -1,6 +1,7 @@
 package rng
 
 import (
+	"hash/fnv"
 	"math"
 	"testing"
 	"testing/quick"
@@ -281,6 +282,52 @@ func TestExpMean(t *testing.T) {
 	if mean := sum / n; math.Abs(mean-4) > 0.1 {
 		t.Errorf("Exp(4) mean = %f", mean)
 	}
+}
+
+// fnvChildState is the derivation Split and SplitN used through
+// hash/fnv, kept as the reference for the in-place FNV-1a hash.
+func fnvChildState(parent uint64, label string) uint64 {
+	h := fnv.New64a()
+	h.Write([]byte(label))
+	return mix64(parent ^ h.Sum64())
+}
+
+// FuzzSplitLabel checks that Split and SplitN derive the same child
+// state as the hash/fnv reference for arbitrary seeds, labels and
+// indices, and that neither advances the parent.
+func FuzzSplitLabel(f *testing.F) {
+	f.Add(uint64(0), "", uint64(0))
+	f.Add(uint64(1), "device", uint64(7))
+	f.Add(uint64(42), "meters", uint64(1<<63))
+	f.Add(uint64(1<<64-1), "\xff\x00é", uint64(1<<64-1))
+	f.Fuzz(func(t *testing.T, seed uint64, label string, n uint64) {
+		p := New(seed)
+		want := fnvChildState(seed, label)
+		if got := p.Split(label).state; got != want {
+			t.Fatalf("Split(%q) state %#x, want %#x", label, got, want)
+		}
+		wantN := mix64(want ^ (n * 0x9e3779b97f4a7c15))
+		if got := p.SplitN(label, n).state; got != wantN {
+			t.Fatalf("SplitN(%q, %d) state %#x, want %#x", label, n, got, wantN)
+		}
+		if p.state != seed {
+			t.Fatalf("splitting moved the parent from %#x to %#x", seed, p.state)
+		}
+	})
+}
+
+// TestSplitChainAllocatesNothing pins that Split and SplitN inline: a
+// child that does not outlive its caller stays on the stack.
+func TestSplitChainAllocatesNothing(t *testing.T) {
+	src := New(5)
+	var sink uint64
+	allocs := testing.AllocsPerRun(100, func() {
+		sink += src.Split("a").SplitN("b", 7).Uint64()
+	})
+	if allocs != 0 {
+		t.Fatalf("%.1f allocations per run, want 0", allocs)
+	}
+	_ = sink
 }
 
 func BenchmarkUint64(b *testing.B) {
