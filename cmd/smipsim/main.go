@@ -1,9 +1,8 @@
 // Command smipsim synthesizes the §7 SMIP smart-meter dataset and
 // writes its devices-catalog as CSV. By default it runs the direct
 // aggregate generator; -stream runs the full per-event measurement
-// path instead (radio events and CDRs straight into the catalog
-// builder each emission shard owns) without ever holding the event
-// streams.
+// path instead (radio events and CDRs straight into the per-worker
+// catalog builders) without ever holding the event streams.
 //
 // Archiving the CDR/xDR feed while the catalog builds, and rebuilding
 // a catalog from such an archive, are roamstore's write and replay.

@@ -213,7 +213,7 @@ func TestFederationDeterministicAcrossWorkerCounts(t *testing.T) {
 // exclusive: a fleet device scheduled at one site on a day must
 // appear in no other site's catalog that day, every observed
 // (device, day) must match the schedule exactly, and the invariant
-// must hold on the shard-owned and the router catalog build alike.
+// must hold on the per-worker and the router catalog build alike.
 func TestFederationScheduleExclusive(t *testing.T) {
 	for _, streaming := range []bool{false, true} {
 		cfg := dataset.DefaultFederationConfig()

@@ -154,26 +154,16 @@ func (a APN) String() string {
 // IsZero reports whether the APN is empty.
 func (a APN) IsZero() bool { return a.NetworkID == "" && a.Operator.IsZero() }
 
-// Keywords tokenizes the Network Identifier into the lookup keys the
-// classifier matches its keyword table against: dot labels are split
-// further on hyphens and underscores, and the generic DNS tails
+// EachKeyword tokenizes the Network Identifier into the lookup keys
+// the classifier matches its keyword table against: dot labels are
+// split further on hyphens and underscores, and the generic DNS tails
 // ("com", "net", "org", country TLDs of length 2) are dropped. It
-// collects EachKeyword's tokens.
-func (a APN) Keywords() []string {
-	var out []string
-	a.EachKeyword(func(tok string) bool {
-		out = append(out, tok)
-		return true
-	})
-	return out
-}
-
-// EachKeyword calls f with each of Keywords' tokens in order, until f
-// returns false, without building a slice: the tokens are substrings
-// of the Network Identifier. It is the package's one tokenizer.
-// Splitting on dots and then on hyphens and underscores, dropping
-// empty fields, leaves the maximal runs of bytes that are none of the
-// three; all are ASCII, so no UTF-8 sequence is ever cut.
+// calls f with each token in order, until f returns false, without
+// building a slice: the tokens are substrings of the Network
+// Identifier. It is the package's one tokenizer. Splitting on dots and
+// then on hyphens and underscores, dropping empty fields, leaves the
+// maximal runs of bytes that are none of the three; all are ASCII, so
+// no UTF-8 sequence is ever cut.
 func (a APN) EachKeyword(f func(tok string) bool) {
 	s := a.NetworkID
 	for i := 0; i < len(s); {

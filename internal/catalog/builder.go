@@ -46,8 +46,10 @@ type Builder struct {
 	// plmns and apns hand each row its first visited network and APN
 	// without an allocation of its own; finalize packs the lists into
 	// exactly sized arrays, so no slab chunk outlives the build.
-	plmns Slab[mccmnc.PLMN]
-	apns  Slab[apn.APN]
+	// visits holds the rows' visit lists AddRadioDay sizes.
+	plmns  Slab[mccmnc.PLMN]
+	apns   Slab[apn.APN]
+	visits Slab[geo.Visit]
 }
 
 // device is one device's entry: its dwell state.
@@ -81,34 +83,52 @@ type row struct {
 }
 
 // Row storage: a first chunk small enough that a one-device fill stays
-// cheap, then fixed-size chunks, small enough that the hundreds of
-// shard builders of a capture waste little in their last chunk.
+// cheap, then fixed-size chunks, small enough that the builders of a
+// replay or a router, one per worker, waste little in their last
+// chunk.
 const (
 	firstChunkRows = 16
 	chunkRows      = 64
 )
 
-// Slab hands out one-element slices carved from fixed-size chunks, so
-// a list that usually holds one element — a record's visited networks
-// or APNs — is not a heap object of its own. Each slice has capacity
-// one, so a second element makes append copy it out to the heap and no
-// two slices ever share an element. A chunk lives as long as any slice
-// carved from it. The zero value is ready to use; not safe for
-// concurrent use.
-type Slab[T any] struct{ free []T }
+// Slab hands out short slices carved from chunks, so a list of known
+// small size — a record's visited networks or APNs, a row's day of
+// visits — is not a heap object of its own. Each slice is
+// capacity-limited, so growing it past its size makes append copy it
+// out to the heap and no two slices ever share an element. Chunks
+// double from slabMin to slabMax elements, so a slab that serves a
+// handful of slices stays small and one that serves a capture's worth
+// allocates rarely. A chunk lives as long as any slice carved from
+// it. The zero value is ready to use; not safe for concurrent use.
+type Slab[T any] struct {
+	free  []T
+	chunk int // length of the last chunk
+}
 
-const slabLen = 128
+const (
+	slabMin = 32
+	slabMax = 1024
+)
 
-// One returns a length-one, capacity-one slice holding v.
-func (s *Slab[T]) One(v T) []T {
-	if len(s.free) == 0 {
-		s.free = make([]T, slabLen)
+// Carve returns an empty slice of capacity n. An n that does not fit
+// the current chunk's rest and is above slabMax/8 gets an array of its
+// own, so opening a chunk strands fewer than slabMax/8 elements of the
+// last one.
+func (s *Slab[T]) Carve(n int) []T {
+	if len(s.free) < n {
+		if n > slabMax/8 {
+			return make([]T, 0, n)
+		}
+		s.chunk = min(max(2*s.chunk, slabMin, n), slabMax)
+		s.free = make([]T, s.chunk)
 	}
-	out := s.free[:1:1]
-	out[0] = v
-	s.free = s.free[1:]
+	out := s.free[:0:n]
+	s.free = s.free[n:]
 	return out
 }
+
+// One returns a length-one, capacity-one slice holding v.
+func (s *Slab[T]) One(v T) []T { return append(s.Carve(1), v) }
 
 // maxDwell caps the inter-event gap attributed as dwell time on the
 // previous sector.
@@ -289,7 +309,7 @@ func (b *Builder) AddRadioDay(evs []radio.Event) {
 		// Every event but the first attributes its gap to this row; the
 		// last event's dwell lands here too, from the device's next event
 		// or the trailing flush.
-		r.visits = append(make([]geo.Visit, 0, need), r.visits...)
+		r.visits = append(b.visits.Carve(need), r.visits...)
 	}
 	d := &b.devs[i]
 	for k := range evs {
@@ -501,15 +521,16 @@ func (b *Builder) Merge(o *Builder) {
 }
 
 // ShardedBuilder partitions catalog construction by device over
-// several shard-local Builders, so ingestion can run on one goroutine
-// per shard and the build still attributes dwell correctly — provided
-// every event of a device lands in the same shard. It is used two
-// ways. A consumer of an arbitrary interleaved feed routes by device
-// hash (ShardFor, or AddRadioEvent/AddRecord), as internal/ingest's
-// router does. A producer whose own partitions are already
-// device-disjoint hands partition i the Builder(i) it then owns
-// outright, as the dataset capture's emission shards do — no routing
-// at all. Build is the same for both. The zero worker-count
+// several Builders, so ingestion can run on one goroutine per builder
+// and the build still attributes dwell correctly — provided every
+// event of a device lands in the same builder. It is used two ways. A
+// consumer of an arbitrary interleaved feed routes by device hash
+// (ShardFor), as internal/ingest's router does. A producer whose own
+// partitions are already device-disjoint lends Builder(i) to one
+// partition at a time, as the dataset capture does with one builder
+// per worker: each emission shard borrows one for its run, so a
+// builder ingests whole devices of whichever shards it served — no
+// routing at all. Build is the same for both. The zero worker-count
 // convention of internal/pipeline applies throughout.
 type ShardedBuilder struct {
 	shards []*Builder

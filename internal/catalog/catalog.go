@@ -137,11 +137,12 @@ type Summary struct {
 // GSMA database (nil = no join), sorted by device ID, on workers
 // goroutines (below one = one worker per CPU, one = serial). It relies
 // on Records holding each device's records as one contiguous run:
-// every shard edge moves forward to the next device start, so each
-// device is summed in one pass in record order, and the result —
-// float sums included — is the summary of a catalog holding that
-// device's records alone, at every worker count. It panics when a
-// device's records are not one run.
+// each worker sums one range of records (pipeline.PerWorker) whose
+// edges move forward to the next device start, so each device is
+// summed in one pass in record order, and the result — float sums
+// included — is the summary of a catalog holding that device's records
+// alone, at every worker count. It panics when a device's records are
+// not one run.
 func (c *Catalog) SummariesWorkers(db *gsma.DB, workers int) []Summary {
 	recs := c.Records
 	deviceStart := func(i int) int {
@@ -150,7 +151,7 @@ func (c *Catalog) SummariesWorkers(db *gsma.DB, workers int) []Summary {
 		}
 		return i
 	}
-	parts := pipeline.Map(len(recs), workers, func(sh pipeline.Shard) []Summary {
+	parts := pipeline.PerWorker(len(recs), workers, func(sh pipeline.Shard) []Summary {
 		return summarize(recs[deviceStart(sh.Lo):deviceStart(sh.Hi)], db)
 	})
 	out := slices.Concat(parts...)
@@ -164,11 +165,34 @@ func (c *Catalog) SummariesWorkers(db *gsma.DB, workers int) []Summary {
 }
 
 // summarize sums recs, whole device runs, into one Summary per device
-// in record order, joined against db when it is not nil.
+// in record order, joined against db when it is not nil. A first pass
+// counts the devices and their distinct APNs and visited networks, so
+// the summaries fill one exactly sized slice and their lists two
+// exactly sized arenas: each summary's lists are capacity-limited
+// windows into them (nil when empty), so an append to one copies out.
 func summarize(recs []DailyRecord, db *gsma.DB) []Summary {
-	var out []Summary
+	var apnBuf [16]apn.APN
+	var visBuf [16]mccmnc.PLMN
+	nDev, nAPN, nVis := 0, 0, 0
+	for i := 0; i < len(recs); {
+		apns, vis := apnBuf[:0], visBuf[:0]
+		for dev := recs[i].Device; i < len(recs) && recs[i].Device == dev; i++ {
+			apns = appendDistinct(apns, 0, recs[i].APNs)
+			vis = appendDistinct(vis, 0, recs[i].Visited)
+		}
+		nDev++
+		nAPN += len(apns)
+		nVis += len(vis)
+	}
+	if nDev == 0 {
+		return nil
+	}
+	out := make([]Summary, 0, nDev)
+	apns := make([]apn.APN, 0, nAPN)
+	vis := make([]mccmnc.PLMN, 0, nVis)
 	for i := 0; i < len(recs); {
 		s := Summary{Device: recs[i].Device, SIM: recs[i].SIM, TAC: recs[i].TAC, FirstDay: recs[i].Day, LastDay: recs[i].Day}
+		apnLo, visLo := len(apns), len(vis)
 		var gyrSum float64
 		var gyrN int
 		for ; i < len(recs) && recs[i].Device == s.Device; i++ {
@@ -184,17 +208,15 @@ func summarize(recs []DailyRecord, db *gsma.DB) []Summary {
 			s.RadioFlags |= r.RadioFlags
 			s.DataRATs |= r.DataRATs
 			s.VoiceRATs |= r.VoiceRATs
-			for _, a := range r.APNs {
-				s.addAPN(a)
-			}
-			for _, v := range r.Visited {
-				s.addVisited(v)
-			}
+			apns = appendDistinct(apns, apnLo, r.APNs)
+			vis = appendDistinct(vis, visLo, r.Visited)
 			if r.HasLocation {
 				gyrSum += r.GyrationKm
 				gyrN++
 			}
 		}
+		s.APNs = window(apns, apnLo)
+		s.Visited = window(vis, visLo)
 		if gyrN > 0 {
 			s.MeanGyrationKm = gyrSum / float64(gyrN)
 			s.HasLocation = true
@@ -207,20 +229,21 @@ func summarize(recs []DailyRecord, db *gsma.DB) []Summary {
 	return out
 }
 
-func (s *Summary) addAPN(a apn.APN) {
-	for _, x := range s.APNs {
-		if x == a {
-			return
+// appendDistinct appends each element of add that s[lo:] does not yet
+// hold, in order.
+func appendDistinct[T comparable](s []T, lo int, add []T) []T {
+	for _, x := range add {
+		if !slices.Contains(s[lo:], x) {
+			s = append(s, x)
 		}
 	}
-	s.APNs = append(s.APNs, a)
+	return s
 }
 
-func (s *Summary) addVisited(p mccmnc.PLMN) {
-	for _, x := range s.Visited {
-		if x == p {
-			return
-		}
+// window returns arena[lo:] capacity-limited, or nil when it is empty.
+func window[T any](arena []T, lo int) []T {
+	if len(arena) == lo {
+		return nil
 	}
-	s.Visited = append(s.Visited, p)
+	return arena[lo:len(arena):len(arena)]
 }

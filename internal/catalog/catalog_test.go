@@ -314,3 +314,75 @@ func BenchmarkBuilderIngest(b *testing.B) {
 		bl.AddRadioEvent(ev)
 	}
 }
+
+// poolCatalog is a catalog of n devices, four days each, drawing their
+// TACs, APNs and visited networks from fixed pools, so catalogs of any
+// size hold the same distinct values.
+func poolCatalog(n int) *Catalog {
+	src := rng.New(11)
+	apns := []apn.APN{
+		apn.MustParse("internet"),
+		apn.MustParse("meter.rwe-npower.co.uk"),
+		apn.MustParse("smhp.centricaplc.com.mnc004.mcc204.gprs"),
+	}
+	visited := []mccmnc.PLMN{host, mccmnc.MustParse("20801"), mccmnc.MustParse("26202")}
+	cat := &Catalog{Host: host, Days: 4, Records: make([]DailyRecord, 0, 4*n)}
+	for d := 0; d < n; d++ {
+		tac := identity.TAC(35600000 + src.Intn(20))
+		for day := 0; day < 4; day++ {
+			cat.Records = append(cat.Records, DailyRecord{
+				Device: identity.DeviceID(d + 1), Day: day, SIM: nlSIM, TAC: tac,
+				Visited:     []mccmnc.PLMN{visited[src.Intn(3)]},
+				Events:      src.Intn(40),
+				Bytes:       uint64(src.Intn(1 << 20)),
+				APNs:        []apn.APN{apns[src.Intn(3)]},
+				GyrationKm:  src.Exp(3),
+				HasLocation: true,
+			})
+		}
+	}
+	return cat
+}
+
+// TestSummariesAllocationsPerWorker pins SummariesWorkers' allocations
+// to a bound that grows with neither the device count nor the shard
+// count: each worker sums one range into exactly sized arrays.
+func TestSummariesAllocationsPerWorker(t *testing.T) {
+	db := gsma.Synthesize(1)
+	for _, n := range []int{300, 3000} {
+		cat := poolCatalog(n)
+		allocs := testing.AllocsPerRun(20, func() { cat.SummariesWorkers(db, 2) })
+		if allocs > 32 {
+			t.Errorf("%d devices: %.1f allocations per run, want at most 32", n, allocs)
+		}
+	}
+}
+
+// TestSlabCarve checks that carved slices are empty, capacity-limited
+// and disjoint, also across a chunk change and for sizes that get an
+// array of their own.
+func TestSlabCarve(t *testing.T) {
+	var s Slab[int]
+	var got [][]int
+	for _, n := range []int{1, 3, slabMin, 5, slabMax, slabMax + 1, 2} {
+		c := s.Carve(n)
+		if len(c) != 0 || cap(c) != n {
+			t.Fatalf("Carve(%d): len %d cap %d", n, len(c), cap(c))
+		}
+		for k := 0; k < n; k++ {
+			c = append(c, len(got))
+		}
+		got = append(got, c)
+	}
+	for i, c := range got {
+		for _, v := range c {
+			if v != i {
+				t.Fatalf("slice %d holds %d: two carved slices share elements", i, v)
+			}
+		}
+	}
+	one := s.One(7)
+	if len(one) != 1 || cap(one) != 1 || one[0] != 7 {
+		t.Fatalf("One(7) = %v (cap %d)", one, cap(one))
+	}
+}

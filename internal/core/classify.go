@@ -1,6 +1,7 @@
 package core
 
 import (
+	"maps"
 	"sort"
 	"strconv"
 	"strings"
@@ -163,29 +164,32 @@ type Result struct {
 
 // ClassifyWorkers runs the pipeline over device summaries on workers
 // goroutines (below one = one worker per CPU, one = serial). It
-// returns one Result per summary, in the same order. The population-level
-// steps are two parallel sweeps separated by barriers: chunk workers
-// first collect validated APNs, which merge into one set every
-// worker then reads to collect m2m TACs, and only after both sets
-// are complete does the per-device pass run. Sets are consulted by
-// membership only, so the results are identical for every worker
-// count.
+// returns one Result per summary, in the same order. The
+// population-level steps are two parallel sweeps separated by
+// barriers: each worker first collects the validated APNs of its range
+// of summaries, which union into one set every worker then reads to
+// collect m2m TACs, and only after both sets are complete does the
+// per-device pass run. Sets are consulted by membership only, so the
+// results are identical for every worker count.
 func (c *Classifier) ClassifyWorkers(sums []catalog.Summary, workers int) []Result {
 	// Step 1 (fan-out + barrier): collect validated APNs — APN
 	// strings used in the population that match an M2M vertical
 	// keyword. A handful of APNs label a whole population, so each
-	// shard judges an APN the first time it meets it and remembers the
-	// verdict.
-	validated := mergeSets(pipeline.Map(len(sums), workers, func(sh pipeline.Shard) map[apn.APN]bool {
+	// worker judges an APN the first time it meets it and remembers
+	// the verdict.
+	validated := map[apn.APN]bool{}
+	for _, p := range pipeline.PerWorker(len(sums), workers, func(sh pipeline.Shard) map[apn.APN]bool {
 		return c.validatedIn(sums[sh.Lo:sh.Hi])
-	}))
+	}) {
+		maps.Copy(validated, p)
+	}
 
 	// Step 2 (fan-out + barrier): devices using validated APNs are
 	// m2m; remember their device properties (TAC) for the closure.
 	// Needs the complete validated set, hence the second pass.
 	m2mTACs := map[identity.TAC]bool{}
 	if c.Steps.ValidateAPNs {
-		m2mTACs = mergeSets(pipeline.Map(len(sums), workers, func(sh pipeline.Shard) map[identity.TAC]bool {
+		for _, p := range pipeline.PerWorker(len(sums), workers, func(sh pipeline.Shard) map[identity.TAC]bool {
 			part := map[identity.TAC]bool{}
 			for i := sh.Lo; i < sh.Hi; i++ {
 				if c.usesValidated(&sums[i], validated) && sums[i].TAC != 0 {
@@ -193,7 +197,9 @@ func (c *Classifier) ClassifyWorkers(sums []catalog.Summary, workers int) []Resu
 				}
 			}
 			return part
-		}))
+		}) {
+			maps.Copy(m2mTACs, p)
+		}
 	}
 
 	out := make([]Result, len(sums))
@@ -202,20 +208,6 @@ func (c *Classifier) ClassifyWorkers(sums []catalog.Summary, workers int) []Resu
 			out[i] = c.classifyOne(&sums[i], validated, m2mTACs)
 		}
 	})
-	return out
-}
-
-// mergeSets unions per-chunk membership sets.
-func mergeSets[K comparable](parts []map[K]bool) map[K]bool {
-	if len(parts) == 0 {
-		return map[K]bool{}
-	}
-	out := parts[0]
-	for _, p := range parts[1:] {
-		for k := range p {
-			out[k] = true
-		}
-	}
 	return out
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"whereroam/internal/apn"
@@ -40,6 +41,18 @@ func TestLabelGrammar(t *testing.T) {
 		if got := lb.Label(c.sim, c.visited).String(); got != c.want {
 			t.Errorf("Label(%v,%v) = %s, want %s", c.sim, c.visited, got, c.want)
 		}
+	}
+}
+
+func TestLabelStringTable(t *testing.T) {
+	labels := append([]Label{{SIMIntl, AttachAbroad}, {SIMOrigin('é'), AttachSide(0)}}, AllLabels...)
+	for _, l := range labels {
+		if got, want := l.String(), fmt.Sprintf("%c:%c", l.X, l.Y); got != want {
+			t.Errorf("%v.String() = %q, want %q", []byte{byte(l.X), byte(l.Y)}, got, want)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _ = LabelIH.String() }); allocs != 0 {
+		t.Errorf("%.1f allocations per String of a meaningful label, want 0", allocs)
 	}
 }
 
@@ -240,5 +253,35 @@ func TestValidationMetricsArithmetic(t *testing.T) {
 	// decided = 90+5+70+10 = 175, correct = 160.
 	if acc := v.Accuracy(); acc < 0.914 || acc > 0.915 {
 		t.Errorf("accuracy = %f", acc)
+	}
+}
+
+// TestClassifyAllocationsPerWorker pins ClassifyWorkers' allocations
+// to a bound that grows with neither the device count nor the shard
+// count: the population steps build one set per worker, and the
+// summaries draw their TACs and APNs from fixed pools, so every
+// population holds the same distinct values.
+func TestClassifyAllocationsPerWorker(t *testing.T) {
+	apns := []apn.APN{
+		apn.MustParse("internet"),
+		apn.MustParse("meter.rwe-npower.co.uk"),
+		apn.MustParse("smhp.centricaplc.com.mnc004.mcc204.gprs"),
+		apn.MustParse("payandgo.o2.co.uk"),
+	}
+	c := NewClassifier()
+	for _, n := range []int{300, 3000} {
+		sums := make([]catalog.Summary, n)
+		for i := range sums {
+			sums[i] = catalog.Summary{
+				Device: identity.DeviceID(i + 1),
+				SIM:    nlOp,
+				TAC:    identity.TAC(35600000 + i%20),
+				APNs:   apns[i%len(apns) : i%len(apns)+1],
+			}
+		}
+		allocs := testing.AllocsPerRun(20, func() { c.ClassifyWorkers(sums, 2) })
+		if allocs > 64 {
+			t.Errorf("%d devices: %.1f allocations per run, want at most 64", n, allocs)
+		}
 	}
 }

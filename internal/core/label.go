@@ -8,8 +8,6 @@
 package core
 
 import (
-	"fmt"
-
 	"whereroam/internal/catalog"
 	"whereroam/internal/mccmnc"
 )
@@ -57,7 +55,19 @@ var (
 // AllLabels lists the six meaningful labels in presentation order.
 var AllLabels = []Label{LabelHH, LabelVH, LabelNH, LabelIH, LabelHA, LabelVA}
 
-func (l Label) String() string { return fmt.Sprintf("%c:%c", l.X, l.Y) }
+// labelNames holds the String of each of AllLabels, in its order.
+var labelNames = [...]string{"H:H", "V:H", "N:H", "I:H", "H:A", "V:A"}
+
+// String renders the label as "X:Y", the six meaningful labels from
+// a fixed table.
+func (l Label) String() string {
+	for i, k := range AllLabels {
+		if k == l {
+			return labelNames[i]
+		}
+	}
+	return string(rune(l.X)) + ":" + string(rune(l.Y))
+}
 
 // InboundRoamer reports whether the label marks an international
 // inbound roamer (I:H), the population the paper centres on.

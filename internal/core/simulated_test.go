@@ -117,10 +117,10 @@ func TestDerivePopulation(t *testing.T) {
 }
 
 // anyKeyword is the reference the keyword tables must agree with: the
-// rule of apn.APN.ContainsKeyword written over the collected
-// Keywords() slice and a padded strings.Contains, as the matcher was
-// before it walked the APN in place. Every keyword re-tokenises the
-// APN.
+// rule of apn.APN.ContainsKeyword written over a collected slice of
+// EachKeyword's tokens and a padded strings.Contains, as the matcher
+// was before it walked the APN in place. Every keyword re-tokenises
+// the APN.
 func anyKeyword(a apn.APN, keywords []string) bool {
 	for _, kw := range keywords {
 		if strings.Contains(kw, ".") {
@@ -129,7 +129,12 @@ func anyKeyword(a apn.APN, keywords []string) bool {
 			}
 			continue
 		}
-		if slices.Contains(a.Keywords(), kw) {
+		var toks []string
+		a.EachKeyword(func(tok string) bool {
+			toks = append(toks, tok)
+			return true
+		})
+		if slices.Contains(toks, kw) {
 			return true
 		}
 	}

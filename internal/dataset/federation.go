@@ -50,9 +50,10 @@ type FederationConfig struct {
 	// is bit-identical for every worker count.
 	Workers int
 	// Streaming builds each site's catalog through the ingest router
-	// (emission sinks → ingest.CatalogIngester) instead of the builders the
-	// emission shards own. Both produce bit-identical catalogs and the
-	// shard-owned build is faster at the same heap; the field remains
+	// (emission sinks → ingest.CatalogIngester) instead of the
+	// per-worker builders the emission shards borrow. Both produce
+	// bit-identical catalogs and the borrowed build is faster at the
+	// same heap; the field remains
 	// only while the benchmark's serve fixture sets it (see ROADMAP,
 	// "One generation core" (b)).
 	Streaming bool
@@ -240,13 +241,13 @@ func siteKey(p mccmnc.PLMN) uint64 {
 // out over internal/pipeline: the site drafts its native population
 // and walks all locally present devices — natives first, then the
 // present fleet in fleet order — through the per-event measurement
-// path (radio events and CDRs/xDRs) into the
-// catalog builder its emission shard owns (see capture.build). Every
+// path (radio events and CDRs/xDRs) into the per-worker catalog
+// builders its emission shards borrow (see capture.build). Every
 // random draw comes from a per-device or per-(device, site) substream,
 // so the dataset is bit-identical across worker counts.
 //
 // Sites build in sequence because a site's builder state (grid,
-// per-shard builders, observation list) is the build's
+// per-worker builders, observation list) is the build's
 // largest transient: the heap peak is one site's builder state plus
 // the fleet, whatever the number of sites. The price: an
 // archive-writing build does not overlap one site's seal fsyncs with
@@ -255,7 +256,7 @@ func GenerateFederation(cfg FederationConfig) *FederationDataset {
 	cfg = validateFederationConfig(cfg)
 
 	db := gsma.Synthesize(cfg.GSMASeed)
-	world := netsim.NewWorld(netsim.DefaultConfig())
+	world := netsim.DefaultWorld()
 	root := rng.New(cfg.Seed).Split("federation")
 	fleet := generateFleet(cfg, root, db, world)
 

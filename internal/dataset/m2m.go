@@ -157,7 +157,7 @@ func newM2MWalk(cfg M2MConfig) *m2mWalk {
 	specs := platformHMNOs()
 	w := &m2mWalk{
 		cfg:    cfg,
-		world:  netsim.NewWorld(netsim.DefaultConfig()),
+		world:  netsim.DefaultWorld(),
 		specs:  specs,
 		drafts: make([]m2mDraft, cfg.Devices),
 		devIDs: make([]identity.DeviceID, cfg.Devices),

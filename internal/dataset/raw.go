@@ -1,7 +1,6 @@
 package dataset
 
 import (
-	"sync"
 	"time"
 
 	"whereroam/internal/catalog"
@@ -43,32 +42,34 @@ type capture struct {
 	days    int
 	workers int
 	// router builds the catalog through the ingest router instead of
-	// shard-owned builders (FederationConfig's Streaming field).
+	// per-worker builders (FederationConfig's Streaming field).
 	router bool
 }
 
 // build walks locals through the per-event measurement path — radio
-// events and CDRs/xDRs into the catalog builder each emission shard
-// owns — and aggregates the devices-catalog. It is the package's only
-// per-event walk; its callers differ in population and in tee, which
-// (when non-nil) also receives every CDR/xDR ahead of the builder —
-// an archive writer's sink, called concurrently from the shards.
+// events and CDRs/xDRs into a catalog builder — and aggregates the
+// devices-catalog. It is the package's only per-event walk; its
+// callers differ in population and in tee, which (when non-nil) also
+// receives every CDR/xDR ahead of the builder — an archive writer's
+// sink, called concurrently from the shards.
 //
-// Emission shards are device-disjoint and every device's events are
-// offered in per-device time order, so each shard owns the builder it
-// feeds — no channel hop, no event slice — and
-// catalog.ShardedBuilder.Build's (device, day) sort makes the catalog
-// bit-identical at any worker count.
+// The canonical emission shards stay the unit of scheduling, but the
+// builders live once per worker: each shard borrows one for its run
+// and hands it back. Emission shards are device-disjoint and every
+// device's events are offered in per-device time order, so a builder
+// ingests whole devices whichever shards it served — no channel hop,
+// no event slice — and catalog.ShardedBuilder.Build's (device, day)
+// sort makes the catalog bit-identical at any worker count.
 func (c capture) build(locals []localDevice, tee func(cdrs.Record)) *catalog.Catalog {
 	hostCountry, _ := mccmnc.CountryByMCC(c.host.MCC)
 	grid := radio.NewGrid(hostCountry, 60, 60, radio.DefaultSpacingDeg)
 
-	var sinks func(pipeline.Shard) (func([]radio.Event), func(cdrs.Record))
+	es := make([]*emitter, pipeline.Workers(c.workers))
+	sb := catalog.NewShardedBuilder(c.host, c.start, c.days, grid, len(es))
 	var build func(workers int) *catalog.Catalog
 	if c.router {
 		// The router's last generator-side entrance, kept bit-identical
 		// while bench/serve.go sets FederationConfig's Streaming field.
-		sb := catalog.NewShardedBuilder(c.host, c.start, c.days, grid, pipeline.Workers(c.workers))
 		in := ingest.NewCatalogIngester(sb, 0)
 		// Build closes on the happy path (Close is idempotent); the
 		// defer covers an emission panic, so a caller that recovers it
@@ -79,32 +80,19 @@ func (c capture) build(locals []localDevice, tee func(cdrs.Record)) *catalog.Cat
 				in.OfferRadio(evs[i])
 			}
 		}
-		sinks = func(pipeline.Shard) (func([]radio.Event), func(cdrs.Record)) {
-			return offerDay, in.OfferRecord
+		for i := range es {
+			es[i] = newEmitter(offerDay, in.OfferRecord, tee)
 		}
 		build = in.Build
 	} else {
-		sb := catalog.NewShardedBuilder(c.host, c.start, c.days, grid, pipeline.ShardCount(len(locals)))
-		sinks = func(sh pipeline.Shard) (func([]radio.Event), func(cdrs.Record)) {
-			b := sb.Builder(sh.Index)
-			return b.AddRadioDay, b.AddRecord
+		for i := range es {
+			b := sb.Builder(i)
+			es[i] = newEmitter(b.AddRadioDay, b.AddRecord, tee)
 		}
 		build = sb.Build
 	}
-
-	pipeline.Run(len(locals), c.workers, func(sh pipeline.Shard) {
-		radioSink, cdrSink := sinks(sh)
-		if tee != nil {
-			cdrSink = probe.Fanout(tee, cdrSink)
-		}
-		bufs := emitBufsPool.Get().(*emitBufs)
-		defer emitBufsPool.Put(bufs)
-		for i := sh.Lo; i < sh.Hi; i++ {
-			l := &locals[i]
-			emitDeviceDaysSched(l, c.host, c.start, c.days, grid, radioSink, cdrSink, bufs)
-		}
-	})
-	return build(c.workers)
+	c.emit(locals, grid, es)
+	return build(len(es))
 }
 
 // archive walks locals through the CDR/xDR plane alone into sink:
@@ -113,12 +101,45 @@ func (c capture) build(locals []localDevice, tee func(cdrs.Record)) *catalog.Cat
 // or grid exists. Each device's records reach sink in its build-time
 // order.
 func (c capture) archive(locals []localDevice, sink func(cdrs.Record)) {
-	pipeline.Run(len(locals), c.workers, func(sh pipeline.Shard) {
-		bufs := emitBufsPool.Get().(*emitBufs)
-		defer emitBufsPool.Put(bufs)
+	es := make([]*emitter, pipeline.Workers(c.workers))
+	for i := range es {
+		es[i] = newEmitter(nil, sink, nil)
+	}
+	c.emit(locals, nil, es)
+}
+
+// emitter is one worker's share of a capture: the sinks its shards
+// emit into and the per-day scratch they emit with, which grows to a
+// busy device-day once per worker.
+type emitter struct {
+	radio func([]radio.Event)
+	cdr   func(cdrs.Record)
+	bufs  emitBufs
+}
+
+// newEmitter returns an emitter over the two sinks, with tee (when
+// non-nil) receiving every record ahead of cdrSink.
+func newEmitter(radioSink func([]radio.Event), cdrSink func(cdrs.Record), tee func(cdrs.Record)) *emitter {
+	if tee != nil {
+		cdrSink = probe.Fanout(tee, cdrSink)
+	}
+	return &emitter{radio: radioSink, cdr: cdrSink}
+}
+
+// emit walks locals over the canonical shards on len(es) workers. Each
+// shard borrows one emitter for its run and hands it back, so every
+// emitter serves one shard at a time and the shard queue still
+// balances the load.
+func (c capture) emit(locals []localDevice, grid *radio.Grid, es []*emitter) {
+	free := make(chan *emitter, len(es))
+	for _, e := range es {
+		free <- e
+	}
+	pipeline.Run(len(locals), len(es), func(sh pipeline.Shard) {
+		e := <-free
+		defer func() { free <- e }()
 		for i := sh.Lo; i < sh.Hi; i++ {
-			l := &locals[i]
-			emitDeviceDaysSched(l, c.host, c.start, c.days, nil, nil, sink, bufs)
+			emitDeviceDaysSched(&locals[i], c.host, c.start, c.days, grid, e.radio, e.cdr, &e.bufs)
 		}
 	})
 }
@@ -150,8 +171,8 @@ func smipCapture(cfg SMIPConfig) capture {
 // GenerateSMIPStreaming draws the SMIP meter cohorts and walks them
 // through the §4.1 measurement path end to end: it synthesizes
 // individual radio events and CDRs/xDRs per device and runs them
-// straight into the catalog builder each emission
-// shard owns — dwell-based mobility metrics included. No event slice
+// straight into the per-worker catalog builders — dwell-based mobility
+// metrics included. No event slice
 // is ever held, so peak allocation stays flat whatever the capture's
 // size; the catalog is bit-identical at any worker count. It is an
 // order of magnitude more expensive per device than GenerateSMIP and
@@ -175,11 +196,6 @@ type emitBufs struct {
 	recs  []cdrs.Record
 	order timeSorter
 }
-
-// emitBufsPool lends each emission shard its emitBufs for the shard's
-// run, so the buffers grow to a busy device-day about once per worker
-// instead of once per shard.
-var emitBufsPool = sync.Pool{New: func() any { return new(emitBufs) }}
 
 func radioEventTime(ev *radio.Event) time.Time { return ev.Time }
 

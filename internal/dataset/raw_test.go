@@ -1,8 +1,10 @@
 package dataset
 
 import (
+	"reflect"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"whereroam/internal/catalog"
@@ -236,5 +238,42 @@ func TestRawHonoursNBIoTMigrationAndArchive(t *testing.T) {
 	}
 	if len(archived) != 0 {
 		t.Errorf("the archived feed holds %d device-days the live catalog lacks", len(archived))
+	}
+}
+
+// TestCaptureSchedulingInvariance builds one per-event capture at
+// several worker counts, and five times at eight workers, and requires
+// the catalogs to agree record for record. The emission shards borrow
+// per-worker builders in whatever order the pool drains them, so this
+// is where a borrowing race or a grouping-dependent merge shows; CI
+// runs it under -race with -count=5.
+func TestCaptureSchedulingInvariance(t *testing.T) {
+	cfg := DefaultSMIPConfig()
+	cfg.NativeMeters, cfg.RoamingMeters, cfg.Days = 220, 160, 5
+	var tee atomic.Int64
+	cfg.ArchiveCDRs = func(cdrs.Record) { tee.Add(1) }
+	build := func(workers int) (*catalog.Catalog, int64) {
+		tee.Store(0)
+		c := cfg
+		c.Workers = workers
+		return GenerateSMIPStreaming(c).Catalog, tee.Load()
+	}
+	want, wantTee := build(1)
+	if len(want.Records) == 0 || wantTee == 0 {
+		t.Fatal("the capture emitted nothing")
+	}
+	for _, workers := range []int{2, 3, 8, 8, 8, 8, 8} {
+		got, gotTee := build(workers)
+		if gotTee != wantTee {
+			t.Errorf("workers=%d: the tee saw %d records, %d at one worker", workers, gotTee, wantTee)
+		}
+		if len(got.Records) != len(want.Records) {
+			t.Fatalf("workers=%d: %d records, %d at one worker", workers, len(got.Records), len(want.Records))
+		}
+		for i := range want.Records {
+			if !reflect.DeepEqual(got.Records[i], want.Records[i]) {
+				t.Fatalf("workers=%d: record %d is %+v, at one worker %+v", workers, i, got.Records[i], want.Records[i])
+			}
+		}
 	}
 }

@@ -3,6 +3,8 @@ package experiments
 import (
 	"strings"
 	"testing"
+
+	"whereroam/internal/radio"
 )
 
 // has reports whether the report carries a named value.
@@ -44,6 +46,21 @@ func TestReportRendering(t *testing.T) {
 	for _, want := range []string{"t1", "HMNO", "paper:", "values:"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("report rendering missing %q", want)
+		}
+	}
+}
+
+// ratBucket's table names every set as the rule it replaced did:
+// "none" for the empty set, RATSet.String otherwise.
+func TestRATBucketTable(t *testing.T) {
+	for s := 0; s < 256; s++ {
+		set := radio.RATSet(s)
+		want := set.String()
+		if set.Empty() {
+			want = "none"
+		}
+		if got := ratBucket(set); got != want {
+			t.Errorf("ratBucket(%08b) = %q, want %q", s, got, want)
 		}
 	}
 }

@@ -172,7 +172,7 @@ func runExtLatency(s *Session) *Report {
 		Title: "Home-routed vs IPX-hub-breakout user-plane latency",
 		Paper: "§3.2: distances like Spain→Australia imply serious HR penalties; the platform uses different configurations for far destinations (analysis left out of scope)",
 	}
-	world := netsim.NewWorld(netsim.DefaultConfig())
+	world := netsim.DefaultWorld()
 	model := netsim.DefaultLatencyModel()
 
 	// One sample per roaming device: its home network and the visited

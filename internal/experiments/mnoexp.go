@@ -345,11 +345,21 @@ func runFig8(s *Session) *Report {
 
 // ratBucket names the RATSet the way Fig 9 buckets devices.
 func ratBucket(s radio.RATSet) string {
-	if s.Empty() {
-		return "none"
+	if int(s) < len(ratBuckets) {
+		return ratBuckets[s]
 	}
 	return s.String()
 }
+
+// ratBuckets holds ratBucket's name for every set of the four RAT
+// flags, so a device costs no string of its own.
+var ratBuckets = func() (t [radio.HasNB << 1]string) {
+	for s := range t {
+		t[s] = radio.RATSet(s).String()
+	}
+	t[0] = "none"
+	return t
+}()
 
 func runFig9(s *Session) *Report {
 	v := s.view()
@@ -532,12 +542,10 @@ func runT3(s *Session) *Report {
 		}
 		matched := false
 		for _, a := range sum.APNs {
-			for _, kw := range a.Keywords() {
-				if energy[kw] {
-					matched = true
-					break
-				}
-			}
+			a.EachKeyword(func(kw string) bool {
+				matched = energy[kw]
+				return !matched
+			})
 			if matched {
 				break
 			}

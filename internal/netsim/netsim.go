@@ -10,6 +10,7 @@ package netsim
 import (
 	"fmt"
 	"strconv"
+	"sync"
 	"time"
 
 	"whereroam/internal/geo"
@@ -108,6 +109,11 @@ func DefaultConfig() Config {
 		Seed: 1,
 	}
 }
+
+// DefaultWorld returns the world of DefaultConfig, built on first use
+// and shared thereafter: a World is read-only once built, so every
+// caller may read it concurrently.
+var DefaultWorld = sync.OnceValue(func() *World { return NewWorld(DefaultConfig()) })
 
 // NewWorld builds the operator world from the mccmnc registry.
 func NewWorld(cfg Config) *World {

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -31,6 +32,16 @@ func TestWorldDeterministic(t *testing.T) {
 	}
 	if len(a.bilateral) != len(b.bilateral) {
 		t.Fatal("bilateral agreements differ")
+	}
+}
+
+func TestDefaultWorldBuiltOnce(t *testing.T) {
+	w := DefaultWorld()
+	if DefaultWorld() != w {
+		t.Fatal("DefaultWorld built a second world")
+	}
+	if !reflect.DeepEqual(w, world(t)) {
+		t.Fatal("DefaultWorld differs from NewWorld(DefaultConfig())")
 	}
 }
 

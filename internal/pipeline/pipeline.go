@@ -13,6 +13,16 @@
 // [whereroam/internal/rng] substreams and (b) combines shard results
 // in shard order gets the same output at every parallelism level by
 // construction.
+//
+// The rule the layers follow: canonical shards stay the unit of
+// scheduling, and of every merge that depends on order. An
+// accumulator whose merge ignores grouping lives once per worker —
+// device-disjoint catalog builders followed by a (device, day) sort,
+// a set union, per-device summaries followed by a sort. Such an
+// accumulator is either borrowed by each canonical shard for its run
+// (the dataset capture's builders) or fed one contiguous range per
+// worker ([PerWorker]); either way it costs per worker, not per
+// shard, and the output is the same at every worker count.
 package pipeline
 
 import (
@@ -107,6 +117,19 @@ func Map[T any](n, workers int, fn func(Shard) T) []T {
 	shards := Shards(n, numShards(n))
 	out := make([]T, len(shards))
 	runShards(shards, workers, func(s Shard) { out[s.Index] = fn(s) })
+	return out
+}
+
+// PerWorker cuts n items into one contiguous range per worker —
+// Shards(n, Workers(workers)), so the edges move with the worker
+// count — runs fn once per range on its own goroutine and returns the
+// results in range order. It is for accumulators whose merge ignores
+// grouping (see the package doc): anything that depends on where a
+// range ends must use Map's canonical shards instead.
+func PerWorker[T any](n, workers int, fn func(Shard) T) []T {
+	ranges := Shards(n, Workers(workers))
+	out := make([]T, len(ranges))
+	runShards(ranges, workers, func(s Shard) { out[s.Index] = fn(s) })
 	return out
 }
 

@@ -3,6 +3,7 @@ package pipeline
 import (
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -101,6 +102,18 @@ func TestMapReturnsShardOrder(t *testing.T) {
 			if got[i] <= got[i-1] {
 				t.Fatalf("workers=%d: results not in shard order at %d: %v > %v", workers, i, got[i-1], got[i])
 			}
+		}
+	}
+}
+
+func TestPerWorkerCutsOneRangePerWorker(t *testing.T) {
+	for _, c := range []struct{ n, workers, ranges int }{{1000, 1, 1}, {1000, 3, 3}, {1000, 8, 8}, {5, 8, 5}, {0, 4, 0}} {
+		got := PerWorker(c.n, c.workers, func(s Shard) Shard { return s })
+		if len(got) != c.ranges {
+			t.Fatalf("n=%d workers=%d: %d ranges, want %d", c.n, c.workers, len(got), c.ranges)
+		}
+		if !slices.Equal(got, Shards(c.n, c.workers)) {
+			t.Errorf("n=%d workers=%d: ranges %v, want Shards' %v", c.n, c.workers, got, Shards(c.n, c.workers))
 		}
 	}
 }
