@@ -5,8 +5,7 @@
 // The dataset never materializes: StreamMNO's one producer walks the
 // devices in order and hands them and their records, through a small
 // bounded window, straight to the CSV writers, so the process peak
-// stays near the counting pre-pass regardless of -devices. -workers
-// sizes that pre-pass; the output is identical for any value. -max-heap-mib turns the run into a
+// does not grow with -devices. -max-heap-mib turns the run into a
 // self-asserting memory experiment: the process samples its own heap
 // and exits non-zero if the peak exceeded the budget — the hook CI's
 // scale-smoke job uses to hold the streamed path to a fixed budget.
@@ -24,7 +23,6 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
-	"runtime"
 	"time"
 
 	"whereroam/internal/catalog"
@@ -42,7 +40,6 @@ func run(args []string, stdout io.Writer) (err error) {
 	fs.IntVar(&cfg.Devices, "devices", cfg.Devices, "distinct devices across the window")
 	fs.IntVar(&cfg.Days, "days", cfg.Days, "observation window in days")
 	fs.Uint64Var(&cfg.Seed, "seed", cfg.Seed, "generator seed")
-	fs.IntVar(&cfg.Workers, "workers", runtime.GOMAXPROCS(0), "counting pre-pass worker pool size (output is identical for any value)")
 	out := fs.String("out", "catalog.csv", "devices-catalog output path")
 	truth := fs.String("truth", "", "optional ground-truth class CSV output path")
 	maxHeapMiB := fs.Int64("max-heap-mib", 0, "fail if the process heap peak exceeds this many MiB (0 = no assertion)")

@@ -1,10 +1,9 @@
 // Doc lint: every package in the module must carry a package-level
 // doc comment, and the pipeline-facing packages must document every
 // exported declaration. The rules themselves live in the godoclint
-// analyzer of internal/lint — where roamvet and `go vet -vettool`
-// also enforce them — and this test is a thin in-process wrapper so
-// that `go test` alone still walks the documentation contract. The
-// strict-package set is lint.StrictGodocPackages. Two rules live only
+// analyzer of internal/lint — where roamvet also enforces them — and
+// this test is a thin in-process wrapper so that `go test` alone still
+// walks the documentation contract. The strict-package set is lint.StrictGodocPackages. Two rules live only
 // here because they need the file tree: a comment that names a *.md
 // document must name one that exists, and a whereroam.<Name> in the
 // documents that describe the current tree must be a name the facade

@@ -14,21 +14,10 @@ type blockKey struct {
 	base uint64
 }
 
-// blockCounts is the outcome of a counting pre-pass over one
-// population: per canonical shard, the starting allocation offset of
-// every block the shard draws from (the prefix-sum of earlier shards'
-// counts), plus the grand totals per block. Device i in shard s with
-// block k gets MSIN base + offsets[s][k] + (its rank among the shard's
-// earlier k-devices) — exactly the IMSI a serial index-order
-// allocation would have handed it.
-type blockCounts struct {
-	offsets []map[blockKey]uint64
-	totals  map[blockKey]uint64
-}
-
-// nextIMSI hands out the next IMSI of block (home, base) from one
-// shard's offsets, advancing them in place; a shard's devices must be
-// numbered in index order, each shard exactly once.
+// nextIMSI hands out the next IMSI of block (home, base) from the
+// allocator off, advancing it in place. Numbering a population in
+// device order over one allocator is the serial allocation every
+// generator's identities are defined by.
 func nextIMSI(off map[blockKey]uint64, home mccmnc.PLMN, base uint64) identity.IMSI {
 	k := blockKey{home: home, base: base}
 	n := off[k]
@@ -36,32 +25,37 @@ func nextIMSI(off map[blockKey]uint64, home mccmnc.PLMN, base uint64) identity.I
 	return identity.IMSI{PLMN: home, MSIN: base + n}
 }
 
-// countBlocks runs the counting pre-pass: key replays device i's draft
-// draws and returns its allocation block (it must be worker-count
-// invariant, which per-device substream replay guarantees). The
-// parallel count is O(devices) time and O(shards × blocks) space — the
-// whole residue of the serial allocation barrier, which is what lets a
-// device be drafted, numbered, emitted and released without its
-// neighbours ever being resident.
-func countBlocks(n, workers int, key func(i int) blockKey) blockCounts {
-	perShard := pipeline.Map(n, workers, func(sh pipeline.Shard) map[blockKey]uint64 {
-		counts := map[blockKey]uint64{}
+// blockCounts is the outcome of countBlocks over one population: per
+// canonical shard, the allocation offset of every block the shard
+// draws from, taken at the shard's first device of that block, plus
+// the grand totals per block. Numbering a shard's devices in index
+// order with nextIMSI from its offsets hands each device exactly the
+// IMSI the serial allocation does.
+type blockCounts struct {
+	offsets []map[blockKey]uint64
+	totals  map[blockKey]uint64
+}
+
+// countBlocks runs the serial allocation over key, which replays
+// device i's draft draws and returns its allocation block, and keeps
+// only the totals and each canonical shard's starting offsets:
+// O(devices) time and O(shards × blocks) space, which is what lets a
+// shard's devices be drafted, numbered, emitted and released without
+// their neighbours ever being resident.
+func countBlocks(n int, key func(i int) blockKey) blockCounts {
+	shards := pipeline.Shards(n, pipeline.ShardCount(n))
+	offsets := make([]map[blockKey]uint64, len(shards))
+	totals := map[blockKey]uint64{}
+	for _, sh := range shards {
+		off := map[blockKey]uint64{}
 		for i := sh.Lo; i < sh.Hi; i++ {
-			counts[key(i)]++
+			k := key(i)
+			imsi := nextIMSI(totals, k.home, k.base)
+			if _, seen := off[k]; !seen {
+				off[k] = imsi.MSIN - k.base
+			}
 		}
-		return counts
-	})
-	running := map[blockKey]uint64{}
-	offsets := make([]map[blockKey]uint64, len(perShard))
-	for s, counts := range perShard {
-		off := make(map[blockKey]uint64, len(counts))
-		for k := range counts {
-			off[k] = running[k]
-		}
-		offsets[s] = off
-		for k, cnt := range counts {
-			running[k] += cnt
-		}
+		offsets[sh.Index] = off
 	}
-	return blockCounts{offsets: offsets, totals: running}
+	return blockCounts{offsets: offsets, totals: totals}
 }

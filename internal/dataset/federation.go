@@ -316,7 +316,7 @@ func validateFederationConfig(cfg FederationConfig) FederationConfig {
 type fleetDraft struct {
 	class devices.Class
 	home  mccmnc.PLMN
-	base  uint64
+	imsi  identity.IMSI
 	src   rng.Source
 }
 
@@ -333,8 +333,9 @@ func fleetPicks() (classPick, m2mPick *rng.Weighted) {
 }
 
 // drawFleetDraft runs fleet device i's pass-1 draws (class, home
-// operator, IMSI block) from the fleet root.
-func drawFleetDraft(froot *rng.Source, i int, classPick, m2mPick *rng.Weighted) fleetDraft {
+// operator, IMSI block) from the fleet root and numbers it from the
+// allocator next, so devices must be drafted in index order.
+func drawFleetDraft(froot *rng.Source, i int, classPick, m2mPick *rng.Weighted, next map[blockKey]uint64) fleetDraft {
 	src := froot.SplitN("device", uint64(i))
 	var class devices.Class
 	switch classPick.DrawFrom(src) {
@@ -358,21 +359,21 @@ func drawFleetDraft(froot *rng.Source, i int, classPick, m2mPick *rng.Weighted) 
 	if class.IsM2M() {
 		base = M2MBlockBase
 	}
-	return fleetDraft{class: class, home: home, base: base, src: *src}
+	return fleetDraft{class: class, home: home, imsi: nextIMSI(next, home, base), src: *src}
 }
 
-// finishFleetMember runs one drafted fleet device through pass 3:
+// finishFleetMember runs one drafted fleet device through pass 2:
 // profile, identity, site presence and the per-day schedule. The
 // device's substream is not advanced past this point: per-site
 // emission derives from it with read-only splits, so a site's build
 // never perturbs another's draws.
-func finishFleetMember(d *fleetDraft, imsi identity.IMSI, cfg FederationConfig, db *gsma.DB, world *netsim.World, mobs *mobilitySlabs) fleetMember {
+func finishFleetMember(d *fleetDraft, cfg FederationConfig, db *gsma.DB, world *netsim.World, mobs *mobilitySlabs) fleetMember {
 	psrc := d.src.Split("profile")
 	prof, info := classProfile(psrc, d.class, cfg.Days, mccmnc.PLMN{}, d.home, true, db)
 	homeCountry, _ := mccmnc.CountryByMCC(d.home.MCC)
 	mob := mobs.classMobility(d.src.Split("mobility"), d.class,
 		geo.Point{Lat: homeCountry.Lat, Lon: homeCountry.Lon})
-	dev := devices.Assemble(d.class, imsi, info, prof, mob, false)
+	dev := devices.Assemble(d.class, d.imsi, info, prof, mob, false)
 
 	// Site presence: an anchor among the allowed sites plus each
 	// further allowed site with probability AttachProb.
@@ -396,36 +397,27 @@ func finishFleetMember(d *fleetDraft, imsi identity.IMSI, cfg FederationConfig, 
 	return fleetMember{dev: dev, src: d.src, sites: sites, sched: sched}
 }
 
-// generateFleet runs the shared fleet's three passes and the
-// site-presence draw.
+// generateFleet drafts and numbers the shared fleet in one serial
+// pass, then finishes each member in parallel.
 func generateFleet(cfg FederationConfig, root *rng.Source, db *gsma.DB, world *netsim.World) []fleetMember {
 	froot := root.Split("fleet")
 	classPick, m2mPick := fleetPicks()
 
-	// Pass 1 (parallel): class and home-operator draws.
+	// Pass 1 (serial): class and home-operator draws, and the IMSI the
+	// device-order allocation hands out.
 	drafts := make([]fleetDraft, cfg.FleetDevices)
-	pipeline.Run(cfg.FleetDevices, cfg.Workers, func(sh pipeline.Shard) {
-		for i := sh.Lo; i < sh.Hi; i++ {
-			drafts[i] = drawFleetDraft(froot, i, classPick, m2mPick)
-		}
-	})
+	next := map[blockKey]uint64{}
+	for i := range drafts {
+		drafts[i] = drawFleetDraft(froot, i, classPick, m2mPick, next)
+	}
 
-	// Pass 2 (parallel count): MSIN blocks hand out sequential numbers
-	// in device order, the one order-dependent step; with every shard's
-	// starting offsets known, pass 3 numbers its own devices.
-	counts := countBlocks(cfg.FleetDevices, cfg.Workers, func(i int) blockKey {
-		return blockKey{home: drafts[i].home, base: drafts[i].base}
-	})
-
-	// Pass 3 (parallel): IMSIs, profiles, identity and site presence.
+	// Pass 2 (parallel): profiles, identity and site presence.
 	fleet := make([]fleetMember, cfg.FleetDevices)
 	pipeline.Run(cfg.FleetDevices, cfg.Workers, func(sh pipeline.Shard) {
 		scratch := dayScratchPool.Get().(*dayScratch)
 		defer dayScratchPool.Put(scratch)
-		off := counts.offsets[sh.Index]
 		for i := sh.Lo; i < sh.Hi; i++ {
-			d := &drafts[i]
-			fleet[i] = finishFleetMember(d, nextIMSI(off, d.home, d.base), cfg, db, world, &scratch.mobs)
+			fleet[i] = finishFleetMember(&drafts[i], cfg, db, world, &scratch.mobs)
 		}
 	})
 	return fleet

@@ -142,13 +142,9 @@ type m2mDraft struct {
 // blocks.
 const m2mPlatformBase = 7_000_000_000
 
-// newM2MWalk builds the world and the population: a parallel
-// per-device home-operator draft, then the device identities. Identity
-// is a counting pre-pass, not a serial index-order IMSI allocation —
-// the draft pass counts each shard's draws per home operator, a
-// prefix-sum turns the counts into per-shard block offsets, and a
-// second parallel pass hands device i the IMSI the serial walk would
-// have: base + (devices of the same home before it).
+// newM2MWalk builds the world and the population: one serial pass
+// drafts each device's home operator from its own substream and
+// numbers it from its home's platform block in device order.
 func newM2MWalk(cfg M2MConfig) *m2mWalk {
 	if cfg.Devices <= 0 || cfg.Days <= 0 {
 		panic("dataset: M2M config needs positive Devices and Days")
@@ -170,34 +166,13 @@ func newM2MWalk(cfg M2MConfig) *m2mWalk {
 	}
 	hmnoPick := rng.NewWeighted(weights)
 
-	specCounts := pipeline.Map(cfg.Devices, cfg.Workers, func(sh pipeline.Shard) []uint64 {
-		counts := make([]uint64, len(specs))
-		for i := sh.Lo; i < sh.Hi; i++ {
-			src := root.SplitN("device", uint64(i))
-			spec := hmnoPick.DrawFrom(src)
-			w.drafts[i] = m2mDraft{spec: spec, src: *src}
-			counts[w.drafts[i].spec]++
-		}
-		return counts
-	})
-
-	running := make([]uint64, len(specs))
-	shardOffs := make([][]uint64, len(specCounts))
-	for s, counts := range specCounts {
-		shardOffs[s] = append([]uint64(nil), running...)
-		for k, n := range counts {
-			running[k] += n
-		}
+	next := make(map[blockKey]uint64, len(specs))
+	for i := range w.drafts {
+		src := root.SplitN("device", uint64(i))
+		spec := hmnoPick.DrawFrom(src)
+		w.drafts[i] = m2mDraft{spec: spec, src: *src}
+		w.devIDs[i] = identity.HashDevice(nextIMSI(next, specs[spec].plmn, m2mPlatformBase))
 	}
-
-	pipeline.Run(cfg.Devices, cfg.Workers, func(sh pipeline.Shard) {
-		off := shardOffs[sh.Index]
-		for i := sh.Lo; i < sh.Hi; i++ {
-			s := w.drafts[i].spec
-			w.devIDs[i] = identity.HashDevice(identity.IMSI{PLMN: specs[s].plmn, MSIN: m2mPlatformBase + off[s]})
-			off[s]++
-		}
-	})
 	return w
 }
 

@@ -28,11 +28,10 @@ type MNOConfig struct {
 	// GSMASeed seeds the synthetic TAC catalog (kept separate so the
 	// same catalog can be shared across datasets).
 	GSMASeed uint64
-	// Workers bounds the synthesis worker pool; values below one mean
+	// Workers bounds GenerateMNO's worker pool; values below one mean
 	// one worker per CPU. The generated dataset is bit-identical for
 	// every worker count (per-device RNG substreams, shard-ordered
-	// merge). StreamMNO emits on one producer and uses it for the
-	// counting pre-pass only.
+	// merge). StreamMNO emits on one producer and ignores it.
 	Workers int
 	// TransparencyAdoption is the probability that a home operator
 	// publishes IR.88 declarations for its M2M IMSI ranges (§1: the
@@ -189,7 +188,7 @@ func drawHome(src *rng.Source, table *homeTable) mccmnc.PLMN {
 }
 
 // mnoWalk is everything GenerateMNO and StreamMNO share: the dataset
-// constants, the counting pre-pass that stands in for a serial IMSI
+// constants, the per-shard block offsets of the serial IMSI
 // allocation, the IR.88 registry (it derives from the block totals
 // alone, so it exists before the first device does) and the one
 // per-device emission loop, shard. The two entry points differ only in
@@ -218,11 +217,12 @@ func newMNOWalk(cfg MNOConfig) *mnoWalk {
 	}
 	w.classPick, w.m2mPick = mnoPicks()
 
-	// Counting pre-pass: replay the cheap draft draws and keep only the
-	// per-shard block counts. MSIN blocks hand out sequential numbers,
-	// the one order-dependent step of the build; with every shard's
-	// starting offsets known, any shard can number its devices alone.
-	w.counts = countBlocks(cfg.Devices, cfg.Workers, func(i int) blockKey {
+	// Replay the cheap draft draws through the serial allocation and
+	// keep only the per-shard block offsets. MSIN blocks hand out
+	// sequential numbers, the one order-dependent step of the build;
+	// with every shard's starting offsets known, any shard can number
+	// its devices alone.
+	w.counts = countBlocks(cfg.Devices, func(i int) blockKey {
 		d := drawMNODraft(root, i, cfg, w.classPick, w.m2mPick)
 		return blockKey{home: d.home, base: d.base}
 	})
@@ -341,9 +341,8 @@ type mnoItem struct {
 // window that the caller drains, so the sink observes exactly the
 // order GenerateMNO collects, and collecting it reproduces
 // MNODataset.Devices and Catalog.Records bit for bit. The producer
-// overlaps the sink; cfg.Workers sizes only the counting pre-pass.
-// Memory is bounded by the window and the pre-pass's per-shard offset
-// maps — never by cfg.Devices.
+// overlaps the sink; cfg.Workers is not read. Memory is bounded by
+// the window and the per-shard block offsets — never by cfg.Devices.
 func StreamMNO(cfg MNOConfig, sink MNOSink) *MNOStream {
 	w := newMNOWalk(cfg)
 	out := &MNOStream{
@@ -391,8 +390,8 @@ func StreamMNO(cfg MNOConfig, sink MNOSink) *MNOStream {
 // IMSI blocks.
 const M2MBlockBase = 6_000_000_000
 
-// transparencyRegistry builds the IR.88 registry from the counting
-// pre-pass's block totals: each home with a dedicated M2M block adopts
+// transparencyRegistry builds the IR.88 registry from the block
+// totals of the serial allocation: each home with a dedicated M2M block adopts
 // with the given probability (a per-home draw keyed by its PLMN, so
 // the verdict never depends on iteration order) and declares exactly
 // the range it allocated.
@@ -426,7 +425,7 @@ func transparencyRegistry(adoption float64, src *rng.Source, totals map[blockKey
 
 // mnoPicks builds the shared class samplers both MNO passes draw from.
 // The samplers are stateless per draw (DrawFrom consumes the device's
-// stream, not their own), so the counting pre-pass and the emission
+// stream, not their own), so countBlocks' replay and the emission
 // walk can share one pair.
 func mnoPicks() (classPick, m2mPick *rng.Weighted) {
 	classPick = rng.NewWeighted([]float64{shareSmart, shareFeat, shareM2M})
@@ -439,8 +438,8 @@ func mnoPicks() (classPick, m2mPick *rng.Weighted) {
 }
 
 // drawMNODraft replays device i's draft draws from the root stream:
-// the class pick followed by draftDevice. The counting pre-pass and
-// the emission walk both go through this one helper, which is what
+// the class pick followed by draftDevice. countBlocks' replay and the
+// emission walk both go through this one helper, which is what
 // guarantees they see bit-identical draws (rng.Source.SplitN is O(1)
 // and never advances the parent, so the replay is free and exact).
 func drawMNODraft(root *rng.Source, i int, cfg MNOConfig, classPick, m2mPick *rng.Weighted) deviceDraft {

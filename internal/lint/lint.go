@@ -7,9 +7,8 @@
 // golang.org/x/tools/go/analysis, re-implemented on the standard
 // library alone (this build environment is offline): an [Analyzer] is
 // a named rule with a Run function over a type-checked [Unit], and a
-// driver — cmd/roamvet standalone, cmd/roamvet as a `go vet -vettool`,
-// or the in-process test drivers — decides which analyzers apply to
-// which packages via [AnalyzersFor].
+// driver — cmd/roamvet or the in-process test drivers — decides which
+// analyzers apply to which packages via [AnalyzersFor].
 //
 // Analyzers:
 //

@@ -59,7 +59,7 @@ func RunAs(t *testing.T, unitPath, fixture string, analyzers ...*lint.Analyzer) 
 		t.Fatalf("linttest: resolving fixture imports: %v", err)
 	}
 	fset := token.NewFileSet()
-	u, err := driver.Check(unitPath, files, fset, driver.NewImporter(fset, nil, exports))
+	u, err := driver.Check(unitPath, files, fset, driver.NewImporter(fset, exports))
 	if err != nil {
 		t.Fatalf("linttest: type-checking %s: %v", dir, err)
 	}
@@ -112,7 +112,7 @@ func RunModule(t *testing.T, fixture string, check func([]*lint.Unit) []lint.Dia
 		t.Fatalf("linttest: resolving fixture imports: %v", err)
 	}
 	fset := token.NewFileSet()
-	stdImp := driver.NewImporter(fset, nil, exports)
+	stdImp := driver.NewImporter(fset, exports)
 	loaded := map[string]*lint.Unit{}
 	var imp driver.ImporterFunc
 	imp = func(path string) (*types.Package, error) {

@@ -1,6 +1,6 @@
 // The roamvet clean-tree gate: the full analyzer suite must run
 // clean over the real module, in process — the same invariant CI
-// enforces through `go vet -vettool=roamvet ./...`. Every surviving
+// enforces through `roamvet ./...`. Every surviving
 // map range, float fold, sort and clock in the deterministic packages
 // is therefore either mechanically safe or carries an annotated
 // justification, and every library declaration is reachable from a
