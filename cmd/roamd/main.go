@@ -6,8 +6,8 @@
 //
 // Usage:
 //
-//	roamd -archive DIR [-addr :8080] [-cache-mb -1] [-workers N]
-//	      [-metrics] [-pprof] [-slow-ms 250]
+//	roamd -archive DIR [-addr :8080] [-cache-mb -1] [-metrics]
+//	      [-pprof] [-slow-ms 250]
 //
 // Endpoints (all GET):
 //
@@ -29,6 +29,10 @@
 // -cache-mb defaults to -1: derive the slice-cache bound from the
 // process's GOMEMLIMIT (a quarter of the limit, clamped), falling
 // back to 256 MiB when no limit is set.
+//
+// A slice fill (replay, summaries, classification) runs serially on
+// the goroutine of the request that missed the cache; concurrent
+// requests are what run in parallel, so there is no -workers flag.
 package main
 
 import (
@@ -40,7 +44,6 @@ import (
 	"net"
 	"net/http"
 	"os/signal"
-	"runtime"
 	"runtime/debug"
 	"strings"
 	"syscall"
@@ -78,7 +81,6 @@ func run(ctx context.Context, args []string, listen func(network, addr string) (
 	archive := fs.String("archive", "", "archive root containing site-<plmn> store directories (required)")
 	addr := fs.String("addr", ":8080", "listen address")
 	cacheMB := fs.Int("cache-mb", -1, "slice cache bound in MiB (0 = unbounded, -1 = auto from GOMEMLIMIT)")
-	fs.IntVar(&cfg.Workers, "workers", runtime.GOMAXPROCS(0), "replay parallelism per slice fill")
 	metrics := fs.Bool("metrics", true, "expose /metrics and /debug/spans")
 	pprofOn := fs.Bool("pprof", false, "expose /debug/pprof/* profiling endpoints")
 	slowMS := fs.Int("slow-ms", 250, "log traced operations slower than this many milliseconds")

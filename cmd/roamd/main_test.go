@@ -87,7 +87,7 @@ func TestServesAndDrains(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	done := make(chan error, 1)
-	args := []string{"-archive", tinyArchive(t), "-workers", "1", "-cache-mb", "16"}
+	args := []string{"-archive", tinyArchive(t), "-cache-mb", "16"}
 	go func() {
 		done <- run(ctx, args, func(string, string) (net.Listener, error) { return gl, nil })
 	}()

@@ -17,7 +17,7 @@ func TestDrivesALiveServer(t *testing.T) {
 	cfg.FleetDevices, cfg.NativePerSite, cfg.Days = 150, 80, 5
 	cfg.ArchiveDir = t.TempDir()
 	dataset.GenerateFederation(cfg)
-	srv := serve.New(serve.Config{Workers: 1})
+	srv := serve.New(serve.Config{})
 	if _, err := srv.MountSites(cfg.ArchiveDir); err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"maps"
 	"sort"
 	"strconv"
 	"strings"
@@ -10,7 +9,6 @@ import (
 	"whereroam/internal/catalog"
 	"whereroam/internal/gsma"
 	"whereroam/internal/identity"
-	"whereroam/internal/pipeline"
 )
 
 // Class is the classifier's output (§4.3).
@@ -162,57 +160,41 @@ type Result struct {
 	Evidence string
 }
 
-// ClassifyWorkers runs the pipeline over device summaries on workers
-// goroutines (below one = one worker per CPU, one = serial). It
-// returns one Result per summary, in the same order. The
-// population-level steps are two parallel sweeps separated by
-// barriers: each worker first collects the validated APNs of its range
-// of summaries, which union into one set every worker then reads to
-// collect m2m TACs, and only after both sets are complete does the
-// per-device pass run. Sets are consulted by membership only, so the
-// results are identical for every worker count.
+// ClassifyWorkers runs the pipeline over device summaries and returns
+// one Result per summary, in the same order. It is three serial passes:
+// step 1 collects the validated APNs, step 2 the m2m TACs of the
+// devices that use one, and only after both sets are complete does the
+// per-device pass run. workers is not read: at the population sizes
+// the pipeline runs at, two workers lose at 300 and 3 000 devices and
+// save about a millisecond at 30 000, so the passes stay on the
+// caller's goroutine. The parameter remains for the callers that pass it.
 func (c *Classifier) ClassifyWorkers(sums []catalog.Summary, workers int) []Result {
-	// Step 1 (fan-out + barrier): collect validated APNs — APN
-	// strings used in the population that match an M2M vertical
-	// keyword. A handful of APNs label a whole population, so each
-	// worker judges an APN the first time it meets it and remembers
-	// the verdict.
-	validated := map[apn.APN]bool{}
-	for _, p := range pipeline.PerWorker(len(sums), workers, func(sh pipeline.Shard) map[apn.APN]bool {
-		return c.validatedIn(sums[sh.Lo:sh.Hi])
-	}) {
-		maps.Copy(validated, p)
-	}
+	// Step 1: collect validated APNs — APN strings used in the
+	// population that match an M2M vertical keyword.
+	validated := c.validatedIn(sums)
 
-	// Step 2 (fan-out + barrier): devices using validated APNs are
-	// m2m; remember their device properties (TAC) for the closure.
-	// Needs the complete validated set, hence the second pass.
+	// Step 2: devices using validated APNs are m2m; remember their
+	// device properties (TAC) for the closure. Needs the complete
+	// validated set, hence the second pass.
 	m2mTACs := map[identity.TAC]bool{}
 	if c.Steps.ValidateAPNs {
-		for _, p := range pipeline.PerWorker(len(sums), workers, func(sh pipeline.Shard) map[identity.TAC]bool {
-			part := map[identity.TAC]bool{}
-			for i := sh.Lo; i < sh.Hi; i++ {
-				if c.usesValidated(&sums[i], validated) && sums[i].TAC != 0 {
-					part[sums[i].TAC] = true
-				}
+		for i := range sums {
+			if sums[i].TAC != 0 && c.usesValidated(&sums[i], validated) {
+				m2mTACs[sums[i].TAC] = true
 			}
-			return part
-		}) {
-			maps.Copy(m2mTACs, p)
 		}
 	}
 
 	out := make([]Result, len(sums))
-	pipeline.Run(len(sums), workers, func(sh pipeline.Shard) {
-		for i := sh.Lo; i < sh.Hi; i++ {
-			out[i] = c.classifyOne(&sums[i], validated, m2mTACs)
-		}
-	})
+	for i := range sums {
+		out[i] = c.classifyOne(&sums[i], validated, m2mTACs)
+	}
 	return out
 }
 
-// validatedIn is step 1 over one run of summaries: the set of their
-// APNs that match an M2M keyword, each distinct APN judged once.
+// validatedIn is step 1: the set of the summaries' APNs that match an
+// M2M keyword. A handful of APNs label a whole population, so each
+// distinct APN is judged the first time it is met.
 func (c *Classifier) validatedIn(sums []catalog.Summary) map[apn.APN]bool {
 	verdict := map[apn.APN]bool{}
 	for i := range sums {

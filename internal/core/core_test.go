@@ -257,10 +257,10 @@ func TestValidationMetricsArithmetic(t *testing.T) {
 }
 
 // TestClassifyAllocationsPerWorker pins ClassifyWorkers' allocations
-// to a bound that grows with neither the device count nor the shard
-// count: the population steps build one set per worker, and the
-// summaries draw their TACs and APNs from fixed pools, so every
-// population holds the same distinct values.
+// to a bound that grows with neither the device count nor the worker
+// count: the population steps build one set each, and the summaries
+// draw their TACs and APNs from fixed pools, so every population holds
+// the same distinct values.
 func TestClassifyAllocationsPerWorker(t *testing.T) {
 	apns := []apn.APN{
 		apn.MustParse("internet"),

@@ -26,8 +26,10 @@ type Population struct {
 
 // Derive builds the classified population of a catalog: per-device
 // summaries joined with db (nil = no GSMA join), the standard
-// classifier's verdicts, and labeler's roaming labels. The result is
-// bit-identical at any worker count (below one = one worker per CPU).
+// classifier's verdicts, and labeler's roaming labels. workers
+// parallelizes the summaries (below one = one worker per CPU);
+// classification and labelling are serial passes. The result is
+// bit-identical at any worker count.
 func Derive(cat *catalog.Catalog, db *gsma.DB, labeler *Labeler, workers int) *Population {
 	sums := cat.SummariesWorkers(db, workers)
 	p := &Population{

@@ -220,9 +220,9 @@ func TestKeywordTablesMatchKeywordLoop(t *testing.T) {
 	}
 }
 
-// Step 1's per-shard memo changes nothing a caller can see: the
-// validated set is the keyword loop's, and classification does not
-// depend on how the population was sharded over workers.
+// Step 1's memo changes nothing a caller can see: the validated set is
+// the keyword loop's, and classification does not depend on the worker
+// count a caller passes.
 func TestValidatedAPNsAndWorkerInvariance(t *testing.T) {
 	cfg := dataset.DefaultMNOConfig()
 	cfg.Devices = 3000

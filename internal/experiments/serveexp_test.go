@@ -37,7 +37,7 @@ func TestFedServeMatchesDaemon(t *testing.T) {
 		t.Fatalf("fed-serve served no sites:\n%s", rep)
 	}
 
-	srv := serve.New(serve.Config{Workers: 2})
+	srv := serve.New(serve.Config{})
 	names, err := srv.MountSites(dir)
 	if err != nil {
 		t.Fatal(err)

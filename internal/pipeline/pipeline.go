@@ -23,6 +23,9 @@
 // (the dataset capture's builders) or fed one contiguous range per
 // worker ([PerWorker]); either way it costs per worker, not per
 // shard, and the output is the same at every worker count.
+// [PerWorker] is the one range cutter: catalog summaries, store replay
+// (one catalog builder and decoder per range) and compaction's run
+// opening (one decoder per range) call it.
 package pipeline
 
 import (

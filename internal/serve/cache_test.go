@@ -189,7 +189,7 @@ func TestCacheEviction(t *testing.T) {
 // (Fills == distinct slices), proving the LRU + single-flight layer
 // never double-builds and never serves torn state. Run under -race.
 func TestServerConcurrentRequests(t *testing.T) {
-	s := newTestServer(t, Config{Workers: 2})
+	s := newTestServer(t, Config{})
 	h := s.Handler()
 	site := firstSite(t, s)
 	dev := firstDevice(t, s, site)

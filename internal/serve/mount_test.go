@@ -20,7 +20,7 @@ import (
 // store.Open ran between them) and — run under -race — show that
 // nothing is set on a Reader once fills share it.
 func TestMountReaderSharedByConcurrentFills(t *testing.T) {
-	s := newTestServer(t, Config{Workers: 2, Metrics: obs.NewRegistry(), Tracer: obs.NewTracer(32, 0, nil)})
+	s := newTestServer(t, Config{Metrics: obs.NewRegistry(), Tracer: obs.NewTracer(32, 0, nil)})
 	h := s.Handler()
 	site := firstSite(t, s)
 	m := s.mounts[site]
@@ -85,7 +85,7 @@ func TestMountReopensChangedStore(t *testing.T) {
 	// fresh answers url from a server mounted on dir just now.
 	fresh := func(t *testing.T, dir, url string) []byte {
 		t.Helper()
-		s := New(Config{Workers: 1})
+		s := New(Config{})
 		if err := s.Mount("x", dir); err != nil {
 			t.Fatal(err)
 		}
@@ -100,7 +100,7 @@ func TestMountReopensChangedStore(t *testing.T) {
 	// that is still cold.
 	coldAfter := func(t *testing.T, dir string, change func()) (stale, got []byte) {
 		t.Helper()
-		s := New(Config{Workers: 1})
+		s := New(Config{})
 		if err := s.Mount("x", dir); err != nil {
 			t.Fatal(err)
 		}

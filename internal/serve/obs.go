@@ -116,7 +116,8 @@ func (s *Server) route(name string, h http.HandlerFunc) http.HandlerFunc {
 
 // buildSlice is the shared cache-fill path: take the mount's reader
 // (store metrics already attached), replay under q and derive the
-// slice — under a slice_build span labeled with the cache key and
+// slice, both serially on the filling request's goroutine — under a
+// slice_build span labeled with the cache key and
 // either the built slice's cost estimate or the fill's error. The span
 // finishes on every path, a panicking fill included, so the failed
 // fills reach /debug/spans and the slow-op log too.
@@ -138,10 +139,10 @@ func (s *Server) buildSlice(key string, m *mount, q store.Query) (*slice, error)
 		if err != nil {
 			return nil, err
 		}
-		cat, _, err := r.Replay(q, s.cfg.Workers)
+		cat, _, err := r.Replay(q, 1)
 		if err != nil {
 			return nil, err
 		}
-		return newSlice(cat, s.cfg.Workers), nil
+		return newSlice(cat, 1), nil
 	})
 }

@@ -28,6 +28,16 @@ func metricValue(t *testing.T, text, series string) float64 {
 	return -1
 }
 
+// scrape renders the registry's exposition text.
+func scrape(t *testing.T, reg *obs.Registry) string {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := reg.WriteText(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.String()
+}
+
 // TestServeObservability drives an instrumented server end to end and
 // checks that the three layers all surface on /metrics: per-route
 // request/error counters, cache gauges, and the store's plan/read
@@ -36,19 +46,12 @@ func metricValue(t *testing.T, text, series string) float64 {
 func TestServeObservability(t *testing.T) {
 	reg := obs.NewRegistry()
 	tracer := obs.NewTracer(32, time.Hour, nil)
-	s := newTestServer(t, Config{Workers: 2, Metrics: reg, Tracer: tracer})
+	s := newTestServer(t, Config{Metrics: reg, Tracer: tracer})
 	h := s.Handler()
 	site := firstSite(t, s)
 
 	if st, _ := testGet(t, h, "/v1/sites"); st != http.StatusOK {
 		t.Fatalf("/v1/sites: status %d", st)
-	}
-	scrape := func() string {
-		var buf bytes.Buffer
-		if err := reg.WriteText(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return buf.String()
 	}
 	var afterFill string
 	for i := 0; i < 3; i++ {
@@ -56,13 +59,13 @@ func TestServeObservability(t *testing.T) {
 			t.Fatalf("stats: status %d", st)
 		}
 		if i == 0 {
-			afterFill = scrape()
+			afterFill = scrape(t, reg)
 		}
 	}
 	if st, _ := testGet(t, h, "/v1/sites/99999/stats"); st != http.StatusNotFound {
 		t.Fatalf("unknown site: status %d", st)
 	}
-	text := scrape()
+	text := scrape(t, reg)
 
 	for series, min := range map[string]float64{
 		`roamd_http_requests_total{route="sites"}`:      1,
@@ -107,13 +110,38 @@ func TestServeObservability(t *testing.T) {
 	}
 }
 
+// TestColdFillReplaysOneRange pins that a slice fill runs on its
+// request's goroutine: a cold whole-window fill that selects several
+// segments decodes them as one replay range, so the store's per-range
+// histogram gains exactly one observation. Config.Workers is set to
+// show that the server does not read it.
+func TestColdFillReplaysOneRange(t *testing.T) {
+	reg := obs.NewRegistry()
+	s := newTestServer(t, Config{Workers: 2, Metrics: reg})
+	site := firstSite(t, s)
+	before := scrape(t, reg)
+	if st, body := testGet(t, s.Handler(), "/v1/sites/"+site+"/stats"); st != http.StatusOK {
+		t.Fatalf("stats: status %d (%s)", st, body)
+	}
+	after := scrape(t, reg)
+	delta := func(series string) float64 {
+		return metricValue(t, after, series) - max(metricValue(t, before, series), 0)
+	}
+	if sel := delta("store_segments_selected_total"); sel < 2 {
+		t.Fatalf("the fill selected %v segments, want at least 2 for the range count to mean anything", sel)
+	}
+	if n := delta("store_replay_shard_seconds_count"); n != 1 {
+		t.Errorf("store_replay_shard_seconds gained %v observations for one cold fill, want 1", n)
+	}
+}
+
 // TestFailedFillLeavesSpan pins that a fill which fails still finishes
 // its slice_build span: a traced server whose store vanished answers
 // 503, and the tracer ring then holds the span with the cache key and
 // the fill's error.
 func TestFailedFillLeavesSpan(t *testing.T) {
 	tracer := obs.NewTracer(32, 0, nil)
-	h, names := goneStoreServer(t, Config{Workers: 1, Tracer: tracer})
+	h, names := goneStoreServer(t, Config{Tracer: tracer})
 	if st, body := testGet(t, h, "/v1/sites/"+names[0]+"/stats"); st != http.StatusServiceUnavailable {
 		t.Fatalf("stats with store gone: status %d (%s)", st, body)
 	}
@@ -138,7 +166,7 @@ func TestFailedFillLeavesSpan(t *testing.T) {
 // without a registry or tracer the middleware is not installed and
 // requests still serve.
 func TestUninstrumentedServerHasNoWrapper(t *testing.T) {
-	s := newTestServer(t, Config{Workers: 1})
+	s := newTestServer(t, Config{})
 	if s.obs != nil {
 		t.Fatal("obs state created without Metrics or Tracer configured")
 	}

@@ -40,8 +40,11 @@ import (
 
 // Config parameterizes a Server.
 type Config struct {
-	// Workers is the replay/summary parallelism per slice fill
-	// (0 or 1 means serial; results are bit-identical either way).
+	// Workers is not read. A slice fill runs serially on its request's
+	// goroutine: the server parallelizes across requests, and under
+	// concurrent load a fill fanned out over workers was no faster
+	// than a serial one and allocated more. The field remains for the
+	// callers that still set it.
 	Workers int
 	// MaxCacheBytes bounds the slice cache's estimated resident cost;
 	// non-positive means effectively unbounded.
@@ -132,9 +135,6 @@ type Server struct {
 
 // New returns an empty server; mount stores with Mount or MountSites.
 func New(cfg Config) *Server {
-	if cfg.Workers <= 0 {
-		cfg.Workers = 1
-	}
 	s := &Server{
 		cfg:    cfg,
 		mounts: map[string]*mount{},

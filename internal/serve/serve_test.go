@@ -107,7 +107,7 @@ func firstDevice(t *testing.T, s *Server, site string) string {
 // fed-serve experiments runner reports, so these goldens pin the
 // daemon bit-identical to the runner output.
 func TestHandlerGoldens(t *testing.T) {
-	s := newTestServer(t, Config{Workers: 2})
+	s := newTestServer(t, Config{})
 	h := s.Handler()
 	site := firstSite(t, s)
 	dev := firstDevice(t, s, site)
@@ -158,7 +158,7 @@ func TestHandlerGoldens(t *testing.T) {
 // 404, malformed requests 400, and every error body is JSON with an
 // "error" key.
 func TestHandlerErrors(t *testing.T) {
-	s := newTestServer(t, Config{Workers: 1})
+	s := newTestServer(t, Config{})
 	h := s.Handler()
 	site := firstSite(t, s)
 
@@ -239,7 +239,7 @@ func goneStoreServer(t *testing.T, cfg Config) (http.Handler, []string) {
 // after mount turns cold requests into JSON 503s, never panics or
 // empty 200s.
 func TestStoreGoneMidRequest(t *testing.T) {
-	h, names := goneStoreServer(t, Config{Workers: 1})
+	h, names := goneStoreServer(t, Config{})
 	for _, path := range []string{
 		"/v1/sites/" + names[0] + "/stats",
 		"/v1/sites/" + names[0] + "/days?lo=0&hi=1",
@@ -289,7 +289,7 @@ func TestDecodeQueryInvariants(t *testing.T) {
 // the generator's accounting: requests flow, no errors, every op in
 // the default mix appears.
 func TestLoadGenerator(t *testing.T) {
-	s := newTestServer(t, Config{Workers: 1})
+	s := newTestServer(t, Config{})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 

@@ -451,15 +451,15 @@ func readRunFrame(br *bufio.Reader, buf []byte) ([]byte, error) {
 // Every run that came back, with or without an error, is left in runs
 // for the caller to close.
 func openRuns(srcs []runSrc, runs []*openRun) error {
-	errs := make([]error, len(srcs))
-	ranges := pipeline.Shards(len(srcs), pipeline.Workers(0))
-	pipeline.Run(len(ranges), len(ranges), func(sh pipeline.Shard) {
+	errs := pipeline.PerWorker(len(srcs), 0, func(sh pipeline.Shard) error {
 		dec := cdrs.NewDecoder(nil)
-		for k := ranges[sh.Lo].Lo; k < ranges[sh.Hi-1].Hi; k++ {
-			if runs[k], errs[k] = srcs[k].open(dec); errs[k] != nil {
-				return
+		for k := sh.Lo; k < sh.Hi; k++ {
+			var err error
+			if runs[k], err = srcs[k].open(dec); err != nil {
+				return err
 			}
 		}
+		return nil
 	})
 	for _, err := range errs {
 		if err != nil {

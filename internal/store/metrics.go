@@ -101,8 +101,8 @@ func (m *Metrics) ckptTimer() obs.Stopwatch {
 	return m.ckptSeconds.Start()
 }
 
-// shardHist exposes the replay-range histogram for pipeline.MapTimed
-// (nil when detached, which MapTimed treats as plain Map).
+// shardHist exposes the replay-range histogram (nil when detached; a
+// nil histogram's stopwatch reads no clock).
 func (m *Metrics) shardHist() *obs.Histogram {
 	if m == nil {
 		return nil

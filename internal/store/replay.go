@@ -195,14 +195,13 @@ func (r *Reader) Replay(q Query, workers int) (*catalog.Catalog, *ReplayStats, e
 		stats ReplayStats
 		err   error
 	}
-	// Map over the ranges hands each callback one range (several only
-	// past pipeline's shard cap), so there are at most min(workers,
-	// selected) builders and decoders.
-	ranges := pipeline.Shards(len(selected), pipeline.Workers(workers))
-	parts := pipeline.MapTimed(len(ranges), workers, r.met.shardHist(), func(sh pipeline.Shard) part {
+	// One range per worker, so there are at most min(workers, selected)
+	// builders and decoders.
+	parts := pipeline.PerWorker(len(selected), workers, func(sh pipeline.Shard) part {
+		defer r.met.shardHist().Start().Stop()
 		p := part{b: catalog.NewBuilder(meta.Host, meta.Start, meta.Days, nil)}
 		dec := cdrs.NewDecoder(nil)
-		for k := ranges[sh.Lo].Lo; k < ranges[sh.Hi-1].Hi; k++ {
+		for k := sh.Lo; k < sh.Hi; k++ {
 			si := &r.man.Segments[selected[k]]
 			err := scanSegment(r.dir, si, dec,
 				func(_ []byte, rec *cdrs.Record) {
