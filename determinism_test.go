@@ -162,10 +162,7 @@ func TestStreamM2MTieHeavyStableOrder(t *testing.T) {
 
 // A federation observes one shared fleet from several visited
 // operators; every site's catalog — and everything derived from it —
-// must be bit-identical at any worker count and across the two
-// catalog builds the capture still has while FederationConfig carries
-// its Streaming field (builders owned by the emission shards, or the
-// same events routed through ingest.CatalogIngester).
+// must be bit-identical at any worker count.
 func TestFederationDeterministicAcrossWorkerCounts(t *testing.T) {
 	base := dataset.DefaultFederationConfig()
 	base.FleetDevices, base.NativePerSite, base.Days = 250, 150, 8
@@ -175,35 +172,29 @@ func TestFederationDeterministicAcrossWorkerCounts(t *testing.T) {
 	if len(serial.Sites) != 3 {
 		t.Fatalf("default federation has %d sites, want 3", len(serial.Sites))
 	}
-	for _, streaming := range []bool{false, true} {
-		for _, workers := range []int{1, 4, 0} {
-			if !streaming && workers == 1 {
-				continue // the baseline itself
+	for _, workers := range []int{4, 0} {
+		cfg := base
+		cfg.Workers = workers
+		fed := dataset.GenerateFederation(cfg)
+		if !reflect.DeepEqual(serial.Fleet, fed.Fleet) {
+			t.Errorf("workers=%d: shared fleet differs", workers)
+		}
+		if !reflect.DeepEqual(serial.Truth, fed.Truth) {
+			t.Errorf("workers=%d: fleet truth differs", workers)
+		}
+		if !reflect.DeepEqual(serial.Schedule, fed.Schedule) {
+			t.Errorf("workers=%d: presence schedule differs", workers)
+		}
+		for j := range serial.Sites {
+			a, b := serial.Sites[j], fed.Sites[j]
+			if !reflect.DeepEqual(a.Catalog.Records, b.Catalog.Records) {
+				t.Errorf("workers=%d site %d: catalog differs", workers, j)
 			}
-			cfg := base
-			cfg.Workers = workers
-			cfg.Streaming = streaming
-			fed := dataset.GenerateFederation(cfg)
-			if !reflect.DeepEqual(serial.Fleet, fed.Fleet) {
-				t.Errorf("streaming=%v workers=%d: shared fleet differs", streaming, workers)
+			if !reflect.DeepEqual(a.Present, b.Present) {
+				t.Errorf("workers=%d site %d: fleet presence differs", workers, j)
 			}
-			if !reflect.DeepEqual(serial.Truth, fed.Truth) {
-				t.Errorf("streaming=%v workers=%d: fleet truth differs", streaming, workers)
-			}
-			if !reflect.DeepEqual(serial.Schedule, fed.Schedule) {
-				t.Errorf("streaming=%v workers=%d: presence schedule differs", streaming, workers)
-			}
-			for j := range serial.Sites {
-				a, b := serial.Sites[j], fed.Sites[j]
-				if !reflect.DeepEqual(a.Catalog.Records, b.Catalog.Records) {
-					t.Errorf("streaming=%v workers=%d site %d: catalog differs", streaming, workers, j)
-				}
-				if !reflect.DeepEqual(a.Present, b.Present) {
-					t.Errorf("streaming=%v workers=%d site %d: fleet presence differs", streaming, workers, j)
-				}
-				if !reflect.DeepEqual(a.Truth, b.Truth) {
-					t.Errorf("streaming=%v workers=%d site %d: local truth differs", streaming, workers, j)
-				}
+			if !reflect.DeepEqual(a.Truth, b.Truth) {
+				t.Errorf("workers=%d site %d: local truth differs", workers, j)
 			}
 		}
 	}
@@ -211,49 +202,45 @@ func TestFederationDeterministicAcrossWorkerCounts(t *testing.T) {
 
 // The shared presence schedule makes federation presence mutually
 // exclusive: a fleet device scheduled at one site on a day must
-// appear in no other site's catalog that day, every observed
-// (device, day) must match the schedule exactly, and the invariant
-// must hold on the per-worker and the router catalog build alike.
+// appear in no other site's catalog that day, and every observed
+// (device, day) must match the schedule exactly.
 func TestFederationScheduleExclusive(t *testing.T) {
-	for _, streaming := range []bool{false, true} {
-		cfg := dataset.DefaultFederationConfig()
-		cfg.FleetDevices, cfg.NativePerSite, cfg.Days = 300, 100, 8
-		cfg.Streaming = streaming
-		fed := dataset.GenerateFederation(cfg)
+	cfg := dataset.DefaultFederationConfig()
+	cfg.FleetDevices, cfg.NativePerSite, cfg.Days = 300, 100, 8
+	fed := dataset.GenerateFederation(cfg)
 
-		idx := make(map[identity.DeviceID]int, len(fed.Fleet))
-		for i := range fed.Fleet {
-			idx[fed.Fleet[i].ID] = i
-		}
-		type devDay struct {
-			dev identity.DeviceID
-			day int
-		}
-		seenAt := map[devDay]int{}
-		checked := 0
-		for j, site := range fed.Sites {
-			for i := range site.Catalog.Records {
-				rec := &site.Catalog.Records[i]
-				fi, isFleet := idx[rec.Device]
-				if !isFleet {
-					continue
-				}
-				checked++
-				if got := fed.ScheduledSite(fi, rec.Day); int(got) != j {
-					t.Fatalf("streaming=%v: device %v day %d observed at site %d but scheduled at %d",
-						streaming, rec.Device, rec.Day, j, got)
-				}
-				key := devDay{rec.Device, rec.Day}
-				if prev, dup := seenAt[key]; dup && prev != j {
-					t.Fatalf("streaming=%v: device %v active at sites %d and %d on day %d",
-						streaming, rec.Device, prev, j, rec.Day)
-				}
-				seenAt[key] = j
+	idx := make(map[identity.DeviceID]int, len(fed.Fleet))
+	for i := range fed.Fleet {
+		idx[fed.Fleet[i].ID] = i
+	}
+	type devDay struct {
+		dev identity.DeviceID
+		day int
+	}
+	seenAt := map[devDay]int{}
+	checked := 0
+	for j, site := range fed.Sites {
+		for i := range site.Catalog.Records {
+			rec := &site.Catalog.Records[i]
+			fi, isFleet := idx[rec.Device]
+			if !isFleet {
+				continue
 			}
+			checked++
+			if got := fed.ScheduledSite(fi, rec.Day); int(got) != j {
+				t.Fatalf("device %v day %d observed at site %d but scheduled at %d",
+					rec.Device, rec.Day, j, got)
+			}
+			key := devDay{rec.Device, rec.Day}
+			if prev, dup := seenAt[key]; dup && prev != j {
+				t.Fatalf("device %v active at sites %d and %d on day %d",
+					rec.Device, prev, j, rec.Day)
+			}
+			seenAt[key] = j
 		}
-		if checked == 0 {
-			t.Fatalf("streaming=%v: no fleet device-days observed; invariant vacuous", streaming)
-		}
+	}
+	if checked == 0 {
+		t.Fatal("no fleet device-days observed; invariant vacuous")
 	}
 }
 
@@ -300,32 +287,28 @@ func TestFederationM2MPlaneDeterministic(t *testing.T) {
 
 // The federated SMIP plane builds one meters-only catalog per site
 // through the same capture walk as the main site catalogs, so it must
-// be bit-identical across worker counts and the Streaming switch —
-// and, meters being stationary, each fleet
-// meter must appear at exactly one site.
+// be bit-identical across worker counts — and, meters being
+// stationary, each fleet meter must appear at exactly one site.
 func TestFederationSMIPPlaneDeterministic(t *testing.T) {
 	base := dataset.DefaultFederationConfig()
 	base.FleetDevices, base.NativePerSite, base.Days = 250, 60, 8
 	base.Workers = 1
 	serial := dataset.GenerateFederationSMIP(dataset.GenerateFederation(base))
 
-	for _, streaming := range []bool{false, true} {
-		for _, workers := range []int{4, 0} {
-			cfg := base
-			cfg.Workers = workers
-			cfg.Streaming = streaming
-			plane := dataset.GenerateFederationSMIP(dataset.GenerateFederation(cfg))
-			for j := range serial.Sites {
-				a, b := serial.Sites[j], plane.Sites[j]
-				if !reflect.DeepEqual(a.Catalog.Records, b.Catalog.Records) {
-					t.Errorf("streaming=%v workers=%d site %d: SMIP catalog differs", streaming, workers, j)
-				}
-				if !reflect.DeepEqual(a.Native, b.Native) {
-					t.Errorf("streaming=%v workers=%d site %d: native cohort differs", streaming, workers, j)
-				}
-				if a.NativeRange != b.NativeRange {
-					t.Errorf("streaming=%v workers=%d site %d: native range differs", streaming, workers, j)
-				}
+	for _, workers := range []int{4, 0} {
+		cfg := base
+		cfg.Workers = workers
+		plane := dataset.GenerateFederationSMIP(dataset.GenerateFederation(cfg))
+		for j := range serial.Sites {
+			a, b := serial.Sites[j], plane.Sites[j]
+			if !reflect.DeepEqual(a.Catalog.Records, b.Catalog.Records) {
+				t.Errorf("workers=%d site %d: SMIP catalog differs", workers, j)
+			}
+			if !reflect.DeepEqual(a.Native, b.Native) {
+				t.Errorf("workers=%d site %d: native cohort differs", workers, j)
+			}
+			if a.NativeRange != b.NativeRange {
+				t.Errorf("workers=%d site %d: native range differs", workers, j)
 			}
 		}
 	}

@@ -13,7 +13,6 @@ import (
 	"fmt"
 
 	"whereroam"
-	"whereroam/internal/catalog"
 	"whereroam/internal/core"
 	"whereroam/internal/settlement"
 )
@@ -33,8 +32,8 @@ func main() {
 	fmt.Print(st)
 
 	fmt.Println("\noccupancy vs revenue (inbound roamers only):")
-	ecos := settlement.EconomicsByGroup(mno.Catalog, rates, func(rec *catalog.DailyRecord) string {
-		i, ok := pop.Find(rec.Device)
+	ecos := settlement.EconomicsByGroup(mno.Catalog, rates, func(dev whereroam.DeviceID) string {
+		i, ok := pop.Find(dev)
 		if !ok || !pop.Labels[i].InboundRoamer() {
 			return ""
 		}

@@ -12,6 +12,7 @@ package catalog
 
 import (
 	"cmp"
+	"iter"
 	"slices"
 
 	"whereroam/internal/apn"
@@ -92,11 +93,31 @@ type Catalog struct {
 	// Days is the window length.
 	Days int
 	// Records holds every device-day aggregate, each device's records
-	// as one contiguous run (SummariesWorkers relies on it). Every
-	// constructor keeps it: the builders sort by (device, day), the
-	// generators emit device by device, and ReadCSV rejects a device
-	// that reappears after another device's rows.
+	// as one contiguous run; Devices is the one walk over those runs,
+	// and every per-device reader relies on it. Every constructor
+	// keeps it: the builders sort by (device, day), the generators
+	// emit device by device, and ReadCSV rejects a device that
+	// reappears after another device's rows.
 	Records []DailyRecord
+}
+
+// Devices yields each run of one device's consecutive records in recs,
+// in record order, as a capacity-limited window into recs. On a
+// catalog's Records (or a sub-range cut at device starts) each run is
+// all of one device's records.
+func Devices(recs []DailyRecord) iter.Seq[[]DailyRecord] {
+	return func(yield func([]DailyRecord) bool) {
+		for lo := 0; lo < len(recs); {
+			hi := lo + 1
+			for hi < len(recs) && recs[hi].Device == recs[lo].Device {
+				hi++
+			}
+			if !yield(recs[lo:hi:hi]) {
+				return
+			}
+			lo = hi
+		}
+	}
 }
 
 // Summary is a device aggregated across the window — the unit the
@@ -174,11 +195,11 @@ func summarize(recs []DailyRecord, db *gsma.DB) []Summary {
 	var apnBuf [16]apn.APN
 	var visBuf [16]mccmnc.PLMN
 	nDev, nAPN, nVis := 0, 0, 0
-	for i := 0; i < len(recs); {
+	for run := range Devices(recs) {
 		apns, vis := apnBuf[:0], visBuf[:0]
-		for dev := recs[i].Device; i < len(recs) && recs[i].Device == dev; i++ {
-			apns = appendDistinct(apns, 0, recs[i].APNs)
-			vis = appendDistinct(vis, 0, recs[i].Visited)
+		for i := range run {
+			apns = appendDistinct(apns, 0, run[i].APNs)
+			vis = appendDistinct(vis, 0, run[i].Visited)
 		}
 		nDev++
 		nAPN += len(apns)
@@ -190,13 +211,13 @@ func summarize(recs []DailyRecord, db *gsma.DB) []Summary {
 	out := make([]Summary, 0, nDev)
 	apns := make([]apn.APN, 0, nAPN)
 	vis := make([]mccmnc.PLMN, 0, nVis)
-	for i := 0; i < len(recs); {
-		s := Summary{Device: recs[i].Device, SIM: recs[i].SIM, TAC: recs[i].TAC, FirstDay: recs[i].Day, LastDay: recs[i].Day}
+	for run := range Devices(recs) {
+		s := Summary{Device: run[0].Device, SIM: run[0].SIM, TAC: run[0].TAC, FirstDay: run[0].Day, LastDay: run[0].Day}
 		apnLo, visLo := len(apns), len(vis)
 		var gyrSum float64
 		var gyrN int
-		for ; i < len(recs) && recs[i].Device == s.Device; i++ {
-			r := &recs[i]
+		for i := range run {
+			r := &run[i]
 			s.ActiveDays++
 			s.FirstDay = min(s.FirstDay, r.Day)
 			s.LastDay = max(s.LastDay, r.Day)

@@ -358,6 +358,76 @@ func TestSummariesAllocationsPerWorker(t *testing.T) {
 	}
 }
 
+// TestDevicesWalkAllocatesNothing pins the one per-device walk to zero
+// allocations: Devices and the loop body inline into the caller, so
+// the iterator's closures stay on its stack.
+func TestDevicesWalkAllocatesNothing(t *testing.T) {
+	cat := poolCatalog(3000)
+	var runs, recs int
+	allocs := testing.AllocsPerRun(20, func() {
+		runs, recs = 0, 0
+		for run := range Devices(cat.Records) {
+			runs++
+			recs += len(run)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("%.1f allocations per walk, want 0", allocs)
+	}
+	if runs != 3000 || recs != len(cat.Records) {
+		t.Errorf("walked %d runs over %d records, want 3000 over %d", runs, recs, len(cat.Records))
+	}
+}
+
+// TestDevices checks the runs Devices yields: each maximal run of one
+// device's consecutive records, in record order, capacity-limited, and
+// none after the caller breaks.
+func TestDevices(t *testing.T) {
+	recsOf := func(devs ...int) []DailyRecord {
+		out := make([]DailyRecord, len(devs))
+		for i, d := range devs {
+			out[i] = DailyRecord{Device: identity.DeviceID(d), Day: i}
+		}
+		return out
+	}
+	for _, tc := range []struct {
+		name string
+		devs []int
+		want [][]int // the Day (record index) of each run's records
+	}{
+		{"empty", nil, nil},
+		{"one record", []int{7}, [][]int{{0}}},
+		{"single-record runs", []int{3, 1, 2}, [][]int{{0}, {1}, {2}}},
+		{"mixed runs", []int{5, 5, 2, 9, 9, 9}, [][]int{{0, 1}, {2}, {3, 4, 5}}},
+	} {
+		var got [][]int
+		for run := range Devices(recsOf(tc.devs...)) {
+			if cap(run) != len(run) {
+				t.Errorf("%s: run of %d has capacity %d", tc.name, len(run), cap(run))
+			}
+			days := []int{}
+			for _, r := range run {
+				days = append(days, r.Day)
+			}
+			got = append(got, days)
+		}
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s: runs %v, want %v", tc.name, got, tc.want)
+		}
+	}
+
+	var seen []identity.DeviceID
+	for run := range Devices(recsOf(1, 1, 2, 3, 3)) {
+		seen = append(seen, run[0].Device)
+		if run[0].Device == 2 {
+			break
+		}
+	}
+	if !reflect.DeepEqual(seen, []identity.DeviceID{1, 2}) {
+		t.Errorf("walk after break saw %v, want [1 2]", seen)
+	}
+}
+
 // TestSlabCarve checks that carved slices are empty, capacity-limited
 // and disjoint, also across a chunk change and for sizes that get an
 // array of their own.

@@ -49,13 +49,9 @@ type FederationConfig struct {
 	// holds: values below one mean one worker per CPU and the dataset
 	// is bit-identical for every worker count.
 	Workers int
-	// Streaming builds each site's catalog through the ingest router
-	// (emission sinks → ingest.CatalogIngester) instead of the
-	// per-worker builders the emission shards borrow. Both produce
-	// bit-identical catalogs and the borrowed build is faster at the
-	// same heap; the field remains
-	// only while the benchmark's serve fixture sets it (see ROADMAP,
-	// "One generation core" (b)).
+	// Streaming is unread: every site's catalog builds through the
+	// per-worker builders the emission shards borrow. The field stays
+	// only because the benchmark's serve fixture still sets it.
 	Streaming bool
 	// ArchiveDir, when non-empty, persists every site's CDR/xDR feed
 	// to a segmented archive at ArchiveDir/site-<plmn> while that
@@ -641,5 +637,5 @@ func siteMeta(cfg FederationConfig, host mccmnc.PLMN) store.Meta {
 
 // siteCapture is one federation site's observation window.
 func siteCapture(cfg FederationConfig, host mccmnc.PLMN) capture {
-	return capture{host: host, start: cfg.Start, days: cfg.Days, workers: cfg.Workers, router: cfg.Streaming}
+	return capture{host: host, start: cfg.Start, days: cfg.Days, workers: cfg.Workers}
 }

@@ -7,7 +7,6 @@ import (
 	"whereroam/internal/cdrs"
 	"whereroam/internal/devices"
 	"whereroam/internal/geo"
-	"whereroam/internal/ingest"
 	"whereroam/internal/mccmnc"
 	"whereroam/internal/pipeline"
 	"whereroam/internal/probe"
@@ -41,9 +40,6 @@ type capture struct {
 	start   time.Time
 	days    int
 	workers int
-	// router builds the catalog through the ingest router instead of
-	// per-worker builders (FederationConfig's Streaming field).
-	router bool
 }
 
 // build walks locals through the per-event measurement path — radio
@@ -66,33 +62,12 @@ func (c capture) build(locals []localDevice, tee func(cdrs.Record)) *catalog.Cat
 
 	es := make([]*emitter, pipeline.Workers(c.workers))
 	sb := catalog.NewShardedBuilder(c.host, c.start, c.days, grid, len(es))
-	var build func(workers int) *catalog.Catalog
-	if c.router {
-		// The router's last generator-side entrance, kept bit-identical
-		// while bench/serve.go sets FederationConfig's Streaming field.
-		in := ingest.NewCatalogIngester(sb, 0)
-		// Build closes on the happy path (Close is idempotent); the
-		// defer covers an emission panic, so a caller that recovers it
-		// does not leak the per-shard consumer goroutines.
-		defer in.Close()
-		offerDay := func(evs []radio.Event) {
-			for i := range evs {
-				in.OfferRadio(evs[i])
-			}
-		}
-		for i := range es {
-			es[i] = newEmitter(offerDay, in.OfferRecord, tee)
-		}
-		build = in.Build
-	} else {
-		for i := range es {
-			b := sb.Builder(i)
-			es[i] = newEmitter(b.AddRadioDay, b.AddRecord, tee)
-		}
-		build = sb.Build
+	for i := range es {
+		b := sb.Builder(i)
+		es[i] = newEmitter(b.AddRadioDay, b.AddRecord, tee)
 	}
 	c.emit(locals, grid, es)
-	return build(len(es))
+	return sb.Build(len(es))
 }
 
 // archive walks locals through the CDR/xDR plane alone into sink:

@@ -51,8 +51,8 @@ func runExtRevenue(s *Session) *Report {
 // population, and the settlement per partner.
 func (v *mnoView) settle(cat *catalog.Catalog) ([]settlement.ClassEconomics, *settlement.Statement) {
 	rates := settlement.DefaultRates()
-	ecos := settlement.EconomicsByGroup(cat, rates, func(rec *catalog.DailyRecord) string {
-		i, ok := v.Find(rec.Device)
+	ecos := settlement.EconomicsByGroup(cat, rates, func(dev identity.DeviceID) string {
+		i, ok := v.Find(dev)
 		if !ok || !v.Labels[i].InboundRoamer() {
 			return ""
 		}
@@ -130,24 +130,22 @@ func runExtNBIoT(s *Session) *Report {
 		ds := dataset.GenerateSMIP(cfg)
 
 		// RAT-only detection: flag every device with NB-IoT activity.
-		perDev := map[identity.DeviceID]radio.RATSet{}
-		events := 0
-		activeDays := 0
-		for i := range ds.Catalog.Records {
-			rec := &ds.Catalog.Records[i]
-			perDev[rec.Device] |= rec.RadioFlags
-			events += rec.Events
-			activeDays++
-		}
-		detected := 0
-		for _, flags := range perDev {
+		devs, detected, events, activeDays := 0, 0, 0, 0
+		for run := range catalog.Devices(ds.Catalog.Records) {
+			var flags radio.RATSet
+			for i := range run {
+				flags |= run[i].RadioFlags
+				events += run[i].Events
+			}
+			devs++
+			activeDays += len(run)
 			if flags.Has(radio.RATNB) {
 				detected++
 			}
 		}
 		recall := 0.0
-		if len(perDev) > 0 {
-			recall = float64(detected) / float64(len(perDev))
+		if devs > 0 {
+			recall = float64(detected) / float64(devs)
 		}
 		sigPerDay := float64(events) / float64(activeDays)
 		if migration == 0 {

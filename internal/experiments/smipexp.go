@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"whereroam/internal/analysis"
+	"whereroam/internal/catalog"
 	"whereroam/internal/dataset"
 	"whereroam/internal/identity"
 	"whereroam/internal/radio"
@@ -32,23 +33,19 @@ type meterAgg struct {
 }
 
 // newSMIPView folds ds's daily records into per-device aggregates, one
-// per run of a device's records (Catalog.Records keeps each device's
-// records as one run).
+// per device run (catalog.Devices).
 func newSMIPView(ds *dataset.SMIPDataset) *smipView {
 	aggs := make([]meterAgg, 0, len(ds.Devices))
-	for i := range ds.Catalog.Records {
-		rec := &ds.Catalog.Records[i]
-		if n := len(aggs); n == 0 || aggs[n-1].device != rec.Device {
-			aggs = append(aggs, meterAgg{device: rec.Device, firstDay: rec.Day})
+	for run := range catalog.Devices(ds.Catalog.Records) {
+		a := meterAgg{device: run[0].Device, activeDays: len(run), firstDay: run[0].Day}
+		for i := range run {
+			rec := &run[i]
+			a.firstDay = min(a.firstDay, rec.Day)
+			a.events += rec.Events
+			a.failed += rec.FailedEvents
+			a.flags |= rec.RadioFlags
 		}
-		a := &aggs[len(aggs)-1]
-		a.activeDays++
-		if rec.Day < a.firstDay {
-			a.firstDay = rec.Day
-		}
-		a.events += rec.Events
-		a.failed += rec.FailedEvents
-		a.flags |= rec.RadioFlags
+		aggs = append(aggs, a)
 	}
 	return &smipView{Days: ds.Days, Native: ds.Native, aggs: aggs}
 }

@@ -1,7 +1,9 @@
-// Package ingest implements bounded-memory streaming ingestion: the
-// path from live record streams — emission sinks — into the sharded
-// devices-catalog builder, so a catalog builds while the capture is
-// still being generated and no full event slice is ever held.
+// Package ingest implements bounded-memory streaming ingestion of a
+// CDR/xDR feed: the path from live record streams — an archive's
+// replay, a mediation feed — into the sharded devices-catalog builder,
+// so a catalog builds while the records are still arriving and no full
+// record slice is ever held. It carries CDRs/xDRs only; the
+// generators' radio events go straight into per-worker builders.
 //
 // The core is a device-hash router ([CatalogIngester]): producers
 // offer records from any goroutine, each record routes to the
@@ -10,17 +12,17 @@
 // bounded channel drained by one goroutine per shard. A full channel
 // blocks the producer — backpressure, not buffering — so the in-flight
 // memory is capped at shards × depth records no matter how large the
-// capture grows.
+// feed grows.
 //
 // Determinism contract: the catalog builder's output depends only on
-// each device's own record order (dwell chains, visited-network and
-// APN first-seen orders are all per-device state; cross-device
-// interleaving never reaches it). The router preserves per-producer
-// send order, and every record of a given device comes from exactly
-// one producer, so a streaming build is bit-identical to a batch
-// build that ingests the same per-device sequences — at any worker
-// count, shard count or channel depth. docs/ARCHITECTURE.md derives
-// the full argument; the root determinism tests pin it.
+// each device's own record order (visited-network and APN first-seen
+// orders are per-device state; cross-device interleaving never
+// reaches it). The router preserves per-producer send order, and
+// every record of a given device comes from exactly one producer, so
+// a routed build is bit-identical to a batch build that ingests the
+// same per-device sequences — at any shard count or channel depth.
+// docs/ARCHITECTURE.md derives the full argument; the root
+// determinism tests pin it.
 package ingest
 
 import (
@@ -28,7 +30,6 @@ import (
 
 	"whereroam/internal/catalog"
 	"whereroam/internal/cdrs"
-	"whereroam/internal/radio"
 )
 
 // DefaultDepth is the per-shard channel depth used when a caller
@@ -38,26 +39,14 @@ import (
 // state itself.
 const DefaultDepth = 1024
 
-// item is the mixed record type a shard queue carries. Radio events
-// and CDRs/xDRs share one queue per shard so that a producer's
-// radio-then-records emission order for a device survives end to end;
-// separate queues would let the shard consumer interleave the two
-// classes nondeterministically.
-type item struct {
-	ev    radio.Event
-	rec   cdrs.Record
-	isCDR bool
-}
-
 // CatalogIngester streams records into a [catalog.ShardedBuilder]
 // under a bounded memory envelope. Construct with
 // [NewCatalogIngester], feed it from any number of producer
-// goroutines via [CatalogIngester.OfferRadio] and
-// [CatalogIngester.OfferRecord], then call [CatalogIngester.Build]
-// once every producer is done.
+// goroutines via [CatalogIngester.OfferRecord], then call
+// [CatalogIngester.Build] once every producer is done.
 type CatalogIngester struct {
 	sb     *catalog.ShardedBuilder
-	queues []chan item
+	queues []chan cdrs.Record
 	wg     sync.WaitGroup
 	closed bool
 }
@@ -70,37 +59,27 @@ func NewCatalogIngester(sb *catalog.ShardedBuilder, depth int) *CatalogIngester 
 	if depth < 1 {
 		depth = DefaultDepth
 	}
-	in := &CatalogIngester{sb: sb, queues: make([]chan item, sb.Shards())}
+	in := &CatalogIngester{sb: sb, queues: make([]chan cdrs.Record, sb.Shards())}
 	for i := range in.queues {
-		in.queues[i] = make(chan item, depth)
+		in.queues[i] = make(chan cdrs.Record, depth)
 		in.wg.Add(1)
 		go func(i int) {
 			defer in.wg.Done()
 			b := sb.Builder(i)
-			for it := range in.queues[i] {
-				if it.isCDR {
-					b.AddRecord(it.rec)
-				} else {
-					b.AddRadioEvent(it.ev)
-				}
+			for rec := range in.queues[i] {
+				b.AddRecord(rec)
 			}
 		}(i)
 	}
 	return in
 }
 
-// OfferRadio routes one radio event to its device's shard, blocking
-// while that shard's queue is full. Safe for concurrent producers; a
-// device's events must all come from one producer for its ingestion
+// OfferRecord routes one CDR/xDR to its device's shard, blocking while
+// that shard's queue is full. Safe for concurrent producers; a
+// device's records must all come from one producer for its ingestion
 // order to be well defined.
-func (in *CatalogIngester) OfferRadio(ev radio.Event) {
-	in.queues[in.sb.ShardFor(ev.Device)] <- item{ev: ev}
-}
-
-// OfferRecord routes one CDR/xDR to its device's shard; same blocking
-// and concurrency contract as OfferRadio.
 func (in *CatalogIngester) OfferRecord(rec cdrs.Record) {
-	in.queues[in.sb.ShardFor(rec.Device)] <- item{rec: rec, isCDR: true}
+	in.queues[in.sb.ShardFor(rec.Device)] <- rec
 }
 
 // Close ends ingestion: it closes every shard queue and waits for the

@@ -21,61 +21,42 @@ var (
 	start = time.Date(2019, 4, 5, 0, 0, 0, 0, time.UTC)
 )
 
-func ukGrid(t testing.TB) *radio.Grid {
-	t.Helper()
-	c, _ := mccmnc.CountryByISO("GB")
-	return radio.NewGrid(c, 30, 30, radio.DefaultSpacingDeg)
-}
-
-// synthStreams builds a deterministic mixed load: per device the
-// events are time-ordered, which is the per-device order contract
-// every ingestion path preserves.
-func synthStreams(devs, hours int) ([]radio.Event, []cdrs.Record) {
-	var evs []radio.Event
+// synthRecords builds a deterministic feed: per device the records
+// are time-ordered, which is the per-device order contract every
+// ingestion path preserves.
+func synthRecords(devs, hours int) []cdrs.Record {
 	var recs []cdrs.Record
 	for h := 0; h < hours; h++ {
 		at := start.Add(time.Duration(h) * time.Hour)
 		for d := 0; d < devs; d++ {
-			dev := identity.DeviceID(d)
-			res := radio.ResultOK
+			rec := cdrs.Record{
+				Device: identity.DeviceID(d), Time: at.Add(time.Duration(d) * time.Second),
+				SIM: nlSIM, Visited: host, Kind: cdrs.KindData,
+				RAT: radio.RAT2G, Bytes: uint64(100 + d),
+			}
 			if (d+h)%5 == 0 {
-				res = radio.ResultFail
+				rec.Kind, rec.Bytes, rec.Duration = cdrs.KindVoice, 0, time.Duration(10+d)*time.Second
 			}
-			evs = append(evs, radio.Event{
-				Device: dev, Time: at.Add(time.Duration(d) * time.Second),
-				SIM: nlSIM, TAC: identity.TAC(35600000 + d%3), Sector: radio.SectorID(d % 40),
-				Interface: radio.IfGb, Result: res,
-			})
-			if d%3 == 0 {
-				recs = append(recs, cdrs.Record{
-					Device: dev, Time: at.Add(time.Duration(d) * time.Second),
-					SIM: nlSIM, Visited: host, Kind: cdrs.KindData,
-					RAT: radio.RAT2G, Bytes: uint64(100 + d),
-				})
-			}
+			recs = append(recs, rec)
 		}
 	}
-	return evs, recs
+	return recs
 }
 
-func serialCatalog(t testing.TB, evs []radio.Event, recs []cdrs.Record) *catalog.Catalog {
-	t.Helper()
-	b := catalog.NewBuilder(host, start, 22, ukGrid(t))
-	for i := range evs {
-		b.AddRadioEvent(evs[i])
-	}
+func serialCatalog(recs []cdrs.Record) *catalog.Catalog {
+	b := catalog.NewBuilder(host, start, 22, nil)
 	for i := range recs {
 		b.AddRecord(recs[i])
 	}
 	return b.Build()
 }
 
-// A streaming build from concurrent producers must equal a serial
-// batch build record for record, for any shard count and depth —
-// including depth 1, where every send exercises backpressure.
+// A routed build from concurrent producers must equal a serial batch
+// build record for record, for any shard count and depth — including
+// depth 1, where every send exercises backpressure.
 func TestCatalogIngesterMatchesSerial(t *testing.T) {
-	evs, recs := synthStreams(50, 30)
-	want := serialCatalog(t, evs, recs)
+	recs := synthRecords(50, 30)
+	want := serialCatalog(recs)
 
 	for _, tc := range []struct{ shards, depth, producers int }{
 		{1, 0, 1},
@@ -83,7 +64,7 @@ func TestCatalogIngesterMatchesSerial(t *testing.T) {
 		{8, 1, 4},
 		{3, 7, 2},
 	} {
-		sb := catalog.NewShardedBuilder(host, start, 22, ukGrid(t), tc.shards)
+		sb := catalog.NewShardedBuilder(host, start, 22, nil, tc.shards)
 		in := NewCatalogIngester(sb, tc.depth)
 		// Partition by device across producers: each device's chain
 		// stays with one producer, as the contract requires.
@@ -92,11 +73,6 @@ func TestCatalogIngesterMatchesSerial(t *testing.T) {
 			wg.Add(1)
 			go func(p int) {
 				defer wg.Done()
-				for i := range evs {
-					if int(evs[i].Device)%tc.producers == p {
-						in.OfferRadio(evs[i])
-					}
-				}
 				for i := range recs {
 					if int(recs[i].Device)%tc.producers == p {
 						in.OfferRecord(recs[i])
@@ -107,7 +83,7 @@ func TestCatalogIngesterMatchesSerial(t *testing.T) {
 		wg.Wait()
 		got := in.Build(0)
 		if !reflect.DeepEqual(want.Records, got.Records) {
-			t.Errorf("shards=%d depth=%d producers=%d: streaming catalog differs from serial",
+			t.Errorf("shards=%d depth=%d producers=%d: routed catalog differs from serial",
 				tc.shards, tc.depth, tc.producers)
 		}
 	}
@@ -117,7 +93,7 @@ func TestCatalogIngesterMatchesSerial(t *testing.T) {
 func TestCatalogIngesterCloseIdempotent(t *testing.T) {
 	sb := catalog.NewShardedBuilder(host, start, 22, nil, 2)
 	in := NewCatalogIngester(sb, 4)
-	in.OfferRadio(radio.Event{Device: 1, Time: start.Add(time.Hour), SIM: nlSIM, Interface: radio.IfGb})
+	in.OfferRecord(cdrs.Record{Device: 1, Time: start.Add(time.Hour), SIM: nlSIM, Visited: host, Kind: cdrs.KindData, Bytes: 1})
 	in.Close()
 	in.Close()
 	if got := in.Build(1); len(got.Records) != 1 {
@@ -129,22 +105,12 @@ func TestCatalogIngesterCloseIdempotent(t *testing.T) {
 // channel the producer closes at end of capture, and offering each
 // record, builds the serial catalog.
 func TestCatalogIngesterDrainStreams(t *testing.T) {
-	evs, recs := synthStreams(20, 10)
-	want := serialCatalog(t, evs, recs)
+	recs := synthRecords(20, 10)
+	want := serialCatalog(recs)
 
-	sb := catalog.NewShardedBuilder(host, start, 22, ukGrid(t), 3)
+	sb := catalog.NewShardedBuilder(host, start, 22, nil, 3)
 	in := NewCatalogIngester(sb, 16)
-	rs := make(chan radio.Event, 8)
 	cs := make(chan cdrs.Record, 8)
-	go func() {
-		for i := range evs {
-			rs <- evs[i]
-		}
-		close(rs)
-	}()
-	for ev := range rs {
-		in.OfferRadio(ev)
-	}
 	go func() {
 		for i := range recs {
 			cs <- recs[i]
@@ -163,12 +129,12 @@ func TestCatalogIngesterDrainStreams(t *testing.T) {
 // format one at a time and offered to the router build the catalog of
 // the records that were encoded.
 func TestCatalogIngesterReadRecords(t *testing.T) {
-	_, recs := synthStreams(30, 12)
+	recs := synthRecords(30, 12)
 	var buf bytes.Buffer
 	if err := cdrs.WriteAll(&buf, recs); err != nil {
 		t.Fatal(err)
 	}
-	want := serialCatalog(t, nil, recs)
+	want := serialCatalog(recs)
 
 	sb := catalog.NewShardedBuilder(host, start, 22, nil, 4)
 	in := NewCatalogIngester(sb, 8)

@@ -173,20 +173,20 @@ func ComputeDaySlice(site string, lo, hi int, cat *catalog.Catalog) *DaySlice {
 // dayRows is the one pass every per-day view shares: one aggregate row
 // per active day, in day order, and the number of distinct devices. A
 // built catalog holds one record per (device, day), sorted by that
-// pair with every day inside [0, cat.Days), so a device change starts
-// a new device and a day's distinct devices are its records.
+// pair with every day inside [0, cat.Days), so catalog.Devices yields
+// each device once and a day's distinct devices are its records.
 func dayRows(cat *catalog.Catalog) (rows []DayRow, devices int) {
 	byDay := make([]DayRow, cat.Days)
-	for i := range cat.Records {
-		r := &cat.Records[i]
-		if i == 0 || r.Device != cat.Records[i-1].Device {
-			devices++
+	for run := range catalog.Devices(cat.Records) {
+		devices++
+		for i := range run {
+			r := &run[i]
+			row := &byDay[r.Day]
+			row.Records++
+			row.Events += r.Events
+			row.Calls += r.Calls
+			row.Bytes += r.Bytes
 		}
-		row := &byDay[r.Day]
-		row.Records++
-		row.Events += r.Events
-		row.Calls += r.Calls
-		row.Bytes += r.Bytes
 	}
 	for d := range byDay {
 		if row := &byDay[d]; row.Records > 0 {

@@ -14,6 +14,7 @@ import (
 	"sort"
 
 	"whereroam/internal/catalog"
+	"whereroam/internal/identity"
 	"whereroam/internal/mccmnc"
 )
 
@@ -83,9 +84,14 @@ type Statement struct {
 // devices-catalog: every device whose SIM belongs to a foreign
 // operator contributes its data/voice volumes at the applicable rate.
 // Native and MVNO devices are out of scope (retail, not wholesale).
+// A line's Devices counts each device once per home network; the count
+// relies on each device's records being one contiguous run
+// (catalog.Catalog's Records invariant), so remembering the last
+// device counted per home is enough.
 func Settle(cat *catalog.Catalog, rates Rates) *Statement {
 	type acc struct {
-		devices map[uint64]bool
+		devices int
+		last    identity.DeviceID
 		mb      float64
 		minutes float64
 		events  int
@@ -98,10 +104,13 @@ func Settle(cat *catalog.Catalog, rates Rates) *Statement {
 		}
 		a := byHome[rec.SIM]
 		if a == nil {
-			a = &acc{devices: map[uint64]bool{}}
+			a = &acc{}
 			byHome[rec.SIM] = a
 		}
-		a.devices[uint64(rec.Device)] = true
+		if a.devices == 0 || a.last != rec.Device {
+			a.devices++
+			a.last = rec.Device
+		}
 		a.mb += float64(rec.Bytes) / 1e6
 		a.minutes += rec.CallSeconds / 60
 		a.events += rec.Events
@@ -111,7 +120,7 @@ func Settle(cat *catalog.Catalog, rates Rates) *Statement {
 		card := rates.For(home, cat.Host)
 		st.Lines = append(st.Lines, PartnerLine{
 			Home:    home,
-			Devices: len(a.devices),
+			Devices: a.devices,
 			MB:      a.mb,
 			Minutes: a.minutes,
 			Events:  a.events,
@@ -163,48 +172,49 @@ type ClassEconomics struct {
 }
 
 // EconomicsByGroup computes occupancy-vs-revenue per device group.
-// groupOf returns a label per device record ("m2m", "smart", ...);
-// records from non-inbound devices must be mapped to "" to be
-// skipped.
-func EconomicsByGroup(cat *catalog.Catalog, rates Rates, groupOf func(rec *catalog.DailyRecord) string) []ClassEconomics {
+// groupOf returns a device's label ("m2m", "smart", ...) and is called
+// once per device; non-inbound devices must be mapped to "" to be
+// skipped. It walks cat.Records device by device (catalog.Devices), so
+// it relies on each device's records being one contiguous run: a
+// device split into two runs would be counted twice.
+func EconomicsByGroup(cat *catalog.Catalog, rates Rates, groupOf func(identity.DeviceID) string) []ClassEconomics {
 	type acc struct {
-		devices map[uint64]bool
+		devices int
 		events  int
 		revenue float64
 	}
 	groups := map[string]*acc{}
 	var totalEvents int
 	var totalRevenue float64
-	for i := range cat.Records {
-		rec := &cat.Records[i]
-		g := groupOf(rec)
+	for run := range catalog.Devices(cat.Records) {
+		g := groupOf(run[0].Device)
 		if g == "" {
 			continue
 		}
-		card := rates.For(rec.SIM, cat.Host)
-		rev := float64(rec.Bytes)/1e6*card.DataPerMB + rec.CallSeconds/60*card.VoicePerMin
 		a := groups[g]
 		if a == nil {
-			a = &acc{devices: map[uint64]bool{}}
+			a = &acc{}
 			groups[g] = a
 		}
-		a.devices[uint64(rec.Device)] = true
-		a.events += rec.Events
-		a.revenue += rev
-		totalEvents += rec.Events
-		totalRevenue += rev
+		a.devices++
+		for i := range run {
+			rec := &run[i]
+			card := rates.For(rec.SIM, cat.Host)
+			rev := float64(rec.Bytes)/1e6*card.DataPerMB + rec.CallSeconds/60*card.VoicePerMin
+			a.events += rec.Events
+			a.revenue += rev
+			totalEvents += rec.Events
+			totalRevenue += rev
+		}
 	}
 	out := make([]ClassEconomics, 0, len(groups))
 	for g, a := range groups {
-		ce := ClassEconomics{Group: g, Devices: len(a.devices)}
+		ce := ClassEconomics{Group: g, Devices: a.devices, RevenuePerDevice: a.revenue / float64(a.devices)}
 		if totalEvents > 0 {
 			ce.EventShare = float64(a.events) / float64(totalEvents)
 		}
 		if totalRevenue > 0 {
 			ce.RevenueShare = a.revenue / totalRevenue
-		}
-		if n := len(a.devices); n > 0 {
-			ce.RevenuePerDevice = a.revenue / float64(n)
 		}
 		out = append(out, ce)
 	}

@@ -89,6 +89,24 @@ func TestSettleBasics(t *testing.T) {
 	}
 }
 
+// A device whose SIM changes within its run counts once for each home
+// network it was seen with, however often it returns to one.
+func TestSettleCountsDeviceOncePerHome(t *testing.T) {
+	cat := &catalog.Catalog{Host: host, Days: 22, Records: []catalog.DailyRecord{
+		rec(1, nl, 1, 0, 1),
+		rec(1, mx, 1, 0, 1),
+		rec(1, nl, 1, 0, 1),
+		rec(2, nl, 1, 0, 1),
+	}}
+	devices := map[mccmnc.PLMN]int{}
+	for _, l := range Settle(cat, DefaultRates()).Lines {
+		devices[l.Home] = l.Devices
+	}
+	if devices[nl] != 2 || devices[mx] != 1 || len(devices) != 2 {
+		t.Errorf("devices per home = %v, want nl 2 and mx 1", devices)
+	}
+}
+
 func TestSettleEmptyCatalog(t *testing.T) {
 	st := Settle(&catalog.Catalog{Host: host, Days: 22}, DefaultRates())
 	if len(st.Lines) != 0 || st.TotalRevenue() != 0 {
@@ -116,8 +134,8 @@ func TestEconomicsByGroup(t *testing.T) {
 		rec(3, host, 1000, 100, 1000),
 	}}
 	groups := map[identity.DeviceID]string{1: "m2m", 2: "smart"}
-	ecos := EconomicsByGroup(cat, DefaultRates(), func(r *catalog.DailyRecord) string {
-		return groups[r.Device]
+	ecos := EconomicsByGroup(cat, DefaultRates(), func(dev identity.DeviceID) string {
+		return groups[dev]
 	})
 	if len(ecos) != 2 {
 		t.Fatalf("groups = %d", len(ecos))
@@ -148,5 +166,34 @@ func TestEconomicsByGroup(t *testing.T) {
 	}
 	if math.Abs(m2m.RevenueShare+smart.RevenueShare-1) > 1e-9 {
 		t.Error("revenue shares do not sum to 1")
+	}
+}
+
+// EconomicsByGroup asks for each device's group once, whatever the
+// number of its records, and still counts every record's volume.
+func TestEconomicsByGroupCallsGroupOfOncePerDevice(t *testing.T) {
+	cat := &catalog.Catalog{Host: host, Days: 22, Records: []catalog.DailyRecord{
+		rec(1, nl, 1, 0, 10),
+		rec(1, nl, 1, 0, 10),
+		rec(1, nl, 1, 0, 10),
+		rec(2, mx, 1, 0, 5),
+		rec(3, host, 1, 0, 5),
+		rec(3, host, 1, 0, 5),
+	}}
+	calls := map[identity.DeviceID]int{}
+	ecos := EconomicsByGroup(cat, DefaultRates(), func(dev identity.DeviceID) string {
+		calls[dev]++
+		if dev == 3 {
+			return ""
+		}
+		return "roamer"
+	})
+	for dev := identity.DeviceID(1); dev <= 3; dev++ {
+		if calls[dev] != 1 {
+			t.Errorf("groupOf(%v) called %d times, want 1", dev, calls[dev])
+		}
+	}
+	if len(ecos) != 1 || ecos[0].Devices != 2 || ecos[0].EventShare != 1 {
+		t.Errorf("economics = %+v, want one group of 2 devices holding every inbound event", ecos)
 	}
 }
