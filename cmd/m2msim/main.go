@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
-	"runtime"
 	"time"
 
 	"whereroam/internal/cli"
@@ -29,7 +28,6 @@ func run(args []string, stdout io.Writer) error {
 	fs.IntVar(&cfg.Days, "days", cfg.Days, "observation window in days")
 	fs.Uint64Var(&cfg.Seed, "seed", cfg.Seed, "generator seed")
 	fs.Float64Var(&cfg.SampleRate, "sample", 1, "probe sampling rate (0,1]")
-	fs.IntVar(&cfg.Workers, "workers", runtime.GOMAXPROCS(0), "synthesis worker pool size (output is identical for any value)")
 	policy := fs.String("policy", "sticky", "VMNO selection policy: sticky|strongest|rotate")
 	out := fs.String("out", "m2m.bin", "output path")
 	asCSV := fs.Bool("csv", false, "write CSV instead of the binary wire format")

@@ -375,6 +375,88 @@ func TestM2MMonotoneInPopulation(t *testing.T) {
 	}
 }
 
+// Relabelling: a bijective rename of the foreign PLMNs within their
+// MCC, applied to every record's SIM and Visited, changes no label
+// count and no class count, and permutes the per-home device counts by
+// the rename. Labels read only whether a network is the host, one of
+// its MVNOs or in its country, and the classifier reads no network at
+// all, so no verdict may depend on which foreign operator a device
+// belongs to.
+func TestRelabelForeignPLMNsPermutesCounts(t *testing.T) {
+	cfg := dataset.DefaultMNOConfig()
+	cfg.Devices = 1500
+	ds := dataset.GenerateMNO(cfg)
+	labeler := core.NewLabeler(ds.Host, dataset.MVNO1, dataset.MVNO2)
+	// rename rotates a foreign PLMN's MNC within its MCC and width: a
+	// bijection that keeps the country and leaves the host's country
+	// alone.
+	rename := func(p mccmnc.PLMN) mccmnc.PLMN {
+		if mccmnc.SameCountry(p, ds.Host) {
+			return p
+		}
+		mod := uint16(100)
+		if p.MNCLen == 3 {
+			mod = 1000
+		}
+		p.MNC = (p.MNC + 37) % mod
+		return p
+	}
+	renamed := &catalog.Catalog{Host: ds.Catalog.Host, Days: ds.Catalog.Days, Records: slices.Clone(ds.Catalog.Records)}
+	moved := 0
+	for i := range renamed.Records {
+		r := &renamed.Records[i]
+		if r.SIM != rename(r.SIM) {
+			moved++
+		}
+		r.SIM = rename(r.SIM)
+		r.Visited = slices.Clone(r.Visited)
+		for j := range r.Visited {
+			r.Visited[j] = rename(r.Visited[j])
+		}
+	}
+	if moved == 0 {
+		t.Fatal("the rename moved no record's SIM: nothing to test")
+	}
+
+	// Device labels rarely show the abroad side (a device seen at home
+	// once labels as home), so the daily records' labels count too.
+	type counts struct {
+		labels, dayLabels map[core.Label]int
+		classes           map[core.Class]int
+		homes             map[mccmnc.PLMN]int
+	}
+	count := func(cat *catalog.Catalog) counts {
+		pop := core.Derive(cat, ds.GSMA, labeler, 0)
+		c := counts{map[core.Label]int{}, map[core.Label]int{}, map[core.Class]int{}, map[mccmnc.PLMN]int{}}
+		for i := range pop.Sums {
+			c.labels[pop.Labels[i]]++
+			c.classes[pop.Results[i].Class]++
+			c.homes[pop.Sums[i].SIM]++
+		}
+		for i := range cat.Records {
+			c.dayLabels[labeler.LabelRecord(&cat.Records[i])]++
+		}
+		return c
+	}
+	before, after := count(ds.Catalog), count(renamed)
+	if !reflect.DeepEqual(before.labels, after.labels) {
+		t.Errorf("label counts moved under the rename: %v, then %v", before.labels, after.labels)
+	}
+	if !reflect.DeepEqual(before.dayLabels, after.dayLabels) {
+		t.Errorf("daily label counts moved under the rename: %v, then %v", before.dayLabels, after.dayLabels)
+	}
+	if !reflect.DeepEqual(before.classes, after.classes) {
+		t.Errorf("class counts moved under the rename: %v, then %v", before.classes, after.classes)
+	}
+	permuted := map[mccmnc.PLMN]int{}
+	for home, n := range before.homes {
+		permuted[rename(home)] = n
+	}
+	if !reflect.DeepEqual(permuted, after.homes) {
+		t.Errorf("per-home counts are not the rename's permutation: renamed %v, got %v", permuted, after.homes)
+	}
+}
+
 func BenchmarkClassify(b *testing.B) {
 	cfg := dataset.DefaultMNOConfig()
 	cfg.Devices = 4000

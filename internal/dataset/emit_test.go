@@ -5,7 +5,6 @@ import (
 
 	"whereroam/internal/catalog"
 	"whereroam/internal/devices"
-	"whereroam/internal/pipeline"
 	"whereroam/internal/rng"
 )
 
@@ -16,14 +15,13 @@ import (
 // records.
 func TestEmitDeviceDaysAllocationsPerRecord(t *testing.T) {
 	cfg := DefaultMNOConfig()
-	cfg.Devices, cfg.Workers = 400, 1
+	cfg.Devices = 400
 	w := newMNOWalk(cfg)
-	var devs []devices.Device
-	w.shard(pipeline.Shard{Index: 0, Lo: 0, Hi: cfg.Devices}, func(_ int, dev devices.Device, _ bool) {
-		devs = append(devs, dev)
-	}, func(catalog.DailyRecord) {})
+	var mobs mobilitySlabs
+	devs := make([]devices.Device, cfg.Devices)
 	srcs := make([]*rng.Source, len(devs))
-	for i := range srcs {
+	for i := range devs {
+		devs[i], _, _ = w.device(i, &mobs)
 		srcs[i] = rng.New(uint64(i)).Split("days")
 	}
 	var scratch dayScratch

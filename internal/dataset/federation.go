@@ -13,7 +13,6 @@ import (
 	"whereroam/internal/identity"
 	"whereroam/internal/mccmnc"
 	"whereroam/internal/netsim"
-	"whereroam/internal/pipeline"
 	"whereroam/internal/rng"
 	"whereroam/internal/store"
 )
@@ -44,8 +43,9 @@ type FederationConfig struct {
 	// allowed site beyond its anchor site; it controls how much the
 	// sites' fleet views overlap.
 	AttachProb float64
-	// Workers bounds every worker pool of the build — fleet synthesis,
-	// per-site emission and catalog aggregation. The usual contract
+	// Workers bounds every worker pool of the build and its planes —
+	// per-site emission, catalog aggregation and the M2M plane's fold;
+	// the populations themselves are drawn serially. The usual contract
 	// holds: values below one mean one worker per CPU and the dataset
 	// is bit-identical for every worker count.
 	Workers int
@@ -193,6 +193,10 @@ const (
 	fleetShareM2M   = 0.75
 )
 
+// fleetClassPick is the fleet's class sampler, built once (see
+// mnoClassPick).
+var fleetClassPick = rng.NewWeighted([]float64{fleetShareSmart, fleetShareFeat, fleetShareM2M})
+
 // native composition per site: the H:H background population.
 var nativeMix = []struct {
 	class devices.Class
@@ -227,17 +231,17 @@ func siteKey(p mccmnc.PLMN) uint64 {
 // GenerateFederation synthesizes the multi-operator dataset.
 //
 // The build has two planes. The shared plane runs once: the world and
-// GSMA catalog, then the fleet in three parallel passes (class/home
-// draft, IMSI block count, numbering and profile finish) — ending
-// with each device's site-presence draw: an anchor site chosen among
-// the sites its home operator can roam onto, plus each further allowed
-// site with probability AttachProb.
+// GSMA catalog, then the fleet in one serial pass in fleet order
+// (generateFleet: class and home draws, IMSI numbering, profile) —
+// ending with each device's site-presence draw: an anchor site chosen
+// among the sites its home operator can roam onto, plus each further
+// allowed site with probability AttachProb.
 //
-// The site plane then builds one site after another, each walk fanning
-// out over internal/pipeline: the site drafts its native population
-// and walks all locally present devices — natives first, then the
-// present fleet in fleet order — through the per-event measurement
-// path (radio events and CDRs/xDRs) into the per-worker catalog
+// The site plane then builds one site after another: the site drafts
+// its native population serially and walks all locally present
+// devices — natives first, then the present fleet in fleet order —
+// through the per-event measurement path (radio events and CDRs/xDRs),
+// fanned out over internal/pipeline, into the per-worker catalog
 // builders its emission shards borrow (see capture.build). Every
 // random draw comes from a per-device or per-(device, site) substream,
 // so the dataset is bit-identical across worker counts.
@@ -308,114 +312,55 @@ func validateFederationConfig(cfg FederationConfig) FederationConfig {
 	return cfg
 }
 
-// fleetDraft is the pass-1 outcome for one fleet device.
-type fleetDraft struct {
-	class devices.Class
-	home  mccmnc.PLMN
-	imsi  identity.IMSI
-	src   rng.Source
-}
-
-// fleetPicks builds the fleet's shared class samplers (stateless per
-// draw, like mnoPicks).
-func fleetPicks() (classPick, m2mPick *rng.Weighted) {
-	classPick = rng.NewWeighted([]float64{fleetShareSmart, fleetShareFeat, fleetShareM2M})
-	m2mWeights := make([]float64, len(m2mMix))
-	for i, m := range m2mMix {
-		m2mWeights[i] = m.share
-	}
-	m2mPick = rng.NewWeighted(m2mWeights)
-	return classPick, m2mPick
-}
-
-// drawFleetDraft runs fleet device i's pass-1 draws (class, home
-// operator, IMSI block) from the fleet root and numbers it from the
-// allocator next, so devices must be drafted in index order.
-func drawFleetDraft(froot *rng.Source, i int, classPick, m2mPick *rng.Weighted, next map[blockKey]uint64) fleetDraft {
-	src := froot.SplitN("device", uint64(i))
-	var class devices.Class
-	switch classPick.DrawFrom(src) {
-	case 0:
-		class = devices.ClassSmartphone
-	case 1:
-		class = devices.ClassFeaturePhone
-	default:
-		class = m2mMix[m2mPick.DrawFrom(src)].class
-	}
-	var home mccmnc.PLMN
-	switch class {
-	case devices.ClassSmartphone:
-		home = drawHome(src.Split("home"), smartHomes)
-	case devices.ClassFeaturePhone:
-		home = drawHome(src.Split("home"), featHomes)
-	default:
-		home = drawHome(src.Split("home"), m2mHomes[class])
-	}
-	base := uint64(fleetPhoneBase)
-	if class.IsM2M() {
-		base = M2MBlockBase
-	}
-	return fleetDraft{class: class, home: home, imsi: nextIMSI(next, home, base), src: *src}
-}
-
-// finishFleetMember runs one drafted fleet device through pass 2:
-// profile, identity, site presence and the per-day schedule. The
-// device's substream is not advanced past this point: per-site
-// emission derives from it with read-only splits, so a site's build
-// never perturbs another's draws.
-func finishFleetMember(d *fleetDraft, cfg FederationConfig, db *gsma.DB, world *netsim.World, mobs *mobilitySlabs) fleetMember {
-	psrc := d.src.Split("profile")
-	prof, info := classProfile(psrc, d.class, cfg.Days, mccmnc.PLMN{}, d.home, true, db)
-	homeCountry, _ := mccmnc.CountryByMCC(d.home.MCC)
-	mob := mobs.classMobility(d.src.Split("mobility"), d.class,
-		geo.Point{Lat: homeCountry.Lat, Lon: homeCountry.Lon})
-	dev := devices.Assemble(d.class, d.imsi, info, prof, mob, false)
-
-	// Site presence: an anchor among the allowed sites plus each
-	// further allowed site with probability AttachProb.
-	ssrc := d.src.Split("sites")
-	sites := make([]bool, len(cfg.Hosts))
-	anchor := -1
-	var buf [8]int // a few hosts fit the stack; more spill to the heap
-	allowed := buf[:0]
-	for j, host := range cfg.Hosts {
-		if host != d.home && world.RoamingAllowed(d.home, host) {
-			allowed = append(allowed, j)
-		}
-	}
-	if len(allowed) > 0 {
-		anchor = allowed[ssrc.Intn(len(allowed))]
-		for _, j := range allowed {
-			sites[j] = j == anchor || ssrc.Bool(cfg.AttachProb)
-		}
-	}
-	sched := drawSchedule(d.src.Split("schedule"), d.class, sites, anchor, cfg.Days)
-	return fleetMember{dev: dev, src: d.src, sites: sites, sched: sched}
-}
-
-// generateFleet drafts and numbers the shared fleet in one serial
-// pass, then finishes each member in parallel.
+// generateFleet synthesizes the shared fleet in one serial pass in
+// fleet order: each device draws its class and home operator, is
+// numbered from its block by the device-order allocation, and is
+// finished — profile, identity, site presence and the per-day
+// schedule. The device's substream is not advanced past this point:
+// per-site emission derives from it with read-only splits, so a site's
+// build never perturbs another's draws.
 func generateFleet(cfg FederationConfig, root *rng.Source, db *gsma.DB, world *netsim.World) []fleetMember {
 	froot := root.Split("fleet")
-	classPick, m2mPick := fleetPicks()
-
-	// Pass 1 (serial): class and home-operator draws, and the IMSI the
-	// device-order allocation hands out.
-	drafts := make([]fleetDraft, cfg.FleetDevices)
 	next := map[blockKey]uint64{}
-	for i := range drafts {
-		drafts[i] = drawFleetDraft(froot, i, classPick, m2mPick, next)
-	}
-
-	// Pass 2 (parallel): profiles, identity and site presence.
+	var mobs mobilitySlabs
 	fleet := make([]fleetMember, cfg.FleetDevices)
-	pipeline.Run(cfg.FleetDevices, cfg.Workers, func(sh pipeline.Shard) {
-		scratch := dayScratchPool.Get().(*dayScratch)
-		defer dayScratchPool.Put(scratch)
-		for i := sh.Lo; i < sh.Hi; i++ {
-			fleet[i] = finishFleetMember(&drafts[i], cfg, db, world, &scratch.mobs)
+	for i := range fleet {
+		src := froot.SplitN("device", uint64(i))
+		class := drawClass(src, fleetClassPick)
+		home := roamerHome(src, class)
+		base := uint64(fleetPhoneBase)
+		if class.IsM2M() {
+			base = M2MBlockBase
 		}
-	})
+		imsi := nextIMSI(next, home, base)
+
+		prof, info := classProfile(src.Split("profile"), class, cfg.Days, mccmnc.PLMN{}, home, true, db)
+		homeCountry, _ := mccmnc.CountryByMCC(home.MCC)
+		mob := mobs.classMobility(src.Split("mobility"), class,
+			geo.Point{Lat: homeCountry.Lat, Lon: homeCountry.Lon})
+		dev := devices.Assemble(class, imsi, info, prof, mob, false)
+
+		// Site presence: an anchor among the allowed sites plus each
+		// further allowed site with probability AttachProb.
+		ssrc := src.Split("sites")
+		sites := make([]bool, len(cfg.Hosts))
+		anchor := -1
+		var buf [8]int // a few hosts fit the stack; more spill to the heap
+		allowed := buf[:0]
+		for j, host := range cfg.Hosts {
+			if host != home && world.RoamingAllowed(home, host) {
+				allowed = append(allowed, j)
+			}
+		}
+		if len(allowed) > 0 {
+			anchor = allowed[ssrc.Intn(len(allowed))]
+			for _, j := range allowed {
+				sites[j] = j == anchor || ssrc.Bool(cfg.AttachProb)
+			}
+		}
+		sched := drawSchedule(src.Split("schedule"), class, sites, anchor, cfg.Days)
+		fleet[i] = fleetMember{dev: dev, src: *src, sites: sites, sched: sched}
+	}
 	return fleet
 }
 
@@ -563,22 +508,19 @@ func siteLocals(cfg FederationConfig, j int, root *rng.Source, db *gsma.DB, flee
 		nativeWeights[i] = m.share
 	}
 	nativePick := rng.NewWeighted(nativeWeights)
+	var mobs mobilitySlabs
 	locals := make([]localDevice, cfg.NativePerSite, cfg.NativePerSite+len(fleet)/2)
-	pipeline.Run(cfg.NativePerSite, cfg.Workers, func(sh pipeline.Shard) {
-		scratch := dayScratchPool.Get().(*dayScratch)
-		defer dayScratchPool.Put(scratch)
-		for i := sh.Lo; i < sh.Hi; i++ {
-			src := sroot.SplitN("native", uint64(i))
-			class := nativeMix[nativePick.DrawFrom(src)].class
-			imsi := identity.IMSI{PLMN: host, MSIN: nativeBase + uint64(i)}
-			prof, info := classProfile(src.Split("profile"), class, cfg.Days, host, host, false, db)
-			mob := scratch.mobs.classMobility(src.Split("mobility"), class, centre)
-			locals[i] = localDevice{
-				dev:  devices.Assemble(class, imsi, info, prof, mob, false),
-				emit: *src.Split("days"),
-			}
+	for i := range cfg.NativePerSite {
+		src := sroot.SplitN("native", uint64(i))
+		class := nativeMix[nativePick.DrawFrom(src)].class
+		imsi := identity.IMSI{PLMN: host, MSIN: nativeBase + uint64(i)}
+		prof, info := classProfile(src.Split("profile"), class, cfg.Days, host, host, false, db)
+		mob := mobs.classMobility(src.Split("mobility"), class, centre)
+		locals[i] = localDevice{
+			dev:  devices.Assemble(class, imsi, info, prof, mob, false),
+			emit: *src.Split("days"),
 		}
-	})
+	}
 
 	// A fleet device joins the site only when the shared presence
 	// schedule gives it at least one day here, and its emission is
@@ -586,15 +528,13 @@ func siteLocals(cfg FederationConfig, j int, root *rng.Source, db *gsma.DB, flee
 	// on day d contributes nothing to this catalog that day. Fleet
 	// devices move by a site-local mobility model drawn from their
 	// per-(device, site) substream.
-	scratch := dayScratchPool.Get().(*dayScratch)
-	defer dayScratchPool.Put(scratch)
 	for i := range fleet {
 		if fleet[i].daysAt(j) == 0 {
 			continue
 		}
 		vsrc := fleet[i].src.SplitN("visit", siteKey(host))
 		dev := fleet[i].dev
-		dev.Mobility = scratch.mobs.classMobility(vsrc.Split("mobility"), dev.Class, centre)
+		dev.Mobility = mobs.classMobility(vsrc.Split("mobility"), dev.Class, centre)
 		locals = append(locals, localDevice{
 			dev:   dev,
 			emit:  *vsrc.Split("days"),

@@ -201,22 +201,19 @@ func generateSMIPSite(fed *FederationDataset, root *rng.Source, j int) *SMIPData
 	// Native cohort, from per-meter substreams. The site's dedicated
 	// block is the cohort's only allocator, so meter i's MSIN is
 	// SMIPNativeBase + i with no allocation pass.
+	var mobs mobilitySlabs
 	locals := make([]localDevice, cfg.NativePerSite)
-	pipeline.Run(cfg.NativePerSite, cfg.Workers, func(sh pipeline.Shard) {
-		scratch := dayScratchPool.Get().(*dayScratch)
-		defer dayScratchPool.Put(scratch)
-		for i := sh.Lo; i < sh.Hi; i++ {
-			src := sroot.SplitN("meter", uint64(i))
-			imsi := identity.IMSI{PLMN: host, MSIN: SMIPNativeBase + uint64(i)}
-			prof := devices.SmartMeterNativeProfile(src.Split("profile"), cfg.Days, host)
-			info := fed.GSMA.Pick(src.Split("tac"), gsma.ArchM2MModule)
-			mob := scratch.mobs.stationaryAt(src.Split("mob"), centre, 150)
-			locals[i] = localDevice{
-				dev:  devices.Assemble(devices.ClassSmartMeter, imsi, info, prof, mob, false),
-				emit: *src.Split("days"),
-			}
+	for i := range locals {
+		src := sroot.SplitN("meter", uint64(i))
+		imsi := identity.IMSI{PLMN: host, MSIN: SMIPNativeBase + uint64(i)}
+		prof := devices.SmartMeterNativeProfile(src.Split("profile"), cfg.Days, host)
+		info := fed.GSMA.Pick(src.Split("tac"), gsma.ArchM2MModule)
+		mob := mobs.stationaryAt(src.Split("mob"), centre, 150)
+		locals[i] = localDevice{
+			dev:  devices.Assemble(devices.ClassSmartMeter, imsi, info, prof, mob, false),
+			emit: *src.Split("days"),
 		}
-	})
+	}
 	for i := range locals {
 		ds.Devices = append(ds.Devices, locals[i].dev)
 		ds.Native[locals[i].dev.ID] = true
@@ -226,8 +223,6 @@ func generateSMIPSite(fed *FederationDataset, root *rng.Source, j int) *SMIPData
 	// camp on their anchor, so the schedule gate is all-or-nothing per
 	// site — but it is still consulted, keeping the plane correct if
 	// the schedule model ever grows mobile meters.
-	scratch := dayScratchPool.Get().(*dayScratch)
-	defer dayScratchPool.Put(scratch)
 	for i := range fed.members {
 		m := &fed.members[i]
 		if m.dev.Class != devices.ClassSmartMeter || m.daysAt(j) == 0 {
@@ -235,7 +230,7 @@ func generateSMIPSite(fed *FederationDataset, root *rng.Source, j int) *SMIPData
 		}
 		vsrc := m.src.SplitN("smipvisit", siteKey(host))
 		dev := m.dev
-		dev.Mobility = scratch.mobs.stationaryAt(vsrc.Split("mob"), centre, 150)
+		dev.Mobility = mobs.stationaryAt(vsrc.Split("mob"), centre, 150)
 		ds.Devices = append(ds.Devices, dev)
 		ds.Native[dev.ID] = false
 		locals = append(locals, localDevice{

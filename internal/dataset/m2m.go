@@ -38,9 +38,10 @@ type M2MConfig struct {
 	// record's verdict depends only on (seed, record), never on draw
 	// order — so sampled captures parallelize like complete ones.
 	SampleRate float64
-	// Workers bounds the synthesis worker pool; values below one mean
-	// one worker per CPU. Captures — complete and sampled alike — are
-	// bit-identical for every worker count.
+	// Workers bounds FoldM2M's worker pool; values below one mean one
+	// worker per CPU. GenerateM2M walks serially and does not read it.
+	// Captures — complete and sampled alike — are bit-identical for
+	// every worker count.
 	Workers int
 }
 
@@ -176,7 +177,8 @@ func newM2MWalk(cfg M2MConfig) *m2mWalk {
 	return w
 }
 
-// shard walks each device of one canonical shard through its
+// shard walks each device of sh (one canonical shard, or the whole
+// population for GenerateM2M's serial walk) through its
 // attach/switch schedule and the roaming machinery into the
 // platform-side probe, and hands emit each device's capture in time
 // order: the probe fills the scratch buffer, which the scratch sorter
@@ -234,14 +236,18 @@ func txSampleKey(tx signaling.Transaction) uint64 {
 
 // GenerateM2M synthesizes the platform dataset: it builds the world,
 // draws the device population, walks each device's attach/switch
-// schedule through the roaming machinery and captures the resulting
-// transactions with a platform-side probe, time-sorted. The sort is
-// stable over the shard-ordered capture, so ties keep serial emission
-// order and each device's subsequence is exactly the time-ordered
-// slice FoldM2M hands that device.
+// schedule through the roaming machinery in device order and captures
+// the resulting transactions with a platform-side probe, time-sorted.
+// The walk is serial (cfg.Workers is not read). The sort is stable over
+// the device-ordered capture, so ties keep serial emission order and
+// each device's subsequence is exactly the time-ordered slice FoldM2M
+// hands that device.
 func GenerateM2M(cfg M2MConfig) *M2MDataset {
 	w := newM2MWalk(cfg)
-	txs := collectShards(cfg.Devices, cfg.Workers, w.shard)
+	var txs []signaling.Transaction
+	w.shard(pipeline.Shard{Hi: cfg.Devices}, func(_ int, recs []signaling.Transaction) {
+		txs = append(txs, recs...)
+	})
 	// Stable: ties keep their serial emission order (second-granularity
 	// draws collide routinely).
 	sortByTime(new(timeSorter), txs, transactionTime)

@@ -188,19 +188,19 @@ func drawHome(src *rng.Source, table *homeTable) mccmnc.PLMN {
 }
 
 // mnoWalk is everything GenerateMNO and StreamMNO share: the dataset
-// constants, the per-shard block offsets of the serial IMSI
-// allocation, the IR.88 registry (it derives from the block totals
-// alone, so it exists before the first device does) and the one
-// per-device emission loop, shard. The two entry points differ only in
-// the sinks they hand that loop.
+// constants, the IR.88 registry (it derives from the block totals
+// alone, so it exists before the first device does) and the serial
+// IMSI allocator device numbers its population from.
 type mnoWalk struct {
-	cfg                MNOConfig
-	db                 *gsma.DB
-	root               *rng.Source
-	centre             geo.Point
-	classPick, m2mPick *rng.Weighted
-	counts             blockCounts
-	reg                *core.Registry
+	cfg    MNOConfig
+	db     *gsma.DB
+	root   *rng.Source
+	centre geo.Point
+	// hostOps are the host country's operators, the national roamers'
+	// homes.
+	hostOps []mccmnc.Operator
+	next    map[blockKey]uint64
+	reg     *core.Registry
 }
 
 func newMNOWalk(cfg MNOConfig) *mnoWalk {
@@ -210,83 +210,71 @@ func newMNOWalk(cfg MNOConfig) *mnoWalk {
 	root := rng.New(cfg.Seed).Split("mno")
 	hostCountry, _ := mccmnc.CountryByMCC(cfg.Host.MCC)
 	w := &mnoWalk{
-		cfg:    cfg,
-		db:     gsma.Synthesize(cfg.GSMASeed),
-		root:   root,
-		centre: geo.Point{Lat: hostCountry.Lat, Lon: hostCountry.Lon},
+		cfg:     cfg,
+		db:      gsma.Synthesize(cfg.GSMASeed),
+		root:    root,
+		centre:  geo.Point{Lat: hostCountry.Lat, Lon: hostCountry.Lon},
+		hostOps: mccmnc.OperatorsIn(hostCountry.ISO),
 	}
-	w.classPick, w.m2mPick = mnoPicks()
 
-	// Replay the cheap draft draws through the serial allocation and
-	// keep only the per-shard block offsets. MSIN blocks hand out
-	// sequential numbers, the one order-dependent step of the build;
-	// with every shard's starting offsets known, any shard can number
-	// its devices alone.
-	w.counts = countBlocks(cfg.Devices, func(i int) blockKey {
-		d := drawMNODraft(root, i, cfg, w.classPick, w.m2mPick)
-		return blockKey{home: d.home, base: d.base}
-	})
-
-	w.reg = transparencyRegistry(cfg.TransparencyAdoption, root.Split("ir88"), w.counts.totals)
+	// The registry declares each home's whole M2M block, so it needs
+	// the block totals before the first device is numbered: replay the
+	// cheap draft draws through a throwaway allocator.
+	totals := map[blockKey]uint64{}
+	for i := range cfg.Devices {
+		d := w.draft(i)
+		nextIMSI(totals, d.home, d.base)
+	}
+	w.next = make(map[blockKey]uint64, len(totals))
+	w.reg = transparencyRegistry(cfg.TransparencyAdoption, root.Split("ir88"), totals)
 	return w
 }
 
-// shard synthesizes the devices of one canonical shard: each device is
-// drafted from its own RNG substream, numbered from the shard's block
-// offsets, finished, announced to device with its index and its
-// capture-time IR.88 verdict (IMSIs are visible at attach, before
-// anonymization), and followed by its daily catalog records in day
-// order. Nothing outlives the iteration but what the sinks keep, so at
-// most one device per worker is resident here. Each shard must be
-// walked exactly once: the walk advances the shard's offsets in place.
-func (w *mnoWalk) shard(sh pipeline.Shard, device func(i int, dev devices.Device, declared bool), record func(catalog.DailyRecord)) {
-	off := w.counts.offsets[sh.Index]
-	scratch := dayScratchPool.Get().(*dayScratch)
-	defer dayScratchPool.Put(scratch)
-	for i := sh.Lo; i < sh.Hi; i++ {
-		d := drawMNODraft(w.root, i, w.cfg, w.classPick, w.m2mPick)
-		imsi := nextIMSI(off, d.home, d.base)
-		dev := finishDevice(&d, imsi, w.cfg, w.db, w.centre, &scratch.mobs)
-		device(i, dev, w.reg.MatchIMSI(imsi))
-		emitDeviceDays(d.src.Split("days"), w.cfg.Host, w.cfg.Start, w.cfg.Days, record, &dev, scratch)
-	}
+// device synthesizes device i: it is drafted from its own RNG
+// substream, numbered from the walk's allocator, finished with its
+// mobility model out of mobs, and returned with its capture-time IR.88
+// verdict (IMSIs are visible at attach, before anonymization) and the
+// substream its daily records draw from. Devices must be synthesized
+// once each, in index order: numbering is the serial allocation.
+func (w *mnoWalk) device(i int, mobs *mobilitySlabs) (dev devices.Device, declared bool, days rng.Source) {
+	d := w.draft(i)
+	imsi := nextIMSI(w.next, d.home, d.base)
+	prof, info := classProfile(d.src.Split("profile"), d.class, w.cfg.Days, w.cfg.Host, d.home, d.inbound, w.db)
+	mob := mobs.classMobility(d.src.Split("mobility"), d.class, w.centre)
+	dev = devices.Assemble(d.class, imsi, info, prof, mob, d.mvno)
+	return dev, w.reg.MatchIMSI(imsi), *d.src.Split("days")
 }
 
-// GenerateMNO synthesizes the visited-MNO dataset: the emission walk
-// fans out over cfg.Workers goroutines, each device lands in its own
-// index's slot, and the daily records go to a dayRecords collector
-// sized once to its exact bound (Devices × Days) and compacted in
-// shard order. Every random draw comes from a per-device substream and
-// shard boundaries do not depend on the worker count, so the output is
-// bit-identical for any worker count.
+// GenerateMNO synthesizes the visited-MNO dataset: one serial pass
+// synthesizes the devices in index order, then their daily records
+// fan out over cfg.Workers goroutines (emitCatalog). Every random draw
+// comes from a per-device substream and shard boundaries do not depend
+// on the worker count, so the output is bit-identical for any worker
+// count.
 func GenerateMNO(cfg MNOConfig) *MNODataset {
 	w := newMNOWalk(cfg)
 	devs := make([]devices.Device, cfg.Devices)
-	declared := make([]bool, cfg.Devices)
-	recs := newDayRecords(cfg.Devices, cfg.Days)
-	pipeline.Run(cfg.Devices, cfg.Workers, func(sh pipeline.Shard) {
-		w.shard(sh, func(i int, dev devices.Device, dec bool) {
-			devs[i], declared[i] = dev, dec
-		}, recs.region(sh).add)
-	})
-
+	days := make([]rng.Source, cfg.Devices)
 	ds := &MNODataset{
 		Host:         cfg.Host,
 		Start:        cfg.Start,
 		Days:         cfg.Days,
 		GSMA:         w.db,
 		Devices:      devs,
-		Catalog:      &catalog.Catalog{Host: cfg.Host, Days: cfg.Days, Records: recs.records()},
 		Truth:        make(map[identity.DeviceID]devices.Class, cfg.Devices),
 		Transparency: w.reg,
 		Declared:     map[identity.DeviceID]bool{},
 	}
+	var mobs mobilitySlabs
 	for i := range devs {
+		var declared bool
+		devs[i], declared, days[i] = w.device(i, &mobs)
 		ds.Truth[devs[i].ID] = devs[i].Class
-		if declared[i] {
+		if declared {
 			ds.Declared[devs[i].ID] = true
 		}
 	}
+	ds.Catalog = emitCatalog(cfg.Host, cfg.Start, cfg.Days, cfg.Workers, devs, days)
 	return ds
 }
 
@@ -336,13 +324,14 @@ type mnoItem struct {
 }
 
 // StreamMNO delivers GenerateMNO's population to sink device by device
-// instead of materializing it: one producer goroutine runs the same
-// emission walk over the canonical shards in order into a bounded
-// window that the caller drains, so the sink observes exactly the
-// order GenerateMNO collects, and collecting it reproduces
+// instead of materializing it: one producer goroutine synthesizes each
+// device in index order and emits its daily records right after it
+// into a bounded window that the caller drains, so the sink observes
+// exactly the order GenerateMNO collects, and collecting it reproduces
 // MNODataset.Devices and Catalog.Records bit for bit. The producer
 // overlaps the sink; cfg.Workers is not read. Memory is bounded by
-// the window and the per-shard block offsets — never by cfg.Devices.
+// the window and the IMSI allocator's per-block counters — never by
+// cfg.Devices.
 func StreamMNO(cfg MNOConfig, sink MNOSink) *MNOStream {
 	w := newMNOWalk(cfg)
 	out := &MNOStream{
@@ -363,10 +352,14 @@ func StreamMNO(cfg MNOConfig, sink MNOSink) *MNOStream {
 			close(items)
 			done <- p
 		}()
-		pipeline.Run(cfg.Devices, 1, func(sh pipeline.Shard) {
-			w.shard(sh, func(_ int, dev devices.Device, declared bool) { items <- mnoItem{dev: dev, declared: declared} },
-				func(rec catalog.DailyRecord) { items <- mnoItem{rec: rec, isRec: true} })
-		})
+		var mobs mobilitySlabs
+		var scratch dayScratch
+		record := func(rec catalog.DailyRecord) { items <- mnoItem{rec: rec, isRec: true} }
+		for i := range cfg.Devices {
+			dev, declared, days := w.device(i, &mobs)
+			items <- mnoItem{dev: dev, declared: declared}
+			emitDeviceDays(&days, cfg.Host, cfg.Start, cfg.Days, record, &dev, &scratch)
+		}
 	}()
 	for it := range items {
 		if it.isRec {
@@ -423,43 +416,54 @@ func transparencyRegistry(adoption float64, src *rng.Source, totals map[blockKey
 	return reg
 }
 
-// mnoPicks builds the shared class samplers both MNO passes draw from.
-// The samplers are stateless per draw (DrawFrom consumes the device's
-// stream, not their own), so countBlocks' replay and the emission
-// walk can share one pair.
-func mnoPicks() (classPick, m2mPick *rng.Weighted) {
-	classPick = rng.NewWeighted([]float64{shareSmart, shareFeat, shareM2M})
-	m2mWeights := make([]float64, len(m2mMix))
+// Class samplers, built once like the home tables: the MNO
+// population's class mix, and the m2m subclass split every draft
+// shares (the fleet's class mix sits with its composition). A sampler
+// is stateless per draw (DrawFrom consumes the device's stream, not its
+// own), so every walk shares them.
+var (
+	mnoClassPick = rng.NewWeighted([]float64{shareSmart, shareFeat, shareM2M})
+	m2mPick      = newM2MPick()
+)
+
+func newM2MPick() *rng.Weighted {
+	weights := make([]float64, len(m2mMix))
 	for i, m := range m2mMix {
-		m2mWeights[i] = m.share
+		weights[i] = m.share
 	}
-	m2mPick = rng.NewWeighted(m2mWeights)
-	return classPick, m2mPick
+	return rng.NewWeighted(weights)
 }
 
-// drawMNODraft replays device i's draft draws from the root stream:
-// the class pick followed by draftDevice. countBlocks' replay and the
-// emission walk both go through this one helper, which is what
-// guarantees they see bit-identical draws (rng.Source.SplitN is O(1)
-// and never advances the parent, so the replay is free and exact).
-func drawMNODraft(root *rng.Source, i int, cfg MNOConfig, classPick, m2mPick *rng.Weighted) deviceDraft {
-	src := root.SplitN("device", uint64(i))
-	var class devices.Class
+// drawClass draws a device's class from classPick, splitting the m2m
+// umbrella into its subclasses by m2mMix.
+func drawClass(src *rng.Source, classPick *rng.Weighted) devices.Class {
 	switch classPick.DrawFrom(src) {
 	case 0:
-		class = devices.ClassSmartphone
+		return devices.ClassSmartphone
 	case 1:
-		class = devices.ClassFeaturePhone
+		return devices.ClassFeaturePhone
 	default:
-		class = m2mMix[m2mPick.DrawFrom(src)].class
+		return m2mMix[m2mPick.DrawFrom(src)].class
 	}
-	return draftDevice(src, cfg, class)
+}
+
+// roamerHome draws an inbound roamer's home operator from its class's
+// home table.
+func roamerHome(src *rng.Source, class devices.Class) mccmnc.PLMN {
+	switch class {
+	case devices.ClassSmartphone:
+		return drawHome(src.Split("home"), smartHomes)
+	case devices.ClassFeaturePhone:
+		return drawHome(src.Split("home"), featHomes)
+	default:
+		return drawHome(src.Split("home"), m2mHomes[class])
+	}
 }
 
 // deviceDraft is the outcome of a device's draft draws: everything
 // needed to allocate its IMSI, plus its RNG substream positioned after
-// the home-network draws so finishDevice resumes the exact draw
-// sequence of a serial build.
+// the home-network draws, which the device's finishing draws split
+// from.
 type deviceDraft struct {
 	class   devices.Class
 	inbound bool
@@ -469,10 +473,16 @@ type deviceDraft struct {
 	src     rng.Source
 }
 
-// draftDevice draws one device's roaming status, home network and
-// IMSI block — the slice of device construction that precedes the
-// order-dependent IMSI allocation.
-func draftDevice(src *rng.Source, cfg MNOConfig, class devices.Class) deviceDraft {
+// draft replays device i's draft draws from the root stream: its
+// class, roaming status, home network and IMSI block — the slice of
+// device construction that precedes the order-dependent IMSI
+// allocation. The registry's totals replay and the synthesis both go
+// through this one method, which is what guarantees they see
+// bit-identical draws (rng.Source.SplitN is O(1) and never advances
+// the parent, so the replay is free and exact).
+func (w *mnoWalk) draft(i int) deviceDraft {
+	src := w.root.SplitN("device", uint64(i))
+	class := drawClass(src, mnoClassPick)
 	inboundShare := inboundM2M
 	switch class {
 	case devices.ClassSmartphone:
@@ -488,24 +498,17 @@ func draftDevice(src *rng.Source, cfg MNOConfig, class devices.Class) deviceDraf
 	mvno := false
 	switch {
 	case inbound:
-		switch class {
-		case devices.ClassSmartphone:
-			home = drawHome(src.Split("home"), smartHomes)
-		case devices.ClassFeaturePhone:
-			home = drawHome(src.Split("home"), featHomes)
-		default:
-			home = drawHome(src.Split("home"), m2mHomes[class])
-		}
+		home = roamerHome(src, class)
 	case national:
 		// Another operator of the host country.
-		ops := mccmnc.OperatorsIn(mccmnc.ISOByMCC(cfg.Host.MCC))
+		ops := w.hostOps
 		home = ops[src.Intn(len(ops))].PLMN
-		if home == cfg.Host {
+		if home == w.cfg.Host {
 			home = ops[(src.Intn(len(ops)-1)+1)%len(ops)].PLMN
 		}
 	default:
 		if src.Bool(nativeMNOShare) {
-			home = cfg.Host
+			home = w.cfg.Host
 		} else {
 			mvno = true
 			home = MVNO1
@@ -521,22 +524,12 @@ func draftDevice(src *rng.Source, cfg MNOConfig, class devices.Class) deviceDraf
 	// IR.88 declaration would publish.
 	base := uint64(1_000_000_000)
 	switch {
-	case class == devices.ClassSmartMeter && home == cfg.Host:
+	case class == devices.ClassSmartMeter && home == w.cfg.Host:
 		base = SMIPNativeBase
 	case class.IsM2M() && inbound:
 		base = M2MBlockBase
 	}
 	return deviceDraft{class: class, inbound: inbound, home: home, mvno: mvno, base: base, src: *src}
-}
-
-// finishDevice builds the drafted device's profile, catalog identity
-// and mobility model (out of mobs) once its IMSI is known.
-func finishDevice(d *deviceDraft, imsi identity.IMSI, cfg MNOConfig, db *gsma.DB, centre geo.Point, mobs *mobilitySlabs) devices.Device {
-	psrc := d.src.Split("profile")
-	msrc := d.src.Split("mobility")
-	prof, info := classProfile(psrc, d.class, cfg.Days, cfg.Host, d.home, d.inbound, db)
-	mob := mobs.classMobility(msrc, d.class, centre)
-	return devices.Assemble(d.class, imsi, info, prof, mob, d.mvno)
 }
 
 // classProfile draws a device's activity profile and GSMA catalog
@@ -567,7 +560,7 @@ func classProfile(psrc *rng.Source, class devices.Class, days int, host, home mc
 	}
 }
 
-// mobilitySlabs hands out a generator worker's mobility models from
+// mobilitySlabs hands out a population draw's mobility models from
 // chunked slabs (catalog.Slab), not one heap object per device. A
 // chunk lives as long as any device moving by one of its models. The
 // zero value is ready to use; not safe for concurrent use.
@@ -612,12 +605,10 @@ func SMIPNativeRange(host mccmnc.PLMN, count uint64) identity.IMSIRange {
 	return identity.IMSIRange{PLMN: host, Lo: SMIPNativeBase, Hi: SMIPNativeBase + count}
 }
 
-// dayScratch is a generator worker's scratch, reused across the
-// devices of every shard it walks: emitDeviceDays' buffers and slabs,
-// and the slabs its drafted devices' mobility models come from. The
-// zero value is ready to use.
+// dayScratch is an emission worker's scratch, reused across the
+// devices of every shard it walks: emitDeviceDays' buffers and slabs.
+// The zero value is ready to use.
 type dayScratch struct {
-	mobs mobilitySlabs
 	// visits is the per-day mobility sample's buffer, so the sampling
 	// allocates nothing on the steady state.
 	visits []geo.Visit
@@ -633,6 +624,24 @@ type dayScratch struct {
 // shard's run, so the 256-shard split costs one scratch per worker,
 // not one per shard.
 var dayScratchPool = sync.Pool{New: func() any { return new(dayScratch) }}
+
+// emitCatalog fans the aggregate generators' one parallel step out
+// over workers: device i's daily records, drawn from srcs[i], go to
+// a dayRecords collector sized once to its exact bound (devices ×
+// Days) and compacted in shard order, so the catalog is bit-identical
+// at any worker count. The devices must be fully synthesized first.
+func emitCatalog(host mccmnc.PLMN, start time.Time, days, workers int, devs []devices.Device, srcs []rng.Source) *catalog.Catalog {
+	recs := newDayRecords(len(devs), days)
+	pipeline.Run(len(devs), workers, func(sh pipeline.Shard) {
+		scratch := dayScratchPool.Get().(*dayScratch)
+		defer dayScratchPool.Put(scratch)
+		emit := recs.region(sh).add
+		for i := sh.Lo; i < sh.Hi; i++ {
+			emitDeviceDays(&srcs[i], host, start, days, emit, &devs[i], scratch)
+		}
+	})
+	return &catalog.Catalog{Host: host, Days: days, Records: recs.records()}
+}
 
 // dayRecords collects an aggregate generator's daily records into one
 // buffer allocated once at its exact bound. emitDeviceDays emits at

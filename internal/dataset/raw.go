@@ -120,19 +120,15 @@ func (c capture) emit(locals []localDevice, grid *radio.Grid, es []*emitter) {
 }
 
 // smipPopulation drafts the per-event SMIP generators' meter cohorts
-// on the worker pool (see smipMeters).
+// in one serial pass (see smipMeters).
 func smipPopulation(cfg SMIPConfig) (*SMIPDataset, []localDevice) {
 	m := newSMIPMeters(cfg, "smipraw", 40)
 	n := cfg.NativeMeters + cfg.RoamingMeters
 	locals := make([]localDevice, n)
-	migrated := make([]bool, n)
-	pipeline.Run(n, cfg.Workers, func(sh pipeline.Shard) {
-		for i := sh.Lo; i < sh.Hi; i++ {
-			locals[i].dev, locals[i].emit, migrated[i] = m.draw(i)
-		}
-	})
 	devs := make([]devices.Device, n)
+	migrated := make([]bool, n)
 	for i := range locals {
+		locals[i].dev, locals[i].emit, migrated[i] = m.draw(i)
 		devs[i] = locals[i].dev
 	}
 	return m.newDataset(devs, migrated), locals

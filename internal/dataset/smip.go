@@ -11,7 +11,6 @@ import (
 	"whereroam/internal/identity"
 	"whereroam/internal/mccmnc"
 	"whereroam/internal/mobility"
-	"whereroam/internal/pipeline"
 	"whereroam/internal/rng"
 )
 
@@ -85,30 +84,21 @@ const smipRoamingBase = 4_000_000_000
 var smipRoamingHome = mccmnc.MustParse("20404")
 
 // GenerateSMIP synthesizes the smart-meter dataset at the aggregate
-// level (daily catalog records drawn directly, no per-event capture).
-// The meters fan out over cfg.Workers goroutines: each is drafted from
-// its own substream into its index's slot, and its daily records go to
-// a dayRecords collector sized once to its exact bound (meters × Days)
-// and compacted in shard order, so the dataset is bit-identical for
-// any worker count.
+// level (daily catalog records drawn directly, no per-event capture):
+// one serial pass drafts the meters, each from its own substream, and
+// their daily records fan out over cfg.Workers goroutines
+// (emitCatalog), so the dataset is bit-identical for any worker count.
 func GenerateSMIP(cfg SMIPConfig) *SMIPDataset {
 	m := newSMIPMeters(cfg, "smip", 150)
 	n := cfg.NativeMeters + cfg.RoamingMeters
 	devs := make([]devices.Device, n)
+	days := make([]rng.Source, n)
 	migrated := make([]bool, n)
-	recs := newDayRecords(n, cfg.Days)
-	pipeline.Run(n, cfg.Workers, func(sh pipeline.Shard) {
-		scratch := dayScratchPool.Get().(*dayScratch)
-		defer dayScratchPool.Put(scratch)
-		emit := recs.region(sh).add
-		for i := sh.Lo; i < sh.Hi; i++ {
-			var days rng.Source
-			devs[i], days, migrated[i] = m.draw(i)
-			emitDeviceDays(&days, cfg.Host, cfg.Start, cfg.Days, emit, &devs[i], scratch)
-		}
-	})
+	for i := range devs {
+		devs[i], days[i], migrated[i] = m.draw(i)
+	}
 	ds := m.newDataset(devs, migrated)
-	ds.Catalog = &catalog.Catalog{Host: cfg.Host, Days: cfg.Days, Records: recs.records()}
+	ds.Catalog = emitCatalog(cfg.Host, cfg.Start, cfg.Days, cfg.Workers, devs, days)
 	return ds
 }
 

@@ -89,8 +89,9 @@ func (s *Session) FederationM2M() *FederationM2MView {
 
 // FederationSMIP lazily builds the federated §7 smart-meter plane:
 // one meters-only dataset per site over the shared fleet's meters
-// plus each site's native deployment. The catalogs build batch or
-// streaming per the session, bit-identical either way.
+// plus each site's native deployment. Each site's catalog builds
+// through the per-event capture walk, like the federation's own site
+// catalogs, bit-identical at any worker count.
 func (s *Session) FederationSMIP() *dataset.FederationSMIP {
 	fed := s.FederationData()
 	s.mu.Lock()
