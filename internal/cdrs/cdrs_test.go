@@ -187,7 +187,7 @@ func TestBinaryOversizeRejected(t *testing.T) {
 type decoderReads struct{ *Decoder }
 
 func (d decoderReads) Read(rec *Record) error {
-	_, err := d.ReadFrame(rec)
+	_, _, err := d.ReadFrame(rec, nil)
 	return err
 }
 
@@ -257,7 +257,7 @@ func TestDecoderResetKeepsAPNTable(t *testing.T) {
 	d := NewDecoder(first)
 	var rec Record
 	for {
-		if _, err := d.ReadFrame(&rec); err == io.EOF {
+		if _, _, err := d.ReadFrame(&rec, nil); err == io.EOF {
 			break
 		} else if err != nil {
 			t.Fatal(err)
@@ -268,7 +268,7 @@ func TestDecoderResetKeepsAPNTable(t *testing.T) {
 		d.Reset(second)
 		n = 0
 		for {
-			if _, err := d.ReadFrame(&rec); err == io.EOF {
+			if _, _, err := d.ReadFrame(&rec, nil); err == io.EOF {
 				break
 			} else if err != nil {
 				t.Fatal(err)
@@ -309,7 +309,7 @@ func TestOversizeAPNBoundary(t *testing.T) {
 	// APN at 100 octets); one byte more is out of range.
 	wire := buf.Bytes()
 	var got Record
-	if _, err := NewDecoder(wire).ReadFrame(&got); err == nil || errors.Is(err, ErrOversize) || errors.Is(err, ErrTruncated) {
+	if _, _, err := NewDecoder(wire).ReadFrame(&got, nil); err == nil || errors.Is(err, ErrOversize) || errors.Is(err, ErrTruncated) {
 		t.Fatalf("reading the %d-byte APN back = %v, want the apn.Parse rejection", maxWireAPN, err)
 	}
 	longer := append(append([]byte(nil), wire...), 'a')
@@ -352,15 +352,15 @@ func TestAPNTablesBounded(t *testing.T) {
 	d := NewDecoder(buf.Bytes())
 	for i := range recs {
 		var got Record
-		if _, err := d.ReadFrame(&got); err != nil {
+		if _, _, err := d.ReadFrame(&got, nil); err != nil {
 			t.Fatalf("record %d: %v", i, err)
 		}
 		if got.APN != recs[i].APN {
 			t.Fatalf("record %d: APN %v, wrote %v", i, got.APN, recs[i].APN)
 		}
 	}
-	if len(w.apns) != apnTableMax || len(d.apns) != apnTableMax {
-		t.Fatalf("tables hold %d (writer) and %d (decoder) APNs, want the bound %d", len(w.apns), len(d.apns), apnTableMax)
+	if len(w.apns) != apnTableMax || len(d.apns.m) != apnTableMax {
+		t.Fatalf("tables hold %d (writer) and %d (decoder) APNs, want the bound %d", len(w.apns), len(d.apns.m), apnTableMax)
 	}
 }
 
@@ -378,7 +378,12 @@ var wireClasses = []error{io.EOF, io.ErrUnexpectedEOF, ErrBadMagic, ErrBadVersio
 // Write(&rec) emit the same stream. It also cuts the input in two
 // streams: one Decoder moved across them with Reset must decode each
 // exactly as a fresh Decoder does — records, error classes and the
-// per-stream record index in the error.
+// per-stream record index in the error. And a third Decoder reads the
+// stream under a frame predicate drawn from the input: it must return
+// the same frames and stop at the same record with the same error,
+// offer keep each validated frame exactly once and no other, decode a
+// kept frame to the unfiltered record and leave rec untouched for a
+// dropped one.
 func FuzzRecordStream(f *testing.F) {
 	withOI, withoutOI := sampleData(1), sampleData(2)
 	withoutOI.APN = apn.MustParse("payandgo.o2.co.uk")
@@ -394,21 +399,41 @@ func FuzzRecordStream(f *testing.F) {
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		rd, dec := NewReader(bytes.NewReader(data)), NewDecoder(data)
+		rd, dec, filt := NewReader(bytes.NewReader(data)), NewDecoder(data), NewDecoder(data)
+		sel, offered := byte(0), 0
+		if len(data) > 0 {
+			sel = data[len(data)/2]
+		}
+		pick := func(frame []byte) bool { return (frame[len(frame)-1]^sel)&1 == 0 }
+		keep := func(frame []byte) bool { offered++; return pick(frame) }
 		var frames, viaFrame, viaWrite bytes.Buffer
 		wFrame, wRec := NewWriter(&viaFrame), NewWriter(&viaWrite)
 		clean := false
 		for i := 0; ; i++ {
 			var a, b Record
 			errA := rd.Read(&a)
-			frame, errB := dec.ReadFrame(&b)
+			frame, _, errB := dec.ReadFrame(&b, nil)
 			if (errA == nil) != (errB == nil) {
 				t.Fatalf("record %d: Reader error %v, ReadFrame error %v", i, errA, errB)
 			}
+			c, before := Record{Device: 0xdead}, offered
+			frameC, kept, errC := filt.ReadFrame(&c, keep)
+			if (errB == nil) != (errC == nil) || (errB != nil && errB.Error() != errC.Error()) {
+				t.Fatalf("record %d: ReadFrame error %v, filtered ReadFrame error %v", i, errB, errC)
+			}
+			if errB == nil && (!bytes.Equal(frameC, frame) || offered != before+1 || kept != pick(frame)) {
+				t.Fatalf("record %d: filtered frame %x (kept %v, offered %d times), unfiltered %x", i, frameC, kept, offered-before, frame)
+			}
+			if errB != nil && offered != before {
+				t.Fatalf("record %d: a frame failing with %v was offered to keep", i, errB)
+			}
+			if errB == nil && (kept && c != b || !kept && c != (Record{Device: 0xdead})) {
+				t.Fatalf("record %d: filtered read (kept %v) left %+v, unfiltered %+v", i, kept, c, b)
+			}
 			if errA != nil {
 				for _, class := range wireClasses {
-					if errors.Is(errA, class) != errors.Is(errB, class) {
-						t.Fatalf("record %d: Reader error %v and ReadFrame error %v differ on %v", i, errA, errB, class)
+					if errors.Is(errA, class) != errors.Is(errB, class) || errors.Is(errB, class) != errors.Is(errC, class) {
+						t.Fatalf("record %d: Reader error %v, ReadFrame error %v and filtered error %v differ on %v", i, errA, errB, errC, class)
 					}
 				}
 				if errA.Error() != errB.Error() {
@@ -437,8 +462,8 @@ func FuzzRecordStream(f *testing.F) {
 				}
 			}
 		}
-		if len(dec.apns) > apnTableMax || len(rd.apns) > apnTableMax || len(dec.canon) > apnTableMax {
-			t.Fatalf("APN tables grew to %d, %d and %d, bound %d", len(dec.apns), len(rd.apns), len(dec.canon), apnTableMax)
+		if len(dec.apns.m) > apnTableMax || len(rd.apns.m) > apnTableMax || len(dec.canon) > apnTableMax {
+			t.Fatalf("APN tables grew to %d, %d and %d, bound %d", len(dec.apns.m), len(rd.apns.m), len(dec.canon), apnTableMax)
 		}
 		if frames.Len() > 0 && !bytes.HasPrefix(data[headerSize:], frames.Bytes()) {
 			t.Fatalf("frames %x are not the bytes after the header of %x", frames.Bytes(), data)
@@ -466,8 +491,8 @@ func FuzzRecordStream(f *testing.F) {
 			reused.Reset(stream)
 			for i := 0; ; i++ {
 				var a, b Record
-				_, errA := reused.ReadFrame(&a)
-				_, errB := fresh.ReadFrame(&b)
+				_, _, errA := reused.ReadFrame(&a, nil)
+				_, _, errB := fresh.ReadFrame(&b, nil)
 				if (errA == nil) != (errB == nil) || (errA != nil && errA.Error() != errB.Error()) {
 					t.Fatalf("stream %d record %d: reset Decoder error %v, fresh Decoder error %v", s, i, errA, errB)
 				}

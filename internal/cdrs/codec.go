@@ -159,19 +159,53 @@ func (w *Writer) Flush() error { return w.w.Flush() }
 // remembering up to apnTableMax distinct byte strings. It is keyed by
 // the raw wire bytes, so a hit costs one map lookup and no allocation;
 // a miss goes through apn.Parse, which is why a stream is accepted or
-// rejected exactly as it would be without the table.
-type apnTable map[string]apn.APN
+// rejected exactly as it would be without the table. It also remembers
+// its last resolved string, so a run of records naming one APN costs a
+// byte comparison, not a hash. A codec holds its table by value.
+type apnTable struct {
+	m       map[string]apn.APN
+	last    [maxWireAPN]byte
+	lastLen int // 0: nothing resolved yet (APN bytes are never empty)
+	lastAPN apn.APN
+}
 
-func (t apnTable) resolve(b []byte) (apn.APN, error) {
-	if a, ok := t[string(b)]; ok {
-		return a, nil
+func newAPNTable() apnTable { return apnTable{m: map[string]apn.APN{}} }
+
+func (t *apnTable) resolve(b []byte) (apn.APN, error) {
+	if string(b) == string(t.last[:t.lastLen]) {
+		return t.lastAPN, nil
 	}
-	raw := string(b)
-	a, err := apn.Parse(raw)
-	if err == nil && len(t) < apnTableMax {
-		t[raw] = a
+	a, ok := t.m[string(b)]
+	if !ok {
+		raw := string(b)
+		var err error
+		if a, err = apn.Parse(raw); err != nil {
+			return a, err
+		}
+		if len(t.m) < apnTableMax {
+			t.m[raw] = a
+		}
 	}
-	return a, err
+	t.lastLen, t.lastAPN = copy(t.last[:], b), a
+	return a, nil
+}
+
+// bodyAPN validates the APN of one record body — the bytes after the
+// length prefix, bodySize fixed bytes plus the APN — and returns it
+// parsed (the zero APN when the body carries none). index is the
+// record's position in the stream, for the error. It is the one record
+// check: the stream [Reader] and the byte-slice [Decoder] both call it
+// before anything else reads the body, so they accept and reject the
+// same records.
+func (t *apnTable) bodyAPN(b []byte, index int) (apn.APN, error) {
+	if len(b) == bodySize {
+		return apn.APN{}, nil
+	}
+	a, err := t.resolve(b[bodySize:])
+	if err != nil {
+		return a, fmt.Errorf("cdrs: record %d: %w", index, err)
+	}
+	return a, nil
 }
 
 // checkHeader validates a stream header.
@@ -195,12 +229,11 @@ func FrameLen(prefix []byte) (int, error) {
 	return n, nil
 }
 
-// decodeFields decodes one record body — the bytes after the length
-// prefix, bodySize fixed bytes plus the APN — into rec. index is the
-// record's position in the stream, for the error. It is the one field
+// decodeFixed decodes one validated record body's fixed fields into
+// rec, with a (bodyAPN's result) as its APN. It is the one field
 // decoder: the stream [Reader] and the byte-slice [Decoder] both call
 // it, so they cannot disagree about a record.
-func decodeFields(b []byte, rec *Record, apns apnTable, index int) error {
+func decodeFixed(b []byte, rec *Record, a apn.APN) {
 	rec.Device = identity.DeviceID(binary.BigEndian.Uint64(b[0:8]))
 	rec.Time = time.Unix(0, int64(binary.BigEndian.Uint64(b[8:16]))).UTC()
 	rec.SIM = mccmnc.PLMN{MCC: binary.BigEndian.Uint16(b[16:18]), MNC: binary.BigEndian.Uint16(b[18:20]), MNCLen: b[20]}
@@ -209,15 +242,7 @@ func decodeFields(b []byte, rec *Record, apns apnTable, index int) error {
 	rec.RAT = radio.RAT(b[27])
 	rec.Duration = time.Duration(binary.BigEndian.Uint32(b[28:32])) * time.Millisecond
 	rec.Bytes = binary.BigEndian.Uint64(b[32:40])
-	rec.APN = apn.APN{}
-	if len(b) > bodySize {
-		a, err := apns.resolve(b[bodySize:])
-		if err != nil {
-			return fmt.Errorf("cdrs: record %d: %w", index, err)
-		}
-		rec.APN = a
-	}
-	return nil
+	rec.APN = a
 }
 
 // Reader streams records from the binary wire format into
@@ -233,7 +258,7 @@ type Reader struct {
 
 // NewReader returns a Reader consuming from r.
 func NewReader(r io.Reader) *Reader {
-	return &Reader{r: bufio.NewReaderSize(r, 64<<10), apns: apnTable{}}
+	return &Reader{r: bufio.NewReaderSize(r, 64<<10), apns: newAPNTable()}
 }
 
 // Read decodes the next record into rec; io.EOF marks a clean end.
@@ -265,19 +290,22 @@ func (rd *Reader) Read(rec *Record) error {
 	if _, err := io.ReadFull(rd.r, b); err != nil {
 		return ErrTruncated
 	}
-	if err := decodeFields(b, rec, rd.apns, rd.read); err != nil {
+	a, err := rd.apns.bodyAPN(b, rd.read)
+	if err != nil {
 		return err
 	}
+	decodeFixed(b, rec, a)
 	rd.read++
 	return nil
 }
 
 // Decoder reads records from a stream already held in memory — the
 // same format, checks and errors as [Reader], without the copy
-// through a buffered reader. Decoded records do not alias the stream
-// (their strings are copies), so its buffer can be reused as soon as
-// the Decoder is done with; the frames [Decoder.ReadFrame] returns do
-// alias it.
+// through a buffered reader — and can filter them on the raw frame, so
+// that only the records a caller keeps are decoded. Decoded records do
+// not alias the stream (their strings are copies), so its buffer can
+// be reused as soon as the Decoder is done with; the frames
+// [Decoder.ReadFrame] returns do alias it.
 type Decoder struct {
 	b      []byte
 	read   int
@@ -290,7 +318,7 @@ type Decoder struct {
 
 // NewDecoder returns a Decoder over the whole stream b (header
 // included).
-func NewDecoder(b []byte) *Decoder { return &Decoder{b: b, apns: apnTable{}} }
+func NewDecoder(b []byte) *Decoder { return &Decoder{b: b, apns: newAPNTable()} }
 
 // Reset points the Decoder at a new stream b (header included), as
 // NewDecoder(b) would, but keeps its APN table: a caller decoding many
@@ -298,54 +326,66 @@ func NewDecoder(b []byte) *Decoder { return &Decoder{b: b, apns: apnTable{}} }
 // stream. Record indexes in errors count from the start of b.
 func (d *Decoder) Reset(b []byte) { d.b, d.read, d.header = b, 0, false }
 
-// ReadFrame decodes the next record into rec and returns its frame:
-// the length prefix and body, aliasing the stream. io.EOF marks a
-// clean end.
-func (d *Decoder) ReadFrame(rec *Record) ([]byte, error) {
+// ReadFrame reads the next record and returns its frame: the length
+// prefix and body, aliasing the stream. io.EOF marks a clean end.
+// Every frame is checked in one order — its length, then its APN
+// through apn.Parse — and only a frame that passed is offered to keep;
+// a nil keep keeps every frame. A kept frame's fields are decoded into
+// rec and kept is true; a dropped frame leaves rec as it was, so a
+// caller that filters on the frame's fixed fields ([FrameTime],
+// [FrameDevice], [FrameVisited]) pays for decoding only what it keeps.
+// Whatever keep says, the stream is accepted or rejected, with the same
+// error at the same record, as with no filter.
+func (d *Decoder) ReadFrame(rec *Record, keep func(frame []byte) bool) (frame []byte, kept bool, err error) {
 	if !d.header {
 		if len(d.b) == 0 {
-			return nil, io.EOF
+			return nil, false, io.EOF
 		}
 		if len(d.b) < headerSize {
 			d.b = nil
-			return nil, fmt.Errorf("cdrs: reading header: %w", io.ErrUnexpectedEOF)
+			return nil, false, fmt.Errorf("cdrs: reading header: %w", io.ErrUnexpectedEOF)
 		}
 		h := d.b[:headerSize]
 		d.b = d.b[headerSize:]
 		if err := checkHeader(h); err != nil {
-			return nil, err
+			return nil, false, err
 		}
 		d.header = true
 	}
 	if len(d.b) == 0 {
-		return nil, io.EOF
+		return nil, false, io.EOF
 	}
 	if len(d.b) < 2 {
 		d.b = nil
-		return nil, ErrTruncated
+		return nil, false, ErrTruncated
 	}
 	n, err := FrameLen(d.b[:2])
 	if err != nil {
 		d.b = d.b[2:]
-		return nil, err
+		return nil, false, err
 	}
 	if len(d.b) < 2+n {
 		d.b = nil
-		return nil, ErrTruncated
+		return nil, false, ErrTruncated
 	}
-	frame := d.b[:2+n]
+	frame = d.b[:2+n]
 	d.b = d.b[2+n:]
-	if err := decodeFields(frame[2:], rec, d.apns, d.read); err != nil {
-		return nil, err
+	a, err := d.apns.bodyAPN(frame[2:], d.read)
+	if err != nil {
+		return nil, false, err
 	}
 	d.read++
-	return frame, nil
+	if keep != nil && !keep(frame) {
+		return frame, false, nil
+	}
+	decodeFixed(frame[2:], rec, a)
+	return frame, true, nil
 }
 
-// Canonical reports whether frame — returned by ReadFrame together
-// with rec — is byte for byte what [Writer.Write] emits for rec, so
-// that copying it verbatim equals decoding and re-encoding it. Every
-// fixed field round-trips exactly, so the APN bytes decide: a
+// Canonical reports whether frame — returned and kept by ReadFrame
+// together with rec — is byte for byte what [Writer.Write] emits for
+// rec, so that copying it verbatim equals decoding and re-encoding it.
+// Every fixed field round-trips exactly, so the APN bytes decide: a
 // non-data frame must carry none, and a data frame's must be
 // rec.APN.String(). They need not be: apn.Parse lowercases and trims,
 // so an APN a writer was handed as {NetworkID: "Smart.METER"} is on

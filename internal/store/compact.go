@@ -36,21 +36,22 @@ package store
 //
 // A run is encoded frames plus 24-byte keys, never decoded records.
 // Opening a segment run checks what a replay checks — file length,
-// body CRC, every record decoded with its APN parsed and filtered
-// through the query, the record count against the footer — and copies
-// each kept record's wire frame into a run-owned buffer; the sort
-// moves only (time, device, offset, length) keys. Run files hold the
-// merged frames back to back, read back with a length-prefix check and
-// no field decode, and the final pass hands frames to the output
-// writer, which fills each footer by peeking time, device and visited
-// network. The output is the same as decoding, stable-sorting and
-// re-encoding every record because a frame is copied verbatim only if
-// it is canonical (cdrs.Decoder.Canonical): re-encoding its decoded
-// record would give the same bytes. Every fixed field round-trips, so
-// that is a voice frame with no APN bytes, or a data frame whose APN
-// bytes are its parsed APN's String(). A frame that is not — an APN
-// appended as {NetworkID: "Smart.METER"} decodes to "smart.meter" —
-// is re-encoded from its record, as Writer.Write would.
+// body CRC, every record's APN parsed, the frame filtered through the
+// query and only the kept records decoded, the record count against
+// the footer — and copies each kept record's wire frame into a
+// run-owned buffer; the sort moves only (time, device, offset, length)
+// keys. Run files hold the merged frames back to back, read back with
+// a length-prefix check and no field decode, and the final pass hands
+// frames to the output writer, which fills each footer by peeking
+// time, device and visited network. The output is the same as
+// decoding, stable-sorting and re-encoding every record because a
+// frame is copied verbatim only if it is canonical
+// (cdrs.Decoder.Canonical): re-encoding its decoded record would give
+// the same bytes. Every fixed field round-trips, so that is a voice
+// frame with no APN bytes, or a data frame whose APN bytes are its
+// parsed APN's String(). A frame that is not — an APN appended as
+// {NetworkID: "Smart.METER"} decodes to "smart.meter" — is re-encoded
+// from its record, as Writer.Write would.
 //
 // A merge group opens its runs in parallel, one decoder per worker
 // over a contiguous range of runs. Runs are independent and the first
@@ -327,21 +328,21 @@ type frameKey struct {
 const minFrame = 42
 
 // segmentRun builds the runSrc for one sealed segment: scan it (length,
-// CRC and every record decoded, the query's record filter applied),
+// CRC and every record validated, the query's frame filter applied,
+// the kept records decoded),
 // copy each kept record's frame into a run-owned buffer — verbatim if
 // it is canonical, re-encoded if not — and sort the frame keys by
 // (time, device, offset). Offsets rise in input order, so that is the
 // stable order: input ordinals break ties.
 func segmentRun(r *Reader, si *SegmentInfo, q Query, recordsIn *atomic.Int64) runSrc {
-	dir, start := r.dir, r.man.Start
+	dir, keep := r.dir, q.keep(newDayClock(r.man.Start))
 	return runSrc{open: func(dec *cdrs.Decoder) (*openRun, error) {
 		var (
 			buf    []byte
 			keys   []frameKey
-			read   int64
 			encErr error
 		)
-		err := scanSegment(dir, si, dec, func(frame []byte, rec *cdrs.Record) {
+		read, err := scanSegment(dir, si, dec, keep, func(i int, frame []byte, rec *cdrs.Record) {
 			if keys == nil {
 				// The scan checked BodyBytes against the file before the
 				// first visit; Records is checked only after the last,
@@ -349,20 +350,19 @@ func segmentRun(r *Reader, si *SegmentInfo, q Query, recordsIn *atomic.Int64) ru
 				buf = make([]byte, 0, si.BodyBytes)
 				keys = make([]frameKey, 0, min(max(si.Records, 0), int(si.BodyBytes/minFrame)))
 			}
-			read++
-			if encErr != nil || !q.keepRecord(dayOf(rec.Time, start), rec) {
+			if encErr != nil {
 				return
 			}
 			off := len(buf)
 			if dec.Canonical(frame, rec) {
 				buf = append(buf, frame...)
 			} else if buf, encErr = cdrs.AppendFrame(buf, rec); encErr != nil {
-				encErr = fmt.Errorf("store: re-encoding %s record %d: %w", si.Name, read-1, encErr)
+				encErr = fmt.Errorf("store: re-encoding %s record %d: %w", si.Name, i, encErr)
 				return
 			}
 			keys = append(keys, frameKey{rec.Time.UnixNano(), uint64(rec.Device), uint32(off), uint32(len(buf) - off)})
 		})
-		recordsIn.Add(read)
+		recordsIn.Add(int64(read))
 		if err == nil {
 			err = encErr
 		}

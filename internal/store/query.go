@@ -13,7 +13,8 @@ import (
 // without reading when their footer index proves no record can match
 // (day range, device-hash range, visited set, and for exact-device
 // queries the per-segment device-hash Bloom filter), and surviving
-// segments are filtered record by record. [Reader.Plan] exposes the
+// segments are filtered record by record on the wire frame, before
+// anything is decoded. [Reader.Plan] exposes the
 // segment-selection decision without reading anything.
 type Query struct {
 	hasDays    bool
@@ -116,19 +117,29 @@ func (q Query) judgeSegment(si *SegmentInfo) segVerdict {
 	return segKeep
 }
 
-// keepRecord reports whether one record matches the query; day is
-// the record's event day relative to the store's Start.
-func (q Query) keepRecord(day int, rec *cdrs.Record) bool {
-	if q.hasDays && (day < q.dayLo || day > q.dayHi) {
-		return false
+// keep returns the query's record-level predicate on wire frames — a
+// record's event day (from clock), device hash and visited network,
+// read in place — or nil when the query keeps every record.
+func (q Query) keep(clock dayClock) func(frame []byte) bool {
+	if !q.hasDays && !q.hasDevs && !q.hasVisited {
+		return nil
 	}
-	if q.hasDevs && (uint64(rec.Device) < q.devLo || uint64(rec.Device) > q.devHi) {
-		return false
+	return func(frame []byte) bool {
+		if q.hasDevs {
+			if dev := cdrs.FrameDevice(frame); dev < q.devLo || dev > q.devHi {
+				return false
+			}
+		}
+		if q.hasVisited && cdrs.FrameVisited(frame) != q.visited {
+			return false
+		}
+		if q.hasDays {
+			if day := clock.day(cdrs.FrameTime(frame)); day < q.dayLo || day > q.dayHi {
+				return false
+			}
+		}
+		return true
 	}
-	if q.hasVisited && rec.Visited != q.visited {
-		return false
-	}
-	return true
 }
 
 // QueryPlan is the segment-selection decision for one query against

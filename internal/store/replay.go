@@ -23,7 +23,8 @@ import (
 type ReplayStats struct {
 	// SegmentsTotal is the number of sealed segments in the store.
 	SegmentsTotal int
-	// SegmentsRead counts segments whose bodies were decoded.
+	// SegmentsRead counts segments whose bodies were scanned end to
+	// end.
 	SegmentsRead int
 	// SegmentsPruned counts segments skipped by the footer index
 	// without reading, for any reason (range indexes or Bloom
@@ -36,9 +37,12 @@ type ReplayStats struct {
 	// SegmentsTorn counts unsealed segment files skipped with a
 	// report (a crash mid-write leaves at most one).
 	SegmentsTorn int
-	// BytesRead totals the body bytes decoded.
+	// BytesRead totals the body bytes scanned.
 	BytesRead int64
-	// RecordsRead counts records decoded from the read segments.
+	// RecordsRead counts the records of the scanned segments whose
+	// frames validated (length and APN). The query's record filter
+	// runs on the wire frame, so only the RecordsKept among them are
+	// decoded.
 	RecordsRead int64
 	// RecordsKept counts records that survived the record-level
 	// query (for a catalog replay: and the store's declared day
@@ -189,6 +193,8 @@ func (r *Reader) Replay(q Query, workers int) (*catalog.Catalog, *ReplayStats, e
 	meta := r.man.Meta()
 	stats := r.baseStats()
 	selected := r.selectSegments(q, &stats)
+	clock := newDayClock(meta.Start)
+	keep := q.keep(clock)
 
 	type part struct {
 		b     *catalog.Builder
@@ -203,18 +209,14 @@ func (r *Reader) Replay(q Query, workers int) (*catalog.Catalog, *ReplayStats, e
 		dec := cdrs.NewDecoder(nil)
 		for k := sh.Lo; k < sh.Hi; k++ {
 			si := &r.man.Segments[selected[k]]
-			err := scanSegment(r.dir, si, dec,
-				func(_ []byte, rec *cdrs.Record) {
-					p.stats.RecordsRead++
-					day := dayOf(rec.Time, meta.Start)
-					if !q.keepRecord(day, rec) {
-						return
-					}
+			n, err := scanSegment(r.dir, si, dec, keep,
+				func(_ int, frame []byte, rec *cdrs.Record) {
 					// The builder silently drops records outside the
 					// declared window; count them apart so RecordsKept
 					// always equals what the catalog actually absorbed.
-					// dayOf truncates, so an instant less than a day
+					// A day truncates, so an instant less than a day
 					// before the start is day 0 yet outside.
+					day := clock.day(cdrs.FrameTime(frame))
 					if day < 0 || day >= meta.Days || rec.Time.Before(meta.Start) {
 						p.stats.RecordsOutsideWindow++
 						return
@@ -222,6 +224,7 @@ func (r *Reader) Replay(q Query, workers int) (*catalog.Catalog, *ReplayStats, e
 					p.stats.RecordsKept++
 					p.b.AddDayRecord(day, rec)
 				})
+			p.stats.RecordsRead += int64(n)
 			if err != nil {
 				// An aborted scan is not a read segment: the counters
 				// only cover segments decoded end to end.
@@ -263,21 +266,19 @@ func (r *Reader) Replay(q Query, workers int) (*catalog.Catalog, *ReplayStats, e
 //roamvet:deadcode-ok test oracle: the sequential reference the concurrent Replay and Compact are compared against
 func (r *Reader) ReplayRecords(q Query, sink func(cdrs.Record)) (*ReplayStats, error) {
 	stats := r.baseStats()
-	start := r.man.Start
+	keep := q.keep(newDayClock(r.man.Start))
 	dec := cdrs.NewDecoder(nil)
 	for _, i := range r.selectSegments(q, &stats) {
 		si := &r.man.Segments[i]
-		err := scanSegment(r.dir, si, dec, func(_ []byte, rec *cdrs.Record) {
-			stats.RecordsRead++
-			if q.keepRecord(dayOf(rec.Time, start), rec) {
-				stats.RecordsKept++
-				sink(*rec)
-			}
+		n, err := scanSegment(r.dir, si, dec, keep, func(_ int, _ []byte, rec *cdrs.Record) {
+			stats.RecordsKept++
+			sink(*rec)
 		})
+		stats.RecordsRead += int64(n)
 		if err != nil {
 			// A segment that fails its scan is not "read". RecordsRead
-			// can still count a decoded prefix of it, but only of a body
-			// whose CRC held — a record that fails to decode, or a
+			// can still count a validated prefix of it, but only of a
+			// body whose CRC held — a record that fails its check, or a
 			// record-count mismatch.
 			return &stats, err
 		}
@@ -295,30 +296,33 @@ func (r *Reader) ReplayRecords(q Query, sink func(cdrs.Record)) (*ReplayStats, e
 var bodyPool = sync.Pool{New: func() any { return new([]byte) }}
 
 // scanSegment reads one sealed segment body in a single read, verifies
-// its length and CRC against the manifest entry, and only then decodes
+// its length and CRC against the manifest entry, and only then reads
 // it through dec (reset onto the body, so its APN table carries over
-// from earlier scans), calling visit for every record with its wire
-// frame, which aliases a pooled buffer and is valid only during the
-// call: a body that fails its CRC delivers nothing. A size, CRC or
-// record-count mismatch and a record that fails to decode all report
-// the segment as corrupt. The manifest's Bytes field covers body, Bloom filter and
-// footer.
-func scanSegment(dir string, si *SegmentInfo, dec *cdrs.Decoder, visit func(frame []byte, rec *cdrs.Record)) error {
+// from earlier scans): every frame is length-checked and APN-validated
+// and then offered to keep (nil keeps all), and visit sees each kept
+// record, decoded, with its index in the segment and its wire frame,
+// which aliases a pooled buffer and is valid only during the call. A body that fails its CRC
+// delivers nothing. It returns how many frames validated — the whole
+// segment on success, the prefix before the failing record otherwise.
+// A size, CRC or record-count mismatch and a record that fails its
+// check all report the segment as corrupt. The manifest's Bytes field
+// covers body, Bloom filter and footer.
+func scanSegment(dir string, si *SegmentInfo, dec *cdrs.Decoder, keep func(frame []byte) bool, visit func(i int, frame []byte, rec *cdrs.Record)) (int, error) {
 	f, err := os.Open(filepath.Join(dir, si.Name))
 	if err != nil {
-		return fmt.Errorf("store: opening segment %s: %w", si.Name, err)
+		return 0, fmt.Errorf("store: opening segment %s: %w", si.Name, err)
 	}
 	defer f.Close()
 	st, err := f.Stat()
 	if err != nil {
-		return fmt.Errorf("store: stat segment %s: %w", si.Name, err)
+		return 0, fmt.Errorf("store: stat segment %s: %w", si.Name, err)
 	}
 	// The manifest is input from disk. Tying its sizes to the file's
 	// real length (without an addition a huge BodyBytes could overflow)
 	// also bounds the buffer below: a scan never allocates more than
 	// the file holds.
 	if st.Size() != si.Bytes || si.BodyBytes < 0 || si.BodyBytes > si.Bytes-footerV2Size {
-		return fmt.Errorf("%w: %s is %d bytes, manifest says %d",
+		return 0, fmt.Errorf("%w: %s is %d bytes, manifest says %d",
 			ErrCorrupt, si.Name, st.Size(), si.Bytes)
 	}
 	bufp := bodyPool.Get().(*[]byte)
@@ -328,29 +332,31 @@ func scanSegment(dir string, si *SegmentInfo, dec *cdrs.Decoder, visit func(fram
 	}
 	body := (*bufp)[:si.BodyBytes]
 	if _, err := io.ReadFull(f, body); err != nil {
-		return fmt.Errorf("store: reading segment %s: %w", si.Name, err)
+		return 0, fmt.Errorf("store: reading segment %s: %w", si.Name, err)
 	}
 	if crc := crc32.Checksum(body, crcTable); crc != si.BodyCRC {
-		return fmt.Errorf("%w: %s body CRC %08x, footer sealed %08x", ErrCorrupt, si.Name, crc, si.BodyCRC)
+		return 0, fmt.Errorf("%w: %s body CRC %08x, footer sealed %08x", ErrCorrupt, si.Name, crc, si.BodyCRC)
 	}
 	dec.Reset(body)
 	var rec cdrs.Record
 	n := 0
 	for {
-		frame, err := dec.ReadFrame(&rec)
+		frame, kept, err := dec.ReadFrame(&rec, keep)
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
-			return fmt.Errorf("%w: %s record %d: %v", ErrCorrupt, si.Name, n, err)
+			return n, fmt.Errorf("%w: %s record %d: %v", ErrCorrupt, si.Name, n, err)
 		}
-		visit(frame, &rec)
+		if kept {
+			visit(n, frame, &rec)
+		}
 		n++
 	}
 	if n != si.Records {
-		return fmt.Errorf("%w: %s decoded %d records, footer sealed %d", ErrCorrupt, si.Name, n, si.Records)
+		return n, fmt.Errorf("%w: %s decoded %d records, footer sealed %d", ErrCorrupt, si.Name, n, si.Records)
 	}
-	return nil
+	return n, nil
 }
 
 // SegmentError is one segment's verification failure.
@@ -442,7 +448,7 @@ func (r *Reader) Verify() *VerifyReport {
 // verifySegment checks one sealed segment: footer decode and
 // manifest agreement first — every index field pruning trusts,
 // including the visited set and the Bloom filter — then the full
-// body scan through dec.
+// body scan through dec, which checks every frame and decodes none.
 func (r *Reader) verifySegment(si *SegmentInfo, dec *cdrs.Decoder) error {
 	footer, ft, err := r.readFooter(si)
 	if err != nil {
@@ -461,7 +467,8 @@ func (r *Reader) verifySegment(si *SegmentInfo, dec *cdrs.Decoder) error {
 	if err := r.verifyBloom(si, ft); err != nil {
 		return err
 	}
-	return scanSegment(r.dir, si, dec, func([]byte, *cdrs.Record) {})
+	_, err = scanSegment(r.dir, si, dec, keepNone, nil)
+	return err
 }
 
 // verifyBloom cross-checks a segment's Bloom filter three ways: the
@@ -491,6 +498,10 @@ func (r *Reader) verifyBloom(si *SegmentInfo, ft footerTail) error {
 	}
 	return nil
 }
+
+// keepNone is the filter of a scan that only checks frames: nothing is
+// decoded, so nothing is visited.
+func keepNone([]byte) bool { return false }
 
 // equalVisited compares two visited-network index lists (both are in
 // first-seen order by construction; nil and empty compare equal).

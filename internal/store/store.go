@@ -55,6 +55,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"time"
 
 	"whereroam/internal/mccmnc"
@@ -257,6 +258,39 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 // window check drops what the builder drops.
 func dayOf(t, start time.Time) int {
 	return int(t.Sub(start) / (24 * time.Hour))
+}
+
+// dayClock is dayOf for an event time given in Unix nanoseconds, as a
+// wire frame carries it: day(ns) equals dayOf(time.Unix(0, ns), start)
+// for every ns, by integer arithmetic when start is itself an int64
+// nanosecond instant.
+type dayClock struct {
+	start   time.Time
+	startNs int64
+	// inRange reports whether startNs is start, exactly; a start
+	// outside the nanosecond range (year 1, year 9999) takes dayOf.
+	inRange bool
+}
+
+func newDayClock(start time.Time) dayClock {
+	ns := start.UnixNano()
+	return dayClock{start: start, startNs: ns, inRange: time.Unix(0, ns).Equal(start)}
+}
+
+// day returns the window day of the event instant ns. Like Time.Sub, a
+// difference past the Duration range saturates to its bound.
+func (c dayClock) day(ns int64) int {
+	if !c.inRange {
+		return dayOf(time.Unix(0, ns), c.start)
+	}
+	d := ns - c.startNs
+	if (ns^c.startNs)&(ns^d) < 0 { // the subtraction overflowed
+		d = math.MaxInt64
+		if ns < c.startNs {
+			d = math.MinInt64
+		}
+	}
+	return int(time.Duration(d) / (24 * time.Hour))
 }
 
 // encodeFooter renders a segment's footer. The Bloom frame is derived

@@ -718,7 +718,9 @@ func TestReplayCountsOutOfWindowRecords(t *testing.T) {
 // A catalog replay costs well under one allocation per record: each
 // worker decodes its whole range through one decoder and one builder,
 // and the builder takes its device-days from chunks rather than the
-// heap one at a time.
+// heap one at a time. A device lookup drops almost every record it
+// reads on the wire frame, so it allocates a small constant per replay
+// and nothing per dropped record.
 func TestReplayAllocsPerRecord(t *testing.T) {
 	const days = 6
 	recs := feedRecords(300, days)
@@ -739,5 +741,17 @@ func TestReplayAllocsPerRecord(t *testing.T) {
 		} else {
 			t.Logf("workers=%d: %.3f allocs per record", workers, perRecord)
 		}
+	}
+	q := Query{}.Device(recs[0].Device)
+	var stats *ReplayStats
+	allocs := testing.AllocsPerRun(5, func() {
+		var err error
+		if _, stats, err = r.Replay(q, 1); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("device lookup: %.0f allocs, %d records read, %d kept", allocs, stats.RecordsRead, stats.RecordsKept)
+	if perRecord := allocs / float64(stats.RecordsRead); perRecord >= 0.1 {
+		t.Errorf("device lookup allocates %.0f objects over %d records read, want < 0.1 per record", allocs, stats.RecordsRead)
 	}
 }

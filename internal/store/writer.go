@@ -8,7 +8,6 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
-	"time"
 
 	"whereroam/internal/cdrs"
 	"whereroam/internal/mccmnc"
@@ -34,6 +33,7 @@ const checkpointMinTail = 16
 type Writer struct {
 	dir        string
 	meta       Meta
+	clock      dayClock
 	segRecords int
 
 	mu       sync.Mutex
@@ -67,6 +67,7 @@ func NewWriter(dir string, meta Meta, segmentRecords int) (*Writer, error) {
 	w := &Writer{
 		dir:        dir,
 		meta:       meta,
+		clock:      newDayClock(meta.Start),
 		segRecords: segmentRecords,
 		devs:       map[uint64]struct{}{},
 		man: Manifest{
@@ -126,8 +127,7 @@ func (w *Writer) appendFrame(frame []byte) error {
 		w.err = err
 		return err
 	}
-	day := dayOf(time.Unix(0, cdrs.FrameTime(frame)), w.meta.Start)
-	return w.noteRecord(day, cdrs.FrameDevice(frame), cdrs.FrameVisited(frame))
+	return w.noteRecord(w.clock.day(cdrs.FrameTime(frame)), cdrs.FrameDevice(frame), cdrs.FrameVisited(frame))
 }
 
 // ready refuses an append to a failed or closed writer and opens a
