@@ -359,8 +359,8 @@ func TestAPNTablesBounded(t *testing.T) {
 			t.Fatalf("record %d: APN %v, wrote %v", i, got.APN, recs[i].APN)
 		}
 	}
-	if len(w.apns) != apnTableMax || len(d.apns.m) != apnTableMax {
-		t.Fatalf("tables hold %d (writer) and %d (decoder) APNs, want the bound %d", len(w.apns), len(d.apns.m), apnTableMax)
+	if len(w.apns) != apnTableMax || len(d.apns) != apnTableMax {
+		t.Fatalf("tables hold %d (writer) and %d (decoder) APNs, want the bound %d", len(w.apns), len(d.apns), apnTableMax)
 	}
 }
 
@@ -462,8 +462,8 @@ func FuzzRecordStream(f *testing.F) {
 				}
 			}
 		}
-		if len(dec.apns.m) > apnTableMax || len(rd.apns.m) > apnTableMax || len(dec.canon) > apnTableMax {
-			t.Fatalf("APN tables grew to %d, %d and %d, bound %d", len(dec.apns.m), len(rd.apns.m), len(dec.canon), apnTableMax)
+		if len(dec.apns) > apnTableMax || len(rd.apns) > apnTableMax || len(dec.canon) > apnTableMax {
+			t.Fatalf("APN tables grew to %d, %d and %d, bound %d", len(dec.apns), len(rd.apns), len(dec.canon), apnTableMax)
 		}
 		if frames.Len() > 0 && !bytes.HasPrefix(data[headerSize:], frames.Bytes()) {
 			t.Fatalf("frames %x are not the bytes after the header of %x", frames.Bytes(), data)

@@ -159,35 +159,19 @@ func (w *Writer) Flush() error { return w.w.Flush() }
 // remembering up to apnTableMax distinct byte strings. It is keyed by
 // the raw wire bytes, so a hit costs one map lookup and no allocation;
 // a miss goes through apn.Parse, which is why a stream is accepted or
-// rejected exactly as it would be without the table. It also remembers
-// its last resolved string, so a run of records naming one APN costs a
-// byte comparison, not a hash. A codec holds its table by value.
-type apnTable struct {
-	m       map[string]apn.APN
-	last    [maxWireAPN]byte
-	lastLen int // 0: nothing resolved yet (APN bytes are never empty)
-	lastAPN apn.APN
-}
+// rejected exactly as it would be without the table.
+type apnTable map[string]apn.APN
 
-func newAPNTable() apnTable { return apnTable{m: map[string]apn.APN{}} }
-
-func (t *apnTable) resolve(b []byte) (apn.APN, error) {
-	if string(b) == string(t.last[:t.lastLen]) {
-		return t.lastAPN, nil
+func (t apnTable) resolve(b []byte) (apn.APN, error) {
+	if a, ok := t[string(b)]; ok {
+		return a, nil
 	}
-	a, ok := t.m[string(b)]
-	if !ok {
-		raw := string(b)
-		var err error
-		if a, err = apn.Parse(raw); err != nil {
-			return a, err
-		}
-		if len(t.m) < apnTableMax {
-			t.m[raw] = a
-		}
+	raw := string(b)
+	a, err := apn.Parse(raw)
+	if err == nil && len(t) < apnTableMax {
+		t[raw] = a
 	}
-	t.lastLen, t.lastAPN = copy(t.last[:], b), a
-	return a, nil
+	return a, err
 }
 
 // bodyAPN validates the APN of one record body — the bytes after the
@@ -197,7 +181,7 @@ func (t *apnTable) resolve(b []byte) (apn.APN, error) {
 // check: the stream [Reader] and the byte-slice [Decoder] both call it
 // before anything else reads the body, so they accept and reject the
 // same records.
-func (t *apnTable) bodyAPN(b []byte, index int) (apn.APN, error) {
+func (t apnTable) bodyAPN(b []byte, index int) (apn.APN, error) {
 	if len(b) == bodySize {
 		return apn.APN{}, nil
 	}
@@ -258,7 +242,7 @@ type Reader struct {
 
 // NewReader returns a Reader consuming from r.
 func NewReader(r io.Reader) *Reader {
-	return &Reader{r: bufio.NewReaderSize(r, 64<<10), apns: newAPNTable()}
+	return &Reader{r: bufio.NewReaderSize(r, 64<<10), apns: apnTable{}}
 }
 
 // Read decodes the next record into rec; io.EOF marks a clean end.
@@ -318,7 +302,7 @@ type Decoder struct {
 
 // NewDecoder returns a Decoder over the whole stream b (header
 // included).
-func NewDecoder(b []byte) *Decoder { return &Decoder{b: b, apns: newAPNTable()} }
+func NewDecoder(b []byte) *Decoder { return &Decoder{b: b, apns: apnTable{}} }
 
 // Reset points the Decoder at a new stream b (header included), as
 // NewDecoder(b) would, but keeps its APN table: a caller decoding many
